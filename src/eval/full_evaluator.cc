@@ -67,7 +67,8 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
 namespace {
 
 /// Queries per batched kernel call. One score block is kQueryBlock x
-/// entity_tile floats (~2 MB at the default tile). The tile is deliberately
+/// min(entity_tile, num_entities) floats: 1.1 MB on codex-m's 17 050
+/// entities, 2 MB at most with the default tile. The tile is deliberately
 /// large: per-query work that happens once per kernel call (TuckER's core
 /// contraction, ConvE's conv/FC trunk) repeats once per tile, so small
 /// tiles would multiply it.
@@ -136,7 +137,9 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   SubmitSlotChunks(&group, blocks, [&](size_t block_lo, size_t block_hi) {
     std::vector<int32_t> anchors(kQueryBlock), truths(kQueryBlock);
     std::vector<float> truth_scores(kQueryBlock);
-    std::vector<float> scores(kQueryBlock * tile_size);
+    std::vector<float> scores(
+        kQueryBlock *
+        std::min(tile_size, static_cast<size_t>(num_entities)));
     std::vector<const std::vector<int32_t>*> answers(kQueryBlock);
     std::vector<int64_t> higher(kQueryBlock), tied(kQueryBlock);
     std::vector<size_t> cursor(kQueryBlock);
@@ -243,21 +246,24 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
             const std::vector<int32_t>& ans = *answers[q];
             const float truth_score = truth_scores[q];
             const float* row = scores.data() + q * tile;
-            // Walk the tile in order, advancing a cursor through the
-            // sorted answers list instead of binary-searching per entity.
+            // Count the whole row branch-free, then take back the filtered
+            // answers inside [e0, e1) by direct index, each distinct entity
+            // once. `ans` is sorted and includes the truth (EvalProtocol
+            // contract), so the counts equal a walk that skips every
+            // filtered entity.
+            int32_t h = 0, t = 0;
+            for (size_t c = 0; c < tile; ++c) {
+              h += row[c] > truth_score;
+              t += row[c] == truth_score;
+            }
+            // Tiles run in entity order, so the answer cursor carried over
+            // from the previous tile already sits at the first answer >= e0.
             size_t cur = cursor[q];
-            int64_t h = 0, t = 0;
-            for (int32_t e = e0; e < e1; ++e) {
-              while (cur < ans.size() && ans[cur] < e) ++cur;
-              if (cur < ans.size() && ans[cur] == e) {
-                continue;  // Filtered (includes e == truth).
-              }
-              const float s = row[e - e0];
-              if (s > truth_score) {
-                ++h;
-              } else if (s == truth_score) {
-                ++t;
-              }
+            for (; cur < ans.size() && ans[cur] < e1; ++cur) {
+              if (cur > 0 && ans[cur] == ans[cur - 1]) continue;
+              const float s = row[ans[cur] - e0];
+              h -= s > truth_score;
+              t -= s == truth_score;
             }
             cursor[q] = cur;
             higher[q] += h;

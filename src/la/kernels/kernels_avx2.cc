@@ -20,6 +20,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -43,156 +44,160 @@ KGEVAL_TARGET_AVX2 inline __m256 LoadQ8(const int8_t* p) {
   return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
 }
 
+// Exact kernels: the query-blocked sweep of kernels_avx512.cc at 8 lanes
+// per register. Column chunks of kChunk candidates stay in L2 while groups
+// of up to kQueryGroup queries share every tile vector load; within a
+// chunk the widest strips run first, then 8-lane strips, then one masked
+// strip below 8 lanes. Strip widths keep each group's accumulators, tile
+// vectors and broadcasts inside the 16 YMM registers. Every cell still
+// accumulates over k ascending, rounded multiply then rounded add, so the
+// output matches the scalar reference bit-for-bit.
+
+constexpr size_t kChunk = 512;
+constexpr size_t kQueryGroup = 4;
+
+/// Per-step cell updates. kPlanes tile rows feed one step (k, and m + k for
+/// the complex planes); kVecs 8-lane vectors make the widest strip.
+struct DotOp {
+  static constexpr int kPlanes = 1;
+  static constexpr int kVecs = 2;
+  KGEVAL_TARGET_AVX2 __m256 Step(__m256 acc, const __m256* a,
+                                 const __m256* t) const {
+    return _mm256_add_ps(acc, _mm256_mul_ps(a[0], t[0]));
+  }
+  KGEVAL_TARGET_AVX2 __m256 Finish(__m256 acc) const { return acc; }
+};
+
+struct NegL1Op {
+  static constexpr int kPlanes = 1;
+  static constexpr int kVecs = 2;
+  KGEVAL_TARGET_AVX2 __m256 Step(__m256 acc, const __m256* a,
+                                 const __m256* t) const {
+    return _mm256_add_ps(acc, AbsPs(_mm256_sub_ps(a[0], t[0])));
+  }
+  KGEVAL_TARGET_AVX2 __m256 Finish(__m256 acc) const { return NegPs(acc); }
+};
+
+struct NegComplexDistOp {
+  static constexpr int kPlanes = 2;
+  static constexpr int kVecs = 1;
+  float eps;
+  KGEVAL_TARGET_AVX2 __m256 Step(__m256 acc, const __m256* a,
+                                 const __m256* t) const {
+    const __m256 dre = _mm256_sub_ps(a[0], t[0]);
+    const __m256 dim_ = _mm256_sub_ps(a[1], t[1]);
+    // (dre*dre + dim*dim) + eps in the scalar expression's order.
+    const __m256 s = _mm256_add_ps(
+        _mm256_add_ps(_mm256_mul_ps(dre, dre), _mm256_mul_ps(dim_, dim_)),
+        _mm256_set1_ps(eps));
+    return _mm256_add_ps(acc, _mm256_sqrt_ps(s));
+  }
+  KGEVAL_TARGET_AVX2 __m256 Finish(__m256 acc) const { return NegPs(acc); }
+};
+
+/// Scores QN queries (rows of `a`, stride dim) against V * 8 candidates
+/// starting at `tile` (row stride n) into `o` (row stride n). kMasked
+/// strips are one vector whose lanes outside `mask` are neither read nor
+/// written.
+template <class Op, int QN, int V, bool kMasked>
+KGEVAL_TARGET_AVX2 inline void Strip(const Op& op, const float* a, size_t dim,
+                                     const float* tile, size_t n, __m256i mask,
+                                     float* o) {
+  constexpr int P = Op::kPlanes;
+  const size_t steps = dim / P;
+  __m256 acc[QN][V];
+#pragma GCC unroll 8
+  for (int i = 0; i < QN * V; ++i) acc[i / V][i % V] = _mm256_setzero_ps();
+  for (size_t k = 0; k < steps; ++k) {
+    __m256 t[V][P];
+#pragma GCC unroll 4
+    for (int i = 0; i < V * P; ++i) {
+      const float* g = tile + ((i % P) * steps + k) * n + (i / P) * 8;
+      t[i / P][i % P] =
+          kMasked ? _mm256_maskload_ps(g, mask) : _mm256_loadu_ps(g);
+    }
+#pragma GCC unroll 4
+    for (int q = 0; q < QN; ++q) {
+      __m256 qa[P];
+#pragma GCC unroll 2
+      for (int p = 0; p < P; ++p) {
+        qa[p] = _mm256_set1_ps(a[q * dim + p * steps + k]);
+      }
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) acc[q][v] = op.Step(acc[q][v], qa, t[v]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < QN * V; ++i) {
+    float* dst = o + (i / V) * n + (i % V) * 8;
+    const __m256 r = op.Finish(acc[i / V][i % V]);
+    if (kMasked) {
+      _mm256_maskstore_ps(dst, mask, r);
+    } else {
+      _mm256_storeu_ps(dst, r);
+    }
+  }
+}
+
+/// Columns [c0, c1) for QN queries: widest strips, 8-lane strips, then one
+/// masked strip for the last < 8 columns.
+template <class Op, int QN>
+KGEVAL_TARGET_AVX2 void SweepColumns(const Op& op, const float* a, size_t dim,
+                                     const float* tile, size_t n, size_t c0,
+                                     size_t c1, float* o) {
+  constexpr size_t kWide = 8 * Op::kVecs;
+  const __m256i all = _mm256_set1_epi32(-1);
+  size_t c = c0;
+  for (; c + kWide <= c1; c += kWide) {
+    Strip<Op, QN, Op::kVecs, false>(op, a, dim, tile + c, n, all, o + c);
+  }
+  for (; c + 8 <= c1; c += 8) {
+    Strip<Op, QN, 1, false>(op, a, dim, tile + c, n, all, o + c);
+  }
+  if (c < c1) {
+    const __m256i mask = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(c1 - c)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    Strip<Op, QN, 1, true>(op, a, dim, tile + c, n, mask, o + c);
+  }
+}
+
+template <class Op>
+KGEVAL_TARGET_AVX2 void SweepQueryBlocked(const Op& op, const float* queries,
+                                          size_t nq, size_t dim,
+                                          const float* tile, size_t n,
+                                          float* out) {
+  for (size_t c0 = 0; c0 < n; c0 += kChunk) {
+    const size_t c1 = std::min(n, c0 + kChunk);
+    for (size_t q = 0; q < nq; q += kQueryGroup) {
+      const float* a = queries + q * dim;
+      float* o = out + q * n;
+      switch (std::min(kQueryGroup, nq - q)) {
+        case 4: SweepColumns<Op, 4>(op, a, dim, tile, n, c0, c1, o); break;
+        case 3: SweepColumns<Op, 3>(op, a, dim, tile, n, c0, c1, o); break;
+        case 2: SweepColumns<Op, 2>(op, a, dim, tile, n, c0, c1, o); break;
+        default: SweepColumns<Op, 1>(op, a, dim, tile, n, c0, c1, o); break;
+      }
+    }
+  }
+}
+
 KGEVAL_TARGET_AVX2
 void DotAvx2(const float* queries, size_t nq, size_t dim, const float* tile,
              size_t n, float* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    // 32-lane strips: four accumulators live in registers across the whole
-    // dim loop, so the tile is streamed once with no per-k output traffic.
-    for (; c + 32 <= n; c += 32) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      const float* g = tile + c;
-      for (size_t k = 0; k < dim; ++k, g += n) {
-        const __m256 va = _mm256_set1_ps(a[k]);
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(g)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(g + 8)));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(g + 16)));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(g + 24)));
-      }
-      _mm256_storeu_ps(o + c, acc0);
-      _mm256_storeu_ps(o + c + 8, acc1);
-      _mm256_storeu_ps(o + c + 16, acc2);
-      _mm256_storeu_ps(o + c + 24, acc3);
-    }
-    for (; c + 8 <= n; c += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const float* g = tile + c;
-      for (size_t k = 0; k < dim; ++k, g += n) {
-        acc = _mm256_add_ps(acc,
-                            _mm256_mul_ps(_mm256_set1_ps(a[k]),
-                                          _mm256_loadu_ps(g)));
-      }
-      _mm256_storeu_ps(o + c, acc);
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t k = 0; k < dim; ++k) acc += a[k] * tile[k * n + c];
-      o[c] = acc;
-    }
-  }
+  SweepQueryBlocked(DotOp{}, queries, nq, dim, tile, n, out);
 }
 
 KGEVAL_TARGET_AVX2
 void NegL1Avx2(const float* queries, size_t nq, size_t dim, const float* tile,
                size_t n, float* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    for (; c + 32 <= n; c += 32) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      const float* g = tile + c;
-      for (size_t k = 0; k < dim; ++k, g += n) {
-        const __m256 va = _mm256_set1_ps(a[k]);
-        acc0 = _mm256_add_ps(acc0, AbsPs(_mm256_sub_ps(va, _mm256_loadu_ps(g))));
-        acc1 = _mm256_add_ps(
-            acc1, AbsPs(_mm256_sub_ps(va, _mm256_loadu_ps(g + 8))));
-        acc2 = _mm256_add_ps(
-            acc2, AbsPs(_mm256_sub_ps(va, _mm256_loadu_ps(g + 16))));
-        acc3 = _mm256_add_ps(
-            acc3, AbsPs(_mm256_sub_ps(va, _mm256_loadu_ps(g + 24))));
-      }
-      _mm256_storeu_ps(o + c, NegPs(acc0));
-      _mm256_storeu_ps(o + c + 8, NegPs(acc1));
-      _mm256_storeu_ps(o + c + 16, NegPs(acc2));
-      _mm256_storeu_ps(o + c + 24, NegPs(acc3));
-    }
-    for (; c + 8 <= n; c += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      const float* g = tile + c;
-      for (size_t k = 0; k < dim; ++k, g += n) {
-        acc = _mm256_add_ps(
-            acc, AbsPs(_mm256_sub_ps(_mm256_set1_ps(a[k]), _mm256_loadu_ps(g))));
-      }
-      _mm256_storeu_ps(o + c, NegPs(acc));
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t k = 0; k < dim; ++k) acc += std::fabs(a[k] - tile[k * n + c]);
-      o[c] = -acc;
-    }
-  }
+  SweepQueryBlocked(NegL1Op{}, queries, nq, dim, tile, n, out);
 }
 
 KGEVAL_TARGET_AVX2
 void NegComplexDistAvx2(const float* queries, size_t nq, size_t dim,
                         const float* tile, size_t n, float eps, float* out) {
-  const size_t m = dim / 2;
-  const __m256 veps = _mm256_set1_ps(eps);
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    // 16-lane strips: each coordinate needs two plane loads plus a sqrt, so
-    // two accumulators balance register pressure against strip overhead.
-    for (; c + 16 <= n; c += 16) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      for (size_t j = 0; j < m; ++j) {
-        const __m256 qre = _mm256_set1_ps(a[j]);
-        const __m256 qim = _mm256_set1_ps(a[m + j]);
-        const float* gre = tile + j * n + c;
-        const float* gim = tile + (m + j) * n + c;
-        const __m256 dre0 = _mm256_sub_ps(qre, _mm256_loadu_ps(gre));
-        const __m256 dim0 = _mm256_sub_ps(qim, _mm256_loadu_ps(gim));
-        const __m256 dre1 = _mm256_sub_ps(qre, _mm256_loadu_ps(gre + 8));
-        const __m256 dim1 = _mm256_sub_ps(qim, _mm256_loadu_ps(gim + 8));
-        // (dre*dre + dim*dim) + eps in the scalar expression's order.
-        const __m256 s0 = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dre0, dre0), _mm256_mul_ps(dim0, dim0)),
-            veps);
-        const __m256 s1 = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dre1, dre1), _mm256_mul_ps(dim1, dim1)),
-            veps);
-        acc0 = _mm256_add_ps(acc0, _mm256_sqrt_ps(s0));
-        acc1 = _mm256_add_ps(acc1, _mm256_sqrt_ps(s1));
-      }
-      _mm256_storeu_ps(o + c, NegPs(acc0));
-      _mm256_storeu_ps(o + c + 8, NegPs(acc1));
-    }
-    for (; c + 8 <= n; c += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t j = 0; j < m; ++j) {
-        const __m256 dre = _mm256_sub_ps(_mm256_set1_ps(a[j]),
-                                         _mm256_loadu_ps(tile + j * n + c));
-        const __m256 dim_ = _mm256_sub_ps(
-            _mm256_set1_ps(a[m + j]), _mm256_loadu_ps(tile + (m + j) * n + c));
-        const __m256 s = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dre, dre), _mm256_mul_ps(dim_, dim_)),
-            veps);
-        acc = _mm256_add_ps(acc, _mm256_sqrt_ps(s));
-      }
-      _mm256_storeu_ps(o + c, NegPs(acc));
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t j = 0; j < m; ++j) {
-        const float dre = a[j] - tile[j * n + c];
-        const float dim_ = a[m + j] - tile[(m + j) * n + c];
-        acc += std::sqrt(dre * dre + dim_ * dim_ + eps);
-      }
-      o[c] = -acc;
-    }
-  }
+  SweepQueryBlocked(NegComplexDistOp{eps}, queries, nq, dim, tile, n, out);
 }
 
 KGEVAL_TARGET_AVX2

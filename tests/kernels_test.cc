@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -173,6 +175,95 @@ INSTANTIATE_TEST_SUITE_P(AllModels, KernelParityTest,
                          [](const ::testing::TestParamInfo<ModelType>& info) {
                            return ModelTypeName(info.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Raw kernel parity: every exact ScoreKernels entry of every supported
+// implementation, called directly, must reproduce the scalar reference bit
+// for bit across shapes that reach every strip width, every query-group
+// remainder and every column-chunk edge.
+
+std::vector<uint32_t> Bits(const std::vector<float>& values) {
+  std::vector<uint32_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+  return bits;
+}
+
+/// Values drawn from a small set (ties within and across rows, both signed
+/// zeros) mixed with uniform ones.
+std::vector<float> KernelInput(size_t size, Rng* rng) {
+  static const float kPicks[] = {0.0f, -0.0f, 1.0f, -1.0f, 0.5f, -2.25f};
+  std::vector<float> values(size);
+  for (float& v : values) {
+    v = rng->NextBounded(2) == 0
+            ? kPicks[rng->NextBounded(std::size(kPicks))]
+            : static_cast<float>(rng->NextUniform(-3.0, 3.0));
+  }
+  return values;
+}
+
+TEST(RawKernelParityTest, ExactKernelsMatchScalarOnEveryShape) {
+  KernelGuard guard;
+  std::vector<const ScoreKernels*> impls;
+  for (const std::string& name : SupportedScoreKernelNames()) {
+    ASSERT_TRUE(SelectScoreKernels(name).ok()) << name;
+    impls.push_back(&ActiveScoreKernels());
+  }
+  const ScoreKernels& scalar = ScalarScoreKernels();
+  const float kEps = 1e-3f;
+  Rng rng(2024);
+  for (size_t nq : {1, 3, 4, 5, 16, 17}) {
+    for (size_t n : {1, 15, 16, 17, 31, 33, 63, 64, 65, 511, 512, 513,
+                     1100}) {
+      for (size_t dim : {1, 2, 3, 64}) {
+        SCOPED_TRACE(testing::Message()
+                     << "nq=" << nq << " n=" << n << " dim=" << dim);
+        const std::vector<float> queries = KernelInput(nq * dim, &rng);
+        const std::vector<float> tile = KernelInput(dim * n, &rng);
+        // Every cell starts as a NaN sentinel, so a cell a kernel never
+        // writes cannot match the reference; 16 sentinel cells past the
+        // end catch a masked store that writes too far.
+        const auto run = [&](auto kernel) {
+          std::vector<float> out(nq * n + 16, std::nanf(""));
+          kernel(out.data());
+          return Bits(out);
+        };
+        const std::vector<uint32_t> dot = run([&](float* out) {
+          scalar.dot(queries.data(), nq, dim, tile.data(), n, out);
+        });
+        const std::vector<uint32_t> l1 = run([&](float* out) {
+          scalar.neg_l1(queries.data(), nq, dim, tile.data(), n, out);
+        });
+        std::vector<uint32_t> cdist;
+        if (dim % 2 == 0) {
+          cdist = run([&](float* out) {
+            scalar.neg_complex_dist(queries.data(), nq, dim, tile.data(), n,
+                                    kEps, out);
+          });
+        }
+        for (const ScoreKernels* impl : impls) {
+          EXPECT_EQ(run([&](float* out) {
+                      impl->dot(queries.data(), nq, dim, tile.data(), n, out);
+                    }),
+                    dot)
+              << "dot under " << impl->name;
+          EXPECT_EQ(run([&](float* out) {
+                      impl->neg_l1(queries.data(), nq, dim, tile.data(), n,
+                                   out);
+                    }),
+                    l1)
+              << "neg_l1 under " << impl->name;
+          if (dim % 2 != 0) continue;
+          EXPECT_EQ(run([&](float* out) {
+                      impl->neg_complex_dist(queries.data(), nq, dim,
+                                             tile.data(), n, kEps, out);
+                    }),
+                    cdist)
+              << "neg_complex_dist under " << impl->name;
+        }
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Screening: the quantization error bound must dominate the actual

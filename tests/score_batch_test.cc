@@ -320,44 +320,54 @@ TEST(SlotMajorEvaluatorTest, MaxTriplesPrefixMatchesScalar) {
 
 TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
   // The tiled slot-major full evaluator must agree with a direct ScoreAll
-  // walk; DistMult + RotatE cover the dot-product and distance kernels.
+  // walk for every kernel family: DistMult (dot), TransE (neg_l1), RESCAL
+  // (dot through a relation matrix) and RotatE (complex distance). The
+  // 100-entity tile is a width no kernel strip divides, and splits the 500
+  // entities into five tiles, so the per-tile answer take-back and the
+  // answer cursor carried across tiles are both exercised.
   const Dataset dataset = SynthDataset();
   const FilterIndex filter(dataset);
-  for (ModelType type : {ModelType::kDistMult, ModelType::kRotatE}) {
+  for (ModelType type : {ModelType::kDistMult, ModelType::kTransE,
+                         ModelType::kRescal, ModelType::kRotatE}) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
-    FullEvalOptions options;
-    options.max_triples = 40;
-    const FullEvalResult result =
-        EvaluateFullRanking(*model, dataset, filter, Split::kTest, options);
-    std::vector<float> scores(dataset.num_entities());
-    for (int64_t i = 0; i < options.max_triples; ++i) {
-      const Triple& triple = dataset.test()[i];
-      for (QueryDirection dir :
-           {QueryDirection::kTail, QueryDirection::kHead}) {
-        const bool tail_dir = dir == QueryDirection::kTail;
-        const int32_t anchor = tail_dir ? triple.head : triple.tail;
-        const int32_t truth = tail_dir ? triple.tail : triple.head;
-        model->ScoreAll(anchor, triple.relation, dir, scores.data());
-        const std::vector<int32_t>* answers = filter.AnswersFor(triple, dir);
-        ASSERT_NE(answers, nullptr);
-        int64_t higher = 0, tied = 0;
-        size_t cursor = 0;
-        for (int32_t e = 0; e < dataset.num_entities(); ++e) {
-          while (cursor < answers->size() && (*answers)[cursor] < e) {
-            ++cursor;
+    for (size_t entity_tile : {FullEvalOptions().entity_tile, size_t{100}}) {
+      FullEvalOptions options;
+      options.max_triples = 40;
+      options.entity_tile = entity_tile;
+      const FullEvalResult result =
+          EvaluateFullRanking(*model, dataset, filter, Split::kTest, options);
+      std::vector<float> scores(dataset.num_entities());
+      for (int64_t i = 0; i < options.max_triples; ++i) {
+        const Triple& triple = dataset.test()[i];
+        for (QueryDirection dir :
+             {QueryDirection::kTail, QueryDirection::kHead}) {
+          const bool tail_dir = dir == QueryDirection::kTail;
+          const int32_t anchor = tail_dir ? triple.head : triple.tail;
+          const int32_t truth = tail_dir ? triple.tail : triple.head;
+          model->ScoreAll(anchor, triple.relation, dir, scores.data());
+          const std::vector<int32_t>* answers =
+              filter.AnswersFor(triple, dir);
+          ASSERT_NE(answers, nullptr);
+          int64_t higher = 0, tied = 0;
+          size_t cursor = 0;
+          for (int32_t e = 0; e < dataset.num_entities(); ++e) {
+            while (cursor < answers->size() && (*answers)[cursor] < e) {
+              ++cursor;
+            }
+            if (cursor < answers->size() && (*answers)[cursor] == e) continue;
+            if (scores[e] > scores[truth]) {
+              ++higher;
+            } else if (scores[e] == scores[truth]) {
+              ++tied;
+            }
           }
-          if (cursor < answers->size() && (*answers)[cursor] == e) continue;
-          if (scores[e] > scores[truth]) {
-            ++higher;
-          } else if (scores[e] == scores[truth]) {
-            ++tied;
-          }
+          EXPECT_EQ(result.ranks[i * 2 + (tail_dir ? 0 : 1)],
+                    RankFromCounts(higher, tied, options.tie))
+              << ModelTypeName(type) << " entity_tile " << entity_tile
+              << " triple " << i;
         }
-        EXPECT_EQ(result.ranks[i * 2 + (tail_dir ? 0 : 1)],
-                  RankFromCounts(higher, tied, options.tie))
-            << ModelTypeName(type) << " triple " << i;
       }
     }
   }
