@@ -21,7 +21,8 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   const int64_t num_triples = static_cast<int64_t>(triples.size());
   const int32_t num_r = dataset.num_relations();
   const int32_t num_groups = protocol.num_groups();
-  ValidateQueriedPools(triples, num_triples, num_r, candidates);
+  ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
+                       candidates);
 
   AdaptiveEvalResult result;
   result.total_queries = 2 * num_triples;

@@ -23,6 +23,7 @@ void FillCi(double confidence, SampledEvalResult* result) {
 
 void ValidateQueriedPools(const std::vector<Triple>& triples,
                           int64_t num_triples, int32_t num_relations,
+                          int32_t num_entities,
                           const SampledCandidates& candidates) {
   // One flag per slot so each pool is checked once, not once per triple.
   std::vector<char> queried(2 * static_cast<size_t>(num_relations), 0);
@@ -32,7 +33,8 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
   }
   for (size_t slot = 0; slot < queried.size(); ++slot) {
     if (!queried[slot]) continue;
-    const size_t n = candidates.pools[slot].size();
+    const std::vector<int32_t>& pool = candidates.pools[slot];
+    const size_t n = pool.size();
     const size_t relation = slot < static_cast<size_t>(num_relations)
                                 ? slot
                                 : slot - num_relations;
@@ -42,6 +44,16 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
         << (slot < static_cast<size_t>(num_relations) ? "head" : "tail")
         << " queries): ranking against an empty pool would report rank 1 "
         << "for every query of the slot";
+    KGEVAL_CHECK(pool[0] >= 0 && pool[n - 1] < num_entities)
+        << "candidate pool for queried slot " << slot
+        << " holds an entity id outside [0, " << num_entities << ")";
+    for (size_t i = 1; i < n; ++i) {
+      KGEVAL_CHECK(pool[i] > pool[i - 1])
+          << "candidate pool for queried slot " << slot
+          << " is not strictly increasing at index " << i << " ("
+          << pool[i - 1] << ", " << pool[i]
+          << "): pools must be sorted and deduplicated";
+    }
   }
 }
 
@@ -81,14 +93,13 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
       scratch->anchors[q] = tail_dir ? triple.head : triple.tail;
       scratch->truths[q] = tail_dir ? triple.tail : triple.head;
     }
-    bool pool_sorted = false;
-    if (options.prepared_pools) {
+    if (slot != scratch->pool_slot) {
       // Slot-contiguous schedules keep a slot's blocks adjacent, so the
-      // pool is prepared at its first block (the gather stays hot in cache
-      // for the scoring call right after) and the prepared tile — its
-      // allocation and precomputed sortedness included — is reused by
-      // every following block of the same slot.
-      if (slot != scratch->prepared_slot) {
+      // pool's take-back index — and, on the prepared engine, its prepared
+      // tile — is built at the slot's first block and reused by every
+      // following block of the same slot (the gather stays hot in cache
+      // for the scoring call right after).
+      if (options.prepared_pools) {
         model.PrepareCandidates(pool.data(), n, &scratch->prepared);
         // The int8 sidecar rides the same once-per-slot amortization as
         // the gather; models without a kernel surface never set
@@ -97,12 +108,15 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
             n >= options.screening_min_pool) {
           QuantizeCandidateBlock(&scratch->prepared);
         }
-        scratch->prepared_slot = slot;
       }
+      scratch->pool_index.Build(pool.data(), n);
+      scratch->pool_slot = slot;
+    }
+    if (options.prepared_pools) {
       if (scratch->prepared.quantized) {
         // Screened path: int8 sweep of the whole pool, exact re-scoring of
-        // each query's band only. Ranks are bit-identical to the fused
-        // ScoreBlock + FilteredRank path below (see eval/screen.h).
+        // each query's band only. Ranks are bit-identical to the exact
+        // path below (see eval/screen.h).
         scratch->answers.resize(qb);
         scratch->block_ranks.resize(qb);
         for (size_t q = 0; q < qb; ++q) {
@@ -136,7 +150,6 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
                        kernel_relation, block.direction, scratch->prepared,
                        scratch->scores.data(),
                        scratch->truth_scores.data());
-      pool_sorted = scratch->prepared.sorted;
     } else {
       model.ScoreBatch(scratch->anchors.data(), qb, kernel_relation,
                        block.direction, pool.data(), n,
@@ -144,20 +157,19 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
       model.ScorePairs(scratch->anchors.data(), scratch->truths.data(), qb,
                        1, kernel_relation, block.direction,
                        scratch->truth_scores.data());
-      pool_sorted = std::is_sorted(pool.begin(), pool.end());
     }
     scored += static_cast<int64_t>(qb) * (n + 1);
     for (size_t q = 0; q < qb; ++q) {
       const int32_t i = (*block.triple_idx)[block.begin + q];
-      const Triple& triple = triples[i];
       const std::vector<int32_t>* answers =
-          protocol.Answers(triple, block.direction);
+          protocol.Answers(triples[i], block.direction);
       KGEVAL_CHECK(answers != nullptr);
-      const double rank = FilteredRank(
-          pool.data(), scratch->scores.data() + q * n, n,
-          scratch->truths[q], scratch->truth_scores[q], *answers,
-          options.tie, pool_sorted);
-      ranks[static_cast<size_t>(i) * 2 + (tail_dir ? 0 : 1)] = rank;
+      // Take-back by direct index: the pool is strictly increasing
+      // (ValidateQueriedPools), as IndexedFilteredRank requires.
+      ranks[static_cast<size_t>(i) * 2 + (tail_dir ? 0 : 1)] =
+          IndexedFilteredRank(scratch->scores.data() + q * n, n,
+                              scratch->truth_scores[q], *answers,
+                              scratch->pool_index, options.tie);
     }
   }
   return scored;
@@ -175,7 +187,8 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
     num_triples = std::min(num_triples, options.max_triples);
   }
   const int32_t num_r = dataset.num_relations();
-  ValidateQueriedPools(triples, num_triples, num_r, candidates);
+  ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
+                       candidates);
 
   SampledEvalResult result;
   result.sample_seconds = candidates.sample_seconds;
@@ -247,7 +260,8 @@ SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
     num_triples = std::min(num_triples, options.max_triples);
   }
   const int32_t num_r = dataset.num_relations();
-  ValidateQueriedPools(triples, num_triples, num_r, candidates);
+  ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
+                       candidates);
 
   SampledEvalResult result;
   result.sample_seconds = candidates.sample_seconds;

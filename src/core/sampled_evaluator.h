@@ -15,8 +15,11 @@ namespace kgeval {
 
 /// Queries scored per fused kernel call by the slot-major evaluators.
 /// Bounds the qb x |pool| score block (256 x n_s floats); the pool gather
-/// itself happens once per slot, not per block, so the block size only
-/// trades score-matrix footprint for call overhead.
+/// itself happens once per slot, not per block. Smaller blocks are not
+/// free: each kernel call streams the whole prepared tile (~440 KB at
+/// n_s = 1705, dim 64), so fewer queries per call re-read it more often.
+/// Cutting 256 to 16 made the paper-scale codex-m estimate slower, 281 ->
+/// 328 ms on a 4-vCPU AVX-512 Xeon.
 constexpr size_t kSampledQueryBlock = 256;
 
 /// Options for a sampled evaluation pass.
@@ -72,14 +75,17 @@ struct SampledEvalResult {
 
 /// Per-thread scratch for ScoreSlotBlocks. Buffers grow on demand (never
 /// beyond block-queries x the largest pool among the slots actually scored
-/// through this scratch), and the prepared candidate tile carries across
-/// consecutive blocks — and calls — of the same slot, so slot-contiguous
-/// schedules prepare each pool once.
+/// through this scratch), and the per-slot state — the pool's take-back
+/// index and, on the prepared engine, its prepared candidate tile — carries
+/// across consecutive blocks, and calls, of the same slot, so
+/// slot-contiguous schedules build it once per pool. One scratch serves
+/// one set of SampledEvalOptions.
 struct SlotBlockScratch {
   std::vector<int32_t> anchors, truths;
   std::vector<float> scores, truth_scores;
   CandidateBlock prepared;
-  int32_t prepared_slot = -1;
+  PoolIndex pool_index;
+  int32_t pool_slot = -1;  // Slot that `prepared` and `pool_index` describe.
   /// Screening-path buffers and per-scratch work counters; the counters
   /// accumulate across ScoreSlotBlocks calls and are folded into the
   /// result (and the process-wide totals) by the owning pass.
@@ -108,15 +114,19 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
                         size_t end, const SampledEvalOptions& options,
                         SlotBlockScratch* scratch, double* ranks);
 
-/// Dies (KGEVAL_CHECK) if any slot queried by the evaluated prefix of
-/// `triples` has an empty candidate pool: an empty pool would silently
-/// score the truth against nothing and report rank 1 for every query of the
-/// slot — an optimistic estimate indistinguishable from a perfect model.
-/// Slots the split never queries may be empty (their pools are never
-/// ranked against, and the per-thread scratch only ever grows to the
-/// slots its own chunks score).
+/// Dies (KGEVAL_CHECK) unless every slot queried by the evaluated prefix
+/// of `triples` has a non-empty, strictly increasing candidate pool of ids
+/// in [0, num_entities) — the SampledCandidates contract the rankers'
+/// index take-back relies on, checked once per pass instead of per block.
+/// An empty pool would silently score the truth against nothing and report
+/// rank 1 for every query of the slot — an optimistic estimate
+/// indistinguishable from a perfect model. Slots the split never queries
+/// are not checked and may be empty (their pools are never ranked against,
+/// and the per-thread scratch only ever grows to the slots its own chunks
+/// score).
 void ValidateQueriedPools(const std::vector<Triple>& triples,
                           int64_t num_triples, int32_t num_relations,
+                          int32_t num_entities,
                           const SampledCandidates& candidates);
 
 /// Ranks each test query's true answer against its slot's sampled pool

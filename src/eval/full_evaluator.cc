@@ -10,6 +10,47 @@
 
 namespace kgeval {
 
+RowCounts CountHigherTied(const float* row, size_t n, float truth_score) {
+  // 32-bit accumulators: twice the lanes of int64 per vector register.
+  int32_t h = 0, t = 0;
+  for (size_t i = 0; i < n; ++i) {
+    h += row[i] > truth_score;
+    t += row[i] == truth_score;
+  }
+  return {h, t};
+}
+
+void PoolIndex::Build(const int32_t* ids, size_t n) {
+  const size_t words = n == 0 ? 0 : static_cast<size_t>(ids[n - 1]) / 64 + 1;
+  bits_.assign(words, 0);
+  rank_.resize(words);
+  for (size_t i = 0; i < n; ++i) {
+    KGEVAL_CHECK(ids[i] >= 0 && (i == 0 || ids[i] > ids[i - 1]))
+        << "PoolIndex needs strictly increasing non-negative ids (index "
+        << i << ")";
+    bits_[static_cast<size_t>(ids[i]) >> 6] |= uint64_t{1} << (ids[i] & 63);
+  }
+  int32_t count = 0;
+  for (size_t w = 0; w < words; ++w) {
+    rank_[w] = count;
+    count += __builtin_popcountll(bits_[w]);
+  }
+}
+
+double IndexedFilteredRank(const float* row, size_t n, float truth_score,
+                           const std::vector<int32_t>& answers,
+                           const PoolIndex& index, TieBreak tie) {
+  RowCounts counts = CountHigherTied(row, n, truth_score);
+  for (size_t a = 0; a < answers.size(); ++a) {
+    if (a > 0 && answers[a] == answers[a - 1]) continue;  // Deduplicate.
+    const int32_t pos = index.Find(answers[a]);
+    if (pos < 0) continue;
+    counts.higher -= row[pos] > truth_score;
+    counts.tied -= row[pos] == truth_score;
+  }
+  return RankFromCounts(counts.higher, counts.tied, tie);
+}
+
 double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
                     int32_t truth, float truth_score,
                     const std::vector<int32_t>& answers, TieBreak tie,
@@ -17,19 +58,12 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
   int64_t higher = 0;
   int64_t tied = 0;
   if (candidates_sorted) {
-    // Count higher/tied over the whole pool in one vectorizable sweep, then
-    // subtract the skipped candidates (truth duplicates and filtered
-    // answers) located by binary search — identical counts to the reference
-    // walk below, at a fraction of its branchy per-candidate cost.
-    {
-      int32_t h = 0, t = 0;
-      for (size_t i = 0; i < n; ++i) {
-        h += scores[i] > truth_score;
-        t += scores[i] == truth_score;
-      }
-      higher = h;
-      tied = t;
-    }
+    // Count higher/tied over the whole array, then subtract the skipped
+    // candidates (truth duplicates and filtered answers) located by binary
+    // search: identical counts to the reference walk below.
+    const RowCounts counts = CountHigherTied(scores, n, truth_score);
+    higher = counts.higher;
+    tied = counts.tied;
     const auto subtract_range = [&](int32_t value) {
       const int32_t* lo = std::lower_bound(candidates, candidates + n, value);
       for (const int32_t* p = lo; p != candidates + n && *p == value; ++p) {
@@ -251,23 +285,19 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
             // once. `ans` is sorted and includes the truth (EvalProtocol
             // contract), so the counts equal a walk that skips every
             // filtered entity.
-            int32_t h = 0, t = 0;
-            for (size_t c = 0; c < tile; ++c) {
-              h += row[c] > truth_score;
-              t += row[c] == truth_score;
-            }
+            RowCounts counts = CountHigherTied(row, tile, truth_score);
             // Tiles run in entity order, so the answer cursor carried over
             // from the previous tile already sits at the first answer >= e0.
             size_t cur = cursor[q];
             for (; cur < ans.size() && ans[cur] < e1; ++cur) {
               if (cur > 0 && ans[cur] == ans[cur - 1]) continue;
               const float s = row[ans[cur] - e0];
-              h -= s > truth_score;
-              t -= s == truth_score;
+              counts.higher -= s > truth_score;
+              counts.tied -= s == truth_score;
             }
             cursor[q] = cur;
-            higher[q] += h;
-            tied[q] += t;
+            higher[q] += counts.higher;
+            tied[q] += counts.tied;
           }
         }
       }

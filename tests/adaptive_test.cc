@@ -310,6 +310,35 @@ TEST(SampledEvaluatorDeathTest, EmptyQueriedPoolDiesLoudly) {
                "empty candidate pool");
 }
 
+// Pools must be strictly increasing ids in [0, num_entities) (the
+// SampledCandidates contract); every pass checks that once, up front.
+TEST(SampledEvaluatorDeathTest, MalformedQueriedPoolDiesLoudly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset d = TwoRelationDataset();  // 50 entities.
+  const FilterIndex filter(d);
+  FakeModel model(50, 2, [](int32_t, int32_t, int32_t) { return 1.0f; });
+  const struct {
+    std::vector<int32_t> pool;
+    const char* message;
+  } cases[] = {
+      {{1, 3, 2}, "not strictly increasing"},     // Unsorted.
+      {{1, 2, 2, 3}, "not strictly increasing"},  // Duplicate id.
+      {{1, 2, 50}, "outside \\[0, 50\\)"},        // Past the last entity.
+      {{-1, 2, 3}, "outside \\[0, 50\\)"},        // Negative.
+  };
+  for (const auto& c : cases) {
+    SampledCandidates pools;
+    pools.pools.assign(4, {1, 2, 3});
+    pools.pools[3] = c.pool;  // Tail slot of relation 1 (queried).
+    EXPECT_DEATH(EvaluateSampled(model, d, filter, Split::kTest, pools),
+                 c.message);
+    EXPECT_DEATH(EvaluateSampledScalar(model, d, filter, Split::kTest, pools),
+                 c.message);
+    EXPECT_DEATH(EvaluateAdaptive(model, d, filter, Split::kTest, pools),
+                 c.message);
+  }
+}
+
 TEST(SampledEvaluatorTest, EmptyUnqueriedPoolIsFine) {
   // Only relation 0 in the test split: relation 1's pools may be empty
   // (they are never ranked against) and must not inflate score buffers or

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <random>
 
 #include "eval/full_evaluator.h"
 #include "eval/metrics.h"
@@ -116,6 +118,117 @@ TEST(FilteredRankTest, TruthDuplicatesInPoolIgnored) {
   EXPECT_DOUBLE_EQ(FilteredRank(candidates, scores, 3, 2, 5.0f, answers,
                                 TieBreak::kMean, /*candidates_sorted=*/true),
                    2.0);
+}
+
+TEST(PoolIndexTest, FindsPositionsAcrossWordBoundaries) {
+  const std::vector<int32_t> pool = {0, 1, 63, 64, 127, 128, 1000};
+  PoolIndex index;
+  index.Build(pool.data(), pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(index.Find(pool[i]), static_cast<int32_t>(i)) << pool[i];
+  }
+  // Absent: below the first word's members, between members, inside the
+  // max's word, past the max, past the last word, and negative.
+  for (int32_t e : {2, 62, 65, 126, 129, 999, 1001, 1023, 1024, 5000, -1}) {
+    EXPECT_EQ(index.Find(e), -1) << e;
+  }
+}
+
+TEST(PoolIndexTest, EmptyAndSingletonPools) {
+  PoolIndex index;
+  index.Build(nullptr, 0);
+  EXPECT_EQ(index.Find(0), -1);
+  EXPECT_EQ(index.Find(64), -1);
+  const int32_t one = 70;
+  index.Build(&one, 1);  // Rebuilding replaces the previous pool.
+  EXPECT_EQ(index.Find(70), 0);
+  EXPECT_EQ(index.Find(69), -1);
+  EXPECT_EQ(index.Find(71), -1);
+  EXPECT_EQ(index.Find(0), -1);
+  const int32_t zero = 0;
+  index.Build(&zero, 1);
+  EXPECT_EQ(index.Find(0), 0);
+  EXPECT_EQ(index.Find(70), -1);
+}
+
+TEST(PoolIndexDeathTest, RejectsUnsortedOrDuplicatedIds) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PoolIndex index;
+  const int32_t unsorted[3] = {1, 5, 3};
+  EXPECT_DEATH(index.Build(unsorted, 3), "strictly increasing");
+  const int32_t duplicate[3] = {1, 3, 3};
+  EXPECT_DEATH(index.Build(duplicate, 3), "strictly increasing");
+}
+
+// The indexed take-back must give the same rank as both reference rankers
+// on sorted, deduplicated pools: answers outside the pool, above its max
+// and repeated; the truth at the pool's ends; tied and signed-zero scores.
+TEST(IndexedFilteredRankTest, MatchesReferenceRankers) {
+  std::mt19937 rng(20240201);
+  const TieBreak ties[3] = {TieBreak::kMean, TieBreak::kOptimistic,
+                            TieBreak::kPessimistic};
+  // Few distinct values so ties are common; -0.0f == 0.0f must count tied.
+  const float values[6] = {-1.0f, -0.0f, 0.0f, 0.5f, 1.0f, 2.0f};
+  PoolIndex index;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int32_t num_entities = 1 + static_cast<int32_t>(rng() % 300);
+    std::vector<int32_t> pool;
+    const uint32_t keep = 1 + rng() % 100;  // Percent of entities pooled.
+    for (int32_t e = 0; e < num_entities; ++e) {
+      if (rng() % 100 < keep) pool.push_back(e);
+    }
+    if (pool.empty()) {
+      pool.push_back(static_cast<int32_t>(rng() % num_entities));
+    }
+    const size_t n = pool.size();
+    std::vector<float> scores(n);
+    for (float& v : scores) v = values[rng() % 6];
+
+    // The truth is in the pool (first, last or anywhere) or outside it.
+    const int32_t truth =
+        trial % 4 == 0   ? pool.front()
+        : trial % 4 == 1 ? pool.back()
+        : trial % 4 == 2 ? pool[rng() % n]
+                         : static_cast<int32_t>(rng() % (num_entities + 64));
+    const auto it = std::lower_bound(pool.begin(), pool.end(), truth);
+    const bool in_pool = it != pool.end() && *it == truth;
+    const float truth_score =
+        in_pool ? scores[it - pool.begin()] : values[rng() % 6];
+
+    // Answers: the truth, pool members, non-members, ids past the pool's
+    // max (and past the entity range), with duplicates; sorted.
+    std::vector<int32_t> answers = {truth};
+    const size_t extra = rng() % 12;
+    for (size_t k = 0; k < extra; ++k) {
+      const uint32_t kind = rng() % 4;
+      int32_t a;
+      if (kind == 0) {
+        a = pool[rng() % n];  // In the pool.
+      } else if (kind == 1) {
+        a = static_cast<int32_t>(rng() % num_entities);  // Anywhere.
+      } else if (kind == 2) {
+        a = pool.back() + 1 + static_cast<int32_t>(rng() % 200);  // Above.
+      } else {
+        a = answers[rng() % answers.size()];  // Duplicate.
+      }
+      answers.push_back(a);
+    }
+    std::sort(answers.begin(), answers.end());
+
+    index.Build(pool.data(), n);
+    for (TieBreak tie : ties) {
+      const double indexed = IndexedFilteredRank(
+          scores.data(), n, truth_score, answers, index, tie);
+      EXPECT_EQ(indexed, FilteredRank(pool.data(), scores.data(), n, truth,
+                                      truth_score, answers, tie,
+                                      /*candidates_sorted=*/true))
+          << "trial " << trial;
+      EXPECT_EQ(indexed, FilteredRank(pool.data(), scores.data(), n, truth,
+                                      truth_score, answers, tie,
+                                      /*candidates_sorted=*/false))
+          << "trial " << trial;
+    }
+  }
 }
 
 // A 4-entity hand-checkable dataset for full-ranking tests.
