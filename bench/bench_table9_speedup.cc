@@ -1,8 +1,8 @@
 // Reproduces Table 9 / Table 11: average evaluation speed-up (with standard
 // deviations) of KP and of the sampled ranking estimates over the full
-// filtered evaluation, per dataset. Also reports the evaluator-engine
-// trajectory: scalar triple-major vs PR 1's per-block batched engine vs the
-// prepared+fused engine, per model. --json additionally writes
+// filtered evaluation, per dataset. Also compares the sampled evaluator's
+// engines, scalar triple-major vs prepared+fused, per model. --json
+// additionally writes
 // BENCH_table9.json so the perf trajectory is machine-readable.
 
 #include <algorithm>
@@ -26,7 +26,6 @@ struct EngineRow {
   const char* model;
   std::string dataset;
   double scalar_s = 0.0;
-  double batched_s = 0.0;
   double prepared_s = 0.0;
   bool parity = false;
 };
@@ -40,17 +39,15 @@ struct Table9Row {
   double full_s = 0.0;
 };
 
-// Times the three sampled-evaluation engines on one synthetic dataset, per
-// model: scalar triple-major, PR 1's per-block batched engine (re-gathers
-// the pool per query block, separate truth pass), and the prepared+fused
+// Times the two sampled-evaluation engines on one synthetic dataset, per
+// model: scalar triple-major (the parity oracle) and the prepared+fused
 // engine (pool gathered once per slot, one query construction per block for
-// pool + truths). All three share pools, so their ranks must agree exactly.
+// pool + truths). Both share pools, so their ranks must agree exactly.
 void ReportEngineComparison(const kgeval::bench::BenchArgs& args,
                             std::vector<EngineRow>* rows) {
   using namespace kgeval;
   bench::PrintHeader(
-      "Sampled-evaluation engines: scalar vs batched (PR 1) vs "
-      "prepared+fused");
+      "Sampled-evaluation engines: scalar vs prepared+fused");
   const std::string dataset_name = args.fast ? "codex-s" : "codex-m";
   const SynthOutput synth = bench::LoadPreset(dataset_name, args);
   const Dataset& dataset = synth.dataset;
@@ -61,11 +58,8 @@ void ReportEngineComparison(const kgeval::bench::BenchArgs& args,
   const int reps = args.fast ? 11 : 15;
   const int64_t n_s = static_cast<int64_t>(0.1 * dataset.num_entities());
 
-  SampledEvalOptions batched_options;
-  batched_options.prepared_pools = false;
-
-  TextTable table({"Model", "Dataset", "Scalar (s)", "Batched (s)",
-                   "Prepared (s)", "vs scalar", "vs batched", "Rank parity"});
+  TextTable table({"Model", "Dataset", "Scalar (s)", "Prepared (s)",
+                   "vs scalar", "Rank parity"});
   for (ModelType type :
        {ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
         ModelType::kRescal, ModelType::kRotatE, ModelType::kTuckEr,
@@ -84,26 +78,17 @@ void ReportEngineComparison(const kgeval::bench::BenchArgs& args,
     // repetitions.
     SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
-    SampledEvalResult batched = EvaluateSampled(
-        *model, dataset, filter, Split::kTest, pools, batched_options);
     SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    const bool parity =
-        scalar.ranks == batched.ranks && scalar.ranks == prepared.ranks;
+    const bool parity = scalar.ranks == prepared.ranks;
     // Each engine is timed in its own burst (not round-robin) so one
     // engine's cache/allocator footprint doesn't bleed into the next
     // engine's measurement.
-    std::vector<double> scalar_times, batched_times, prepared_times;
+    std::vector<double> scalar_times, prepared_times;
     for (int rep = 0; rep < reps; ++rep) {
       WallTimer timer;
       EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
       scalar_times.push_back(timer.Seconds());
-    }
-    for (int rep = 0; rep < reps; ++rep) {
-      WallTimer timer;
-      EvaluateSampled(*model, dataset, filter, Split::kTest, pools,
-                      batched_options);
-      batched_times.push_back(timer.Seconds());
     }
     for (int rep = 0; rep < reps; ++rep) {
       WallTimer timer;
@@ -115,25 +100,21 @@ void ReportEngineComparison(const kgeval::bench::BenchArgs& args,
     row.dataset = dataset_name;
     row.scalar_s = *std::min_element(scalar_times.begin(),
                                      scalar_times.end());
-    row.batched_s = *std::min_element(batched_times.begin(),
-                                      batched_times.end());
     row.prepared_s = *std::min_element(prepared_times.begin(),
                                        prepared_times.end());
     row.parity = parity;
     rows->push_back(row);
     table.AddRow({row.model, row.dataset, bench::F(row.scalar_s, 4),
-                  bench::F(row.batched_s, 4), bench::F(row.prepared_s, 4),
+                  bench::F(row.prepared_s, 4),
                   StrFormat("%.1fx", row.scalar_s / row.prepared_s),
-                  StrFormat("%.2fx", row.batched_s / row.prepared_s),
                   parity ? "exact" : "MISMATCH"});
   }
   std::printf("%s", table.ToString().c_str());
   bench::PrintNote(
-      "all three engines score identical pools and produce bit-identical "
-      "ranks; the prepared engine gathers each slot's pool once per "
-      "evaluation and fuses pool+truth scoring into one query construction "
-      "per block, so its edge over the batched engine is pure gather reuse "
-      "+ fusion (largest for ConvE/TuckER, whose query construction "
+      "both engines score identical pools and produce bit-identical ranks; "
+      "the prepared engine gathers each slot's pool once per evaluation and "
+      "fuses pool+truth scoring into one query construction per block "
+      "(largest edge for ConvE/TuckER, whose query construction "
       "dominates)");
 }
 
@@ -163,13 +144,11 @@ void WriteJson(const std::vector<EngineRow>& engines,
     std::fprintf(
         f,
         "    {\"model\": \"%s\", \"dataset\": \"%s\", \"scalar_s\": %.6f, "
-        "\"batched_s\": %.6f, \"prepared_s\": %.6f, "
-        "\"speedup_vs_scalar\": %.3f, \"speedup_vs_batched\": %.3f, "
+        "\"prepared_s\": %.6f, \"speedup_vs_scalar\": %.3f, "
         "\"rank_parity\": %s}%s\n",
         JsonEscape(r.model).c_str(), JsonEscape(r.dataset).c_str(),
-        r.scalar_s, r.batched_s, r.prepared_s, r.scalar_s / r.prepared_s,
-        r.batched_s / r.prepared_s, r.parity ? "true" : "false",
-        i + 1 < engines.size() ? "," : "");
+        r.scalar_s, r.prepared_s, r.scalar_s / r.prepared_s,
+        r.parity ? "true" : "false", i + 1 < engines.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"table9\": [\n");
   for (size_t i = 0; i < table9.size(); ++i) {

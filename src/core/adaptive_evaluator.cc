@@ -41,9 +41,6 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
 
   SampledEvalOptions eval_options;
   eval_options.tie = options.tie;
-  eval_options.prepared_pools = options.prepared_pools;
-  eval_options.screening = options.screening;
-  eval_options.screening_min_pool = options.screening_min_pool;
   eval_options.cancel = options.cancel;
 
   const double z = TwoSidedZ(options.confidence);
@@ -107,8 +104,6 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
       }
     }
     std::atomic<int64_t> scored{0};
-    std::atomic<int64_t> screen_queries{0}, screen_screened{0},
-        screen_rescored{0};
     // Each round is its own TaskGroup: the wait at the end of the round is
     // per-pass, so concurrent adaptive passes (EstimateAdaptiveMany) stay
     // independent down to the round granularity.
@@ -122,24 +117,9 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
                            result.ranks.data());
                        scored.fetch_add(local_scored,
                                         std::memory_order_relaxed);
-                       if (scratch.screen_stats.queries > 0) {
-                         screen_queries.fetch_add(
-                             scratch.screen_stats.queries,
-                             std::memory_order_relaxed);
-                         screen_screened.fetch_add(
-                             scratch.screen_stats.screened,
-                             std::memory_order_relaxed);
-                         screen_rescored.fetch_add(
-                             scratch.screen_stats.rescored,
-                             std::memory_order_relaxed);
-                         AddGlobalScreenStats(scratch.screen_stats);
-                       }
                      });
     round_group.Wait();
     result.scored_candidates += scored.load();
-    result.screen.queries += screen_queries.load();
-    result.screen.screened += screen_screened.load();
-    result.screen.rescored += screen_rescored.load();
 
     // A cancel that landed mid-round left part of this round's ranks
     // unscored (0.0); folding them would poison the accumulator, so the

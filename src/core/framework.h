@@ -25,10 +25,6 @@ struct FrameworkOptions {
   StaticSetOptions static_options;
   TieBreak tie = TieBreak::kMean;
   uint64_t seed = 33;
-  /// Quantized screening for every estimate run through the framework
-  /// (SampledEvalOptions::screening): ranks are bit-identical with it on
-  /// or off; it only changes how much exact fp32 work each query pays.
-  bool screening = false;
 };
 
 /// The paper's contribution as a reusable object: fit a relation

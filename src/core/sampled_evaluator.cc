@@ -95,69 +95,18 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
     }
     if (slot != scratch->pool_slot) {
       // Slot-contiguous schedules keep a slot's blocks adjacent, so the
-      // pool's take-back index — and, on the prepared engine, its prepared
-      // tile — is built at the slot's first block and reused by every
-      // following block of the same slot (the gather stays hot in cache
-      // for the scoring call right after).
-      if (options.prepared_pools) {
-        model.PrepareCandidates(pool.data(), n, &scratch->prepared);
-        // The int8 sidecar rides the same once-per-slot amortization as
-        // the gather; models without a kernel surface never set
-        // `prepared`, so they keep the exact unscreened path below.
-        if (options.screening && scratch->prepared.prepared &&
-            n >= options.screening_min_pool) {
-          QuantizeCandidateBlock(&scratch->prepared);
-        }
-      }
+      // pool's prepared tile and take-back index are built at the slot's
+      // first block and reused by every following block of the same slot
+      // (the gather stays hot in cache for the scoring call right after).
+      model.PrepareCandidates(pool.data(), n, &scratch->prepared);
       scratch->pool_index.Build(pool.data(), n);
       scratch->pool_slot = slot;
     }
-    if (options.prepared_pools) {
-      if (scratch->prepared.quantized) {
-        // Screened path: int8 sweep of the whole pool, exact re-scoring of
-        // each query's band only. Ranks are bit-identical to the exact
-        // path below (see eval/screen.h).
-        scratch->answers.resize(qb);
-        scratch->block_ranks.resize(qb);
-        for (size_t q = 0; q < qb; ++q) {
-          const Triple& triple =
-              triples[(*block.triple_idx)[block.begin + q]];
-          const std::vector<int32_t>* answers =
-              protocol.Answers(triple, block.direction);
-          KGEVAL_CHECK(answers != nullptr);
-          scratch->answers[q] = answers;
-        }
-        ScreenRankBlock(model, scratch->anchors.data(),
-                        scratch->truths.data(), qb, kernel_relation,
-                        block.direction, scratch->prepared,
-                        scratch->answers.data(), options.tie,
-                        &scratch->screen, scratch->block_ranks.data(),
-                        &scratch->screen_stats);
-        // Budget accounting stays in full-pool units — the screen changes
-        // how the scores are computed, not how many candidates each query
-        // is ranked against.
-        scored += static_cast<int64_t>(qb) * (n + 1);
-        for (size_t q = 0; q < qb; ++q) {
-          const int32_t i = (*block.triple_idx)[block.begin + q];
-          ranks[static_cast<size_t>(i) * 2 + (tail_dir ? 0 : 1)] =
-              scratch->block_ranks[q];
-        }
-        continue;
-      }
-      // Fused kernel: one query construction serves the pool matrix and
-      // the per-query truth scores.
-      model.ScoreBlock(scratch->anchors.data(), scratch->truths.data(), qb,
-                       kernel_relation, block.direction, scratch->prepared,
-                       scratch->scores.data(),
-                       scratch->truth_scores.data());
-    } else {
-      model.ScoreBatch(scratch->anchors.data(), qb, kernel_relation,
-                       block.direction, pool.data(), n,
-                       scratch->scores.data());
-      model.ScorePairs(scratch->anchors.data(), scratch->truths.data(), qb,
-                       1, kernel_relation, block.direction,
-                       scratch->truth_scores.data());
-    }
+    // Fused kernel: one query construction serves the pool matrix and the
+    // per-query truth scores.
+    model.ScoreBlock(scratch->anchors.data(), scratch->truths.data(), qb,
+                     kernel_relation, block.direction, scratch->prepared,
+                     scratch->scores.data(), scratch->truth_scores.data());
     scored += static_cast<int64_t>(qb) * (n + 1);
     for (size_t q = 0; q < qb; ++q) {
       const int32_t i = (*block.triple_idx)[block.begin + q];
@@ -207,8 +156,6 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
   // The pass is its own TaskGroup, so a concurrent evaluation (another
   // model in an EvalSession, another session entirely) interleaves chunks
   // on the shared workers and neither pass waits on the other's work.
-  std::atomic<int64_t> screen_queries{0}, screen_screened{0},
-      screen_rescored{0};
   TaskGroup group;
   SubmitSlotChunks(&group, schedule.blocks, [&](size_t lo, size_t hi) {
     SlotBlockScratch scratch;
@@ -217,20 +164,8 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
                         schedule.blocks, lo, hi, options, &scratch,
                         result.ranks.data());
     scored.fetch_add(local_scored, std::memory_order_relaxed);
-    if (scratch.screen_stats.queries > 0) {
-      screen_queries.fetch_add(scratch.screen_stats.queries,
-                               std::memory_order_relaxed);
-      screen_screened.fetch_add(scratch.screen_stats.screened,
-                                std::memory_order_relaxed);
-      screen_rescored.fetch_add(scratch.screen_stats.rescored,
-                                std::memory_order_relaxed);
-      AddGlobalScreenStats(scratch.screen_stats);
-    }
   });
   group.Wait();
-  result.screen.queries = screen_queries.load();
-  result.screen.screened = screen_screened.load();
-  result.screen.rescored = screen_rescored.load();
 
   result.cancelled =
       options.cancel != nullptr && options.cancel->cancelled();

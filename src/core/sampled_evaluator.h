@@ -5,7 +5,6 @@
 #include "eval/full_evaluator.h"
 #include "eval/metrics.h"
 #include "eval/protocol.h"
-#include "eval/screen.h"
 #include "eval/slot_blocks.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
@@ -27,24 +26,6 @@ struct SampledEvalOptions {
   TieBreak tie = TieBreak::kMean;
   /// Cap on evaluated triples (0 = all); deterministic prefix of the split.
   int64_t max_triples = 0;
-  /// Prepare each slot's candidate pool once (PrepareCandidates) and score
-  /// every query block through the fused ScoreBlock kernel. false falls
-  /// back to the per-block gather engine (ScoreBatch + ScorePairs), kept so
-  /// benches can measure the prepared path against it; ranks are
-  /// bit-identical either way.
-  bool prepared_pools = true;
-  /// Quantized screening over prepared pools (eval/screen.h): each slot's
-  /// tile gets an int8 sidecar, pass 1 scores the whole pool through the
-  /// int8 kernel, and only the band of candidates whose approximate score
-  /// plus a conservative error bound reaches the exact truth score is
-  /// re-scored exactly. Ranks stay bit-identical to the unscreened path.
-  /// Requires prepared_pools and a model with a kernel surface (models
-  /// without one fall back to exact scoring, unscreened).
-  bool screening = false;
-  /// Pools smaller than this score exactly even under `screening`: the
-  /// two-pass overhead (quantization + int8 sweep) only pays off when
-  /// there is enough pool to skip.
-  size_t screening_min_pool = 64;
   /// Confidence level of the RankingCi reported with the result.
   double ci_confidence = 0.95;
   /// Cooperative cancellation, polled between query blocks (not borrowed —
@@ -65,9 +46,6 @@ struct SampledEvalResult {
   double eval_seconds = 0.0;    // Scoring + ranking time.
   double sample_seconds = 0.0;  // Copied from the SampledCandidates.
   int64_t scored_candidates = 0;
-  /// Screening work counters (all zero unless options.screening did any
-  /// screening): pool entries swept by the int8 pass vs. re-scored exactly.
-  ScreenStats screen;
   /// True when SampledEvalOptions::cancel fired mid-pass: the pass ended
   /// early, metrics/ranks are partial garbage, discard everything.
   bool cancelled = false;
@@ -76,23 +54,15 @@ struct SampledEvalResult {
 /// Per-thread scratch for ScoreSlotBlocks. Buffers grow on demand (never
 /// beyond block-queries x the largest pool among the slots actually scored
 /// through this scratch), and the per-slot state — the pool's take-back
-/// index and, on the prepared engine, its prepared candidate tile — carries
-/// across consecutive blocks, and calls, of the same slot, so
-/// slot-contiguous schedules build it once per pool. One scratch serves
-/// one set of SampledEvalOptions.
+/// index and its prepared candidate tile — carries across consecutive
+/// blocks, and calls, of the same slot, so slot-contiguous schedules build
+/// it once per pool.
 struct SlotBlockScratch {
   std::vector<int32_t> anchors, truths;
   std::vector<float> scores, truth_scores;
   CandidateBlock prepared;
   PoolIndex pool_index;
   int32_t pool_slot = -1;  // Slot that `prepared` and `pool_index` describe.
-  /// Screening-path buffers and per-scratch work counters; the counters
-  /// accumulate across ScoreSlotBlocks calls and are folded into the
-  /// result (and the process-wide totals) by the owning pass.
-  ScreenScratch screen;
-  ScreenStats screen_stats;
-  std::vector<const std::vector<int32_t>*> answers;
-  std::vector<double> block_ranks;
 };
 
 /// The shared incremental core of the sampled evaluators: scores blocks

@@ -1,7 +1,6 @@
 #include "eval/full_evaluator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 
 #include "eval/slot_blocks.h"
@@ -135,8 +134,7 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
 
   // Prepare every entity tile once per evaluation; each slot block then
   // sweeps the prepared tiles instead of re-gathering/transposing the same
-  // entity rows per block (the dominant per-block overhead PR 1 paid).
-  // One TaskGroup task per tile: the prepare is pure per-tile work, and a
+  // entity rows per block. One TaskGroup task per tile: the prepare is pure per-tile work, and a
   // concurrent evaluation interleaves its own tiles on the shared workers
   // instead of waiting on this pass's prepare barrier.
   const size_t tile_size = std::max<size_t>(1, options.entity_tile);
@@ -150,19 +148,10 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
       const size_t e1 =
           std::min(static_cast<size_t>(num_entities), e0 + tile_size);
       model.PrepareCandidates(all_entities.data() + e0, e1 - e0, &tiles[t]);
-      // The int8 sidecar rides the same once-per-evaluation amortization
-      // as the gather; models without a kernel surface never set
-      // `prepared`, which keeps them on the exact unscreened sweep.
-      if (options.screening && tiles[t].prepared) {
-        QuantizeCandidateBlock(&tiles[t]);
-      }
     });
   }
   prepare_group.Wait();
-  const bool screened = num_tiles > 0 && tiles[0].quantized;
 
-  std::atomic<int64_t> screen_queries{0}, screen_screened{0},
-      screen_rescored{0}, screen_tiles_skipped{0};
   // Slot-aligned chunks on an explicit TaskGroup, like the sampled
   // evaluator: the pass waits only on its own chunks, and chunk boundaries
   // coincide with slot boundaries so per-chunk query state never straddles
@@ -177,9 +166,6 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
     std::vector<const std::vector<int32_t>*> answers(kQueryBlock);
     std::vector<int64_t> higher(kQueryBlock), tied(kQueryBlock);
     std::vector<size_t> cursor(kQueryBlock);
-    std::vector<char> tile_dead(kQueryBlock);
-    ScreenScratch screen_scratch;
-    ScreenStats stats;
     for (size_t b = block_lo; b < block_hi; ++b) {
       const SlotBlock& block = blocks[b];
       const bool tail_dir = block.direction == QueryDirection::kTail;
@@ -197,108 +183,40 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
         tied[q] = 0;
         cursor[q] = 0;
       }
-      if (screened) {
-        // Screened sweep: one query construction serves the truth scores,
-        // every tile's skip test, and every band re-score.
-        const BatchKernel kind = model.batch_kernel();
-        const float eps = model.batch_kernel_eps();
-        model.BuildKernelQueries(anchors.data(), qb, kernel_relation,
-                                 block.direction, &screen_scratch.queries);
-        const Matrix& queries = screen_scratch.queries;
-        const size_t dim = queries.cols();
+      for (size_t ti = 0; ti < num_tiles; ++ti) {
+        const int32_t e0 = static_cast<int32_t>(ti * tile_size);
+        const int32_t e1 = std::min(
+            num_entities, e0 + static_cast<int32_t>(tile_size));
+        const size_t tile = static_cast<size_t>(e1 - e0);
+        // The first tile's fused call also emits the truth scores, so
+        // the block runs one query construction fewer than a separate
+        // ScorePairs pass would.
+        model.ScoreBlock(
+            anchors.data(), ti == 0 ? truths.data() : nullptr, qb,
+            kernel_relation, block.direction, tiles[ti], scores.data(),
+            ti == 0 ? truth_scores.data() : nullptr);
         for (size_t q = 0; q < qb; ++q) {
-          model.ScoreWithQuery(queries, q, &truths[q], 1,
-                               &truth_scores[q]);
-        }
-        stats.queries += static_cast<int64_t>(qb);
-        for (size_t ti = 0; ti < num_tiles; ++ti) {
-          const CandidateBlock& tile = tiles[ti];
-          const size_t tn = tile.size();
-          // Truth-threshold early termination: a tile whose envelope upper
-          // bound sits strictly below a query's truth score cannot hold a
-          // higher or tied candidate for it; when that is true of every
-          // query of the block, the tile is never even swept.
-          size_t active = 0;
-          for (size_t q = 0; q < qb; ++q) {
-            const float ub =
-                TileScoreUpperBound(kind, queries.Row(q), dim, tile, eps);
-            tile_dead[q] = ub < truth_scores[q];
-            if (!tile_dead[q]) ++active;
+          const std::vector<int32_t>& ans = *answers[q];
+          const float truth_score = truth_scores[q];
+          const float* row = scores.data() + q * tile;
+          // Count the whole row branch-free, then take back the filtered
+          // answers inside [e0, e1) by direct index, each distinct entity
+          // once. `ans` is sorted and includes the truth (EvalProtocol
+          // contract), so the counts equal a walk that skips every
+          // filtered entity.
+          RowCounts counts = CountHigherTied(row, tile, truth_score);
+          // Tiles run in entity order, so the answer cursor carried over
+          // from the previous tile already sits at the first answer >= e0.
+          size_t cur = cursor[q];
+          for (; cur < ans.size() && ans[cur] < e1; ++cur) {
+            if (cur > 0 && ans[cur] == ans[cur - 1]) continue;
+            const float s = row[ans[cur] - e0];
+            counts.higher -= s > truth_score;
+            counts.tied -= s == truth_score;
           }
-          if (active == 0) {
-            ++stats.tiles_skipped;
-            continue;
-          }
-          ScreenApproxBlock(model, queries, qb, tile, &screen_scratch);
-          stats.screened += static_cast<int64_t>(qb) * tn;
-          for (size_t q = 0; q < qb; ++q) {
-            if (tile_dead[q]) continue;
-            const float bound =
-                ScreenErrorBound(kind, queries.Row(q), dim, tile);
-            const float truth_score = truth_scores[q];
-            const float* approx = screen_scratch.approx.data() + q * tn;
-            screen_scratch.band_ids.clear();
-            for (size_t c = 0; c < tn; ++c) {
-              if (approx[c] + bound >= truth_score) {
-                screen_scratch.band_ids.push_back(tile.ids[c]);
-              }
-            }
-            const size_t band = screen_scratch.band_ids.size();
-            screen_scratch.band_scores.resize(band);
-            model.ScoreWithQuery(queries, q,
-                                 screen_scratch.band_ids.data(), band,
-                                 screen_scratch.band_scores.data());
-            const std::vector<int32_t>& ans = *answers[q];
-            for (size_t c = 0; c < band; ++c) {
-              const int32_t e = screen_scratch.band_ids[c];
-              if (e == truths[q]) continue;
-              if (std::binary_search(ans.begin(), ans.end(), e)) continue;
-              const float s = screen_scratch.band_scores[c];
-              if (s > truth_score) {
-                ++higher[q];
-              } else if (s == truth_score) {
-                ++tied[q];
-              }
-            }
-            stats.rescored += static_cast<int64_t>(band);
-          }
-        }
-      } else {
-        for (size_t ti = 0; ti < num_tiles; ++ti) {
-          const int32_t e0 = static_cast<int32_t>(ti * tile_size);
-          const int32_t e1 = std::min(
-              num_entities, e0 + static_cast<int32_t>(tile_size));
-          const size_t tile = static_cast<size_t>(e1 - e0);
-          // The first tile's fused call also emits the truth scores, so
-          // the block runs one query construction fewer than a separate
-          // ScorePairs pass would.
-          model.ScoreBlock(
-              anchors.data(), ti == 0 ? truths.data() : nullptr, qb,
-              kernel_relation, block.direction, tiles[ti], scores.data(),
-              ti == 0 ? truth_scores.data() : nullptr);
-          for (size_t q = 0; q < qb; ++q) {
-            const std::vector<int32_t>& ans = *answers[q];
-            const float truth_score = truth_scores[q];
-            const float* row = scores.data() + q * tile;
-            // Count the whole row branch-free, then take back the filtered
-            // answers inside [e0, e1) by direct index, each distinct entity
-            // once. `ans` is sorted and includes the truth (EvalProtocol
-            // contract), so the counts equal a walk that skips every
-            // filtered entity.
-            RowCounts counts = CountHigherTied(row, tile, truth_score);
-            // Tiles run in entity order, so the answer cursor carried over
-            // from the previous tile already sits at the first answer >= e0.
-            size_t cur = cursor[q];
-            for (; cur < ans.size() && ans[cur] < e1; ++cur) {
-              if (cur > 0 && ans[cur] == ans[cur - 1]) continue;
-              const float s = row[ans[cur] - e0];
-              counts.higher -= s > truth_score;
-              counts.tied -= s == truth_score;
-            }
-            cursor[q] = cur;
-            higher[q] += counts.higher;
-            tied[q] += counts.tied;
-          }
+          cursor[q] = cur;
+          higher[q] += counts.higher;
+          tied[q] += counts.tied;
         }
       }
       for (size_t q = 0; q < qb; ++q) {
@@ -309,20 +227,8 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
         result.ranks[i * 2 + (tail_dir ? 0 : 1)] = rank;
       }
     }
-    if (stats.queries > 0) {
-      screen_queries.fetch_add(stats.queries, std::memory_order_relaxed);
-      screen_screened.fetch_add(stats.screened, std::memory_order_relaxed);
-      screen_rescored.fetch_add(stats.rescored, std::memory_order_relaxed);
-      screen_tiles_skipped.fetch_add(stats.tiles_skipped,
-                                     std::memory_order_relaxed);
-      AddGlobalScreenStats(stats);
-    }
   });
   group.Wait();
-  result.screen.queries = screen_queries.load();
-  result.screen.screened = screen_screened.load();
-  result.screen.rescored = screen_rescored.load();
-  result.screen.tiles_skipped = screen_tiles_skipped.load();
 
   result.metrics = RankingMetrics::FromRanks(result.ranks);
   return result;

@@ -7,7 +7,6 @@
 
 #include "eval/metrics.h"
 #include "eval/protocol.h"
-#include "eval/screen.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
 
@@ -25,14 +24,6 @@ struct FullEvalOptions {
   /// score block is 16 x entity_tile floats. Small values force multi-tile
   /// sweeps (used by tests); ranks are identical for any tile size.
   size_t entity_tile = 32768;
-  /// Quantized screening of the entity sweep (eval/screen.h): each tile
-  /// gets an int8 sidecar; per block, tiles whose envelope score bound
-  /// falls strictly below every query's truth score are skipped outright
-  /// (truth-threshold early termination), surviving tiles are swept with
-  /// the int8 kernel, and only each query's band is re-scored exactly.
-  /// Ranks stay bit-identical to the unscreened sweep. Models without a
-  /// kernel surface ignore the flag.
-  bool screening = false;
 };
 
 /// Result of a full evaluation: aggregated metrics plus per-query ranks
@@ -40,9 +31,6 @@ struct FullEvalOptions {
 struct FullEvalResult {
   RankingMetrics metrics;
   std::vector<double> ranks;
-  /// Screening work counters (zero when FullEvalOptions::screening was off
-  /// or the model has no kernel surface), tiles_skipped included.
-  ScreenStats screen;
 };
 
 /// Ranks every entity for every (h,r,?) and (?,r,t) query of `split`,

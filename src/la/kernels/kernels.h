@@ -2,7 +2,6 @@
 #define KGEVAL_LA_KERNELS_KERNELS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,20 +20,12 @@ namespace kgeval {
 /// (`dim` rows by `n` contiguous candidate lanes, the GatherRowsT layout):
 /// out[q * n + c] is query q's score of candidate c.
 ///
-/// Bit-exactness contract (the repo's rank-parity bar): the exact fp32
-/// kernels — dot, neg_l1, neg_complex_dist — treat candidates as independent
-/// lanes and accumulate over the dim axis in exactly the scalar reference's
-/// order, one rounded multiply then one rounded add per step (never an FMA),
-/// with IEEE-exact sqrt/fabs. Every implementation therefore produces
-/// bit-identical output for every cell, so ranks, MRR, and served bytes do
-/// not depend on which ISA ran.
-///
-/// The quantized kernels (`*_q8`) score an int8 sidecar tile. They feed only
-/// the screening pass, whose correctness rests on a conservative error bound
-/// rather than on reproducible arithmetic. dot_q8 is a pure integer dot
-/// (exact in int32, so every implementation returns identical sums); the
-/// distance q8 kernels dequantize to fp32 and may contract, reorder, and use
-/// FMA freely.
+/// Bit-exactness contract (the repo's rank-parity bar): every kernel treats
+/// candidates as independent lanes and accumulates over the dim axis in
+/// exactly the scalar reference's order, one rounded multiply then one
+/// rounded add per step (never an FMA), with IEEE-exact sqrt/fabs. Every
+/// implementation therefore produces bit-identical output for every cell,
+/// so ranks, MRR, and served bytes do not depend on which ISA ran.
 struct ScoreKernels {
   const char* name;
 
@@ -51,35 +42,10 @@ struct ScoreKernels {
   /// the imaginary plane.
   void (*neg_complex_dist)(const float* queries, size_t nq, size_t dim,
                            const float* tile, size_t n, float eps, float* out);
-
-  /// Integer dot against the quad-interleaved int8 tile (CandidateBlock::
-  /// q8i): tile4 holds `dim_quads` groups of 4 consecutive dims, each group
-  /// n candidates of 4 bytes (zero-padded past dim), so a 32-bit lane is one
-  /// candidate's next 4 dims. `queries` rows are the pre-scaled query block
-  /// quantized to uint8 with a +128 offset (4 * dim_quads bytes per row);
-  /// out[q * n + c] = sum over all bytes of queries[q] x candidate c's
-  /// bytes, accumulated EXACTLY in int32 — the caller removes the offset
-  /// with the tile's per-candidate column sums and applies the scale.
-  /// Integer arithmetic makes every implementation return identical sums.
-  void (*dot_q8)(const uint8_t* queries, size_t nq, size_t dim_quads,
-                 const int8_t* tile4, size_t n, int32_t* out);
-
-  /// Approximate negative L1 distance against an int8 tile; `scale[k]`
-  /// dequantizes row k.
-  void (*neg_l1_q8)(const float* queries, size_t nq, size_t dim,
-                    const int8_t* tile, const float* scale, size_t n,
-                    float* out);
-
-  /// Approximate negative complex distance against an int8 tile (split
-  /// re/im planes like neg_complex_dist); `scale[k]` dequantizes row k.
-  void (*neg_complex_dist_q8)(const float* queries, size_t nq, size_t dim,
-                              const int8_t* tile, const float* scale, size_t n,
-                              float eps, float* out);
 };
 
 /// The portable baseline, compiled with the build's default flags. Always
-/// available; the reference every other implementation must match bit-exactly
-/// on the exact kernels.
+/// available; the reference every other implementation must match bit-exactly.
 const ScoreKernels& ScalarScoreKernels();
 
 /// Names of every implementation compiled into this binary, widest first

@@ -3,12 +3,11 @@
 // build still carries this path; the registry only dispatches here when the
 // running CPU reports AVX2.
 //
-// Bit-exactness: the exact kernels keep candidates in independent SIMD
-// lanes and accumulate over the dim axis with an explicit rounded multiply
-// followed by a rounded add — never an FMA — in the scalar reference's
-// order. Together with IEEE-exact VSQRTPS and bitmask fabs/negation, every
-// lane reproduces the scalar result bit-for-bit. The quantized kernels have
-// no such obligation (screening corrects them with a conservative bound).
+// Bit-exactness: the kernels keep candidates in independent SIMD lanes and
+// accumulate over the dim axis with an explicit rounded multiply followed
+// by a rounded add — never an FMA — in the scalar reference's order.
+// Together with IEEE-exact VSQRTPS and bitmask fabs/negation, every lane
+// reproduces the scalar result bit-for-bit.
 
 #include "la/kernels/kernel_impls.h"
 
@@ -21,7 +20,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 
 namespace kgeval {
@@ -38,20 +36,13 @@ KGEVAL_TARGET_AVX2 inline __m256 NegPs(__m256 x) {
   return _mm256_xor_ps(x, _mm256_set1_ps(-0.0f));
 }
 
-/// Loads 8 int8 lanes and converts to fp32.
-KGEVAL_TARGET_AVX2 inline __m256 LoadQ8(const int8_t* p) {
-  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-}
-
-// Exact kernels: the query-blocked sweep of kernels_avx512.cc at 8 lanes
-// per register. Column chunks of kChunk candidates stay in L2 while groups
-// of up to kQueryGroup queries share every tile vector load; within a
-// chunk the widest strips run first, then 8-lane strips, then one masked
-// strip below 8 lanes. Strip widths keep each group's accumulators, tile
-// vectors and broadcasts inside the 16 YMM registers. Every cell still
-// accumulates over k ascending, rounded multiply then rounded add, so the
-// output matches the scalar reference bit-for-bit.
+// The query-blocked sweep of kernels_avx512.cc at 8 lanes per register. Column
+// chunks of kChunk candidates stay in L2 while groups of up to kQueryGroup
+// queries share every tile vector load; within a chunk the widest strips run
+// first, then 8-lane strips, then one masked strip below 8 lanes. Strip widths
+// keep each group's accumulators, tile vectors and broadcasts inside the 16 YMM
+// registers. Every cell still accumulates over k ascending, rounded multiply
+// then rounded add, so the output matches the scalar reference bit-for-bit.
 
 constexpr size_t kChunk = 512;
 constexpr size_t kQueryGroup = 4;
@@ -200,137 +191,16 @@ void NegComplexDistAvx2(const float* queries, size_t nq, size_t dim,
   SweepQueryBlocked(NegComplexDistOp{eps}, queries, nq, dim, tile, n, out);
 }
 
-KGEVAL_TARGET_AVX2
-void DotQ8Avx2(const uint8_t* queries, size_t nq, size_t dim_quads,
-               const int8_t* tile4, size_t n, int32_t* out) {
-  // 8 candidates (32 tile bytes) per step: sign-extend the quads to s16 and
-  // madd against the query quad repeated as s16 pairs. Every product pair
-  // fits s32 exactly (255 * 127 * 2 per pair, dim_quads * 2 pairs summed),
-  // so the result is the exact integer dot, matching the scalar kernel
-  // bit-for-bit.
-  for (size_t q = 0; q < nq; ++q) {
-    const uint8_t* a = queries + q * dim_quads * 4;
-    int32_t* o = out + q * n;
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-      __m256i acc_lo = _mm256_setzero_si256();  // 2 partial s32 per cand 0-3.
-      __m256i acc_hi = _mm256_setzero_si256();  // ... per cand 4-7.
-      for (size_t g = 0; g < dim_quads; ++g) {
-        const int64_t qq =
-            static_cast<int64_t>(a[g * 4 + 0]) |
-            (static_cast<int64_t>(a[g * 4 + 1]) << 16) |
-            (static_cast<int64_t>(a[g * 4 + 2]) << 32) |
-            (static_cast<int64_t>(a[g * 4 + 3]) << 48);
-        const __m256i qv = _mm256_set1_epi64x(qq);
-        const __m256i chunk = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(tile4 + (g * n + c) * 4));
-        const __m256i lo16 =
-            _mm256_cvtepi8_epi16(_mm256_castsi256_si128(chunk));
-        const __m256i hi16 =
-            _mm256_cvtepi8_epi16(_mm256_extracti128_si256(chunk, 1));
-        acc_lo = _mm256_add_epi32(acc_lo, _mm256_madd_epi16(lo16, qv));
-        acc_hi = _mm256_add_epi32(acc_hi, _mm256_madd_epi16(hi16, qv));
-      }
-      alignas(32) int32_t tmp[16];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), acc_lo);
-      _mm256_store_si256(reinterpret_cast<__m256i*>(tmp + 8), acc_hi);
-      for (size_t i = 0; i < 8; ++i) o[c + i] = tmp[2 * i] + tmp[2 * i + 1];
-    }
-    for (; c < n; ++c) {
-      int32_t acc = 0;
-      for (size_t g = 0; g < dim_quads; ++g) {
-        const int8_t* t = tile4 + (g * n + c) * 4;
-        acc += static_cast<int32_t>(a[g * 4 + 0]) * t[0] +
-               static_cast<int32_t>(a[g * 4 + 1]) * t[1] +
-               static_cast<int32_t>(a[g * 4 + 2]) * t[2] +
-               static_cast<int32_t>(a[g * 4 + 3]) * t[3];
-      }
-      o[c] = acc;
-    }
-  }
-}
-
-KGEVAL_TARGET_AVX2
-void NegL1Q8Avx2(const float* queries, size_t nq, size_t dim,
-                 const int8_t* tile, const float* scale, size_t n,
-                 float* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      const int8_t* g = tile + c;
-      for (size_t k = 0; k < dim; ++k, g += n) {
-        const __m256 va = _mm256_set1_ps(a[k]);
-        const __m256 vs = _mm256_set1_ps(scale[k]);
-        acc0 = _mm256_add_ps(
-            acc0, AbsPs(_mm256_sub_ps(va, _mm256_mul_ps(vs, LoadQ8(g)))));
-        acc1 = _mm256_add_ps(
-            acc1, AbsPs(_mm256_sub_ps(va, _mm256_mul_ps(vs, LoadQ8(g + 8)))));
-      }
-      _mm256_storeu_ps(o + c, NegPs(acc0));
-      _mm256_storeu_ps(o + c + 8, NegPs(acc1));
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t k = 0; k < dim; ++k) {
-        acc += std::fabs(a[k] - scale[k] * static_cast<float>(tile[k * n + c]));
-      }
-      o[c] = -acc;
-    }
-  }
-}
-
-KGEVAL_TARGET_AVX2
-void NegComplexDistQ8Avx2(const float* queries, size_t nq, size_t dim,
-                          const int8_t* tile, const float* scale, size_t n,
-                          float eps, float* out) {
-  const size_t m = dim / 2;
-  const __m256 veps = _mm256_set1_ps(eps);
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-      __m256 acc = _mm256_setzero_ps();
-      for (size_t j = 0; j < m; ++j) {
-        const __m256 gre =
-            _mm256_mul_ps(_mm256_set1_ps(scale[j]), LoadQ8(tile + j * n + c));
-        const __m256 gim = _mm256_mul_ps(_mm256_set1_ps(scale[m + j]),
-                                         LoadQ8(tile + (m + j) * n + c));
-        const __m256 dre = _mm256_sub_ps(_mm256_set1_ps(a[j]), gre);
-        const __m256 dim_ = _mm256_sub_ps(_mm256_set1_ps(a[m + j]), gim);
-        const __m256 s = _mm256_add_ps(
-            _mm256_add_ps(_mm256_mul_ps(dre, dre), _mm256_mul_ps(dim_, dim_)),
-            veps);
-        acc = _mm256_add_ps(acc, _mm256_sqrt_ps(s));
-      }
-      _mm256_storeu_ps(o + c, NegPs(acc));
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t j = 0; j < m; ++j) {
-        const float dre =
-            a[j] - scale[j] * static_cast<float>(tile[j * n + c]);
-        const float dim_ =
-            a[m + j] - scale[m + j] * static_cast<float>(tile[(m + j) * n + c]);
-        acc += std::sqrt(dre * dre + dim_ * dim_ + eps);
-      }
-      o[c] = -acc;
-    }
-  }
-}
-
 #undef KGEVAL_TARGET_AVX2
 
 }  // namespace
 
 const ScoreKernels* Avx2Kernels() {
   static const ScoreKernels kAvx2 = {
-      "avx2",           DotAvx2,   NegL1Avx2,    NegComplexDistAvx2,
-      DotQ8Avx2,        NegL1Q8Avx2, NegComplexDistQ8Avx2,
+      "avx2",
+      DotAvx2,
+      NegL1Avx2,
+      NegComplexDistAvx2,
   };
   return &kAvx2;
 }

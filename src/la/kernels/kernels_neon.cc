@@ -22,16 +22,6 @@ namespace kgeval {
 namespace kernel_impls {
 namespace {
 
-/// Loads exactly 4 int8 lanes (no overread past the tile) and converts to
-/// fp32.
-inline float32x4_t LoadQ8x4(const int8_t* p) {
-  int32_t bits;
-  __builtin_memcpy(&bits, p, sizeof(bits));
-  const int8x8_t raw = vreinterpret_s8_s32(vdup_n_s32(bits));
-  const int16x8_t w = vmovl_s8(raw);
-  return vcvtq_f32_s32(vmovl_s16(vget_low_s16(w)));
-}
-
 void DotNeon(const float* queries, size_t nq, size_t dim, const float* tile,
              size_t n, float* out) {
   for (size_t q = 0; q < nq; ++q) {
@@ -168,104 +158,14 @@ void NegComplexDistNeon(const float* queries, size_t nq, size_t dim,
   }
 }
 
-void DotQ8Neon(const uint8_t* queries, size_t nq, size_t dim_quads,
-               const int8_t* tile4, size_t n, int32_t* out) {
-  // Exact integer dot over the quad-interleaved tile. Kept as plain C:
-  // the candidate-quad layout autovectorizes acceptably (smlal-style), the
-  // arithmetic is exact s32 either way, and an sdot/usdot variant needs the
-  // dotprod/i8mm extensions a baseline aarch64 target cannot assume.
-  for (size_t q = 0; q < nq; ++q) {
-    const uint8_t* a = queries + q * dim_quads * 4;
-    int32_t* o = out + q * n;
-    for (size_t c = 0; c < n; ++c) o[c] = 0;
-    for (size_t g = 0; g < dim_quads; ++g) {
-      const int32_t a0 = a[g * 4 + 0], a1 = a[g * 4 + 1];
-      const int32_t a2 = a[g * 4 + 2], a3 = a[g * 4 + 3];
-      const int8_t* t = tile4 + g * n * 4;
-      for (size_t c = 0; c < n; ++c) {
-        o[c] += a0 * t[c * 4 + 0] + a1 * t[c * 4 + 1] + a2 * t[c * 4 + 2] +
-                a3 * t[c * 4 + 3];
-      }
-    }
-  }
-}
-
-void NegL1Q8Neon(const float* queries, size_t nq, size_t dim,
-                 const int8_t* tile, const float* scale, size_t n,
-                 float* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-      float32x4_t acc0 = vdupq_n_f32(0.0f);
-      float32x4_t acc1 = vdupq_n_f32(0.0f);
-      const int8_t* g = tile + c;
-      for (size_t k = 0; k < dim; ++k, g += n) {
-        const float32x4_t va = vdupq_n_f32(a[k]);
-        const float32x4_t vs = vdupq_n_f32(scale[k]);
-        acc0 = vaddq_f32(
-            acc0, vabsq_f32(vsubq_f32(va, vmulq_f32(vs, LoadQ8x4(g)))));
-        acc1 = vaddq_f32(
-            acc1, vabsq_f32(vsubq_f32(va, vmulq_f32(vs, LoadQ8x4(g + 4)))));
-      }
-      vst1q_f32(o + c, vnegq_f32(acc0));
-      vst1q_f32(o + c + 4, vnegq_f32(acc1));
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t k = 0; k < dim; ++k) {
-        acc += std::fabs(a[k] - scale[k] * static_cast<float>(tile[k * n + c]));
-      }
-      o[c] = -acc;
-    }
-  }
-}
-
-void NegComplexDistQ8Neon(const float* queries, size_t nq, size_t dim,
-                          const int8_t* tile, const float* scale, size_t n,
-                          float eps, float* out) {
-  const size_t m = dim / 2;
-  const float32x4_t veps = vdupq_n_f32(eps);
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* o = out + q * n;
-    size_t c = 0;
-    for (; c + 4 <= n; c += 4) {
-      float32x4_t acc = vdupq_n_f32(0.0f);
-      for (size_t j = 0; j < m; ++j) {
-        const float32x4_t gre =
-            vmulq_f32(vdupq_n_f32(scale[j]), LoadQ8x4(tile + j * n + c));
-        const float32x4_t gim = vmulq_f32(vdupq_n_f32(scale[m + j]),
-                                          LoadQ8x4(tile + (m + j) * n + c));
-        const float32x4_t dre = vsubq_f32(vdupq_n_f32(a[j]), gre);
-        const float32x4_t dim_ = vsubq_f32(vdupq_n_f32(a[m + j]), gim);
-        const float32x4_t s = vaddq_f32(
-            vaddq_f32(vmulq_f32(dre, dre), vmulq_f32(dim_, dim_)), veps);
-        acc = vaddq_f32(acc, vsqrtq_f32(s));
-      }
-      vst1q_f32(o + c, vnegq_f32(acc));
-    }
-    for (; c < n; ++c) {
-      float acc = 0.0f;
-      for (size_t j = 0; j < m; ++j) {
-        const float dre =
-            a[j] - scale[j] * static_cast<float>(tile[j * n + c]);
-        const float dim_ =
-            a[m + j] - scale[m + j] * static_cast<float>(tile[(m + j) * n + c]);
-        acc += std::sqrt(dre * dre + dim_ * dim_ + eps);
-      }
-      o[c] = -acc;
-    }
-  }
-}
-
 }  // namespace
 
 const ScoreKernels* NeonKernels() {
   static const ScoreKernels kNeon = {
-      "neon",      DotNeon,     NegL1Neon,        NegComplexDistNeon,
-      DotQ8Neon,   NegL1Q8Neon, NegComplexDistQ8Neon,
+      "neon",
+      DotNeon,
+      NegL1Neon,
+      NegComplexDistNeon,
   };
   return &kNeon;
 }

@@ -6,7 +6,7 @@
 namespace kgeval {
 namespace {
 
-/// The portable reference. The exact kernels below are the pre-dispatch
+/// The portable reference. The kernels below are the pre-dispatch
 /// matrix.cc loops verbatim: candidates are independent lanes and each lane
 /// accumulates over the dim axis sequentially, which is the per-cell
 /// ordering every SIMD implementation reproduces. The build keeps
@@ -64,73 +64,14 @@ void NegComplexDistScalar(const float* queries, size_t nq, size_t dim,
   }
 }
 
-void DotQ8Scalar(const uint8_t* queries, size_t nq, size_t dim_quads,
-                 const int8_t* tile4, size_t n, int32_t* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    const uint8_t* a = queries + q * dim_quads * 4;
-    int32_t* __restrict o = out + q * n;
-    std::fill(o, o + n, 0);
-    for (size_t g = 0; g < dim_quads; ++g) {
-      const int32_t a0 = a[g * 4 + 0], a1 = a[g * 4 + 1];
-      const int32_t a2 = a[g * 4 + 2], a3 = a[g * 4 + 3];
-      const int8_t* __restrict t = tile4 + g * n * 4;
-      for (size_t c = 0; c < n; ++c) {
-        o[c] += a0 * t[c * 4 + 0] + a1 * t[c * 4 + 1] + a2 * t[c * 4 + 2] +
-                a3 * t[c * 4 + 3];
-      }
-    }
-  }
-}
-
-void NegL1Q8Scalar(const float* queries, size_t nq, size_t dim,
-                   const int8_t* tile, const float* scale, size_t n,
-                   float* out) {
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* __restrict o = out + q * n;
-    std::fill(o, o + n, 0.0f);
-    for (size_t k = 0; k < dim; ++k) {
-      const float ak = a[k];
-      const float sk = scale[k];
-      const int8_t* __restrict g = tile + k * n;
-      for (size_t c = 0; c < n; ++c) {
-        o[c] += std::fabs(ak - sk * static_cast<float>(g[c]));
-      }
-    }
-    for (size_t c = 0; c < n; ++c) o[c] = -o[c];
-  }
-}
-
-void NegComplexDistQ8Scalar(const float* queries, size_t nq, size_t dim,
-                            const int8_t* tile, const float* scale, size_t n,
-                            float eps, float* out) {
-  const size_t m = dim / 2;
-  for (size_t q = 0; q < nq; ++q) {
-    const float* a = queries + q * dim;
-    float* __restrict o = out + q * n;
-    std::fill(o, o + n, 0.0f);
-    for (size_t j = 0; j < m; ++j) {
-      const float qre = a[j], qim = a[m + j];
-      const float sre = scale[j], sim = scale[m + j];
-      const int8_t* __restrict gre = tile + j * n;
-      const int8_t* __restrict gim = tile + (m + j) * n;
-      for (size_t c = 0; c < n; ++c) {
-        const float dre = qre - sre * static_cast<float>(gre[c]);
-        const float dim_ = qim - sim * static_cast<float>(gim[c]);
-        o[c] += std::sqrt(dre * dre + dim_ * dim_ + eps);
-      }
-    }
-    for (size_t c = 0; c < n; ++c) o[c] = -o[c];
-  }
-}
-
 }  // namespace
 
 const ScoreKernels& ScalarScoreKernels() {
   static const ScoreKernels kScalar = {
-      "scalar",          DotScalar,   NegL1Scalar,
-      NegComplexDistScalar, DotQ8Scalar, NegL1Q8Scalar,
-      NegComplexDistQ8Scalar,
+      "scalar",
+      DotScalar,
+      NegL1Scalar,
+      NegComplexDistScalar,
   };
   return kScalar;
 }

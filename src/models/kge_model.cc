@@ -133,23 +133,6 @@ void KgeModel::ScoreCandidates(int32_t anchor, int32_t relation,
   ScoreWithQuery(queries, 0, candidates, n, out);
 }
 
-void KgeModel::ScoreBatch(const int32_t* anchors, size_t num_queries,
-                          int32_t relation, QueryDirection direction,
-                          const int32_t* candidates, size_t n,
-                          float* out) const {
-  if (candidate_embeddings() == nullptr) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScoreCandidates(anchors[q], relation, direction, candidates, n,
-                      out + q * n);
-    }
-    return;
-  }
-  CandidateBlock block;
-  PrepareCandidates(candidates, n, &block);
-  ScoreBlock(anchors, nullptr, num_queries, relation, direction, block, out,
-             nullptr);
-}
-
 void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
                           size_t num_queries, size_t candidates_per_query,
                           int32_t relation, QueryDirection direction,
@@ -179,16 +162,6 @@ void KgeModel::FillCandidateIds(const int32_t* candidates, size_t n,
   block->sorted = std::is_sorted(candidates, candidates + n);
   block->prepared = false;
   block->bias.clear();
-  block->quantized = false;
-  block->q8.clear();
-  block->q8i.clear();
-  block->q8_colsum.clear();
-  block->q8_scale.clear();
-  block->q8_err.clear();
-  block->q8_amp.clear();
-  block->q8_lo.clear();
-  block->q8_hi.clear();
-  block->q8_bias_amp = 0.0f;
 }
 
 void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
@@ -213,11 +186,14 @@ void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
                           const CandidateBlock& block, float* pool_scores,
                           float* truth_scores) const {
   if (!block.prepared) {
-    // Unfused fallback for blocks without a model-specific layout: pays one
-    // query construction per requested output, like the pre-fusion engine.
+    // Unfused fallback for blocks without a model-specific layout (models
+    // with no kernel surface): per-query loops over ScoreCandidates.
     if (pool_scores != nullptr) {
-      ScoreBatch(anchors, num_queries, relation, direction, block.ids.data(),
-                 block.ids.size(), pool_scores);
+      const size_t n = block.size();
+      for (size_t q = 0; q < num_queries; ++q) {
+        ScoreCandidates(anchors[q], relation, direction, block.ids.data(), n,
+                        pool_scores + q * n);
+      }
     }
     if (truth_scores != nullptr) {
       ScorePairs(anchors, truths, num_queries, 1, relation, direction,

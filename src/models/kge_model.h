@@ -61,13 +61,7 @@ enum class BatchKernel {
 /// (dim x n, candidates contiguous — for ComplEx/RotatE the top/bottom
 /// halves of the tile are the split re/im planes); ConvE additionally
 /// gathers the per-candidate entity bias. Preparing costs one gather +
-/// transpose; every subsequent ScoreBlock call against the block reuses it,
-/// removing the per-call re-gather the batched engine used to pay.
-///
-/// QuantizeCandidateBlock (eval/screen.h) can additionally attach an int8
-/// sidecar of the tile for the screening pass: per-dim symmetric
-/// quantization with the exact per-dim reconstruction-error and magnitude
-/// bounds the screener's conservative band test needs.
+/// transpose; every subsequent ScoreBlock call against the block reuses it.
 struct CandidateBlock {
   std::vector<int32_t> ids;  // The pool, in caller order.
   bool sorted = false;       // ids are non-decreasing (a pool invariant the
@@ -75,21 +69,6 @@ struct CandidateBlock {
   bool prepared = false;     // Model-specific layout was filled in.
   Matrix gathered_t;         // Transposed candidate tile (see above).
   std::vector<float> bias;   // ConvE: per-candidate entity bias.
-
-  bool quantized = false;       // int8 sidecar was filled in.
-  std::vector<int8_t> q8;       // dim x n int8 tile, same transposed layout.
-  std::vector<int8_t> q8i;      // Same values quad-interleaved for the
-                                // integer dot kernel: ceil(dim/4) groups of
-                                // 4 dims, n candidates x 4 bytes per group,
-                                // zero-padded past dim.
-  std::vector<int32_t> q8_colsum;  // Per-candidate sum of its q8 bytes
-                                   // (removes the +128 query offset).
-  std::vector<float> q8_scale;  // Per-dim dequantization scale.
-  std::vector<float> q8_err;    // Per-dim max |exact - dequantized|.
-  std::vector<float> q8_amp;    // Per-dim max |exact| (fp-slack term).
-  std::vector<float> q8_lo;     // Per-dim exact min (tile-skip bound).
-  std::vector<float> q8_hi;     // Per-dim exact max (tile-skip bound).
-  float q8_bias_amp = 0.0f;     // max |bias| (0 when the model has none).
 
   size_t size() const { return ids.size(); }
 };
@@ -132,11 +111,11 @@ class KgeModel {
   /// batched reduction they collapse to, the embedding table candidates are
   /// gathered from, an optional per-entity bias, and how to fold
   /// (anchor, relation, direction) into per-query kernel rows. Everything
-  /// else — single-query scoring, batching, pool preparation, fused blocks,
-  /// screening — is implemented once in the base class on top of these.
-  /// A model (e.g. a test fake) that returns nullptr from
-  /// candidate_embeddings() opts out and must override ScoreCandidates;
-  /// the generic engine then falls back to per-query loops over it.
+  /// else — single-query scoring, pool preparation, fused blocks — is
+  /// implemented once in the base class on top of these. A model (e.g. a
+  /// test fake) that returns nullptr from candidate_embeddings() opts out
+  /// and must override ScoreCandidates; ScoreBlock then falls back to
+  /// per-query loops over it.
 
   /// The reduction family the model's scoring collapses to.
   virtual BatchKernel batch_kernel() const { return BatchKernel::kDot; }
@@ -185,18 +164,6 @@ class KgeModel {
                                const int32_t* candidates, size_t n,
                                float* out) const;
 
-  /// Scores `num_queries` queries that share a (relation, direction) slot
-  /// against one shared candidate pool. `out` is row-major num_queries x n:
-  /// out[q * n + c] is the score of candidates[c] for anchors[q]. With a
-  /// kernel surface this prepares the pool once and runs the gather-once,
-  /// blocked batch kernel, whose per-cell results match ScoreCandidates
-  /// bit-for-bit; without one it loops over ScoreCandidates. This is the
-  /// evaluation hot path: slot-major evaluators feed whole slots here.
-  virtual void ScoreBatch(const int32_t* anchors, size_t num_queries,
-                          int32_t relation, QueryDirection direction,
-                          const int32_t* candidates, size_t n,
-                          float* out) const;
-
   /// Scores query q against its *own* `candidates_per_query` candidates:
   /// out[q * k + j] is the score of candidates[q * k + j] for anchors[q]
   /// (k = candidates_per_query). All queries share (relation, direction).
@@ -223,8 +190,12 @@ class KgeModel {
   /// ScoreCandidates) and each query's own-truth score (truth_scores[q],
   /// bit-identical to ScorePairs). Either output may be null to skip it
   /// (`truths` may be null iff truth_scores is). Halves query construction
-  /// versus a ScoreBatch + ScorePairs pair — the dominant per-query cost
-  /// for ConvE (conv/FC trunk) and TuckER (core contraction).
+  /// versus scoring the pool and the truths separately — the dominant
+  /// per-query cost for ConvE (conv/FC trunk) and TuckER (core
+  /// contraction). An unprepared block (a model without a kernel surface)
+  /// falls back to per-query ScoreCandidates loops plus ScorePairs. This
+  /// is the evaluation hot path: slot-major evaluators feed whole slots
+  /// here.
   virtual void ScoreBlock(const int32_t* anchors, const int32_t* truths,
                           size_t num_queries, int32_t relation,
                           QueryDirection direction,

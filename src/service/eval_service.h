@@ -65,10 +65,6 @@ class EvalService {
     /// Reason::kDeadline, the pass winds down cooperatively, and the client
     /// sees `ERR deadline-exceeded`. 0 disables deadlines.
     double default_deadline_s = 0.0;
-    /// Quantized screening for every session this service builds
-    /// (FrameworkOptions::screening). Served values are bit-identical with
-    /// it on or off; STATS exposes the screen_* work counters.
-    bool screening = false;
   };
 
   /// The framework configuration LOAD builds sessions with. One definition

@@ -1,0 +1,46 @@
+# Runs kgeval-server on malformed numeric flags and requires each run to
+# print the usage and exit 2 before it binds a port.
+#
+#   cmake -DSERVER=<path to kgeval-server> -P kgeval_server_flags_test.cmake
+#
+# A binary that accepts a bad value goes on to listen; the per-run timeout
+# turns that into a failure instead of a hang.
+
+if(NOT SERVER)
+  message(FATAL_ERROR "pass -DSERVER=<path to kgeval-server>")
+endif()
+
+set(bad_flags
+    --port=70000 --port=65536 --port=abc --port=-1 --port= --port=+80
+    "--port= 80" --port=80x --port=1.5
+    --threads=-1 --threads=abc --threads=99999999999999999999999
+    --executors=-1 --executors=2x
+    --max-queued=-5 --max-queued=1.5
+    --deadline=-1 --deadline=abc --deadline=nan --deadline=inf
+    --deadline=1e400 --deadline=
+    --idle-timeout=-0.5 --idle-timeout=inf --idle-timeout=5s)
+
+foreach(flag IN LISTS bad_flags)
+  execute_process(COMMAND ${SERVER} --port=0 ${flag}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err
+                  TIMEOUT 5)
+  if(NOT code STREQUAL "2" OR NOT err MATCHES "usage:")
+    message(FATAL_ERROR "'${flag}': expected usage and exit 2, got "
+            "'${code}'; stdout: ${out}; stderr: ${err}")
+  endif()
+endforeach()
+
+# Well-formed values pass the parser: the run then stops at the unknown
+# kernel name, a different exit-2 path that prints no usage.
+execute_process(COMMAND ${SERVER} --port=0 --threads=2 --executors=3
+                        --max-queued=0 --deadline=1.5 --idle-timeout=0
+                        --kernels=no-such-kernel
+                RESULT_VARIABLE code
+                ERROR_VARIABLE err
+                TIMEOUT 5)
+if(NOT code STREQUAL "2" OR err MATCHES "usage:" OR NOT err MATCHES "--kernels")
+  message(FATAL_ERROR "valid numeric flags were rejected: exit '${code}'; "
+          "stderr: ${err}")
+endif()

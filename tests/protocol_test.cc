@@ -126,17 +126,12 @@ TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
     // Pre-refactor API: FilterIndex overload, prepared engine.
     const SampledEvalResult via_filter =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    // Explicit protocol, all three engines.
+    // Explicit protocol, prepared engine and scalar reference.
     const SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    SampledEvalOptions unfused_options;
-    unfused_options.prepared_pools = false;
-    const SampledEvalResult unfused = EvaluateSampled(
-        *model, dataset, protocol, Split::kTest, pools, unfused_options);
     const SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, protocol, Split::kTest, pools);
     EXPECT_EQ(via_filter.ranks, prepared.ranks) << ModelTypeName(type);
-    EXPECT_EQ(prepared.ranks, unfused.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
     EXPECT_EQ(via_filter.scored_candidates, scalar.scored_candidates)
         << ModelTypeName(type);
@@ -342,13 +337,8 @@ TEST(TemporalProtocolTest, EnginesBitExactOnTemporalData) {
                      .ValueOrDie();
     const SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    SampledEvalOptions unfused_options;
-    unfused_options.prepared_pools = false;
-    const SampledEvalResult unfused = EvaluateSampled(
-        *model, dataset, protocol, Split::kTest, pools, unfused_options);
     const SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, protocol, Split::kTest, pools);
-    EXPECT_EQ(prepared.ranks, unfused.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.scored_candidates, scalar.scored_candidates)
         << ModelTypeName(type);

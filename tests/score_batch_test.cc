@@ -29,7 +29,7 @@ ModelOptions SmallOptions() {
   return options;
 }
 
-class ScoreBatchTest : public ::testing::TestWithParam<ModelType> {
+class ScoreBlockTest : public ::testing::TestWithParam<ModelType> {
  protected:
   std::unique_ptr<KgeModel> Make() {
     return CreateModel(GetParam(), /*num_entities=*/40, /*num_relations=*/6,
@@ -38,25 +38,27 @@ class ScoreBatchTest : public ::testing::TestWithParam<ModelType> {
   }
 };
 
-TEST_P(ScoreBatchTest, MatchesPerQueryScoreCandidates) {
+TEST_P(ScoreBlockTest, MatchesPerQueryScoreCandidates) {
   auto model = Make();
-  // Unsorted candidates with a duplicate: ScoreBatch makes no ordering
-  // assumptions about the pool.
+  // Unsorted candidates with a duplicate: a prepared block makes no
+  // ordering assumptions about the pool.
   const std::vector<int32_t> candidates = {11, 3, 27, 3, 0, 39, 18};
   const std::vector<int32_t> anchors = {0, 5, 5, 17, 39, 2, 8, 21, 30};
   const size_t n = candidates.size();
   const size_t q = anchors.size();
-  std::vector<float> batched(q * n), scalar(n);
+  CandidateBlock block;
+  model->PrepareCandidates(candidates.data(), n, &block);
+  std::vector<float> pool_scores(q * n), scalar(n);
   for (int32_t relation : {0, 5}) {
     for (QueryDirection dir :
          {QueryDirection::kTail, QueryDirection::kHead}) {
-      model->ScoreBatch(anchors.data(), q, relation, dir, candidates.data(),
-                        n, batched.data());
+      model->ScoreBlock(anchors.data(), nullptr, q, relation, dir, block,
+                        pool_scores.data(), nullptr);
       for (size_t i = 0; i < q; ++i) {
         model->ScoreCandidates(anchors[i], relation, dir, candidates.data(),
                                n, scalar.data());
         for (size_t c = 0; c < n; ++c) {
-          EXPECT_NEAR(batched[i * n + c], scalar[c], 1e-5)
+          EXPECT_EQ(pool_scores[i * n + c], scalar[c])
               << ModelTypeName(GetParam()) << " query " << i << " candidate "
               << c;
         }
@@ -65,7 +67,7 @@ TEST_P(ScoreBatchTest, MatchesPerQueryScoreCandidates) {
   }
 }
 
-TEST_P(ScoreBatchTest, ScorePairsMatchesSingleCandidateCalls) {
+TEST_P(ScoreBlockTest, ScorePairsMatchesSingleCandidateCalls) {
   auto model = Make();
   const std::vector<int32_t> anchors = {1, 4, 4, 19, 33, 0};
   const std::vector<int32_t> candidates = {7, 7, 2, 38, 0, 12};
@@ -87,7 +89,7 @@ TEST_P(ScoreBatchTest, ScorePairsMatchesSingleCandidateCalls) {
   }
 }
 
-TEST_P(ScoreBatchTest, ScorePairsMultiCandidateMatchesExactly) {
+TEST_P(ScoreBlockTest, ScorePairsMultiCandidateMatchesExactly) {
   auto model = Make();
   const std::vector<int32_t> anchors = {1, 4, 19, 0};
   // Three candidates per query, with repeats within and across queries.
@@ -115,7 +117,7 @@ TEST_P(ScoreBatchTest, ScorePairsMultiCandidateMatchesExactly) {
   }
 }
 
-TEST_P(ScoreBatchTest, PreparedScoreBlockMatchesScalarExactly) {
+TEST_P(ScoreBlockTest, PreparedScoreBlockMatchesScalarExactly) {
   auto model = Make();
   // Unsorted pool with duplicate candidates: PrepareCandidates must record
   // the unsortedness and ScoreBlock must keep duplicate columns identical.
@@ -155,7 +157,7 @@ TEST_P(ScoreBatchTest, PreparedScoreBlockMatchesScalarExactly) {
   }
 }
 
-TEST_P(ScoreBatchTest, PreparedScoreBlockSkipsNullOutputs) {
+TEST_P(ScoreBlockTest, PreparedScoreBlockSkipsNullOutputs) {
   auto model = Make();
   const std::vector<int32_t> candidates = {0, 5, 39};
   const std::vector<int32_t> anchors = {3, 12};
@@ -179,42 +181,75 @@ TEST_P(ScoreBatchTest, PreparedScoreBlockSkipsNullOutputs) {
   EXPECT_EQ(fused_truth, only_truth);
 }
 
-TEST_P(ScoreBatchTest, UnpreparedBlockFallsBackToBatchedPath) {
+TEST_P(ScoreBlockTest, UnpreparedBlockFallsBackToPerQueryScoring) {
   auto model = Make();
-  const std::vector<int32_t> candidates = {11, 3, 27};
-  const std::vector<int32_t> anchors = {0, 5};
-  const std::vector<int32_t> truths = {2, 9};
-  // A block the base class filled in (ids only, no gathered layout).
+  const std::vector<int32_t> candidates = {11, 3, 27, 3};
+  const std::vector<int32_t> anchors = {0, 5, 17};
+  const std::vector<int32_t> truths = {2, 9, 0};
+  const size_t n = candidates.size();
+  // A block with ids only and no gathered layout, as a model without a
+  // kernel surface prepares it.
   CandidateBlock block;
   block.ids = candidates;
-  std::vector<float> pool_scores(anchors.size() * candidates.size());
+  ASSERT_FALSE(block.prepared);
+  std::vector<float> pool_scores(anchors.size() * n);
   std::vector<float> truth_scores(anchors.size());
   model->ScoreBlock(anchors.data(), truths.data(), anchors.size(), 0,
                     QueryDirection::kTail, block, pool_scores.data(),
                     truth_scores.data());
-  std::vector<float> want_pool(pool_scores.size());
-  model->ScoreBatch(anchors.data(), anchors.size(), 0, QueryDirection::kTail,
-                    candidates.data(), candidates.size(), want_pool.data());
-  EXPECT_EQ(pool_scores, want_pool);
-  std::vector<float> want_truth(truth_scores.size());
-  model->ScorePairs(anchors.data(), truths.data(), anchors.size(), 1, 0,
-                    QueryDirection::kTail, want_truth.data());
-  EXPECT_EQ(truth_scores, want_truth);
+  std::vector<float> scalar(n);
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    model->ScoreCandidates(anchors[i], 0, QueryDirection::kTail,
+                           candidates.data(), n, scalar.data());
+    for (size_t c = 0; c < n; ++c) {
+      EXPECT_EQ(pool_scores[i * n + c], scalar[c])
+          << ModelTypeName(GetParam()) << " query " << i << " candidate "
+          << c;
+    }
+    float truth = 0.0f;
+    model->ScoreCandidates(anchors[i], 0, QueryDirection::kTail, &truths[i],
+                           1, &truth);
+    EXPECT_EQ(truth_scores[i], truth)
+        << ModelTypeName(GetParam()) << " truth " << i;
+  }
 }
 
-TEST_P(ScoreBatchTest, EmptyBatchAndEmptyPoolAreNoops) {
+TEST_P(ScoreBlockTest, EmptyBatchAndEmptyPoolAreNoops) {
   auto model = Make();
   const int32_t candidate = 3;
   const int32_t anchor = 1;
-  // No queries: must not touch out.
-  model->ScoreBatch(nullptr, 0, 0, QueryDirection::kTail, &candidate, 1,
-                    nullptr);
-  // No candidates: must not touch out.
-  model->ScoreBatch(&anchor, 1, 0, QueryDirection::kTail, nullptr, 0,
-                    nullptr);
+  const int32_t truth = 7;
+  constexpr float kSentinel = 42.0f;
+  CandidateBlock one;
+  model->PrepareCandidates(&candidate, 1, &one);
+  CandidateBlock empty;
+  model->PrepareCandidates(nullptr, 0, &empty);
+  EXPECT_EQ(empty.size(), 0u);
+  for (bool prepared : {true, false}) {
+    SCOPED_TRACE(prepared ? "prepared" : "unprepared");
+    if (!prepared) {
+      one.prepared = false;
+      empty.prepared = false;
+    }
+    // No queries: neither output is touched.
+    std::vector<float> pool(1, kSentinel), truths(1, kSentinel);
+    model->ScoreBlock(nullptr, &truth, 0, 0, QueryDirection::kTail, one,
+                      pool.data(), truths.data());
+    EXPECT_EQ(pool[0], kSentinel);
+    EXPECT_EQ(truths[0], kSentinel);
+    // No candidates: the pool output is not touched; the truth still
+    // scores.
+    model->ScoreBlock(&anchor, &truth, 1, 0, QueryDirection::kTail, empty,
+                      pool.data(), truths.data());
+    EXPECT_EQ(pool[0], kSentinel);
+    float want = 0.0f;
+    model->ScoreCandidates(anchor, 0, QueryDirection::kTail, &truth, 1,
+                           &want);
+    EXPECT_EQ(truths[0], want);
+  }
 }
 
-TEST_P(ScoreBatchTest, PreparedPoolLargerThanOneEntityTile) {
+TEST_P(ScoreBlockTest, PreparedPoolLargerThanOneEntityTile) {
   // A pool wider than the full evaluator's default 32768-entity tile,
   // scored through one prepared block: exercises the gather/transpose and
   // kernels well past the usual tile width.
@@ -246,7 +281,7 @@ TEST_P(ScoreBatchTest, PreparedPoolLargerThanOneEntityTile) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModels, ScoreBatchTest,
+INSTANTIATE_TEST_SUITE_P(AllModels, ScoreBlockTest,
                          ::testing::ValuesIn(kAllModels),
                          [](const ::testing::TestParamInfo<ModelType>& info) {
                            return ModelTypeName(info.param);
@@ -276,14 +311,9 @@ TEST(SlotMajorEvaluatorTest, RanksIdenticalToScalarTripleMajorOrder) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
-    // Default engine: pools prepared once + fused ScoreBlock.
+    // Pools prepared once + fused ScoreBlock.
     const SampledEvalResult prepared =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    // PR 1 engine: per-block gather through ScoreBatch + ScorePairs.
-    SampledEvalOptions unfused;
-    unfused.prepared_pools = false;
-    const SampledEvalResult batched = EvaluateSampled(
-        *model, dataset, filter, Split::kTest, pools, unfused);
     const SampledEvalResult scalar =
         EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
     ASSERT_EQ(prepared.ranks.size(), scalar.ranks.size());
@@ -291,7 +321,6 @@ TEST(SlotMajorEvaluatorTest, RanksIdenticalToScalarTripleMajorOrder) {
       EXPECT_EQ(prepared.ranks[i], scalar.ranks[i])
           << ModelTypeName(type) << " query " << i;
     }
-    EXPECT_EQ(prepared.ranks, batched.ranks) << ModelTypeName(type);
     EXPECT_EQ(prepared.scored_candidates, scalar.scored_candidates);
     EXPECT_DOUBLE_EQ(prepared.metrics.mrr, scalar.metrics.mrr);
   }

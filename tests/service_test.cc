@@ -40,6 +40,14 @@ std::map<std::string, std::string> ParseKeyValues(const std::string& line) {
   return out;
 }
 
+/// docs/PROTOCOL.md from the source tree, or "" when it cannot be read.
+std::string ReadProtocolDoc() {
+  std::ifstream in(std::string(KGEVAL_SOURCE_DIR) + "/docs/PROTOCOL.md");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 /// One server + one trained checkpoint directory for the whole suite
 /// (LOAD fits a recommender and training writes snapshots — once, not per
 /// test). Tests that mutate checkpoint directories copy into fresh ones.
@@ -145,11 +153,8 @@ TEST_F(ServiceTest, BannerCarriesProtocolVersionAndPingAnswers) {
 }
 
 TEST_F(ServiceTest, ProtocolDocCoversEveryVerbAndErrorCode) {
-  std::ifstream in(std::string(KGEVAL_SOURCE_DIR) + "/docs/PROTOCOL.md");
-  ASSERT_TRUE(in.good()) << "docs/PROTOCOL.md missing";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string doc = buffer.str();
+  const std::string doc = ReadProtocolDoc();
+  ASSERT_FALSE(doc.empty()) << "docs/PROTOCOL.md missing";
 
   // Every command-table row needs its own section and its exact syntax
   // line in the document — adding a verb without specifying it fails here.
@@ -515,14 +520,25 @@ TEST(ServiceStartupTest, PreloadCompletesBeforeStartReturns) {
 TEST_F(ServiceTest, StatsReportsDatasetAndCounters) {
   LineClient client = ConnectAndGreet();
   auto kv = ParseKeyValues(Request(client, "STATS"));
+
+  // The reply's keys must be exactly the documented ones, in both
+  // directions: an undocumented counter and a documented counter the
+  // server no longer sends both fail here.
+  const std::string doc = ReadProtocolDoc();
+  const size_t section = doc.find("### STATS");
+  ASSERT_NE(section, std::string::npos) << "PROTOCOL.md lacks STATS";
+  const size_t line_begin = doc.find("\nOK uptime_s=", section);
+  ASSERT_NE(line_begin, std::string::npos)
+      << "PROTOCOL.md's STATS section lacks its OK line";
+  const size_t line_end = doc.find('\n', line_begin + 1);
+  const std::map<std::string, std::string> documented = ParseKeyValues(
+      doc.substr(line_begin + 1, line_end - line_begin - 1));
+  std::vector<std::string> documented_keys, served_keys;
+  for (const auto& entry : documented) documented_keys.push_back(entry.first);
+  for (const auto& entry : kv) served_keys.push_back(entry.first);
+  EXPECT_EQ(served_keys, documented_keys);
+
   EXPECT_EQ(kv["dataset"], kPreset);
-  for (const char* key : {"uptime_s", "connections", "accepted", "commands",
-                          "errors", "items", "evals", "in_flight", "shed",
-                          "deadlines", "cancelled", "idle_closed", "threads",
-                          "kernels", "screen_queries", "screen_screened",
-                          "screen_rescored", "screen_tiles_skipped"}) {
-    EXPECT_TRUE(kv.count(key)) << "STATS lacks " << key;
-  }
   EXPECT_NE(kv["kernels"], "") << "STATS must name the dispatched kernels";
 }
 

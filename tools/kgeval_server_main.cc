@@ -10,8 +10,10 @@
 
 #include <signal.h>
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -30,7 +32,7 @@ void Usage(const char* argv0) {
                "usage: %s [--host=ADDR] [--port=N] [--threads=N] "
                "[--executors=N] [--preload=DATASET] [--deadline=S]\n"
                "       [--idle-timeout=S] [--max-queued=N] "
-               "[--kernels=NAME] [--screening]\n"
+               "[--kernels=NAME]\n"
                "  --host=ADDR       bind address (default 127.0.0.1)\n"
                "  --port=N          TCP port; 0 picks an ephemeral one "
                "(default 7471)\n"
@@ -50,8 +52,8 @@ void Usage(const char* argv0) {
                "(scalar|avx2|avx512|neon|auto;\n"
                "                    default: auto-probe, or "
                "KGEVAL_KERNELS)\n"
-               "  --screening       int8 screening for every pass (served "
-               "values are bit-identical)\n"
+               "Numeric values must be plain non-negative decimals in range "
+               "for their flag.\n"
                "\n"
                "KGEVAL_FAULTS=<spec> arms fault-injection points at "
                "startup (testing only; see docs/ARCHITECTURE.md).\n",
@@ -65,6 +67,32 @@ bool ParseFlag(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+/// Parses all of `text` as a decimal integer in range for the unsigned
+/// field T. Rejects an empty string, a sign, whitespace, trailing
+/// characters and overflow.
+template <typename T>
+bool ParseCount(const std::string& text, T* out) {
+  T value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+/// Parses all of `text` as a finite, non-negative number of seconds.
+bool ParseSeconds(const std::string& text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < 0.0) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,25 +100,27 @@ int main(int argc, char** argv) {
   options.port = 7471;
   std::string value;
   for (int i = 1; i < argc; ++i) {
+    // Every numeric flag is parsed strictly: a malformed or out-of-range
+    // value is a usage error, never a silently truncated number.
+    bool ok = true;
     if (ParseFlag(argv[i], "--host", &value)) {
       options.host = value;
     } else if (ParseFlag(argv[i], "--port", &value)) {
-      options.port = static_cast<uint16_t>(std::atoi(value.c_str()));
+      ok = ParseCount(value, &options.port);
     } else if (ParseFlag(argv[i], "--threads", &value)) {
-      SetGlobalThreadPoolThreads(
-          static_cast<size_t>(std::atoll(value.c_str())));
+      size_t threads = 0;
+      ok = ParseCount(value, &threads);
+      if (ok) SetGlobalThreadPoolThreads(threads);
     } else if (ParseFlag(argv[i], "--executors", &value)) {
-      options.executor_threads =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, &options.executor_threads);
     } else if (ParseFlag(argv[i], "--preload", &value)) {
       options.preload_dataset = value;
     } else if (ParseFlag(argv[i], "--deadline", &value)) {
-      options.service.default_deadline_s = std::atof(value.c_str());
+      ok = ParseSeconds(value, &options.service.default_deadline_s);
     } else if (ParseFlag(argv[i], "--idle-timeout", &value)) {
-      options.idle_timeout_s = std::atof(value.c_str());
+      ok = ParseSeconds(value, &options.idle_timeout_s);
     } else if (ParseFlag(argv[i], "--max-queued", &value)) {
-      options.max_queued_commands =
-          static_cast<size_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, &options.max_queued_commands);
     } else if (ParseFlag(argv[i], "--kernels", &value)) {
       Status selected = SelectScoreKernels(value);
       if (!selected.ok()) {
@@ -98,9 +128,10 @@ int main(int argc, char** argv) {
                      selected.ToString().c_str());
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--screening") == 0) {
-      options.service.screening = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       Usage(argv[0]);
       return 2;
     }
@@ -138,9 +169,7 @@ int main(int argc, char** argv) {
 
   // The selected dispatch path, logged once at startup: benchmark logs and
   // bug reports need to say which ISA actually scored.
-  KGEVAL_LOG(Info) << "score kernels: " << ActiveScoreKernelName()
-                   << (options.service.screening ? " (screening on)"
-                                                 : " (screening off)");
+  KGEVAL_LOG(Info) << "score kernels: " << ActiveScoreKernelName();
   std::printf("LISTENING %u\n", s.port());
   std::fflush(stdout);
 
