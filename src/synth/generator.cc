@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
 
+#include "graph/triple.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -11,13 +11,73 @@
 namespace kgeval {
 namespace {
 
-struct U64Hash {
-  size_t operator()(uint64_t key) const {
+/// Insert-only open-addressed set with linear probing over a power-of-two
+/// table that doubles past half load. `Traits` supplies the key's hash and
+/// an `kEmpty` value that is never inserted.
+template <typename Traits>
+class FlatSet {
+ public:
+  using Key = typename Traits::Key;
+
+  explicit FlatSet(size_t expected) {
+    size_t capacity = 16;
+    while (capacity < 2 * expected) capacity *= 2;
+    slots_.assign(capacity, Traits::kEmpty);
+  }
+
+  bool Contains(const Key& key) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Traits::Hash(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return true;
+      if (slots_[i] == Traits::kEmpty) return false;
+    }
+  }
+
+  /// Returns false if `key` was already present.
+  bool Insert(const Key& key) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = Traits::Hash(key) & mask;
+    for (; !(slots_[i] == Traits::kEmpty); i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+    }
+    slots_[i] = key;
+    if (++size_ * 2 > slots_.size()) Grow();
+    return true;
+  }
+
+ private:
+  void Grow() {
+    std::vector<Key> old(slots_.size() * 2, Traits::kEmpty);
+    old.swap(slots_);
+    size_ = 0;
+    for (const Key& key : old) {
+      if (!(key == Traits::kEmpty)) Insert(key);
+    }
+  }
+
+  std::vector<Key> slots_;
+  size_t size_ = 0;
+};
+
+/// (relation, entity) pairs packed by PackPair: both ids are non-negative
+/// int32, so every key has bit 63 clear and ~0 is free as the empty slot.
+struct PairTraits {
+  using Key = uint64_t;
+  static constexpr Key kEmpty = ~0ULL;
+  static size_t Hash(Key key) {
     key ^= key >> 33;
     key *= 0xFF51AFD7ED558CCDULL;
     key ^= key >> 33;
     return static_cast<size_t>(key);
   }
+};
+
+/// Whole triples (the time field is unused and 0), so no id range can
+/// overflow the key; no valid triple has a negative head.
+struct TripleTraits {
+  using Key = Triple;
+  static constexpr Key kEmpty = {-1, -1, -1, 0};
+  static size_t Hash(const Key& key) { return TripleHash()(key); }
 };
 
 /// Group of a type: modulo assignment interleaves big and small types so
@@ -39,6 +99,10 @@ std::vector<int32_t> SampleSignatureInGroup(const ZipfSampler& type_sampler,
     if (GroupOf(t, num_groups) != group) continue;
     if (std::find(out.begin(), out.end(), t) == out.end()) out.push_back(t);
   }
+  // A rare group (many small groups) can miss every try. Fall back to its
+  // lowest type id, the group's most popular type: a relation needs a
+  // non-empty signature to get a pool and a label.
+  if (out.empty()) out.push_back(group);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -136,18 +200,6 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
     range_pool[r] = build_pool(profile.range_types);
   }
 
-  // Cache Zipf samplers by pool size (entity popularity within a pool).
-  std::map<size_t, ZipfSampler> pool_samplers;
-  auto sample_pool = [&](const std::vector<int32_t>& pool) -> int32_t {
-    auto it = pool_samplers.find(pool.size());
-    if (it == pool_samplers.end()) {
-      it = pool_samplers
-               .emplace(pool.size(), ZipfSampler(pool.size(), config.entity_zipf))
-               .first;
-    }
-    return pool[it->second.Sample(&rng)];
-  };
-
   // Latent affinity structure (see SynthConfig): entity clusters, a per-
   // relation head-cluster -> tail-cluster map, and per-(relation, cluster)
   // range sub-pools.
@@ -174,56 +226,100 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
       config.num_train + config.num_valid + config.num_test;
   ZipfSampler relation_sampler(num_r, config.relation_zipf);
 
-  std::unordered_set<Triple, TripleHash> seen;
-  seen.reserve(static_cast<size_t>(target) * 2);
   std::vector<Triple> triples;
   triples.reserve(target);
   std::vector<bool> is_noise;
   is_noise.reserve(target);
-  // Cardinality bookkeeping: heads/tails already used per relation.
-  std::vector<std::unordered_set<int32_t>> used_heads(num_r), used_tails(num_r);
-
-  int64_t attempts = 0;
-  const int64_t max_attempts = 60 * target;
-  while (static_cast<int64_t>(triples.size()) < target &&
-         attempts++ < max_attempts) {
-    const int32_t r = static_cast<int32_t>(relation_sampler.Sample(&rng));
-    if (domain_pool[r].empty() || range_pool[r].empty()) continue;
-    int32_t h = sample_pool(domain_pool[r]);
-    int32_t t;
-    const std::vector<int32_t>& affine_pool =
-        range_by_cluster[r][cluster_map[r][cluster[h]]];
-    if (!affine_pool.empty() && rng.NextDouble() < config.affinity_rate) {
-      t = sample_pool(affine_pool);
-    } else {
-      t = sample_pool(range_pool[r]);
-    }
-    bool noisy = false;
-    if (rng.NextDouble() < config.noise_rate) {
-      noisy = true;
-      // Replace one side with a uniformly random entity (any type): the
-      // classic KG construction error that later shows up as a "false easy
-      // negative" for a recommender that trusts the type structure.
-      if (rng.NextBounded(2) == 0) {
-        h = static_cast<int32_t>(rng.NextBounded(num_e));
-      } else {
-        t = static_cast<int32_t>(rng.NextBounded(num_e));
+  {
+    // Samplers and dedup sets live only while triples are drawn (the seen
+    // set is the largest allocation of a paper-scale build). Entity
+    // popularity within a pool is Zipf over its size: every pool's sampler
+    // is resolved here, once, from one sampler per distinct size; samplers
+    // draw no randomness, so building them eagerly changes nothing.
+    std::map<size_t, ZipfSampler> samplers_by_size;
+    struct PoolDraw {
+      const int32_t* ids = nullptr;
+      const ZipfSampler* sampler = nullptr;
+    };
+    auto resolve = [&](const std::vector<int32_t>& pool) {
+      PoolDraw draw;
+      if (pool.empty()) return draw;
+      auto it = samplers_by_size.find(pool.size());
+      if (it == samplers_by_size.end()) {
+        it = samplers_by_size
+                 .emplace(pool.size(),
+                          ZipfSampler(pool.size(), config.entity_zipf))
+                 .first;
+      }
+      draw.ids = pool.data();
+      draw.sampler = &it->second;
+      return draw;
+    };
+    auto sample_pool = [&rng](const PoolDraw& pool) -> int32_t {
+      return pool.ids[pool.sampler->Sample(&rng)];
+    };
+    std::vector<PoolDraw> domain_draw(num_r), range_draw(num_r);
+    // affine_draw[r * num_c + c]: the range sub-pool that relation r prefers
+    // for heads in cluster c.
+    std::vector<PoolDraw> affine_draw(static_cast<size_t>(num_r) * num_c);
+    for (int32_t r = 0; r < num_r; ++r) {
+      domain_draw[r] = resolve(domain_pool[r]);
+      range_draw[r] = resolve(range_pool[r]);
+      for (int32_t c = 0; c < num_c; ++c) {
+        affine_draw[static_cast<size_t>(r) * num_c + c] =
+            resolve(range_by_cluster[r][cluster_map[r][c]]);
       }
     }
-    if (h == t) continue;
-    const Cardinality card = profiles[r].cardinality;
-    const bool head_unique = card == Cardinality::kManyOne ||
-                             card == Cardinality::kOneOne;
-    const bool tail_unique = card == Cardinality::kOneMany ||
-                             card == Cardinality::kOneOne;
-    if (head_unique && used_heads[r].count(h) > 0) continue;
-    if (tail_unique && used_tails[r].count(t) > 0) continue;
-    const Triple triple{h, r, t};
-    if (!seen.insert(triple).second) continue;
-    if (head_unique) used_heads[r].insert(h);
-    if (tail_unique) used_tails[r].insert(t);
-    triples.push_back(triple);
-    is_noise.push_back(noisy);
+
+    FlatSet<TripleTraits> seen(static_cast<size_t>(target));
+    // Cardinality bookkeeping: (relation, head) and (relation, tail) pairs
+    // already used by head-unique / tail-unique relations.
+    FlatSet<PairTraits> used_heads(0), used_tails(0);
+
+    int64_t attempts = 0;
+    const int64_t max_attempts = 60 * target;
+    while (static_cast<int64_t>(triples.size()) < target &&
+           attempts++ < max_attempts) {
+      const int32_t r = static_cast<int32_t>(relation_sampler.Sample(&rng));
+      if (domain_draw[r].ids == nullptr || range_draw[r].ids == nullptr) {
+        continue;
+      }
+      int32_t h = sample_pool(domain_draw[r]);
+      int32_t t;
+      const PoolDraw& affine =
+          affine_draw[static_cast<size_t>(r) * num_c + cluster[h]];
+      if (affine.ids != nullptr && rng.NextDouble() < config.affinity_rate) {
+        t = sample_pool(affine);
+      } else {
+        t = sample_pool(range_draw[r]);
+      }
+      bool noisy = false;
+      if (rng.NextDouble() < config.noise_rate) {
+        noisy = true;
+        // Replace one side with a uniformly random entity (any type): the
+        // classic KG construction error that later shows up as a "false easy
+        // negative" for a recommender that trusts the type structure.
+        if (rng.NextBounded(2) == 0) {
+          h = static_cast<int32_t>(rng.NextBounded(num_e));
+        } else {
+          t = static_cast<int32_t>(rng.NextBounded(num_e));
+        }
+      }
+      if (h == t) continue;
+      const Cardinality card = profiles[r].cardinality;
+      const bool head_unique = card == Cardinality::kManyOne ||
+                               card == Cardinality::kOneOne;
+      const bool tail_unique = card == Cardinality::kOneMany ||
+                               card == Cardinality::kOneOne;
+      if (head_unique && used_heads.Contains(PackPair(r, h))) continue;
+      if (tail_unique && used_tails.Contains(PackPair(r, t))) continue;
+      const Triple triple{h, r, t};
+      if (!seen.Insert(triple)) continue;
+      if (head_unique) used_heads.Insert(PackPair(r, h));
+      if (tail_unique) used_tails.Insert(PackPair(r, t));
+      triples.push_back(triple);
+      is_noise.push_back(noisy);
+    }
   }
 
   double shrink = 1.0;

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.h"
@@ -15,25 +14,11 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(&sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {
@@ -49,10 +34,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
     }
   }
   return static_cast<uint64_t>(m >> 64);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 float Rng::NextFloat() {
@@ -92,13 +73,14 @@ ZipfSampler::ZipfSampler(size_t n, double exponent) {
   }
   for (auto& v : cdf_) v /= total;
   cdf_.back() = 1.0;  // Guard against floating-point shortfall.
-}
 
-size_t ZipfSampler::Sample(Rng* rng) const {
-  const double u = rng->NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<size_t>(it - cdf_.begin());
+  KGEVAL_CHECK(n <= UINT32_MAX);
+  guide_.resize(n);
+  size_t k = 0;
+  for (size_t b = 0; b < n; ++b) {
+    while (Bucket(cdf_[k]) < b) ++k;
+    guide_[b] = static_cast<uint32_t>(k);
+  }
 }
 
 }  // namespace kgeval

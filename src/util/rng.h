@@ -15,15 +15,28 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Returns the next 64 random bits.
-  uint64_t Next();
+  /// Returns the next 64 random bits. Defined inline: the synthetic
+  /// generator draws ~10 M values per paper-scale dataset.
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). `bound` must be > 0. Uses Lemire's
   /// nearly-divisionless method.
   uint64_t NextBounded(uint64_t bound);
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform float in [0, 1).
   float NextFloat();
@@ -48,25 +61,50 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;
 };
 
 /// Zipf-distributed integer sampler over {0, ..., n-1} with exponent `s`
-/// (probability of rank k proportional to 1/(k+1)^s). Precomputes the CDF;
-/// sampling is O(log n) via binary search.
+/// (probability of rank k proportional to 1/(k+1)^s). Precomputes the CDF
+/// and a guide table (Chen & Asau, 1974) of n buckets over [0, 1): a draw
+/// u starts at its bucket's first possible index and scans forward, which
+/// is expected O(1) and returns exactly lower_bound(cdf, u).
 class ZipfSampler {
  public:
   ZipfSampler(size_t n, double exponent);
 
-  /// Draws one value in [0, n).
-  size_t Sample(Rng* rng) const;
+  /// Draws one value in [0, n) from one NextDouble().
+  size_t Sample(Rng* rng) const { return IndexOf(rng->NextDouble()); }
+
+  /// The value drawn for uniform `u` in [0, 1): the first k with
+  /// cdf[k] >= u.
+  size_t IndexOf(double u) const {
+    size_t k = guide_[Bucket(u)];
+    while (cdf_[k] < u) ++k;
+    return k;
+  }
 
   size_t size() const { return cdf_.size(); }
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
+  /// Monotone in u, which is all the guide table relies on.
+  size_t Bucket(double u) const {
+    const size_t b = static_cast<size_t>(u * static_cast<double>(cdf_.size()));
+    return b < cdf_.size() ? b : cdf_.size() - 1;
+  }
+
   std::vector<double> cdf_;
+  /// guide_[b] = number of CDF entries whose bucket is below b. Every u in
+  /// bucket b exceeds those entries, so the scan may start there; it stops
+  /// by cdf_.back() == 1.0 > u at the latest.
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace kgeval

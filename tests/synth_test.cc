@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -21,6 +22,73 @@ SynthConfig SmallConfig() {
   config.num_test = 400;
   config.seed = 321;
   return config;
+}
+
+/// FNV-1a over everything GenerateDataset returns: the three splits in
+/// order, both TypeStores, the relation profiles, the noisy test indices and
+/// the labels. Values are fed as little-endian 64-bit words and strings as
+/// length + bytes, so the digest does not depend on struct padding.
+class Fnv1a {
+ public:
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void Add(const std::string& text) {
+    Add(static_cast<uint64_t>(text.size()));
+    for (unsigned char c : text) {
+      hash_ ^= c;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void AddInts(const std::vector<int32_t>& values) {
+    Add(static_cast<uint64_t>(values.size()));
+    for (int32_t v : values) Add(static_cast<uint64_t>(static_cast<int64_t>(v)));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+void AddTypeStore(const TypeStore& store, Fnv1a* fnv) {
+  fnv->Add(static_cast<uint64_t>(store.num_entities()));
+  fnv->Add(static_cast<uint64_t>(store.num_types()));
+  for (int32_t e = 0; e < store.num_entities(); ++e) {
+    fnv->AddInts(store.TypesOf(e));
+  }
+  for (int32_t t = 0; t < store.num_types(); ++t) {
+    fnv->AddInts(store.EntitiesOf(t));
+  }
+}
+
+uint64_t OutputDigest(const SynthOutput& out) {
+  Fnv1a fnv;
+  const Dataset& d = out.dataset;
+  fnv.Add(d.name());
+  fnv.Add(static_cast<uint64_t>(d.num_entities()));
+  fnv.Add(static_cast<uint64_t>(d.num_relations()));
+  for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
+    fnv.Add(static_cast<uint64_t>(d.split(s).size()));
+    for (const Triple& t : d.split(s)) {
+      fnv.AddInts({t.head, t.relation, t.tail, t.time});
+    }
+  }
+  AddTypeStore(out.true_types, &fnv);
+  AddTypeStore(d.types(), &fnv);
+  fnv.Add(static_cast<uint64_t>(out.profiles.size()));
+  for (const RelationProfile& profile : out.profiles) {
+    fnv.AddInts(profile.domain_types);
+    fnv.AddInts(profile.range_types);
+    fnv.Add(static_cast<uint64_t>(profile.cardinality));
+  }
+  fnv.Add(static_cast<uint64_t>(out.noisy_test_indices.size()));
+  for (int64_t i : out.noisy_test_indices) fnv.Add(static_cast<uint64_t>(i));
+  for (const std::string& label : d.entity_labels()) fnv.Add(label);
+  for (const std::string& label : d.relation_labels()) fnv.Add(label);
+  return fnv.value();
 }
 
 TEST(SynthConfigTest, DefaultsValidate) {
@@ -225,6 +293,43 @@ TEST(GeneratorDeterminismTest, SameSeedSameData) {
   EXPECT_EQ(a.noisy_test_indices, b.noisy_test_indices);
 }
 
+// Golden digests of every preset at scaled size and of three paper-scale
+// presets. The generator's output is part of the determinism contract
+// (docs/ARCHITECTURE.md): served clients rebuild the server's dataset
+// locally, so any change to the RNG stream or to how a draw is used must
+// show up here, not only as a mismatch between two calls in one process.
+struct GoldenDigest {
+  const char* preset;
+  PresetScale scale;
+  uint64_t digest;
+};
+
+constexpr GoldenDigest kGoldenDigests[] = {
+    {"fb15k", PresetScale::kScaled, 0x0F0615EC4E906F7BULL},
+    {"fb15k237", PresetScale::kScaled, 0x966CE590A3E90043ULL},
+    {"yago310", PresetScale::kScaled, 0xE03C38749426F71BULL},
+    {"wikikg2", PresetScale::kScaled, 0x4944AC2A08EA5010ULL},
+    {"codex-s", PresetScale::kScaled, 0x7CF6AA6844AD55A0ULL},
+    {"codex-m", PresetScale::kScaled, 0xEF7173C3AD161D25ULL},
+    {"codex-l", PresetScale::kScaled, 0x0FA1F4F611C9BC85ULL},
+    {"codex-s", PresetScale::kPaper, 0x69C997B0C01787D9ULL},
+    {"codex-m", PresetScale::kPaper, 0x9BFA018E34E88E44ULL},
+    {"fb15k237", PresetScale::kPaper, 0x40DADA3FD49949E3ULL},
+};
+
+TEST(GeneratorDeterminismTest, GoldenDigests) {
+  for (const GoldenDigest& golden : kGoldenDigests) {
+    const SynthConfig config =
+        GetPreset(golden.preset, golden.scale).ValueOrDie();
+    const uint64_t digest =
+        OutputDigest(GenerateDataset(config).ValueOrDie());
+    EXPECT_EQ(digest, golden.digest)
+        << golden.preset
+        << (golden.scale == PresetScale::kPaper ? " (paper)" : " (scaled)")
+        << " digest 0x" << std::hex << std::uppercase << digest;
+  }
+}
+
 TEST(GeneratorDeterminismTest, DifferentSeedDifferentData) {
   SynthConfig config = SmallConfig();
   SynthOutput a = GenerateDataset(config).ValueOrDie();
@@ -237,6 +342,33 @@ TEST(GeneratorDeterminismTest, DifferentSeedDifferentData) {
     if (!(a.dataset.train()[i] == b.dataset.train()[i])) ++differences;
   }
   EXPECT_GT(differences, 0);
+}
+
+// Five hundred groups of two types each: a relation's signature draw can
+// miss its group on every try. Such a relation still needs a non-empty
+// signature (its pools and its label read the first type).
+TEST(GeneratorConfigTest, SparseTypeGroupsKeepSignaturesNonEmpty) {
+  SynthConfig config;
+  config.name = "sparse-groups";
+  config.num_types = 1000;
+  config.num_type_groups = 500;
+  config.num_entities = 3000;
+  config.num_relations = 60;
+  config.num_train = 2000;
+  config.num_valid = 100;
+  config.num_test = 100;
+  ASSERT_TRUE(config.Validate().ok());
+  const SynthOutput out = GenerateDataset(config).ValueOrDie();
+  ASSERT_EQ(out.profiles.size(), 60u);
+  for (int32_t r = 0; r < 60; ++r) {
+    const RelationProfile& profile = out.profiles[r];
+    ASSERT_FALSE(profile.domain_types.empty()) << "relation " << r;
+    ASSERT_FALSE(profile.range_types.empty()) << "relation " << r;
+    EXPECT_EQ(out.dataset.relation_labels()[r],
+              "rel" + std::to_string(r) + "_d" +
+                  std::to_string(profile.domain_types[0]) + "_r" +
+                  std::to_string(profile.range_types[0]));
+  }
 }
 
 TEST(GeneratorNoiseTest, NoiseRateControlsFalseEasyNegatives) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -147,6 +149,57 @@ TEST(ZipfTest, ZeroExponentIsUniformish) {
   const int n = 40000;
   for (int i = 0; i < n; ++i) ++counts[zipf.Sample(&rng)];
   for (int c : counts) EXPECT_NEAR(c, n / 4, n / 40);
+}
+
+// The guide table only picks where the scan starts: every draw must land on
+// exactly the index a binary search over the same CDF returns, including
+// for u on the bucket edges j/n, on the CDF values themselves, and one ulp
+// to either side of both.
+TEST(ZipfTest, GuideTableMatchesBinarySearch) {
+  for (size_t n : {1, 2, 3, 51, 1000, 17050}) {
+    for (double exponent : {0.0, 0.4, 1.3}) {
+      const ZipfSampler zipf(n, exponent);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      auto lower_bound_index = [&](double u) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        return it == cdf.end() ? n - 1 : static_cast<size_t>(it - cdf.begin());
+      };
+      const std::string where = "n=" + std::to_string(n) +
+                                " exponent=" + std::to_string(exponent);
+
+      Rng sampled(n * 7919 + static_cast<uint64_t>(exponent * 10));
+      Rng reference = sampled;
+      size_t stream_mismatches = 0;
+      for (int i = 0; i < 20000; ++i) {
+        const size_t got = zipf.Sample(&sampled);
+        if (got != lower_bound_index(reference.NextDouble())) {
+          ++stream_mismatches;
+        }
+      }
+      EXPECT_EQ(stream_mismatches, 0u) << where;
+
+      std::vector<double> probes;
+      for (size_t j = 0; j < n; ++j) {
+        probes.push_back(static_cast<double>(j) / static_cast<double>(n));
+      }
+      probes.insert(probes.end(), cdf.begin(), cdf.end());
+      size_t edge_mismatches = 0;
+      for (double probe : probes) {
+        for (double u : {std::nextafter(probe, 0.0), probe,
+                         std::nextafter(probe, 1.0)}) {
+          if (u < 0.0 || u >= 1.0) continue;
+          if (zipf.IndexOf(u) != lower_bound_index(u)) {
+            ++edge_mismatches;
+            ADD_FAILURE() << where << " u=" << u << " guide "
+                          << zipf.IndexOf(u) << " vs lower_bound "
+                          << lower_bound_index(u);
+            if (edge_mismatches > 5) return;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(StringUtilTest, StrFormat) {
