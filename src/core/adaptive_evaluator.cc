@@ -20,7 +20,6 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   const std::vector<Triple>& triples = dataset.split(split);
   const int64_t num_triples = static_cast<int64_t>(triples.size());
   const int32_t num_r = dataset.num_relations();
-  const int32_t num_groups = protocol.num_groups();
   ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
                        candidates);
 
@@ -51,12 +50,8 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   const size_t batch_queries = std::max<size_t>(1, options.batch_queries);
 
   RankingAccumulator acc;
-  // Per-round group buckets (head queries rank the group's domain slot,
-  // tail queries its range slot); cleared and refilled each round,
-  // capacity kept.
-  std::vector<std::vector<int32_t>> head_buckets(num_groups);
-  std::vector<std::vector<int32_t>> tail_buckets(num_groups);
-  std::vector<SlotBlock> round_blocks;
+  // The round's schedule; rebuilt each round, buffer capacity kept.
+  EvalSchedule round;
   size_t next_query = 0;
   while (next_query < order.size()) {
     // The between-rounds cancellation poll; blocks inside a round bail in
@@ -72,48 +67,23 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
     const size_t take = std::min(
         {batch_queries, order.size() - next_query,
          static_cast<size_t>(query_budget - acc.count())});
-    for (std::vector<int32_t>& bucket : head_buckets) bucket.clear();
-    for (std::vector<int32_t>& bucket : tail_buckets) bucket.clear();
     const size_t round_begin = next_query;
-    for (size_t k = 0; k < take; ++k) {
-      const int64_t qid = order[next_query + k];
-      const int64_t i = qid >> 1;
-      const int32_t group = protocol.GroupOf(triples[i]);
-      ((qid & 1) ? head_buckets : tail_buckets)[group].push_back(
-          static_cast<int32_t>(i));
-    }
+    // The per-group runs of a round are small, so blocks rarely fill
+    // kSampledQueryBlock anchors.
+    protocol.BuildQuerySchedule(triples, order.data() + round_begin, take,
+                                kSampledQueryBlock, &round);
     next_query += take;
-    // Slot-contiguous blocks over the (now stable) round buckets; the
-    // per-group buckets are small, so blocks rarely fill
-    // kSampledQueryBlock. Each block's dataset relation comes from a
-    // bucket triple (every triple of a group shares it).
-    round_blocks.clear();
-    for (int32_t g = 0; g < num_groups; ++g) {
-      for (QueryDirection dir :
-           {QueryDirection::kHead, QueryDirection::kTail}) {
-        const std::vector<int32_t>& bucket =
-            dir == QueryDirection::kHead ? head_buckets[g] : tail_buckets[g];
-        if (bucket.empty()) continue;
-        const int32_t relation = triples[bucket[0]].relation;
-        const int32_t slot = protocol.PoolSlotOf(g, dir);
-        for (size_t lo = 0; lo < bucket.size(); lo += kSampledQueryBlock) {
-          round_blocks.push_back(
-              {relation, dir, &bucket, lo,
-               std::min(bucket.size(), lo + kSampledQueryBlock), slot});
-        }
-      }
-    }
     std::atomic<int64_t> scored{0};
     // Each round is its own TaskGroup: the wait at the end of the round is
     // per-pass, so concurrent adaptive passes (EstimateAdaptiveMany) stay
     // independent down to the round granularity.
     TaskGroup round_group;
-    SubmitSlotChunks(&round_group, round_blocks,
+    SubmitSlotChunks(&round_group, round.blocks,
                      [&](size_t lo, size_t hi) {
                        SlotBlockScratch scratch;
                        const int64_t local_scored = ScoreSlotBlocks(
                            model, triples, protocol, candidates,
-                           round_blocks, lo, hi, eval_options, &scratch,
+                           round.blocks, lo, hi, eval_options, &scratch,
                            result.ranks.data());
                        scored.fetch_add(local_scored,
                                         std::memory_order_relaxed);

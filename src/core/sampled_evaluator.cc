@@ -66,9 +66,10 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
                         SlotBlockScratch* scratch, double* ranks) {
   int64_t scored = 0;
   for (size_t b = begin; b < end; ++b) {
-    // The cancellation poll: one relaxed load per ~256-query block. A
-    // cancelled pass stops scoring here — worker tasks drain in one block
-    // instead of being orphaned mid-evaluation.
+    // The cancellation poll: one relaxed load per block of up to
+    // kSampledQueryBlock distinct anchors. A cancelled pass stops scoring
+    // here — worker tasks drain in one block instead of being orphaned
+    // mid-evaluation.
     if (options.cancel != nullptr && options.cancel->cancelled()) break;
     const SlotBlock& block = blocks[b];
     const bool tail_dir = block.direction == QueryDirection::kTail;
@@ -82,17 +83,16 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
     // the virtual (relation, time) id for time-aware ones.
     const int32_t kernel_relation =
         model.KernelRelation(triples[(*block.triple_idx)[block.begin]]);
-    if (scratch->anchors.size() < qb) {
+    if (scratch->truths.size() < qb) {
       scratch->anchors.resize(qb);
       scratch->truths.resize(qb);
+      scratch->truth_rows.resize(qb);
       scratch->truth_scores.resize(qb);
     }
-    if (scratch->scores.size() < qb * n) scratch->scores.resize(qb * n);
-    for (size_t q = 0; q < qb; ++q) {
-      const Triple& triple = triples[(*block.triple_idx)[block.begin + q]];
-      scratch->anchors[q] = tail_dir ? triple.head : triple.tail;
-      scratch->truths[q] = tail_dir ? triple.tail : triple.head;
-    }
+    const size_t rows =
+        BlockRows(triples, block, scratch->anchors.data(),
+                  scratch->truths.data(), scratch->truth_rows.data());
+    if (scratch->scores.size() < rows * n) scratch->scores.resize(rows * n);
     if (slot != scratch->pool_slot) {
       // Slot-contiguous schedules keep a slot's blocks adjacent, so the
       // pool's prepared tile and take-back index are built at the slot's
@@ -102,11 +102,12 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
       scratch->pool_index.Build(pool.data(), n);
       scratch->pool_slot = slot;
     }
-    // Fused kernel: one query construction serves the pool matrix and the
-    // per-query truth scores.
-    model.ScoreBlock(scratch->anchors.data(), scratch->truths.data(), qb,
+    // Fused kernel: one query construction per distinct anchor serves the
+    // pool matrix and the truth scores of every query of that anchor.
+    model.ScoreBlock(scratch->anchors.data(), scratch->truths.data(), rows,
                      kernel_relation, block.direction, scratch->prepared,
-                     scratch->scores.data(), scratch->truth_scores.data());
+                     scratch->scores.data(), scratch->truth_scores.data(),
+                     scratch->truth_rows.data(), qb);
     scored += static_cast<int64_t>(qb) * (n + 1);
     for (size_t q = 0; q < qb; ++q) {
       const int32_t i = (*block.triple_idx)[block.begin + q];
@@ -116,9 +117,11 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
       // Take-back by direct index: the pool is strictly increasing
       // (ValidateQueriedPools), as IndexedFilteredRank requires.
       ranks[static_cast<size_t>(i) * 2 + (tail_dir ? 0 : 1)] =
-          IndexedFilteredRank(scratch->scores.data() + q * n, n,
-                              scratch->truth_scores[q], *answers,
-                              scratch->pool_index, options.tie);
+          IndexedFilteredRank(
+              scratch->scores.data() +
+                  static_cast<size_t>(scratch->truth_rows[q]) * n,
+              n, scratch->truth_scores[q], *answers, scratch->pool_index,
+              options.tie);
     }
   }
   return scored;

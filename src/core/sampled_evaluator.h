@@ -12,8 +12,10 @@
 
 namespace kgeval {
 
-/// Queries scored per fused kernel call by the slot-major evaluators.
-/// Bounds the qb x |pool| score block (256 x n_s floats); the pool gather
+/// Distinct anchors scored per fused kernel call by the slot-major
+/// evaluators (a block's queries that repeat an anchor share its row, so
+/// a block may hold more queries than this). Bounds the rows x |pool|
+/// score block (256 x n_s floats); the pool gather
 /// itself happens once per slot, not per block. Smaller blocks are not
 /// free: each kernel call streams the whole prepared tile (~440 KB at
 /// n_s = 1705, dim 64), so fewer queries per call re-read it more often.
@@ -51,14 +53,15 @@ struct SampledEvalResult {
   bool cancelled = false;
 };
 
-/// Per-thread scratch for ScoreSlotBlocks. Buffers grow on demand (never
-/// beyond block-queries x the largest pool among the slots actually scored
-/// through this scratch), and the per-slot state — the pool's take-back
-/// index and its prepared candidate tile — carries across consecutive
-/// blocks, and calls, of the same slot, so slot-contiguous schedules build
-/// it once per pool.
+/// Per-thread scratch for ScoreSlotBlocks. Buffers grow on demand (the
+/// score block never beyond block-anchors x the largest pool among the
+/// slots actually scored through this scratch), and the per-slot state —
+/// the pool's take-back index and its prepared candidate tile — carries
+/// across consecutive blocks, and calls, of the same slot, so
+/// slot-contiguous schedules build it once per pool.
 struct SlotBlockScratch {
-  std::vector<int32_t> anchors, truths;
+  std::vector<int32_t> anchors;              // Distinct anchors of a block.
+  std::vector<int32_t> truths, truth_rows;   // Per query: truth, its row.
   std::vector<float> scores, truth_scores;
   CandidateBlock prepared;
   PoolIndex pool_index;
@@ -72,10 +75,15 @@ struct SlotBlockScratch {
 /// filtered answer sets; the kernel relation id of each block is derived
 /// from one of its triples via KgeModel::KernelRelation, so time-aware
 /// models score with their virtual relation ids while static models see
-/// the plain relation. Thread-safe across disjoint block ranges (each
-/// thread brings its own scratch; rank slots are disjoint). Returns the
-/// number of candidate + truth scores computed. Ranks are bit-identical
-/// regardless of how the schedule is cut into ranges or threads.
+/// the plain relation. Each distinct anchor of a block is scored against
+/// the pool once; every query of that anchor then ranks its own truth
+/// score against the shared row with its own answer set. Thread-safe
+/// across disjoint block ranges (each thread brings its own scratch; rank
+/// slots are disjoint). Returns the evaluated queries' pool sizes + 1
+/// summed (the scalar oracle's scored candidates), not the kernel rows
+/// computed: the served `scored=` field and the adaptive candidate budget
+/// read it. Ranks are bit-identical regardless of how the schedule is cut
+/// into ranges or threads.
 int64_t ScoreSlotBlocks(const KgeModel& model,
                         const std::vector<Triple>& triples,
                         const EvalProtocol& protocol,
@@ -108,8 +116,9 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
 /// so each group ranks against one shared pool. Each slot's pool is
 /// prepared (gathered + transposed) once, at its first query block, and
 /// reused by the rest of the slot's blocks; every block is scored through
-/// the fused ScoreBlock kernel — one query construction per block emitting
-/// pool and truth scores together — parallelized over slot-aligned chunks
+/// the fused ScoreBlock kernel — one query construction per distinct
+/// anchor emitting pool and truth scores together, so duplicate queries
+/// share a row — parallelized over slot-aligned chunks
 /// of blocks so parallelism never splits a slot across chunks that would
 /// each re-prepare its pool.
 SampledEvalResult EvaluateSampled(const KgeModel& model,

@@ -99,12 +99,13 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
 
 namespace {
 
-/// Queries per batched kernel call. One score block is kQueryBlock x
-/// min(entity_tile, num_entities) floats: 1.1 MB on codex-m's 17 050
-/// entities, 2 MB at most with the default tile. The tile is deliberately
-/// large: per-query work that happens once per kernel call (TuckER's core
-/// contraction, ConvE's conv/FC trunk) repeats once per tile, so small
-/// tiles would multiply it.
+/// Distinct anchors per batched kernel call (queries that repeat an
+/// anchor share its row, so a block may hold more queries). One score
+/// block is kQueryBlock x min(entity_tile, num_entities) floats: 1.1 MB on
+/// codex-m's 17 050 entities, 2 MB at most with the default tile. The tile
+/// is deliberately large: per-anchor work that happens once per kernel
+/// call (TuckER's core contraction, ConvE's conv/FC trunk) repeats once
+/// per tile, so small tiles would multiply it.
 constexpr size_t kQueryBlock = 16;
 
 }  // namespace
@@ -125,7 +126,8 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
 
   // Slot-major order, sharing the fused ScoreBlock kernel with the sampled
   // evaluator: queries are grouped by the protocol and the entity range
-  // acts as the shared candidate pool, swept in cache-sized tiles.
+  // acts as the shared candidate pool, swept in cache-sized tiles. Each
+  // distinct anchor of a block is scored once; its queries share the row.
   std::vector<int32_t> all_entities(num_entities);
   std::iota(all_entities.begin(), all_entities.end(), 0);
   const EvalSchedule schedule =
@@ -158,26 +160,37 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   // a kernel-relation change.
   TaskGroup group;
   SubmitSlotChunks(&group, blocks, [&](size_t block_lo, size_t block_hi) {
-    std::vector<int32_t> anchors(kQueryBlock), truths(kQueryBlock);
-    std::vector<float> truth_scores(kQueryBlock);
+    // Per-row buffers hold kQueryBlock rows; per-query ones grow with the
+    // largest block of the chunk.
+    std::vector<int32_t> anchors(kQueryBlock);
     std::vector<float> scores(
         kQueryBlock *
         std::min(tile_size, static_cast<size_t>(num_entities)));
-    std::vector<const std::vector<int32_t>*> answers(kQueryBlock);
-    std::vector<int64_t> higher(kQueryBlock), tied(kQueryBlock);
-    std::vector<size_t> cursor(kQueryBlock);
+    std::vector<int32_t> truths, truth_rows;
+    std::vector<float> truth_scores;
+    std::vector<const std::vector<int32_t>*> answers;
+    std::vector<int64_t> higher, tied;
+    std::vector<size_t> cursor;
     for (size_t b = block_lo; b < block_hi; ++b) {
       const SlotBlock& block = blocks[b];
       const bool tail_dir = block.direction == QueryDirection::kTail;
       const size_t qb = block.end - block.begin;
       const int32_t kernel_relation = model.KernelRelation(
           triples[(*block.triple_idx)[block.begin]]);
+      if (truths.size() < qb) {
+        truths.resize(qb);
+        truth_rows.resize(qb);
+        truth_scores.resize(qb);
+        answers.resize(qb);
+        higher.resize(qb);
+        tied.resize(qb);
+        cursor.resize(qb);
+      }
+      const size_t rows = BlockRows(triples, block, anchors.data(),
+                                    truths.data(), truth_rows.data());
       for (size_t q = 0; q < qb; ++q) {
-        const Triple& triple =
-            triples[(*block.triple_idx)[block.begin + q]];
-        anchors[q] = tail_dir ? triple.head : triple.tail;
-        truths[q] = tail_dir ? triple.tail : triple.head;
-        answers[q] = protocol.Answers(triple, block.direction);
+        answers[q] = protocol.Answers(
+            triples[(*block.triple_idx)[block.begin + q]], block.direction);
         KGEVAL_CHECK(answers[q] != nullptr);
         higher[q] = 0;
         tied[q] = 0;
@@ -192,13 +205,14 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
         // the block runs one query construction fewer than a separate
         // ScorePairs pass would.
         model.ScoreBlock(
-            anchors.data(), ti == 0 ? truths.data() : nullptr, qb,
+            anchors.data(), ti == 0 ? truths.data() : nullptr, rows,
             kernel_relation, block.direction, tiles[ti], scores.data(),
-            ti == 0 ? truth_scores.data() : nullptr);
+            ti == 0 ? truth_scores.data() : nullptr, truth_rows.data(), qb);
         for (size_t q = 0; q < qb; ++q) {
           const std::vector<int32_t>& ans = *answers[q];
           const float truth_score = truth_scores[q];
-          const float* row = scores.data() + q * tile;
+          const float* row =
+              scores.data() + static_cast<size_t>(truth_rows[q]) * tile;
           // Count the whole row branch-free, then take back the filtered
           // answers inside [e0, e1) by direct index, each distinct entity
           // once. `ans` is sorted and includes the truth (EvalProtocol

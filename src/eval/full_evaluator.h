@@ -21,8 +21,9 @@ struct FullEvalOptions {
   int64_t max_triples = 0;
   /// Entities per candidate tile. Each tile is prepared (gathered +
   /// transposed) once per evaluation and reused by every slot block; one
-  /// score block is 16 x entity_tile floats. Small values force multi-tile
-  /// sweeps (used by tests); ranks are identical for any tile size.
+  /// score block is 16 distinct anchors x entity_tile floats. Small values
+  /// force multi-tile sweeps (used by tests); ranks are identical for any
+  /// tile size.
   size_t entity_tile = 32768;
 };
 
@@ -36,7 +37,8 @@ struct FullEvalResult {
 /// Ranks every entity for every (h,r,?) and (?,r,t) query of `split`,
 /// with the protocol supplying the filtered answer sets (and, through its
 /// schedule grouping, the kernel relation homogeneity time-aware models
-/// need). Multi-threaded.
+/// need). Each distinct (anchor, kernel relation, direction) is scored
+/// once per tile; its queries share the row. Multi-threaded.
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
                                    const EvalProtocol& protocol, Split split,

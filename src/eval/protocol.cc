@@ -1,29 +1,42 @@
 #include "eval/protocol.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace kgeval {
 
-std::vector<std::vector<int32_t>> EvalProtocol::GroupQueries(
-    const std::vector<Triple>& triples, int64_t num_triples) const {
-  std::vector<std::vector<int32_t>> buckets(num_groups());
-  for (int64_t i = 0; i < num_triples; ++i) {
-    buckets[GroupOf(triples[i])].push_back(static_cast<int32_t>(i));
-  }
-  return buckets;
+EvalSchedule EvalProtocol::BuildSchedule(const std::vector<Triple>& triples,
+                                         int64_t num_triples,
+                                         size_t query_block) const {
+  std::vector<int64_t> query_ids(2 * static_cast<size_t>(num_triples));
+  std::iota(query_ids.begin(), query_ids.end(), int64_t{0});
+  EvalSchedule schedule;
+  BuildQuerySchedule(triples, query_ids.data(), query_ids.size(),
+                     query_block, &schedule);
+  return schedule;
 }
 
-EvalSchedule StaticFilteredProtocol::BuildSchedule(
-    const std::vector<Triple>& triples, int64_t num_triples,
-    size_t query_block) const {
-  // Exactly the pre-protocol GroupByRelation + BuildSlotBlocks order — the
-  // schedule (and therefore every rank) is bit-identical to the evaluators
-  // before the protocol seam existed.
-  EvalSchedule schedule;
-  schedule.buckets = GroupQueries(triples, num_triples);
-  schedule.blocks =
-      BuildSlotBlocks(schedule.buckets, num_relations(), query_block);
-  return schedule;
+void EvalProtocol::BuildQuerySchedule(const std::vector<Triple>& triples,
+                                      const int64_t* query_ids, size_t n,
+                                      size_t query_block,
+                                      EvalSchedule* schedule) const {
+  // runs[2 * group + d], where d is the query id's direction bit.
+  schedule->runs.resize(2 * static_cast<size_t>(num_groups()));
+  for (std::vector<int32_t>& run : schedule->runs) run.clear();
+  schedule->blocks.clear();
+  for (size_t k = 0; k < n; ++k) {
+    const int32_t i = static_cast<int32_t>(query_ids[k] >> 1);
+    const size_t g = static_cast<size_t>(GroupOf(triples[i]));
+    schedule->runs[2 * g + static_cast<size_t>(query_ids[k] & 1)].push_back(i);
+  }
+  for (QueryDirection dir : {QueryDirection::kHead, QueryDirection::kTail}) {
+    const size_t d = dir == QueryDirection::kTail ? 0 : 1;
+    for (int32_t g = 0; g < num_groups(); ++g) {
+      AppendAnchorBlocks(triples, dir, PoolSlotOf(g, dir), query_block,
+                         &schedule->runs[2 * static_cast<size_t>(g) + d],
+                         &schedule->blocks);
+    }
+  }
 }
 
 TemporalFilteredProtocol::TemporalFilteredProtocol(
@@ -31,35 +44,5 @@ TemporalFilteredProtocol::TemporalFilteredProtocol(
     : EvalProtocol(dataset.num_relations()),
       filter_(filter),
       num_timestamps_(std::max<int32_t>(1, dataset.num_timestamps())) {}
-
-EvalSchedule TemporalFilteredProtocol::BuildSchedule(
-    const std::vector<Triple>& triples, int64_t num_triples,
-    size_t query_block) const {
-  EvalSchedule schedule;
-  schedule.buckets = GroupQueries(triples, num_triples);
-  // Pool-slot-major emission: for each relation, all timestamps of the
-  // tail direction, then all timestamps of the head direction. A
-  // per-group {tail, head} order would alternate the relation's two pool
-  // slots |T| times and re-prepare each candidate tile per timestamp;
-  // this order prepares each of the relation's two pools exactly once per
-  // chunk, independent of |T|.
-  for (int32_t r = 0; r < num_relations(); ++r) {
-    for (QueryDirection dir :
-         {QueryDirection::kTail, QueryDirection::kHead}) {
-      const int32_t slot = DomainRangeIndex(r, dir, num_relations());
-      for (int32_t tau = 0; tau < num_timestamps_; ++tau) {
-        const std::vector<int32_t>& idx =
-            schedule.buckets[r * num_timestamps_ + tau];
-        if (idx.empty()) continue;
-        for (size_t lo = 0; lo < idx.size(); lo += query_block) {
-          schedule.blocks.push_back(
-              {r, dir, &idx, lo, std::min(idx.size(), lo + query_block),
-               slot});
-        }
-      }
-    }
-  }
-  return schedule;
-}
 
 }  // namespace kgeval

@@ -11,15 +11,18 @@
 namespace kgeval {
 
 /// A slot-contiguous evaluation schedule built by a protocol: `blocks`
-/// point into `buckets`, whose inner vectors must stay put — the struct is
+/// point into `runs`, whose inner vectors must stay put — the struct is
 /// movable (vector moves steal the outer buffer, leaving the inner vector
 /// objects in place) but must not be copied while the blocks are in use.
 struct EvalSchedule {
-  /// Query-triple indices bucketed by protocol group.
-  std::vector<std::vector<int32_t>> buckets;
-  /// Kernel-homogeneous blocks over the buckets, ordered so that blocks
-  /// sharing a pool slot are contiguous (the prepared-tile reuse contract
-  /// of ScoreSlotBlocks and PartitionAtSlotBoundaries).
+  /// Query-triple indices of each (protocol group, direction) run, sorted
+  /// by the direction's anchor: runs[2 * group + (tail ? 0 : 1)]. Both
+  /// directions of a triple share its group, but each direction sorts by
+  /// its own anchor, hence one run per direction.
+  std::vector<std::vector<int32_t>> runs;
+  /// Kernel-homogeneous blocks over the runs (AppendAnchorBlocks), ordered
+  /// so that blocks sharing a pool slot are contiguous (the prepared-tile
+  /// reuse contract of ScoreSlotBlocks and PartitionAtSlotBoundaries).
   std::vector<SlotBlock> blocks;
 };
 
@@ -57,7 +60,9 @@ class EvalProtocol {
   virtual int32_t GroupOf(const Triple& triple) const = 0;
 
   /// The candidate pool slot (index into SampledCandidates.pools) ranked by
-  /// a `direction` query of group `group`.
+  /// a `direction` query of group `group`. Non-decreasing in `group` for a
+  /// fixed direction — groups are relation-major — which is what keeps
+  /// BuildQuerySchedule's blocks slot-contiguous.
   virtual int32_t PoolSlotOf(int32_t group, QueryDirection direction) const = 0;
 
   /// Pool slot for a concrete query — always the static domain/range slot
@@ -72,19 +77,29 @@ class EvalProtocol {
   virtual const std::vector<int32_t>* Answers(
       const Triple& triple, QueryDirection direction) const = 0;
 
-  /// Builds the slot-contiguous schedule over the first `num_triples`
-  /// triples, with at most `query_block` queries per block.
-  virtual EvalSchedule BuildSchedule(const std::vector<Triple>& triples,
-                                     int64_t num_triples,
-                                     size_t query_block) const = 0;
+  /// Builds the slot-contiguous schedule over both queries of the first
+  /// `num_triples` triples, with at most `query_block` distinct anchors
+  /// per block: BuildQuerySchedule over every query id.
+  EvalSchedule BuildSchedule(const std::vector<Triple>& triples,
+                             int64_t num_triples, size_t query_block) const;
+
+  /// Builds the slot-contiguous schedule of the queries `query_ids[0, n)`
+  /// (query id = 2 * triple_index + (0 for the tail query, 1 for the head
+  /// query)) into `schedule`, reusing its buffers. Queries are bucketed
+  /// into (group, direction) runs, and each run is cut by
+  /// AppendAnchorBlocks. Runs are emitted one direction at a time, groups
+  /// ascending; PoolSlotOf is non-decreasing in the group for a fixed
+  /// direction (groups are relation-major), so this order keeps each pool
+  /// slot's blocks contiguous and prepares each pool once per chunk,
+  /// however many groups share it. The adaptive evaluator schedules each
+  /// round through this with the round's slice of the shuffled order.
+  void BuildQuerySchedule(const std::vector<Triple>& triples,
+                          const int64_t* query_ids, size_t n,
+                          size_t query_block, EvalSchedule* schedule) const;
 
  protected:
   explicit EvalProtocol(int32_t num_relations)
       : num_relations_(num_relations) {}
-
-  /// Buckets the evaluated prefix by GroupOf. Shared by schedule builders.
-  std::vector<std::vector<int32_t>> GroupQueries(
-      const std::vector<Triple>& triples, int64_t num_triples) const;
 
  private:
   int32_t num_relations_;
@@ -116,10 +131,6 @@ class StaticFilteredProtocol : public EvalProtocol {
       const Triple& triple, QueryDirection direction) const override {
     return filter_->AnswersFor(triple, direction);
   }
-  EvalSchedule BuildSchedule(const std::vector<Triple>& triples,
-                             int64_t num_triples,
-                             size_t query_block) const override;
-
  private:
   const FilterIndex* filter_;
 };
@@ -146,8 +157,8 @@ class TemporalFilteredProtocol : public EvalProtocol {
     return num_relations() * num_timestamps_;
   }
   /// Groups are relation-major (g = r * |T| + tau): ascending group order
-  /// keeps a relation's timestamps adjacent, which BuildSchedule turns into
-  /// pool-slot-contiguous block runs.
+  /// keeps a relation's timestamps adjacent, which BuildQuerySchedule turns
+  /// into pool-slot-contiguous block runs.
   int32_t GroupOf(const Triple& triple) const override {
     return triple.relation * num_timestamps_ + triple.time;
   }
@@ -159,10 +170,6 @@ class TemporalFilteredProtocol : public EvalProtocol {
       const Triple& triple, QueryDirection direction) const override {
     return filter_->AnswersFor(triple, direction);
   }
-  EvalSchedule BuildSchedule(const std::vector<Triple>& triples,
-                             int64_t num_triples,
-                             size_t query_block) const override;
-
  private:
   const TemporalFilterIndex* filter_;
   int32_t num_timestamps_;

@@ -3,36 +3,50 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/logging.h"
+
 namespace kgeval {
 
-std::vector<std::vector<int32_t>> GroupByRelation(
-    const std::vector<Triple>& triples, int64_t num_triples,
-    int32_t num_relations) {
-  std::vector<std::vector<int32_t>> by_relation(num_relations);
-  for (int64_t i = 0; i < num_triples; ++i) {
-    by_relation[triples[i].relation].push_back(static_cast<int32_t>(i));
+size_t BlockRows(const std::vector<Triple>& triples, const SlotBlock& block,
+                 int32_t* anchors, int32_t* truths, int32_t* truth_rows) {
+  const bool tail_dir = block.direction == QueryDirection::kTail;
+  size_t rows = 0;
+  for (size_t q = 0; q < block.end - block.begin; ++q) {
+    const Triple& triple = triples[(*block.triple_idx)[block.begin + q]];
+    const int32_t anchor = QueryAnchor(triple, block.direction);
+    if (rows == 0 || anchors[rows - 1] != anchor) anchors[rows++] = anchor;
+    truths[q] = tail_dir ? triple.tail : triple.head;
+    truth_rows[q] = static_cast<int32_t>(rows - 1);
   }
-  return by_relation;
+  return rows;
 }
 
-std::vector<SlotBlock> BuildSlotBlocks(
-    const std::vector<std::vector<int32_t>>& by_relation,
-    int32_t num_relations, size_t query_block) {
-  std::vector<SlotBlock> blocks;
-  for (size_t r = 0; r < by_relation.size(); ++r) {
-    const std::vector<int32_t>& idx = by_relation[r];
-    if (idx.empty()) continue;
-    for (QueryDirection dir :
-         {QueryDirection::kTail, QueryDirection::kHead}) {
-      const int32_t slot =
-          DomainRangeIndex(static_cast<int32_t>(r), dir, num_relations);
-      for (size_t lo = 0; lo < idx.size(); lo += query_block) {
-        blocks.push_back({static_cast<int32_t>(r), dir, &idx, lo,
-                          std::min(idx.size(), lo + query_block), slot});
-      }
+void AppendAnchorBlocks(const std::vector<Triple>& triples,
+                        QueryDirection direction, int32_t pool_slot,
+                        size_t query_block, std::vector<int32_t>* run,
+                        std::vector<SlotBlock>* blocks) {
+  KGEVAL_DCHECK(query_block > 0);
+  if (run->empty()) return;
+  std::stable_sort(run->begin(), run->end(), [&](int32_t a, int32_t b) {
+    return QueryAnchor(triples[a], direction) <
+           QueryAnchor(triples[b], direction);
+  });
+  const int32_t relation = triples[(*run)[0]].relation;
+  size_t lo = 0;
+  size_t distinct = 0;
+  for (size_t i = 0; i < run->size(); ++i) {
+    const bool new_anchor =
+        i == 0 || QueryAnchor(triples[(*run)[i]], direction) !=
+                      QueryAnchor(triples[(*run)[i - 1]], direction);
+    if (!new_anchor) continue;
+    if (distinct == query_block) {
+      blocks->push_back({relation, direction, run, lo, i, pool_slot});
+      lo = i;
+      distinct = 0;
     }
+    ++distinct;
   }
-  return blocks;
+  blocks->push_back({relation, direction, run, lo, run->size(), pool_slot});
 }
 
 std::vector<int64_t> ShuffledQueryOrder(int64_t num_triples, Rng* rng) {

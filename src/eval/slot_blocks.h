@@ -13,35 +13,54 @@ namespace kgeval {
 
 /// One unit of slot-major evaluation work: a block of query indices that
 /// share a protocol group and direction, all scored in one batched kernel
-/// call. `relation` is the queries' dataset relation id; the kernel
-/// relation actually passed to the model may fold in more (a time-aware
-/// model's virtual relation id) and is derived from a block triple at
-/// scoring time. `pool_slot` is the block's index into
-/// SampledCandidates.pools — and the key prepared candidate tiles are
-/// reused under — which protocols keep contiguous in their schedules.
+/// call. The block's queries are sorted by anchor (AppendAnchorBlocks), so
+/// queries with the same anchor are adjacent and share one kernel score
+/// row; the block holds at most the schedule's `query_block` distinct
+/// anchors, however many queries repeat them. `relation` is the queries'
+/// dataset relation id; the kernel relation actually passed to the model
+/// may fold in more (a time-aware model's virtual relation id) and is
+/// derived from a block triple at scoring time. `pool_slot` is the block's
+/// index into SampledCandidates.pools — and the key prepared candidate
+/// tiles are reused under — which protocols keep contiguous in their
+/// schedules.
 struct SlotBlock {
   int32_t relation;
   QueryDirection direction;
-  const std::vector<int32_t>* triple_idx;  // Triples of this group.
+  const std::vector<int32_t>* triple_idx;  // Anchor-sorted run of a group.
   size_t begin;                            // Block range within triple_idx.
   size_t end;
   int32_t pool_slot;
 };
 
-/// Buckets the evaluated prefix of a split by relation. Both directions of
-/// a triple share its relation, so one bucket list serves both slots.
-std::vector<std::vector<int32_t>> GroupByRelation(
-    const std::vector<Triple>& triples, int64_t num_triples,
-    int32_t num_relations);
+/// The anchor a `direction` query of `triple` is scored from: the head for
+/// tail queries, the tail for head queries.
+inline int32_t QueryAnchor(const Triple& triple, QueryDirection direction) {
+  return direction == QueryDirection::kTail ? triple.head : triple.tail;
+}
 
-/// Splits every non-empty relation bucket into per-direction blocks of at
-/// most `query_block` queries, stamping each block's pool slot (tail
-/// queries rank the range slot `relation + num_relations`, head queries
-/// the domain slot `relation`). The returned blocks hold pointers into
-/// `by_relation`, which must outlive them.
-std::vector<SlotBlock> BuildSlotBlocks(
-    const std::vector<std::vector<int32_t>>& by_relation,
-    int32_t num_relations, size_t query_block);
+/// Reads a block's queries in schedule order: writes each distinct anchor
+/// once to `anchors` (its score row), and each query's truth and the index
+/// of its anchor's row to `truths[q]` and `truth_rows[q]`. Returns the row
+/// count. The block is anchor-sorted, so a new row starts wherever the
+/// anchor changes. `anchors` needs room for the block's distinct anchors,
+/// the other two for its queries.
+size_t BlockRows(const std::vector<Triple>& triples, const SlotBlock& block,
+                 int32_t* anchors, int32_t* truths, int32_t* truth_rows);
+
+/// The one block cutter of every schedule (both protocols' BuildSchedule
+/// and the adaptive rounds). `run` holds the triple indices of one
+/// (protocol group, direction) run; it is stable-sorted in place by the
+/// direction's anchor, then cut into blocks of at most `query_block`
+/// distinct anchors, appended to `blocks` with the given pool slot. The
+/// blocks point into `run`, which must stay put while they are in use.
+/// `query_block` must be positive.
+/// Sharing a row is exact only inside one kernel relation: callers pass
+/// runs whose queries the protocol groups together, which keeps the kernel
+/// relation fixed (a temporal group fixes the timestamp too).
+void AppendAnchorBlocks(const std::vector<Triple>& triples,
+                        QueryDirection direction, int32_t pool_slot,
+                        size_t query_block, std::vector<int32_t>* run,
+                        std::vector<SlotBlock>* blocks);
 
 /// A uniformly shuffled order over all 2 * num_triples query ids of a
 /// split, where query id = 2 * triple_index + (0 for the tail query, 1 for

@@ -181,34 +181,41 @@ void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
 }
 
 void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
-                          size_t num_queries, int32_t relation,
+                          size_t num_anchors, int32_t relation,
                           QueryDirection direction,
                           const CandidateBlock& block, float* pool_scores,
-                          float* truth_scores) const {
+                          float* truth_scores, const int32_t* truth_rows,
+                          size_t num_truths) const {
+  if (truth_rows == nullptr) num_truths = num_anchors;
+  const auto row_of = [&](size_t t) {
+    return truth_rows == nullptr ? t : static_cast<size_t>(truth_rows[t]);
+  };
   if (!block.prepared) {
     // Unfused fallback for blocks without a model-specific layout (models
-    // with no kernel surface): per-query loops over ScoreCandidates.
+    // with no kernel surface): per-row and per-truth ScoreCandidates loops.
+    const size_t n = block.size();
     if (pool_scores != nullptr) {
-      const size_t n = block.size();
-      for (size_t q = 0; q < num_queries; ++q) {
-        ScoreCandidates(anchors[q], relation, direction, block.ids.data(), n,
-                        pool_scores + q * n);
+      for (size_t r = 0; r < num_anchors; ++r) {
+        ScoreCandidates(anchors[r], relation, direction, block.ids.data(), n,
+                        pool_scores + r * n);
       }
     }
     if (truth_scores != nullptr) {
-      ScorePairs(anchors, truths, num_queries, 1, relation, direction,
-                 truth_scores);
+      for (size_t t = 0; t < num_truths; ++t) {
+        ScoreCandidates(anchors[row_of(t)], relation, direction, &truths[t],
+                        1, &truth_scores[t]);
+      }
     }
     return;
   }
-  // Fused path: one query construction feeds both the batched pool kernel
-  // and the per-query truth reduction.
+  // Fused path: one query construction per row feeds both the batched pool
+  // kernel and the per-truth reductions.
   Matrix queries;
-  BuildKernelQueries(anchors, num_queries, relation, direction, &queries);
+  BuildKernelQueries(anchors, num_anchors, relation, direction, &queries);
   if (pool_scores != nullptr) ScorePool(queries, block, pool_scores);
   if (truth_scores != nullptr) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScoreWithQuery(queries, q, &truths[q], 1, &truth_scores[q]);
+    for (size_t t = 0; t < num_truths; ++t) {
+      ScoreWithQuery(queries, row_of(t), &truths[t], 1, &truth_scores[t]);
     }
   }
 }

@@ -115,7 +115,7 @@ class KgeModel {
   /// implemented once in the base class on top of these. A model (e.g. a
   /// test fake) that returns nullptr from candidate_embeddings() opts out
   /// and must override ScoreCandidates; ScoreBlock then falls back to
-  /// per-query loops over it.
+  /// per-row loops over it.
 
   /// The reduction family the model's scoring collapses to.
   virtual BatchKernel batch_kernel() const { return BatchKernel::kDot; }
@@ -184,23 +184,30 @@ class KgeModel {
   virtual void PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const;
 
-  /// Fused pool + truth scoring against a prepared block: builds the
-  /// per-anchor query representation ONCE and emits both the pool score
-  /// matrix (pool_scores[q * block.size() + c], bit-identical to
-  /// ScoreCandidates) and each query's own-truth score (truth_scores[q],
-  /// bit-identical to ScorePairs). Either output may be null to skip it
-  /// (`truths` may be null iff truth_scores is). Halves query construction
-  /// versus scoring the pool and the truths separately — the dominant
-  /// per-query cost for ConvE (conv/FC trunk) and TuckER (core
-  /// contraction). An unprepared block (a model without a kernel surface)
-  /// falls back to per-query ScoreCandidates loops plus ScorePairs. This
-  /// is the evaluation hot path: slot-major evaluators feed whole slots
-  /// here.
-  virtual void ScoreBlock(const int32_t* anchors, const int32_t* truths,
-                          size_t num_queries, int32_t relation,
-                          QueryDirection direction,
-                          const CandidateBlock& block, float* pool_scores,
-                          float* truth_scores) const;
+  /// Fused pool + truth scoring against a prepared block. Builds one kernel
+  /// query row per anchor — ONCE, for `num_anchors` anchors; the
+  /// evaluators pass each distinct anchor of a block once — and emits from
+  /// those rows both the pool score matrix (pool_scores[r * block.size() +
+  /// c], bit-identical to ScoreCandidates for anchors[r]) and the truth
+  /// scores: truth_scores[t] scores truths[t] against row truth_rows[t],
+  /// bit-identical to ScorePairs with anchor anchors[truth_rows[t]]. Several
+  /// truths may share a row: queries that repeat an anchor within one
+  /// kernel relation and direction have the same score row and differ only
+  /// in their truth. A null `truth_rows` pairs truth t with row t
+  /// (num_truths is then num_anchors). Either output may be null to skip
+  /// it (`truths` may be null iff truth_scores is). Sharing rows with the
+  /// truths halves query construction versus scoring the pool and the
+  /// truths separately — the dominant per-query cost for ConvE (conv/FC
+  /// trunk) and TuckER (core contraction). An unprepared block (a model
+  /// without a kernel surface) falls back to per-row and per-truth
+  /// ScoreCandidates loops. This is the evaluation hot path: slot-major
+  /// evaluators feed whole slots here.
+  void ScoreBlock(const int32_t* anchors, const int32_t* truths,
+                  size_t num_anchors, int32_t relation,
+                  QueryDirection direction, const CandidateBlock& block,
+                  float* pool_scores, float* truth_scores,
+                  const int32_t* truth_rows = nullptr,
+                  size_t num_truths = 0) const;
 
   /// Scores every entity for a query (out has num_entities() slots).
   void ScoreAll(int32_t anchor, int32_t relation, QueryDirection direction,

@@ -136,13 +136,22 @@ TEST(SlotBlocksTest, ShuffledQueryOrderIsAPermutationOfAllQueries) {
   EXPECT_NE(ShuffledQueryOrder(100, &other), order);
 }
 
+/// A slot-contiguous schedule with `runs[s]` blocks for pool slot s. The
+/// partitioner reads only the blocks' pool slots.
+std::vector<SlotBlock> BlocksPerSlot(const std::vector<size_t>& runs) {
+  std::vector<SlotBlock> blocks;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    for (size_t k = 0; k < runs[s]; ++k) {
+      blocks.push_back({0, QueryDirection::kTail, nullptr, 0, 0,
+                        static_cast<int32_t>(s)});
+    }
+  }
+  return blocks;
+}
+
 TEST(SlotBlocksTest, PartitionBoundariesAlignToSlots) {
   // Three relations with 5, 1, and 3 blocks per direction.
-  std::vector<std::vector<int32_t>> by_relation(3);
-  by_relation[0].resize(5 * 16);
-  by_relation[1].resize(1 * 16);
-  by_relation[2].resize(3 * 16);
-  const std::vector<SlotBlock> blocks = BuildSlotBlocks(by_relation, 3, 16);
+  const std::vector<SlotBlock> blocks = BlocksPerSlot({5, 5, 1, 1, 3, 3});
   ASSERT_EQ(blocks.size(), 18u);  // (5 + 1 + 3) * 2 directions.
   for (size_t max_chunks : {1u, 2u, 4u, 7u, 100u}) {
     const auto chunks = PartitionAtSlotBoundaries(blocks, max_chunks);
@@ -169,9 +178,7 @@ TEST(SlotBlocksTest, PartitionBoundariesAlignToSlots) {
 TEST(SlotBlocksTest, PartitionSplitsOversizedRuns) {
   // One relation with 64 blocks per direction: load balance must win and
   // cut the runs, in pieces of at least the 4-block floor.
-  std::vector<std::vector<int32_t>> by_relation(1);
-  by_relation[0].resize(64 * 16);
-  const std::vector<SlotBlock> blocks = BuildSlotBlocks(by_relation, 1, 16);
+  const std::vector<SlotBlock> blocks = BlocksPerSlot({64, 64});
   ASSERT_EQ(blocks.size(), 128u);
   const auto chunks = PartitionAtSlotBoundaries(blocks, 16);
   EXPECT_GT(chunks.size(), 2u);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -69,6 +72,116 @@ SampledCandidates ExhaustivePools(int32_t num_entities, int32_t num_slots) {
   std::iota(all.begin(), all.end(), 0);
   pools.pools.assign(num_slots, all);
   return pools;
+}
+
+/// A split where most test queries repeat an (anchor, relation) pair in
+/// both directions: each relation's test triples are a grid over four
+/// heads and five tails, plus an exact duplicate and one anchor that
+/// recurs at every timestamp with a different truth. Train holds the rest
+/// of the grid and a scattering of other facts, so filtering has answers
+/// to take back. `num_timestamps` 0 builds a static dataset.
+Dataset DuplicateQueryDataset(int32_t num_timestamps) {
+  constexpr int32_t kEntities = 50;
+  constexpr int32_t kRelations = 3;
+  const int32_t times = std::max<int32_t>(1, num_timestamps);
+  std::vector<Triple> train, test;
+  for (int32_t r = 0; r < kRelations; ++r) {
+    for (int32_t h = r; h < r + 4; ++h) {
+      for (int32_t t = 20; t < 25; ++t) {
+        const Triple triple{h, r, t, (h + t) % times};
+        ((h + t + r) % 4 == 0 ? train : test).push_back(triple);
+      }
+    }
+    test.push_back({r, r, 21, 0});
+    test.push_back({r, r, 21, 0});
+    for (int32_t tau = 0; tau < times; ++tau) {
+      test.push_back({r + 1, r, 30 + tau, tau});
+    }
+  }
+  for (int32_t k = 0; k < 300; ++k) {
+    train.push_back({(k * 7) % kEntities, k % kRelations,
+                     (k * 13 + 5) % kEntities, k % times});
+  }
+  return Dataset("duplicate-queries", kEntities, kRelations, num_timestamps,
+                 std::move(train), /*valid=*/{}, std::move(test),
+                 TypeStore());
+}
+
+/// Every (triple, direction) query of the first `num_triples` triples.
+std::set<std::pair<int32_t, int32_t>> AllQueries(int64_t num_triples) {
+  std::set<std::pair<int32_t, int32_t>> queries;
+  for (int32_t i = 0; i < num_triples; ++i) {
+    queries.insert({i, 0});
+    queries.insert({i, 1});
+  }
+  return queries;
+}
+
+/// The schedule contract every evaluator relies on: the scheduled queries
+/// are exactly `expected`, each once; every block is group-homogeneous and
+/// holds at most `query_block` distinct anchors; anchors never decrease
+/// within a run and no anchor is split across blocks (so each distinct
+/// query is scored once); and blocks sharing a pool slot are contiguous
+/// (the prepare-once contract).
+void ExpectScheduleInvariants(
+    const EvalProtocol& protocol, const std::vector<Triple>& triples,
+    const EvalSchedule& schedule, size_t query_block,
+    const std::set<std::pair<int32_t, int32_t>>& expected) {
+  std::set<std::pair<int32_t, int32_t>> seen;
+  std::set<int32_t> closed_slots;
+  std::set<std::tuple<int32_t, int32_t, int32_t>> closed_anchors;
+  std::map<const std::vector<int32_t>*, int32_t> run_last_anchor;
+  int32_t current_slot = -1;
+  for (const SlotBlock& block : schedule.blocks) {
+    ASSERT_LT(block.begin, block.end);
+    if (block.pool_slot != current_slot) {
+      ASSERT_TRUE(closed_slots.insert(block.pool_slot).second)
+          << "pool slot " << block.pool_slot << " revisited";
+      current_slot = block.pool_slot;
+    }
+    const int32_t dir = static_cast<int32_t>(block.direction);
+    const int32_t group =
+        protocol.GroupOf(triples[(*block.triple_idx)[block.begin]]);
+    std::set<int32_t> block_anchors;
+    for (size_t i = block.begin; i < block.end; ++i) {
+      const int32_t idx = (*block.triple_idx)[i];
+      EXPECT_EQ(protocol.GroupOf(triples[idx]), group);
+      EXPECT_EQ(triples[idx].relation, block.relation);
+      EXPECT_EQ(block.pool_slot,
+                protocol.PoolSlotFor(triples[idx], block.direction));
+      const int32_t anchor = QueryAnchor(triples[idx], block.direction);
+      auto last = run_last_anchor.emplace(block.triple_idx, anchor).first;
+      EXPECT_GE(anchor, last->second) << "anchors decrease within a run";
+      last->second = anchor;
+      block_anchors.insert(anchor);
+      EXPECT_TRUE(seen.insert({idx, dir}).second) << "query scheduled twice";
+    }
+    EXPECT_LE(block_anchors.size(), query_block);
+    for (int32_t anchor : block_anchors) {
+      EXPECT_TRUE(closed_anchors.insert({group, dir, anchor}).second)
+          << "anchor " << anchor << " split across blocks";
+    }
+  }
+  EXPECT_EQ(seen, expected);
+}
+
+/// Full-ranking ranks against an oracle that shares no code with it: the
+/// scalar sampled evaluator on exhaustive pools, which scores every query
+/// on its own through ScoreCandidates and ranks by FilteredRank. The small
+/// entity tile forces multi-tile sweeps.
+void ExpectFullRankingMatchesScalarOracle(const KgeModel& model,
+                                          const Dataset& dataset,
+                                          const EvalProtocol& protocol) {
+  const SampledCandidates pools = ExhaustivePools(
+      dataset.num_entities(), 2 * dataset.num_relations());
+  const SampledEvalResult oracle =
+      EvaluateSampledScalar(model, dataset, protocol, Split::kTest, pools);
+  FullEvalOptions options;
+  options.entity_tile = 7;
+  const FullEvalResult full =
+      EvaluateFullRanking(model, dataset, protocol, Split::kTest, options);
+  EXPECT_EQ(full.ranks, oracle.ranks) << model.name();
+  EXPECT_DOUBLE_EQ(full.metrics.mrr, oracle.metrics.mrr) << model.name();
 }
 
 /// A model whose score is supplied by a lambda — lets tests pin exact
@@ -210,6 +323,116 @@ TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
   }
 }
 
+TEST(StaticParityTest, ScheduleIsGroupHomogeneousAndComplete) {
+  for (const Dataset& dataset : {SynthDataset(), DuplicateQueryDataset(0)}) {
+    const FilterIndex filter(dataset);
+    const StaticFilteredProtocol protocol(dataset, &filter);
+    const std::vector<Triple>& triples = dataset.test();
+    const int64_t n = static_cast<int64_t>(triples.size());
+    for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
+      const EvalSchedule schedule =
+          protocol.BuildSchedule(triples, n, query_block);
+      ExpectScheduleInvariants(protocol, triples, schedule, query_block,
+                               AllQueries(n));
+    }
+  }
+}
+
+TEST(StaticParityTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
+  const Dataset dataset = DuplicateQueryDataset(0);
+  const FilterIndex filter(dataset);
+  const StaticFilteredProtocol protocol(dataset, &filter);
+  // One model per kernel family: dot, dot + per-entity bias, L1 distance,
+  // complex distance.
+  for (ModelType type : {ModelType::kDistMult, ModelType::kConvE,
+                         ModelType::kTransE, ModelType::kRotatE}) {
+    auto model = CreateModel(type, dataset.num_entities(),
+                             dataset.num_relations(), SmallOptions())
+                     .ValueOrDie();
+    ExpectFullRankingMatchesScalarOracle(*model, dataset, protocol);
+  }
+}
+
+TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
+  // `scored_candidates` is pool size + 1 per evaluated query, whether or
+  // not the query shares its score row with a duplicate: the scalar
+  // oracle's count, which the served `scored=` field and the adaptive
+  // candidate budget read.
+  const Dataset dataset = DuplicateQueryDataset(0);
+  const FilterIndex filter(dataset);
+  const StaticFilteredProtocol protocol(dataset, &filter);
+  Rng rng(41);
+  const SampledCandidates pools = DrawCandidates(
+      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
+      /*n_s=*/20, NeededSlots(dataset, Split::kTest),
+      2 * dataset.num_relations(), &rng);
+  auto model = CreateModel(ModelType::kComplEx, dataset.num_entities(),
+                           dataset.num_relations(), SmallOptions())
+                   .ValueOrDie();
+  const SampledEvalResult scalar =
+      EvaluateSampledScalar(*model, dataset, protocol, Split::kTest, pools);
+  const SampledEvalResult sampled =
+      EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
+  EXPECT_EQ(sampled.ranks, scalar.ranks);
+  EXPECT_EQ(sampled.scored_candidates, scalar.scored_candidates);
+
+  // A whole-split adaptive pass scores what the scalar oracle scores; a
+  // budget-stopped one scores pool size + 1 for each query it evaluated.
+  AdaptiveEvalOptions options;
+  options.target_half_width = 0.0;
+  options.min_queries = 1;
+  options.batch_queries = 16;
+  const AdaptiveEvalResult whole = EvaluateAdaptive(
+      *model, dataset, protocol, Split::kTest, pools, options);
+  EXPECT_EQ(whole.evaluated_queries, whole.total_queries);
+  EXPECT_EQ(whole.scored_candidates, scalar.scored_candidates);
+  options.max_candidates = scalar.scored_candidates / 3;
+  const AdaptiveEvalResult budgeted = EvaluateAdaptive(
+      *model, dataset, protocol, Split::kTest, pools, options);
+  ASSERT_LT(budgeted.evaluated_queries, budgeted.total_queries);
+  int64_t expected = 0;
+  const std::vector<Triple>& triples = dataset.test();
+  for (size_t q = 0; q < budgeted.ranks.size(); ++q) {
+    if (budgeted.ranks[q] == 0.0) continue;  // Never scored by the pass.
+    EXPECT_EQ(budgeted.ranks[q], scalar.ranks[q]) << "query " << q;
+    const QueryDirection dir =
+        q % 2 == 0 ? QueryDirection::kTail : QueryDirection::kHead;
+    expected += static_cast<int64_t>(
+        pools.pools[protocol.PoolSlotFor(triples[q / 2], dir)].size() + 1);
+  }
+  EXPECT_EQ(budgeted.scored_candidates, expected);
+}
+
+TEST(ScheduleTest, AdaptiveRoundsKeepInvariants) {
+  const Dataset dataset = DuplicateQueryDataset(/*num_timestamps=*/3);
+  const FilterIndex static_filter(dataset);
+  const TemporalFilterIndex temporal_filter(dataset);
+  const StaticFilteredProtocol static_protocol(dataset, &static_filter);
+  const TemporalFilteredProtocol temporal_protocol(dataset, &temporal_filter);
+  const std::vector<Triple>& triples = dataset.test();
+  Rng rng(43);
+  const std::vector<int64_t> order = ShuffledQueryOrder(
+      static_cast<int64_t>(triples.size()), &rng);
+  for (const EvalProtocol* protocol :
+       {static_cast<const EvalProtocol*>(&static_protocol),
+        static_cast<const EvalProtocol*>(&temporal_protocol)}) {
+    // One schedule reused across rounds, as the adaptive evaluator does.
+    EvalSchedule round;
+    constexpr size_t kRound = 37;
+    for (size_t lo = 0; lo < order.size(); lo += kRound) {
+      const size_t take = std::min(kRound, order.size() - lo);
+      protocol->BuildQuerySchedule(triples, order.data() + lo, take,
+                                   /*query_block=*/2, &round);
+      std::set<std::pair<int32_t, int32_t>> expected;
+      for (size_t k = lo; k < lo + take; ++k) {
+        expected.insert({static_cast<int32_t>(order[k] >> 1),
+                         static_cast<int32_t>(order[k] & 1)});
+      }
+      ExpectScheduleInvariants(*protocol, triples, round, 2, expected);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Temporal protocol: time-sliced filter semantics.
 // ---------------------------------------------------------------------------
@@ -285,37 +508,34 @@ TEST(TemporalProtocolTest, CorruptionTrueAtAnotherTimestampKeepsItsRank) {
 }
 
 TEST(TemporalProtocolTest, ScheduleIsGroupHomogeneousAndComplete) {
-  const Dataset dataset = TemporalSynthDataset(/*num_timestamps=*/5);
-  const TemporalFilterIndex filter(dataset);
-  const TemporalFilteredProtocol protocol(dataset, &filter);
-  const std::vector<Triple>& triples = dataset.test();
-  const EvalSchedule schedule = protocol.BuildSchedule(
-      triples, static_cast<int64_t>(triples.size()), /*query_block=*/16);
-  // Every (triple, direction) query appears exactly once, every block is
-  // (relation, timestamp)-homogeneous, and blocks sharing a pool slot are
-  // contiguous (the prepare-once contract).
-  std::set<std::pair<int32_t, int32_t>> seen;
-  std::set<int32_t> closed_slots;
-  int32_t current_slot = -1;
-  for (const SlotBlock& block : schedule.blocks) {
-    ASSERT_LT(block.begin, block.end);
-    if (block.pool_slot != current_slot) {
-      ASSERT_TRUE(closed_slots.insert(block.pool_slot).second)
-          << "pool slot " << block.pool_slot << " revisited";
-      current_slot = block.pool_slot;
-    }
-    const int32_t group = protocol.GroupOf(triples[(*block.triple_idx)[block.begin]]);
-    for (size_t i = block.begin; i < block.end; ++i) {
-      const int32_t idx = (*block.triple_idx)[i];
-      EXPECT_EQ(protocol.GroupOf(triples[idx]), group);
-      EXPECT_EQ(block.pool_slot,
-                protocol.PoolSlotFor(triples[idx], block.direction));
-      EXPECT_TRUE(
-          seen.insert({idx, static_cast<int32_t>(block.direction)}).second)
-          << "query scheduled twice";
+  // Blocks are (relation, timestamp)-homogeneous, so an anchor at several
+  // timestamps is a different query at each one.
+  for (const Dataset& dataset :
+       {TemporalSynthDataset(/*num_timestamps=*/5),
+        DuplicateQueryDataset(/*num_timestamps=*/3)}) {
+    const TemporalFilterIndex filter(dataset);
+    const TemporalFilteredProtocol protocol(dataset, &filter);
+    const std::vector<Triple>& triples = dataset.test();
+    const int64_t n = static_cast<int64_t>(triples.size());
+    for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
+      const EvalSchedule schedule =
+          protocol.BuildSchedule(triples, n, query_block);
+      ExpectScheduleInvariants(protocol, triples, schedule, query_block,
+                               AllQueries(n));
     }
   }
-  EXPECT_EQ(seen.size(), 2 * triples.size());
+}
+
+TEST(TemporalProtocolTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
+  const Dataset dataset = DuplicateQueryDataset(/*num_timestamps=*/3);
+  const TemporalFilterIndex filter(dataset);
+  const TemporalFilteredProtocol protocol(dataset, &filter);
+  ModelOptions options = SmallOptions();
+  options.num_timestamps = dataset.num_timestamps();
+  auto model = CreateModel(ModelType::kTComplEx, dataset.num_entities(),
+                           dataset.num_relations(), options)
+                   .ValueOrDie();
+  ExpectFullRankingMatchesScalarOracle(*model, dataset, protocol);
 }
 
 TEST(TemporalProtocolTest, EnginesBitExactOnTemporalData) {

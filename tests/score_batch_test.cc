@@ -157,6 +157,46 @@ TEST_P(ScoreBlockTest, PreparedScoreBlockMatchesScalarExactly) {
   }
 }
 
+TEST_P(ScoreBlockTest, TruthsShareRowsByIndex) {
+  auto model = Make();
+  // Three distinct anchors; six truths scored from them by row index, as
+  // an evaluator scores duplicate queries from one shared row.
+  const std::vector<int32_t> candidates = {11, 3, 27, 0, 39, 18};
+  const std::vector<int32_t> anchors = {4, 17, 30};
+  const std::vector<int32_t> truths = {2, 9, 4, 0, 39, 24};
+  const std::vector<int32_t> truth_rows = {0, 0, 1, 2, 2, 2};
+  const size_t n = candidates.size();
+  CandidateBlock prepared;
+  model->PrepareCandidates(candidates.data(), n, &prepared);
+  CandidateBlock unprepared;  // Ids only: the fallback path.
+  unprepared.ids = candidates;
+  std::vector<float> pool_scores(anchors.size() * n);
+  std::vector<float> truth_scores(truths.size());
+  std::vector<float> scalar(n), pair(1);
+  for (const CandidateBlock* block : {&prepared, &unprepared}) {
+    for (QueryDirection dir :
+         {QueryDirection::kTail, QueryDirection::kHead}) {
+      model->ScoreBlock(anchors.data(), truths.data(), anchors.size(), 5,
+                        dir, *block, pool_scores.data(), truth_scores.data(),
+                        truth_rows.data(), truths.size());
+      for (size_t r = 0; r < anchors.size(); ++r) {
+        model->ScoreCandidates(anchors[r], 5, dir, candidates.data(), n,
+                               scalar.data());
+        for (size_t c = 0; c < n; ++c) {
+          EXPECT_EQ(pool_scores[r * n + c], scalar[c])
+              << ModelTypeName(GetParam()) << " row " << r;
+        }
+      }
+      for (size_t t = 0; t < truths.size(); ++t) {
+        model->ScoreCandidates(anchors[truth_rows[t]], 5, dir, &truths[t],
+                               1, pair.data());
+        EXPECT_EQ(truth_scores[t], pair[0])
+            << ModelTypeName(GetParam()) << " truth " << t;
+      }
+    }
+  }
+}
+
 TEST_P(ScoreBlockTest, PreparedScoreBlockSkipsNullOutputs) {
   auto model = Make();
   const std::vector<int32_t> candidates = {0, 5, 39};
