@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,40 +16,72 @@
 namespace kgeval {
 namespace bench {
 
+namespace {
+
+void Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--paper-scale] [--fast] [--epochs=N] "
+               "[--dataset=NAME] [--json]\n"
+               "       [--half-width=X] [--threads=N] [--from-disk]\n"
+               "--epochs and --threads take positive integers, --half-width "
+               "a finite number in (0, 1).\n",
+               argv0);
+}
+
+/// Parses all of `text` as a positive int32. Rejects a sign, whitespace,
+/// trailing characters and overflow.
+bool ParsePositive(const std::string& text, int32_t* out) {
+  int32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value <= 0) return false;
+  *out = value;
+  return true;
+}
+
+/// Parses all of `text` as a finite half-width in (0, 1).
+bool ParseHalfWidth(const std::string& text, double* out) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value <= 0.0 || value >= 1.0) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
 BenchArgs ParseArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool ok = true;
     if (arg == "--paper-scale") {
       args.paper_scale = true;
     } else if (arg == "--fast") {
       args.fast = true;
     } else if (arg.rfind("--epochs=", 0) == 0) {
-      args.epochs = std::atoi(arg.c_str() + std::strlen("--epochs="));
+      ok = ParsePositive(arg.substr(std::strlen("--epochs=")), &args.epochs);
     } else if (arg.rfind("--dataset=", 0) == 0) {
       args.only_dataset = arg.substr(std::strlen("--dataset="));
     } else if (arg == "--json") {
       args.json = true;
     } else if (arg.rfind("--half-width=", 0) == 0) {
-      args.half_width = std::atof(arg.c_str() + std::strlen("--half-width="));
-      if (args.half_width <= 0.0) {
-        std::fprintf(stderr, "--half-width must be positive\n");
-        std::exit(2);
-      }
+      ok = ParseHalfWidth(arg.substr(std::strlen("--half-width=")),
+                          &args.half_width);
     } else if (arg.rfind("--threads=", 0) == 0) {
-      args.threads = std::atoi(arg.c_str() + std::strlen("--threads="));
-      if (args.threads <= 0) {
-        std::fprintf(stderr, "--threads must be positive\n");
-        std::exit(2);
-      }
+      ok = ParsePositive(arg.substr(std::strlen("--threads=")),
+                         &args.threads);
     } else if (arg == "--from-disk") {
       args.from_disk = true;
     } else {
-      std::fprintf(stderr,
-                   "unknown flag '%s' (supported: --paper-scale --fast "
-                   "--epochs=N --dataset=NAME --json --half-width=X "
-                   "--threads=N --from-disk)\n",
-                   arg.c_str());
+      ok = false;
+    }
+    if (!ok) {
+      Usage(argv[0]);
       std::exit(2);
     }
   }

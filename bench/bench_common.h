@@ -19,8 +19,9 @@ namespace bench {
 ///   --dataset=NAME    restrict multi-dataset benches to one preset
 ///   --json            also write the bench's BENCH_<name>.json (machine-
 ///                     readable results; only benches that support it)
-///   --half-width=X    adaptive evaluation's target confidence half-width
-///                     (benches with an adaptive mode; default 0.01)
+///   --half-width=X    adaptive evaluation's target confidence half-width,
+///                     finite and in (0, 1) (benches with an adaptive mode;
+///                     default 0.01)
 ///   --threads=N       worker-pool size (default: KGEVAL_THREADS env var,
 ///                     then hardware_concurrency) — makes bench numbers
 ///                     comparable across machines and CI runners
@@ -39,9 +40,10 @@ struct BenchArgs {
   bool from_disk = false;
 };
 
-/// Parses the shared flags. Applies --threads (or its KGEVAL_THREADS
-/// fallback) to the global worker pool immediately, so call this before any
-/// parallel work.
+/// Parses the shared flags; an unknown flag or a malformed value prints the
+/// usage and exits 2. Applies --threads (or its KGEVAL_THREADS fallback) to
+/// the global worker pool immediately, so call this before any parallel
+/// work.
 BenchArgs ParseArgs(int argc, char** argv);
 
 /// Generates the named preset at the scale selected by `args`.

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 #include <utility>
@@ -22,10 +23,19 @@ namespace {
 /// computed value" is byte comparison, not epsilon comparison.
 std::string Fmt(double v) { return StrFormat("%.17g", v); }
 
-bool ParseDouble(const std::string& s, double* out) {
+/// True when strtod reads all of `s`: a number, finite or not.
+bool IsNumber(const std::string& s) {
   char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) return false;
+  std::strtod(s.c_str(), &end);
+  return end != s.c_str() && *end == '\0';
+}
+
+/// Parses all of `s` as a finite double. NaN fails every range comparison,
+/// so a range check alone would let `nan` through.
+bool ParseDouble(const std::string& s, double* out) {
+  if (!IsNumber(s)) return false;
+  const double v = std::strtod(s.c_str(), nullptr);
+  if (!std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -224,10 +234,11 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
   bool adaptive_requested = false;
   double half_width = 0.0;
   size_t arg = 1;
-  if (cmd.args.size() > 1 && ParseDouble(cmd.args[1], &half_width)) {
-    if (half_width <= 0.0 || half_width >= 1.0) {
+  if (cmd.args.size() > 1 && IsNumber(cmd.args[1])) {
+    if (!ParseDouble(cmd.args[1], &half_width) || half_width <= 0.0 ||
+        half_width >= 1.0) {
       EmitError(emit, "bad-argument",
-                StrFormat("half_width must be in (0, 1), got %s",
+                StrFormat("half_width must be finite and in (0, 1), got %s",
                           cmd.args[1].c_str()));
       return;
     }
@@ -362,7 +373,7 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
     if (!ParseDouble(cmd.args[2], &timeout_s) || timeout_s <= 0.0 ||
         timeout_s > 3600.0) {
       EmitError(emit, "bad-argument",
-                StrFormat("timeout_s must be in (0, 3600], got %s",
+                StrFormat("timeout_s must be finite and in (0, 3600], got %s",
                           cmd.args[2].c_str()));
       return;
     }

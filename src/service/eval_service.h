@@ -68,10 +68,10 @@ class EvalService {
   };
 
   /// The framework configuration LOAD builds sessions with. One definition
-  /// shared by the service, bench_service_load, and the tests: the load
-  /// bench's byte-parity gate reconstructs this exact session (same preset,
-  /// same options, same seed, first pool draw) and demands identical
-  /// metrics, which only means anything if nobody drifts.
+  /// shared by the service, perfbench and the tests: the served-parity
+  /// gates reconstruct this exact session (same preset, same options, same
+  /// seed, first pool draw) and demand identical metrics, which only
+  /// means anything if nobody drifts.
   static FrameworkOptions ServiceFrameworkOptions();
 
   EvalService() : EvalService(Options()) {}

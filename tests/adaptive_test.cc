@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "core/adaptive_evaluator.h"
+#include "core/eval_session.h"
 #include "core/framework.h"
 #include "core/sampled_evaluator.h"
 #include "eval/slot_blocks.h"
@@ -14,6 +15,7 @@
 #include "stats/confidence.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/gate_data.h"
 
 namespace kgeval {
 namespace {
@@ -556,6 +558,39 @@ TEST_F(AdaptiveFixture, FrameworkEstimateAdaptive) {
   EXPECT_GT(result.ci.num_queries, 0);
   if (result.converged) {
     EXPECT_LE(result.ci.mrr, 0.02);
+  }
+}
+
+TEST(AdaptiveSessionTest, RerunIsDeterministicForEveryStrategy) {
+  // The adaptive determinism gate: trained codex-s, one EvalSession per
+  // sampling strategy (LWD, 10% sample), target half-width 0.01. A rerun
+  // on the session's pinned pools must repeat the pass exactly.
+  const Dataset dataset = CodexS();
+  const FilterIndex filter(dataset);
+  auto model = TrainGateModel(dataset, GateTraining());
+  for (SamplingStrategy strategy :
+       {SamplingStrategy::kProbabilistic, SamplingStrategy::kStatic,
+        SamplingStrategy::kRandom}) {
+    SCOPED_TRACE(SamplingStrategyName(strategy));
+    FrameworkOptions options;
+    options.strategy = strategy;
+    options.recommender = RecommenderType::kLwd;
+    options.sample_fraction = 0.1;
+    auto session =
+        EvalSession::Create(&dataset, &filter, options, Split::kTest)
+            .ValueOrDie();
+    AdaptiveEvalOptions adaptive_options;
+    adaptive_options.target_half_width = 0.01;
+    const AdaptiveEvalResult first =
+        session->EstimateAdaptive(*model, adaptive_options);
+    const AdaptiveEvalResult rerun =
+        session->EstimateAdaptive(*model, adaptive_options);
+    EXPECT_GT(first.evaluated_queries, 0);
+    EXPECT_EQ(first.evaluated_queries, rerun.evaluated_queries);
+    EXPECT_EQ(first.scored_candidates, rerun.scored_candidates);
+    EXPECT_EQ(first.metrics.mrr, rerun.metrics.mrr);
+    EXPECT_EQ(first.ci.mrr, rerun.ci.mrr);
+    EXPECT_EQ(first.ranks, rerun.ranks);
   }
 }
 

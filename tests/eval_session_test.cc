@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -14,6 +15,7 @@
 #include "models/kge_model.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/gate_data.h"
 #include "tests/temp_dir.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -451,6 +453,80 @@ TEST_F(EvalSessionTest, CreateRejectsNullInputs) {
       EvalSession::Create(nullptr, filter_, SessionOptions()).ok());
   EXPECT_FALSE(
       EvalSession::Create(dataset_, nullptr, SessionOptions()).ok());
+}
+
+// --- The session gates on trained codex-s models ---------------------------
+
+TEST(EvalSessionGateTest, EstimateManyMatchesSequentialOnTrainedModels) {
+  // Four independently seeded one-epoch checkpoints of one architecture,
+  // estimated concurrently and one at a time on the session's pinned pools.
+  const Dataset dataset = CodexS();
+  const FilterIndex filter(dataset);
+  std::vector<std::unique_ptr<KgeModel>> owned;
+  std::vector<const KgeModel*> models;
+  for (uint64_t m = 0; m < 4; ++m) {
+    GateTraining recipe;
+    recipe.seed = 11 + 101 * m;
+    owned.push_back(TrainGateModel(dataset, recipe));
+    models.push_back(owned.back().get());
+  }
+  auto session =
+      EvalSession::Create(&dataset, &filter, SessionOptions(), Split::kTest)
+          .ValueOrDie();
+  const std::vector<SampledEvalResult> many = session->EstimateMany(models);
+  ASSERT_EQ(many.size(), models.size());
+  for (size_t m = 0; m < models.size(); ++m) {
+    const SampledEvalResult sequential = session->Estimate(*models[m]);
+    EXPECT_EQ(many[m].ranks, sequential.ranks) << "model " << m;
+    EXPECT_EQ(many[m].metrics.mrr, sequential.metrics.mrr) << "model " << m;
+    EXPECT_EQ(many[m].scored_candidates, sequential.scored_candidates)
+        << "model " << m;
+  }
+}
+
+TEST(EvalSessionGateTest, CheckpointSweepMatchesSequentialWithinResidentBound) {
+  // Three epoch snapshots of one ComplEx training run, swept from disk on
+  // the validation split and compared with sequential load + Estimate.
+  const Dataset dataset = CodexS();
+  const FilterIndex filter(dataset);
+  TempDir dir;
+  constexpr int32_t kEpochs = 3;
+  GateTraining recipe;
+  recipe.epochs = kEpochs;
+  recipe.checkpoint_dir = dir.path();
+  TrainGateModel(dataset, recipe);
+  std::vector<std::string> paths;
+  for (int32_t epoch = 0; epoch < kEpochs; ++epoch) {
+    paths.push_back(CheckpointPath(dir.path(), epoch, kEpochs));
+  }
+  auto session =
+      EvalSession::Create(&dataset, &filter, SessionOptions(), Split::kValid)
+          .ValueOrDie();
+  std::vector<SampledEvalResult> sequential;
+  for (const std::string& path : paths) {
+    auto loaded = session->framework().LoadCheckpoint(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    sequential.push_back(session->Estimate(*loaded.ValueOrDie()));
+  }
+  const size_t resident_bound =
+      std::max<size_t>(1, GlobalThreadPool()->num_threads());
+  // Two sweeps, as the residency high-water mark depends on scheduling.
+  for (int rep = 0; rep < 2; ++rep) {
+    CheckpointSweepStats stats;
+    const std::vector<CheckpointEstimate> sweep = session->EstimateCheckpoints(
+        paths, /*max_triples=*/0, nullptr, &stats);
+    ASSERT_EQ(sweep.size(), paths.size());
+    for (size_t i = 0; i < paths.size(); ++i) {
+      ASSERT_TRUE(sweep[i].status.ok()) << sweep[i].status.ToString();
+      EXPECT_EQ(sweep[i].result.ranks, sequential[i].ranks) << "epoch " << i;
+      EXPECT_EQ(sweep[i].result.metrics.mrr, sequential[i].metrics.mrr)
+          << "epoch " << i;
+      EXPECT_EQ(sweep[i].result.scored_candidates,
+                sequential[i].scored_candidates)
+          << "epoch " << i;
+    }
+    EXPECT_LE(stats.max_resident_models, resident_bound);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "models/kge_model.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/gate_data.h"
 #include "util/rng.h"
 
 namespace kgeval {
@@ -48,11 +49,10 @@ Dataset SynthDataset() {
   return GenerateDataset(config).ValueOrDie().dataset;
 }
 
-/// The synthetic dataset with deterministic timestamps painted on: every
-/// triple gets time = f(h, r, t) % T, so slices are well-populated and the
-/// same fact can recur at several timestamps across splits.
-Dataset TemporalSynthDataset(int32_t num_timestamps) {
-  const Dataset base = SynthDataset();
+/// `base` with deterministic timestamps painted on: every triple gets
+/// time = f(h, r, t) % T, so slices are well-populated and the same fact
+/// can recur at several timestamps across splits.
+Dataset StampTimestamps(const Dataset& base, int32_t num_timestamps) {
   auto stamp = [num_timestamps](std::vector<Triple> triples) {
     for (Triple& t : triples) {
       t.time = (t.head * 31 + t.tail * 7 + t.relation) % num_timestamps;
@@ -62,6 +62,10 @@ Dataset TemporalSynthDataset(int32_t num_timestamps) {
   return Dataset(base.name() + "-temporal", base.num_entities(),
                  base.num_relations(), num_timestamps, stamp(base.train()),
                  stamp(base.valid()), stamp(base.test()), base.types());
+}
+
+Dataset TemporalSynthDataset(int32_t num_timestamps) {
+  return StampTimestamps(SynthDataset(), num_timestamps);
 }
 
 /// Exhaustive candidate pools: every slot ranks against all entities, so
@@ -224,32 +228,52 @@ class FakeModel : public KgeModel {
 // ---------------------------------------------------------------------------
 
 TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
-  const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  const StaticFilteredProtocol protocol(dataset, &filter);
-  Rng rng(13);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
-      /*n_s=*/60, NeededSlots(dataset, Split::kTest),
-      2 * dataset.num_relations(), &rng);
-  for (ModelType type : kAllModels) {
-    auto model = CreateModel(type, dataset.num_entities(),
-                             dataset.num_relations(), SmallOptions())
-                     .ValueOrDie();
-    // Pre-refactor API: FilterIndex overload, prepared engine.
-    const SampledEvalResult via_filter =
-        EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    // Explicit protocol, prepared engine and scalar reference.
-    const SampledEvalResult prepared =
-        EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-    const SampledEvalResult scalar =
-        EvaluateSampledScalar(*model, dataset, protocol, Split::kTest, pools);
-    EXPECT_EQ(via_filter.ranks, prepared.ranks) << ModelTypeName(type);
-    EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
-    EXPECT_EQ(via_filter.scored_candidates, scalar.scored_candidates)
-        << ModelTypeName(type);
-    EXPECT_DOUBLE_EQ(via_filter.metrics.mrr, scalar.metrics.mrr)
-        << ModelTypeName(type);
+  // Two inputs: the small synthetic graph, and Table 9's engine-comparison
+  // setting (scaled codex-s, untrained dim-32 models, random pools of 10%
+  // of the entities drawn from Rng(91)).
+  struct Input {
+    Dataset dataset;
+    ModelOptions options;
+    uint64_t pool_seed;
+    int64_t n_s;
+  };
+  ModelOptions table9_options;
+  table9_options.dim = 32;
+  Dataset codex_s = CodexS();
+  const int64_t codex_s_n_s =
+      static_cast<int64_t>(0.1 * codex_s.num_entities());
+  const Input inputs[] = {
+      {SynthDataset(), SmallOptions(), 13, 60},
+      {std::move(codex_s), table9_options, 91, codex_s_n_s}};
+  for (const Input& input : inputs) {
+    const Dataset& dataset = input.dataset;
+    SCOPED_TRACE(dataset.name());
+    const FilterIndex filter(dataset);
+    const StaticFilteredProtocol protocol(dataset, &filter);
+    Rng rng(input.pool_seed);
+    const SampledCandidates pools = DrawCandidates(
+        SamplingStrategy::kRandom, nullptr, dataset.num_entities(), input.n_s,
+        NeededSlots(dataset, Split::kTest), 2 * dataset.num_relations(),
+        &rng);
+    for (ModelType type : kAllModels) {
+      auto model = CreateModel(type, dataset.num_entities(),
+                               dataset.num_relations(), input.options)
+                       .ValueOrDie();
+      // Pre-refactor API: FilterIndex overload, prepared engine.
+      const SampledEvalResult via_filter =
+          EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
+      // Explicit protocol, prepared engine and scalar reference.
+      const SampledEvalResult prepared =
+          EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
+      const SampledEvalResult scalar = EvaluateSampledScalar(
+          *model, dataset, protocol, Split::kTest, pools);
+      EXPECT_EQ(via_filter.ranks, prepared.ranks) << ModelTypeName(type);
+      EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
+      EXPECT_EQ(via_filter.scored_candidates, scalar.scored_candidates)
+          << ModelTypeName(type);
+      EXPECT_DOUBLE_EQ(via_filter.metrics.mrr, scalar.metrics.mrr)
+          << ModelTypeName(type);
+    }
   }
 }
 
@@ -566,22 +590,35 @@ TEST(TemporalProtocolTest, EnginesBitExactOnTemporalData) {
 }
 
 TEST(TemporalProtocolTest, ExhaustivePoolsReproduceFullRanking) {
-  const Dataset dataset = TemporalSynthDataset(/*num_timestamps=*/5);
-  const TemporalFilterIndex filter(dataset);
-  const TemporalFilteredProtocol protocol(dataset, &filter);
-  const SampledCandidates pools = ExhaustivePools(
-      dataset.num_entities(), 2 * dataset.num_relations());
+  // Two inputs: the small synthetic graph with 5 timestamps and an
+  // untrained TComplEx, and scaled codex-s stamped with 8 timestamps and a
+  // TComplEx trained for one epoch.
+  const Dataset small = TemporalSynthDataset(/*num_timestamps=*/5);
   ModelOptions options = SmallOptions();
-  options.num_timestamps = dataset.num_timestamps();
-  auto model = CreateModel(ModelType::kTComplEx, dataset.num_entities(),
-                           dataset.num_relations(), options)
-                   .ValueOrDie();
-  const SampledEvalResult sampled =
-      EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
-  const FullEvalResult full =
-      EvaluateFullRanking(*model, dataset, protocol, Split::kTest);
-  EXPECT_EQ(sampled.ranks, full.ranks);
-  EXPECT_DOUBLE_EQ(sampled.metrics.mrr, full.metrics.mrr);
+  options.num_timestamps = small.num_timestamps();
+  auto untrained = CreateModel(ModelType::kTComplEx, small.num_entities(),
+                               small.num_relations(), options)
+                       .ValueOrDie();
+  const Dataset codex_s = StampTimestamps(CodexS(), /*num_timestamps=*/8);
+  GateTraining recipe;
+  recipe.type = ModelType::kTComplEx;
+  auto trained = TrainGateModel(codex_s, recipe);
+  const std::pair<const Dataset*, const KgeModel*> inputs[] = {
+      {&small, untrained.get()}, {&codex_s, trained.get()}};
+  for (const auto& [dataset, model] : inputs) {
+    SCOPED_TRACE(dataset->name());
+    const TemporalFilterIndex filter(*dataset);
+    const TemporalFilteredProtocol protocol(*dataset, &filter);
+    const SampledCandidates pools = ExhaustivePools(
+        dataset->num_entities(), 2 * dataset->num_relations());
+    const SampledEvalResult sampled =
+        EvaluateSampled(*model, *dataset, protocol, Split::kTest, pools);
+    const FullEvalResult full =
+        EvaluateFullRanking(*model, *dataset, protocol, Split::kTest);
+    ASSERT_EQ(full.ranks.size(), 2 * dataset->test().size());
+    EXPECT_EQ(sampled.ranks, full.ranks);
+    EXPECT_DOUBLE_EQ(sampled.metrics.mrr, full.metrics.mrr);
+  }
 }
 
 TEST(TemporalProtocolTest, AdaptiveConvergesOnTimeSlicedQueries) {

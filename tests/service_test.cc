@@ -9,10 +9,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/eval_session.h"
 #include "models/checkpoint.h"
 #include "models/trainer.h"
 #include "net/net_util.h"
@@ -21,6 +23,7 @@
 #include "service/line_client.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/gate_data.h"
 #include "tests/temp_dir.h"
 #include "util/string_util.h"
 
@@ -246,9 +249,14 @@ TEST_F(ServiceTest, EvalReturnsMetricsAndAdaptiveVariantConverges) {
   EXPECT_TRUE(akv.count("converged"));
   EXPECT_TRUE(akv.count("rounds"));
 
-  EXPECT_EQ(Request(client, "EVAL " + CkptPath(0) + " 2.0")
-                .rfind("ERR bad-argument", 0),
-            0u);
+  // Out of range or not finite: NaN fails both range comparisons, so it
+  // must be rejected as a number, not evaluated.
+  for (const char* half_width : {"2.0", "nan", "-nan"}) {
+    EXPECT_EQ(Request(client, "EVAL " + CkptPath(0) + " " + half_width)
+                  .rfind("ERR bad-argument", 0),
+              0u)
+        << half_width;
+  }
   EXPECT_EQ(Request(client, "EVAL " + CkptDir() + "/missing.ckpt")
                 .rfind("ERR eval-failed", 0),
             0u);
@@ -399,9 +407,12 @@ TEST_F(ServiceTest, WatchValidatesArguments) {
   LineClient client = ConnectAndGreet();
   EXPECT_EQ(Request(client, "WATCH /tmp 0").rfind("ERR bad-argument", 0),
             0u);
-  EXPECT_EQ(
-      Request(client, "WATCH /tmp 5 9999").rfind("ERR bad-argument", 0),
-      0u);
+  for (const char* timeout_s : {"9999", "nan", "-nan", "inf"}) {
+    EXPECT_EQ(Request(client, std::string("WATCH /tmp 5 ") + timeout_s)
+                  .rfind("ERR bad-argument", 0),
+              0u)
+        << timeout_s;
+  }
 }
 
 TEST_F(ServiceTest, PipelinedBurstAnswersInRequestOrder) {
@@ -540,6 +551,153 @@ TEST_F(ServiceTest, StatsReportsDatasetAndCounters) {
 
   EXPECT_EQ(kv["dataset"], kPreset);
   EXPECT_NE(kv["kernels"], "") << "STATS must name the dispatched kernels";
+}
+
+// --- Served parity under concurrent pipelined load ---------------------------
+
+/// What one load client saw: each EVAL reply with the checkpoint it was
+/// sent for, the ERR and shed counts, and any transport failure.
+struct LoadClientRun {
+  std::vector<std::string> eval_replies;
+  std::vector<size_t> eval_ckpts;
+  int errors = 0;
+  int shed = 0;
+  std::string failure;  // transport-level failure, "" when clean
+};
+
+/// One client's share of the served-parity load: `kRequests` commands with
+/// up to `kWindow` in flight, one EVAL per four requests (cycling through
+/// the checkpoints), STATS and PINGs in between. Replies arrive in request
+/// order, so each EVAL reply is matched to the checkpoint it was sent for.
+LoadClientRun RunLoadClient(uint16_t port,
+                            const std::vector<std::string>& ckpts) {
+  constexpr int kRequests = 16;
+  constexpr size_t kWindow = 8;
+  LoadClientRun run;
+  auto client_or = LineClient::Connect("127.0.0.1", port);
+  if (!client_or.ok()) {
+    run.failure = client_or.status().ToString();
+    return run;
+  }
+  LineClient client = std::move(client_or).ValueOrDie();
+  if (!client.ReadLine().ok()) {  // banner
+    run.failure = "no banner";
+    return run;
+  }
+  std::vector<int> pending;  // request index of each reply still owed
+  int sent = 0;
+  for (int completed = 0; completed < kRequests; ++completed) {
+    for (; sent < kRequests && pending.size() < kWindow; ++sent) {
+      const size_t ckpt = static_cast<size_t>(sent / 4) % ckpts.size();
+      const std::string line = sent % 4 == 0   ? "EVAL " + ckpts[ckpt]
+                               : sent % 4 == 2 ? "STATS"
+                                               : "PING";
+      if (!client.SendLine(line).ok()) {
+        run.failure = "send failed: " + line;
+        return run;
+      }
+      pending.push_back(sent);
+    }
+    auto reply = client.ReadReply();
+    if (!reply.ok()) {
+      run.failure = reply.status().ToString();
+      return run;
+    }
+    const int request = pending.front();
+    pending.erase(pending.begin());
+    const std::string& terminal = reply.ValueOrDie().back();
+    if (LineClient::ErrorCode(terminal) == "busy") {
+      ++run.shed;
+    } else if (terminal.rfind("ERR", 0) == 0) {
+      ++run.errors;
+    } else if (request % 4 == 0) {
+      run.eval_replies.push_back(terminal);
+      run.eval_ckpts.push_back(static_cast<size_t>(request / 4) %
+                               ckpts.size());
+    }
+  }
+  client.SendLine("QUIT");
+  return run;
+}
+
+TEST(ServedParityTest, ConcurrentPipelinedEvalsMatchDirectEstimate) {
+  // Eight pipelined clients against a default-configured server on
+  // codex-s: no ERR reply, nothing shed, and every EVAL's metric fields
+  // byte-equal to a direct evaluation of the same checkpoint on a session
+  // built exactly as LOAD builds it.
+  const Dataset dataset = CodexS();
+  TempDir dir("kgeval_served_parity");
+  constexpr int32_t kEpochs = 3;
+  GateTraining recipe;
+  recipe.epochs = kEpochs;
+  recipe.checkpoint_dir = dir.path();
+  TrainGateModel(dataset, recipe);
+  std::vector<std::string> ckpts;
+  for (int32_t epoch = 0; epoch < kEpochs; ++epoch) {
+    ckpts.push_back(CheckpointPath(dir.path(), epoch, kEpochs));
+  }
+
+  auto server_or = EvalServer::Start(EvalServer::Options());
+  ASSERT_TRUE(server_or.ok()) << server_or.status().ToString();
+  std::unique_ptr<EvalServer> server = std::move(server_or).ValueOrDie();
+  {
+    auto control = LineClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(control.ok()) << control.status().ToString();
+    ASSERT_TRUE(control.ValueOrDie().ReadLine().ok());  // banner
+    ASSERT_TRUE(control.ValueOrDie().SendLine("LOAD codex-s valid").ok());
+    auto reply = control.ValueOrDie().ReadReply();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply.ValueOrDie().back().rfind("OK ", 0), 0u)
+        << reply.ValueOrDie().back();
+  }
+
+  std::vector<LoadClientRun> runs(8);
+  {
+    std::vector<std::thread> threads;
+    for (LoadClientRun& run : runs) {
+      threads.emplace_back([&run, &server, &ckpts] {
+        run = RunLoadClient(server->port(), ckpts);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  server->Shutdown();
+
+  const FilterIndex filter(dataset);
+  auto session = EvalSession::Create(&dataset, &filter,
+                                     EvalService::ServiceFrameworkOptions(),
+                                     Split::kValid)
+                     .ValueOrDie();
+  std::vector<std::map<std::string, std::string>> expected;
+  for (const std::string& path : ckpts) {
+    auto direct = session->framework().EstimateCheckpointOnPools(
+        path, filter, Split::kValid, session->pools());
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    const SampledEvalResult& r = direct.ValueOrDie();
+    expected.push_back(
+        {{"mrr", StrFormat("%.17g", r.metrics.mrr)},
+         {"ci", StrFormat("%.17g", r.ci.mrr)},
+         {"hits1", StrFormat("%.17g", r.metrics.hits1)},
+         {"hits3", StrFormat("%.17g", r.metrics.hits3)},
+         {"hits10", StrFormat("%.17g", r.metrics.hits10)},
+         {"queries", std::to_string(r.metrics.num_queries)},
+         {"scored", std::to_string(r.scored_candidates)}});
+  }
+  size_t evals = 0;
+  for (const LoadClientRun& run : runs) {
+    EXPECT_EQ(run.failure, "");
+    EXPECT_EQ(run.errors, 0);
+    EXPECT_EQ(run.shed, 0);
+    for (size_t i = 0; i < run.eval_replies.size(); ++i) {
+      auto served = ParseKeyValues(run.eval_replies[i]);
+      for (const auto& [key, want] : expected[run.eval_ckpts[i]]) {
+        EXPECT_EQ(served[key], want)
+            << key << " of " << run.eval_replies[i];
+      }
+      ++evals;
+    }
+  }
+  EXPECT_EQ(evals, runs.size() * 4);
 }
 
 }  // namespace
