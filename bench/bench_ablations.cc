@@ -48,12 +48,8 @@ void WeightAblation(const Dataset& dataset, const FilterIndex& filter,
   TextTable table({"Sampler", "fraction", "MRR estimate", "|err|"});
   for (double fraction : {0.02, 0.05, 0.1}) {
     for (bool weighted : {true, false}) {
-      FrameworkOptions options;
-      options.recommender = RecommenderType::kLwd;
-      options.strategy = SamplingStrategy::kProbabilistic;
-      options.sample_fraction = fraction;
-      auto framework =
-          EvaluationFramework::Build(&dataset, options).ValueOrDie();
+      auto framework = bench::BuildFramework(
+          dataset, SamplingStrategy::kProbabilistic, fraction);
       double estimate;
       if (weighted) {
         estimate =
@@ -99,12 +95,9 @@ void ThresholdAblation(const Dataset& dataset, const FilterIndex& filter,
     if (optimized) {
       sets = BuildStaticSets(scores, dataset);
     } else {
-      // Keep every nonzero-score entity (threshold -> 0).
-      StaticSetOptions options;
-      options.threshold_grid = 1;
-      sets = BuildStaticSets(scores, dataset, options);
-      for (auto& tau : sets.thresholds) tau = 0.0f;
-      sets = BuildProbabilisticSets(scores, dataset);  // Same support.
+      // Keep every nonzero-score entity: the probabilistic support,
+      // unweighted.
+      sets = BuildProbabilisticSets(scores, dataset);
       sets.weights.clear();
       sets.weights.resize(sets.sets.size());
     }
@@ -158,20 +151,17 @@ void NoiseAblation(const bench::BenchArgs& args) {
 }
 
 }  // namespace
-}  // namespace kgeval
 
-int main(int argc, char** argv) {
-  using namespace kgeval;
-  const bench::BenchArgs args = bench::ParseArgs(argc, argv);
+namespace bench {
+
+void RunAblations(const BenchArgs& args) {
   const std::string preset =
       args.only_dataset.empty() ? "codex-m" : args.only_dataset;
 
   const SynthOutput synth = bench::LoadPreset(preset, args);
   const Dataset& dataset = synth.dataset;
   const FilterIndex filter(dataset);
-  bench::TrainSpec spec;
-  spec.epochs = args.epochs > 0 ? args.epochs : (args.fast ? 3 : 12);
-  auto model = bench::TrainModel(dataset, spec);
+  auto model = bench::TrainModel(dataset, Epochs(args, 3, 12));
   const double truth =
       EvaluateFullRanking(*model, dataset, filter, Split::kTest).metrics.mrr;
   std::printf("dataset %s, ComplEx, true test MRR %.4f\n", preset.c_str(),
@@ -181,5 +171,7 @@ int main(int argc, char** argv) {
   WeightAblation(dataset, filter, *model, truth);
   ThresholdAblation(dataset, filter, *model, truth);
   NoiseAblation(args);
-  return 0;
 }
+
+}  // namespace bench
+}  // namespace kgeval

@@ -66,16 +66,16 @@ void WriteJson(const std::vector<Table9Row>& table9) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace kgeval;
-  const bench::BenchArgs args = bench::ParseArgs(argc, argv);
+namespace kgeval {
+namespace bench {
+
+void RunTable9(const BenchArgs& args) {
   std::printf("score kernels: %s\n", ActiveScoreKernelName());
-  std::vector<std::string> datasets = {"codex-s", "codex-m",  "codex-l",
-                                       "fb15k",   "fb15k237", "yago310",
-                                       "wikikg2"};
-  if (args.fast) datasets = {"codex-s", "codex-m"};
-  // An explicit --dataset always wins, including over --fast's list.
-  if (!args.only_dataset.empty()) datasets = {args.only_dataset};
+  const std::vector<std::string> datasets =
+      Datasets(args,
+               {"codex-s", "codex-m", "codex-l", "fb15k", "fb15k237",
+                "yago310", "wikikg2"},
+               {"codex-s", "codex-m"});
   const int reps = args.fast ? 3 : 5;
 
   bench::PrintHeader("Table 9: average speed-up of evaluation (higher is "
@@ -87,10 +87,7 @@ int main(int argc, char** argv) {
     const SynthOutput synth = bench::LoadPreset(name, args);
     const Dataset& dataset = synth.dataset;
     const FilterIndex filter(dataset);
-    bench::TrainSpec spec;
-    spec.epochs = args.fast ? 2 : 4;
-    if (args.epochs > 0) spec.epochs = args.epochs;
-    auto model = bench::TrainModel(dataset, spec);
+    auto model = bench::TrainModel(dataset, Epochs(args, 2, 4));
 
     // Full evaluation timing baseline.
     std::vector<double> full_times;
@@ -105,13 +102,9 @@ int main(int argc, char** argv) {
     for (SamplingStrategy strategy :
          {SamplingStrategy::kRandom, SamplingStrategy::kProbabilistic,
           SamplingStrategy::kStatic}) {
-      FrameworkOptions options;
-      options.strategy = strategy;
-      options.recommender = RecommenderType::kLwd;
       // The paper's setting: 10% of entities (8% cap on wikikg2).
-      options.sample_fraction = name == "wikikg2" ? 0.08 : 0.1;
-      auto framework =
-          EvaluationFramework::Build(&dataset, options).ValueOrDie();
+      auto framework = BuildFramework(dataset, strategy,
+                                      name == "wikikg2" ? 0.08 : 0.1);
 
       std::vector<double> rank_speedups, kp_speedups;
       for (int rep = 0; rep < reps; ++rep) {
@@ -123,35 +116,24 @@ int main(int argc, char** argv) {
         KpOptions kp_options;
         kp_options.num_samples = 1500;
         kp_options.seed = 100 + rep;
-        SampledCandidates pools;
-        const SampledCandidates* pool_ptr = nullptr;
-        Rng rng(17 + rep);
-        if (strategy != SamplingStrategy::kRandom) {
-          pools = DrawCandidates(strategy, &framework->sets(),
-                                 dataset.num_entities(),
-                                 framework->SampleSize(),
-                                 NeededSlots(dataset, Split::kTest),
-                                 2 * dataset.num_relations(), &rng);
-          pool_ptr = &pools;
-        }
+        const std::optional<SampledCandidates> pools =
+            KpPools(*framework, Split::kTest, 17 + rep);
         WallTimer kp_timer;
-        ComputeKp(*model, dataset, Split::kTest, kp_options, pool_ptr);
+        ComputeKp(*model, dataset, Split::kTest, kp_options,
+                  pools ? &*pools : nullptr);
         kp_speedups.push_back(full_mean / kp_timer.Seconds());
       }
-      table9_rows.push_back({"KP", SamplingStrategyName(strategy), name,
-                             Mean(kp_speedups), StdDev(kp_speedups),
-                             full_mean});
-      table9_rows.push_back({"Ranking", SamplingStrategyName(strategy), name,
-                             Mean(rank_speedups), StdDev(rank_speedups),
-                             full_mean});
-      table.AddRow({"KP", SamplingStrategyName(strategy), name,
-                    StrFormat("%.1f +/- %.1f", Mean(kp_speedups),
-                              StdDev(kp_speedups)),
-                    bench::F(full_mean, 3)});
-      table.AddRow({"Ranking", SamplingStrategyName(strategy), name,
-                    StrFormat("%.1f +/- %.1f", Mean(rank_speedups),
-                              StdDev(rank_speedups)),
-                    bench::F(full_mean, 3)});
+      for (const auto& [method, speedups] :
+           {std::pair{"KP", &kp_speedups},
+            std::pair{"Ranking", &rank_speedups}}) {
+        const Table9Row row = {method, SamplingStrategyName(strategy), name,
+                               Mean(*speedups), StdDev(*speedups), full_mean};
+        table9_rows.push_back(row);
+        table.AddRow({row.method, row.sampling, row.dataset,
+                      StrFormat("%.1f +/- %.1f", row.speedup_mean,
+                                row.speedup_std),
+                      bench::F(full_mean, 3)});
+      }
     }
   }
   std::printf("%s", table.ToString().c_str());
@@ -160,5 +142,7 @@ int main(int argc, char** argv) {
       "the full evaluation is already fast, growing to two orders of "
       "magnitude on wikikg2");
   if (args.json) WriteJson(table9_rows);
-  return 0;
 }
+
+}  // namespace bench
+}  // namespace kgeval

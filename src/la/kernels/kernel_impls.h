@@ -15,10 +15,8 @@ namespace kernel_impls {
 
 const ScoreKernels* Avx2Kernels();    // x86-64, 8-lane AVX2.
 const ScoreKernels* Avx512Kernels();  // x86-64, 16-lane AVX-512F.
-const ScoreKernels* NeonKernels();    // aarch64, 4-lane NEON.
 
-/// True when the running CPU can execute the named table. Tables that are
-/// baseline for their architecture (NEON on aarch64) always return true.
+/// True when the running CPU can execute the named table.
 bool Avx2Supported();
 bool Avx512Supported();
 

@@ -32,7 +32,6 @@ std::string JoinNames(const std::vector<std::string>& names) {
 const Registered kRegistry[] = {
     {kernel_impls::Avx512Kernels(), kernel_impls::Avx512Supported},
     {kernel_impls::Avx2Kernels(), kernel_impls::Avx2Supported},
-    {kernel_impls::NeonKernels(), AlwaysSupported},
     {&ScalarScoreKernels(), AlwaysSupported},
 };
 

@@ -37,7 +37,7 @@ void GatherRowsT(const Matrix& src, const int32_t* ids, size_t n,
 }
 
 // The batch kernels dispatch to the active ScoreKernels table (la/kernels):
-// the scalar baseline or a hand-written AVX2/AVX-512/NEON path, all
+// the scalar baseline or a hand-written AVX2/AVX-512 path, all
 // bit-identical per cell (see kernels.h for the lane-order contract these
 // wrappers' callers rely on).
 

@@ -1,12 +1,10 @@
-# Runs a bench binary on malformed shared flags and requires each run to
-# print the usage and exit 2 before it does any work.
+# Runs kgeval_reproduce on malformed flags and selectors and requires each
+# run to print the usage and exit 2 before it does any work.
 #
-#   cmake -DBENCH=<path to a bench binary> -P bench_flags_test.cmake
-#
-# Any bench works: every one parses its flags through bench::ParseArgs.
+#   cmake -DBENCH=<path to kgeval_reproduce> -P bench_flags_test.cmake
 
 if(NOT BENCH)
-  message(FATAL_ERROR "pass -DBENCH=<path to a bench binary>")
+  message(FATAL_ERROR "pass -DBENCH=<path to kgeval_reproduce>")
 endif()
 
 set(bad_flags
@@ -16,10 +14,11 @@ set(bad_flags
     --half-width=nan --half-width=-nan --half-width=inf --half-width=0
     --half-width=1 --half-width=-0.1 --half-width=1.5 --half-width=0.1x
     --half-width= --half-width=1e400
+    --only= --only=table10 --only=fig3a,,fig3b
     --no-such-flag)
 
 foreach(flag IN LISTS bad_flags)
-  execute_process(COMMAND ${BENCH} --dataset=codex-s ${flag}
+  execute_process(COMMAND ${BENCH} --only=table4 --dataset=codex-s ${flag}
                   RESULT_VARIABLE code
                   OUTPUT_VARIABLE out
                   ERROR_VARIABLE err
@@ -30,9 +29,9 @@ foreach(flag IN LISTS bad_flags)
   endif()
 endforeach()
 
-# Well-formed values pass the parser and the bench runs to completion.
-execute_process(COMMAND ${BENCH} --dataset=codex-s --threads=2 --epochs=3
-                        --half-width=0.05
+# Well-formed values pass the parser and the target runs to completion.
+execute_process(COMMAND ${BENCH} --only=table4 --dataset=codex-s --threads=2
+                        --epochs=3 --half-width=0.05
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err

@@ -177,7 +177,7 @@ TEST(RawKernelParityTest, ExactKernelsMatchScalarOnEveryShape) {
   const ScoreKernels& scalar = ScalarScoreKernels();
   const float kEps = 1e-3f;
   Rng rng(2024);
-  for (size_t nq : {1, 3, 4, 5, 16, 17}) {
+  for (size_t nq : {1, 2, 3, 4, 5, 6, 16, 17}) {
     for (size_t n : {1, 15, 16, 17, 31, 33, 63, 64, 65, 511, 512, 513,
                      1100}) {
       for (size_t dim : {1, 2, 3, 64}) {

@@ -49,7 +49,7 @@ void Usage(const char* argv0) {
                "  --max-queued=N    executor backlog before ERR busy "
                "(default 256, 0 = unlimited)\n"
                "  --kernels=NAME    force a score-kernel implementation "
-               "(scalar|avx2|avx512|neon|auto;\n"
+               "(scalar|avx2|avx512|auto;\n"
                "                    default: auto-probe, or "
                "KGEVAL_KERNELS)\n"
                "Numeric values must be plain non-negative decimals in range "
