@@ -1,4 +1,4 @@
-// Ablations over the design choices DESIGN.md calls out (not tables from
+// Ablations over the reproduction's design choices (not tables from
 // the paper, but checks that the reproduction's conclusions are not
 // artifacts of a particular choice):
 //   1. Tie-breaking convention (mean / optimistic / pessimistic).

@@ -3,7 +3,7 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   ./build/quickstart
 
 #include <cstdio>
 
@@ -17,7 +17,8 @@
 int main() {
   using namespace kgeval;
 
-  // 1. A CoDEx-S-shaped synthetic KG (see DESIGN.md for the substitution).
+  // 1. A CoDEx-S-shaped synthetic KG (docs/ARCHITECTURE.md, "Data",
+  // describes the generator that stands in for the downloaded benchmarks).
   SynthConfig config = GetPreset("codex-s", PresetScale::kScaled).ValueOrDie();
   SynthOutput synth = GenerateDataset(config).ValueOrDie();
   const Dataset& dataset = synth.dataset;
@@ -35,7 +36,11 @@ int main() {
   TrainerOptions trainer_options;
   trainer_options.epochs = 10;
   Trainer trainer(&dataset, trainer_options);
-  trainer.Train(model.get()).ok();
+  const Status trained = trainer.Train(model.get());
+  if (!trained.ok()) {
+    std::fprintf(stderr, "training failed: %s\n", trained.ToString().c_str());
+    return 1;
+  }
 
   // 3. Exact filtered ranking (the expensive O(|E|^2) baseline)...
   FilterIndex filter(dataset);

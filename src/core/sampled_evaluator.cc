@@ -72,57 +72,20 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
     // mid-evaluation.
     if (options.cancel != nullptr && options.cancel->cancelled()) break;
     const SlotBlock& block = blocks[b];
-    const bool tail_dir = block.direction == QueryDirection::kTail;
-    const int32_t slot = block.pool_slot;
-    const std::vector<int32_t>& pool = candidates.pools[slot];
-    const size_t n = pool.size();
-    const size_t qb = block.end - block.begin;
-    // Protocol blocks are kernel-homogeneous (same relation and, for
-    // temporal groups, same timestamp), so any block triple yields the
-    // block's kernel relation id — the plain relation for static models,
-    // the virtual (relation, time) id for time-aware ones.
-    const int32_t kernel_relation =
-        model.KernelRelation(triples[(*block.triple_idx)[block.begin]]);
-    if (scratch->truths.size() < qb) {
-      scratch->anchors.resize(qb);
-      scratch->truths.resize(qb);
-      scratch->truth_rows.resize(qb);
-      scratch->truth_scores.resize(qb);
-    }
-    const size_t rows =
-        BlockRows(triples, block, scratch->anchors.data(),
-                  scratch->truths.data(), scratch->truth_rows.data());
-    if (scratch->scores.size() < rows * n) scratch->scores.resize(rows * n);
-    if (slot != scratch->pool_slot) {
+    const std::vector<int32_t>& pool = candidates.pools[block.pool_slot];
+    if (block.pool_slot != scratch->pool_slot) {
       // Slot-contiguous schedules keep a slot's blocks adjacent, so the
-      // pool's prepared tile and take-back index are built at the slot's
-      // first block and reused by every following block of the same slot
-      // (the gather stays hot in cache for the scoring call right after).
-      model.PrepareCandidates(pool.data(), n, &scratch->prepared);
-      scratch->pool_index.Build(pool.data(), n);
-      scratch->pool_slot = slot;
+      // pool is prepared at the slot's first block and reused by every
+      // following block of the same slot (the gather stays hot in cache
+      // for the scoring call right after). The pool is strictly increasing
+      // (ValidateQueriedPools), as the PoolIndex take-back requires.
+      scratch->pool.Prepare(model, pool.data(), pool.size(), kPoolTile);
+      scratch->pool_slot = block.pool_slot;
     }
-    // Fused kernel: one query construction per distinct anchor serves the
-    // pool matrix and the truth scores of every query of that anchor.
-    model.ScoreBlock(scratch->anchors.data(), scratch->truths.data(), rows,
-                     kernel_relation, block.direction, scratch->prepared,
-                     scratch->scores.data(), scratch->truth_scores.data(),
-                     scratch->truth_rows.data(), qb);
-    scored += static_cast<int64_t>(qb) * (n + 1);
-    for (size_t q = 0; q < qb; ++q) {
-      const int32_t i = (*block.triple_idx)[block.begin + q];
-      const std::vector<int32_t>* answers =
-          protocol.Answers(triples[i], block.direction);
-      KGEVAL_CHECK(answers != nullptr);
-      // Take-back by direct index: the pool is strictly increasing
-      // (ValidateQueriedPools), as IndexedFilteredRank requires.
-      ranks[static_cast<size_t>(i) * 2 + (tail_dir ? 0 : 1)] =
-          IndexedFilteredRank(
-              scratch->scores.data() +
-                  static_cast<size_t>(scratch->truth_rows[q]) * n,
-              n, scratch->truth_scores[q], *answers, scratch->pool_index,
-              options.tie);
-    }
+    RankSlotBlock(model, triples, protocol, block, scratch->pool,
+                  options.tie, &scratch->rank, ranks);
+    scored += static_cast<int64_t>(block.end - block.begin) *
+              static_cast<int64_t>(pool.size() + 1);
   }
   return scored;
 }

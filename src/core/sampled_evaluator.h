@@ -14,9 +14,9 @@ namespace kgeval {
 
 /// Distinct anchors scored per fused kernel call by the slot-major
 /// evaluators (a block's queries that repeat an anchor share its row, so
-/// a block may hold more queries than this). Bounds the rows x |pool|
-/// score block (256 x n_s floats); the pool gather
-/// itself happens once per slot, not per block. Smaller blocks are not
+/// a block may hold more queries than this). Bounds the score block (256 x
+/// min(n_s, kPoolTile) floats); the pool gather itself happens once per
+/// slot, not per block. Smaller blocks are not
 /// free: each kernel call streams the whole prepared tile (~440 KB at
 /// n_s = 1705, dim 64), so fewer queries per call re-read it more often.
 /// Cutting 256 to 16 made the paper-scale codex-m estimate slower, 281 ->
@@ -53,37 +53,24 @@ struct SampledEvalResult {
   bool cancelled = false;
 };
 
-/// Per-thread scratch for ScoreSlotBlocks. Buffers grow on demand (the
-/// score block never beyond block-anchors x the largest pool among the
-/// slots actually scored through this scratch), and the per-slot state —
-/// the pool's take-back index and its prepared candidate tile — carries
-/// across consecutive blocks, and calls, of the same slot, so
-/// slot-contiguous schedules build it once per pool.
+/// Per-thread scratch for ScoreSlotBlocks. The prepared pool carries across
+/// consecutive blocks, and calls, of the same slot, so slot-contiguous
+/// schedules prepare each pool once.
 struct SlotBlockScratch {
-  std::vector<int32_t> anchors;              // Distinct anchors of a block.
-  std::vector<int32_t> truths, truth_rows;   // Per query: truth, its row.
-  std::vector<float> scores, truth_scores;
-  CandidateBlock prepared;
-  PoolIndex pool_index;
-  int32_t pool_slot = -1;  // Slot that `prepared` and `pool_index` describe.
+  BlockRankScratch rank;
+  PreparedPool pool;
+  int32_t pool_slot = -1;  // Slot that `pool` describes.
 };
 
-/// The shared incremental core of the sampled evaluators: scores blocks
+/// The shared incremental core of the sampled evaluators: ranks blocks
 /// [begin, end) of a protocol's slot-contiguous schedule against
-/// `candidates` and writes each query's filtered rank into
-/// `ranks[2 * triple_index + (tail ? 0 : 1)]`. The protocol supplies the
-/// filtered answer sets; the kernel relation id of each block is derived
-/// from one of its triples via KgeModel::KernelRelation, so time-aware
-/// models score with their virtual relation ids while static models see
-/// the plain relation. Each distinct anchor of a block is scored against
-/// the pool once; every query of that anchor then ranks its own truth
-/// score against the shared row with its own answer set. Thread-safe
-/// across disjoint block ranges (each thread brings its own scratch; rank
-/// slots are disjoint). Returns the evaluated queries' pool sizes + 1
-/// summed (the scalar oracle's scored candidates), not the kernel rows
-/// computed: the served `scored=` field and the adaptive candidate budget
-/// read it. Ranks are bit-identical regardless of how the schedule is cut
-/// into ranges or threads.
+/// `candidates` through RankSlotBlock, preparing a slot's pool in
+/// kPoolTile-wide tiles when the slot changes. Thread-safe across disjoint
+/// block ranges (each thread brings its own scratch). Returns the evaluated
+/// queries' pool sizes + 1 summed (the scalar oracle's scored candidates),
+/// not the kernel rows computed: the served `scored=` field and the
+/// adaptive candidate budget read it. Ranks are bit-identical regardless
+/// of how the schedule is cut into ranges or threads.
 int64_t ScoreSlotBlocks(const KgeModel& model,
                         const std::vector<Triple>& triples,
                         const EvalProtocol& protocol,
@@ -113,14 +100,10 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
 /// uniform Random pools are optimistic and recommender-guided pools are not
 /// (Section 4).
 /// The hot path is slot-major: queries are grouped by (relation, direction)
-/// so each group ranks against one shared pool. Each slot's pool is
-/// prepared (gathered + transposed) once, at its first query block, and
-/// reused by the rest of the slot's blocks; every block is scored through
-/// the fused ScoreBlock kernel — one query construction per distinct
-/// anchor emitting pool and truth scores together, so duplicate queries
-/// share a row — parallelized over slot-aligned chunks
-/// of blocks so parallelism never splits a slot across chunks that would
-/// each re-prepare its pool.
+/// so each group ranks against one shared pool, prepared once per slot and
+/// ranked through ScoreSlotBlocks over slot-aligned chunks of blocks, so
+/// parallelism never splits a slot across chunks that would each
+/// re-prepare its pool.
 SampledEvalResult EvaluateSampled(const KgeModel& model,
                                   const Dataset& dataset,
                                   const EvalProtocol& protocol, Split split,

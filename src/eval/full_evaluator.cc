@@ -8,7 +8,15 @@
 #include "util/logging.h"
 
 namespace kgeval {
+namespace {
 
+/// Branch-free higher/tied counts of `row[0, n)` against a truth score
+/// (n < 2^31). The loop has no data-dependent branch, so the compiler
+/// vectorizes it.
+struct RowCounts {
+  int64_t higher = 0;
+  int64_t tied = 0;
+};
 RowCounts CountHigherTied(const float* row, size_t n, float truth_score) {
   // 32-bit accumulators: twice the lanes of int64 per vector register.
   int32_t h = 0, t = 0;
@@ -18,6 +26,12 @@ RowCounts CountHigherTied(const float* row, size_t n, float truth_score) {
   }
   return {h, t};
 }
+
+/// Distinct anchors per full-ranking block (queries that repeat an anchor
+/// share its row, so a block may hold more queries).
+constexpr size_t kQueryBlock = 16;
+
+}  // namespace
 
 void PoolIndex::Build(const int32_t* ids, size_t n) {
   const size_t words = n == 0 ? 0 : static_cast<size_t>(ids[n - 1]) / 64 + 1;
@@ -36,18 +50,88 @@ void PoolIndex::Build(const int32_t* ids, size_t n) {
   }
 }
 
-double IndexedFilteredRank(const float* row, size_t n, float truth_score,
+void PreparedPool::Prepare(const KgeModel& model, const int32_t* ids,
+                           size_t n, size_t tile) {
+  index.Build(ids, n);
+  tile_size = tile;
+  tiles.resize((n + tile - 1) / tile);
+  for (size_t t = 0; t < tiles.size(); ++t) {
+    const size_t lo = t * tile;
+    model.PrepareCandidates(ids + lo, std::min(n, lo + tile) - lo, &tiles[t]);
+  }
+}
+
+void AddFilteredTileCounts(const float* row, size_t lo, size_t n,
+                           float truth_score,
                            const std::vector<int32_t>& answers,
-                           const PoolIndex& index, TieBreak tie) {
-  RowCounts counts = CountHigherTied(row, n, truth_score);
+                           const PoolIndex& index, int64_t* higher,
+                           int64_t* tied) {
+  const RowCounts counts = CountHigherTied(row, n, truth_score);
+  *higher += counts.higher;
+  *tied += counts.tied;
   for (size_t a = 0; a < answers.size(); ++a) {
     if (a > 0 && answers[a] == answers[a - 1]) continue;  // Deduplicate.
-    const int32_t pos = index.Find(answers[a]);
-    if (pos < 0) continue;
-    counts.higher -= row[pos] > truth_score;
-    counts.tied -= row[pos] == truth_score;
+    // An absent answer (-1) wraps to SIZE_MAX, outside every tile.
+    const size_t offset = static_cast<size_t>(index.Find(answers[a])) - lo;
+    if (offset >= n) continue;
+    *higher -= row[offset] > truth_score;
+    *tied -= row[offset] == truth_score;
   }
-  return RankFromCounts(counts.higher, counts.tied, tie);
+}
+
+void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
+                   const EvalProtocol& protocol, const SlotBlock& block,
+                   const PreparedPool& pool, TieBreak tie,
+                   BlockRankScratch* scratch, double* ranks) {
+  const size_t qb = block.end - block.begin;
+  const int32_t* idx = block.triple_idx->data() + block.begin;
+  // Protocol blocks are kernel-homogeneous (same relation and, for
+  // temporal groups, same timestamp), so any block triple yields the
+  // block's kernel relation id — the plain relation for static models, the
+  // virtual (relation, time) id for time-aware ones.
+  const int32_t kernel_relation = model.KernelRelation(triples[idx[0]]);
+  BlockRankScratch& s = *scratch;
+  if (s.truths.size() < qb) {
+    s.anchors.resize(qb);
+    s.truths.resize(qb);
+    s.truth_rows.resize(qb);
+    s.truth_scores.resize(qb);
+    s.answers.resize(qb);
+    s.higher.resize(qb);
+    s.tied.resize(qb);
+  }
+  const size_t rows = BlockRows(triples, block, s.anchors.data(),
+                                s.truths.data(), s.truth_rows.data());
+  if (!pool.tiles.empty() && s.scores.size() < rows * pool.tiles[0].size()) {
+    s.scores.resize(rows * pool.tiles[0].size());
+  }
+  for (size_t q = 0; q < qb; ++q) {
+    s.answers[q] = protocol.Answers(triples[idx[q]], block.direction);
+    KGEVAL_CHECK(s.answers[q] != nullptr);
+    s.higher[q] = 0;
+    s.tied[q] = 0;
+  }
+  for (size_t t = 0; t < pool.tiles.size(); ++t) {
+    const CandidateBlock& tile = pool.tiles[t];
+    const size_t n = tile.size();
+    // The first tile's fused call also emits the truth scores: one query
+    // construction per distinct anchor serves both.
+    model.ScoreBlock(s.anchors.data(), t == 0 ? s.truths.data() : nullptr,
+                     rows, kernel_relation, block.direction, tile,
+                     s.scores.data(), t == 0 ? s.truth_scores.data() : nullptr,
+                     s.truth_rows.data(), qb);
+    for (size_t q = 0; q < qb; ++q) {
+      AddFilteredTileCounts(
+          s.scores.data() + static_cast<size_t>(s.truth_rows[q]) * n,
+          t * pool.tile_size, n, s.truth_scores[q], *s.answers[q],
+          pool.index, &s.higher[q], &s.tied[q]);
+    }
+  }
+  const bool tail_dir = block.direction == QueryDirection::kTail;
+  for (size_t q = 0; q < qb; ++q) {
+    ranks[static_cast<size_t>(idx[q]) * 2 + (tail_dir ? 0 : 1)] =
+        RankFromCounts(s.higher[q], s.tied[q], tie);
+  }
 }
 
 double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
@@ -97,19 +181,6 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
   return RankFromCounts(higher, tied, tie);
 }
 
-namespace {
-
-/// Distinct anchors per batched kernel call (queries that repeat an
-/// anchor share its row, so a block may hold more queries). One score
-/// block is kQueryBlock x min(entity_tile, num_entities) floats: 1.1 MB on
-/// codex-m's 17 050 entities, 2 MB at most with the default tile. The tile
-/// is deliberately large: per-anchor work that happens once per kernel
-/// call (TuckER's core contraction, ConvE's conv/FC trunk) repeats once
-/// per tile, so small tiles would multiply it.
-constexpr size_t kQueryBlock = 16;
-
-}  // namespace
-
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
                                    const EvalProtocol& protocol, Split split,
@@ -119,131 +190,29 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   if (options.max_triples > 0) {
     num_triples = std::min(num_triples, options.max_triples);
   }
-  const int32_t num_entities = dataset.num_entities();
-
   FullEvalResult result;
   result.ranks.assign(static_cast<size_t>(num_triples) * 2, 0.0);
 
-  // Slot-major order, sharing the fused ScoreBlock kernel with the sampled
-  // evaluator: queries are grouped by the protocol and the entity range
-  // acts as the shared candidate pool, swept in cache-sized tiles. Each
-  // distinct anchor of a block is scored once; its queries share the row.
-  std::vector<int32_t> all_entities(num_entities);
+  // Full ranking is sampled ranking with every entity in every slot's pool:
+  // the entity range is prepared once, in tiles, and every slot block ranks
+  // against it through the shared block ranker, in slot-aligned chunks on
+  // this pass's own TaskGroup.
+  std::vector<int32_t> all_entities(dataset.num_entities());
   std::iota(all_entities.begin(), all_entities.end(), 0);
+  PreparedPool pool;
+  pool.Prepare(model, all_entities.data(), all_entities.size(),
+               std::max<size_t>(1, options.entity_tile));
   const EvalSchedule schedule =
       protocol.BuildSchedule(triples, num_triples, kQueryBlock);
-  const std::vector<SlotBlock>& blocks = schedule.blocks;
-
-  // Prepare every entity tile once per evaluation; each slot block then
-  // sweeps the prepared tiles instead of re-gathering/transposing the same
-  // entity rows per block. One TaskGroup task per tile: the prepare is pure per-tile work, and a
-  // concurrent evaluation interleaves its own tiles on the shared workers
-  // instead of waiting on this pass's prepare barrier.
-  const size_t tile_size = std::max<size_t>(1, options.entity_tile);
-  const size_t num_tiles =
-      (static_cast<size_t>(num_entities) + tile_size - 1) / tile_size;
-  std::vector<CandidateBlock> tiles(num_tiles);
-  TaskGroup prepare_group;
-  for (size_t t = 0; t < num_tiles; ++t) {
-    prepare_group.Submit([&, t] {
-      const size_t e0 = t * tile_size;
-      const size_t e1 =
-          std::min(static_cast<size_t>(num_entities), e0 + tile_size);
-      model.PrepareCandidates(all_entities.data() + e0, e1 - e0, &tiles[t]);
-    });
-  }
-  prepare_group.Wait();
-
-  // Slot-aligned chunks on an explicit TaskGroup, like the sampled
-  // evaluator: the pass waits only on its own chunks, and chunk boundaries
-  // coincide with slot boundaries so per-chunk query state never straddles
-  // a kernel-relation change.
   TaskGroup group;
-  SubmitSlotChunks(&group, blocks, [&](size_t block_lo, size_t block_hi) {
-    // Per-row buffers hold kQueryBlock rows; per-query ones grow with the
-    // largest block of the chunk.
-    std::vector<int32_t> anchors(kQueryBlock);
-    std::vector<float> scores(
-        kQueryBlock *
-        std::min(tile_size, static_cast<size_t>(num_entities)));
-    std::vector<int32_t> truths, truth_rows;
-    std::vector<float> truth_scores;
-    std::vector<const std::vector<int32_t>*> answers;
-    std::vector<int64_t> higher, tied;
-    std::vector<size_t> cursor;
-    for (size_t b = block_lo; b < block_hi; ++b) {
-      const SlotBlock& block = blocks[b];
-      const bool tail_dir = block.direction == QueryDirection::kTail;
-      const size_t qb = block.end - block.begin;
-      const int32_t kernel_relation = model.KernelRelation(
-          triples[(*block.triple_idx)[block.begin]]);
-      if (truths.size() < qb) {
-        truths.resize(qb);
-        truth_rows.resize(qb);
-        truth_scores.resize(qb);
-        answers.resize(qb);
-        higher.resize(qb);
-        tied.resize(qb);
-        cursor.resize(qb);
-      }
-      const size_t rows = BlockRows(triples, block, anchors.data(),
-                                    truths.data(), truth_rows.data());
-      for (size_t q = 0; q < qb; ++q) {
-        answers[q] = protocol.Answers(
-            triples[(*block.triple_idx)[block.begin + q]], block.direction);
-        KGEVAL_CHECK(answers[q] != nullptr);
-        higher[q] = 0;
-        tied[q] = 0;
-        cursor[q] = 0;
-      }
-      for (size_t ti = 0; ti < num_tiles; ++ti) {
-        const int32_t e0 = static_cast<int32_t>(ti * tile_size);
-        const int32_t e1 = std::min(
-            num_entities, e0 + static_cast<int32_t>(tile_size));
-        const size_t tile = static_cast<size_t>(e1 - e0);
-        // The first tile's fused call also emits the truth scores, so
-        // the block runs one query construction fewer than a separate
-        // ScorePairs pass would.
-        model.ScoreBlock(
-            anchors.data(), ti == 0 ? truths.data() : nullptr, rows,
-            kernel_relation, block.direction, tiles[ti], scores.data(),
-            ti == 0 ? truth_scores.data() : nullptr, truth_rows.data(), qb);
-        for (size_t q = 0; q < qb; ++q) {
-          const std::vector<int32_t>& ans = *answers[q];
-          const float truth_score = truth_scores[q];
-          const float* row =
-              scores.data() + static_cast<size_t>(truth_rows[q]) * tile;
-          // Count the whole row branch-free, then take back the filtered
-          // answers inside [e0, e1) by direct index, each distinct entity
-          // once. `ans` is sorted and includes the truth (EvalProtocol
-          // contract), so the counts equal a walk that skips every
-          // filtered entity.
-          RowCounts counts = CountHigherTied(row, tile, truth_score);
-          // Tiles run in entity order, so the answer cursor carried over
-          // from the previous tile already sits at the first answer >= e0.
-          size_t cur = cursor[q];
-          for (; cur < ans.size() && ans[cur] < e1; ++cur) {
-            if (cur > 0 && ans[cur] == ans[cur - 1]) continue;
-            const float s = row[ans[cur] - e0];
-            counts.higher -= s > truth_score;
-            counts.tied -= s == truth_score;
-          }
-          cursor[q] = cur;
-          higher[q] += counts.higher;
-          tied[q] += counts.tied;
-        }
-      }
-      for (size_t q = 0; q < qb; ++q) {
-        const double rank =
-            RankFromCounts(higher[q], tied[q], options.tie);
-        const size_t i =
-            static_cast<size_t>((*block.triple_idx)[block.begin + q]);
-        result.ranks[i * 2 + (tail_dir ? 0 : 1)] = rank;
-      }
+  SubmitSlotChunks(&group, schedule.blocks, [&](size_t lo, size_t hi) {
+    BlockRankScratch scratch;
+    for (size_t b = lo; b < hi; ++b) {
+      RankSlotBlock(model, triples, protocol, schedule.blocks[b], pool,
+                    options.tie, &scratch, result.ranks.data());
     }
   });
   group.Wait();
-
   result.metrics = RankingMetrics::FromRanks(result.ranks);
   return result;
 }

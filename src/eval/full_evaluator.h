@@ -12,6 +12,14 @@
 
 namespace kgeval {
 
+/// Pool positions per prepared tile. One kernel call scores a block's
+/// distinct anchors against one tile, so a score block holds anchors x
+/// min(pool size, tile) floats: 2 MB for a 16-anchor full-ranking block,
+/// 32 MB at most for a 256-anchor sampled block. Large on purpose:
+/// per-anchor work that happens once per kernel call (TuckER's core
+/// contraction, ConvE's conv/FC trunk) repeats once per tile.
+constexpr size_t kPoolTile = 32768;
+
 /// Options for the exhaustive filtered-ranking evaluation (the O(|E|^2)
 /// procedure whose cost the paper's framework avoids).
 struct FullEvalOptions {
@@ -19,12 +27,11 @@ struct FullEvalOptions {
   /// Cap on evaluated triples (0 = all). Deterministic prefix of the split;
   /// used by benches to bound the cost of the ground-truth computation.
   int64_t max_triples = 0;
-  /// Entities per candidate tile. Each tile is prepared (gathered +
-  /// transposed) once per evaluation and reused by every slot block; one
-  /// score block is 16 distinct anchors x entity_tile floats. Small values
-  /// force multi-tile sweeps (used by tests); ranks are identical for any
-  /// tile size.
-  size_t entity_tile = 32768;
+  /// Entities per candidate tile (see PreparedPool). Each tile is prepared
+  /// (gathered + transposed) once per evaluation and reused by every slot
+  /// block. Small values force multi-tile sweeps (used by tests); ranks are
+  /// identical for any tile size.
+  size_t entity_tile = kPoolTile;
 };
 
 /// Result of a full evaluation: aggregated metrics plus per-query ranks
@@ -51,17 +58,6 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
                                    const FilterIndex& filter, Split split,
                                    const FullEvalOptions& options = {});
-
-/// Branch-free higher/tied counts of one score row against a truth score:
-/// how many of `row[0, n)` are strictly greater than, and exactly equal to,
-/// `truth_score` (n < 2^31). The loop has no data-dependent branch, so the
-/// compiler vectorizes it; every ranker counts rows through it, then takes
-/// back the filtered entries.
-struct RowCounts {
-  int64_t higher = 0;
-  int64_t tied = 0;
-};
-RowCounts CountHigherTied(const float* row, size_t n, float truth_score);
 
 /// O(1) position lookup in a sorted, deduplicated entity pool: a membership
 /// bitmap over entity ids (one word per 64 ids, up to the pool's largest id)
@@ -91,28 +87,70 @@ class PoolIndex {
   std::vector<int32_t> rank_;  // Set bits in bits_[0, w).
 };
 
-/// The sampled hot path's filtered ranker. `row[0, n)` scores the pool that
-/// `index` was built from (row[i] belongs to the pool's i-th entity) and
-/// `answers` is the query's sorted filtered-answer list, which must contain
-/// the truth (the EvalProtocol contract). Counts the row with
-/// CountHigherTied, then takes back each distinct answer found in the pool
-/// by one PoolIndex lookup — the counts, and so the rank, equal
-/// FilteredRank's over the same strictly increasing pool.
-double IndexedFilteredRank(const float* row, size_t n, float truth_score,
+/// A candidate pool ready for RankSlotBlock: consecutive position tiles,
+/// each prepared once with KgeModel::PrepareCandidates, plus one PoolIndex
+/// over the whole pool for the filtered take-back. Full ranking prepares
+/// the entity range once (position == entity id); the sampled evaluators
+/// prepare each slot's pool when the slot changes.
+struct PreparedPool {
+  size_t tile_size = 0;
+  std::vector<CandidateBlock> tiles;  // Tile t starts at t * tile_size.
+  PoolIndex index;
+
+  /// Prepares `ids[0, n)`, strictly increasing, in tiles of `tile_size`.
+  void Prepare(const KgeModel& model, const int32_t* ids, size_t n,
+               size_t tile_size);
+};
+
+/// Adds one pool tile's filtered counts for a query to `*higher` and
+/// `*tied`. `row[0, n)` scores pool positions [lo, lo + n) of the pool that
+/// `index` was built from, and `answers` is the query's sorted
+/// filtered-answer list, which must contain the truth (the EvalProtocol
+/// contract). The row is counted branch-free (entries strictly above, and
+/// equal to, `truth_score`); then each distinct answer whose pool position
+/// falls in the tile is taken back once. Summed over a pool's tiles, the
+/// counts equal FilteredRank's over the same strictly increasing pool.
+void AddFilteredTileCounts(const float* row, size_t lo, size_t n,
+                           float truth_score,
                            const std::vector<int32_t>& answers,
-                           const PoolIndex& index, TieBreak tie);
+                           const PoolIndex& index, int64_t* higher,
+                           int64_t* tied);
+
+/// Per-thread buffers of RankSlotBlock; they grow to the largest block and
+/// tile ranked through them.
+struct BlockRankScratch {
+  std::vector<int32_t> anchors;             // Distinct anchors of a block.
+  std::vector<int32_t> truths, truth_rows;  // Per query: truth, its row.
+  std::vector<float> scores, truth_scores;
+  std::vector<const std::vector<int32_t>*> answers;
+  std::vector<int64_t> higher, tied;
+};
+
+/// The one block ranker of the full, sampled and adaptive evaluators: ranks
+/// every query of `block` against `pool` and writes its filtered rank into
+/// `ranks[2 * triple_index + (tail ? 0 : 1)]`. Each distinct anchor is
+/// scored once per tile by KgeModel::ScoreBlock (the first tile's fused
+/// call also emits the truth scores), with the kernel relation derived
+/// from a block triple through KgeModel::KernelRelation. Each query sums
+/// AddFilteredTileCounts over the tiles with its own truth score and the
+/// protocol's answer set. Thread-safe across blocks with disjoint queries,
+/// each thread bringing its own scratch.
+void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
+                   const EvalProtocol& protocol, const SlotBlock& block,
+                   const PreparedPool& pool, TieBreak tie,
+                   BlockRankScratch* scratch, double* ranks);
 
 /// Reference filtered ranker: the rank of the true answer within a scored
 /// candidate array, with the filtered candidates removed. `answers` is the
 /// sorted list of known true answers for the query (must contain `truth`).
 /// `scores[i]` corresponds to `candidates[i]`; candidates may contain
 /// duplicates of `truth` (skipped). With `candidates_sorted` (the array is
-/// non-decreasing) it counts the row with CountHigherTied and takes back
-/// each distinct answer's range by binary search; otherwise it walks every
-/// candidate and skips the filtered ones. The sampled hot path calls
-/// IndexedFilteredRank instead, so this is the independent implementation
-/// that EvaluateSampledScalar, the tests and the benchmark's layer ladder
-/// check that path against.
+/// non-decreasing) it counts the row branch-free and takes back each
+/// distinct answer's range by binary search; otherwise it walks every
+/// candidate and skips the filtered ones. The hot path ranks through
+/// RankSlotBlock instead, so this is the independent implementation that
+/// EvaluateSampledScalar, the tests and the benchmark's layer ladder check
+/// that path against.
 double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
                     int32_t truth, float truth_score,
                     const std::vector<int32_t>& answers, TieBreak tie,

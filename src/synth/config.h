@@ -10,7 +10,8 @@
 namespace kgeval {
 
 /// Parameters of the typed synthetic KG generator. The generator substitutes
-/// for the paper's downloaded benchmarks (see DESIGN.md): entities carry
+/// for the paper's downloaded benchmarks (see the "Data" section of
+/// docs/ARCHITECTURE.md): entities carry
 /// types, relations have typed domain/range signatures plus a cardinality
 /// class, entity usage is Zipf-distributed, and a small noise rate creates
 /// type-violating triples (the "false easy negatives" of Table 10).

@@ -160,10 +160,12 @@ TEST(PoolIndexDeathTest, RejectsUnsortedOrDuplicatedIds) {
   EXPECT_DEATH(index.Build(duplicate, 3), "strictly increasing");
 }
 
-// The indexed take-back must give the same rank as both reference rankers
-// on sorted, deduplicated pools: answers outside the pool, above its max
-// and repeated; the truth at the pool's ends; tied and signed-zero scores.
-TEST(IndexedFilteredRankTest, MatchesReferenceRankers) {
+// The indexed take-back, summed over the tiles a row is split into, must
+// give the same rank as both reference rankers on sorted, deduplicated
+// pools: answers outside the pool, above its max and repeated; the truth at
+// the pool's ends; tied and signed-zero scores; one tile, one-position
+// tiles and tiles that do not divide the pool.
+TEST(AddFilteredTileCountsTest, MatchesReferenceRankers) {
   std::mt19937 rng(20240201);
   const TieBreak ties[3] = {TieBreak::kMean, TieBreak::kOptimistic,
                             TieBreak::kPessimistic};
@@ -216,17 +218,23 @@ TEST(IndexedFilteredRankTest, MatchesReferenceRankers) {
     std::sort(answers.begin(), answers.end());
 
     index.Build(pool.data(), n);
-    for (TieBreak tie : ties) {
-      const double indexed = IndexedFilteredRank(
-          scores.data(), n, truth_score, answers, index, tie);
-      EXPECT_EQ(indexed, FilteredRank(pool.data(), scores.data(), n, truth,
-                                      truth_score, answers, tie,
-                                      /*candidates_sorted=*/true))
-          << "trial " << trial;
-      EXPECT_EQ(indexed, FilteredRank(pool.data(), scores.data(), n, truth,
-                                      truth_score, answers, tie,
-                                      /*candidates_sorted=*/false))
-          << "trial " << trial;
+    for (size_t width : {n, size_t{1}, size_t{3}, 1 + rng() % n}) {
+      int64_t higher = 0, tied = 0;
+      for (size_t lo = 0; lo < n; lo += width) {
+        AddFilteredTileCounts(scores.data() + lo, lo, std::min(width, n - lo),
+                              truth_score, answers, index, &higher, &tied);
+      }
+      for (TieBreak tie : ties) {
+        const double indexed = RankFromCounts(higher, tied, tie);
+        EXPECT_EQ(indexed, FilteredRank(pool.data(), scores.data(), n, truth,
+                                        truth_score, answers, tie,
+                                        /*candidates_sorted=*/true))
+            << "trial " << trial << " tile width " << width;
+        EXPECT_EQ(indexed, FilteredRank(pool.data(), scores.data(), n, truth,
+                                        truth_score, answers, tie,
+                                        /*candidates_sorted=*/false))
+            << "trial " << trial << " tile width " << width;
+      }
     }
   }
 }

@@ -392,8 +392,8 @@ TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
   // walk for every kernel family: DistMult (dot), TransE (neg_l1), RESCAL
   // (dot through a relation matrix) and RotatE (complex distance). The
   // 100-entity tile is a width no kernel strip divides, and splits the 500
-  // entities into five tiles, so the per-tile answer take-back and the
-  // answer cursor carried across tiles are both exercised.
+  // entities into five tiles, so the answer take-back at each tile's
+  // offset is exercised.
   const Dataset dataset = SynthDataset();
   const FilterIndex filter(dataset);
   for (ModelType type : {ModelType::kDistMult, ModelType::kTransE,
@@ -461,6 +461,61 @@ TEST(SlotMajorEvaluatorTest, SmallEntityTilesMatchDefaultTile) {
     const FullEvalResult many_tiles =
         EvaluateFullRanking(*model, dataset, filter, Split::kTest, tiny);
     EXPECT_EQ(one_tile.ranks, many_tiles.ranks) << ModelTypeName(type);
+  }
+}
+
+TEST(SlotMajorEvaluatorTest, PoolsWiderThanOneTileMatchScalar) {
+  // Sampled pools wider than kPoolTile are ranked in several tiles, and
+  // gaps in the pools make a candidate's pool position differ from its
+  // entity id, so the take-back must map answers to positions through the
+  // pool index and check them against each tile's offset. Filtered answers
+  // sit in both tiles and in the gaps; some truths are not pooled at all.
+  constexpr int32_t kEntities = 40000;
+  constexpr int32_t kRelations = 3;
+  // Ids ending in 007 are left out of every pool.
+  const auto pooled = [](int32_t e, int32_t period) {
+    return e % period != 3 && e % 1000 != 7;
+  };
+  Rng rng(11);
+  std::vector<Triple> train, test;
+  for (int i = 0; i < 40; ++i) {
+    const auto draw = [&] {
+      return static_cast<int32_t>(rng.NextBounded(kEntities));
+    };
+    const int32_t h = i % 5 == 0 ? draw() / 1000 * 1000 + 7 : draw();
+    const int32_t r = static_cast<int32_t>(rng.NextBounded(kRelations));
+    const int32_t t = i % 5 == 1 ? draw() / 1000 * 1000 + 7 : draw();
+    test.push_back({h, r, t});
+    for (int32_t shift : {1, 97, 20000, 33000}) {
+      train.push_back({h, r, (t + shift) % kEntities});
+      train.push_back({(h + shift) % kEntities, r, t});
+    }
+  }
+  test.push_back(test.front());  // A repeated query shares its score row.
+  const Dataset dataset("wide", kEntities, kRelations, std::move(train), {},
+                        std::move(test), TypeStore());
+  const FilterIndex filter(dataset);
+  SampledCandidates pools;
+  pools.pools.resize(2 * kRelations);
+  for (size_t slot = 0; slot < pools.pools.size(); ++slot) {
+    const int32_t period = 89 + 2 * static_cast<int32_t>(slot);
+    for (int32_t e = 0; e < kEntities; ++e) {
+      if (pooled(e, period)) pools.pools[slot].push_back(e);
+    }
+    ASSERT_GT(pools.pools[slot].size(), kPoolTile);
+  }
+  ModelOptions options;
+  options.dim = 8;
+  options.seed = 5;
+  for (ModelType type : {ModelType::kDistMult, ModelType::kRotatE}) {
+    auto model = CreateModel(type, kEntities, kRelations, options)
+                     .ValueOrDie();
+    const SampledEvalResult batched =
+        EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
+    const SampledEvalResult scalar =
+        EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
+    EXPECT_EQ(batched.ranks, scalar.ranks) << ModelTypeName(type);
+    EXPECT_EQ(batched.scored_candidates, scalar.scored_candidates);
   }
 }
 
