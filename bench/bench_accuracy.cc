@@ -4,12 +4,14 @@
 
 #include <cstdio>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "core/framework.h"
 #include "eval/full_evaluator.h"
 #include "kp/kp_metric.h"
+#include "sched/task_group.h"
 #include "stats/correlation.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -81,14 +83,34 @@ void RunTable678(const BenchArgs& args) {
   }
   const int32_t epochs = Epochs(args, 4, 14);
 
-  std::vector<RunSeries> runs;
-  for (const DatasetPlan& plan : plans) {
-    const SynthOutput synth = bench::LoadPreset(plan.name, args);
-    const Dataset& dataset = synth.dataset;
-    const FilterIndex filter(dataset);
+  // Every dataset and filter is loaded before the jobs start; each job is
+  // one (dataset, model) training run.
+  std::vector<SynthOutput> synths;
+  std::vector<FilterIndex> filters;
+  std::vector<std::pair<size_t, ModelType>> jobs;
+  for (size_t p = 0; p < plans.size(); ++p) {
+    synths.push_back(bench::LoadPreset(plans[p].name, args));
+    filters.emplace_back(synths.back().dataset);
+    for (ModelType type : plans[p].models) jobs.emplace_back(p, type);
+  }
 
-    // One framework per strategy, shared across the models of the dataset
-    // (the framework is model-agnostic — that is the point).
+  // A job trains on its own thread and fans each epoch's evaluations out to
+  // the worker pool. Runs land in job order, so the tables keep their rows.
+  std::vector<RunSeries> runs(jobs.size());
+  RunJobsConcurrently(jobs.size(), [&](size_t j) {
+    const size_t p = jobs[j].first;
+    const ModelType type = jobs[j].second;
+    const Dataset& dataset = synths[p].dataset;
+    const FilterIndex& filter = filters[p];
+    std::fprintf(stderr, "[table6-8] %s / %s ...\n", plans[p].name.c_str(),
+                 ModelTypeName(type));
+    RunSeries& series = runs[j];
+    series.dataset = plans[p].name;
+    series.model = ModelTypeName(type);
+
+    // One framework per strategy. Each job builds its own: Estimate
+    // advances the framework's RNG, and fresh frameworks give every model
+    // the same per-epoch pools.
     std::map<SamplingStrategy, std::unique_ptr<EvaluationFramework>>
         frameworks;
     for (SamplingStrategy strategy : kStrategies) {
@@ -101,58 +123,49 @@ void RunTable678(const BenchArgs& args) {
           EvaluationFramework::Build(&dataset, options).ValueOrDie();
     }
 
-    for (ModelType type : plan.models) {
-      std::fprintf(stderr, "[table6-8] %s / %s ...\n", plan.name.c_str(),
-                   ModelTypeName(type));
-      RunSeries series;
-      series.dataset = plan.name;
-      series.model = ModelTypeName(type);
+    ModelOptions model_options;
+    model_options.dim = 32;
+    model_options.adam.learning_rate = 3e-3f;
+    model_options.seed = 13;
+    auto model = CreateModel(type, dataset.num_entities(),
+                             dataset.num_relations(), model_options)
+                     .ValueOrDie();
+    TrainerOptions trainer_options;
+    trainer_options.epochs = epochs;
+    trainer_options.negatives_per_positive = 8;
+    Trainer trainer(&dataset, trainer_options);
 
-      ModelOptions model_options;
-      model_options.dim = 32;
-      model_options.adam.learning_rate = 3e-3f;
-      model_options.seed = 13;
-      auto model = CreateModel(type, dataset.num_entities(),
-                               dataset.num_relations(), model_options)
-                       .ValueOrDie();
-      TrainerOptions trainer_options;
-      trainer_options.epochs = epochs;
-      trainer_options.negatives_per_positive = 8;
-      Trainer trainer(&dataset, trainer_options);
+    FullEvalOptions full_options;
+    full_options.max_triples = 2500;  // Bounds the ground-truth cost.
 
-      FullEvalOptions full_options;
-      full_options.max_triples = 2500;  // Bounds the ground-truth cost.
-
-      const Status status = trainer.Train(
-          model.get(), [&](int32_t, const KgeModel& m) {
-            const FullEvalResult truth = EvaluateFullRanking(
-                m, dataset, filter, Split::kValid, full_options);
+    const Status status = trainer.Train(
+        model.get(), [&](int32_t, const KgeModel& m) {
+          const FullEvalResult truth = EvaluateFullRanking(
+              m, dataset, filter, Split::kValid, full_options);
+          for (MetricKind metric : kMetrics) {
+            series.truth[metric].push_back(truth.metrics.Get(metric));
+          }
+          for (SamplingStrategy strategy : kStrategies) {
+            // Each call redraws fresh pools.
+            const SampledEvalResult estimate = frameworks[strategy]->Estimate(
+                m, filter, Split::kValid, full_options.max_triples);
             for (MetricKind metric : kMetrics) {
-              series.truth[metric].push_back(truth.metrics.Get(metric));
+              series.estimate[strategy][metric].push_back(
+                  estimate.metrics.Get(metric));
             }
-            for (SamplingStrategy strategy : kStrategies) {
-              // Reuse the shared framework; each call redraws fresh pools.
-              const SampledEvalResult estimate = frameworks[strategy]->Estimate(
-                  m, filter, Split::kValid, full_options.max_triples);
-              for (MetricKind metric : kMetrics) {
-                series.estimate[strategy][metric].push_back(
-                    estimate.metrics.Get(metric));
-              }
-              // KP with the matching negative pools (KP-R uses uniform).
-              KpOptions kp_options;
-              kp_options.num_samples = args.fast ? 400 : 1500;
-              const std::optional<SampledCandidates> pools =
-                  KpPools(*frameworks[strategy], Split::kValid, 91);
-              series.kp[strategy].push_back(
-                  ComputeKp(m, dataset, Split::kValid, kp_options,
-                            pools ? &*pools : nullptr)
-                      .score);
-            }
-          });
-      KGEVAL_CHECK(status.ok());
-      runs.push_back(std::move(series));
-    }
-  }
+            // KP with the matching negative pools (KP-R uses uniform).
+            KpOptions kp_options;
+            kp_options.num_samples = args.fast ? 400 : 1500;
+            const std::optional<SampledCandidates> pools =
+                KpPools(*frameworks[strategy], Split::kValid, 91);
+            series.kp[strategy].push_back(
+                ComputeKp(m, dataset, Split::kValid, kp_options,
+                          pools ? &*pools : nullptr)
+                    .score);
+          }
+        });
+    KGEVAL_CHECK(status.ok());
+  });
 
   // ---- Table 6: MAE of the filtered validation MRR. -----------------------
   bench::PrintHeader("Table 6: MAE of estimated filtered validation MRR");

@@ -74,9 +74,8 @@ struct CandidateBlock {
 };
 
 /// A knowledge-graph embedding model: scores triples and supports per-triple
-/// gradient updates. Scoring is thread-safe; UpdateTriple is hogwild-style
-/// (concurrent updates race benignly on disjoint rows, as is standard for
-/// CPU embedding training).
+/// gradient updates. Scoring is thread-safe; UpdateTriple is not, and must
+/// not run concurrently with any other call on the same model.
 class KgeModel {
  public:
   KgeModel(ModelType type, int32_t num_entities, int32_t num_relations,
@@ -223,12 +222,6 @@ class KgeModel {
   /// relations) use it, symmetric models ignore it.
   virtual void UpdateTriple(int32_t head, int32_t relation, int32_t tail,
                             QueryDirection direction, float dscore) = 0;
-
-  /// Upper bound on useful hogwild parallelism for UpdateTriple. Embedding
-  /// models update disjoint rows and scale to any thread count; models with
-  /// *shared dense* parameters (ConvE's conv/FC stack, TuckER's core
-  /// tensor) hit cache-line contention beyond a few threads, so they cap it.
-  virtual size_t max_training_threads() const { return SIZE_MAX; }
 
   /// A named view of one parameter matrix, used by checkpointing.
   struct NamedParameter {

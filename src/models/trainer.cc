@@ -1,6 +1,5 @@
 #include "models/trainer.h"
 
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <system_error>
@@ -8,27 +7,34 @@
 
 #include "la/vector_ops.h"
 #include "models/checkpoint.h"
-#include "sched/task_group.h"
 #include "util/logging.h"
-#include "util/mutex.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
 namespace kgeval {
-namespace {
 
-/// Processes triples [lo, hi) of the shuffled order; returns the summed loss.
-double RunChunk(const Dataset& dataset, const std::vector<int32_t>& order,
-                size_t lo, size_t hi, const TrainerOptions& options,
-                uint64_t seed, KgeModel* model) {
-  Rng rng(seed);
-  const int32_t num_negatives = options.negatives_per_positive;
-  const int32_t num_entities = dataset.num_entities();
+Trainer::Trainer(const Dataset* dataset, TrainerOptions options)
+    : dataset_(dataset), options_(options) {
+  KGEVAL_CHECK(dataset_ != nullptr);
+  KGEVAL_CHECK_GT(options_.negatives_per_positive, 0);
+}
+
+double Trainer::TrainEpoch(KgeModel* model, int32_t epoch) {
+  const size_t n = dataset_->train().size();
+  if (n == 0) return 0.0;
+  std::vector<int32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int32_t>(i);
+  Rng shuffle_rng(options_.seed + 0x9E37 * static_cast<uint64_t>(epoch + 1));
+  shuffle_rng.Shuffle(&order);
+
+  Rng rng(options_.seed ^ (epoch * 0x517CC1B7ULL));
+  const int32_t num_negatives = options_.negatives_per_positive;
+  const int32_t num_entities = dataset_->num_entities();
   std::vector<int32_t> candidates(1 + num_negatives);
   std::vector<float> scores(1 + num_negatives);
   double loss = 0.0;
-  for (size_t idx = lo; idx < hi; ++idx) {
-    const Triple& pos = dataset.train()[order[idx]];
+  for (const int32_t index : order) {
+    const Triple& pos = dataset_->train()[index];
     // The kernel relation id: the plain relation for static models, the
     // virtual (relation, time) id for time-aware ones. Corruptions keep
     // the positive's relation and timestamp, so one id serves them all.
@@ -40,8 +46,8 @@ double RunChunk(const Dataset& dataset, const std::vector<int32_t>& order,
       candidates[0] = truth;
       for (int32_t k = 0; k < num_negatives; ++k) {
         int32_t neg = -1;
-        if (options.negative_sampler) {
-          neg = options.negative_sampler(pos.relation, dir, &rng);
+        if (options_.negative_sampler) {
+          neg = options_.negative_sampler(pos.relation, dir, &rng);
         }
         if (neg < 0) {
           neg = static_cast<int32_t>(rng.NextBounded(num_entities));
@@ -72,61 +78,7 @@ double RunChunk(const Dataset& dataset, const std::vector<int32_t>& order,
       }
     }
   }
-  return loss;
-}
-
-}  // namespace
-
-Trainer::Trainer(const Dataset* dataset, TrainerOptions options)
-    : dataset_(dataset), options_(options) {
-  KGEVAL_CHECK(dataset_ != nullptr);
-  KGEVAL_CHECK_GT(options_.negatives_per_positive, 0);
-}
-
-double Trainer::TrainEpoch(KgeModel* model, int32_t epoch) {
-  const size_t n = dataset_->train().size();
-  if (n == 0) return 0.0;
-  std::vector<int32_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<int32_t>(i);
-  Rng shuffle_rng(options_.seed + 0x9E37 * static_cast<uint64_t>(epoch + 1));
-  shuffle_rng.Shuffle(&order);
-
-  size_t threads = options_.num_threads > 0
-                       ? static_cast<size_t>(options_.num_threads)
-                       : GlobalThreadPool()->num_threads();
-  threads = std::min(threads, model->max_training_threads());
-  threads = std::max<size_t>(1, std::min(threads, n));
-  const size_t num_chunks = threads;
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-
-  // Guards the scalar loss reduction across chunk tasks. The
-  // accumulation order is chunk-completion order — total_loss is
-  // reported, never fed back into training, so this is the one
-  // float sum in the repo allowed to be non-deterministic.
-  Mutex loss_mutex;
-  double total_loss = 0.0;
-  if (num_chunks == 1) {
-    total_loss = RunChunk(*dataset_, order, 0, n, options_,
-                          options_.seed ^ (epoch * 0x517CC1B7ULL), model);
-  } else {
-    // One TaskGroup per epoch: the epoch waits only on its own chunks, so
-    // training can share the worker pool with concurrent evaluations (a
-    // monitoring session estimating the previous checkpoint, say).
-    TaskGroup group;
-    for (size_t lo = 0; lo < n; lo += chunk) {
-      const size_t hi = std::min(n, lo + chunk);
-      const uint64_t seed = options_.seed ^ (epoch * 0x517CC1B7ULL) ^
-                            (lo * 0x2545F4914F6CDD1DULL);
-      group.Submit([&, lo, hi, seed] {
-        const double loss =
-            RunChunk(*dataset_, order, lo, hi, options_, seed, model);
-        MutexLock lock(&loss_mutex);
-        total_loss += loss;
-      });
-    }
-    group.Wait();
-  }
-  return total_loss / static_cast<double>(n);
+  return loss / static_cast<double>(n);
 }
 
 std::string CheckpointPath(const std::string& checkpoint_dir, int32_t epoch,

@@ -12,8 +12,7 @@
 namespace kgeval {
 
 /// Supplies one corruption entity for a training negative, or -1 to fall
-/// back to a uniform draw. Must be thread-safe for concurrent calls with
-/// distinct Rng instances (hogwild training calls it from every chunk).
+/// back to a uniform draw.
 using NegativeSamplerFn = std::function<int32_t(
     int32_t relation, QueryDirection direction, Rng* rng)>;
 
@@ -24,9 +23,9 @@ using NegativeSamplerFn = std::function<int32_t(
 struct TrainerOptions {
   int32_t epochs = 20;
   int32_t negatives_per_positive = 4;
-  /// Hogwild parallelism: fixed chunking keeps the RNG streams deterministic
-  /// per (epoch, chunk); 1 disables threading entirely.
-  int32_t num_threads = 0;  // 0 = use the global pool width.
+  /// Has no effect: a training run always uses the calling thread. Kept
+  /// only until its last setter is gone.
+  int32_t num_threads = 0;
   uint64_t seed = 99;
 
   /// Optional custom corruption source — used for the recommender-guided

@@ -11,9 +11,9 @@ namespace kgeval {
 
 /// A group of tasks scheduled onto a shared worker pool, with a *per-group*
 /// wait: Wait() blocks only until this group's tasks finish, so any number
-/// of concurrent jobs (evaluations, training epochs, sessions) interleave
-/// their work on the same workers without ever waiting on each other —
-/// there is no process-wide barrier anywhere in the scheduler.
+/// of concurrent jobs (evaluations, sessions) interleave their work on the
+/// same workers without ever waiting on each other — there is no
+/// process-wide barrier anywhere in the scheduler.
 ///
 /// Scheduling model:
 ///  - Submitted tasks land in the group's own queue; each submission posts

@@ -10,10 +10,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -198,6 +200,34 @@ TEST(FaultRegistryTest, BadSpecsArmNothing) {
       ArmFaultsFromSpec("net.send.eagain=always;no.such.point=once").ok());
   EXPECT_FALSE(FaultPoint("net.send.eagain"));
   EXPECT_FALSE(FaultPoint("io.checkpoint.read"));
+}
+
+TEST(FaultRegistryTest, EnvSpecArmsOnlyWhenValid) {
+  DisarmAllFaults();
+  const char* previous = std::getenv("KGEVAL_FAULTS");
+  const std::optional<std::string> saved =
+      previous ? std::optional<std::string>(previous) : std::nullopt;
+
+  ASSERT_EQ(setenv("KGEVAL_FAULTS", "io.checkpoint.read=once", 1), 0);
+  EXPECT_TRUE(ArmFaultsFromEnv().ok());
+  EXPECT_TRUE(FaultPoint("io.checkpoint.read"));
+  DisarmAllFaults();
+
+  ASSERT_EQ(setenv("KGEVAL_FAULTS", "", 1), 0);
+  EXPECT_TRUE(ArmFaultsFromEnv().ok());
+  EXPECT_FALSE(FaultPoint("io.checkpoint.read"));
+
+  ASSERT_EQ(setenv("KGEVAL_FAULTS", "io.checkpoint.read=bogus-directive", 1),
+            0);
+  EXPECT_EQ(ArmFaultsFromEnv().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(FaultPoint("io.checkpoint.read"));
+
+  if (saved) {
+    setenv("KGEVAL_FAULTS", saved->c_str(), 1);
+  } else {
+    unsetenv("KGEVAL_FAULTS");
+  }
+  DisarmAllFaults();
 }
 
 // Fault-point <-> ARCHITECTURE.md consistency is enforced by kgeval_lint's

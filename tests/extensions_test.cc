@@ -117,7 +117,6 @@ TEST_F(GuidedNegativesTest, TrainerAcceptsGuidedSampler) {
                            dataset.num_relations(), model_options)
                    .ValueOrDie();
   TrainerOptions options;
-  options.num_threads = 1;
   options.negative_sampler = MakeGuidedNegativeSampler(&sets_, 0.7);
   Trainer trainer(&dataset, options);
   const double first = trainer.TrainEpoch(model.get(), 0);

@@ -17,9 +17,6 @@ namespace kgeval {
 /// The data of the parity gates that run on a trained model: the scaled
 /// codex-s preset and one training recipe (dim 32, Adam at 3e-3, eight
 /// negatives per positive), so every suite builds the same inputs.
-/// Training runs on one thread: multi-threaded epochs update the shared
-/// embeddings without locks, which is neither reproducible nor race-free
-/// under ThreadSanitizer.
 inline Dataset CodexS() {
   return GenerateDataset(
              GetPreset("codex-s", PresetScale::kScaled).ValueOrDie())
@@ -50,7 +47,6 @@ inline std::unique_ptr<KgeModel> TrainGateModel(const Dataset& dataset,
   trainer_options.epochs = recipe.epochs;
   trainer_options.negatives_per_positive = 8;
   trainer_options.seed = recipe.seed * 7919;
-  trainer_options.num_threads = 1;
   trainer_options.checkpoint_dir = recipe.checkpoint_dir;
   Trainer trainer(&dataset, trainer_options);
   KGEVAL_CHECK(trainer.Train(model.get()).ok());

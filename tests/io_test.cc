@@ -425,7 +425,6 @@ TEST(CheckpointTrainerTest, TrainWritesEpochSnapshots) {
   TempDir dir;
   TrainerOptions trainer_options;
   trainer_options.epochs = 4;
-  trainer_options.num_threads = 1;
   trainer_options.checkpoint_dir = dir.path() + "/snapshots";
   trainer_options.checkpoint_every = 2;
   Trainer trainer(&dataset, trainer_options);
@@ -496,7 +495,6 @@ TEST(CheckpointTest, LoadIntoRestoresTrainedState) {
                    .ValueOrDie();
   TrainerOptions trainer_options;
   trainer_options.epochs = 2;
-  trainer_options.num_threads = 1;
   Trainer trainer(&dataset, trainer_options);
   ASSERT_TRUE(trainer.Train(model.get()).ok());
 

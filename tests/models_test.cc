@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <string>
 
+#include "models/checkpoint.h"
 #include "models/kge_model.h"
 #include "models/trainer.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/temp_dir.h"
 
 namespace kgeval {
 namespace {
@@ -189,18 +194,23 @@ TEST(ModelTypeTest, ParseRoundTrips) {
   EXPECT_FALSE(ParseModelType("GPT").ok());
 }
 
-class TrainerModelTest : public ::testing::TestWithParam<ModelType> {};
+class TrainerModelTest : public ::testing::TestWithParam<ModelType> {
+ protected:
+  static SynthOutput Data() {
+    SynthConfig config;
+    config.num_entities = 120;
+    config.num_relations = 6;
+    config.num_types = 6;
+    config.num_train = 1500;
+    config.num_valid = 50;
+    config.num_test = 50;
+    config.seed = 5;
+    return GenerateDataset(config).ValueOrDie();
+  }
+};
 
 TEST_P(TrainerModelTest, LossDecreases) {
-  SynthConfig config;
-  config.num_entities = 120;
-  config.num_relations = 6;
-  config.num_types = 6;
-  config.num_train = 1500;
-  config.num_valid = 50;
-  config.num_test = 50;
-  config.seed = 5;
-  const SynthOutput synth = GenerateDataset(config).ValueOrDie();
+  const SynthOutput synth = Data();
 
   ModelOptions model_options = SmallOptions();
   model_options.adam.learning_rate = 3e-3f;
@@ -208,7 +218,6 @@ TEST_P(TrainerModelTest, LossDecreases) {
                            synth.dataset.num_relations(), model_options)
                    .ValueOrDie();
   TrainerOptions trainer_options;
-  trainer_options.num_threads = 1;  // Deterministic.
   trainer_options.negatives_per_positive = 4;
   Trainer trainer(&synth.dataset, trainer_options);
   const double first = trainer.TrainEpoch(model.get(), 0);
@@ -217,6 +226,31 @@ TEST_P(TrainerModelTest, LossDecreases) {
     last = trainer.TrainEpoch(model.get(), epoch);
   }
   EXPECT_LT(last, first) << ModelTypeName(GetParam());
+}
+
+TEST_P(TrainerModelTest, TrainingIsReproducible) {
+  // Two runs with the default options must save the same bytes, dense
+  // parameters (ConvE's filters, TuckER's core) included, whatever the
+  // worker pool's width.
+  const SynthOutput synth = Data();
+  TrainerOptions trainer_options;
+  trainer_options.epochs = 2;
+  TempDir dir;
+  std::string bytes[2];
+  for (int run = 0; run < 2; ++run) {
+    auto model = CreateModel(GetParam(), synth.dataset.num_entities(),
+                             synth.dataset.num_relations(), SmallOptions())
+                     .ValueOrDie();
+    Trainer trainer(&synth.dataset, trainer_options);
+    ASSERT_TRUE(trainer.Train(model.get()).ok());
+    const std::string path = dir.path() + "/run" + std::to_string(run);
+    ASSERT_TRUE(SaveModel(model.get(), path).ok());
+    std::ifstream in(path, std::ios::binary);
+    bytes[run].assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << ModelTypeName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, TrainerModelTest,
@@ -251,7 +285,6 @@ TEST(TrainerTest, CallbackRunsEveryEpoch) {
                    .ValueOrDie();
   TrainerOptions options;
   options.epochs = 3;
-  options.num_threads = 1;
   Trainer trainer(&synth.dataset, options);
   int calls = 0;
   ASSERT_TRUE(trainer

@@ -1,0 +1,33 @@
+# Runs the kgeval_reproduce targets that train on codex-s at one and at
+# four worker threads and requires the same stdout: a training run uses one
+# thread, and every evaluation is independent of the pool width. The
+# "note: pinned pools" line is dropped first, since it prints a wall time.
+#
+#   cmake -DBENCH=<path to kgeval_reproduce> -P reproduce_determinism.cmake
+
+if(NOT BENCH)
+  message(FATAL_ERROR "pass -DBENCH=<path to kgeval_reproduce>")
+endif()
+
+foreach(threads 1 4)
+  execute_process(
+    COMMAND ${BENCH}
+            --only=table2,table3,table4,table6_7_8,fig3b,fig3c,fig4,fig6,ablations
+            --fast --dataset=codex-s --epochs=2 --threads=${threads}
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code STREQUAL "0")
+    message(FATAL_ERROR
+            "--threads=${threads}: exit '${code}'; stdout: ${out}; "
+            "stderr: ${err}")
+  endif()
+  string(REGEX REPLACE "note: pinned pools:[^\n]*\n" "" out "${out}")
+  set(out_${threads} "${out}")
+endforeach()
+
+if(NOT out_1 STREQUAL out_4)
+  message(FATAL_ERROR
+          "stdout differs between --threads=1 and --threads=4\n"
+          "--threads=1:\n${out_1}\n--threads=4:\n${out_4}")
+endif()
