@@ -38,6 +38,8 @@ bool IsTarget(const std::string& name) {
 void Usage(const char* argv0) {
   std::string targets;
   for (const auto& [name, run] : kTargets) targets += std::string(" ") + name;
+  std::string datasets;
+  for (const std::string& name : PresetNames()) datasets += " " + name;
   std::fprintf(stderr,
                "usage: %s [--only=TARGET[,TARGET...]] [--paper-scale] "
                "[--fast] [--epochs=N]\n"
@@ -45,8 +47,9 @@ void Usage(const char* argv0) {
                "[--threads=N] [--from-disk]\n"
                "--epochs and --threads take positive integers, --half-width "
                "a finite number in (0, 1).\n"
-               "targets:%s\n",
-               argv0, targets.c_str());
+               "targets:%s\n"
+               "datasets:%s\n",
+               argv0, targets.c_str(), datasets.c_str());
 }
 
 /// Parses all of `text` as a positive int32. Rejects a sign, whitespace,
@@ -73,6 +76,16 @@ bool ParseHalfWidth(const std::string& text, double* out) {
   return true;
 }
 
+/// Accepts `text` iff it names a dataset preset.
+bool ParseDataset(const std::string& text, std::string* out) {
+  const std::vector<std::string> names = PresetNames();
+  if (std::find(names.begin(), names.end(), text) == names.end()) {
+    return false;
+  }
+  *out = text;
+  return true;
+}
+
 /// Parses all of `text` as comma-separated target names. An empty list or
 /// name is not a target, so it fails like an unknown one.
 bool ParseTargets(const std::string& text, std::vector<std::string>* out) {
@@ -82,10 +95,10 @@ bool ParseTargets(const std::string& text, std::vector<std::string>* out) {
   return true;
 }
 
-/// Parses the flags; an unknown flag, a malformed value or an unknown
-/// target prints the usage and exits 2. Applies --threads (or its
-/// KGEVAL_THREADS fallback) to the global worker pool before any target
-/// creates it.
+/// Parses the flags; an unknown flag, a malformed value, an unknown target
+/// or an unknown dataset prints the usage and exits 2. Applies --threads
+/// (or its KGEVAL_THREADS fallback) to the global worker pool before any
+/// target creates it.
 BenchArgs ParseArgs(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -100,7 +113,8 @@ BenchArgs ParseArgs(int argc, char** argv) {
     } else if (arg.rfind("--epochs=", 0) == 0) {
       ok = ParsePositive(arg.substr(std::strlen("--epochs=")), &args.epochs);
     } else if (arg.rfind("--dataset=", 0) == 0) {
-      args.only_dataset = arg.substr(std::strlen("--dataset="));
+      ok = ParseDataset(arg.substr(std::strlen("--dataset=")),
+                        &args.only_dataset);
     } else if (arg == "--json") {
       args.json = true;
     } else if (arg.rfind("--half-width=", 0) == 0) {

@@ -39,10 +39,9 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   const std::vector<int64_t> order = ShuffledQueryOrder(num_triples, &rng);
 
   SampledEvalOptions eval_options;
-  eval_options.tie = options.tie;
   eval_options.cancel = options.cancel;
 
-  const double z = TwoSidedZ(options.confidence);
+  const double z = TwoSidedZ(kEstimateConfidence);
   const int64_t query_budget = options.max_triples > 0
                                    ? std::min<int64_t>(2 * options.max_triples,
                                                        result.total_queries)
@@ -58,12 +57,6 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
     // ScoreSlotBlocks through eval_options.cancel.
     if (options.cancel != nullptr && options.cancel->cancelled()) break;
     if (acc.count() >= query_budget) break;
-    // The candidate budget is checked between rounds: the round that
-    // crosses it is finished (at most one round of overshoot).
-    if (options.max_candidates > 0 &&
-        result.scored_candidates >= options.max_candidates) {
-      break;
-    }
     const size_t take = std::min(
         {batch_queries, order.size() - next_query,
          static_cast<size_t>(query_budget - acc.count())});
@@ -106,11 +99,9 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
     }
     ++result.rounds;
 
-    double half_width = acc.CiHalfWidth(options.target_metric, z);
-    if (options.finite_population_correction) {
-      half_width *=
-          FinitePopulationCorrection(acc.count(), result.total_queries);
-    }
+    const double half_width =
+        acc.CiHalfWidth(MetricKind::kMrr, z) *
+        FinitePopulationCorrection(acc.count(), result.total_queries);
     result.half_width_history.push_back(half_width);
     if (acc.count() >= options.min_queries &&
         half_width <= options.target_half_width) {
@@ -125,15 +116,13 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   result.evaluated_queries = acc.count();
   result.metrics = acc.Metrics();
   result.ci = acc.Ci(z);
-  if (options.finite_population_correction) {
-    const double fpc =
-        FinitePopulationCorrection(acc.count(), result.total_queries);
-    result.ci.mrr *= fpc;
-    result.ci.hits1 *= fpc;
-    result.ci.hits3 *= fpc;
-    result.ci.hits10 *= fpc;
-    result.ci.mean_rank *= fpc;
-  }
+  const double fpc =
+      FinitePopulationCorrection(acc.count(), result.total_queries);
+  result.ci.mrr *= fpc;
+  result.ci.hits1 *= fpc;
+  result.ci.hits3 *= fpc;
+  result.ci.hits10 *= fpc;
+  result.ci.mean_rank *= fpc;
   result.eval_seconds = timer.Seconds();
   return result;
 }

@@ -28,6 +28,9 @@ std::vector<int32_t> SortedUnion(const std::vector<int32_t>& a,
   return out;
 }
 
+/// Quantile thresholds tried per column by BuildStaticSets.
+constexpr int32_t kStaticThresholdGrid = 24;
+
 /// Validation entities observed per slot (deduplicated).
 std::vector<std::vector<int32_t>> ValidEntitiesPerSlot(
     const Dataset& dataset) {
@@ -57,8 +60,7 @@ double CandidateSets::MacroReductionRate() const {
 }
 
 CandidateSets BuildStaticSets(const RecommenderScores& scores,
-                              const Dataset& dataset,
-                              const StaticSetOptions& options) {
+                              const Dataset& dataset) {
   const int32_t num_r = dataset.num_relations();
   const int32_t num_slots = 2 * num_r;
   const int32_t num_e = dataset.num_entities();
@@ -94,10 +96,10 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
     // Candidate thresholds: a quantile grid over the distinct scores.
     std::vector<float> grid;
     if (!entries.empty()) {
-      const int32_t steps = std::max(1, options.threshold_grid);
-      for (int32_t g = 0; g < steps; ++g) {
+      for (int32_t g = 0; g < kStaticThresholdGrid; ++g) {
         const size_t idx = static_cast<size_t>(
-            (static_cast<double>(g) / steps) * (entries.size() - 1));
+            (static_cast<double>(g) / kStaticThresholdGrid) *
+            (entries.size() - 1));
         grid.push_back(entries[idx].first);
       }
       grid.push_back(entries.back().first);  // Keep-everything threshold.
@@ -120,9 +122,8 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
     std::vector<bool> valid_seen;
     for (int32_t e : valid_entities) {
       valid_scores.push_back(scores.scores.At(e, slot));
-      valid_seen.push_back(options.include_seen &&
-                           std::binary_search(seen_set.begin(),
-                                              seen_set.end(), e));
+      valid_seen.push_back(
+          std::binary_search(seen_set.begin(), seen_set.end(), e));
     }
 
     float best_tau = entries.empty() ? 0.0f : entries.back().first;
@@ -135,16 +136,13 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
                              return entry.first >= value;
                            }) -
           entries.begin());
-      int64_t set_size = geq;
-      if (options.include_seen) {
-        // Seen entities strictly below the threshold get added back (the
-        // ones at or above it are already counted in `geq`).
-        const auto seen_below = static_cast<int64_t>(
-            seen_scores.end() -
-            std::upper_bound(seen_scores.begin(), seen_scores.end(), tau,
-                             std::greater<float>()));
-        set_size += seen_below;
-      }
+      // Seen entities strictly below the threshold get added back (the
+      // ones at or above it are already counted in `geq`).
+      const auto seen_below = static_cast<int64_t>(
+          seen_scores.end() -
+          std::upper_bound(seen_scores.begin(), seen_scores.end(), tau,
+                           std::greater<float>()));
+      const int64_t set_size = geq + seen_below;
       double covered = 0.0;
       for (size_t i = 0; i < valid_scores.size(); ++i) {
         if (valid_seen[i] || valid_scores[i] >= tau) covered += 1.0;
@@ -167,10 +165,7 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
       if (score >= best_tau) members.push_back(entity);
     }
     std::sort(members.begin(), members.end());
-    if (options.include_seen) {
-      members = SortedUnion(members, seen_set);
-    }
-    out.sets[slot] = std::move(members);
+    out.sets[slot] = SortedUnion(members, seen_set);
     out.thresholds[slot] = best_tau;
   }
   return out;

@@ -28,22 +28,14 @@ struct CandidateSets {
   double MacroReductionRate() const;
 };
 
-/// Options for the Static discretization of the score matrix.
-struct StaticSetOptions {
-  /// Union the thresholded set with the train-observed (PT) entities, as the
-  /// paper does for every method ("one naturally would do this").
-  bool include_seen = true;
-  /// Number of quantile thresholds tried per column when optimizing the
-  /// (CR, RR) trade-off.
-  int32_t threshold_grid = 24;
-};
-
-/// Static sampling sets: per-column threshold T_dr chosen to minimize the
-/// l2 distance to the ideal point (CR, RR) = (1, 1), with Candidate Recall
-/// measured on the *validation* pairs (test is never touched).
+/// Static sampling sets: per-column threshold T_dr, picked from a
+/// 24-quantile grid over the column's positive scores, chosen to minimize
+/// the l2 distance to the ideal point (CR, RR) = (1, 1), with Candidate
+/// Recall measured on the *validation* pairs (test is never touched). The
+/// thresholded set is unioned with the train-observed (PT) entities, as the
+/// paper does for every method ("one naturally would do this").
 CandidateSets BuildStaticSets(const RecommenderScores& scores,
-                              const Dataset& dataset,
-                              const StaticSetOptions& options = {});
+                              const Dataset& dataset);
 
 /// Probabilistic sampling sets: all positively-scored entities per column,
 /// with the scores as sampling weights. Train-observed entities are always

@@ -96,8 +96,7 @@ class EvalSession {
       int64_t max_triples = 0) const;
 
   /// Confidence-bounded estimate on the pinned pools (deterministic given
-  /// `adaptive.shuffle_seed`; the framework's tie-break overrides
-  /// `adaptive.tie`).
+  /// `adaptive.shuffle_seed`).
   AdaptiveEvalResult EstimateAdaptive(
       const KgeModel& model, const AdaptiveEvalOptions& adaptive = {},
       const CancelToken* cancel = nullptr) const;

@@ -18,8 +18,8 @@ Result<std::unique_ptr<EvaluationFramework>> EvaluationFramework::Build(
   if (dataset == nullptr) {
     return Status::InvalidArgument("dataset is null");
   }
-  if (options.sample_fraction <= 0.0 && options.sample_size <= 0) {
-    return Status::InvalidArgument("sample fraction/size must be positive");
+  if (options.sample_fraction <= 0.0) {
+    return Status::InvalidArgument("sample fraction must be positive");
   }
   std::unique_ptr<EvaluationFramework> fw(
       new EvaluationFramework(dataset, options));
@@ -33,12 +33,9 @@ Result<std::unique_ptr<EvaluationFramework>> EvaluationFramework::Build(
     if (!scores.ok()) return scores.status();
     fw->scores_ = std::move(scores).ValueOrDie();
     if (options.strategy == SamplingStrategy::kStatic) {
-      StaticSetOptions static_options = options.static_options;
-      static_options.include_seen = options.include_seen;
-      fw->sets_ = BuildStaticSets(fw->scores_, *dataset, static_options);
+      fw->sets_ = BuildStaticSets(fw->scores_, *dataset);
     } else {
-      fw->sets_ = BuildProbabilisticSets(fw->scores_, *dataset,
-                                         options.include_seen);
+      fw->sets_ = BuildProbabilisticSets(fw->scores_, *dataset);
     }
   }
   fw->build_seconds_ = timer.Seconds();
@@ -46,7 +43,6 @@ Result<std::unique_ptr<EvaluationFramework>> EvaluationFramework::Build(
 }
 
 int64_t EvaluationFramework::SampleSize() const {
-  if (options_.sample_size > 0) return options_.sample_size;
   return static_cast<int64_t>(std::llround(
       options_.sample_fraction * dataset_->num_entities()));
 }
@@ -80,7 +76,6 @@ SampledEvalResult EvaluationFramework::EstimateOnPools(
     const SampledCandidates& pools, int64_t max_triples,
     const CancelToken* cancel) const {
   SampledEvalOptions eval_options;
-  eval_options.tie = options_.tie;
   eval_options.max_triples = max_triples;
   eval_options.cancel = cancel;
   return EvaluateSampled(model, *dataset_, protocol, split, pools,
@@ -108,7 +103,6 @@ AdaptiveEvalResult EvaluationFramework::EstimateAdaptiveOnPools(
     const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
     const CancelToken* cancel) const {
   AdaptiveEvalOptions eval_options = adaptive;
-  eval_options.tie = options_.tie;
   if (cancel != nullptr) eval_options.cancel = cancel;
   return EvaluateAdaptive(model, *dataset_, protocol, split, pools,
                           eval_options);

@@ -14,16 +14,14 @@ namespace kgeval {
 
 /// Configuration of the end-to-end evaluation framework (Figure 1 B):
 /// which relation recommender guides the sampling, which sampling strategy
-/// draws the pools, and how many candidates to draw per slot.
+/// draws the pools, and how many candidates to draw per slot. Candidate
+/// sets always include the train-observed entities, and estimates break
+/// ties with TieBreak::kMean.
 struct FrameworkOptions {
   RecommenderType recommender = RecommenderType::kLwd;
   SamplingStrategy strategy = SamplingStrategy::kProbabilistic;
-  /// n_s = sample_fraction * |E| unless sample_size overrides it.
+  /// n_s = round(sample_fraction * |E|).
   double sample_fraction = 0.1;
-  int64_t sample_size = 0;
-  bool include_seen = true;
-  StaticSetOptions static_options;
-  TieBreak tie = TieBreak::kMean;
   uint64_t seed = 33;
 };
 
@@ -82,8 +80,7 @@ class EvaluationFramework {
   /// Confidence-bounded variant of Estimate: draws fresh pools the same way
   /// and runs EvaluateAdaptive over them, stopping as soon as the target
   /// metric's confidence half-width reaches the requested width (see
-  /// AdaptiveEvalOptions). `adaptive.tie` is overridden by the framework's
-  /// configured tie-break so the two estimators stay comparable.
+  /// AdaptiveEvalOptions).
   AdaptiveEvalResult EstimateAdaptive(const KgeModel& model,
                                       const FilterIndex& filter, Split split,
                                       const AdaptiveEvalOptions& adaptive = {});

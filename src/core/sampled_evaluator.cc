@@ -13,10 +13,10 @@ namespace {
 
 /// Folds every rank into an accumulator (in index order, so the CI is
 /// deterministic) and stamps the result's confidence half-widths.
-void FillCi(double confidence, SampledEvalResult* result) {
+void FillCi(SampledEvalResult* result) {
   RankingAccumulator acc;
   for (double rank : result->ranks) acc.Add(rank);
-  result->ci = acc.Ci(TwoSidedZ(confidence));
+  result->ci = acc.Ci(TwoSidedZ(kEstimateConfidence));
 }
 
 }  // namespace
@@ -83,7 +83,7 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
       scratch->pool_slot = block.pool_slot;
     }
     RankSlotBlock(model, triples, protocol, block, scratch->pool,
-                  options.tie, &scratch->rank, ranks);
+                  TieBreak::kMean, &scratch->rank, ranks);
     scored += static_cast<int64_t>(block.end - block.begin) *
               static_cast<int64_t>(pool.size() + 1);
   }
@@ -142,7 +142,7 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
   // cancelled result.
   if (!result.cancelled) {
     result.metrics = RankingMetrics::FromRanks(result.ranks);
-    FillCi(options.ci_confidence, &result);
+    FillCi(&result);
   }
   result.eval_seconds = timer.Seconds();
   return result;
@@ -196,7 +196,7 @@ SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
             KGEVAL_CHECK(answers != nullptr);
             const double rank = FilteredRank(
                 pool.data(), scores.data(), pool.size(), truth,
-                scores[pool.size()], *answers, options.tie,
+                scores[pool.size()], *answers, TieBreak::kMean,
                 std::is_sorted(pool.begin(), pool.end()));
             result.ranks[i * 2 + (tail_dir ? 0 : 1)] = rank;
           }
@@ -207,7 +207,7 @@ SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
 
   result.scored_candidates = scored.load();
   result.metrics = RankingMetrics::FromRanks(result.ranks);
-  FillCi(options.ci_confidence, &result);
+  FillCi(&result);
   result.eval_seconds = timer.Seconds();
   return result;
 }

@@ -23,13 +23,15 @@ namespace kgeval {
 /// 328 ms on a 4-vCPU AVX-512 Xeon.
 constexpr size_t kSampledQueryBlock = 256;
 
-/// Options for a sampled evaluation pass.
+/// Two-sided confidence level of every interval the sampled and adaptive
+/// estimators report (and of the adaptive stopping rule).
+constexpr double kEstimateConfidence = 0.95;
+
+/// Options for a sampled evaluation pass. Sampled ranks break ties with
+/// TieBreak::kMean.
 struct SampledEvalOptions {
-  TieBreak tie = TieBreak::kMean;
   /// Cap on evaluated triples (0 = all); deterministic prefix of the split.
   int64_t max_triples = 0;
-  /// Confidence level of the RankingCi reported with the result.
-  double ci_confidence = 0.95;
   /// Cooperative cancellation, polled between query blocks (not borrowed —
   /// must outlive the pass). A cancelled pass winds down at the next block
   /// boundary and flags its result `cancelled`; the partial metrics are
@@ -40,8 +42,9 @@ struct SampledEvalOptions {
 /// Result of estimating the ranking metrics from sampled candidate pools.
 struct SampledEvalResult {
   RankingMetrics metrics;
-  /// Normal-approximation half-widths around `metrics` (query-sampling
-  /// noise; see RankingCi for what the interval does and does not cover).
+  /// Normal-approximation half-widths around `metrics` at
+  /// kEstimateConfidence (query-sampling noise; see RankingCi for what the
+  /// interval does and does not cover).
   RankingCi ci;
   /// Per-query estimated ranks (tail query, then head query, per triple).
   std::vector<double> ranks;
@@ -68,9 +71,9 @@ struct SlotBlockScratch {
 /// kPoolTile-wide tiles when the slot changes. Thread-safe across disjoint
 /// block ranges (each thread brings its own scratch). Returns the evaluated
 /// queries' pool sizes + 1 summed (the scalar oracle's scored candidates),
-/// not the kernel rows computed: the served `scored=` field and the
-/// adaptive candidate budget read it. Ranks are bit-identical regardless
-/// of how the schedule is cut into ranges or threads.
+/// not the kernel rows computed: the served `scored=` field reads it. Ranks
+/// are bit-identical regardless of how the schedule is cut into ranges or
+/// threads.
 int64_t ScoreSlotBlocks(const KgeModel& model,
                         const std::vector<Triple>& triples,
                         const EvalProtocol& protocol,

@@ -17,40 +17,15 @@ inline float Dot(const float* __restrict a, const float* __restrict b,
   return acc;
 }
 
-/// Returns sum_i a[i] * b[i] * c[i] (trilinear core of DistMult).
-inline float Dot3(const float* __restrict a, const float* __restrict b,
-                  const float* __restrict c, size_t n) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < n; ++i) acc += a[i] * b[i] * c[i];
-  return acc;
-}
-
 /// y += alpha * x.
 inline void Axpy(float alpha, const float* __restrict x, float* __restrict y,
                  size_t n) {
   for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
-/// y += alpha * x .* z (elementwise product), used by bilinear gradients.
-inline void AxpyMul(float alpha, const float* __restrict x,
-                    const float* __restrict z, float* __restrict y, size_t n) {
-  for (size_t i = 0; i < n; ++i) y[i] += alpha * x[i] * z[i];
-}
-
 /// x *= alpha.
 inline void Scale(float alpha, float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
-/// Returns ||a - b||_2^2.
-inline float SquaredL2Distance(const float* __restrict a,
-                               const float* __restrict b, size_t n) {
-  float acc = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    const float d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
 }
 
 /// Returns sum_i |a[i] - b[i]|.
@@ -60,9 +35,6 @@ inline float L1Distance(const float* __restrict a, const float* __restrict b,
   for (size_t i = 0; i < n; ++i) acc += std::fabs(a[i] - b[i]);
   return acc;
 }
-
-/// Returns ||a||_2^2.
-inline float SquaredNorm(const float* a, size_t n) { return Dot(a, a, n); }
 
 /// Returns -sum_j sqrt((q_j - e_j)_re^2 + (q_j - e_j)_im^2 + eps) over m
 /// complex coordinates stored split: real parts in [0, m), imaginary parts

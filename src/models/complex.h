@@ -14,7 +14,7 @@ class ComplEx : public KgeModel {
   ComplEx(int32_t num_entities, int32_t num_relations, ModelOptions options);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// Folds anchor and relation into one complex query row per anchor; the
   /// score is then a plain dot product with the candidate embedding (the

@@ -26,7 +26,7 @@ class ConvE : public KgeModel {
                                                   const ModelOptions& options);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
   const Matrix* candidate_bias() const override { return &entity_bias_; }
 
   /// Runs the conv/FC trunk once per anchor (selecting the plain or

@@ -12,7 +12,7 @@ class DistMult : public KgeModel {
   DistMult(int32_t num_entities, int32_t num_relations, ModelOptions options);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// Writes one query row per anchor: q = anchor .* relation (the score is
   /// then linear in the candidate embedding). DistMult is symmetric in h/t,

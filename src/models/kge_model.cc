@@ -56,41 +56,33 @@ KgeModel::KgeModel(ModelType type, int32_t num_entities,
       num_relations_(num_relations),
       options_(options) {}
 
-void KgeModel::BuildKernelQueries(const int32_t*, size_t, int32_t,
-                                  QueryDirection, Matrix*) const {
-  KGEVAL_CHECK(false) << name()
-                      << " has no kernel surface (candidate_embeddings() is "
-                         "null) yet BuildKernelQueries was reached";
-}
-
 void KgeModel::ScoreWithQuery(const Matrix& queries, size_t q,
                               const int32_t* candidates, size_t n,
                               float* out) const {
-  const Matrix* entities = candidate_embeddings();
-  KGEVAL_DCHECK(entities != nullptr);
+  const Matrix& entities = candidate_embeddings();
   const Matrix* bias = candidate_bias();
   const float* qrow = queries.Row(q);
   const size_t dim = queries.cols();
-  KGEVAL_DCHECK(dim == entities->cols());
+  KGEVAL_DCHECK(dim == entities.cols());
   switch (batch_kernel()) {
     case BatchKernel::kDot:
       for (size_t c = 0; c < n; ++c) {
         const int32_t id = candidates[c];
-        out[c] = Dot(qrow, entities->Row(static_cast<size_t>(id)), dim);
+        out[c] = Dot(qrow, entities.Row(static_cast<size_t>(id)), dim);
         if (bias != nullptr) out[c] += bias->At(static_cast<size_t>(id), 0);
       }
       return;
     case BatchKernel::kNegL1:
       for (size_t c = 0; c < n; ++c) {
         out[c] = -L1Distance(
-            qrow, entities->Row(static_cast<size_t>(candidates[c])), dim);
+            qrow, entities.Row(static_cast<size_t>(candidates[c])), dim);
       }
       return;
     case BatchKernel::kNegComplexDist: {
       const float eps = batch_kernel_eps();
       for (size_t c = 0; c < n; ++c) {
         out[c] = NegComplexDistance(
-            qrow, entities->Row(static_cast<size_t>(candidates[c])), dim / 2,
+            qrow, entities.Row(static_cast<size_t>(candidates[c])), dim / 2,
             eps);
       }
       return;
@@ -100,7 +92,6 @@ void KgeModel::ScoreWithQuery(const Matrix& queries, size_t q,
 
 void KgeModel::ScorePool(const Matrix& queries, const CandidateBlock& block,
                          float* pool_scores) const {
-  KGEVAL_DCHECK(block.prepared);
   const size_t n = block.size();
   switch (batch_kernel()) {
     case BatchKernel::kDot:
@@ -126,8 +117,6 @@ void KgeModel::ScoreCandidates(int32_t anchor, int32_t relation,
                                QueryDirection direction,
                                const int32_t* candidates, size_t n,
                                float* out) const {
-  KGEVAL_CHECK(candidate_embeddings() != nullptr)
-      << name() << " must override ScoreCandidates or expose a kernel surface";
   Matrix queries;
   BuildKernelQueries(&anchor, 1, relation, direction, &queries);
   ScoreWithQuery(queries, 0, candidates, n, out);
@@ -137,14 +126,6 @@ void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
                           size_t num_queries, size_t candidates_per_query,
                           int32_t relation, QueryDirection direction,
                           float* out) const {
-  if (candidate_embeddings() == nullptr) {
-    for (size_t q = 0; q < num_queries; ++q) {
-      ScoreCandidates(anchors[q], relation, direction,
-                      candidates + q * candidates_per_query,
-                      candidates_per_query, out + q * candidates_per_query);
-    }
-    return;
-  }
   // One query construction per anchor, reused across its k candidates — the
   // fusion that matters for ConvE/TuckER, whose query construction dominates
   // per-triple cost.
@@ -156,20 +137,12 @@ void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
   }
 }
 
-void KgeModel::FillCandidateIds(const int32_t* candidates, size_t n,
-                                CandidateBlock* block) {
-  block->ids.assign(candidates, candidates + n);
-  block->sorted = std::is_sorted(candidates, candidates + n);
-  block->prepared = false;
-  block->bias.clear();
-}
-
 void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const {
-  FillCandidateIds(candidates, n, block);
-  const Matrix* entities = candidate_embeddings();
-  if (entities == nullptr) return;
-  GatherRowsT(*entities, candidates, n, &block->gathered_t);
+  block->ids.assign(candidates, candidates + n);
+  block->sorted = std::is_sorted(candidates, candidates + n);
+  GatherRowsT(candidate_embeddings(), candidates, n, &block->gathered_t);
+  block->bias.clear();
   const Matrix* bias = candidate_bias();
   if (bias != nullptr) {
     block->bias.resize(n);
@@ -177,7 +150,6 @@ void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
       block->bias[c] = bias->At(static_cast<size_t>(candidates[c]), 0);
     }
   }
-  block->prepared = true;
 }
 
 void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
@@ -187,35 +159,16 @@ void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
                           float* truth_scores, const int32_t* truth_rows,
                           size_t num_truths) const {
   if (truth_rows == nullptr) num_truths = num_anchors;
-  const auto row_of = [&](size_t t) {
-    return truth_rows == nullptr ? t : static_cast<size_t>(truth_rows[t]);
-  };
-  if (!block.prepared) {
-    // Unfused fallback for blocks without a model-specific layout (models
-    // with no kernel surface): per-row and per-truth ScoreCandidates loops.
-    const size_t n = block.size();
-    if (pool_scores != nullptr) {
-      for (size_t r = 0; r < num_anchors; ++r) {
-        ScoreCandidates(anchors[r], relation, direction, block.ids.data(), n,
-                        pool_scores + r * n);
-      }
-    }
-    if (truth_scores != nullptr) {
-      for (size_t t = 0; t < num_truths; ++t) {
-        ScoreCandidates(anchors[row_of(t)], relation, direction, &truths[t],
-                        1, &truth_scores[t]);
-      }
-    }
-    return;
-  }
-  // Fused path: one query construction per row feeds both the batched pool
-  // kernel and the per-truth reductions.
+  // One query construction per row feeds both the batched pool kernel and
+  // the per-truth reductions.
   Matrix queries;
   BuildKernelQueries(anchors, num_anchors, relation, direction, &queries);
   if (pool_scores != nullptr) ScorePool(queries, block, pool_scores);
   if (truth_scores != nullptr) {
     for (size_t t = 0; t < num_truths; ++t) {
-      ScoreWithQuery(queries, row_of(t), &truths[t], 1, &truth_scores[t]);
+      const size_t row =
+          truth_rows == nullptr ? t : static_cast<size_t>(truth_rows[t]);
+      ScoreWithQuery(queries, row, &truths[t], 1, &truth_scores[t]);
     }
   }
 }

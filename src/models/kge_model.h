@@ -56,17 +56,16 @@ enum class BatchKernel {
 };
 
 /// A candidate pool prepared once and scored many times. PrepareCandidates
-/// fills the pool's ids plus a model-specific gathered layout: the dot- and
-/// distance-kernel models store the pool's entity embeddings transposed
-/// (dim x n, candidates contiguous — for ComplEx/RotatE the top/bottom
-/// halves of the tile are the split re/im planes); ConvE additionally
-/// gathers the per-candidate entity bias. Preparing costs one gather +
-/// transpose; every subsequent ScoreBlock call against the block reuses it.
+/// fills the pool's ids plus the gathered layout: the pool's entity
+/// embeddings transposed (dim x n, candidates contiguous — for
+/// ComplEx/RotatE the top/bottom halves of the tile are the split re/im
+/// planes); ConvE additionally gathers the per-candidate entity bias.
+/// Preparing costs one gather + transpose; every subsequent ScoreBlock call
+/// against the block reuses it.
 struct CandidateBlock {
   std::vector<int32_t> ids;  // The pool, in caller order.
   bool sorted = false;       // ids are non-decreasing (a pool invariant the
                              // rankers exploit; computed once here).
-  bool prepared = false;     // Model-specific layout was filled in.
   Matrix gathered_t;         // Transposed candidate tile (see above).
   std::vector<float> bias;   // ConvE: per-candidate entity bias.
 
@@ -111,10 +110,7 @@ class KgeModel {
   /// gathered from, an optional per-entity bias, and how to fold
   /// (anchor, relation, direction) into per-query kernel rows. Everything
   /// else — single-query scoring, pool preparation, fused blocks — is
-  /// implemented once in the base class on top of these. A model (e.g. a
-  /// test fake) that returns nullptr from candidate_embeddings() opts out
-  /// and must override ScoreCandidates; ScoreBlock then falls back to
-  /// per-row loops over it.
+  /// implemented once in the base class on top of these.
 
   /// The reduction family the model's scoring collapses to.
   virtual BatchKernel batch_kernel() const { return BatchKernel::kDot; }
@@ -122,9 +118,8 @@ class KgeModel {
   /// Epsilon inside the per-coordinate sqrt for kNegComplexDist (RotatE).
   virtual float batch_kernel_eps() const { return 0.0f; }
 
-  /// The table candidate rows are drawn from, or nullptr when the model has
-  /// no kernel surface (fallback scoring via ScoreCandidates overrides).
-  virtual const Matrix* candidate_embeddings() const { return nullptr; }
+  /// The table candidate rows are drawn from (num_entities x kernel-dim).
+  virtual const Matrix& candidate_embeddings() const = 0;
 
   /// Optional per-entity bias column (num_entities x 1), added to kDot
   /// scores after the reduction (ConvE). nullptr = no bias.
@@ -136,18 +131,17 @@ class KgeModel {
   /// model's score. Direction-symmetric models ignore `direction`.
   virtual void BuildKernelQueries(const int32_t* anchors, size_t num_queries,
                                   int32_t relation, QueryDirection direction,
-                                  Matrix* queries) const;
+                                  Matrix* queries) const = 0;
 
   /// Scores candidates[0..n) against query row q of a BuildKernelQueries
   /// matrix, reading raw embedding rows (no prepared tile). This is the
   /// scalar reference reduction: the batched tile path is bit-identical to
-  /// it per cell. Requires a kernel surface.
+  /// it per cell.
   void ScoreWithQuery(const Matrix& queries, size_t q,
                       const int32_t* candidates, size_t n, float* out) const;
 
   /// Scores every query row against a prepared pool through the active
-  /// dispatch kernel: pool_scores[q * block.size() + c]. Requires a kernel
-  /// surface and a prepared block.
+  /// dispatch kernel: pool_scores[q * block.size() + c].
   void ScorePool(const Matrix& queries, const CandidateBlock& block,
                  float* pool_scores) const;
 
@@ -155,13 +149,11 @@ class KgeModel {
 
   /// Scores `n` candidate entities for a query. For kTail queries the anchor
   /// is the head and candidates are tails; for kHead queries the anchor is
-  /// the tail and candidates are heads. Higher = more plausible. The base
-  /// implementation builds one kernel query row and reduces with
-  /// ScoreWithQuery; models without a kernel surface override it.
-  virtual void ScoreCandidates(int32_t anchor, int32_t relation,
-                               QueryDirection direction,
-                               const int32_t* candidates, size_t n,
-                               float* out) const;
+  /// the tail and candidates are heads. Higher = more plausible. Builds one
+  /// kernel query row and reduces with ScoreWithQuery.
+  void ScoreCandidates(int32_t anchor, int32_t relation,
+                       QueryDirection direction, const int32_t* candidates,
+                       size_t n, float* out) const;
 
   /// Scores query q against its *own* `candidates_per_query` candidates:
   /// out[q * k + j] is the score of candidates[q * k + j] for anchors[q]
@@ -171,15 +163,14 @@ class KgeModel {
   /// score a positive and all its corruptions in one query construction —
   /// the fusion that matters for ConvE/TuckER, whose query construction
   /// dominates per-triple cost.
-  virtual void ScorePairs(const int32_t* anchors, const int32_t* candidates,
-                          size_t num_queries, size_t candidates_per_query,
-                          int32_t relation, QueryDirection direction,
-                          float* out) const;
+  void ScorePairs(const int32_t* anchors, const int32_t* candidates,
+                  size_t num_queries, size_t candidates_per_query,
+                  int32_t relation, QueryDirection direction,
+                  float* out) const;
 
-  /// Gathers (and transposes) the pool's embeddings once into the
-  /// CandidateBlock layout (plus the bias gather when the model has one).
-  /// Without a kernel surface only the ids and the pool's sortedness are
-  /// recorded. Thread-safe, like all scoring.
+  /// Records the pool's ids and sortedness and gathers (and transposes) its
+  /// embeddings once into the CandidateBlock layout (plus the bias gather
+  /// when the model has one). Thread-safe, like all scoring.
   virtual void PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const;
 
@@ -197,10 +188,8 @@ class KgeModel {
   /// it (`truths` may be null iff truth_scores is). Sharing rows with the
   /// truths halves query construction versus scoring the pool and the
   /// truths separately — the dominant per-query cost for ConvE (conv/FC
-  /// trunk) and TuckER (core contraction). An unprepared block (a model
-  /// without a kernel surface) falls back to per-row and per-truth
-  /// ScoreCandidates loops. This is the evaluation hot path: slot-major
-  /// evaluators feed whole slots here.
+  /// trunk) and TuckER (core contraction). This is the evaluation hot path:
+  /// slot-major evaluators feed whole slots here.
   void ScoreBlock(const int32_t* anchors, const int32_t* truths,
                   size_t num_anchors, int32_t relation,
                   QueryDirection direction, const CandidateBlock& block,
@@ -235,12 +224,6 @@ class KgeModel {
   virtual void CollectParameters(std::vector<NamedParameter>* out) = 0;
 
  protected:
-  /// Fills the layout-independent CandidateBlock fields (ids + sortedness)
-  /// and resets the model-specific ones; every PrepareCandidates override
-  /// starts here before adding its gathered tile.
-  static void FillCandidateIds(const int32_t* candidates, size_t n,
-                               CandidateBlock* block);
-
   ModelType type_;
   int32_t num_entities_;
   int32_t num_relations_;
@@ -249,7 +232,7 @@ class KgeModel {
 
 /// Scores triples[i] as a tail query against its own tail (the ScoreTriple
 /// convention), batched: triples are grouped by relation so each group goes
-/// through one ScorePairs call instead of n virtual single-triple scores.
+/// through one ScorePairs call instead of n single-triple scores.
 /// out[i] corresponds to triples[i].
 void ScoreTriples(const KgeModel& model, const Triple* triples, size_t n,
                   float* out);

@@ -13,7 +13,7 @@ class Rescal : public KgeModel {
   Rescal(int32_t num_entities, int32_t num_relations, ModelOptions options);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// Contracts W_r with each anchor (W^T h for tail queries, W t for head
   /// queries), leaving one length-d query row per anchor.

@@ -17,7 +17,7 @@ class RotatE : public KgeModel {
     return BatchKernel::kNegComplexDist;
   }
   float batch_kernel_eps() const override;
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// Rotates each anchor by the relation's phases (conjugated for head
   /// queries), making the score a plain complex distance to the candidate

@@ -31,7 +31,7 @@ class TComplEx : public KgeModel {
   }
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// Folds anchor and the (relation (.) timestamp) product into one complex
   /// query row per anchor, exactly like ComplEx with the composed relation;

@@ -109,9 +109,7 @@ Status Trainer::Train(KgeModel* model, const EpochCallback& callback) {
     }
   }
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
-    const double loss = TrainEpoch(model, epoch);
-    KGEVAL_LOG(Debug) << model->name() << " epoch " << epoch
-                      << " loss=" << loss;
+    TrainEpoch(model, epoch);
     // The final epoch is always snapshotted regardless of cadence: it is
     // the model training actually produced, and post-hoc selection over
     // the checkpoint directory must be able to see it.

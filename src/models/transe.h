@@ -12,7 +12,7 @@ class TransE : public KgeModel {
   TransE(int32_t num_entities, int32_t num_relations, ModelOptions options);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kNegL1; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// One translated query row per anchor: h + r for tail queries, t - r for
   /// head queries; scoring is then -L1(query, candidate).

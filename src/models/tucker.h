@@ -14,7 +14,7 @@ class TuckEr : public KgeModel {
   TuckEr(int32_t num_entities, int32_t num_relations, ModelOptions options);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
-  const Matrix* candidate_embeddings() const override { return &entities_; }
+  const Matrix& candidate_embeddings() const override { return entities_; }
 
   /// Contracts the core with each anchor and the relation, leaving one
   /// length-de query row per anchor. This is TuckER's per-query O(de^2 dr)

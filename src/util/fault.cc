@@ -192,14 +192,6 @@ void ArmFault(const std::string& point, const FaultSpec& spec) {
   }
 }
 
-void DisarmFault(const std::string& point) {
-  Registry& registry = GetRegistry();
-  MutexLock lock(&registry.mutex);
-  if (registry.armed.erase(point) > 0) {
-    fault_internal::armed_points.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 void DisarmAllFaults() {
   Registry& registry = GetRegistry();
   MutexLock lock(&registry.mutex);

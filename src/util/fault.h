@@ -53,9 +53,8 @@ struct FaultSpec {
 /// its hit counters). Dies if `point` is not a registered name.
 void ArmFault(const std::string& point, const FaultSpec& spec);
 
-/// Disarms one point / every point. DisarmAllFaults is the test-teardown
-/// call that guarantees no fault leaks into the next test.
-void DisarmFault(const std::string& point);
+/// Disarms every point: the test-teardown call that guarantees no fault
+/// leaks into the next test.
 void DisarmAllFaults();
 
 /// Times `point` has actually fired (delay sleeps count) since it was last

@@ -1,6 +1,5 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,12 +7,8 @@
 namespace kgeval {
 namespace {
 
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
-
 const char* LevelName(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
     case LogLevel::kInfo:
       return "INFO";
     case LogLevel::kWarning:
@@ -33,14 +28,6 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -50,13 +37,9 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  const bool enabled =
-      static_cast<int>(level_) >= g_min_level.load(std::memory_order_relaxed);
-  if (enabled || level_ == LogLevel::kFatal) {
-    stream_ << "\n";
-    std::fputs(stream_.str().c_str(), stderr);
-    std::fflush(stderr);
-  }
+  stream_ << "\n";
+  std::fputs(stream_.str().c_str(), stderr);
+  std::fflush(stderr);
   if (level_ == LogLevel::kFatal) std::abort();
 }
 

@@ -6,12 +6,7 @@
 
 namespace kgeval {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
-
-/// Sets the global minimum level below which log statements are discarded.
-/// Default is kInfo. Thread-safe (relaxed atomic).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+enum class LogLevel { kInfo, kWarning, kError, kFatal };
 
 namespace internal {
 

@@ -42,10 +42,6 @@ std::vector<std::string> SplitString(std::string_view text, char sep) {
   return out;
 }
 
-std::string FormatDouble(double value, int digits) {
-  return StrFormat("%.*f", digits, value);
-}
-
 std::string FormatWithCommas(long long value) {
   const bool negative = value < 0;
   unsigned long long magnitude =

@@ -16,10 +16,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Splits `text` on `sep` (single char); keeps empty fields.
 std::vector<std::string> SplitString(std::string_view text, char sep);
 
-/// Formats a double with `digits` significant fraction digits, trimming to a
-/// compact human-readable form (used by the table printer).
-std::string FormatDouble(double value, int digits = 3);
-
 /// Formats a count with thousands separators: 1234567 -> "1,234,567".
 std::string FormatWithCommas(long long value);
 

@@ -15,6 +15,7 @@ set(bad_flags
     --half-width=1 --half-width=-0.1 --half-width=1.5 --half-width=0.1x
     --half-width= --half-width=1e400
     --only= --only=table10 --only=fig3a,,fig3b
+    --dataset=nope --dataset=
     --no-such-flag)
 
 foreach(flag IN LISTS bad_flags)

@@ -324,17 +324,7 @@ TEST(FrameworkTest, RejectsBadSampleSize) {
   const Dataset d = SynthDataset();
   FrameworkOptions options;
   options.sample_fraction = 0.0;
-  options.sample_size = 0;
   EXPECT_FALSE(EvaluationFramework::Build(&d, options).ok());
-}
-
-TEST(FrameworkTest, SampleSizeOverridesFraction) {
-  const Dataset d = SynthDataset();
-  FrameworkOptions options;
-  options.sample_fraction = 0.5;
-  options.sample_size = 17;
-  auto framework = EvaluationFramework::Build(&d, options).ValueOrDie();
-  EXPECT_EQ(framework->SampleSize(), 17);
 }
 
 TEST(FrameworkTest, FractionResolvesAgainstEntities) {

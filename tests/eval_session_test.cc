@@ -102,11 +102,8 @@ TEST_F(EvalSessionTest, EstimateMatchesDirectEvaluateSampledOnPinnedPools) {
           .ValueOrDie();
   auto model = SeededModel(*dataset_, 11);
   const SampledEvalResult via_session = session->Estimate(*model);
-  SampledEvalOptions eval_options;
-  eval_options.tie = session->framework().options().tie;
   const SampledEvalResult direct = EvaluateSampled(
-      *model, *dataset_, *filter_, Split::kTest, session->pools(),
-      eval_options);
+      *model, *dataset_, *filter_, Split::kTest, session->pools());
   EXPECT_EQ(via_session.ranks, direct.ranks);
   EXPECT_EQ(via_session.metrics.mrr, direct.metrics.mrr);
 }

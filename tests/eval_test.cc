@@ -1,48 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <cstring>
 #include <random>
 
 #include "eval/full_evaluator.h"
 #include "eval/metrics.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
+#include "tests/fake_model.h"
 
 namespace kgeval {
 namespace {
-
-/// A model whose score is supplied by a lambda — lets tests pin exact
-/// rankings.
-class FakeModel : public KgeModel {
- public:
-  using ScoreFn = std::function<float(int32_t, int32_t, int32_t)>;
-
-  FakeModel(int32_t num_entities, int32_t num_relations, ScoreFn fn)
-      : KgeModel(ModelType::kDistMult, num_entities, num_relations,
-                 ModelOptions()),
-        fn_(std::move(fn)) {}
-
-  void ScoreCandidates(int32_t anchor, int32_t relation,
-                       QueryDirection direction, const int32_t* candidates,
-                       size_t n, float* out) const override {
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t h =
-          direction == QueryDirection::kTail ? anchor : candidates[i];
-      const int32_t t =
-          direction == QueryDirection::kTail ? candidates[i] : anchor;
-      out[i] = fn_(h, relation, t);
-    }
-  }
-
-  void UpdateTriple(int32_t, int32_t, int32_t, QueryDirection,
-                    float) override {}
-
-  void CollectParameters(std::vector<NamedParameter>*) override {}
-
- private:
-  ScoreFn fn_;
-};
 
 TEST(RankFromCountsTest, Conventions) {
   EXPECT_DOUBLE_EQ(RankFromCounts(0, 0, TieBreak::kMean), 1.0);
@@ -234,6 +203,68 @@ TEST(AddFilteredTileCountsTest, MatchesReferenceRankers) {
                                         truth_score, answers, tie,
                                         /*candidates_sorted=*/false))
             << "trial " << trial << " tile width " << width;
+      }
+    }
+  }
+}
+
+uint32_t Bits(float value) {
+  uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(FakeModelTest, KernelScoresEqualTheLambda) {
+  // The identity candidate table leaves one nonzero term per dot product,
+  // so the active kernel table must return the lambda bit for bit:
+  // negative, zero, tied and large values alike.
+  const std::vector<FakeModel::ScoreFn> fns = {
+      [](int32_t h, int32_t r, int32_t t) {
+        return -static_cast<float>(h * 7 + r * 3 + t) - 0.25f;
+      },
+      [](int32_t h, int32_t, int32_t t) {
+        return (h + t) % 3 == 0 ? 0.0f : -1.5f;
+      },
+      [](int32_t h, int32_t, int32_t t) {
+        return static_cast<float>((h + t) % 4);
+      },
+      [](int32_t h, int32_t r, int32_t t) {
+        return (h + r + t) % 2 == 0 ? 3.0e38f : -1.0e30f;
+      },
+  };
+  // Unsorted, with a duplicate id.
+  const std::vector<int32_t> pool = {11, 3, 27, 3, 0, 39, 18};
+  const std::vector<int32_t> anchors = {0, 5, 17, 39};
+  const std::vector<int32_t> truths = {3, 39, 0, 18};
+  const size_t n = pool.size();
+  const size_t q = anchors.size();
+  for (size_t f = 0; f < fns.size(); ++f) {
+    const FakeModel model(40, 3, fns[f]);
+    CandidateBlock block;
+    model.PrepareCandidates(pool.data(), n, &block);
+    std::vector<float> pool_scores(q * n), truth_scores(q), single(n);
+    for (int32_t r : {0, 2}) {
+      for (QueryDirection dir :
+           {QueryDirection::kTail, QueryDirection::kHead}) {
+        const auto want = [&](int32_t anchor, int32_t e) {
+          return dir == QueryDirection::kTail ? fns[f](anchor, r, e)
+                                              : fns[f](e, r, anchor);
+        };
+        model.ScoreBlock(anchors.data(), truths.data(), q, r, dir, block,
+                         pool_scores.data(), truth_scores.data());
+        for (size_t i = 0; i < q; ++i) {
+          model.ScoreCandidates(anchors[i], r, dir, pool.data(), n,
+                                single.data());
+          for (size_t c = 0; c < n; ++c) {
+            const uint32_t expected = Bits(want(anchors[i], pool[c]));
+            EXPECT_EQ(Bits(pool_scores[i * n + c]), expected)
+                << "fn " << f << " query " << i << " candidate " << c;
+            EXPECT_EQ(Bits(single[c]), expected)
+                << "fn " << f << " query " << i << " candidate " << c;
+          }
+          EXPECT_EQ(Bits(truth_scores[i]), Bits(want(anchors[i], truths[i])))
+              << "fn " << f << " truth " << i;
+        }
       }
     }
   }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -19,6 +18,7 @@
 #include "models/kge_model.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/fake_model.h"
 #include "tests/gate_data.h"
 #include "util/rng.h"
 
@@ -188,38 +188,6 @@ void ExpectFullRankingMatchesScalarOracle(const KgeModel& model,
   EXPECT_DOUBLE_EQ(full.metrics.mrr, oracle.metrics.mrr) << model.name();
 }
 
-/// A model whose score is supplied by a lambda — lets tests pin exact
-/// rankings.
-class FakeModel : public KgeModel {
- public:
-  using ScoreFn = std::function<float(int32_t, int32_t, int32_t)>;
-
-  FakeModel(int32_t num_entities, int32_t num_relations, ScoreFn fn)
-      : KgeModel(ModelType::kDistMult, num_entities, num_relations,
-                 ModelOptions()),
-        fn_(std::move(fn)) {}
-
-  void ScoreCandidates(int32_t anchor, int32_t relation,
-                       QueryDirection direction, const int32_t* candidates,
-                       size_t n, float* out) const override {
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t h =
-          direction == QueryDirection::kTail ? anchor : candidates[i];
-      const int32_t t =
-          direction == QueryDirection::kTail ? candidates[i] : anchor;
-      out[i] = fn_(h, relation, t);
-    }
-  }
-
-  void UpdateTriple(int32_t, int32_t, int32_t, QueryDirection,
-                    float) override {}
-
-  void CollectParameters(std::vector<NamedParameter>*) override {}
-
- private:
-  ScoreFn fn_;
-};
-
 // ---------------------------------------------------------------------------
 // Static protocol: the refactor seam must be invisible. The FilterIndex
 // convenience overloads (the pre-refactor API) and an explicit
@@ -380,8 +348,7 @@ TEST(StaticParityTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
 TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
   // `scored_candidates` is pool size + 1 per evaluated query, whether or
   // not the query shares its score row with a duplicate: the scalar
-  // oracle's count, which the served `scored=` field and the adaptive
-  // candidate budget read.
+  // oracle's count, which the served `scored=` field reads.
   const Dataset dataset = DuplicateQueryDataset(0);
   const FilterIndex filter(dataset);
   const StaticFilteredProtocol protocol(dataset, &filter);
@@ -410,9 +377,10 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
       *model, dataset, protocol, Split::kTest, pools, options);
   EXPECT_EQ(whole.evaluated_queries, whole.total_queries);
   EXPECT_EQ(whole.scored_candidates, scalar.scored_candidates);
-  options.max_candidates = scalar.scored_candidates / 3;
+  options.max_triples = static_cast<int64_t>(dataset.test().size()) / 3;
   const AdaptiveEvalResult budgeted = EvaluateAdaptive(
       *model, dataset, protocol, Split::kTest, pools, options);
+  ASSERT_EQ(budgeted.evaluated_queries, 2 * options.max_triples);
   ASSERT_LT(budgeted.evaluated_queries, budgeted.total_queries);
   int64_t expected = 0;
   const std::vector<Triple>& triples = dataset.test();

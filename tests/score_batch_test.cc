@@ -130,7 +130,6 @@ TEST_P(ScoreBlockTest, PreparedScoreBlockMatchesScalarExactly) {
   model->PrepareCandidates(candidates.data(), n, &block);
   EXPECT_EQ(block.ids, candidates);
   EXPECT_FALSE(block.sorted);
-  EXPECT_TRUE(block.prepared);
   std::vector<float> pool_scores(q * n), truth_scores(q);
   std::vector<float> scalar(n), pair(1);
   for (int32_t relation : {0, 5}) {
@@ -166,33 +165,28 @@ TEST_P(ScoreBlockTest, TruthsShareRowsByIndex) {
   const std::vector<int32_t> truths = {2, 9, 4, 0, 39, 24};
   const std::vector<int32_t> truth_rows = {0, 0, 1, 2, 2, 2};
   const size_t n = candidates.size();
-  CandidateBlock prepared;
-  model->PrepareCandidates(candidates.data(), n, &prepared);
-  CandidateBlock unprepared;  // Ids only: the fallback path.
-  unprepared.ids = candidates;
+  CandidateBlock block;
+  model->PrepareCandidates(candidates.data(), n, &block);
   std::vector<float> pool_scores(anchors.size() * n);
   std::vector<float> truth_scores(truths.size());
   std::vector<float> scalar(n), pair(1);
-  for (const CandidateBlock* block : {&prepared, &unprepared}) {
-    for (QueryDirection dir :
-         {QueryDirection::kTail, QueryDirection::kHead}) {
-      model->ScoreBlock(anchors.data(), truths.data(), anchors.size(), 5,
-                        dir, *block, pool_scores.data(), truth_scores.data(),
-                        truth_rows.data(), truths.size());
-      for (size_t r = 0; r < anchors.size(); ++r) {
-        model->ScoreCandidates(anchors[r], 5, dir, candidates.data(), n,
-                               scalar.data());
-        for (size_t c = 0; c < n; ++c) {
-          EXPECT_EQ(pool_scores[r * n + c], scalar[c])
-              << ModelTypeName(GetParam()) << " row " << r;
-        }
+  for (QueryDirection dir : {QueryDirection::kTail, QueryDirection::kHead}) {
+    model->ScoreBlock(anchors.data(), truths.data(), anchors.size(), 5, dir,
+                      block, pool_scores.data(), truth_scores.data(),
+                      truth_rows.data(), truths.size());
+    for (size_t r = 0; r < anchors.size(); ++r) {
+      model->ScoreCandidates(anchors[r], 5, dir, candidates.data(), n,
+                             scalar.data());
+      for (size_t c = 0; c < n; ++c) {
+        EXPECT_EQ(pool_scores[r * n + c], scalar[c])
+            << ModelTypeName(GetParam()) << " row " << r;
       }
-      for (size_t t = 0; t < truths.size(); ++t) {
-        model->ScoreCandidates(anchors[truth_rows[t]], 5, dir, &truths[t],
-                               1, pair.data());
-        EXPECT_EQ(truth_scores[t], pair[0])
-            << ModelTypeName(GetParam()) << " truth " << t;
-      }
+    }
+    for (size_t t = 0; t < truths.size(); ++t) {
+      model->ScoreCandidates(anchors[truth_rows[t]], 5, dir, &truths[t], 1,
+                             pair.data());
+      EXPECT_EQ(truth_scores[t], pair[0])
+          << ModelTypeName(GetParam()) << " truth " << t;
     }
   }
 }
@@ -221,39 +215,6 @@ TEST_P(ScoreBlockTest, PreparedScoreBlockSkipsNullOutputs) {
   EXPECT_EQ(fused_truth, only_truth);
 }
 
-TEST_P(ScoreBlockTest, UnpreparedBlockFallsBackToPerQueryScoring) {
-  auto model = Make();
-  const std::vector<int32_t> candidates = {11, 3, 27, 3};
-  const std::vector<int32_t> anchors = {0, 5, 17};
-  const std::vector<int32_t> truths = {2, 9, 0};
-  const size_t n = candidates.size();
-  // A block with ids only and no gathered layout, as a model without a
-  // kernel surface prepares it.
-  CandidateBlock block;
-  block.ids = candidates;
-  ASSERT_FALSE(block.prepared);
-  std::vector<float> pool_scores(anchors.size() * n);
-  std::vector<float> truth_scores(anchors.size());
-  model->ScoreBlock(anchors.data(), truths.data(), anchors.size(), 0,
-                    QueryDirection::kTail, block, pool_scores.data(),
-                    truth_scores.data());
-  std::vector<float> scalar(n);
-  for (size_t i = 0; i < anchors.size(); ++i) {
-    model->ScoreCandidates(anchors[i], 0, QueryDirection::kTail,
-                           candidates.data(), n, scalar.data());
-    for (size_t c = 0; c < n; ++c) {
-      EXPECT_EQ(pool_scores[i * n + c], scalar[c])
-          << ModelTypeName(GetParam()) << " query " << i << " candidate "
-          << c;
-    }
-    float truth = 0.0f;
-    model->ScoreCandidates(anchors[i], 0, QueryDirection::kTail, &truths[i],
-                           1, &truth);
-    EXPECT_EQ(truth_scores[i], truth)
-        << ModelTypeName(GetParam()) << " truth " << i;
-  }
-}
-
 TEST_P(ScoreBlockTest, EmptyBatchAndEmptyPoolAreNoops) {
   auto model = Make();
   const int32_t candidate = 3;
@@ -265,28 +226,19 @@ TEST_P(ScoreBlockTest, EmptyBatchAndEmptyPoolAreNoops) {
   CandidateBlock empty;
   model->PrepareCandidates(nullptr, 0, &empty);
   EXPECT_EQ(empty.size(), 0u);
-  for (bool prepared : {true, false}) {
-    SCOPED_TRACE(prepared ? "prepared" : "unprepared");
-    if (!prepared) {
-      one.prepared = false;
-      empty.prepared = false;
-    }
-    // No queries: neither output is touched.
-    std::vector<float> pool(1, kSentinel), truths(1, kSentinel);
-    model->ScoreBlock(nullptr, &truth, 0, 0, QueryDirection::kTail, one,
-                      pool.data(), truths.data());
-    EXPECT_EQ(pool[0], kSentinel);
-    EXPECT_EQ(truths[0], kSentinel);
-    // No candidates: the pool output is not touched; the truth still
-    // scores.
-    model->ScoreBlock(&anchor, &truth, 1, 0, QueryDirection::kTail, empty,
-                      pool.data(), truths.data());
-    EXPECT_EQ(pool[0], kSentinel);
-    float want = 0.0f;
-    model->ScoreCandidates(anchor, 0, QueryDirection::kTail, &truth, 1,
-                           &want);
-    EXPECT_EQ(truths[0], want);
-  }
+  // No queries: neither output is touched.
+  std::vector<float> pool(1, kSentinel), truths(1, kSentinel);
+  model->ScoreBlock(nullptr, &truth, 0, 0, QueryDirection::kTail, one,
+                    pool.data(), truths.data());
+  EXPECT_EQ(pool[0], kSentinel);
+  EXPECT_EQ(truths[0], kSentinel);
+  // No candidates: the pool output is not touched; the truth still scores.
+  model->ScoreBlock(&anchor, &truth, 1, 0, QueryDirection::kTail, empty,
+                    pool.data(), truths.data());
+  EXPECT_EQ(pool[0], kSentinel);
+  float want = 0.0f;
+  model->ScoreCandidates(anchor, 0, QueryDirection::kTail, &truth, 1, &want);
+  EXPECT_EQ(truths[0], want);
 }
 
 TEST_P(ScoreBlockTest, PreparedPoolLargerThanOneEntityTile) {
