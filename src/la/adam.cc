@@ -5,14 +5,15 @@
 namespace kgeval {
 
 AdamState::AdamState(size_t rows, size_t cols, AdamOptions options)
-    : options_(options),
-      cols_(cols),
-      m_(rows, cols, 0.0f),
-      v_(rows, cols, 0.0f),
-      beta1_pow_(rows, 1.0f),
-      beta2_pow_(rows, 1.0f) {}
+    : options_(options), rows_(rows), cols_(cols) {}
 
 void AdamState::UpdateRow(Matrix* param, size_t r, const float* grad) {
+  if (beta1_pow_.empty()) {
+    m_ = Matrix(rows_, cols_, 0.0f);
+    v_ = Matrix(rows_, cols_, 0.0f);
+    beta1_pow_.assign(rows_, 1.0f);
+    beta2_pow_.assign(rows_, 1.0f);
+  }
   const float b1 = options_.beta1;
   const float b2 = options_.beta2;
   beta1_pow_[r] *= b1;

@@ -304,9 +304,30 @@ Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path) {
   options.relation_dim = header.relation_dim;
   options.num_timestamps = header.num_timestamps;
   options.seed = header.seed;
-  auto model_or = CreateModel(static_cast<ModelType>(header.model_type),
-                              header.num_entities, header.num_relations,
-                              options);
+  const ModelType type = static_cast<ModelType>(header.model_type);
+  // The tables the header describes must fit in what the file holds: a
+  // 48-byte file may claim tens of GiB of parameters (the per-table caps
+  // bound each table, not RESCAL's d^2 relation rows or TuckER's core), and
+  // it must fail here, before anything is allocated.
+  const int64_t payload_bytes =
+      ParameterElementCount(type, header.num_entities, header.num_relations,
+                            options) *
+      static_cast<int64_t>(sizeof(float));
+  const std::streamoff data_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_bytes = in.tellg();
+  in.seekg(data_start);
+  if (data_start < 0 || file_bytes - data_start < payload_bytes) {
+    return Status::IoError(StrFormat(
+        "%s: truncated checkpoint: the header describes %lld parameter "
+        "bytes, the file holds %lld after it",
+        path.c_str(), static_cast<long long>(payload_bytes),
+        static_cast<long long>(file_bytes - data_start)));
+  }
+  // No seeded init: RestoreParameters checks the parameter count, names and
+  // shapes against the header, and overwrites every table.
+  auto model_or =
+      AllocateModel(type, header.num_entities, header.num_relations, options);
   if (!model_or.ok()) return model_or.status();
   std::unique_ptr<KgeModel> model = std::move(model_or).ValueOrDie();
   KGEVAL_RETURN_NOT_OK(RestoreParameters(model.get(), in, header));

@@ -19,10 +19,13 @@ namespace kgeval {
 Status SaveModel(KgeModel* model, const std::string& path);
 
 /// Reconstructs a model from a checkpoint: the stored type/shapes drive
-/// CreateModel, then the parameters are restored. Fails with IoError on
-/// unreadable/truncated files and InvalidArgument on format/shape
-/// mismatches; every header field is validated before any allocation, so a
-/// corrupt file yields a Status, never a crash.
+/// AllocateModel (zero-filled tables, no seeded init, no optimizer state),
+/// then every parameter is read from the file — a load costs what reading
+/// the bytes costs. Fails with IoError on unreadable/truncated files and
+/// InvalidArgument on format/shape mismatches. Every header field is
+/// validated, and the parameter bytes the header implies are checked
+/// against the file's size, before any allocation, so a corrupt or short
+/// file yields a Status, never a crash or a huge allocation.
 Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path);
 
 /// Restores a checkpoint into an existing model of matching type and shape

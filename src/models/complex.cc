@@ -13,10 +13,11 @@ ComplEx::ComplEx(int32_t num_entities, int32_t num_relations,
       entities_(num_entities, options.dim),
       relations_(num_relations, options.dim),
       entity_adam_(num_entities, options.dim, options.adam),
-      relation_adam_(num_relations, options.dim, options.adam) {
-  Rng rng(options.seed);
-  entities_.InitXavier(&rng, options.dim, options.dim);
-  relations_.InitXavier(&rng, options.dim, options.dim);
+      relation_adam_(num_relations, options.dim, options.adam) {}
+
+void ComplEx::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, options_.dim, options_.dim);
+  relations_.InitXavier(rng, options_.dim, options_.dim);
 }
 
 void ComplEx::BuildKernelQueries(const int32_t* anchors, size_t num_queries,

@@ -28,6 +28,9 @@ class ComplEx : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   int32_t half_;  // d / 2
   Matrix entities_;

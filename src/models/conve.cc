@@ -19,6 +19,16 @@ Result<std::unique_ptr<KgeModel>> ConvE::Create(int32_t num_entities,
       new ConvE(num_entities, num_relations, options))};
 }
 
+int64_t ConvE::ParameterElementCount(int32_t num_entities,
+                                     int32_t num_relations, int32_t dim) {
+  const int64_t d = dim;
+  const int64_t flat =
+      int64_t{kChannels} * (2 * (d / kWidth) - (kKernel - 1)) *
+      (kWidth - (kKernel - 1));
+  return int64_t{num_entities} * (d + 1) + 2 * int64_t{num_relations} * d +
+         kChannels * (kKernel * kKernel + 1) + flat * d + d;
+}
+
 ConvE::ConvE(int32_t num_entities, int32_t num_relations,
              ModelOptions options)
     : KgeModel(ModelType::kConvE, num_entities, num_relations, options),
@@ -39,12 +49,13 @@ ConvE::ConvE(int32_t num_entities, int32_t num_relations,
       conv_bias_adam_(1, kChannels, options.adam),
       fc_adam_(flat_size_, options.dim, options.adam),
       fc_bias_adam_(1, options.dim, options.adam),
-      entity_bias_adam_(num_entities, 1, options.adam) {
-  Rng rng(options.seed);
-  entities_.InitXavier(&rng, options.dim, options.dim);
-  relations_.InitXavier(&rng, options.dim, options.dim);
-  filters_.InitXavier(&rng, kKernel * kKernel, kChannels);
-  fc_.InitXavier(&rng, flat_size_, options.dim);
+      entity_bias_adam_(num_entities, 1, options.adam) {}
+
+void ConvE::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, options_.dim, options_.dim);
+  relations_.InitXavier(rng, options_.dim, options_.dim);
+  filters_.InitXavier(rng, kKernel * kKernel, kChannels);
+  fc_.InitXavier(rng, flat_size_, options_.dim);
 }
 
 void ConvE::Forward(int32_t anchor, int32_t rel_row,

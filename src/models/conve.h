@@ -20,10 +20,16 @@ namespace kgeval {
 class ConvE : public KgeModel {
  public:
   /// Validates that options.dim is divisible by 4 (the 2-D reshape uses a
-  /// fixed width of 4) and at least 12.
+  /// fixed width of 4) and at least 12, then allocates the zero-filled
+  /// tables (AllocateModel's ConvE case).
   static Result<std::unique_ptr<KgeModel>> Create(int32_t num_entities,
                                                   int32_t num_relations,
                                                   const ModelOptions& options);
+
+  /// The floats in the tables Create allocates (ParameterElementCount's
+  /// ConvE case).
+  static int64_t ParameterElementCount(int32_t num_entities,
+                                       int32_t num_relations, int32_t dim);
 
   BatchKernel batch_kernel() const override { return BatchKernel::kDot; }
   const Matrix& candidate_embeddings() const override { return entities_; }
@@ -41,6 +47,9 @@ class ConvE : public KgeModel {
                     QueryDirection direction, float dscore) override;
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
+
+ protected:
+  void InitParameters(Rng* rng) override;
 
  private:
   ConvE(int32_t num_entities, int32_t num_relations, ModelOptions options);

@@ -26,6 +26,9 @@ class DistMult : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   Matrix entities_;
   Matrix relations_;

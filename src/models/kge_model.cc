@@ -266,10 +266,10 @@ float KgeModel::ScoreTriple(const Triple& t) const {
   return score;
 }
 
-Result<std::unique_ptr<KgeModel>> CreateModel(ModelType type,
-                                              int32_t num_entities,
-                                              int32_t num_relations,
-                                              const ModelOptions& options) {
+Result<std::unique_ptr<KgeModel>> AllocateModel(ModelType type,
+                                                int32_t num_entities,
+                                                int32_t num_relations,
+                                                const ModelOptions& options) {
   if (num_entities <= 0 || num_relations <= 0) {
     return Status::InvalidArgument("entity/relation counts must be positive");
   }
@@ -311,6 +311,46 @@ Result<std::unique_ptr<KgeModel>> CreateModel(ModelType type,
           new TComplEx(num_entities, num_relations, options))};
   }
   return Status::InvalidArgument("unhandled model type");
+}
+
+Result<std::unique_ptr<KgeModel>> CreateModel(ModelType type,
+                                              int32_t num_entities,
+                                              int32_t num_relations,
+                                              const ModelOptions& options) {
+  auto model_or = AllocateModel(type, num_entities, num_relations, options);
+  if (!model_or.ok()) return model_or.status();
+  std::unique_ptr<KgeModel> model = std::move(model_or).ValueOrDie();
+  Rng rng(options.seed);
+  model->InitParameters(&rng);
+  return {std::move(model)};
+}
+
+int64_t ParameterElementCount(ModelType type, int32_t num_entities,
+                              int32_t num_relations,
+                              const ModelOptions& options) {
+  const int64_t e = num_entities;
+  const int64_t r = num_relations;
+  const int64_t d = options.dim;
+  switch (type) {
+    case ModelType::kTransE:
+    case ModelType::kDistMult:
+    case ModelType::kComplEx:
+      return (e + r) * d;
+    case ModelType::kRescal:
+      return e * d + r * d * d;
+    case ModelType::kRotatE:
+      return e * d + r * (d / 2);
+    case ModelType::kTuckEr: {
+      const int64_t dr = options.relation_dim > 0 ? options.relation_dim : d;
+      return e * d + r * dr + d * dr * d;
+    }
+    case ModelType::kConvE:
+      return ConvE::ParameterElementCount(num_entities, num_relations,
+                                          options.dim);
+    case ModelType::kTComplEx:
+      return (e + r + std::max<int64_t>(1, options.num_timestamps)) * d;
+  }
+  return 0;
 }
 
 }  // namespace kgeval

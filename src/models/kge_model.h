@@ -208,7 +208,9 @@ class KgeModel {
   /// `dscore * score(h, r, t)` — i.e., pass dscore = dLoss/dScore.
   /// `direction` names the side the trainer treated as the candidate; models
   /// with direction-specific parameterizations (ConvE's reciprocal
-  /// relations) use it, symmetric models ignore it.
+  /// relations) use it, symmetric models ignore it. The first update
+  /// allocates the Adam moments, so a model that is only evaluated never
+  /// holds them.
   virtual void UpdateTriple(int32_t head, int32_t relation, int32_t tail,
                             QueryDirection direction, float dscore) = 0;
 
@@ -224,6 +226,17 @@ class KgeModel {
   virtual void CollectParameters(std::vector<NamedParameter>* out) = 0;
 
  protected:
+  /// Draws the seeded initial value of every parameter table from `rng`.
+  /// Constructors only allocate their tables, zero-filled (the Adam moments
+  /// not even that: they appear at the first update); CreateModel calls
+  /// this once with Rng(options.seed), and LoadModel never does, because
+  /// the checkpoint overwrites every table.
+  virtual void InitParameters(Rng* rng) = 0;
+
+  friend Result<std::unique_ptr<KgeModel>> CreateModel(
+      ModelType type, int32_t num_entities, int32_t num_relations,
+      const ModelOptions& options);
+
   ModelType type_;
   int32_t num_entities_;
   int32_t num_relations_;
@@ -248,12 +261,29 @@ void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
                                size_t n, const Triple* negatives, size_t k,
                                float* pos_out, float* neg_out);
 
-/// Creates a model of the given type. Fails on invalid options (e.g., an odd
-/// dimension for the complex-valued models).
+/// Creates a model of the given type with its seeded initial parameters:
+/// AllocateModel, then InitParameters with Rng(options.seed). Fails on
+/// invalid options (e.g., an odd dimension for the complex-valued models).
 Result<std::unique_ptr<KgeModel>> CreateModel(ModelType type,
                                               int32_t num_entities,
                                               int32_t num_relations,
                                               const ModelOptions& options);
+
+/// CreateModel without the seeded init: every parameter table is allocated
+/// zero-filled and nothing is drawn. This is all of LoadModel's
+/// construction; the checkpoint then fills every table.
+Result<std::unique_ptr<KgeModel>> AllocateModel(ModelType type,
+                                                int32_t num_entities,
+                                                int32_t num_relations,
+                                                const ModelOptions& options);
+
+/// The number of floats in the parameter tables AllocateModel gives these
+/// arguments: the CollectParameters total. Checkpoint loading checks a
+/// file's size against it before allocating anything. The arguments must
+/// lie within the checkpoint header bounds, so the count fits in int64.
+int64_t ParameterElementCount(ModelType type, int32_t num_entities,
+                              int32_t num_relations,
+                              const ModelOptions& options);
 
 }  // namespace kgeval
 

@@ -16,10 +16,11 @@ Rescal::Rescal(int32_t num_entities, int32_t num_relations,
       entity_adam_(num_entities, options.dim, options.adam),
       relation_adam_(num_relations,
                      static_cast<size_t>(options.dim) * options.dim,
-                     options.adam) {
-  Rng rng(options.seed);
-  entities_.InitXavier(&rng, options.dim, options.dim);
-  relations_.InitXavier(&rng, options.dim, options.dim);
+                     options.adam) {}
+
+void Rescal::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, options_.dim, options_.dim);
+  relations_.InitXavier(rng, options_.dim, options_.dim);
 }
 
 void Rescal::BuildKernelQueries(const int32_t* anchors, size_t num_queries,

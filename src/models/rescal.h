@@ -26,6 +26,9 @@ class Rescal : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   Matrix entities_;
   Matrix relations_;  // |R| x d*d, row-major W_r.

@@ -19,10 +19,11 @@ RotatE::RotatE(int32_t num_entities, int32_t num_relations,
       entities_(num_entities, options.dim),
       phases_(num_relations, options.dim / 2),
       entity_adam_(num_entities, options.dim, options.adam),
-      phase_adam_(num_relations, options.dim / 2, options.adam) {
-  Rng rng(options.seed);
-  entities_.InitXavier(&rng, options.dim, options.dim);
-  phases_.InitUniform(&rng, -static_cast<float>(M_PI),
+      phase_adam_(num_relations, options.dim / 2, options.adam) {}
+
+void RotatE::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, options_.dim, options_.dim);
+  phases_.InitUniform(rng, -static_cast<float>(M_PI),
                       static_cast<float>(M_PI));
 }
 

@@ -33,6 +33,9 @@ class RotatE : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   int32_t half_;     // d / 2 complex coordinates.
   Matrix entities_;  // |E| x d.

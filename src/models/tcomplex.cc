@@ -34,11 +34,12 @@ TComplEx::TComplEx(int32_t num_entities, int32_t num_relations,
       timestamps_(num_timestamps_, options.dim),
       entity_adam_(num_entities, options.dim, options.adam),
       relation_adam_(num_relations, options.dim, options.adam),
-      timestamp_adam_(num_timestamps_, options.dim, options.adam) {
-  Rng rng(options.seed);
-  entities_.InitXavier(&rng, options.dim, options.dim);
-  relations_.InitXavier(&rng, options.dim, options.dim);
-  timestamps_.InitXavier(&rng, options.dim, options.dim);
+      timestamp_adam_(num_timestamps_, options.dim, options.adam) {}
+
+void TComplEx::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, options_.dim, options_.dim);
+  relations_.InitXavier(rng, options_.dim, options_.dim);
+  timestamps_.InitXavier(rng, options_.dim, options_.dim);
 }
 
 void TComplEx::BuildKernelQueries(const int32_t* anchors, size_t num_queries,

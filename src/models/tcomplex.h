@@ -48,6 +48,9 @@ class TComplEx : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   int32_t half_;            // d / 2
   int32_t num_timestamps_;  // |T| >= 1

@@ -28,6 +28,9 @@ class TransE : public KgeModel {
   const Matrix& entities() const { return entities_; }
   const Matrix& relations() const { return relations_; }
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   Matrix entities_;
   Matrix relations_;

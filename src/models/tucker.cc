@@ -17,12 +17,13 @@ TuckEr::TuckEr(int32_t num_entities, int32_t num_relations,
       core_(1, static_cast<size_t>(de_) * dr_ * de_),
       entity_adam_(num_entities, de_, options.adam),
       relation_adam_(num_relations, dr_, options.adam),
-      core_adam_(1, static_cast<size_t>(de_) * dr_ * de_, options.adam) {
-  Rng rng(options.seed);
-  entities_.InitXavier(&rng, de_, de_);
-  relations_.InitXavier(&rng, dr_, dr_);
+      core_adam_(1, static_cast<size_t>(de_) * dr_ * de_, options.adam) {}
+
+void TuckEr::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, de_, de_);
+  relations_.InitXavier(rng, dr_, dr_);
   // The core couples three modes; a smaller init keeps early scores tame.
-  core_.InitGaussian(&rng, 0.1f);
+  core_.InitGaussian(rng, 0.1f);
 }
 
 void TuckEr::BuildKernelQueries(const int32_t* anchors, size_t num_queries,

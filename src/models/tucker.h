@@ -29,6 +29,9 @@ class TuckEr : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>* out) override;
 
+ protected:
+  void InitParameters(Rng* rng) override;
+
  private:
   /// Index into the flattened core: W[i][j][k] with i,k entity dims, j the
   /// relation dim.

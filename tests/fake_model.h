@@ -50,6 +50,9 @@ class FakeModel : public KgeModel {
 
   void CollectParameters(std::vector<NamedParameter>*) override {}
 
+ protected:
+  void InitParameters(Rng*) override {}
+
  private:
   Matrix identity_;
   ScoreFn fn_;

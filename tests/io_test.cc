@@ -12,6 +12,7 @@
 #include "models/trainer.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/checkpoint_header.h"
 #include "tests/temp_dir.h"
 
 namespace kgeval {
@@ -187,16 +188,24 @@ constexpr ModelType kAllModels[] = {
 
 class CheckpointTest : public ::testing::TestWithParam<ModelType> {};
 
-TEST_P(CheckpointTest, RoundTripPreservesScores) {
+TEST_P(CheckpointTest, RoundTripIsBitExact) {
+  // Every stored float must come back with the identical bit pattern, and
+  // every score with it. Each parameter is overwritten with a pattern no
+  // seed draws, so the loaded model matches only if each table comes from
+  // the file: a load draws no seeded init, and must leave no table unfilled.
   ModelOptions options;
   options.dim = 16;
   options.seed = 77;
+  const int32_t num_entities = 30;
   auto model =
-      CreateModel(GetParam(), 30, 6, options).ValueOrDie();
-  // Perturb away from the init so the test cannot pass by re-seeding.
-  for (int i = 0; i < 50; ++i) {
-    model->UpdateTriple(i % 30, i % 6, (i * 7 + 1) % 30,
-                        QueryDirection::kTail, -0.5f);
+      CreateModel(GetParam(), num_entities, 6, options).ValueOrDie();
+  std::vector<KgeModel::NamedParameter> original;
+  model->CollectParameters(&original);
+  for (size_t p = 0; p < original.size(); ++p) {
+    float* values = original[p].matrix->data();
+    for (size_t i = 0; i < original[p].matrix->size(); ++i) {
+      values[i] = 0.01f * static_cast<float>((i * 37 + p * 11) % 101) - 0.5f;
+    }
   }
   TempDir dir;
   const std::string path = dir.path() + "/model.ckpt";
@@ -204,12 +213,32 @@ TEST_P(CheckpointTest, RoundTripPreservesScores) {
 
   auto loaded = LoadModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const KgeModel& restored = *loaded.ValueOrDie();
+  KgeModel& restored = *loaded.ValueOrDie();
   EXPECT_EQ(restored.type(), GetParam());
-  for (int32_t h = 0; h < 10; ++h) {
-    for (int32_t r = 0; r < 6; ++r) {
-      const Triple t{h, r, (h + 11) % 30};
-      EXPECT_FLOAT_EQ(restored.ScoreTriple(t), model->ScoreTriple(t));
+  std::vector<KgeModel::NamedParameter> tables;
+  restored.CollectParameters(&tables);
+  ASSERT_EQ(tables.size(), original.size());
+  for (size_t p = 0; p < original.size(); ++p) {
+    EXPECT_STREQ(tables[p].name, original[p].name);
+    ASSERT_EQ(tables[p].matrix->size(), original[p].matrix->size());
+    EXPECT_EQ(std::memcmp(tables[p].matrix->data(),
+                          original[p].matrix->data(),
+                          original[p].matrix->size() * sizeof(float)),
+              0)
+        << "parameter '" << original[p].name << "' not bit-identical";
+  }
+  std::vector<float> want(num_entities), got(num_entities);
+  for (int32_t anchor = 0; anchor < num_entities; ++anchor) {
+    for (int32_t r = 0; r < model->num_kernel_relations(); ++r) {
+      for (QueryDirection direction :
+           {QueryDirection::kTail, QueryDirection::kHead}) {
+        model->ScoreAll(anchor, r, direction, want.data());
+        restored.ScoreAll(anchor, r, direction, got.data());
+        EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "anchor " << anchor << " relation " << r;
+      }
     }
   }
 }
@@ -273,31 +302,6 @@ TEST_P(CheckpointTest, SaveIsByteDeterministic) {
   const std::string bytes_a = ReadFileBytes(a);
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, ReadFileBytes(b));
-}
-
-TEST_P(CheckpointTest, RoundTripIsBitExact) {
-  // Stronger than score equality: every stored float must come back with
-  // the identical bit pattern.
-  auto model = SmallPerturbedModel(GetParam());
-  TempDir dir;
-  const std::string path = dir.path() + "/model.ckpt";
-  ASSERT_TRUE(SaveModel(model.get(), path).ok());
-  auto loaded = LoadModel(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-
-  std::vector<KgeModel::NamedParameter> original, restored;
-  model->CollectParameters(&original);
-  loaded.ValueOrDie()->CollectParameters(&restored);
-  ASSERT_EQ(original.size(), restored.size());
-  for (size_t p = 0; p < original.size(); ++p) {
-    EXPECT_STREQ(original[p].name, restored[p].name);
-    ASSERT_EQ(original[p].matrix->size(), restored[p].matrix->size());
-    EXPECT_EQ(std::memcmp(original[p].matrix->data(),
-                          restored[p].matrix->data(),
-                          original[p].matrix->size() * sizeof(float)),
-              0)
-        << "parameter '" << original[p].name << "' not bit-identical";
-  }
 }
 
 TEST_P(CheckpointTest, TruncationAtEveryByteYieldsStatusNotCrash) {
@@ -390,6 +394,35 @@ TEST(CheckpointErrorsTest, CorruptHeaderCountsRejected) {
   // v1 byte-compat guarantee).
   EXPECT_TRUE(corrupt_int32_at(20, static_cast<int32_t>(0xDEADBEEF)).ok());
   EXPECT_TRUE(corrupt_int32_at(36, -1).ok());
+}
+
+TEST(CheckpointErrorsTest, HeaderOnlyFileClaimingHugeTablesFailsUpFront) {
+  // Each 48-byte file is a header within every per-field cap that describes
+  // far more parameter bytes than the file holds: a TransE entity table of
+  // 2^27 x 64 (2^33 floats), RESCAL's R x d^2 relation rows and TuckER's
+  // d^2 x relation_dim core. The load must fail as a truncated file before
+  // allocating any of it (it used to zero-fill tens of GiB, or abort with
+  // an uncaught bad_alloc under a memory limit).
+  struct Claim {
+    ModelType type;
+    int32_t num_entities, num_relations, dim, relation_dim, num_params;
+  };
+  const Claim claims[] = {
+      {ModelType::kTransE, 1 << 27, 1, 64, 0, 2},
+      {ModelType::kRescal, 1, 1 << 20, 1 << 12, 0, 2},
+      {ModelType::kTuckEr, 1, 1, 1 << 12, 1 << 16, 3},
+  };
+  TempDir dir;
+  const std::string path = dir.path() + "/huge.ckpt";
+  for (const Claim& claim : claims) {
+    WriteHeaderOnlyCheckpoint(path, claim.type, claim.num_entities,
+                              claim.num_relations, claim.dim,
+                              claim.relation_dim, claim.num_params);
+    ASSERT_EQ(fs::file_size(path), 48u);
+    const Status status = LoadModel(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << ModelTypeName(claim.type) << ": " << status.ToString();
+  }
 }
 
 TEST(CheckpointErrorsTest, LoadIntoRejectsDimensionMismatchUpFront) {

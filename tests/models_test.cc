@@ -162,6 +162,26 @@ TEST_P(ModelTest, UpdateLeavesUntouchedEntitiesAlone) {
   EXPECT_FLOAT_EQ(model->ScoreTriple({18, 4, 19}), before);
 }
 
+TEST_P(ModelTest, ParameterElementCountMatchesTheTables) {
+  // Checkpoint loading bounds a file's claimed tables with this count, so
+  // it must be exactly the CollectParameters total: with default widths and
+  // with TuckER's relation width and TComplEx's timestamp vocabulary set
+  // (the other models ignore both).
+  ModelOptions widths = SmallOptions();
+  widths.relation_dim = 8;
+  widths.num_timestamps = 3;
+  for (const ModelOptions& options : {SmallOptions(), widths}) {
+    auto model = CreateModel(GetParam(), 20, 5, options).ValueOrDie();
+    std::vector<KgeModel::NamedParameter> params;
+    model->CollectParameters(&params);
+    int64_t total = 0;
+    for (const auto& param : params) {
+      total += static_cast<int64_t>(param.matrix->size());
+    }
+    EXPECT_EQ(ParameterElementCount(GetParam(), 20, 5, options), total);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelTest, ::testing::ValuesIn(kAllModels),
                          [](const auto& info) {
                            return std::string(ModelTypeName(info.param));
@@ -228,29 +248,97 @@ TEST_P(TrainerModelTest, LossDecreases) {
   EXPECT_LT(last, first) << ModelTypeName(GetParam());
 }
 
+std::string SavedBytes(KgeModel* model) {
+  TempDir dir;
+  const std::string path = dir.path() + "/model.ckpt";
+  EXPECT_TRUE(SaveModel(model, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The SaveModel bytes of a freshly created model after `epochs` epochs of
+/// default-option training.
+std::string TrainedBytes(ModelType type, const Dataset& dataset,
+                         int32_t epochs) {
+  auto model = CreateModel(type, dataset.num_entities(),
+                           dataset.num_relations(), SmallOptions())
+                   .ValueOrDie();
+  TrainerOptions trainer_options;
+  trainer_options.epochs = epochs;
+  Trainer trainer(&dataset, trainer_options);
+  EXPECT_TRUE(trainer.Train(model.get()).ok());
+  return SavedBytes(model.get());
+}
+
 TEST_P(TrainerModelTest, TrainingIsReproducible) {
   // Two runs with the default options must save the same bytes, dense
-  // parameters (ConvE's filters, TuckER's core) included, whatever the
-  // worker pool's width.
+  // parameters (ConvE's filters, TuckER's core) included.
   const SynthOutput synth = Data();
-  TrainerOptions trainer_options;
-  trainer_options.epochs = 2;
-  TempDir dir;
-  std::string bytes[2];
-  for (int run = 0; run < 2; ++run) {
-    auto model = CreateModel(GetParam(), synth.dataset.num_entities(),
-                             synth.dataset.num_relations(), SmallOptions())
-                     .ValueOrDie();
-    Trainer trainer(&synth.dataset, trainer_options);
-    ASSERT_TRUE(trainer.Train(model.get()).ok());
-    const std::string path = dir.path() + "/run" + std::to_string(run);
-    ASSERT_TRUE(SaveModel(model.get(), path).ok());
-    std::ifstream in(path, std::ios::binary);
-    bytes[run].assign(std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>());
+  const std::string first = TrainedBytes(GetParam(), synth.dataset, 2);
+  ASSERT_FALSE(first.empty());
+  EXPECT_TRUE(first == TrainedBytes(GetParam(), synth.dataset, 2))
+      << ModelTypeName(GetParam());
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001B3ULL;
   }
-  ASSERT_FALSE(bytes[0].empty());
-  EXPECT_TRUE(bytes[0] == bytes[1]) << ModelTypeName(GetParam());
+  return hash;
+}
+
+// FNV-1a digests of the TrainingIsReproducible bytes, indexed by ModelType.
+// Training output is part of the determinism contract: the seeded init, the
+// Adam moments and the update order all feed these bytes, so a change to
+// any of them shows up here, not only as a mismatch between two runs in one
+// process. The build pins -ffp-contract=off, so the bytes do not depend on
+// the target ISA.
+constexpr uint64_t kGoldenDigests[] = {
+    0xE86A2C7EC71A4F07ULL,  // TransE
+    0xCC0E93677ED7944BULL,  // DistMult
+    0xFC46A949578705E8ULL,  // ComplEx
+    0x632A48FE43864437ULL,  // RESCAL
+    0x72A45E9ED0757190ULL,  // RotatE
+    0x19FF42CA47303FA2ULL,  // TuckER
+    0xD476BDC3E3E0BAC3ULL,  // ConvE
+    0xCBD7BA9A27CFA950ULL,  // TComplEx
+};
+static_assert(sizeof(kGoldenDigests) / sizeof(kGoldenDigests[0]) ==
+                  static_cast<size_t>(kLastModelType) + 1,
+              "one golden digest per model type");
+
+TEST_P(TrainerModelTest, GoldenDigests) {
+  const SynthOutput synth = Data();
+  const uint64_t digest = Fnv1a(TrainedBytes(GetParam(), synth.dataset, 2));
+  EXPECT_EQ(digest, kGoldenDigests[static_cast<int>(GetParam())])
+      << ModelTypeName(GetParam()) << " digest 0x" << std::hex
+      << std::uppercase << digest;
+}
+
+TEST_P(TrainerModelTest, TrainingALoadedCopyMatchesTheOriginal) {
+  // A loaded model holds no optimizer state, like a created one: one epoch
+  // on the created model and one on its loaded copy must save the same
+  // bytes.
+  const SynthOutput synth = Data();
+  auto model = CreateModel(GetParam(), synth.dataset.num_entities(),
+                           synth.dataset.num_relations(), SmallOptions())
+                   .ValueOrDie();
+  TempDir dir;
+  const std::string path = dir.path() + "/init.ckpt";
+  ASSERT_TRUE(SaveModel(model.get(), path).ok());
+  auto loaded = LoadModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  TrainerOptions trainer_options;
+  trainer_options.epochs = 1;
+  for (KgeModel* m : {model.get(), loaded.ValueOrDie().get()}) {
+    Trainer trainer(&synth.dataset, trainer_options);
+    ASSERT_TRUE(trainer.Train(m).ok());
+  }
+  EXPECT_TRUE(SavedBytes(model.get()) == SavedBytes(loaded.ValueOrDie().get()))
+      << ModelTypeName(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, TrainerModelTest,

@@ -23,6 +23,7 @@
 #include "service/line_client.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/checkpoint_header.h"
 #include "tests/gate_data.h"
 #include "tests/temp_dir.h"
 #include "util/string_util.h"
@@ -260,6 +261,18 @@ TEST_F(ServiceTest, EvalReturnsMetricsAndAdaptiveVariantConverges) {
   EXPECT_EQ(Request(client, "EVAL " + CkptDir() + "/missing.ckpt")
                 .rfind("ERR eval-failed", 0),
             0u);
+}
+
+TEST_F(ServiceTest, EvalOfHeaderOnlyCheckpointFailsAndServerStaysUp) {
+  // Any client can name any file: a 48-byte header claiming a 2^27 x 64
+  // TransE entity table must come back as ERR eval-failed, not as a 32 GiB
+  // allocation that takes the server down.
+  const std::string path = scratch_->path() + "/header_only.ckpt";
+  WriteHeaderOnlyCheckpoint(path, ModelType::kTransE, 1 << 27, 1, 64, 0, 2);
+  LineClient client = ConnectAndGreet();
+  const std::string reply = Request(client, "EVAL " + path);
+  EXPECT_EQ(reply.rfind("ERR eval-failed", 0), 0u) << reply;
+  EXPECT_EQ(Request(client, "PING"), "OK pong");
 }
 
 TEST_F(ServiceTest, EvalProtocolArgumentSelectsProtocolFamily) {
