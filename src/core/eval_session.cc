@@ -108,13 +108,6 @@ Result<std::unique_ptr<EvalSession>> EvalSession::Create(
       std::move(framework).ValueOrDie(), filter, split, protocol))};
 }
 
-std::unique_ptr<EvalSession> EvalSession::Adopt(
-    std::unique_ptr<EvaluationFramework> framework, const FilterIndex* filter,
-    Split split, const EvalProtocol* protocol) {
-  return std::unique_ptr<EvalSession>(
-      new EvalSession(std::move(framework), filter, split, protocol));
-}
-
 SampledEvalResult EvalSession::Estimate(const KgeModel& model,
                                         int64_t max_triples,
                                         const CancelToken* cancel) const {

@@ -74,14 +74,6 @@ class EvalSession {
       const FrameworkOptions& options, Split split = Split::kTest,
       const EvalProtocol* protocol = nullptr);
 
-  /// Wraps an already-built framework (taking ownership) and pins its next
-  /// pool draw. Lets callers reuse an expensive recommender fit across
-  /// sessions on different splits. `protocol` as in Create().
-  static std::unique_ptr<EvalSession> Adopt(
-      std::unique_ptr<EvaluationFramework> framework,
-      const FilterIndex* filter, Split split,
-      const EvalProtocol* protocol = nullptr);
-
   /// Estimates `model` on the pinned pools. Repeated calls score identical
   /// pools; `max_triples` (0 = all) as in EvaluationFramework::Estimate.
   /// `cancel` (optional, must outlive the call) aborts the pass at the next

@@ -6,20 +6,6 @@
 
 namespace kgeval {
 
-const char* MetricKindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kMrr:
-      return "MRR";
-    case MetricKind::kHits1:
-      return "Hits@1";
-    case MetricKind::kHits3:
-      return "Hits@3";
-    case MetricKind::kHits10:
-      return "Hits@10";
-  }
-  return "?";
-}
-
 double RankFromCounts(int64_t num_higher, int64_t num_tied, TieBreak tie) {
   KGEVAL_DCHECK(num_higher >= 0 && num_tied >= 0);
   switch (tie) {
@@ -74,28 +60,6 @@ RankingMetrics RankingMetrics::FromRanks(const std::vector<double>& ranks) {
   m.hits10 /= n;
   m.mean_rank /= n;
   return m;
-}
-
-double RankingCi::Get(MetricKind kind) const {
-  switch (kind) {
-    case MetricKind::kMrr:
-      return mrr;
-    case MetricKind::kHits1:
-      return hits1;
-    case MetricKind::kHits3:
-      return hits3;
-    case MetricKind::kHits10:
-      return hits10;
-  }
-  return 0.0;
-}
-
-std::string RankingCi::ToString() const {
-  return StrFormat(
-      "+/- MRR=%.4f Hits@1=%.4f Hits@3=%.4f Hits@10=%.4f MR=%.1f "
-      "(z=%.2f, n=%lld)",
-      mrr, hits1, hits3, hits10, mean_rank, z,
-      static_cast<long long>(num_queries));
 }
 
 namespace {

@@ -10,8 +10,6 @@ namespace kgeval {
 /// Ranking metrics the paper reports: filtered MRR and Hits@{1,3,10}.
 enum class MetricKind { kMrr = 0, kHits1, kHits3, kHits10 };
 
-const char* MetricKindName(MetricKind kind);
-
 /// How the rank of the true answer is resolved among score ties.
 /// kMean is the LibKGE "realistic" convention used as this library's default;
 /// the alternatives exist for the tie-handling ablation bench.
@@ -50,9 +48,6 @@ struct RankingCi {
   double mean_rank = 0.0;
   double z = 0.0;            // Quantile the half-widths were computed at.
   int64_t num_queries = 0;
-
-  double Get(MetricKind kind) const;
-  std::string ToString() const;
 };
 
 /// Streaming aggregator over per-query ranks: running mean and variance

@@ -88,18 +88,6 @@ const std::vector<int32_t>* FilterIndex::HeadsFor(int32_t relation,
   return it == heads_.end() ? nullptr : &it->second;
 }
 
-bool FilterIndex::ContainsTail(int32_t head, int32_t relation,
-                               int32_t tail) const {
-  const auto* v = TailsFor(head, relation);
-  return v != nullptr && std::binary_search(v->begin(), v->end(), tail);
-}
-
-bool FilterIndex::ContainsHead(int32_t head, int32_t relation,
-                               int32_t tail) const {
-  const auto* v = HeadsFor(relation, tail);
-  return v != nullptr && std::binary_search(v->begin(), v->end(), head);
-}
-
 const std::vector<int32_t>* FilterIndex::AnswersFor(
     const Triple& triple, QueryDirection direction) const {
   if (direction == QueryDirection::kTail) {

@@ -107,9 +107,6 @@ class FilterIndex {
   /// Known true heads for (r, t), sorted; nullptr when none.
   const std::vector<int32_t>* HeadsFor(int32_t relation, int32_t tail) const;
 
-  bool ContainsTail(int32_t head, int32_t relation, int32_t tail) const;
-  bool ContainsHead(int32_t head, int32_t relation, int32_t tail) const;
-
   /// Known true answers for a query: tails of (h, r) for kTail queries,
   /// heads of (r, t) for kHead queries. Never nullptr for queries derived
   /// from dataset triples.

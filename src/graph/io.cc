@@ -69,6 +69,17 @@ Status ReadTriples(const std::string& path, bool required, Vocab* entities,
   return Status::OK();
 }
 
+/// Closes a finished output file. A write can succeed into the stream
+/// buffer while the bytes never reach the disk (ENOSPC, quota); only the
+/// flush inside close() makes that failure show on the stream state.
+Status CloseWritten(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (out.fail()) {
+    return Status::IoError(StrFormat("short write to %s", path.c_str()));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
@@ -138,7 +149,7 @@ Status SaveDatasetToTsv(const Dataset& dataset, const std::string& dir) {
       }
       out << '\n';
     }
-    return Status::OK();
+    return CloseWritten(out, path);
   };
   KGEVAL_RETURN_NOT_OK(write_split("train.txt", dataset.train()));
   KGEVAL_RETURN_NOT_OK(write_split("valid.txt", dataset.valid()));
@@ -154,6 +165,7 @@ Status SaveDatasetToTsv(const Dataset& dataset, const std::string& dir) {
         out << dataset.EntityLabel(e) << '\t' << "type" << type << '\n';
       }
     }
+    return CloseWritten(out, path);
   }
   return Status::OK();
 }

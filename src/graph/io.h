@@ -31,7 +31,8 @@ Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
 
 /// Writes the dataset back out in the same layout (labels are used when
 /// present, otherwise E<i>/R<i> placeholders). Creates files in `dir`,
-/// which must already exist.
+/// which must already exist. Each file is closed and checked before the
+/// next is written, so a full disk fails as IoError.
 Status SaveDatasetToTsv(const Dataset& dataset, const std::string& dir);
 
 }  // namespace kgeval

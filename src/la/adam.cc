@@ -34,10 +34,4 @@ void AdamState::UpdateRow(Matrix* param, size_t r, const float* grad) {
   }
 }
 
-void AdamState::UpdateDense(Matrix* param, const Matrix& grads) {
-  for (size_t r = 0; r < grads.rows(); ++r) {
-    UpdateRow(param, r, grads.Row(r));
-  }
-}
-
 }  // namespace kgeval

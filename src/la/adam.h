@@ -36,10 +36,6 @@ class AdamState {
   /// powers for every row.
   void UpdateRow(Matrix* param, size_t r, const float* grad);
 
-  /// Dense update helper: applies UpdateRow for every row of `grads`
-  /// (same shape as the parameter).
-  void UpdateDense(Matrix* param, const Matrix& grads);
-
  private:
   AdamOptions options_;
   size_t rows_;

@@ -334,39 +334,4 @@ Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path) {
   return {std::move(model)};
 }
 
-Status LoadModelInto(KgeModel* model, const std::string& path) {
-  if (model == nullptr) return Status::InvalidArgument("model is null");
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError(StrFormat("cannot open %s", path.c_str()));
-  }
-  auto header_or = ReadHeader(in, path);
-  if (!header_or.ok()) return header_or.status();
-  const Header header = header_or.ValueOrDie();
-  // The full header is validated up front: a dim mismatch diagnosed here
-  // names the real problem instead of surfacing later as a per-parameter
-  // shape error (or, for models whose first parameter happens to match,
-  // not at all until a later parameter).
-  if (header.model_type != static_cast<int32_t>(model->type()) ||
-      header.num_entities != model->num_entities() ||
-      header.num_relations != model->num_relations()) {
-    return Status::InvalidArgument("checkpoint/model type or shape mismatch");
-  }
-  if (header.dim != model->options().dim ||
-      header.relation_dim != model->options().relation_dim) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint dimensions (dim=%d relation_dim=%d) do not match model "
-        "(dim=%d relation_dim=%d)",
-        header.dim, header.relation_dim, model->options().dim,
-        model->options().relation_dim));
-  }
-  if (TimeAwareType(header.model_type) &&
-      header.num_timestamps != model->options().num_timestamps) {
-    return Status::InvalidArgument(StrFormat(
-        "checkpoint timestamp count %d does not match model %d",
-        header.num_timestamps, model->options().num_timestamps));
-  }
-  return RestoreParameters(model, in, header);
-}
-
 }  // namespace kgeval

@@ -28,12 +28,6 @@ Status SaveModel(KgeModel* model, const std::string& path);
 /// file yields a Status, never a crash or a huge allocation.
 Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path);
 
-/// Restores a checkpoint into an existing model of matching type and shape
-/// (entities, relations, and both embedding dimensions are all checked up
-/// front, so mismatches are diagnosed against the header, not against
-/// whichever parameter matrix happens to differ first).
-Status LoadModelInto(KgeModel* model, const std::string& path);
-
 }  // namespace kgeval
 
 #endif  // KGEVAL_MODELS_CHECKPOINT_H_

@@ -45,13 +45,7 @@ double Trainer::TrainEpoch(KgeModel* model, int32_t epoch) {
       const int32_t truth = tail_dir ? pos.tail : pos.head;
       candidates[0] = truth;
       for (int32_t k = 0; k < num_negatives; ++k) {
-        int32_t neg = -1;
-        if (options_.negative_sampler) {
-          neg = options_.negative_sampler(pos.relation, dir, &rng);
-        }
-        if (neg < 0) {
-          neg = static_cast<int32_t>(rng.NextBounded(num_entities));
-        }
+        int32_t neg = static_cast<int32_t>(rng.NextBounded(num_entities));
         if (neg == truth) {
           neg = static_cast<int32_t>((neg + 1) % num_entities);
         }

@@ -6,15 +6,9 @@
 
 #include "graph/dataset.h"
 #include "models/kge_model.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace kgeval {
-
-/// Supplies one corruption entity for a training negative, or -1 to fall
-/// back to a uniform draw.
-using NegativeSamplerFn = std::function<int32_t(
-    int32_t relation, QueryDirection direction, Rng* rng)>;
 
 /// Negative-sampling trainer options. The loss is the standard binary
 /// cross-entropy with uniform entity corruption:
@@ -27,11 +21,6 @@ struct TrainerOptions {
   /// only until its last setter is gone.
   int32_t num_threads = 0;
   uint64_t seed = 99;
-
-  /// Optional custom corruption source — used for the recommender-guided
-  /// negative sampling Section 7 names as future work (see
-  /// MakeGuidedNegativeSampler in core/guided_negatives.h). Null = uniform.
-  NegativeSamplerFn negative_sampler;
 
   /// When non-empty, Train() snapshots the model to
   /// CheckpointPath(checkpoint_dir, epoch) after every checkpoint_every-th

@@ -27,17 +27,6 @@ const char* RecommenderTypeName(RecommenderType type) {
   return "?";
 }
 
-Result<RecommenderType> ParseRecommenderType(const std::string& name) {
-  for (RecommenderType type :
-       {RecommenderType::kPt, RecommenderType::kDbh, RecommenderType::kDbhT,
-        RecommenderType::kOntoSim, RecommenderType::kLwd,
-        RecommenderType::kLwdT, RecommenderType::kPie}) {
-    if (name == RecommenderTypeName(type)) return type;
-  }
-  return Status::NotFound(
-      StrFormat("unknown recommender '%s'", name.c_str()));
-}
-
 std::unique_ptr<RelationRecommender> CreateRecommender(RecommenderType type,
                                                        uint64_t seed) {
   switch (type) {

@@ -22,7 +22,6 @@ enum class RecommenderType {
 };
 
 const char* RecommenderTypeName(RecommenderType type);
-Result<RecommenderType> ParseRecommenderType(const std::string& name);
 
 /// Output of fitting a relation recommender: the score matrix
 /// X in R^{|E| x 2|R|} (sparse; absent entries score 0 and are the "easy
@@ -35,10 +34,6 @@ struct RecommenderScores {
   /// Set-major transpose: row = domain/range index, columns = entities.
   CsrMatrix by_set;
   double fit_seconds = 0.0;
-
-  int32_t num_relations() const {
-    return static_cast<int32_t>(scores.cols() / 2);
-  }
 };
 
 /// A method assigning every entity a score of being a head or tail of every

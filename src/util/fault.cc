@@ -1,12 +1,11 @@
 #include "util/fault.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/mutex.h"
@@ -182,7 +181,7 @@ bool Evaluate(const char* point, int* out_errno) {
 void ArmFault(const std::string& point, const FaultSpec& spec) {
   KGEVAL_CHECK(IsKnownPoint(point))
       << "unknown fault point '" << point
-      << "' (see FaultPointNames in util/fault.cc)";
+      << "' (see kFaultPoints in util/fault.cc)";
   Registry& registry = GetRegistry();
   MutexLock lock(&registry.mutex);
   const bool fresh = registry.armed.find(point) == registry.armed.end();
@@ -240,18 +239,6 @@ Status ArmFaultsFromEnv() {
   const char* spec = std::getenv("KGEVAL_FAULTS");
   if (spec == nullptr || spec[0] == '\0') return Status::OK();
   return ArmFaultsFromSpec(spec);
-}
-
-const std::vector<const char*>& FaultPointNames() {
-  static const std::vector<const char*>* names = [] {
-    auto* v = new std::vector<const char*>(std::begin(kFaultPoints),
-                                           std::end(kFaultPoints));
-    std::sort(v->begin(), v->end(), [](const char* a, const char* b) {
-      return std::string_view(a) < std::string_view(b);
-    });
-    return v;
-  }();
-  return *names;
 }
 
 }  // namespace kgeval

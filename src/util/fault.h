@@ -5,7 +5,6 @@
 #include <cerrno>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
@@ -21,8 +20,8 @@ namespace kgeval {
 /// A probe site calls FaultPoint("name") (optionally receiving an injected
 /// errno) and fails itself when it returns true; kDelay faults sleep inside
 /// the call and always return false, so delay probes need no handling at
-/// the site. The registered names live in FaultPointNames(); arming an
-/// unknown name is a programmer error. docs/ARCHITECTURE.md ("Fault
+/// the site. The registered names live in kFaultPoints (util/fault.cc);
+/// arming an unknown name is a programmer error. docs/ARCHITECTURE.md ("Fault
 /// points") documents each probe and the chaos-test invariant behind it.
 ///
 /// Thread-safe: probes fire from loop threads, executor threads, and pool
@@ -72,10 +71,6 @@ Status ArmFaultsFromSpec(const std::string& spec);
 
 /// ArmFaultsFromSpec(getenv("KGEVAL_FAULTS")); OK when unset or empty.
 Status ArmFaultsFromEnv();
-
-/// Every registered probe name, sorted. The single source of truth the
-/// arming validation and the ARCHITECTURE.md coverage test both check.
-const std::vector<const char*>& FaultPointNames();
 
 namespace fault_internal {
 /// Count of armed points; the disarmed fast path is one relaxed load of

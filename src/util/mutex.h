@@ -25,7 +25,6 @@ class KGEVAL_CAPABILITY("mutex") Mutex {
 
   void Lock() KGEVAL_ACQUIRE() { mu_.lock(); }
   void Unlock() KGEVAL_RELEASE() { mu_.unlock(); }
-  bool TryLock() KGEVAL_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class MutexLock;

@@ -61,8 +61,6 @@ double Rng::NextGaussian() {
   return radius * std::cos(theta);
 }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
-
 ZipfSampler::ZipfSampler(size_t n, double exponent) {
   KGEVAL_CHECK(n > 0);
   cdf_.resize(n);

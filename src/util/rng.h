@@ -47,10 +47,6 @@ class Rng {
   /// Standard normal via Box-Muller (caches the second value).
   double NextGaussian();
 
-  /// Forks an independent stream; child streams are decorrelated from the
-  /// parent regardless of how many values the parent draws afterwards.
-  Rng Fork();
-
   /// Fisher-Yates shuffle of `values`.
   template <typename T>
   void Shuffle(std::vector<T>* values) {

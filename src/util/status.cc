@@ -11,18 +11,12 @@ const char* StatusCodeToString(StatusCode code) {
       return "OK";
     case StatusCode::kInvalidArgument:
       return "InvalidArgument";
-    case StatusCode::kOutOfRange:
-      return "OutOfRange";
     case StatusCode::kNotFound:
       return "NotFound";
-    case StatusCode::kAlreadyExists:
-      return "AlreadyExists";
     case StatusCode::kFailedPrecondition:
       return "FailedPrecondition";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kIoError:
       return "IoError";
     case StatusCode::kCancelled:

@@ -13,12 +13,9 @@ namespace kgeval {
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
-  kOutOfRange,
   kNotFound,
-  kAlreadyExists,
   kFailedPrecondition,
   kInternal,
-  kUnimplemented,
   kIoError,
   /// Cooperative cancellation (CancelToken): the work was abandoned by its
   /// requester — a deadline, a shutdown — not broken by an error.
@@ -42,23 +39,14 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));

@@ -21,15 +21,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::vector<std::string> SplitString(std::string_view text, char sep) {
   std::vector<std::string> out;
   size_t start = 0;

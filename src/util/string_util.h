@@ -10,9 +10,6 @@ namespace kgeval {
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Splits `text` on `sep` (single char); keeps empty fields.
 std::vector<std::string> SplitString(std::string_view text, char sep);
 

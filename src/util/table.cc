@@ -5,20 +5,6 @@
 #include "util/logging.h"
 
 namespace kgeval {
-namespace {
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
 
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {}
@@ -66,20 +52,6 @@ std::string TextTable::ToString() const {
     }
     out += render_row(rows_[r]);
   }
-  return out;
-}
-
-std::string TextTable::ToCsv() const {
-  std::string out;
-  auto append_row = [&out](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out += ",";
-      out += CsvEscape(row[c]);
-    }
-    out += "\n";
-  };
-  append_row(header_);
-  for (const auto& row : rows_) append_row(row);
   return out;
 }
 

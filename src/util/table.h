@@ -21,9 +21,6 @@ class TextTable {
   /// Renders to a string with a header rule and column padding.
   std::string ToString() const;
 
-  /// Renders as CSV (no padding, comma-separated, quotes when needed).
-  std::string ToCsv() const;
-
   size_t num_rows() const { return rows_.size(); }
 
  private:

@@ -231,8 +231,8 @@ TEST(FaultRegistryTest, EnvSpecArmsOnlyWhenValid) {
 }
 
 // Fault-point <-> ARCHITECTURE.md consistency is enforced by kgeval_lint's
-// `fault-doc` rule (the repo_lint ctest), which parses the registry source
-// directly and so also covers probes not yet wired into FaultPointNames().
+// `fault-doc` rule (the repo_lint ctest), which parses the kFaultPoints
+// array in util/fault.cc directly.
 
 // ---------------------------------------------------------------------------
 // Checkpoint I/O faults: failures stay per-item

@@ -202,20 +202,6 @@ TEST_F(EvalSessionTest, RedrawPoolsReplacesThePinnedDraw) {
   EXPECT_EQ(first.ranks, second.ranks);
 }
 
-TEST_F(EvalSessionTest, AdoptPinsTheNextFrameworkDraw) {
-  // A session adopted from a framework must see the draw the framework's
-  // RNG was about to produce — i.e. exactly what a twin framework draws.
-  auto framework =
-      EvaluationFramework::Build(dataset_, SessionOptions()).ValueOrDie();
-  auto twin =
-      EvaluationFramework::Build(dataset_, SessionOptions()).ValueOrDie();
-  const SampledCandidates expected = twin->DrawPools(Split::kTest);
-  auto session =
-      EvalSession::Adopt(std::move(framework), filter_, Split::kTest);
-  EXPECT_EQ(session->pools().pools, expected.pools);
-  EXPECT_EQ(session->split(), Split::kTest);
-}
-
 /// Saves `count` distinctly-seeded models as checkpoint files and returns
 /// their paths — a stand-in for a training run's epoch snapshots.
 std::vector<std::string> SaveCheckpoints(const Dataset& dataset,

@@ -45,11 +45,6 @@ TEST(MetricsTest, GetByKind) {
   EXPECT_DOUBLE_EQ(m.Get(MetricKind::kHits10), m.hits10);
 }
 
-TEST(MetricsTest, NamesAreStable) {
-  EXPECT_STREQ(MetricKindName(MetricKind::kMrr), "MRR");
-  EXPECT_STREQ(MetricKindName(MetricKind::kHits10), "Hits@10");
-}
-
 TEST(FilteredRankTest, CountsHigherAndFiltered) {
   // Candidates 0..4 with scores; truth is entity 2 (score 5). Entities 0
   // (score 9) and 1 (score 7) outrank it, but 1 is a known answer ->

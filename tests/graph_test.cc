@@ -122,15 +122,6 @@ TEST(FilterIndexTest, MissingPairGivesNull) {
   EXPECT_EQ(filter.TailsFor(5, 0), nullptr);
 }
 
-TEST(FilterIndexTest, ContainsChecks) {
-  Dataset d = TinyDataset();
-  FilterIndex filter(d);
-  EXPECT_TRUE(filter.ContainsTail(0, 0, 2));
-  EXPECT_FALSE(filter.ContainsTail(0, 0, 5));
-  EXPECT_TRUE(filter.ContainsHead(3, 1, 5));
-  EXPECT_FALSE(filter.ContainsHead(2, 1, 5));
-}
-
 TEST(FilterIndexTest, AnswersForMatchesDirection) {
   Dataset d = TinyDataset();
   FilterIndex filter(d);

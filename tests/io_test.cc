@@ -179,6 +179,28 @@ TEST(TsvRoundTripTest, SaveThenLoadPreservesStructure) {
   }
 }
 
+TEST(TsvRoundTripTest, FullDiskIsIoError) {
+  // /dev/full accepts the open and fails every write with ENOSPC: each
+  // output file in turn stands in for a file on a full disk.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  SynthConfig config;
+  config.num_entities = 100;
+  config.num_relations = 4;
+  config.num_types = 3;
+  config.num_train = 500;
+  config.num_valid = 40;
+  config.num_test = 40;
+  const Dataset dataset = GenerateDataset(config).ValueOrDie().dataset;
+  ASSERT_TRUE(dataset.has_types());
+  for (const char* file : {"train.txt", "valid.txt", "test.txt", "types.txt"}) {
+    TempDir dir;
+    fs::create_symlink("/dev/full", dir.path() + "/" + file);
+    const Status status = SaveDatasetToTsv(dataset, dir.path());
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << file << ": " << status.ToString();
+  }
+}
+
 // --- Model checkpointing ---------------------------------------------------------
 
 constexpr ModelType kAllModels[] = {
@@ -248,18 +270,6 @@ INSTANTIATE_TEST_SUITE_P(AllModels, CheckpointTest,
                          [](const auto& info) {
                            return std::string(ModelTypeName(info.param));
                          });
-
-TEST(CheckpointErrorsTest, LoadIntoMismatchedModelFails) {
-  ModelOptions options;
-  options.dim = 16;
-  auto a = CreateModel(ModelType::kTransE, 30, 6, options).ValueOrDie();
-  auto b = CreateModel(ModelType::kDistMult, 30, 6, options).ValueOrDie();
-  TempDir dir;
-  const std::string path = dir.path() + "/a.ckpt";
-  ASSERT_TRUE(SaveModel(a.get(), path).ok());
-  EXPECT_EQ(LoadModelInto(b.get(), path).code(),
-            StatusCode::kInvalidArgument);
-}
 
 TEST(CheckpointErrorsTest, GarbageFileRejected) {
   TempDir dir;
@@ -425,23 +435,6 @@ TEST(CheckpointErrorsTest, HeaderOnlyFileClaimingHugeTablesFailsUpFront) {
   }
 }
 
-TEST(CheckpointErrorsTest, LoadIntoRejectsDimensionMismatchUpFront) {
-  // Same type and entity/relation counts but a different embedding width:
-  // the header check must name the dimension mismatch instead of letting a
-  // per-parameter shape error (or worse, a silent pass) surface later.
-  ModelOptions narrow, wide;
-  narrow.dim = 8;
-  wide.dim = 16;
-  auto a = CreateModel(ModelType::kTransE, 30, 6, narrow).ValueOrDie();
-  auto b = CreateModel(ModelType::kTransE, 30, 6, wide).ValueOrDie();
-  TempDir dir;
-  const std::string path = dir.path() + "/narrow.ckpt";
-  ASSERT_TRUE(SaveModel(a.get(), path).ok());
-  const Status status = LoadModelInto(b.get(), path);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("dim"), std::string::npos);
-}
-
 TEST(CheckpointTrainerTest, TrainWritesEpochSnapshots) {
   SynthConfig config;
   config.num_entities = 120;
@@ -513,7 +506,7 @@ TEST(CheckpointErrorsTest, MissingFileIsIoError) {
             StatusCode::kIoError);
 }
 
-TEST(CheckpointTest, LoadIntoRestoresTrainedState) {
+TEST(CheckpointTest, LoadRestoresTrainedState) {
   SynthConfig config;
   config.num_entities = 150;
   config.num_relations = 6;
@@ -536,11 +529,14 @@ TEST(CheckpointTest, LoadIntoRestoresTrainedState) {
   ASSERT_TRUE(SaveModel(model.get(), path).ok());
   const float reference = model->ScoreTriple({1, 2, 3});
 
+  // Training moved the weights away from the seeded init, so a matching
+  // score can only come from the restored tables.
   auto fresh = CreateModel(ModelType::kComplEx, 150, 6, options)
                    .ValueOrDie();
   EXPECT_NE(fresh->ScoreTriple({1, 2, 3}), reference);
-  ASSERT_TRUE(LoadModelInto(fresh.get(), path).ok());
-  EXPECT_FLOAT_EQ(fresh->ScoreTriple({1, 2, 3}), reference);
+  auto loaded = LoadModel(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FLOAT_EQ(loaded.ValueOrDie()->ScoreTriple({1, 2, 3}), reference);
 }
 
 }  // namespace

@@ -136,7 +136,9 @@ TEST(AdamTest, DenseUpdateTouchesAllRows) {
   Matrix w(3, 2, 0.0f);
   AdamState adam(3, 2, AdamOptions());
   Matrix grads(3, 2, 1.0f);
-  adam.UpdateDense(&w, grads);
+  for (size_t r = 0; r < grads.rows(); ++r) {
+    adam.UpdateRow(&w, r, grads.Row(r));
+  }
   for (size_t r = 0; r < 3; ++r) {
     EXPECT_LT(w.At(r, 0), 0.0f);
   }

@@ -53,7 +53,7 @@ TEST(LintRulesTest, RuleTableHasUniqueNonEmptyIds) {
     EXPECT_NE(rule.summary[0], '\0');
     EXPECT_TRUE(ids.insert(rule.id).second) << "duplicate id " << rule.id;
   }
-  EXPECT_GE(ids.size(), 9u);
+  EXPECT_GE(ids.size(), 10u);
 }
 
 // ---------------------------------------------------------------------------
@@ -205,6 +205,13 @@ TEST(LintDocTest, UndocumentedErrCodeIsFlagged) {
 TEST(LintDocTest, UndocumentedFaultPointIsFlagged) {
   ExpectSingleFinding(LintDocConsistency(FixtureTree("fault_doc")),
                       "fault-doc");
+}
+
+TEST(LintDocTest, UnreachedHeaderIsFlagged) {
+  const std::vector<Finding> findings =
+      LintDocConsistency(FixtureTree("module_reach"));
+  ExpectSingleFinding(findings, "module-reach");
+  EXPECT_EQ(findings[0].file, "src/lib/orphan.h") << Describe(findings);
 }
 
 TEST(LintDocTest, ConsistentTreeIsClean) {

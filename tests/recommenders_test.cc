@@ -113,15 +113,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(RecommenderTypeTest, ParseRoundTrips) {
-  for (RecommenderType type : kAllRecommenders) {
-    auto parsed = ParseRecommenderType(RecommenderTypeName(type));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.ValueOrDie(), type);
-  }
-  EXPECT_FALSE(ParseRecommenderType("GNNRec").ok());
-}
-
 TEST(PtTest, ExactlySeenEntities) {
   const Dataset d = HandDataset();
   const RecommenderScores scores =

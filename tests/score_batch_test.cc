@@ -7,7 +7,6 @@
 #include "core/framework.h"
 #include "core/sampled_evaluator.h"
 #include "core/samplers.h"
-#include "eval/auc.h"
 #include "eval/full_evaluator.h"
 #include "models/kge_model.h"
 #include "synth/config.h"

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "stats/correlation.h"
-#include "stats/hypergeometric.h"
 #include "stats/sampling.h"
 #include "util/rng.h"
 
@@ -190,107 +189,6 @@ TEST(WeightedSamplingTest, NoDuplicates) {
       WeightedSampleWithoutReplacement(items, weights, 20, &rng);
   std::set<int32_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), sample.size());
-}
-
-// --- Hypergeometric / Theorem 1 -----------------------------------------------
-
-TEST(HypergeometricTest, MeanFormula) {
-  Hypergeometric h(30, 100, 10);
-  EXPECT_DOUBLE_EQ(h.Mean(), 3.0);
-}
-
-TEST(HypergeometricTest, PmfSumsToOne) {
-  Hypergeometric h(12, 40, 15);
-  double total = 0.0;
-  for (int64_t k = 0; k <= 15; ++k) total += h.Pmf(k);
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
-TEST(HypergeometricTest, PmfZeroOutsideSupport) {
-  Hypergeometric h(5, 10, 8);
-  // At least 3 successes must be drawn (8 draws, only 5 failures exist).
-  EXPECT_EQ(h.Pmf(2), 0.0);
-  EXPECT_EQ(h.Pmf(6), h.Pmf(6));  // In support.
-  EXPECT_EQ(h.Pmf(9), 0.0);
-}
-
-TEST(HypergeometricTest, SampleMatchesMean) {
-  Hypergeometric h(20, 80, 16);
-  Rng rng(12);
-  double total = 0.0;
-  const int trials = 5000;
-  for (int i = 0; i < trials; ++i) total += h.Sample(&rng);
-  EXPECT_NEAR(total / trials, h.Mean(), 0.1);
-}
-
-TEST(HypergeometricTest, VarianceMatchesEmpirical) {
-  Hypergeometric h(25, 100, 20);
-  Rng rng(13);
-  std::vector<double> draws;
-  for (int i = 0; i < 8000; ++i) {
-    draws.push_back(static_cast<double>(h.Sample(&rng)));
-  }
-  const double sd = StdDev(draws);
-  EXPECT_NEAR(sd * sd, h.Variance(), 0.3);
-}
-
-TEST(Equation1Test, ExpectationVanishesAsSampleShrinks) {
-  // lim_{n_s -> 0} E[X_u] = 0: smaller samples observe fewer of the
-  // entities that outrank the truth -> optimistic metrics.
-  const double e_large = ExpectedHigherRanked(50, 10000, 5000);
-  const double e_small = ExpectedHigherRanked(50, 10000, 100);
-  const double e_tiny = ExpectedHigherRanked(50, 10000, 1);
-  EXPECT_GT(e_large, e_small);
-  EXPECT_GT(e_small, e_tiny);
-  EXPECT_NEAR(e_tiny, 50.0 / 10000.0, 1e-12);
-}
-
-TEST(Equation1Test, FullSampleRecoversTruth) {
-  EXPECT_DOUBLE_EQ(ExpectedHigherRanked(37, 5000, 5000), 37.0);
-}
-
-// Theorem 1: sampling from the range set is never worse in expectation,
-// across a parameter sweep.
-struct Theorem1Case {
-  int64_t higher;
-  int64_t num_entities;
-  int64_t range_size;
-  int64_t n_s;
-};
-
-class Theorem1Test : public ::testing::TestWithParam<Theorem1Case> {};
-
-TEST_P(Theorem1Test, ExpectedGainNonNegative) {
-  const Theorem1Case& c = GetParam();
-  EXPECT_GE(Theorem1ExpectedGain(c.higher, c.num_entities, c.range_size,
-                                 c.n_s),
-            -1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, Theorem1Test,
-    ::testing::Values(Theorem1Case{10, 1000, 100, 50},
-                      Theorem1Case{10, 1000, 100, 200},
-                      Theorem1Case{10, 1000, 1000, 500},
-                      Theorem1Case{0, 1000, 50, 25},
-                      Theorem1Case{5, 100, 5, 1},
-                      Theorem1Case{5, 100, 5, 100},
-                      Theorem1Case{99, 100, 99, 99},
-                      Theorem1Case{1, 1000000, 20, 10}));
-
-TEST(Theorem1Test, MonteCarloAgreesWithClosedForm) {
-  // Empirically verify E[X_RS] - E[X_u] with hypergeometric draws.
-  const int64_t higher = 12, entities = 400, range = 60, n_s = 30;
-  Rng rng(77);
-  Hypergeometric uniform(higher, entities, n_s);
-  Hypergeometric ranged(higher, range, std::min(n_s, range));
-  double acc = 0.0;
-  const int trials = 20000;
-  for (int i = 0; i < trials; ++i) {
-    acc += static_cast<double>(ranged.Sample(&rng) - uniform.Sample(&rng));
-  }
-  EXPECT_NEAR(acc / trials,
-              Theorem1ExpectedGain(higher, entities, range, n_s), 0.1);
 }
 
 }  // namespace

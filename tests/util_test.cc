@@ -36,13 +36,12 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 TEST(StatusTest, CodesHaveDistinctNames) {
   std::set<std::string> names;
   for (StatusCode code :
-       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kOutOfRange,
-        StatusCode::kNotFound, StatusCode::kAlreadyExists,
+       {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
         StatusCode::kFailedPrecondition, StatusCode::kInternal,
-        StatusCode::kUnimplemented, StatusCode::kIoError}) {
+        StatusCode::kIoError, StatusCode::kCancelled}) {
     names.insert(StatusCodeToString(code));
   }
-  EXPECT_EQ(names.size(), 9u);
+  EXPECT_EQ(names.size(), 7u);
 }
 
 TEST(ResultTest, HoldsValue) {
@@ -127,12 +126,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(RngTest, ForkDecorrelates) {
-  Rng parent(3);
-  Rng child = parent.Fork();
-  EXPECT_NE(parent.Next(), child.Next());
-}
-
 TEST(ZipfTest, FirstRankMostProbable) {
   ZipfSampler zipf(100, 1.0);
   Rng rng(13);
@@ -207,8 +200,7 @@ TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.239), "1.24");
 }
 
-TEST(StringUtilTest, JoinAndSplit) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ","), "a,b,c");
+TEST(StringUtilTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(SplitString("a,b,,c", ','),
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(SplitString("", ','), (std::vector<std::string>{""}));
@@ -230,14 +222,6 @@ TEST(TextTableTest, AlignsColumns) {
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("longer"), std::string::npos);
   EXPECT_EQ(table.num_rows(), 2u);
-}
-
-TEST(TextTableTest, CsvEscapesCommas) {
-  TextTable table({"k", "v"});
-  table.AddRow({"a,b", "x\"y"});
-  const std::string csv = table.ToCsv();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"x\"\"y\""), std::string::npos);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {

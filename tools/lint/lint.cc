@@ -519,6 +519,90 @@ void CheckFaultDoc(const std::string& root, std::vector<Finding>* findings) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Reach rule
+// ---------------------------------------------------------------------------
+
+/// The quoted #includes of `content`, comments stripped.
+std::vector<std::string> QuotedIncludes(const std::string& content) {
+  static const std::regex kIncludeRe(R"(^\s*#\s*include\s*\"([^\"]+)\")");
+  std::vector<std::string> includes;
+  for (const std::string& line : SplitLines(StripComments(content, false))) {
+    std::smatch m;
+    if (std::regex_search(line, m, kIncludeRe)) includes.push_back(m.str(1));
+  }
+  return includes;
+}
+
+/// module-reach: every header under src/ must be reached, through quoted
+/// #includes, from a shipped source: bench/, perfbench/, tools/ (not the
+/// linter itself) or examples/. An include resolves against the including
+/// file's directory, then src/, then the root (the build's include path).
+/// Reaching a src/ header also follows its paired .cc, where the module's
+/// own dependencies live. Code only tests reach is code no printed number
+/// needs.
+void CheckModuleReach(const std::string& root,
+                      std::vector<Finding>* findings) {
+  const fs::path base(root);
+  const fs::path src = base / "src";
+  std::vector<std::string> headers;
+  if (fs::exists(src)) {
+    for (const auto& entry : fs::recursive_directory_iterator(src)) {
+      if (entry.is_regular_file() && entry.path().extension() == ".h") {
+        headers.push_back(
+            fs::relative(entry.path(), base).generic_string());
+      }
+    }
+  }
+  if (headers.empty()) return;  // No library (fixture tree): not in play.
+
+  std::vector<fs::path> queue;
+  for (const char* dir : {"bench", "perfbench", "tools", "examples"}) {
+    const fs::path top = base / dir;
+    if (!fs::exists(top)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(top)) {
+      const std::string rel =
+          fs::relative(entry.path(), base).generic_string();
+      const std::string ext = entry.path().extension().string();
+      if (entry.is_regular_file() && !UnderDir(rel, "tools/lint") &&
+          (ext == ".h" || ext == ".cc" || ext == ".cpp")) {
+        queue.push_back(entry.path());
+      }
+    }
+  }
+  std::set<std::string> seen;
+  while (!queue.empty()) {
+    const fs::path file = queue.back();
+    queue.pop_back();
+    const std::string rel = fs::relative(file, base).generic_string();
+    if (!seen.insert(rel).second) continue;
+    std::string content;
+    if (!ReadFile(file, &content)) continue;
+    for (const std::string& include : QuotedIncludes(content)) {
+      for (const fs::path& dir : {file.parent_path(), src, base}) {
+        const fs::path target = dir / include;
+        if (!fs::is_regular_file(target)) continue;
+        queue.push_back(target.lexically_normal());
+        break;
+      }
+    }
+    if (UnderDir(rel, "src") && file.extension() == ".h") {
+      fs::path paired = file;
+      paired.replace_extension(".cc");
+      if (fs::is_regular_file(paired)) queue.push_back(paired);
+    }
+  }
+  for (const std::string& header : headers) {
+    if (seen.count(header) == 0) {
+      findings->push_back(
+          {"module-reach", header, 1,
+           "no source under bench/, perfbench/, tools/ or examples/ "
+           "includes this header, directly or through other headers: "
+           "delete the module, or give it a caller that ships"});
+    }
+  }
+}
+
 void SortFindings(std::vector<Finding>* findings) {
   std::sort(findings->begin(), findings->end(),
             [](const Finding& a, const Finding& b) {
@@ -544,6 +628,9 @@ const std::vector<RuleInfo>& Rules() {
       {"err-doc", "every ERR code is documented in docs/PROTOCOL.md"},
       {"fault-doc",
        "every fault point is documented in docs/ARCHITECTURE.md"},
+      {"module-reach",
+       "every src/ header is reached from bench/, perfbench/, tools/ or "
+       "examples/"},
       {"nolint-reason", "clang-tidy NOLINTs take the form NOLINT(check): why"},
       {"suppression-reason",
        "kgeval-lint suppressions name a known rule and carry a reason"},
@@ -580,6 +667,7 @@ std::vector<Finding> LintDocConsistency(const std::string& root) {
   CheckStatsDoc(root, &findings);
   CheckErrDoc(root, &findings);
   CheckFaultDoc(root, &findings);
+  CheckModuleReach(root, &findings);
   SortFindings(&findings);
   return findings;
 }

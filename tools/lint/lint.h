@@ -34,6 +34,10 @@
 ///    backticked in docs/PROTOCOL.md's error-code table.
 ///  - fault-doc: every fault point registered in util/fault.cc appears
 ///    backticked in docs/ARCHITECTURE.md ("Fault points").
+///  - module-reach: every src/**/*.h is reached, through quoted #includes
+///    (following each reached header's paired .cc), from a source under
+///    bench/, perfbench/, tools/ (not tools/lint) or examples/ — a module
+///    only tests reach feeds no printed number and goes.
 ///  - nolint-reason: every clang-tidy NOLINT in src/ names its check and
 ///    carries a reason: `NOLINT(check): reason` — blanket or bare NOLINTs
 ///    silently disable unknown future findings.
@@ -71,8 +75,8 @@ const std::vector<RuleInfo>& Rules();
 std::vector<Finding> LintSourceFile(const std::string& relpath,
                                     const std::string& content);
 
-/// Runs the cross-file doc-consistency rules (stats-doc, err-doc,
-/// fault-doc) against a tree root. Rules whose inputs are absent under
+/// Runs the cross-file rules (stats-doc, err-doc, fault-doc,
+/// module-reach) against a tree root. Rules whose inputs are absent under
 /// `root` are skipped, so fixture trees can exercise one rule at a time.
 std::vector<Finding> LintDocConsistency(const std::string& root);
 
