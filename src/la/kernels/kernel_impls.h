@@ -16,6 +16,11 @@ namespace kernel_impls {
 const ScoreKernels* Avx2Kernels();    // x86-64, 8-lane AVX2.
 const ScoreKernels* Avx512Kernels();  // x86-64, 16-lane AVX-512F.
 
+/// The AVX2 tile gather, shared by the AVX2 and AVX-512 tables. Defined
+/// only where Avx2Kernels() is non-null.
+void GatherTAvx2(const float* table, size_t cols, const int32_t* ids,
+                 size_t n, float* out);
+
 /// True when the running CPU can execute the named table.
 bool Avx2Supported();
 bool Avx512Supported();

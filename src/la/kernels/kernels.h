@@ -2,6 +2,7 @@
 #define KGEVAL_LA_KERNELS_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,23 +10,26 @@
 
 namespace kgeval {
 
-/// One implementation of the scoring core's hot reductions, selected once at
+/// One implementation of the scoring core's hot loops, selected once at
 /// startup by a CPU-feature probe (overridable with KGEVAL_KERNELS=<name> or
 /// a server/bench --kernels flag). Every binary carries every implementation
 /// its compiler could emit — the wide paths live in their own translation
 /// units behind `target` attributes, so even a KGEVAL_NATIVE=OFF build
 /// dispatches to AVX2/AVX-512 at runtime when the CPU has them.
 ///
-/// All kernels score `nq` query rows against a transposed candidate tile
-/// (`dim` rows by `n` contiguous candidate lanes, the GatherRowsT layout):
-/// out[q * n + c] is query q's score of candidate c.
+/// `gather_t` builds a transposed candidate tile (`dim` rows by `n`
+/// contiguous candidate lanes, the GatherRowsT layout); the three scoring
+/// kernels score `nq` query rows against such a tile: out[q * n + c] is
+/// query q's score of candidate c.
 ///
-/// Bit-exactness contract (the repo's rank-parity bar): every kernel treats
-/// candidates as independent lanes and accumulates over the dim axis in
-/// exactly the scalar reference's order, one rounded multiply then one
-/// rounded add per step (never an FMA), with IEEE-exact sqrt/fabs. Every
-/// implementation therefore produces bit-identical output for every cell,
-/// so ranks, MRR, and served bytes do not depend on which ISA ran.
+/// Bit-exactness contract (the repo's rank-parity bar): the gather is a pure
+/// copy, so every implementation writes the same bits, NaN payloads
+/// included. Every scoring kernel treats candidates as independent lanes and
+/// accumulates over the dim axis in exactly the scalar reference's order,
+/// one rounded multiply then one rounded add per step (never an FMA), with
+/// IEEE-exact sqrt/fabs. Every implementation therefore produces
+/// bit-identical output for every cell, so ranks, MRR, and served bytes do
+/// not depend on which ISA ran.
 struct ScoreKernels {
   const char* name;
 
@@ -42,6 +46,13 @@ struct ScoreKernels {
   /// the imaginary plane.
   void (*neg_complex_dist)(const float* queries, size_t nq, size_t dim,
                            const float* tile, size_t n, float eps, float* out);
+
+  /// out[k * n + c] = table[ids[c] * cols + k] for k < cols and c < n:
+  /// rows ids[0, n) of a row-major table with `cols` columns, written as
+  /// the transposed cols x n tile the kernels above read. Ids may repeat
+  /// and come in any order.
+  void (*gather_t)(const float* table, size_t cols, const int32_t* ids,
+                   size_t n, float* out);
 };
 
 /// The portable baseline, compiled with the build's default flags. Always

@@ -7,7 +7,7 @@
 // accumulate over the dim axis with an explicit rounded multiply followed
 // by a rounded add — never an FMA — in the scalar reference's order.
 // Together with IEEE-exact VSQRTPS and bitmask fabs/negation, every lane
-// reproduces the scalar result bit-for-bit.
+// reproduces the scalar result bit-for-bit. The gather only moves bits.
 
 #include "la/kernels/kernel_impls.h"
 
@@ -191,9 +191,79 @@ void NegComplexDistAvx2(const float* queries, size_t nq, size_t dim,
   SweepQueryBlocked(NegComplexDistOp{eps}, queries, nq, dim, tile, n, out);
 }
 
-#undef KGEVAL_TARGET_AVX2
+// The tile gather, 8 candidates x 8 dims at a time: one 32-byte load per
+// candidate row, an 8 x 8 transpose in registers, then one contiguous
+// 32-byte store per dim row of the tile, instead of 64 single-float stores
+// at a stride of n. Unpacks and 128-bit lane permutes move bits without
+// arithmetic, so every output word equals the scalar reference's.
+
+/// Transposes r in place: on return r[j][i] = old r[i][j].
+KGEVAL_TARGET_AVX2 inline void Transpose8x8(__m256* r) {
+  __m256 t[8];
+  // Pairs of rows interleaved: t[2i] holds lanes {0, 1} mod 4 of rows 2i
+  // and 2i + 1, t[2i + 1] lanes {2, 3} mod 4, per 128-bit lane.
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    t[2 * i] = _mm256_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+    t[2 * i + 1] = _mm256_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+  }
+  // Quads: 128-bit lane L of r[4g + e] holds lane 4L + e of rows 4g..4g+3.
+#pragma GCC unroll 2
+  for (int g = 0; g < 2; ++g) {
+    const __m256d a = _mm256_castps_pd(t[4 * g]);
+    const __m256d b = _mm256_castps_pd(t[4 * g + 1]);
+    const __m256d c = _mm256_castps_pd(t[4 * g + 2]);
+    const __m256d d = _mm256_castps_pd(t[4 * g + 3]);
+    r[4 * g] = _mm256_castpd_ps(_mm256_unpacklo_pd(a, c));
+    r[4 * g + 1] = _mm256_castpd_ps(_mm256_unpackhi_pd(a, c));
+    r[4 * g + 2] = _mm256_castpd_ps(_mm256_unpacklo_pd(b, d));
+    r[4 * g + 3] = _mm256_castpd_ps(_mm256_unpackhi_pd(b, d));
+  }
+  // Low 128-bit lanes of both quads make lanes 0..3, high ones lanes 4..7.
+#pragma GCC unroll 4
+  for (int e = 0; e < 4; ++e) {
+    t[e] = _mm256_permute2f128_ps(r[e], r[4 + e], 0x20);
+    t[4 + e] = _mm256_permute2f128_ps(r[e], r[4 + e], 0x31);
+  }
+#pragma GCC unroll 8
+  for (int j = 0; j < 8; ++j) r[j] = t[j];
+}
 
 }  // namespace
+
+KGEVAL_TARGET_AVX2
+void GatherTAvx2(const float* table, size_t cols, const int32_t* ids,
+                 size_t n, float* out) {
+  const size_t n8 = n - n % 8;
+  const size_t cols8 = cols - cols % 8;
+  for (size_t c = 0; c < n8; c += 8) {
+    const float* rows[8];
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      rows[i] = table + static_cast<size_t>(ids[c + i]) * cols;
+    }
+    for (size_t k = 0; k < cols8; k += 8) {
+      __m256 r[8];
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(rows[i] + k);
+      Transpose8x8(r);
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) {
+        _mm256_storeu_ps(out + (k + j) * n + c, r[j]);
+      }
+    }
+    for (size_t k = cols8; k < cols; ++k) {
+      for (size_t i = 0; i < 8; ++i) out[k * n + c + i] = rows[i][k];
+    }
+  }
+  // The last n % 8 candidates: the scalar loop.
+  for (size_t c = n8; c < n; ++c) {
+    const float* row = table + static_cast<size_t>(ids[c]) * cols;
+    for (size_t k = 0; k < cols; ++k) out[k * n + c] = row[k];
+  }
+}
+
+#undef KGEVAL_TARGET_AVX2
 
 const ScoreKernels* Avx2Kernels() {
   static const ScoreKernels kAvx2 = {
@@ -201,6 +271,7 @@ const ScoreKernels* Avx2Kernels() {
       DotAvx2,
       NegL1Avx2,
       NegComplexDistAvx2,
+      GatherTAvx2,
   };
   return &kAvx2;
 }

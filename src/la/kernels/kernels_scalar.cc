@@ -7,9 +7,10 @@ namespace kgeval {
 namespace {
 
 /// The portable reference. The kernels below are the pre-dispatch
-/// matrix.cc loops verbatim: candidates are independent lanes and each lane
-/// accumulates over the dim axis sequentially, which is the per-cell
-/// ordering every SIMD implementation reproduces. The build keeps
+/// matrix.cc loops verbatim (the gather indexes the raw table instead of
+/// calling Matrix::Row). In the reductions candidates are independent
+/// lanes and each lane accumulates over the dim axis sequentially, which is
+/// the per-cell ordering every SIMD implementation reproduces. The build keeps
 /// -ffp-contract=off, so the compiler may vectorize across lanes but cannot
 /// fuse a lane's multiply and add into an FMA — that is what makes this TU
 /// the bit-exact reference regardless of autovectorization.
@@ -64,6 +65,16 @@ void NegComplexDistScalar(const float* queries, size_t nq, size_t dim,
   }
 }
 
+void GatherTScalar(const float* table, size_t cols, const int32_t* ids,
+                   size_t n, float* out) {
+  for (size_t c = 0; c < n; ++c) {
+    const float* row = table + static_cast<size_t>(ids[c]) * cols;
+    for (size_t k = 0; k < cols; ++k) {
+      out[k * n + c] = row[k];
+    }
+  }
+}
+
 }  // namespace
 
 const ScoreKernels& ScalarScoreKernels() {
@@ -72,6 +83,7 @@ const ScoreKernels& ScalarScoreKernels() {
       DotScalar,
       NegL1Scalar,
       NegComplexDistScalar,
+      GatherTScalar,
   };
   return kScalar;
 }

@@ -25,19 +25,15 @@ void Matrix::InitGaussian(Rng* rng, float stddev) {
 
 void GatherRowsT(const Matrix& src, const int32_t* ids, size_t n,
                  Matrix* out) {
-  const size_t cols = src.cols();
-  out->Resize(cols, n);
-  float* data = out->data();
   for (size_t c = 0; c < n; ++c) {
-    const float* row = src.Row(static_cast<size_t>(ids[c]));
-    for (size_t k = 0; k < cols; ++k) {
-      data[k * n + c] = row[k];
-    }
+    KGEVAL_DCHECK(ids[c] >= 0 && static_cast<size_t>(ids[c]) < src.rows());
   }
+  out->Resize(src.cols(), n);
+  ActiveScoreKernels().gather_t(src.data(), src.cols(), ids, n, out->data());
 }
 
-// The batch kernels dispatch to the active ScoreKernels table (la/kernels):
-// the scalar baseline or a hand-written AVX2/AVX-512 path, all
+// The gather and the batch kernels dispatch to the active ScoreKernels table
+// (la/kernels): the scalar baseline or a hand-written AVX2/AVX-512 path, all
 // bit-identical per cell (see kernels.h for the lane-order contract these
 // wrappers' callers rely on).
 

@@ -71,7 +71,8 @@ class Matrix {
 /// src.cols() x n with out(k, c) = src(ids[c], k). The candidate axis
 /// becomes the contiguous one, which turns the batched scoring kernels into
 /// independent-lane loops over candidates that the compiler vectorizes
-/// without reassociating any per-candidate reduction.
+/// without reassociating any per-candidate reduction. Runs the active
+/// kernel table's gather_t; every implementation writes the same bits.
 void GatherRowsT(const Matrix& src, const int32_t* ids, size_t n,
                  Matrix* out);
 

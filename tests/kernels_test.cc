@@ -82,8 +82,8 @@ TEST(KernelRegistryTest, SelectScalarThenAutoRestoresWidestPath) {
 
 // ---------------------------------------------------------------------------
 // Dispatched-vs-scalar bit equality: every supported implementation must
-// produce bit-identical prepared-pool and truth scores for every model and
-// both query directions.
+// prepare bit-identical tiles and produce bit-identical pool and truth
+// scores for every model and both query directions.
 
 class KernelParityTest : public ::testing::TestWithParam<ModelType> {
  protected:
@@ -97,19 +97,24 @@ class KernelParityTest : public ::testing::TestWithParam<ModelType> {
 TEST_P(KernelParityTest, EverySupportedKernelMatchesScalarBitExactly) {
   KernelGuard guard;
   auto model = Make();
-  const std::vector<int32_t> candidates = {11, 3, 27, 3, 0, 39, 18, 3};
+  // 45 unsorted candidates with repeats: the SIMD gather fills whole
+  // 8-candidate blocks and then takes its candidate remainder.
+  std::vector<int32_t> candidates;
+  for (int32_t c = 0; c < 45; ++c) candidates.push_back((c * 17 + 11) % 40);
   const std::vector<int32_t> anchors = {0, 5, 5, 17, 39, 2};
   const std::vector<int32_t> truths = {2, 9, 9, 0, 39, 24};
   const size_t n = candidates.size();
   const size_t q = anchors.size();
-  CandidateBlock block;
-  model->PrepareCandidates(candidates.data(), n, &block);
 
   struct Output {
     std::vector<float> pool, truth;
   };
+  // Prepares under the active kernels too, so the gather is compared as
+  // well as the scoring.
   auto score_all = [&] {
     Output out;
+    CandidateBlock block;
+    model->PrepareCandidates(candidates.data(), n, &block);
     std::vector<float> pool(q * n), truth(q);
     for (int32_t relation : {0, 5}) {
       for (QueryDirection dir :
@@ -226,6 +231,71 @@ TEST(RawKernelParityTest, ExactKernelsMatchScalarOnEveryShape) {
                     cdist)
               << "neg_complex_dist under " << impl->name;
         }
+      }
+    }
+  }
+}
+
+/// A table of the bit patterns a copy must preserve: NaNs with payloads
+/// (quiet and signalling, both signs), both zeros, denormals and both
+/// infinities, mixed with ordinary values. No entry equals the output
+/// sentinel std::nanf(""), so an unwritten cell cannot pass.
+std::vector<float> GatherInput(size_t size, Rng* rng) {
+  static const uint32_t kPicks[] = {
+      0x7fc00001u, 0xffc0beefu, 0x7f800005u, 0xffa00007u,  // NaN payloads.
+      0x00000000u, 0x80000000u,                            // +0, -0.
+      0x00000001u, 0x807fffffu, 0x00400000u,               // Denormals.
+      0x7f800000u, 0xff800000u};                           // +inf, -inf.
+  std::vector<float> values(size);
+  for (float& v : values) {
+    if (rng->NextBounded(2) == 0) {
+      std::memcpy(&v, &kPicks[rng->NextBounded(std::size(kPicks))],
+                  sizeof(float));
+    } else {
+      v = static_cast<float>(rng->NextUniform(-3.0, 3.0));
+    }
+  }
+  return values;
+}
+
+TEST(RawKernelParityTest, GatherMatchesScalarByteForByte) {
+  KernelGuard guard;
+  std::vector<const ScoreKernels*> impls;
+  for (const std::string& name : SupportedScoreKernelNames()) {
+    ASSERT_TRUE(SelectScoreKernels(name).ok()) << name;
+    impls.push_back(&ActiveScoreKernels());
+    ASSERT_NE(impls.back()->gather_t, nullptr) << name;
+  }
+  const ScoreKernels& scalar = ScalarScoreKernels();
+  constexpr size_t kRows = 50;
+  Rng rng(29);
+  for (size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 33, 1705}) {
+    for (size_t cols : {1, 2, 3, 7, 8, 9, 15, 16, 17, 32, 64, 200}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " cols=" << cols);
+      const std::vector<float> table = GatherInput(kRows * cols, &rng);
+      // Unsorted ids with repeats.
+      std::vector<int32_t> ids(n);
+      for (int32_t& id : ids) {
+        id = static_cast<int32_t>(rng.NextBounded(kRows));
+      }
+      if (n >= 2) ids[n - 1] = ids[0];
+      // NaN sentinels everywhere, 16 of them past the end: an unwritten
+      // cell or an overrunning store fails the comparison.
+      const auto run = [&](const ScoreKernels& k) {
+        std::vector<float> out(cols * n + 16, std::nanf(""));
+        k.gather_t(table.data(), cols, ids.data(), n, out.data());
+        return Bits(out);
+      };
+      const std::vector<uint32_t> reference = run(scalar);
+      for (size_t i = 0; i < cols * n; ++i) {
+        const size_t k = i / n, c = i % n;
+        uint32_t want;
+        std::memcpy(&want, &table[static_cast<size_t>(ids[c]) * cols + k],
+                    sizeof(want));
+        ASSERT_EQ(reference[i], want) << "scalar cell k=" << k << " c=" << c;
+      }
+      for (const ScoreKernels* impl : impls) {
+        EXPECT_EQ(run(*impl), reference) << "gather_t under " << impl->name;
       }
     }
   }
