@@ -104,9 +104,8 @@ int main(int argc, char** argv) {
     // 4-column dataset: also rank under the time-sliced filter (only facts
     // true at the query's timestamp are removed from the candidates).
     const TemporalFilterIndex temporal_filter(dataset);
-    const TemporalFilteredProtocol temporal(dataset, &temporal_filter);
     const FullEvalResult temporal_exact =
-        EvaluateFullRanking(*model, dataset, temporal, Split::kTest);
+        EvaluateFullRanking(*model, dataset, temporal_filter, Split::kTest);
     std::printf("temporal full ranking : %s\n",
                 temporal_exact.metrics.ToString().c_str());
   }

@@ -127,14 +127,4 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   return result;
 }
 
-AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
-                                    const Dataset& dataset,
-                                    const FilterIndex& filter, Split split,
-                                    const SampledCandidates& candidates,
-                                    const AdaptiveEvalOptions& options) {
-  const StaticFilteredProtocol protocol(dataset.num_relations(), &filter);
-  return EvaluateAdaptive(model, dataset, protocol, split, candidates,
-                          options);
-}
-
 }  // namespace kgeval

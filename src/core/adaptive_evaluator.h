@@ -93,14 +93,6 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
                                     const SampledCandidates& candidates,
                                     const AdaptiveEvalOptions& options = {});
 
-/// Static-protocol convenience: wraps `filter` in a StaticFilteredProtocol
-/// and evaluates; bit-identical to the pre-protocol evaluator.
-AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
-                                    const Dataset& dataset,
-                                    const FilterIndex& filter, Split split,
-                                    const SampledCandidates& candidates,
-                                    const AdaptiveEvalOptions& options = {});
-
 }  // namespace kgeval
 
 #endif  // KGEVAL_CORE_ADAPTIVE_EVALUATOR_H_

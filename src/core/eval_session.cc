@@ -80,32 +80,23 @@ std::vector<Outcome> SweepCheckpoints(
 }  // namespace
 
 EvalSession::EvalSession(std::unique_ptr<EvaluationFramework> framework,
-                         const FilterIndex* filter, Split split,
-                         const EvalProtocol* protocol)
-    : framework_(std::move(framework)), filter_(filter), split_(split) {
+                         const EvalProtocol* protocol, Split split)
+    : framework_(std::move(framework)), protocol_(protocol), split_(split) {
   KGEVAL_CHECK(framework_ != nullptr);
-  KGEVAL_CHECK(filter_ != nullptr);
-  if (protocol == nullptr) {
-    owned_protocol_ = std::make_unique<StaticFilteredProtocol>(
-        framework_->dataset()->num_relations(), filter_);
-    protocol_ = owned_protocol_.get();
-  } else {
-    protocol_ = protocol;
-  }
+  KGEVAL_CHECK(protocol_ != nullptr);
   pools_ = framework_->DrawPools(split_);
 }
 
 Result<std::unique_ptr<EvalSession>> EvalSession::Create(
-    const Dataset* dataset, const FilterIndex* filter,
-    const FrameworkOptions& options, Split split,
-    const EvalProtocol* protocol) {
-  if (filter == nullptr) {
-    return Status::InvalidArgument("filter is null");
+    const Dataset* dataset, const EvalProtocol* protocol,
+    const FrameworkOptions& options, Split split) {
+  if (protocol == nullptr) {
+    return Status::InvalidArgument("protocol is null");
   }
   auto framework = EvaluationFramework::Build(dataset, options);
   if (!framework.ok()) return framework.status();
   return {std::unique_ptr<EvalSession>(new EvalSession(
-      std::move(framework).ValueOrDie(), filter, split, protocol))};
+      std::move(framework).ValueOrDie(), protocol, split))};
 }
 
 SampledEvalResult EvalSession::Estimate(const KgeModel& model,

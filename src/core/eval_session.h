@@ -64,15 +64,12 @@ struct CheckpointSweepStats {
 class EvalSession {
  public:
   /// Builds a framework for `dataset` and pins its first pool draw for
-  /// `split`. `dataset` and `filter` must outlive the session. `protocol`
-  /// (optional, must outlive the session when given) selects the
-  /// evaluation protocol every estimate runs under; by default the session
-  /// builds a StaticFilteredProtocol over `filter` — the classic filtered
-  /// ranking protocol, bit-identical to the pre-protocol session.
+  /// `split`. Every estimate runs under `protocol` (eval/protocol.h), e.g.
+  /// a FilterIndex for classic filtered ranking. `dataset` and `protocol`
+  /// must outlive the session.
   static Result<std::unique_ptr<EvalSession>> Create(
-      const Dataset* dataset, const FilterIndex* filter,
-      const FrameworkOptions& options, Split split = Split::kTest,
-      const EvalProtocol* protocol = nullptr);
+      const Dataset* dataset, const EvalProtocol* protocol,
+      const FrameworkOptions& options, Split split = Split::kTest);
 
   /// Estimates `model` on the pinned pools. Repeated calls score identical
   /// pools; `max_triples` (0 = all) as in EvaluationFramework::Estimate.
@@ -149,23 +146,16 @@ class EvalSession {
   /// session amortizes across its estimates).
   const SampledCandidates& pools() const { return pools_; }
   Split split() const { return split_; }
-  /// The protocol every estimate of this session runs under.
-  const EvalProtocol& protocol() const { return *protocol_; }
   EvaluationFramework& framework() { return *framework_; }
   const EvaluationFramework& framework() const { return *framework_; }
 
  private:
   EvalSession(std::unique_ptr<EvaluationFramework> framework,
-              const FilterIndex* filter, Split split,
-              const EvalProtocol* protocol);
+              const EvalProtocol* protocol, Split split);
 
   std::unique_ptr<EvaluationFramework> framework_;
-  const FilterIndex* filter_;
-  Split split_;
-  /// Owned default protocol (when the caller supplied none).
-  std::unique_ptr<StaticFilteredProtocol> owned_protocol_;
-  /// The protocol in effect: `owned_protocol_` or the caller's.
   const EvalProtocol* protocol_;
+  Split split_;
   SampledCandidates pools_;
 };
 

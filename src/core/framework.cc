@@ -57,18 +57,11 @@ SampledCandidates EvaluationFramework::DrawPools(Split split) {
 }
 
 SampledEvalResult EvaluationFramework::Estimate(const KgeModel& model,
-                                                const FilterIndex& filter,
+                                                const EvalProtocol& protocol,
                                                 Split split,
                                                 int64_t max_triples) {
-  return EstimateOnPools(model, filter, split, DrawPools(split), max_triples);
-}
-
-SampledEvalResult EvaluationFramework::EstimateOnPools(
-    const KgeModel& model, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, int64_t max_triples,
-    const CancelToken* cancel) const {
-  const StaticFilteredProtocol protocol(dataset_->num_relations(), &filter);
-  return EstimateOnPools(model, protocol, split, pools, max_triples, cancel);
+  return EstimateOnPools(model, protocol, split, DrawPools(split),
+                         max_triples);
 }
 
 SampledEvalResult EvaluationFramework::EstimateOnPools(
@@ -83,19 +76,10 @@ SampledEvalResult EvaluationFramework::EstimateOnPools(
 }
 
 AdaptiveEvalResult EvaluationFramework::EstimateAdaptive(
-    const KgeModel& model, const FilterIndex& filter, Split split,
+    const KgeModel& model, const EvalProtocol& protocol, Split split,
     const AdaptiveEvalOptions& adaptive) {
-  return EstimateAdaptiveOnPools(model, filter, split, DrawPools(split),
+  return EstimateAdaptiveOnPools(model, protocol, split, DrawPools(split),
                                  adaptive);
-}
-
-AdaptiveEvalResult EvaluationFramework::EstimateAdaptiveOnPools(
-    const KgeModel& model, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
-    const CancelToken* cancel) const {
-  const StaticFilteredProtocol protocol(dataset_->num_relations(), &filter);
-  return EstimateAdaptiveOnPools(model, protocol, split, pools, adaptive,
-                                 cancel);
 }
 
 AdaptiveEvalResult EvaluationFramework::EstimateAdaptiveOnPools(
@@ -138,15 +122,6 @@ Result<std::unique_ptr<KgeModel>> EvaluationFramework::LoadCheckpoint(
 }
 
 Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
-    const std::string& path, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, int64_t max_triples,
-    const CancelToken* cancel) const {
-  const StaticFilteredProtocol protocol(dataset_->num_relations(), &filter);
-  return EstimateCheckpointOnPools(path, protocol, split, pools, max_triples,
-                                   cancel);
-}
-
-Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
     const std::string& path, const EvalProtocol& protocol, Split split,
     const SampledCandidates& pools, int64_t max_triples,
     const CancelToken* cancel) const {
@@ -163,16 +138,6 @@ Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
                                              cancel);
   if (result.cancelled) return Status::Cancelled("evaluation cancelled");
   return {std::move(result)};
-}
-
-Result<AdaptiveEvalResult>
-EvaluationFramework::EstimateAdaptiveCheckpointOnPools(
-    const std::string& path, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
-    const CancelToken* cancel) const {
-  const StaticFilteredProtocol protocol(dataset_->num_relations(), &filter);
-  return EstimateAdaptiveCheckpointOnPools(path, protocol, split, pools,
-                                           adaptive, cancel);
 }
 
 Result<AdaptiveEvalResult>

@@ -212,24 +212,4 @@ SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
   return result;
 }
 
-SampledEvalResult EvaluateSampled(const KgeModel& model,
-                                  const Dataset& dataset,
-                                  const FilterIndex& filter, Split split,
-                                  const SampledCandidates& candidates,
-                                  const SampledEvalOptions& options) {
-  const StaticFilteredProtocol protocol(dataset.num_relations(), &filter);
-  return EvaluateSampled(model, dataset, protocol, split, candidates,
-                         options);
-}
-
-SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
-                                        const Dataset& dataset,
-                                        const FilterIndex& filter, Split split,
-                                        const SampledCandidates& candidates,
-                                        const SampledEvalOptions& options) {
-  const StaticFilteredProtocol protocol(dataset.num_relations(), &filter);
-  return EvaluateSampledScalar(model, dataset, protocol, split, candidates,
-                               options);
-}
-
 }  // namespace kgeval

@@ -113,15 +113,6 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
                                   const SampledCandidates& candidates,
                                   const SampledEvalOptions& options = {});
 
-/// Static-protocol convenience: wraps `filter` in a StaticFilteredProtocol
-/// and evaluates. Bit-identical to the protocol overload with that
-/// protocol — and to the pre-protocol evaluator.
-SampledEvalResult EvaluateSampled(const KgeModel& model,
-                                  const Dataset& dataset,
-                                  const FilterIndex& filter, Split split,
-                                  const SampledCandidates& candidates,
-                                  const SampledEvalOptions& options = {});
-
 /// Reference triple-major implementation scoring one query at a time through
 /// ScoreCandidates. Kept as the baseline the batched path is benchmarked and
 /// parity-tested against; produces bit-identical ranks to EvaluateSampled.
@@ -129,13 +120,6 @@ SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
                                         const Dataset& dataset,
                                         const EvalProtocol& protocol,
                                         Split split,
-                                        const SampledCandidates& candidates,
-                                        const SampledEvalOptions& options = {});
-
-/// Static-protocol convenience for the scalar reference path.
-SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
-                                        const Dataset& dataset,
-                                        const FilterIndex& filter, Split split,
                                         const SampledCandidates& candidates,
                                         const SampledEvalOptions& options = {});
 

@@ -217,12 +217,4 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   return result;
 }
 
-FullEvalResult EvaluateFullRanking(const KgeModel& model,
-                                   const Dataset& dataset,
-                                   const FilterIndex& filter, Split split,
-                                   const FullEvalOptions& options) {
-  const StaticFilteredProtocol protocol(dataset.num_relations(), &filter);
-  return EvaluateFullRanking(model, dataset, protocol, split, options);
-}
-
 }  // namespace kgeval

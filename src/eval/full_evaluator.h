@@ -51,14 +51,6 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const EvalProtocol& protocol, Split split,
                                    const FullEvalOptions& options = {});
 
-/// Static-protocol convenience: filters known true answers
-/// (train+valid+test) regardless of timestamp; bit-identical to the
-/// pre-protocol evaluator.
-FullEvalResult EvaluateFullRanking(const KgeModel& model,
-                                   const Dataset& dataset,
-                                   const FilterIndex& filter, Split split,
-                                   const FullEvalOptions& options = {});
-
 /// O(1) position lookup in a sorted, deduplicated entity pool: a membership
 /// bitmap over entity ids (one word per 64 ids, up to the pool's largest id)
 /// plus each word's count of set bits before it. Find(e) is the rank of e's

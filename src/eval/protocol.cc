@@ -39,10 +39,68 @@ void EvalProtocol::BuildQuerySchedule(const std::vector<Triple>& triples,
   }
 }
 
-TemporalFilteredProtocol::TemporalFilteredProtocol(
-    const Dataset& dataset, const TemporalFilterIndex* filter)
+namespace {
+
+void SortDedup(std::vector<int32_t>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+}  // namespace
+
+FilterIndex::FilterIndex(const Dataset& dataset)
+    : EvalProtocol(dataset.num_relations()) {
+  for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
+    for (const Triple& t : dataset.split(s)) {
+      tails_[PackPair(t.head, t.relation)].push_back(t.tail);
+      heads_[PackPair(t.relation, t.tail)].push_back(t.head);
+    }
+  }
+  for (auto& [key, v] : tails_) SortDedup(&v);
+  for (auto& [key, v] : heads_) SortDedup(&v);
+}
+
+const std::vector<int32_t>* FilterIndex::TailsFor(int32_t head,
+                                                  int32_t relation) const {
+  auto it = tails_.find(PackPair(head, relation));
+  return it == tails_.end() ? nullptr : &it->second;
+}
+
+const std::vector<int32_t>* FilterIndex::HeadsFor(int32_t relation,
+                                                  int32_t tail) const {
+  auto it = heads_.find(PackPair(relation, tail));
+  return it == heads_.end() ? nullptr : &it->second;
+}
+
+const std::vector<int32_t>* FilterIndex::Answers(
+    const Triple& triple, QueryDirection direction) const {
+  if (direction == QueryDirection::kTail) {
+    return TailsFor(triple.head, triple.relation);
+  }
+  return HeadsFor(triple.relation, triple.tail);
+}
+
+TemporalFilterIndex::TemporalFilterIndex(const Dataset& dataset)
     : EvalProtocol(dataset.num_relations()),
-      filter_(filter),
-      num_timestamps_(std::max<int32_t>(1, dataset.num_timestamps())) {}
+      num_timestamps_(std::max<int32_t>(1, dataset.num_timestamps())) {
+  for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
+    for (const Triple& t : dataset.split(s)) {
+      tails_[Key{t.head, t.relation, t.time}].push_back(t.tail);
+      heads_[Key{t.relation, t.tail, t.time}].push_back(t.head);
+    }
+  }
+  for (auto& [key, v] : tails_) SortDedup(&v);
+  for (auto& [key, v] : heads_) SortDedup(&v);
+}
+
+const std::vector<int32_t>* TemporalFilterIndex::Answers(
+    const Triple& triple, QueryDirection direction) const {
+  const bool tail = direction == QueryDirection::kTail;
+  const AnswerMap& map = tail ? tails_ : heads_;
+  const Key key = tail ? Key{triple.head, triple.relation, triple.time}
+                       : Key{triple.relation, triple.tail, triple.time};
+  auto it = map.find(key);
+  return it == map.end() ? nullptr : &it->second;
+}
 
 }  // namespace kgeval

@@ -1,7 +1,9 @@
 #ifndef KGEVAL_EVAL_PROTOCOL_H_
 #define KGEVAL_EVAL_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "eval/slot_blocks.h"
@@ -44,9 +46,6 @@ struct EvalSchedule {
 class EvalProtocol {
  public:
   virtual ~EvalProtocol() = default;
-
-  EvalProtocol(const EvalProtocol&) = delete;
-  EvalProtocol& operator=(const EvalProtocol&) = delete;
 
   /// Stable protocol name, as accepted by the service's EVAL command.
   virtual const char* name() const = 0;
@@ -100,24 +99,24 @@ class EvalProtocol {
  protected:
   explicit EvalProtocol(int32_t num_relations)
       : num_relations_(num_relations) {}
+  /// Copyable and movable only as a concrete protocol (a vector of indexes),
+  /// never sliced through the base.
+  EvalProtocol(const EvalProtocol&) = default;
+  EvalProtocol(EvalProtocol&&) = default;
+  EvalProtocol& operator=(const EvalProtocol&) = delete;
 
  private:
   int32_t num_relations_;
 };
 
-/// The repo's established evaluation semantics, verbatim: one group per
-/// relation, pools at the relation's domain/range slots, and the static
-/// filtered-ranking rule — any known (h, r, t) fact, from any split and
-/// whenever it held, is removed from the candidate list. Results are
-/// bit-identical rank-for-rank to the pre-protocol evaluators (pinned by
-/// tests/protocol_test.cc).
-class StaticFilteredProtocol : public EvalProtocol {
+/// The static filtered-ranking protocol and the membership index it filters
+/// with, built over every triple of all splits: one group per relation,
+/// pools at the relation's domain/range slots, and any known (h, r, t)
+/// fact, from any split and whenever it held, removed from the candidate
+/// list.
+class FilterIndex : public EvalProtocol {
  public:
-  /// Borrows `filter`, which must outlive the protocol.
-  StaticFilteredProtocol(int32_t num_relations, const FilterIndex* filter)
-      : EvalProtocol(num_relations), filter_(filter) {}
-  StaticFilteredProtocol(const Dataset& dataset, const FilterIndex* filter)
-      : StaticFilteredProtocol(dataset.num_relations(), filter) {}
+  explicit FilterIndex(const Dataset& dataset);
 
   const char* name() const override { return "static"; }
   int32_t num_groups() const override { return num_relations(); }
@@ -127,29 +126,47 @@ class StaticFilteredProtocol : public EvalProtocol {
   int32_t PoolSlotOf(int32_t group, QueryDirection direction) const override {
     return DomainRangeIndex(group, direction, num_relations());
   }
+  /// Tails of (h, r) for kTail queries, heads of (r, t) for kHead queries.
   const std::vector<int32_t>* Answers(
-      const Triple& triple, QueryDirection direction) const override {
-    return filter_->AnswersFor(triple, direction);
-  }
+      const Triple& triple, QueryDirection direction) const override;
+
+  /// Known true tails for (h, r), sorted; nullptr when none.
+  const std::vector<int32_t>* TailsFor(int32_t head, int32_t relation) const;
+
+  /// Known true heads for (r, t), sorted; nullptr when none.
+  const std::vector<int32_t>* HeadsFor(int32_t relation, int32_t tail) const;
+
  private:
-  const FilterIndex* filter_;
+  struct PairHash {
+    size_t operator()(uint64_t key) const {
+      key ^= key >> 33;
+      key *= 0xFF51AFD7ED558CCDULL;
+      key ^= key >> 33;
+      return static_cast<size_t>(key);
+    }
+  };
+  using AnswerMap =
+      std::unordered_map<uint64_t, std::vector<int32_t>, PairHash>;
+
+  AnswerMap tails_;  // (h, r) -> sorted tails
+  AnswerMap heads_;  // (r, t) -> sorted heads
 };
 
-/// Temporal KBC evaluation (Lacroix et al.): queries carry their triple's
-/// timestamp, and only facts true *at that timestamp* are filtered — a
-/// corruption that is a fact at another time keeps its place in the
-/// ranking. Groups are (relation, timestamp) pairs so blocks stay
-/// kernel-homogeneous for time-aware models (which fold the timestamp into
-/// a virtual kernel relation id); candidate pools remain the 2|R| static
-/// domain/range slots, so pool drawing, validation, and the estimators run
-/// unchanged. Time-ignorant models evaluate fine under this protocol —
-/// they just cannot use the timestamp to score.
-class TemporalFilteredProtocol : public EvalProtocol {
+/// Temporal KBC evaluation (Lacroix et al.) and its time-sliced membership
+/// index: queries carry their triple's timestamp, and only facts true *at
+/// that timestamp* are filtered — a corruption that is a fact at another
+/// time keeps its place in the ranking, which makes this a second protocol
+/// family rather than a bigger static one. Groups are (relation, timestamp)
+/// pairs so blocks stay kernel-homogeneous for time-aware models (which fold
+/// the timestamp into a virtual kernel relation id); candidate pools remain
+/// the 2|R| static domain/range slots, so pool drawing, validation, and the
+/// estimators run unchanged. Time-ignorant models evaluate fine under this
+/// protocol — they just cannot use the timestamp to score.
+class TemporalFilterIndex : public EvalProtocol {
  public:
-  /// Borrows `filter`, which must outlive the protocol. A static dataset
-  /// (num_timestamps 0) degenerates to one timestamp and static semantics.
-  TemporalFilteredProtocol(const Dataset& dataset,
-                           const TemporalFilterIndex* filter);
+  /// A static dataset (num_timestamps 0) degenerates to one timestamp and
+  /// FilterIndex's answer sets.
+  explicit TemporalFilterIndex(const Dataset& dataset);
 
   const char* name() const override { return "temporal"; }
   int32_t num_timestamps() const { return num_timestamps_; }
@@ -166,12 +183,34 @@ class TemporalFilteredProtocol : public EvalProtocol {
     return DomainRangeIndex(group / num_timestamps_, direction,
                             num_relations());
   }
+  /// Known true answers at the query triple's own timestamp.
   const std::vector<int32_t>* Answers(
-      const Triple& triple, QueryDirection direction) const override {
-    return filter_->AnswersFor(triple, direction);
-  }
+      const Triple& triple, QueryDirection direction) const override;
+
  private:
-  const TemporalFilterIndex* filter_;
+  struct Key {
+    int32_t a = 0;  // head (tail queries) or relation (head queries)
+    int32_t b = 0;  // relation (tail queries) or tail (head queries)
+    int32_t time = 0;
+    friend bool operator==(const Key& x, const Key& y) {
+      return x.a == y.a && x.b == y.b && x.time == y.time;
+    }
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      uint64_t x = PackPair(k.a, k.b) ^
+                   (static_cast<uint64_t>(static_cast<uint32_t>(k.time)) *
+                    0x9E3779B97F4A7C15ULL);
+      x ^= x >> 33;
+      x *= 0xFF51AFD7ED558CCDULL;
+      x ^= x >> 33;
+      return static_cast<size_t>(x);
+    }
+  };
+  using AnswerMap = std::unordered_map<Key, std::vector<int32_t>, KeyHash>;
+
+  AnswerMap tails_;  // (h, r, tau) -> sorted tails
+  AnswerMap heads_;  // (r, t, tau) -> sorted heads
   int32_t num_timestamps_;
 };
 

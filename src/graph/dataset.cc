@@ -61,76 +61,6 @@ std::string Dataset::TimestampLabel(int32_t t) const {
   return StrFormat("T%d", t);
 }
 
-FilterIndex::FilterIndex(const Dataset& dataset) {
-  for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
-    for (const Triple& t : dataset.split(s)) {
-      tails_[PackPair(t.head, t.relation)].push_back(t.tail);
-      heads_[PackPair(t.relation, t.tail)].push_back(t.head);
-    }
-  }
-  auto sort_dedup = [](std::vector<int32_t>* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-  for (auto& [key, v] : tails_) sort_dedup(&v);
-  for (auto& [key, v] : heads_) sort_dedup(&v);
-}
-
-const std::vector<int32_t>* FilterIndex::TailsFor(int32_t head,
-                                                  int32_t relation) const {
-  auto it = tails_.find(PackPair(head, relation));
-  return it == tails_.end() ? nullptr : &it->second;
-}
-
-const std::vector<int32_t>* FilterIndex::HeadsFor(int32_t relation,
-                                                  int32_t tail) const {
-  auto it = heads_.find(PackPair(relation, tail));
-  return it == heads_.end() ? nullptr : &it->second;
-}
-
-const std::vector<int32_t>* FilterIndex::AnswersFor(
-    const Triple& triple, QueryDirection direction) const {
-  if (direction == QueryDirection::kTail) {
-    return TailsFor(triple.head, triple.relation);
-  }
-  return HeadsFor(triple.relation, triple.tail);
-}
-
-TemporalFilterIndex::TemporalFilterIndex(const Dataset& dataset) {
-  for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
-    for (const Triple& t : dataset.split(s)) {
-      tails_[Key{t.head, t.relation, t.time}].push_back(t.tail);
-      heads_[Key{t.relation, t.tail, t.time}].push_back(t.head);
-    }
-  }
-  auto sort_dedup = [](std::vector<int32_t>* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-  for (auto& [key, v] : tails_) sort_dedup(&v);
-  for (auto& [key, v] : heads_) sort_dedup(&v);
-}
-
-const std::vector<int32_t>* TemporalFilterIndex::TailsAt(
-    int32_t head, int32_t relation, int32_t time) const {
-  auto it = tails_.find(Key{head, relation, time});
-  return it == tails_.end() ? nullptr : &it->second;
-}
-
-const std::vector<int32_t>* TemporalFilterIndex::HeadsAt(
-    int32_t relation, int32_t tail, int32_t time) const {
-  auto it = heads_.find(Key{relation, tail, time});
-  return it == heads_.end() ? nullptr : &it->second;
-}
-
-const std::vector<int32_t>* TemporalFilterIndex::AnswersFor(
-    const Triple& triple, QueryDirection direction) const {
-  if (direction == QueryDirection::kTail) {
-    return TailsAt(triple.head, triple.relation, triple.time);
-  }
-  return HeadsAt(triple.relation, triple.tail, triple.time);
-}
-
 ObservedSets::ObservedSets(const Dataset& dataset,
                            const std::vector<Split>& splits)
     : domains_(dataset.num_relations()), ranges_(dataset.num_relations()) {

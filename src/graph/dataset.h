@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/triple.h"
@@ -92,95 +91,6 @@ class Dataset {
   std::vector<std::string> entity_labels_;
   std::vector<std::string> relation_labels_;
   std::vector<std::string> timestamp_labels_;
-};
-
-/// Membership index over every triple in all splits, used for *filtered*
-/// ranking: when ranking (h, r, ?) against candidate c, any other known-true
-/// tail c is removed from the candidate list.
-class FilterIndex {
- public:
-  explicit FilterIndex(const Dataset& dataset);
-
-  /// Known true tails for (h, r), sorted; nullptr when none.
-  const std::vector<int32_t>* TailsFor(int32_t head, int32_t relation) const;
-
-  /// Known true heads for (r, t), sorted; nullptr when none.
-  const std::vector<int32_t>* HeadsFor(int32_t relation, int32_t tail) const;
-
-  /// Known true answers for a query: tails of (h, r) for kTail queries,
-  /// heads of (r, t) for kHead queries. Never nullptr for queries derived
-  /// from dataset triples.
-  const std::vector<int32_t>* AnswersFor(const Triple& triple,
-                                         QueryDirection direction) const;
-
- private:
-  struct PairHash {
-    size_t operator()(uint64_t key) const {
-      key ^= key >> 33;
-      key *= 0xFF51AFD7ED558CCDULL;
-      key ^= key >> 33;
-      return static_cast<size_t>(key);
-    }
-  };
-  template <typename V>
-  using PairMap = std::unordered_map<uint64_t, V, PairHash>;
-
-  PairMap<std::vector<int32_t>> tails_;  // (h, r) -> sorted tails
-  PairMap<std::vector<int32_t>> heads_;  // (r, t) -> sorted heads
-};
-
-/// Time-sliced membership index over every triple in all splits, used by the
-/// temporal filtered-ranking protocol (Lacroix et al.): when ranking
-/// (h, r, ?, tau) against candidate c, only candidates true *at tau* are
-/// removed. A fact that holds at another timestamp is a valid corruption
-/// and keeps its place in the ranking — the semantic difference that makes
-/// temporal evaluation a second protocol family rather than a bigger static
-/// one. For a static dataset (all times 0) the index degenerates to
-/// FilterIndex and yields identical answer sets.
-class TemporalFilterIndex {
- public:
-  explicit TemporalFilterIndex(const Dataset& dataset);
-
-  /// Known true tails of (h, r) at timestamp `time`, sorted; nullptr when
-  /// none.
-  const std::vector<int32_t>* TailsAt(int32_t head, int32_t relation,
-                                      int32_t time) const;
-
-  /// Known true heads of (r, t) at timestamp `time`, sorted; nullptr when
-  /// none.
-  const std::vector<int32_t>* HeadsAt(int32_t relation, int32_t tail,
-                                      int32_t time) const;
-
-  /// Known true answers for a query at the query triple's own timestamp.
-  /// Never nullptr for queries derived from dataset triples.
-  const std::vector<int32_t>* AnswersFor(const Triple& triple,
-                                         QueryDirection direction) const;
-
- private:
-  struct Key {
-    int32_t a = 0;  // head (tail queries) or relation (head queries)
-    int32_t b = 0;  // relation (tail queries) or tail (head queries)
-    int32_t time = 0;
-    friend bool operator==(const Key& x, const Key& y) {
-      return x.a == y.a && x.b == y.b && x.time == y.time;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      uint64_t x = PackPair(k.a, k.b) ^
-                   (static_cast<uint64_t>(static_cast<uint32_t>(k.time)) *
-                    0x9E3779B97F4A7C15ULL);
-      x ^= x >> 33;
-      x *= 0xFF51AFD7ED558CCDULL;
-      x ^= x >> 33;
-      return static_cast<size_t>(x);
-    }
-  };
-  template <typename V>
-  using KeyMap = std::unordered_map<Key, V, KeyHash>;
-
-  KeyMap<std::vector<int32_t>> tails_;  // (h, r, tau) -> sorted tails
-  KeyMap<std::vector<int32_t>> heads_;  // (r, t, tau) -> sorted heads
 };
 
 /// Per-relation head/tail entity sets observed in given splits — exactly the

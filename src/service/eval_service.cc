@@ -189,10 +189,6 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
   loaded->filter = std::make_unique<FilterIndex>(loaded->synth->dataset);
   loaded->temporal_filter =
       std::make_unique<TemporalFilterIndex>(loaded->synth->dataset);
-  loaded->static_protocol = std::make_unique<StaticFilteredProtocol>(
-      loaded->synth->dataset, loaded->filter.get());
-  loaded->temporal_protocol = std::make_unique<TemporalFilteredProtocol>(
-      loaded->synth->dataset, loaded->temporal_filter.get());
   auto session =
       EvalSession::Create(&loaded->synth->dataset, loaded->filter.get(),
                           ServiceFrameworkOptions(), split);
@@ -245,7 +241,7 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     adaptive_requested = true;
     arg = 2;
   }
-  const EvalProtocol* protocol = state->static_protocol.get();
+  const EvalProtocol* protocol = state->filter.get();
   if (arg < cmd.args.size()) {
     const std::string& protocol_name = cmd.args[arg];
     if (arg + 1 < cmd.args.size()) {
@@ -256,9 +252,9 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
       return;
     }
     if (protocol_name == "static") {
-      protocol = state->static_protocol.get();
+      protocol = state->filter.get();
     } else if (protocol_name == "temporal") {
-      protocol = state->temporal_protocol.get();
+      protocol = state->temporal_filter.get();
     } else {
       EmitError(emit, "unknown-protocol",
                 StrFormat("protocol must be static|temporal, got %s",

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/eval_session.h"
+#include "eval/protocol.h"
 #include "graph/dataset.h"
 #include "service/command.h"
 #include "synth/config.h"
@@ -108,17 +109,16 @@ class EvalService {
 
  private:
   /// Everything a LOAD produces; commands snapshot one of these. Both
-  /// evaluation protocols are built eagerly at LOAD time: EVAL picks one by
-  /// name per request, and the temporal one degenerates to static filter
-  /// semantics on an untimestamped dataset (one timestamp slice).
+  /// filter indexes, which are the two evaluation protocols, are built at
+  /// LOAD time: EVAL picks one by name per request, and the temporal one
+  /// degenerates to static filter semantics on an untimestamped dataset
+  /// (one timestamp slice).
   struct Loaded {
     std::string name;
     Split split = Split::kTest;
     std::unique_ptr<SynthOutput> synth;  // Owns the Dataset (stable address).
     std::unique_ptr<FilterIndex> filter;
     std::unique_ptr<TemporalFilterIndex> temporal_filter;
-    std::unique_ptr<StaticFilteredProtocol> static_protocol;
-    std::unique_ptr<TemporalFilteredProtocol> temporal_protocol;
     std::unique_ptr<EvalSession> session;
   };
 

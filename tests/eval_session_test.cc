@@ -434,8 +434,10 @@ TEST_F(EvalSessionTest, EstimateCheckpointsRejectsDatasetMismatch) {
 TEST_F(EvalSessionTest, CreateRejectsNullInputs) {
   EXPECT_FALSE(
       EvalSession::Create(nullptr, filter_, SessionOptions()).ok());
-  EXPECT_FALSE(
-      EvalSession::Create(dataset_, nullptr, SessionOptions()).ok());
+  const auto no_protocol =
+      EvalSession::Create(dataset_, /*protocol=*/nullptr, SessionOptions());
+  ASSERT_FALSE(no_protocol.ok());
+  EXPECT_EQ(no_protocol.status().message(), "protocol is null");
 }
 
 // --- The session gates on trained codex-s models ---------------------------

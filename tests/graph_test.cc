@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "eval/protocol.h"
 #include "graph/dataset.h"
 #include "graph/stats.h"
 #include "graph/triple.h"
@@ -122,14 +126,26 @@ TEST(FilterIndexTest, MissingPairGivesNull) {
   EXPECT_EQ(filter.TailsFor(5, 0), nullptr);
 }
 
-TEST(FilterIndexTest, AnswersForMatchesDirection) {
+TEST(FilterIndexTest, AnswersMatchesDirection) {
   Dataset d = TinyDataset();
   FilterIndex filter(d);
   const Triple t{0, 0, 1};
-  EXPECT_EQ(filter.AnswersFor(t, QueryDirection::kTail),
+  EXPECT_EQ(filter.Answers(t, QueryDirection::kTail),
             filter.TailsFor(0, 0));
-  EXPECT_EQ(filter.AnswersFor(t, QueryDirection::kHead),
+  EXPECT_EQ(filter.Answers(t, QueryDirection::kHead),
             filter.HeadsFor(0, 1));
+}
+
+TEST(FilterIndexTest, MoveKeepsAnswersAndRelationCount) {
+  // Callers keep one index per dataset by value in a vector, which moves
+  // them; the answer sets and the protocol's relation count move along.
+  Dataset d = TinyDataset();
+  FilterIndex original(d);
+  const FilterIndex moved(std::move(original));
+  EXPECT_EQ(moved.num_relations(), d.num_relations());
+  const auto* tails = moved.TailsFor(0, 0);
+  ASSERT_NE(tails, nullptr);
+  EXPECT_EQ(*tails, (std::vector<int32_t>{1, 2, 3}));
 }
 
 TEST(ObservedSetsTest, TrainOnly) {

@@ -189,10 +189,8 @@ void ExpectFullRankingMatchesScalarOracle(const KgeModel& model,
 }
 
 // ---------------------------------------------------------------------------
-// Static protocol: the refactor seam must be invisible. The FilterIndex
-// convenience overloads (the pre-refactor API) and an explicit
-// StaticFilteredProtocol must produce bit-identical ranks on every model
-// and every estimator.
+// Static protocol: the prepared engines agree bit for bit with the scalar
+// reference on every model, and exhaustive pools reproduce full ranking.
 // ---------------------------------------------------------------------------
 
 TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
@@ -216,8 +214,7 @@ TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
   for (const Input& input : inputs) {
     const Dataset& dataset = input.dataset;
     SCOPED_TRACE(dataset.name());
-    const FilterIndex filter(dataset);
-    const StaticFilteredProtocol protocol(dataset, &filter);
+    const FilterIndex protocol(dataset);
     Rng rng(input.pool_seed);
     const SampledCandidates pools = DrawCandidates(
         SamplingStrategy::kRandom, nullptr, dataset.num_entities(), input.n_s,
@@ -227,78 +224,24 @@ TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
       auto model = CreateModel(type, dataset.num_entities(),
                                dataset.num_relations(), input.options)
                        .ValueOrDie();
-      // Pre-refactor API: FilterIndex overload, prepared engine.
-      const SampledEvalResult via_filter =
-          EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-      // Explicit protocol, prepared engine and scalar reference.
       const SampledEvalResult prepared =
           EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
       const SampledEvalResult scalar = EvaluateSampledScalar(
           *model, dataset, protocol, Split::kTest, pools);
-      EXPECT_EQ(via_filter.ranks, prepared.ranks) << ModelTypeName(type);
       EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
-      EXPECT_EQ(via_filter.scored_candidates, scalar.scored_candidates)
+      EXPECT_EQ(prepared.scored_candidates, scalar.scored_candidates)
           << ModelTypeName(type);
-      EXPECT_DOUBLE_EQ(via_filter.metrics.mrr, scalar.metrics.mrr)
+      EXPECT_DOUBLE_EQ(prepared.metrics.mrr, scalar.metrics.mrr)
           << ModelTypeName(type);
     }
   }
-}
-
-TEST(StaticParityTest, FullRankingBitExact) {
-  const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  const StaticFilteredProtocol protocol(dataset, &filter);
-  FullEvalOptions options;
-  options.max_triples = 60;
-  for (ModelType type : {ModelType::kDistMult, ModelType::kTComplEx}) {
-    auto model = CreateModel(type, dataset.num_entities(),
-                             dataset.num_relations(), SmallOptions())
-                     .ValueOrDie();
-    const FullEvalResult via_filter =
-        EvaluateFullRanking(*model, dataset, filter, Split::kTest, options);
-    const FullEvalResult via_protocol =
-        EvaluateFullRanking(*model, dataset, protocol, Split::kTest, options);
-    EXPECT_EQ(via_filter.ranks, via_protocol.ranks) << ModelTypeName(type);
-    EXPECT_DOUBLE_EQ(via_filter.metrics.mrr, via_protocol.metrics.mrr)
-        << ModelTypeName(type);
-  }
-}
-
-TEST(StaticParityTest, AdaptiveBitExact) {
-  const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  const StaticFilteredProtocol protocol(dataset, &filter);
-  Rng rng(17);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
-      /*n_s=*/60, NeededSlots(dataset, Split::kTest),
-      2 * dataset.num_relations(), &rng);
-  auto model = CreateModel(ModelType::kComplEx, dataset.num_entities(),
-                           dataset.num_relations(), SmallOptions())
-                   .ValueOrDie();
-  AdaptiveEvalOptions options;
-  options.target_half_width = 0.05;
-  options.min_queries = 128;
-  options.batch_queries = 128;
-  const AdaptiveEvalResult via_filter = EvaluateAdaptive(
-      *model, dataset, filter, Split::kTest, pools, options);
-  const AdaptiveEvalResult via_protocol = EvaluateAdaptive(
-      *model, dataset, protocol, Split::kTest, pools, options);
-  EXPECT_EQ(via_filter.ranks, via_protocol.ranks);
-  EXPECT_EQ(via_filter.evaluated_queries, via_protocol.evaluated_queries);
-  EXPECT_EQ(via_filter.rounds, via_protocol.rounds);
-  EXPECT_EQ(via_filter.converged, via_protocol.converged);
-  EXPECT_DOUBLE_EQ(via_filter.ci.mrr, via_protocol.ci.mrr);
-  EXPECT_DOUBLE_EQ(via_filter.metrics.mrr, via_protocol.metrics.mrr);
 }
 
 TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
   // With every entity in every pool, the sampled estimator *is* the full
   // evaluator: pool-ranks equal exhaustive filtered ranks query for query.
   const Dataset dataset = SynthDataset();
-  const FilterIndex filter(dataset);
-  const StaticFilteredProtocol protocol(dataset, &filter);
+  const FilterIndex protocol(dataset);
   const SampledCandidates pools = ExhaustivePools(
       dataset.num_entities(), 2 * dataset.num_relations());
   for (ModelType type : {ModelType::kDistMult, ModelType::kRotatE}) {
@@ -317,8 +260,7 @@ TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
 
 TEST(StaticParityTest, ScheduleIsGroupHomogeneousAndComplete) {
   for (const Dataset& dataset : {SynthDataset(), DuplicateQueryDataset(0)}) {
-    const FilterIndex filter(dataset);
-    const StaticFilteredProtocol protocol(dataset, &filter);
+    const FilterIndex protocol(dataset);
     const std::vector<Triple>& triples = dataset.test();
     const int64_t n = static_cast<int64_t>(triples.size());
     for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
@@ -332,8 +274,7 @@ TEST(StaticParityTest, ScheduleIsGroupHomogeneousAndComplete) {
 
 TEST(StaticParityTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
   const Dataset dataset = DuplicateQueryDataset(0);
-  const FilterIndex filter(dataset);
-  const StaticFilteredProtocol protocol(dataset, &filter);
+  const FilterIndex protocol(dataset);
   // One model per kernel family: dot, dot + per-entity bias, L1 distance,
   // complex distance.
   for (ModelType type : {ModelType::kDistMult, ModelType::kConvE,
@@ -350,8 +291,7 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
   // not the query shares its score row with a duplicate: the scalar
   // oracle's count, which the served `scored=` field reads.
   const Dataset dataset = DuplicateQueryDataset(0);
-  const FilterIndex filter(dataset);
-  const StaticFilteredProtocol protocol(dataset, &filter);
+  const FilterIndex protocol(dataset);
   Rng rng(41);
   const SampledCandidates pools = DrawCandidates(
       SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
@@ -397,10 +337,8 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
 
 TEST(ScheduleTest, AdaptiveRoundsKeepInvariants) {
   const Dataset dataset = DuplicateQueryDataset(/*num_timestamps=*/3);
-  const FilterIndex static_filter(dataset);
-  const TemporalFilterIndex temporal_filter(dataset);
-  const StaticFilteredProtocol static_protocol(dataset, &static_filter);
-  const TemporalFilteredProtocol temporal_protocol(dataset, &temporal_filter);
+  const FilterIndex static_protocol(dataset);
+  const TemporalFilterIndex temporal_protocol(dataset);
   const std::vector<Triple>& triples = dataset.test();
   Rng rng(43);
   const std::vector<int64_t> order = ShuffledQueryOrder(
@@ -441,10 +379,8 @@ Dataset HandTemporalDataset() {
 
 TEST(TemporalProtocolTest, FilterIsSlicedByTimestamp) {
   const Dataset dataset = HandTemporalDataset();
-  const FilterIndex static_filter(dataset);
-  const TemporalFilterIndex temporal_filter(dataset);
-  const StaticFilteredProtocol static_protocol(dataset, &static_filter);
-  const TemporalFilteredProtocol temporal_protocol(dataset, &temporal_filter);
+  const FilterIndex static_protocol(dataset);
+  const TemporalFilterIndex temporal_protocol(dataset);
   const Triple& query = dataset.test()[0];
 
   // Static semantics: both tails are known facts, whenever they held.
@@ -460,6 +396,9 @@ TEST(TemporalProtocolTest, FilterIsSlicedByTimestamp) {
   ASSERT_NE(temporal_answers, nullptr);
   EXPECT_EQ(*temporal_answers, (std::vector<int32_t>{1}));
 
+  // The names the service's EVAL command accepts.
+  EXPECT_STREQ(static_protocol.name(), "static");
+  EXPECT_STREQ(temporal_protocol.name(), "temporal");
   EXPECT_EQ(temporal_protocol.num_timestamps(), 2);
   EXPECT_EQ(temporal_protocol.num_groups(), 2);
   EXPECT_EQ(temporal_protocol.GroupOf({0, 0, 2, 1}), 1);
@@ -472,10 +411,8 @@ TEST(TemporalProtocolTest, FilterIsSlicedByTimestamp) {
 
 TEST(TemporalProtocolTest, CorruptionTrueAtAnotherTimestampKeepsItsRank) {
   const Dataset dataset = HandTemporalDataset();
-  const FilterIndex static_filter(dataset);
-  const TemporalFilterIndex temporal_filter(dataset);
-  const StaticFilteredProtocol static_protocol(dataset, &static_filter);
-  const TemporalFilteredProtocol temporal_protocol(dataset, &temporal_filter);
+  const FilterIndex static_protocol(dataset);
+  const TemporalFilterIndex temporal_protocol(dataset);
   // Score by tail id: entity 2 outscores the truth (entity 1).
   const FakeModel model(dataset.num_entities(), dataset.num_relations(),
                         [](int32_t, int32_t, int32_t t) {
@@ -505,8 +442,7 @@ TEST(TemporalProtocolTest, ScheduleIsGroupHomogeneousAndComplete) {
   for (const Dataset& dataset :
        {TemporalSynthDataset(/*num_timestamps=*/5),
         DuplicateQueryDataset(/*num_timestamps=*/3)}) {
-    const TemporalFilterIndex filter(dataset);
-    const TemporalFilteredProtocol protocol(dataset, &filter);
+    const TemporalFilterIndex protocol(dataset);
     const std::vector<Triple>& triples = dataset.test();
     const int64_t n = static_cast<int64_t>(triples.size());
     for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
@@ -520,8 +456,7 @@ TEST(TemporalProtocolTest, ScheduleIsGroupHomogeneousAndComplete) {
 
 TEST(TemporalProtocolTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
   const Dataset dataset = DuplicateQueryDataset(/*num_timestamps=*/3);
-  const TemporalFilterIndex filter(dataset);
-  const TemporalFilteredProtocol protocol(dataset, &filter);
+  const TemporalFilterIndex protocol(dataset);
   ModelOptions options = SmallOptions();
   options.num_timestamps = dataset.num_timestamps();
   auto model = CreateModel(ModelType::kTComplEx, dataset.num_entities(),
@@ -532,8 +467,7 @@ TEST(TemporalProtocolTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
 
 TEST(TemporalProtocolTest, EnginesBitExactOnTemporalData) {
   const Dataset dataset = TemporalSynthDataset(/*num_timestamps=*/5);
-  const TemporalFilterIndex filter(dataset);
-  const TemporalFilteredProtocol protocol(dataset, &filter);
+  const TemporalFilterIndex protocol(dataset);
   Rng rng(23);
   const SampledCandidates pools = DrawCandidates(
       SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
@@ -575,8 +509,7 @@ TEST(TemporalProtocolTest, ExhaustivePoolsReproduceFullRanking) {
       {&small, untrained.get()}, {&codex_s, trained.get()}};
   for (const auto& [dataset, model] : inputs) {
     SCOPED_TRACE(dataset->name());
-    const TemporalFilterIndex filter(*dataset);
-    const TemporalFilteredProtocol protocol(*dataset, &filter);
+    const TemporalFilterIndex protocol(*dataset);
     const SampledCandidates pools = ExhaustivePools(
         dataset->num_entities(), 2 * dataset->num_relations());
     const SampledEvalResult sampled =
@@ -591,8 +524,7 @@ TEST(TemporalProtocolTest, ExhaustivePoolsReproduceFullRanking) {
 
 TEST(TemporalProtocolTest, AdaptiveConvergesOnTimeSlicedQueries) {
   const Dataset dataset = TemporalSynthDataset(/*num_timestamps=*/5);
-  const TemporalFilterIndex filter(dataset);
-  const TemporalFilteredProtocol protocol(dataset, &filter);
+  const TemporalFilterIndex protocol(dataset);
   Rng rng(31);
   const SampledCandidates pools = DrawCandidates(
       SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
@@ -631,9 +563,8 @@ TEST(TemporalProtocolTest, DegeneratesToStaticOnUntimestampedDataset) {
   // exactly the static answer sets, so the two protocols rank identically.
   const Dataset dataset = SynthDataset();
   ASSERT_FALSE(dataset.has_timestamps());
-  const FilterIndex static_filter(dataset);
-  const TemporalFilterIndex temporal_filter(dataset);
-  const TemporalFilteredProtocol protocol(dataset, &temporal_filter);
+  const FilterIndex static_protocol(dataset);
+  const TemporalFilterIndex protocol(dataset);
   EXPECT_EQ(protocol.num_timestamps(), 1);
   EXPECT_EQ(protocol.num_groups(), dataset.num_relations());
   Rng rng(37);
@@ -647,7 +578,7 @@ TEST(TemporalProtocolTest, DegeneratesToStaticOnUntimestampedDataset) {
   const SampledEvalResult temporal =
       EvaluateSampled(*model, dataset, protocol, Split::kTest, pools);
   const SampledEvalResult statics =
-      EvaluateSampled(*model, dataset, static_filter, Split::kTest, pools);
+      EvaluateSampled(*model, dataset, static_protocol, Split::kTest, pools);
   EXPECT_EQ(temporal.ranks, statics.ranks);
   EXPECT_DOUBLE_EQ(temporal.metrics.mrr, statics.metrics.mrr);
 }

@@ -368,7 +368,7 @@ TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
           const int32_t truth = tail_dir ? triple.tail : triple.head;
           model->ScoreAll(anchor, triple.relation, dir, scores.data());
           const std::vector<int32_t>* answers =
-              filter.AnswersFor(triple, dir);
+              filter.Answers(triple, dir);
           ASSERT_NE(answers, nullptr);
           int64_t higher = 0, tied = 0;
           size_t cursor = 0;
