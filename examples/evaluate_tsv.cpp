@@ -67,9 +67,6 @@ int main(int argc, char** argv) {
   ModelOptions model_options;
   model_options.dim = 32;
   model_options.adam.learning_rate = 3e-3f;
-  // Time-aware models need the loaded timestamp vocabulary (0 on 3-column
-  // datasets = single-timestamp static behavior).
-  model_options.num_timestamps = dataset.num_timestamps();
   auto model = CreateModel(type_or.ValueOrDie(), dataset.num_entities(),
                            dataset.num_relations(), model_options)
                    .ValueOrDie();
@@ -99,16 +96,6 @@ int main(int argc, char** argv) {
               exact.metrics.ToString().c_str());
   std::printf("MRR abs error %.4f\n",
               std::abs(estimate.metrics.mrr - exact.metrics.mrr));
-
-  if (dataset.has_timestamps()) {
-    // 4-column dataset: also rank under the time-sliced filter (only facts
-    // true at the query's timestamp are removed from the candidates).
-    const TemporalFilterIndex temporal_filter(dataset);
-    const FullEvalResult temporal_exact =
-        EvaluateFullRanking(*model, dataset, temporal_filter, Split::kTest);
-    std::printf("temporal full ranking : %s\n",
-                temporal_exact.metrics.ToString().c_str());
-  }
 
   if (!checkpoint.empty()) {
     const Status saved = SaveModel(model.get(), checkpoint);

@@ -13,7 +13,7 @@ namespace kgeval {
 
 AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
                                     const Dataset& dataset,
-                                    const EvalProtocol& protocol, Split split,
+                                    const FilterIndex& filter, Split split,
                                     const SampledCandidates& candidates,
                                     const AdaptiveEvalOptions& options) {
   WallTimer timer;
@@ -33,7 +33,7 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
   // (Shuffling slot blocks instead would make rounds cluster samples of
   // same-relation queries, whose correlated ranks bias small rounds and
   // shrink the effective sample size far below the query count.) Each
-  // round's queries are regrouped by protocol group purely for scoring
+  // round's queries are regrouped by relation purely for scoring
   // efficiency.
   Rng rng(options.shuffle_seed);
   const std::vector<int64_t> order = ShuffledQueryOrder(num_triples, &rng);
@@ -61,10 +61,10 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
         {batch_queries, order.size() - next_query,
          static_cast<size_t>(query_budget - acc.count())});
     const size_t round_begin = next_query;
-    // The per-group runs of a round are small, so blocks rarely fill
+    // The per-relation runs of a round are small, so blocks rarely fill
     // kSampledQueryBlock anchors.
-    protocol.BuildQuerySchedule(triples, order.data() + round_begin, take,
-                                kSampledQueryBlock, &round);
+    filter.BuildQuerySchedule(triples, order.data() + round_begin, take,
+                              kSampledQueryBlock, &round);
     next_query += take;
     std::atomic<int64_t> scored{0};
     // Each round is its own TaskGroup: the wait at the end of the round is
@@ -75,9 +75,8 @@ AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
                      [&](size_t lo, size_t hi) {
                        SlotBlockScratch scratch;
                        const int64_t local_scored = ScoreSlotBlocks(
-                           model, triples, protocol, candidates,
-                           round.blocks, lo, hi, eval_options, &scratch,
-                           result.ranks.data());
+                           model, triples, filter, candidates, round.blocks, lo,
+                           hi, eval_options, &scratch, result.ranks.data());
                        scored.fetch_add(local_scored,
                                         std::memory_order_relaxed);
                      });

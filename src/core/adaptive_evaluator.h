@@ -89,7 +89,7 @@ struct AdaptiveEvalResult {
 /// pools.
 AdaptiveEvalResult EvaluateAdaptive(const KgeModel& model,
                                     const Dataset& dataset,
-                                    const EvalProtocol& protocol, Split split,
+                                    const FilterIndex& filter, Split split,
                                     const SampledCandidates& candidates,
                                     const AdaptiveEvalOptions& options = {});
 

@@ -80,29 +80,29 @@ std::vector<Outcome> SweepCheckpoints(
 }  // namespace
 
 EvalSession::EvalSession(std::unique_ptr<EvaluationFramework> framework,
-                         const EvalProtocol* protocol, Split split)
-    : framework_(std::move(framework)), protocol_(protocol), split_(split) {
+                         const FilterIndex* filter, Split split)
+    : framework_(std::move(framework)), filter_(filter), split_(split) {
   KGEVAL_CHECK(framework_ != nullptr);
-  KGEVAL_CHECK(protocol_ != nullptr);
+  KGEVAL_CHECK(filter_ != nullptr);
   pools_ = framework_->DrawPools(split_);
 }
 
 Result<std::unique_ptr<EvalSession>> EvalSession::Create(
-    const Dataset* dataset, const EvalProtocol* protocol,
+    const Dataset* dataset, const FilterIndex* filter,
     const FrameworkOptions& options, Split split) {
-  if (protocol == nullptr) {
-    return Status::InvalidArgument("protocol is null");
+  if (filter == nullptr) {
+    return Status::InvalidArgument("filter is null");
   }
   auto framework = EvaluationFramework::Build(dataset, options);
   if (!framework.ok()) return framework.status();
   return {std::unique_ptr<EvalSession>(new EvalSession(
-      std::move(framework).ValueOrDie(), protocol, split))};
+      std::move(framework).ValueOrDie(), filter, split))};
 }
 
 SampledEvalResult EvalSession::Estimate(const KgeModel& model,
                                         int64_t max_triples,
                                         const CancelToken* cancel) const {
-  return framework_->EstimateOnPools(model, *protocol_, split_, pools_,
+  return framework_->EstimateOnPools(model, *filter_, split_, pools_,
                                      max_triples, cancel);
 }
 
@@ -119,8 +119,8 @@ std::vector<SampledEvalResult> EvalSession::EstimateMany(
 AdaptiveEvalResult EvalSession::EstimateAdaptive(
     const KgeModel& model, const AdaptiveEvalOptions& adaptive,
     const CancelToken* cancel) const {
-  return framework_->EstimateAdaptiveOnPools(model, *protocol_, split_,
-                                             pools_, adaptive, cancel);
+  return framework_->EstimateAdaptiveOnPools(model, *filter_, split_, pools_,
+                                             adaptive, cancel);
 }
 
 std::vector<AdaptiveEvalResult> EvalSession::EstimateAdaptiveMany(

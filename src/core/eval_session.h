@@ -64,11 +64,10 @@ struct CheckpointSweepStats {
 class EvalSession {
  public:
   /// Builds a framework for `dataset` and pins its first pool draw for
-  /// `split`. Every estimate runs under `protocol` (eval/protocol.h), e.g.
-  /// a FilterIndex for classic filtered ranking. `dataset` and `protocol`
-  /// must outlive the session.
+  /// `split`. Every estimate ranks against `filter`'s known answers
+  /// (eval/protocol.h). `dataset` and `filter` must outlive the session.
   static Result<std::unique_ptr<EvalSession>> Create(
-      const Dataset* dataset, const EvalProtocol* protocol,
+      const Dataset* dataset, const FilterIndex* filter,
       const FrameworkOptions& options, Split split = Split::kTest);
 
   /// Estimates `model` on the pinned pools. Repeated calls score identical
@@ -151,10 +150,10 @@ class EvalSession {
 
  private:
   EvalSession(std::unique_ptr<EvaluationFramework> framework,
-              const EvalProtocol* protocol, Split split);
+              const FilterIndex* filter, Split split);
 
   std::unique_ptr<EvaluationFramework> framework_;
-  const EvalProtocol* protocol_;
+  const FilterIndex* filter_;
   Split split_;
   SampledCandidates pools_;
 };

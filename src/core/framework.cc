@@ -57,39 +57,36 @@ SampledCandidates EvaluationFramework::DrawPools(Split split) {
 }
 
 SampledEvalResult EvaluationFramework::Estimate(const KgeModel& model,
-                                                const EvalProtocol& protocol,
+                                                const FilterIndex& filter,
                                                 Split split,
                                                 int64_t max_triples) {
-  return EstimateOnPools(model, protocol, split, DrawPools(split),
-                         max_triples);
+  return EstimateOnPools(model, filter, split, DrawPools(split), max_triples);
 }
 
 SampledEvalResult EvaluationFramework::EstimateOnPools(
-    const KgeModel& model, const EvalProtocol& protocol, Split split,
+    const KgeModel& model, const FilterIndex& filter, Split split,
     const SampledCandidates& pools, int64_t max_triples,
     const CancelToken* cancel) const {
   SampledEvalOptions eval_options;
   eval_options.max_triples = max_triples;
   eval_options.cancel = cancel;
-  return EvaluateSampled(model, *dataset_, protocol, split, pools,
-                         eval_options);
+  return EvaluateSampled(model, *dataset_, filter, split, pools, eval_options);
 }
 
 AdaptiveEvalResult EvaluationFramework::EstimateAdaptive(
-    const KgeModel& model, const EvalProtocol& protocol, Split split,
+    const KgeModel& model, const FilterIndex& filter, Split split,
     const AdaptiveEvalOptions& adaptive) {
-  return EstimateAdaptiveOnPools(model, protocol, split, DrawPools(split),
+  return EstimateAdaptiveOnPools(model, filter, split, DrawPools(split),
                                  adaptive);
 }
 
 AdaptiveEvalResult EvaluationFramework::EstimateAdaptiveOnPools(
-    const KgeModel& model, const EvalProtocol& protocol, Split split,
+    const KgeModel& model, const FilterIndex& filter, Split split,
     const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
     const CancelToken* cancel) const {
   AdaptiveEvalOptions eval_options = adaptive;
   if (cancel != nullptr) eval_options.cancel = cancel;
-  return EvaluateAdaptive(model, *dataset_, protocol, split, pools,
-                          eval_options);
+  return EvaluateAdaptive(model, *dataset_, filter, split, pools, eval_options);
 }
 
 namespace {
@@ -122,7 +119,7 @@ Result<std::unique_ptr<KgeModel>> EvaluationFramework::LoadCheckpoint(
 }
 
 Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
-    const std::string& path, const EvalProtocol& protocol, Split split,
+    const std::string& path, const FilterIndex& filter, Split split,
     const SampledCandidates& pools, int64_t max_triples,
     const CancelToken* cancel) const {
   // Checked before the load (the expensive part most worth skipping) and
@@ -133,7 +130,7 @@ Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
   }
   auto model_or = LoadCheckpoint(path);
   if (!model_or.ok()) return model_or.status();
-  SampledEvalResult result = EstimateOnPools(*model_or.ValueOrDie(), protocol,
+  SampledEvalResult result = EstimateOnPools(*model_or.ValueOrDie(), filter,
                                              split, pools, max_triples,
                                              cancel);
   if (result.cancelled) return Status::Cancelled("evaluation cancelled");
@@ -142,7 +139,7 @@ Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
 
 Result<AdaptiveEvalResult>
 EvaluationFramework::EstimateAdaptiveCheckpointOnPools(
-    const std::string& path, const EvalProtocol& protocol, Split split,
+    const std::string& path, const FilterIndex& filter, Split split,
     const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
     const CancelToken* cancel) const {
   if (cancel != nullptr && cancel->cancelled()) {
@@ -151,7 +148,7 @@ EvaluationFramework::EstimateAdaptiveCheckpointOnPools(
   auto model_or = LoadCheckpoint(path);
   if (!model_or.ok()) return model_or.status();
   AdaptiveEvalResult result = EstimateAdaptiveOnPools(
-      *model_or.ValueOrDie(), protocol, split, pools, adaptive, cancel);
+      *model_or.ValueOrDie(), filter, split, pools, adaptive, cancel);
   if (result.cancelled) return Status::Cancelled("evaluation cancelled");
   return {std::move(result)};
 }

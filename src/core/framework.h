@@ -45,26 +45,23 @@ class EvaluationFramework {
   /// and the draw count so far).
   SampledCandidates DrawPools(Split split);
 
-  /// Estimates the filtered metrics of `model` on `split` under `protocol`
-  /// (eval/protocol.h). `max_triples` (0 = all) evaluates only the split's
-  /// deterministic prefix, matching FullEvalOptions::max_triples for
-  /// apples-to-apples comparisons. Equivalent to
-  /// EstimateOnPools(model, protocol, split, DrawPools(split)).
-  SampledEvalResult Estimate(const KgeModel& model,
-                             const EvalProtocol& protocol, Split split,
-                             int64_t max_triples = 0);
+  /// Estimates the filtered metrics of `model` on `split`, filtering the known
+  /// answers of `filter` (eval/protocol.h). `max_triples` (0 = all) evaluates
+  /// only the split's deterministic prefix, matching
+  /// FullEvalOptions::max_triples for apples-to-apples comparisons. Equivalent
+  /// to EstimateOnPools(model, filter, split, DrawPools(split)).
+  SampledEvalResult Estimate(const KgeModel& model, const FilterIndex& filter,
+                             Split split, int64_t max_triples = 0);
 
-  /// Estimate() on caller-provided pools (a pinned DrawPools() result):
-  /// scores `model` against `pools` without drawing anything, so repeated
-  /// calls are comparable — rank differences between models are model
-  /// differences, not pool-draw noise. Pools stay relation-keyed (2|R|
-  /// slots) for every protocol, so the same draw serves static and temporal
-  /// passes alike. Const and thread-safe: concurrent calls with different
-  /// models are how EvalSession::EstimateMany runs. `cancel` (optional,
-  /// must outlive the call) aborts the pass at the next block boundary; the
-  /// result comes back flagged `cancelled`.
+  /// Estimate() on caller-provided pools (a pinned DrawPools() result): scores
+  /// `model` against `pools` without drawing anything, so repeated calls are
+  /// comparable — rank differences between models are model differences, not
+  /// pool-draw noise. Const and thread-safe: concurrent calls with different
+  /// models are how EvalSession::EstimateMany runs. `cancel` (optional, must
+  /// outlive the call) aborts the pass at the next block boundary; the result
+  /// comes back flagged `cancelled`.
   SampledEvalResult EstimateOnPools(const KgeModel& model,
-                                    const EvalProtocol& protocol, Split split,
+                                    const FilterIndex& filter, Split split,
                                     const SampledCandidates& pools,
                                     int64_t max_triples = 0,
                                     const CancelToken* cancel = nullptr) const;
@@ -74,15 +71,14 @@ class EvaluationFramework {
   /// metric's confidence half-width reaches the requested width (see
   /// AdaptiveEvalOptions).
   AdaptiveEvalResult EstimateAdaptive(const KgeModel& model,
-                                      const EvalProtocol& protocol,
-                                      Split split,
+                                      const FilterIndex& filter, Split split,
                                       const AdaptiveEvalOptions& adaptive = {});
 
   /// EstimateAdaptive() on caller-provided pools; same pinning semantics,
   /// thread-safety, and cancellation contract as EstimateOnPools (the
   /// `cancel` argument overrides `adaptive.cancel` when non-null).
   AdaptiveEvalResult EstimateAdaptiveOnPools(
-      const KgeModel& model, const EvalProtocol& protocol, Split split,
+      const KgeModel& model, const FilterIndex& filter, Split split,
       const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive = {},
       const CancelToken* cancel = nullptr) const;
 
@@ -108,13 +104,13 @@ class EvaluationFramework {
   /// Status(kCancelled) — a cancelled pass's partial metrics are never
   /// returned.
   Result<SampledEvalResult> EstimateCheckpointOnPools(
-      const std::string& path, const EvalProtocol& protocol, Split split,
+      const std::string& path, const FilterIndex& filter, Split split,
       const SampledCandidates& pools, int64_t max_triples = 0,
       const CancelToken* cancel = nullptr) const;
 
   /// Adaptive counterpart of EstimateCheckpointOnPools.
   Result<AdaptiveEvalResult> EstimateAdaptiveCheckpointOnPools(
-      const std::string& path, const EvalProtocol& protocol, Split split,
+      const std::string& path, const FilterIndex& filter, Split split,
       const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive = {},
       const CancelToken* cancel = nullptr) const;
 

@@ -59,7 +59,7 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
 
 int64_t ScoreSlotBlocks(const KgeModel& model,
                         const std::vector<Triple>& triples,
-                        const EvalProtocol& protocol,
+                        const FilterIndex& filter,
                         const SampledCandidates& candidates,
                         const std::vector<SlotBlock>& blocks, size_t begin,
                         size_t end, const SampledEvalOptions& options,
@@ -82,8 +82,8 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
       scratch->pool.Prepare(model, pool.data(), pool.size(), kPoolTile);
       scratch->pool_slot = block.pool_slot;
     }
-    RankSlotBlock(model, triples, protocol, block, scratch->pool,
-                  TieBreak::kMean, &scratch->rank, ranks);
+    RankSlotBlock(model, triples, filter, block, scratch->pool, TieBreak::kMean,
+                  &scratch->rank, ranks);
     scored += static_cast<int64_t>(block.end - block.begin) *
               static_cast<int64_t>(pool.size() + 1);
   }
@@ -92,7 +92,7 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
 
 SampledEvalResult EvaluateSampled(const KgeModel& model,
                                   const Dataset& dataset,
-                                  const EvalProtocol& protocol, Split split,
+                                  const FilterIndex& filter, Split split,
                                   const SampledCandidates& candidates,
                                   const SampledEvalOptions& options) {
   WallTimer timer;
@@ -112,11 +112,11 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
 
   // Slot-major order: every query block shares one (relation, direction)
   // candidate pool, so the pool's embeddings are gathered once and whole
-  // query blocks are scored per kernel call. The protocol owns the
+  // query blocks are scored per kernel call. The filter index owns the
   // grouping and emission order; its contract is only that blocks sharing
   // a pool slot are contiguous.
   const EvalSchedule schedule =
-      protocol.BuildSchedule(triples, num_triples, kSampledQueryBlock);
+      filter.BuildSchedule(triples, num_triples, kSampledQueryBlock);
   // Parallelism is over slot-aligned chunks, not raw block ranges: a chunk
   // boundary inside a slot would make both sides prepare the slot's pool.
   // The pass is its own TaskGroup, so a concurrent evaluation (another
@@ -126,9 +126,8 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
   SubmitSlotChunks(&group, schedule.blocks, [&](size_t lo, size_t hi) {
     SlotBlockScratch scratch;
     const int64_t local_scored =
-        ScoreSlotBlocks(model, triples, protocol, candidates,
-                        schedule.blocks, lo, hi, options, &scratch,
-                        result.ranks.data());
+        ScoreSlotBlocks(model, triples, filter, candidates, schedule.blocks, lo,
+                        hi, options, &scratch, result.ranks.data());
     scored.fetch_add(local_scored, std::memory_order_relaxed);
   });
   group.Wait();
@@ -150,8 +149,7 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
 
 SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
                                         const Dataset& dataset,
-                                        const EvalProtocol& protocol,
-                                        Split split,
+                                        const FilterIndex& filter, Split split,
                                         const SampledCandidates& candidates,
                                         const SampledEvalOptions& options) {
   WallTimer timer;
@@ -176,23 +174,21 @@ SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
         int64_t local_scored = 0;
         for (size_t i = lo; i < hi; ++i) {
           const Triple& triple = triples[i];
-          const int32_t kernel_relation = model.KernelRelation(triple);
           for (QueryDirection dir :
                {QueryDirection::kTail, QueryDirection::kHead}) {
             const bool tail_dir = dir == QueryDirection::kTail;
             const int32_t anchor = tail_dir ? triple.head : triple.tail;
             const int32_t truth = tail_dir ? triple.tail : triple.head;
-            const int32_t slot = protocol.PoolSlotFor(triple, dir);
+            const int32_t slot = DomainRangeIndex(triple.relation, dir, num_r);
             const std::vector<int32_t>& pool = candidates.pools[slot];
             scores.resize(pool.size() + 1);
             // Score the pool plus the true answer in one model call.
-            model.ScoreCandidates(anchor, kernel_relation, dir, pool.data(),
+            model.ScoreCandidates(anchor, triple.relation, dir, pool.data(),
                                   pool.size(), scores.data());
-            model.ScoreCandidates(anchor, kernel_relation, dir, &truth, 1,
+            model.ScoreCandidates(anchor, triple.relation, dir, &truth, 1,
                                   scores.data() + pool.size());
             local_scored += static_cast<int64_t>(pool.size()) + 1;
-            const std::vector<int32_t>* answers =
-                protocol.Answers(triple, dir);
+            const std::vector<int32_t>* answers = filter.Answers(triple, dir);
             KGEVAL_CHECK(answers != nullptr);
             const double rank = FilteredRank(
                 pool.data(), scores.data(), pool.size(), truth,

@@ -66,7 +66,7 @@ struct SlotBlockScratch {
 };
 
 /// The shared incremental core of the sampled evaluators: ranks blocks
-/// [begin, end) of a protocol's slot-contiguous schedule against
+/// [begin, end) of a FilterIndex slot-contiguous schedule against
 /// `candidates` through RankSlotBlock, preparing a slot's pool in
 /// kPoolTile-wide tiles when the slot changes. Thread-safe across disjoint
 /// block ranges (each thread brings its own scratch). Returns the evaluated
@@ -76,7 +76,7 @@ struct SlotBlockScratch {
 /// threads.
 int64_t ScoreSlotBlocks(const KgeModel& model,
                         const std::vector<Triple>& triples,
-                        const EvalProtocol& protocol,
+                        const FilterIndex& filter,
                         const SampledCandidates& candidates,
                         const std::vector<SlotBlock>& blocks, size_t begin,
                         size_t end, const SampledEvalOptions& options,
@@ -109,7 +109,7 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
 /// re-prepare its pool.
 SampledEvalResult EvaluateSampled(const KgeModel& model,
                                   const Dataset& dataset,
-                                  const EvalProtocol& protocol, Split split,
+                                  const FilterIndex& filter, Split split,
                                   const SampledCandidates& candidates,
                                   const SampledEvalOptions& options = {});
 
@@ -118,8 +118,7 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
 /// parity-tested against; produces bit-identical ranks to EvaluateSampled.
 SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
                                         const Dataset& dataset,
-                                        const EvalProtocol& protocol,
-                                        Split split,
+                                        const FilterIndex& filter, Split split,
                                         const SampledCandidates& candidates,
                                         const SampledEvalOptions& options = {});
 

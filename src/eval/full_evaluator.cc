@@ -80,16 +80,11 @@ void AddFilteredTileCounts(const float* row, size_t lo, size_t n,
 }
 
 void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
-                   const EvalProtocol& protocol, const SlotBlock& block,
+                   const FilterIndex& filter, const SlotBlock& block,
                    const PreparedPool& pool, TieBreak tie,
                    BlockRankScratch* scratch, double* ranks) {
   const size_t qb = block.end - block.begin;
   const int32_t* idx = block.triple_idx->data() + block.begin;
-  // Protocol blocks are kernel-homogeneous (same relation and, for
-  // temporal groups, same timestamp), so any block triple yields the
-  // block's kernel relation id — the plain relation for static models, the
-  // virtual (relation, time) id for time-aware ones.
-  const int32_t kernel_relation = model.KernelRelation(triples[idx[0]]);
   BlockRankScratch& s = *scratch;
   if (s.truths.size() < qb) {
     s.anchors.resize(qb);
@@ -106,7 +101,7 @@ void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
     s.scores.resize(rows * pool.tiles[0].size());
   }
   for (size_t q = 0; q < qb; ++q) {
-    s.answers[q] = protocol.Answers(triples[idx[q]], block.direction);
+    s.answers[q] = filter.Answers(triples[idx[q]], block.direction);
     KGEVAL_CHECK(s.answers[q] != nullptr);
     s.higher[q] = 0;
     s.tied[q] = 0;
@@ -117,7 +112,7 @@ void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
     // The first tile's fused call also emits the truth scores: one query
     // construction per distinct anchor serves both.
     model.ScoreBlock(s.anchors.data(), t == 0 ? s.truths.data() : nullptr,
-                     rows, kernel_relation, block.direction, tile,
+                     rows, block.relation, block.direction, tile,
                      s.scores.data(), t == 0 ? s.truth_scores.data() : nullptr,
                      s.truth_rows.data(), qb);
     for (size_t q = 0; q < qb; ++q) {
@@ -183,7 +178,7 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
 
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
-                                   const EvalProtocol& protocol, Split split,
+                                   const FilterIndex& filter, Split split,
                                    const FullEvalOptions& options) {
   const std::vector<Triple>& triples = dataset.split(split);
   int64_t num_triples = static_cast<int64_t>(triples.size());
@@ -203,12 +198,12 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   pool.Prepare(model, all_entities.data(), all_entities.size(),
                std::max<size_t>(1, options.entity_tile));
   const EvalSchedule schedule =
-      protocol.BuildSchedule(triples, num_triples, kQueryBlock);
+      filter.BuildSchedule(triples, num_triples, kQueryBlock);
   TaskGroup group;
   SubmitSlotChunks(&group, schedule.blocks, [&](size_t lo, size_t hi) {
     BlockRankScratch scratch;
     for (size_t b = lo; b < hi; ++b) {
-      RankSlotBlock(model, triples, protocol, schedule.blocks[b], pool,
+      RankSlotBlock(model, triples, filter, schedule.blocks[b], pool,
                     options.tie, &scratch, result.ranks.data());
     }
   });

@@ -42,13 +42,12 @@ struct FullEvalResult {
 };
 
 /// Ranks every entity for every (h,r,?) and (?,r,t) query of `split`,
-/// with the protocol supplying the filtered answer sets (and, through its
-/// schedule grouping, the kernel relation homogeneity time-aware models
-/// need). Each distinct (anchor, kernel relation, direction) is scored
-/// once per tile; its queries share the row. Multi-threaded.
+/// with `filter` supplying the filtered answer sets and the schedule. Each
+/// distinct (anchor, relation, direction) is scored once per tile; its
+/// queries share the row. Multi-threaded.
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
-                                   const EvalProtocol& protocol, Split split,
+                                   const FilterIndex& filter, Split split,
                                    const FullEvalOptions& options = {});
 
 /// O(1) position lookup in a sorted, deduplicated entity pool: a membership
@@ -97,11 +96,12 @@ struct PreparedPool {
 /// Adds one pool tile's filtered counts for a query to `*higher` and
 /// `*tied`. `row[0, n)` scores pool positions [lo, lo + n) of the pool that
 /// `index` was built from, and `answers` is the query's sorted
-/// filtered-answer list, which must contain the truth (the EvalProtocol
-/// contract). The row is counted branch-free (entries strictly above, and
-/// equal to, `truth_score`); then each distinct answer whose pool position
-/// falls in the tile is taken back once. Summed over a pool's tiles, the
-/// counts equal FilteredRank's over the same strictly increasing pool.
+/// filtered-answer list, which must contain the truth (the
+/// FilterIndex::Answers contract). The row is counted branch-free (entries
+/// strictly above, and equal to, `truth_score`); then each distinct answer
+/// whose pool position falls in the tile is taken back once. Summed over a
+/// pool's tiles, the counts equal FilteredRank's over the same strictly
+/// increasing pool.
 void AddFilteredTileCounts(const float* row, size_t lo, size_t n,
                            float truth_score,
                            const std::vector<int32_t>& answers,
@@ -122,13 +122,12 @@ struct BlockRankScratch {
 /// every query of `block` against `pool` and writes its filtered rank into
 /// `ranks[2 * triple_index + (tail ? 0 : 1)]`. Each distinct anchor is
 /// scored once per tile by KgeModel::ScoreBlock (the first tile's fused
-/// call also emits the truth scores), with the kernel relation derived
-/// from a block triple through KgeModel::KernelRelation. Each query sums
-/// AddFilteredTileCounts over the tiles with its own truth score and the
-/// protocol's answer set. Thread-safe across blocks with disjoint queries,
-/// each thread bringing its own scratch.
+/// call also emits the truth scores) under the block's relation. Each
+/// query sums AddFilteredTileCounts over the tiles with its own truth
+/// score and the filter's answer set. Thread-safe across blocks with
+/// disjoint queries, each thread bringing its own scratch.
 void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
-                   const EvalProtocol& protocol, const SlotBlock& block,
+                   const FilterIndex& filter, const SlotBlock& block,
                    const PreparedPool& pool, TieBreak tie,
                    BlockRankScratch* scratch, double* ranks);
 

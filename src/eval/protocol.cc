@@ -5,9 +5,9 @@
 
 namespace kgeval {
 
-EvalSchedule EvalProtocol::BuildSchedule(const std::vector<Triple>& triples,
-                                         int64_t num_triples,
-                                         size_t query_block) const {
+EvalSchedule FilterIndex::BuildSchedule(const std::vector<Triple>& triples,
+                                        int64_t num_triples,
+                                        size_t query_block) const {
   std::vector<int64_t> query_ids(2 * static_cast<size_t>(num_triples));
   std::iota(query_ids.begin(), query_ids.end(), int64_t{0});
   EvalSchedule schedule;
@@ -16,24 +16,25 @@ EvalSchedule EvalProtocol::BuildSchedule(const std::vector<Triple>& triples,
   return schedule;
 }
 
-void EvalProtocol::BuildQuerySchedule(const std::vector<Triple>& triples,
-                                      const int64_t* query_ids, size_t n,
-                                      size_t query_block,
-                                      EvalSchedule* schedule) const {
-  // runs[2 * group + d], where d is the query id's direction bit.
-  schedule->runs.resize(2 * static_cast<size_t>(num_groups()));
+void FilterIndex::BuildQuerySchedule(const std::vector<Triple>& triples,
+                                     const int64_t* query_ids, size_t n,
+                                     size_t query_block,
+                                     EvalSchedule* schedule) const {
+  // runs[2 * relation + d], where d is the query id's direction bit.
+  schedule->runs.resize(2 * static_cast<size_t>(num_relations_));
   for (std::vector<int32_t>& run : schedule->runs) run.clear();
   schedule->blocks.clear();
   for (size_t k = 0; k < n; ++k) {
     const int32_t i = static_cast<int32_t>(query_ids[k] >> 1);
-    const size_t g = static_cast<size_t>(GroupOf(triples[i]));
-    schedule->runs[2 * g + static_cast<size_t>(query_ids[k] & 1)].push_back(i);
+    const size_t r = static_cast<size_t>(triples[i].relation);
+    schedule->runs[2 * r + static_cast<size_t>(query_ids[k] & 1)].push_back(i);
   }
   for (QueryDirection dir : {QueryDirection::kHead, QueryDirection::kTail}) {
     const size_t d = dir == QueryDirection::kTail ? 0 : 1;
-    for (int32_t g = 0; g < num_groups(); ++g) {
-      AppendAnchorBlocks(triples, dir, PoolSlotOf(g, dir), query_block,
-                         &schedule->runs[2 * static_cast<size_t>(g) + d],
+    for (int32_t r = 0; r < num_relations_; ++r) {
+      AppendAnchorBlocks(triples, dir, DomainRangeIndex(r, dir, num_relations_),
+                         query_block,
+                         &schedule->runs[2 * static_cast<size_t>(r) + d],
                          &schedule->blocks);
     }
   }
@@ -49,7 +50,7 @@ void SortDedup(std::vector<int32_t>* v) {
 }  // namespace
 
 FilterIndex::FilterIndex(const Dataset& dataset)
-    : EvalProtocol(dataset.num_relations()) {
+    : num_relations_(dataset.num_relations()) {
   for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
     for (const Triple& t : dataset.split(s)) {
       tails_[PackPair(t.head, t.relation)].push_back(t.tail);
@@ -78,29 +79,6 @@ const std::vector<int32_t>* FilterIndex::Answers(
     return TailsFor(triple.head, triple.relation);
   }
   return HeadsFor(triple.relation, triple.tail);
-}
-
-TemporalFilterIndex::TemporalFilterIndex(const Dataset& dataset)
-    : EvalProtocol(dataset.num_relations()),
-      num_timestamps_(std::max<int32_t>(1, dataset.num_timestamps())) {
-  for (Split s : {Split::kTrain, Split::kValid, Split::kTest}) {
-    for (const Triple& t : dataset.split(s)) {
-      tails_[Key{t.head, t.relation, t.time}].push_back(t.tail);
-      heads_[Key{t.relation, t.tail, t.time}].push_back(t.head);
-    }
-  }
-  for (auto& [key, v] : tails_) SortDedup(&v);
-  for (auto& [key, v] : heads_) SortDedup(&v);
-}
-
-const std::vector<int32_t>* TemporalFilterIndex::Answers(
-    const Triple& triple, QueryDirection direction) const {
-  const bool tail = direction == QueryDirection::kTail;
-  const AnswerMap& map = tail ? tails_ : heads_;
-  const Key key = tail ? Key{triple.head, triple.relation, triple.time}
-                       : Key{triple.relation, triple.tail, triple.time};
-  auto it = map.find(key);
-  return it == map.end() ? nullptr : &it->second;
 }
 
 }  // namespace kgeval

@@ -12,21 +12,19 @@
 namespace kgeval {
 
 /// One unit of slot-major evaluation work: a block of query indices that
-/// share a protocol group and direction, all scored in one batched kernel
+/// share a relation and direction, all scored in one batched kernel
 /// call. The block's queries are sorted by anchor (AppendAnchorBlocks), so
 /// queries with the same anchor are adjacent and share one kernel score
 /// row; the block holds at most the schedule's `query_block` distinct
 /// anchors, however many queries repeat them. `relation` is the queries'
-/// dataset relation id; the kernel relation actually passed to the model
-/// may fold in more (a time-aware model's virtual relation id) and is
-/// derived from a block triple at scoring time. `pool_slot` is the block's
-/// index into SampledCandidates.pools — and the key prepared candidate
-/// tiles are reused under — which protocols keep contiguous in their
-/// schedules.
+/// relation id, the one passed to the model's kernels. `pool_slot` is the
+/// block's index into SampledCandidates.pools — and the key prepared
+/// candidate tiles are reused under — which FilterIndex schedules keep
+/// contiguous.
 struct SlotBlock {
   int32_t relation;
   QueryDirection direction;
-  const std::vector<int32_t>* triple_idx;  // Anchor-sorted run of a group.
+  const std::vector<int32_t>* triple_idx;  // Anchor-sorted run.
   size_t begin;                            // Block range within triple_idx.
   size_t end;
   int32_t pool_slot;
@@ -47,16 +45,14 @@ inline int32_t QueryAnchor(const Triple& triple, QueryDirection direction) {
 size_t BlockRows(const std::vector<Triple>& triples, const SlotBlock& block,
                  int32_t* anchors, int32_t* truths, int32_t* truth_rows);
 
-/// The one block cutter of every schedule (both protocols' BuildSchedule
-/// and the adaptive rounds). `run` holds the triple indices of one
-/// (protocol group, direction) run; it is stable-sorted in place by the
+/// The one block cutter of every schedule (FilterIndex::BuildSchedule and
+/// the adaptive rounds). `run` holds the triple indices of one
+/// (relation, direction) run; it is stable-sorted in place by the
 /// direction's anchor, then cut into blocks of at most `query_block`
 /// distinct anchors, appended to `blocks` with the given pool slot. The
 /// blocks point into `run`, which must stay put while they are in use.
-/// `query_block` must be positive.
-/// Sharing a row is exact only inside one kernel relation: callers pass
-/// runs whose queries the protocol groups together, which keeps the kernel
-/// relation fixed (a temporal group fixes the timestamp too).
+/// `query_block` must be positive. Sharing a row is exact only inside one
+/// relation, which is why runs never mix relations.
 void AppendAnchorBlocks(const std::vector<Triple>& triples,
                         QueryDirection direction, int32_t pool_slot,
                         size_t query_block, std::vector<int32_t>* run,
@@ -82,7 +78,7 @@ std::vector<int64_t> ShuffledQueryOrder(int64_t num_triples, Rng* rng);
 /// once per chunk instead of once per arbitrary ParallelFor split. A slot
 /// run much longer than the target chunk size is split anyway (keeping load
 /// balance; each piece still prepares only its own slot's pool once).
-/// `blocks` must be slot-contiguous, as protocol schedules emit them.
+/// `blocks` must be slot-contiguous, as FilterIndex schedules emit them.
 std::vector<std::pair<size_t, size_t>> PartitionAtSlotBoundaries(
     const std::vector<SlotBlock>& blocks, size_t max_chunks);
 

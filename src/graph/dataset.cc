@@ -10,32 +10,18 @@ namespace kgeval {
 Dataset::Dataset(std::string name, int32_t num_entities, int32_t num_relations,
                  std::vector<Triple> train, std::vector<Triple> valid,
                  std::vector<Triple> test, TypeStore types)
-    : Dataset(std::move(name), num_entities, num_relations,
-              /*num_timestamps=*/0, std::move(train), std::move(valid),
-              std::move(test), std::move(types)) {}
-
-Dataset::Dataset(std::string name, int32_t num_entities, int32_t num_relations,
-                 int32_t num_timestamps, std::vector<Triple> train,
-                 std::vector<Triple> valid, std::vector<Triple> test,
-                 TypeStore types)
     : name_(std::move(name)),
       num_entities_(num_entities),
       num_relations_(num_relations),
-      num_timestamps_(num_timestamps),
       train_(std::move(train)),
       valid_(std::move(valid)),
       test_(std::move(test)),
       types_(std::move(types)) {
-  KGEVAL_CHECK(num_timestamps_ >= 0);
-  // Static datasets carry time 0 on every triple; temporal ones must stay
-  // inside the declared vocabulary.
-  const int32_t time_bound = num_timestamps_ > 0 ? num_timestamps_ : 1;
   for (const auto* split : {&train_, &valid_, &test_}) {
     for (const Triple& t : *split) {
       KGEVAL_CHECK(t.head >= 0 && t.head < num_entities_);
       KGEVAL_CHECK(t.tail >= 0 && t.tail < num_entities_);
       KGEVAL_CHECK(t.relation >= 0 && t.relation < num_relations_);
-      KGEVAL_CHECK(t.time >= 0 && t.time < time_bound);
     }
   }
 }
@@ -52,13 +38,6 @@ std::string Dataset::RelationLabel(int32_t r) const {
     return relation_labels_[r];
   }
   return StrFormat("R%d", r);
-}
-
-std::string Dataset::TimestampLabel(int32_t t) const {
-  if (t >= 0 && t < static_cast<int32_t>(timestamp_labels_.size())) {
-    return timestamp_labels_[t];
-  }
-  return StrFormat("T%d", t);
 }
 
 ObservedSets::ObservedSets(const Dataset& dataset,

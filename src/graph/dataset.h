@@ -21,20 +21,10 @@ class Dataset {
   Dataset(std::string name, int32_t num_entities, int32_t num_relations,
           std::vector<Triple> train, std::vector<Triple> valid,
           std::vector<Triple> test, TypeStore types);
-  /// Temporal dataset: every triple's `time` must lie in
-  /// [0, num_timestamps). num_timestamps == 0 declares a static dataset
-  /// (all times must be 0).
-  Dataset(std::string name, int32_t num_entities, int32_t num_relations,
-          int32_t num_timestamps, std::vector<Triple> train,
-          std::vector<Triple> valid, std::vector<Triple> test,
-          TypeStore types);
 
   const std::string& name() const { return name_; }
   int32_t num_entities() const { return num_entities_; }
   int32_t num_relations() const { return num_relations_; }
-  /// Size of the timestamp vocabulary; 0 for static datasets.
-  int32_t num_timestamps() const { return num_timestamps_; }
-  bool has_timestamps() const { return num_timestamps_ > 0; }
 
   const std::vector<Triple>& train() const { return train_; }
   const std::vector<Triple>& valid() const { return valid_; }
@@ -68,29 +58,20 @@ class Dataset {
   void set_relation_labels(std::vector<std::string> labels) {
     relation_labels_ = std::move(labels);
   }
-  const std::vector<std::string>& timestamp_labels() const {
-    return timestamp_labels_;
-  }
-  void set_timestamp_labels(std::vector<std::string> labels) {
-    timestamp_labels_ = std::move(labels);
-  }
 
   std::string EntityLabel(int32_t e) const;
   std::string RelationLabel(int32_t r) const;
-  std::string TimestampLabel(int32_t t) const;
 
  private:
   std::string name_;
   int32_t num_entities_ = 0;
   int32_t num_relations_ = 0;
-  int32_t num_timestamps_ = 0;
   std::vector<Triple> train_;
   std::vector<Triple> valid_;
   std::vector<Triple> test_;
   TypeStore types_;
   std::vector<std::string> entity_labels_;
   std::vector<std::string> relation_labels_;
-  std::vector<std::string> timestamp_labels_;
 };
 
 /// Per-relation head/tail entity sets observed in given splits — exactly the

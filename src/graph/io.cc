@@ -26,14 +26,9 @@ class Vocab {
   std::vector<std::string> labels_;
 };
 
-/// Reads one split file. `arity` is the dataset-wide column count: 0 means
-/// undecided (locked by the first data line seen across all splits), after
-/// which every line of every split must match — a 3-column line in a
-/// 4-column dataset (or vice versa) fails loudly with its file:line rather
-/// than silently misparsing a timestamp as an entity.
+/// Reads one split file of 3-column lines.
 Status ReadTriples(const std::string& path, bool required, Vocab* entities,
-                   Vocab* relations, Vocab* timestamps, int* arity,
-                   std::vector<Triple>* out) {
+                   Vocab* relations, std::vector<Triple>* out) {
   std::ifstream in(path);
   if (!in.is_open()) {
     if (required) {
@@ -47,24 +42,15 @@ Status ReadTriples(const std::string& path, bool required, Vocab* entities,
     ++line_number;
     if (line.empty()) continue;
     const std::vector<std::string> fields = SplitString(line, '\t');
-    if (fields.size() != 3 && fields.size() != 4) {
+    if (fields.size() != 3) {
       return Status::InvalidArgument(
-          StrFormat("%s:%lld: expected 3 or 4 tab-separated fields, got %zu",
+          StrFormat("%s:%lld: expected 3 tab-separated fields, got %zu",
                     path.c_str(), static_cast<long long>(line_number),
                     fields.size()));
     }
-    if (*arity == 0) *arity = static_cast<int>(fields.size());
-    if (static_cast<int>(fields.size()) != *arity) {
-      return Status::InvalidArgument(StrFormat(
-          "%s:%lld: mixed arity: dataset uses %d-column lines but this "
-          "line has %zu fields",
-          path.c_str(), static_cast<long long>(line_number), *arity,
-          fields.size()));
-    }
-    Triple t{entities->GetOrAdd(fields[0]), relations->GetOrAdd(fields[1]),
-             entities->GetOrAdd(fields[2])};
-    if (fields.size() == 4) t.time = timestamps->GetOrAdd(fields[3]);
-    out->push_back(t);
+    out->push_back(Triple{entities->GetOrAdd(fields[0]),
+                          relations->GetOrAdd(fields[1]),
+                          entities->GetOrAdd(fields[2])});
   }
   return Status::OK();
 }
@@ -84,18 +70,14 @@ Status CloseWritten(std::ofstream& out, const std::string& path) {
 
 Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
                                    const std::string& name) {
-  Vocab entities, relations, timestamps, types;
+  Vocab entities, relations, types;
   std::vector<Triple> train, valid, test;
-  int arity = 0;
   KGEVAL_RETURN_NOT_OK(ReadTriples(dir + "/train.txt", /*required=*/true,
-                                   &entities, &relations, &timestamps, &arity,
-                                   &train));
+                                   &entities, &relations, &train));
   KGEVAL_RETURN_NOT_OK(ReadTriples(dir + "/valid.txt", /*required=*/false,
-                                   &entities, &relations, &timestamps, &arity,
-                                   &valid));
+                                   &entities, &relations, &valid));
   KGEVAL_RETURN_NOT_OK(ReadTriples(dir + "/test.txt", /*required=*/false,
-                                   &entities, &relations, &timestamps, &arity,
-                                   &test));
+                                   &entities, &relations, &test));
 
   // Optional entity types.
   std::vector<std::pair<int32_t, int32_t>> assignments;
@@ -122,12 +104,10 @@ Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
   for (const auto& [entity, type] : assignments) store.Assign(entity, type);
   store.Seal();
 
-  Dataset dataset(name, entities.size(), relations.size(), timestamps.size(),
-                  std::move(train), std::move(valid), std::move(test),
-                  std::move(store));
+  Dataset dataset(name, entities.size(), relations.size(), std::move(train),
+                  std::move(valid), std::move(test), std::move(store));
   dataset.set_entity_labels(entities.TakeLabels());
   dataset.set_relation_labels(relations.TakeLabels());
-  dataset.set_timestamp_labels(timestamps.TakeLabels());
   return dataset;
 }
 
@@ -143,11 +123,7 @@ Status SaveDatasetToTsv(const Dataset& dataset, const std::string& dir) {
     for (const Triple& t : triples) {
       out << dataset.EntityLabel(t.head) << '\t'
           << dataset.RelationLabel(t.relation) << '\t'
-          << dataset.EntityLabel(t.tail);
-      if (dataset.has_timestamps()) {
-        out << '\t' << dataset.TimestampLabel(t.time);
-      }
-      out << '\n';
+          << dataset.EntityLabel(t.tail) << '\n';
     }
     return CloseWritten(out, path);
   };

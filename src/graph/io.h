@@ -16,12 +16,7 @@ namespace kgeval {
 ///   <dir>/test.txt    (optional)
 ///   <dir>/types.txt   (optional) "entity<TAB>type" per line
 ///
-/// A 4th column, when present, is parsed as a timestamp label (ICEWS-style
-/// temporal datasets); the column count is locked by the first data line
-/// and must be consistent across every line of every split — mixed 3/4
-/// column files fail with InvalidArgument naming the offending file:line.
-///
-/// Entity/relation/type/timestamp vocabularies are built from the string
+/// Entity/relation/type vocabularies are built from the string
 /// labels in order of first appearance; the labels are attached to the
 /// dataset. Fails with IoError when train.txt is missing and
 /// InvalidArgument on malformed lines (the offending line number is in the

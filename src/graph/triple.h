@@ -7,18 +7,11 @@
 namespace kgeval {
 
 /// A single (head, relation, tail) fact. Entity and relation ids are dense
-/// 32-bit indices assigned by the dataset vocabularies. `time` is the
-/// timestamp id for temporal datasets (4-column TSV); static datasets leave
-/// it 0, and the static evaluation protocol never reads it. Equality and
-/// ordering deliberately ignore `time`: the static filter semantics ("any
-/// known (h, r, t) fact is filtered, whenever it held") depend on temporal
-/// duplicates of a fact collapsing to one identity, and the time-sliced
-/// semantics live in TemporalFilterIndex, not in the triple itself.
+/// 32-bit indices assigned by the dataset vocabularies.
 struct Triple {
   int32_t head = 0;
   int32_t relation = 0;
   int32_t tail = 0;
-  int32_t time = 0;
 
   friend bool operator==(const Triple& a, const Triple& b) {
     return a.head == b.head && a.relation == b.relation && a.tail == b.tail;

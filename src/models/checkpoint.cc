@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <type_traits>
 
 #include "util/fault.h"
@@ -22,7 +23,6 @@ constexpr int32_t kVersion = 1;
 constexpr int32_t kMaxParams = 1024;
 constexpr int32_t kMaxEntities = 1 << 28;
 constexpr int32_t kMaxRelations = 1 << 24;
-constexpr int32_t kMaxTimestamps = 1 << 24;
 constexpr int32_t kMaxDim = 1 << 16;
 constexpr int32_t kMaxRelationDim = 1 << 30;
 /// Cap on any one embedding table (rows x cols), in elements: 2^33 floats
@@ -62,29 +62,17 @@ struct Header {
   int32_t num_relations = 0;
   int32_t dim = 0;
   int32_t relation_dim = 0;
-  int32_t num_timestamps = 0;
   uint64_t seed = 0;
   int32_t num_params = 0;
 };
 
-/// The timestamp slot is meaningful only for time-aware model types. Static
-/// checkpoints write 0 there and ignore whatever a file carries (files
-/// written before the explicit serializer hold uninitialized bytes in that
-/// slot — the v1 byte-compat guarantee keeps them loadable). No pre-temporal
-/// file can name a time-aware type, so gating on the type is exact.
-bool TimeAwareType(int32_t model_type) {
-  return model_type == static_cast<int32_t>(ModelType::kTComplEx);
-}
-
-/// The v1 header occupies 40 bytes on disk: five int32 fields, the
-/// timestamp count, the uint64 seed, the int32 parameter count, 4 pad
-/// bytes. The timestamp slot and the trailing pad were originally struct
-/// padding (historically whatever bytes the stack held — writing the
-/// struct as one POD leaked uninitialized memory to disk and tied the
-/// format to one ABI's layout); both were later written as zeros and
-/// ignored on read. The first pad slot now carries num_timestamps for
-/// time-aware models: static models still write 0 there (byte-identical
-/// files), and pre-temporal v1 files read back as num_timestamps 0.
+/// The v1 header occupies 40 bytes on disk: five int32 fields, 4 pad
+/// bytes, the uint64 seed, the int32 parameter count, 4 more pad bytes.
+/// Both pad slots were originally struct padding (historically whatever
+/// bytes the stack held — writing the struct as one POD leaked
+/// uninitialized memory to disk and tied the format to one ABI's layout);
+/// they are written as zeros and ignored on read, so old files whose pad
+/// holds garbage still load.
 void WriteHeader(std::ofstream& out, const Header& header) {
   const int32_t pad = 0;
   WritePod(out, header.model_type);
@@ -92,7 +80,7 @@ void WriteHeader(std::ofstream& out, const Header& header) {
   WritePod(out, header.num_relations);
   WritePod(out, header.dim);
   WritePod(out, header.relation_dim);
-  WritePod(out, header.num_timestamps);
+  WritePod(out, pad);
   WritePod(out, header.seed);
   WritePod(out, header.num_params);
   WritePod(out, pad);
@@ -103,9 +91,9 @@ bool ReadHeaderFields(std::ifstream& in, Header* header) {
   return ReadPod(in, &header->model_type) &&
          ReadPod(in, &header->num_entities) &&
          ReadPod(in, &header->num_relations) && ReadPod(in, &header->dim) &&
-         ReadPod(in, &header->relation_dim) &&
-         ReadPod(in, &header->num_timestamps) && ReadPod(in, &header->seed) &&
-         ReadPod(in, &header->num_params) && ReadPod(in, &pad);
+         ReadPod(in, &header->relation_dim) && ReadPod(in, &pad) &&
+         ReadPod(in, &header->seed) && ReadPod(in, &header->num_params) &&
+         ReadPod(in, &pad);
 }
 
 /// Rejects headers whose fields cannot describe any model: counts and
@@ -114,7 +102,7 @@ bool ReadHeaderFields(std::ifstream& in, Header* header) {
 /// or a bogus model downstream.
 Status ValidateHeader(const Header& header, const std::string& path) {
   if (header.model_type < 0 ||
-      header.model_type > static_cast<int32_t>(kLastModelType)) {
+      header.model_type >= static_cast<int32_t>(std::size(kAllModelTypes))) {
     return Status::InvalidArgument(StrFormat(
         "%s: invalid model type %d", path.c_str(), header.model_type));
   }
@@ -123,13 +111,6 @@ Status ValidateHeader(const Header& header, const std::string& path) {
     return Status::InvalidArgument(StrFormat(
         "%s: invalid entity/relation counts %d/%d", path.c_str(),
         header.num_entities, header.num_relations));
-  }
-  if (TimeAwareType(header.model_type) &&
-      (header.num_timestamps <= 0 ||
-       header.num_timestamps > kMaxTimestamps)) {
-    return Status::InvalidArgument(StrFormat(
-        "%s: invalid timestamp count %d", path.c_str(),
-        header.num_timestamps));
   }
   if (header.dim <= 0 || header.dim > kMaxDim || header.relation_dim < 0 ||
       header.relation_dim > kMaxRelationDim) {
@@ -175,9 +156,6 @@ Status SaveModel(KgeModel* model, const std::string& path) {
   header.num_relations = model->num_relations();
   header.dim = model->options().dim;
   header.relation_dim = model->options().relation_dim;
-  header.num_timestamps = TimeAwareType(header.model_type)
-                              ? model->options().num_timestamps
-                              : 0;
   header.seed = model->options().seed;
   header.num_params = static_cast<int32_t>(params.size());
   WriteHeader(out, header);
@@ -227,9 +205,6 @@ Result<Header> ReadHeader(std::ifstream& in, const std::string& path) {
   if (!ReadHeaderFields(in, &header)) {
     return Status::IoError("truncated checkpoint header");
   }
-  // For static model types the timestamp slot is the historical pad:
-  // ignored, whatever bytes the file carries (see TimeAwareType).
-  if (!TimeAwareType(header.model_type)) header.num_timestamps = 0;
   KGEVAL_RETURN_NOT_OK(ValidateHeader(header, path));
   return header;
 }
@@ -302,7 +277,6 @@ Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path) {
   ModelOptions options;
   options.dim = header.dim;
   options.relation_dim = header.relation_dim;
-  options.num_timestamps = header.num_timestamps;
   options.seed = header.seed;
   const ModelType type = static_cast<ModelType>(header.model_type);
   // The tables the header describes must fit in what the file holds: a

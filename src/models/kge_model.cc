@@ -6,7 +6,6 @@
 #include "la/vector_ops.h"
 #include "models/complex.h"
 #include "models/conve.h"
-#include "models/tcomplex.h"
 #include "models/distmult.h"
 #include "models/rescal.h"
 #include "models/rotate.h"
@@ -33,17 +32,12 @@ const char* ModelTypeName(ModelType type) {
       return "TuckER";
     case ModelType::kConvE:
       return "ConvE";
-    case ModelType::kTComplEx:
-      return "TComplEx";
   }
   return "?";
 }
 
 Result<ModelType> ParseModelType(const std::string& name) {
-  for (ModelType type :
-       {ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
-        ModelType::kRescal, ModelType::kRotatE, ModelType::kTuckEr,
-        ModelType::kConvE, ModelType::kTComplEx}) {
+  for (ModelType type : kAllModelTypes) {
     if (name == ModelTypeName(type)) return type;
   }
   return Status::NotFound(StrFormat("unknown model '%s'", name.c_str()));
@@ -175,19 +169,15 @@ void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
 
 void ScoreTriples(const KgeModel& model, const Triple* triples, size_t n,
                   float* out) {
-  // Bucket triple indices by kernel relation (the plain relation for
-  // static models, the virtual (relation, time) id for time-aware ones),
-  // then score each bucket in one ScorePairs call. Scatter back so out[i]
-  // still matches triples[i].
-  std::vector<std::vector<int32_t>> by_relation(
-      model.num_kernel_relations());
+  // Bucket triple indices by relation, then score each bucket in one
+  // ScorePairs call. Scatter back so out[i] still matches triples[i].
+  std::vector<std::vector<int32_t>> by_relation(model.num_relations());
   for (size_t i = 0; i < n; ++i) {
-    by_relation[model.KernelRelation(triples[i])].push_back(
-        static_cast<int32_t>(i));
+    by_relation[triples[i].relation].push_back(static_cast<int32_t>(i));
   }
   std::vector<int32_t> anchors, cands;
   std::vector<float> scores;
-  for (int32_t r = 0; r < model.num_kernel_relations(); ++r) {
+  for (int32_t r = 0; r < model.num_relations(); ++r) {
     const std::vector<int32_t>& idx = by_relation[r];
     if (idx.empty()) continue;
     anchors.resize(idx.size());
@@ -210,20 +200,17 @@ void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
     ScoreTriples(model, positives, n, pos_out);
     return;
   }
-  // Group by the positives' kernel relation; each positive's k corruptions
-  // share its head, relation, and timestamp, so one ScorePairs row of
-  // k + 1 candidates ([truth, corruptions...]) scores them all off one
-  // query construction.
-  std::vector<std::vector<int32_t>> by_relation(
-      model.num_kernel_relations());
+  // Group by the positives' relation; each positive's k corruptions share
+  // its head and relation, so one ScorePairs row of k + 1 candidates
+  // ([truth, corruptions...]) scores them all off one query construction.
+  std::vector<std::vector<int32_t>> by_relation(model.num_relations());
   for (size_t i = 0; i < n; ++i) {
-    by_relation[model.KernelRelation(positives[i])].push_back(
-        static_cast<int32_t>(i));
+    by_relation[positives[i].relation].push_back(static_cast<int32_t>(i));
   }
   const size_t stride = k + 1;
   std::vector<int32_t> anchors, cands;
   std::vector<float> scores;
-  for (int32_t r = 0; r < model.num_kernel_relations(); ++r) {
+  for (int32_t r = 0; r < model.num_relations(); ++r) {
     const std::vector<int32_t>& idx = by_relation[r];
     if (idx.empty()) continue;
     anchors.resize(idx.size());
@@ -261,8 +248,8 @@ void KgeModel::ScoreAll(int32_t anchor, int32_t relation,
 
 float KgeModel::ScoreTriple(const Triple& t) const {
   float score = 0.0f;
-  ScoreCandidates(t.head, KernelRelation(t), QueryDirection::kTail, &t.tail,
-                  1, &score);
+  ScoreCandidates(t.head, t.relation, QueryDirection::kTail, &t.tail, 1,
+                  &score);
   return score;
 }
 
@@ -303,12 +290,6 @@ Result<std::unique_ptr<KgeModel>> AllocateModel(ModelType type,
           new TuckEr(num_entities, num_relations, options))};
     case ModelType::kConvE:
       return ConvE::Create(num_entities, num_relations, options);
-    case ModelType::kTComplEx:
-      if (options.dim % 2 != 0) {
-        return Status::InvalidArgument("TComplEx needs an even dim");
-      }
-      return {std::unique_ptr<KgeModel>(
-          new TComplEx(num_entities, num_relations, options))};
   }
   return Status::InvalidArgument("unhandled model type");
 }
@@ -347,8 +328,6 @@ int64_t ParameterElementCount(ModelType type, int32_t num_entities,
     case ModelType::kConvE:
       return ConvE::ParameterElementCount(num_entities, num_relations,
                                           options.dim);
-    case ModelType::kTComplEx:
-      return (e + r + std::max<int64_t>(1, options.num_timestamps)) * d;
   }
   return 0;
 }

@@ -12,9 +12,7 @@
 
 namespace kgeval {
 
-/// The KGC models evaluated in the paper (Section 5.2), plus TComplEx
-/// (Lacroix et al.), the temporal KBC model the temporal evaluation
-/// protocol is proven against.
+/// The KGC models evaluated in the paper (Section 5.2).
 enum class ModelType {
   kTransE = 0,
   kDistMult,
@@ -23,24 +21,25 @@ enum class ModelType {
   kRotatE,
   kTuckEr,
   kConvE,
-  kTComplEx,
 };
 
-/// The enum's last value, for range checks on serialized model types
-/// (checkpoint headers). Keep in sync when appending a model.
-constexpr ModelType kLastModelType = ModelType::kTComplEx;
+/// Every model type, in enum order: value i is ModelType(i), so the array's
+/// size bounds serialized model types (checkpoint headers). Append a new
+/// model here and nowhere else.
+constexpr ModelType kAllModelTypes[] = {
+    ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
+    ModelType::kRescal, ModelType::kRotatE,   ModelType::kTuckEr,
+    ModelType::kConvE};
 
 const char* ModelTypeName(ModelType type);
 Result<ModelType> ParseModelType(const std::string& name);
 
 /// Construction/optimization options shared by all models.
 struct ModelOptions {
-  int32_t dim = 32;            // Entity embedding width.
-  int32_t relation_dim = 0;    // 0 = model default (dim, or dim^2 for RESCAL).
-  int32_t num_timestamps = 0;  // Timestamp vocabulary (time-aware models;
-                               // 0 = static / single timestamp).
+  int32_t dim = 32;          // Entity embedding width.
+  int32_t relation_dim = 0;  // 0 = model default (dim, or dim^2 for RESCAL).
   AdamOptions adam;
-  float l2 = 0.0f;             // Weight decay on touched rows.
+  float l2 = 0.0f;           // Weight decay on touched rows.
   uint64_t seed = 7;
 };
 
@@ -89,19 +88,6 @@ class KgeModel {
   int32_t num_entities() const { return num_entities_; }
   int32_t num_relations() const { return num_relations_; }
   const ModelOptions& options() const { return options_; }
-
-  /// The relation id the scoring/update kernels expect for a triple.
-  /// Time-aware models fold the timestamp into a virtual id
-  /// (relation + num_relations * time) so the kernel interface — built
-  /// around a per-block relation id — carries temporal queries unchanged;
-  /// static models return the relation itself. Callers that batch by
-  /// relation (trainers, triple scorers, the slot-major evaluators) route
-  /// through this so blocks stay kernel-homogeneous.
-  virtual int32_t KernelRelation(const Triple& t) const { return t.relation; }
-
-  /// Size of the kernel relation id space ([0, num_kernel_relations));
-  /// num_relations * num_timestamps for time-aware models.
-  virtual int32_t num_kernel_relations() const { return num_relations_; }
 
   /// --- Kernel surface -------------------------------------------------------
   /// The concrete models describe themselves to the generic scoring engine

@@ -35,10 +35,6 @@ double Trainer::TrainEpoch(KgeModel* model, int32_t epoch) {
   double loss = 0.0;
   for (const int32_t index : order) {
     const Triple& pos = dataset_->train()[index];
-    // The kernel relation id: the plain relation for static models, the
-    // virtual (relation, time) id for time-aware ones. Corruptions keep
-    // the positive's relation and timestamp, so one id serves them all.
-    const int32_t kernel_relation = model->KernelRelation(pos);
     for (QueryDirection dir : {QueryDirection::kTail, QueryDirection::kHead}) {
       const bool tail_dir = dir == QueryDirection::kTail;
       const int32_t anchor = tail_dir ? pos.head : pos.tail;
@@ -51,12 +47,12 @@ double Trainer::TrainEpoch(KgeModel* model, int32_t epoch) {
         }
         candidates[1 + k] = neg;
       }
-      model->ScoreCandidates(anchor, kernel_relation, dir, candidates.data(),
+      model->ScoreCandidates(anchor, pos.relation, dir, candidates.data(),
                              candidates.size(), scores.data());
       // Positive term.
       loss -= LogSigmoid(scores[0]);
       const float dpos = Sigmoid(scores[0]) - 1.0f;
-      model->UpdateTriple(pos.head, kernel_relation, pos.tail, dir, dpos);
+      model->UpdateTriple(pos.head, pos.relation, pos.tail, dir, dpos);
       // Negative terms.
       for (int32_t k = 0; k < num_negatives; ++k) {
         const float s_neg = scores[1 + k];
@@ -68,7 +64,7 @@ double Trainer::TrainEpoch(KgeModel* model, int32_t epoch) {
         } else {
           neg.head = candidates[1 + k];
         }
-        model->UpdateTriple(neg.head, kernel_relation, neg.tail, dir, dneg);
+        model->UpdateTriple(neg.head, pos.relation, neg.tail, dir, dneg);
       }
     }
   }

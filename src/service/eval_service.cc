@@ -187,8 +187,6 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
   loaded->synth =
       std::make_unique<SynthOutput>(std::move(synth).ValueOrDie());
   loaded->filter = std::make_unique<FilterIndex>(loaded->synth->dataset);
-  loaded->temporal_filter =
-      std::make_unique<TemporalFilterIndex>(loaded->synth->dataset);
   auto session =
       EvalSession::Create(&loaded->synth->dataset, loaded->filter.get(),
                           ServiceFrameworkOptions(), split);
@@ -226,7 +224,8 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
   const EvaluationFramework& framework = state->session->framework();
   // Optional arguments, in order: a numeric half_width (switching to the
   // adaptive estimator), then a protocol name. A lone non-numeric token is
-  // a protocol name, so `EVAL <ckpt> temporal` works without a half_width.
+  // a protocol name. Wire version 1 documents two names, `static` and
+  // `temporal`; both rank against the one filter (docs/PROTOCOL.md).
   bool adaptive_requested = false;
   double half_width = 0.0;
   size_t arg = 1;
@@ -241,7 +240,6 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     adaptive_requested = true;
     arg = 2;
   }
-  const EvalProtocol* protocol = state->filter.get();
   if (arg < cmd.args.size()) {
     const std::string& protocol_name = cmd.args[arg];
     if (arg + 1 < cmd.args.size()) {
@@ -251,11 +249,7 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
                           cmd.args[arg + 1].c_str()));
       return;
     }
-    if (protocol_name == "static") {
-      protocol = state->filter.get();
-    } else if (protocol_name == "temporal") {
-      protocol = state->temporal_filter.get();
-    } else {
+    if (protocol_name != "static" && protocol_name != "temporal") {
       EmitError(emit, "unknown-protocol",
                 StrFormat("protocol must be static|temporal, got %s",
                           protocol_name.c_str()));
@@ -266,7 +260,7 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     AdaptiveEvalOptions adaptive;
     adaptive.target_half_width = half_width;
     auto result = framework.EstimateAdaptiveCheckpointOnPools(
-        path, *protocol, state->split, state->session->pools(), adaptive,
+        path, *state->filter, state->split, state->session->pools(), adaptive,
         cancel);
     if (!result.ok()) {
       if (result.status().code() == StatusCode::kCancelled &&
@@ -282,7 +276,7 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     return;
   }
   auto result = framework.EstimateCheckpointOnPools(
-      path, *protocol, state->split, state->session->pools(),
+      path, *state->filter, state->split, state->session->pools(),
       /*max_triples=*/0, cancel);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kCancelled &&

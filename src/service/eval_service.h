@@ -108,17 +108,12 @@ class EvalService {
   std::string loaded_name() const;
 
  private:
-  /// Everything a LOAD produces; commands snapshot one of these. Both
-  /// filter indexes, which are the two evaluation protocols, are built at
-  /// LOAD time: EVAL picks one by name per request, and the temporal one
-  /// degenerates to static filter semantics on an untimestamped dataset
-  /// (one timestamp slice).
+  /// Everything a LOAD produces; commands snapshot one of these.
   struct Loaded {
     std::string name;
     Split split = Split::kTest;
     std::unique_ptr<SynthOutput> synth;  // Owns the Dataset (stable address).
     std::unique_ptr<FilterIndex> filter;
-    std::unique_ptr<TemporalFilterIndex> temporal_filter;
     std::unique_ptr<EvalSession> session;
   };
 

@@ -72,11 +72,11 @@ struct PairTraits {
   }
 };
 
-/// Whole triples (the time field is unused and 0), so no id range can
-/// overflow the key; no valid triple has a negative head.
+/// Whole triples, so no id range can overflow the key; no valid triple has
+/// a negative head.
 struct TripleTraits {
   using Key = Triple;
-  static constexpr Key kEmpty = {-1, -1, -1, 0};
+  static constexpr Key kEmpty = {-1, -1, -1};
   static size_t Hash(const Key& key) { return TripleHash()(key); }
 };
 

@@ -189,11 +189,49 @@ TEST(FaultRegistryTest, SpecArmsCountsAndExpires) {
   EXPECT_EQ(FaultTriggerCount("io.checkpoint.read"), 0);
 }
 
+TEST(FaultRegistryTest, SkipCountErrnoAndDelayDirectivesTakeEffect) {
+  DisarmAllFaults();
+  // skip=1,count=2: the first read passes, the next two fail with the
+  // numeric errno, and the fourth passes again.
+  ASSERT_TRUE(ArmFaultsFromSpec("io.checkpoint.read=skip=1,count=2,errno=5;"
+                                "sched.task.delay=always,delay_ms=0")
+                  .ok());
+  int err = 0;
+  EXPECT_FALSE(FaultPoint("io.checkpoint.read", &err));
+  for (int i = 0; i < 2; ++i) {
+    err = 0;
+    EXPECT_TRUE(FaultPoint("io.checkpoint.read", &err)) << "hit " << i + 2;
+    EXPECT_EQ(err, 5);
+  }
+  EXPECT_FALSE(FaultPoint("io.checkpoint.read", &err));
+  EXPECT_EQ(FaultTriggerCount("io.checkpoint.read"), 2);
+  // A delay point sleeps and lets the site proceed: it never fails, but
+  // every hit counts as fired.
+  EXPECT_FALSE(FaultPoint("sched.task.delay"));
+  EXPECT_FALSE(FaultPoint("sched.task.delay"));
+  EXPECT_EQ(FaultTriggerCount("sched.task.delay"), 2);
+  DisarmAllFaults();
+}
+
 TEST(FaultRegistryTest, BadSpecsArmNothing) {
   DisarmAllFaults();
-  EXPECT_FALSE(ArmFaultsFromSpec("no.such.point=once").ok());
-  EXPECT_FALSE(ArmFaultsFromSpec("io.checkpoint.read=bogus-directive").ok());
-  EXPECT_FALSE(ArmFaultsFromSpec("io.checkpoint.read=count=notanint").ok());
+  const char* const kBadSpecs[] = {
+      "no.such.point=once",
+      "io.checkpoint.read",
+      "io.checkpoint.read=bogus-directive",
+      "io.checkpoint.read=count=notanint",
+      "io.checkpoint.read=nth=0",
+      "io.checkpoint.read=skip=-1",
+      "io.checkpoint.read=count=0",
+      "io.checkpoint.read=errno=EFOO",
+      "io.checkpoint.read=errno=0",
+      "io.checkpoint.read=delay_ms=-1",
+  };
+  for (const char* spec : kBadSpecs) {
+    EXPECT_EQ(ArmFaultsFromSpec(spec).code(), StatusCode::kInvalidArgument)
+        << spec;
+    EXPECT_FALSE(FaultPoint("io.checkpoint.read")) << spec;
+  }
   // Parse-all-before-arm: a good entry followed by a bad one must not
   // leave the good one armed.
   EXPECT_FALSE(

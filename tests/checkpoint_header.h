@@ -30,7 +30,7 @@ inline void WriteHeaderOnlyCheckpoint(const std::string& path, ModelType type,
   put(num_relations);
   put(dim);
   put(relation_dim);
-  put(int32_t{0});   // Timestamps (static types ignore it).
+  put(int32_t{0});   // Pad.
   put(uint64_t{7});  // Seed.
   put(num_params);
   put(int32_t{0});   // Pad.

@@ -434,10 +434,10 @@ TEST_F(EvalSessionTest, EstimateCheckpointsRejectsDatasetMismatch) {
 TEST_F(EvalSessionTest, CreateRejectsNullInputs) {
   EXPECT_FALSE(
       EvalSession::Create(nullptr, filter_, SessionOptions()).ok());
-  const auto no_protocol =
-      EvalSession::Create(dataset_, /*protocol=*/nullptr, SessionOptions());
-  ASSERT_FALSE(no_protocol.ok());
-  EXPECT_EQ(no_protocol.status().message(), "protocol is null");
+  const auto no_filter =
+      EvalSession::Create(dataset_, /*filter=*/nullptr, SessionOptions());
+  ASSERT_FALSE(no_filter.ok());
+  EXPECT_EQ(no_filter.status().message(), "filter is null");
 }
 
 // --- The session gates on trained codex-s models ---------------------------

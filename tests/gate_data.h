@@ -37,7 +37,6 @@ inline std::unique_ptr<KgeModel> TrainGateModel(const Dataset& dataset,
                                                 const GateTraining& recipe) {
   ModelOptions options;
   options.dim = 32;
-  options.num_timestamps = dataset.num_timestamps();
   options.adam.learning_rate = 3e-3f;
   options.seed = recipe.seed;
   auto model = CreateModel(recipe.type, dataset.num_entities(),

@@ -138,11 +138,13 @@ TEST(FilterIndexTest, AnswersMatchesDirection) {
 
 TEST(FilterIndexTest, MoveKeepsAnswersAndRelationCount) {
   // Callers keep one index per dataset by value in a vector, which moves
-  // them; the answer sets and the protocol's relation count move along.
+  // them; the answer sets and the relation count move along (a schedule
+  // holds one run per relation and direction).
   Dataset d = TinyDataset();
   FilterIndex original(d);
   const FilterIndex moved(std::move(original));
-  EXPECT_EQ(moved.num_relations(), d.num_relations());
+  EXPECT_EQ(moved.BuildSchedule(d.test(), 0, 1).runs.size(),
+            2 * static_cast<size_t>(d.num_relations()));
   const auto* tails = moved.TailsFor(0, 0);
   ASSERT_NE(tails, nullptr);
   EXPECT_EQ(*tails, (std::vector<int32_t>{1, 2, 3}));

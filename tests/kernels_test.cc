@@ -14,11 +14,6 @@
 namespace kgeval {
 namespace {
 
-constexpr ModelType kAllModels[] = {
-    ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
-    ModelType::kRescal, ModelType::kRotatE,   ModelType::kTuckEr,
-    ModelType::kConvE,  ModelType::kTComplEx};
-
 ModelOptions SmallOptions() {
   ModelOptions options;
   options.dim = 16;
@@ -142,7 +137,7 @@ TEST_P(KernelParityTest, EverySupportedKernelMatchesScalarBitExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, KernelParityTest,
-                         ::testing::ValuesIn(kAllModels),
+                         ::testing::ValuesIn(kAllModelTypes),
                          [](const ::testing::TestParamInfo<ModelType>& info) {
                            return ModelTypeName(info.param);
                          });

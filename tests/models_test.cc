@@ -16,11 +16,6 @@
 namespace kgeval {
 namespace {
 
-constexpr ModelType kAllModels[] = {
-    ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
-    ModelType::kRescal, ModelType::kRotatE,   ModelType::kTuckEr,
-    ModelType::kConvE,  ModelType::kTComplEx};
-
 ModelOptions SmallOptions(uint64_t seed = 7) {
   ModelOptions options;
   options.dim = 16;
@@ -146,11 +141,9 @@ TEST_P(ModelTest, HeadDirectionUpdateRaisesHeadScore) {
 
 TEST_P(ModelTest, UpdateLeavesUntouchedEntitiesAlone) {
   // Only meaningful for models whose parameters are all per-entity /
-  // per-relation rows; TuckER's shared core tensor, ConvE's shared
-  // conv/FC stack, and TComplEx's per-timestamp embedding (shared by
-  // every triple at that timestamp) legitimately shift every score.
-  if (GetParam() == ModelType::kTuckEr || GetParam() == ModelType::kConvE ||
-      GetParam() == ModelType::kTComplEx) {
+  // per-relation rows; TuckER's shared core tensor and ConvE's shared
+  // conv/FC stack legitimately shift every score.
+  if (GetParam() == ModelType::kTuckEr || GetParam() == ModelType::kConvE) {
     GTEST_SKIP();
   }
   auto model = Make();
@@ -165,11 +158,9 @@ TEST_P(ModelTest, UpdateLeavesUntouchedEntitiesAlone) {
 TEST_P(ModelTest, ParameterElementCountMatchesTheTables) {
   // Checkpoint loading bounds a file's claimed tables with this count, so
   // it must be exactly the CollectParameters total: with default widths and
-  // with TuckER's relation width and TComplEx's timestamp vocabulary set
-  // (the other models ignore both).
+  // with TuckER's relation width set (the other models ignore it).
   ModelOptions widths = SmallOptions();
   widths.relation_dim = 8;
-  widths.num_timestamps = 3;
   for (const ModelOptions& options : {SmallOptions(), widths}) {
     auto model = CreateModel(GetParam(), 20, 5, options).ValueOrDie();
     std::vector<KgeModel::NamedParameter> params;
@@ -182,7 +173,8 @@ TEST_P(ModelTest, ParameterElementCountMatchesTheTables) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModels, ModelTest, ::testing::ValuesIn(kAllModels),
+INSTANTIATE_TEST_SUITE_P(AllModels, ModelTest,
+                         ::testing::ValuesIn(kAllModelTypes),
                          [](const auto& info) {
                            return std::string(ModelTypeName(info.param));
                          });
@@ -206,7 +198,10 @@ TEST(ModelFactoryTest, RejectsNonPositiveCounts) {
 }
 
 TEST(ModelTypeTest, ParseRoundTrips) {
-  for (ModelType type : kAllModels) {
+  for (size_t i = 0; i < std::size(kAllModelTypes); ++i) {
+    const ModelType type = kAllModelTypes[i];
+    // Enum order: checkpoint headers bound the type by the array's size.
+    EXPECT_EQ(static_cast<size_t>(type), i);
     auto parsed = ParseModelType(ModelTypeName(type));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(parsed.ValueOrDie(), type);
@@ -304,10 +299,8 @@ constexpr uint64_t kGoldenDigests[] = {
     0x72A45E9ED0757190ULL,  // RotatE
     0x19FF42CA47303FA2ULL,  // TuckER
     0xD476BDC3E3E0BAC3ULL,  // ConvE
-    0xCBD7BA9A27CFA950ULL,  // TComplEx
 };
-static_assert(sizeof(kGoldenDigests) / sizeof(kGoldenDigests[0]) ==
-                  static_cast<size_t>(kLastModelType) + 1,
+static_assert(std::size(kGoldenDigests) == std::size(kAllModelTypes),
               "one golden digest per model type");
 
 TEST_P(TrainerModelTest, GoldenDigests) {
@@ -342,7 +335,7 @@ TEST_P(TrainerModelTest, TrainingALoadedCopyMatchesTheOriginal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, TrainerModelTest,
-                         ::testing::ValuesIn(kAllModels),
+                         ::testing::ValuesIn(kAllModelTypes),
                          [](const auto& info) {
                            return std::string(ModelTypeName(info.param));
                          });

@@ -16,11 +16,6 @@
 namespace kgeval {
 namespace {
 
-constexpr ModelType kAllModels[] = {
-    ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
-    ModelType::kRescal, ModelType::kRotatE,   ModelType::kTuckEr,
-    ModelType::kConvE,  ModelType::kTComplEx};
-
 ModelOptions SmallOptions() {
   ModelOptions options;
   options.dim = 16;
@@ -273,7 +268,7 @@ TEST_P(ScoreBlockTest, PreparedPoolLargerThanOneEntityTile) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ScoreBlockTest,
-                         ::testing::ValuesIn(kAllModels),
+                         ::testing::ValuesIn(kAllModelTypes),
                          [](const ::testing::TestParamInfo<ModelType>& info) {
                            return ModelTypeName(info.param);
                          });
@@ -298,7 +293,7 @@ TEST(SlotMajorEvaluatorTest, RanksIdenticalToScalarTripleMajorOrder) {
       SamplingStrategy::kRandom, nullptr, dataset.num_entities(),
       /*n_s=*/60, NeededSlots(dataset, Split::kTest),
       2 * dataset.num_relations(), &rng);
-  for (ModelType type : kAllModels) {
+  for (ModelType type : kAllModelTypes) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
@@ -488,7 +483,7 @@ TEST(ScoreTriplesTest, WithNegativesMatchesIndependentPasses) {
   const Dataset dataset = SynthDataset();
   const size_t n = 60;
   constexpr size_t kNeg = 2;
-  for (ModelType type : kAllModels) {
+  for (ModelType type : kAllModelTypes) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();

@@ -283,8 +283,8 @@ TEST_F(ServiceTest, EvalProtocolArgumentSelectsProtocolFamily) {
       ParseKeyValues(Request(client, "EVAL " + CkptPath(0) + " static"));
   EXPECT_EQ(base["mrr"], statics["mrr"]);
   EXPECT_EQ(base["scored"], statics["scored"]);
-  // The loaded preset carries no timestamps, so the temporal protocol
-  // degenerates to static semantics: identical metrics on the same pools.
+  // Wire version 1 keeps the `temporal` name, answered by the same filter
+  // as `static`: identical metrics on the same pools.
   auto temporal =
       ParseKeyValues(Request(client, "EVAL " + CkptPath(0) + " temporal"));
   EXPECT_EQ(base["mrr"], temporal["mrr"]);
