@@ -147,8 +147,10 @@ void RunTable678(const BenchArgs& args) {
           }
           for (SamplingStrategy strategy : kStrategies) {
             // Each call redraws fresh pools.
-            const SampledEvalResult estimate = frameworks[strategy]->Estimate(
-                m, filter, Split::kValid, full_options.max_triples);
+            EstimateRequest request;
+            request.max_triples = full_options.max_triples;
+            const EstimateResult estimate = frameworks[strategy]->Estimate(
+                m, filter, Split::kValid, request);
             for (MetricKind metric : kMetrics) {
               series.estimate[strategy][metric].push_back(
                   estimate.metrics.Get(metric));
@@ -335,11 +337,11 @@ void RunFig4(const BenchArgs& args) {
           const SampledCandidates pools = DrawCandidates(
               SamplingStrategy::kStatic, &sets, dataset.num_entities(), n_s,
               slots, 2 * dataset.num_relations(), &rng);
-          SampledEvalOptions eval_options;
-          eval_options.max_triples = full_options.max_triples;
+          EstimateRequest request;
+          request.max_triples = full_options.max_triples;
           const double estimate =
               EvaluateSampled(*model, dataset, filter, Split::kTest, pools,
-                              eval_options)
+                              request)
                   .metrics.mrr;
           mapes.push_back(100.0 * std::abs(estimate - truth) /
                           std::max(truth, 1e-9));

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/adaptive_evaluator.h"
 #include "core/eval_session.h"
 #include "core/framework.h"
 #include "eval/full_evaluator.h"
@@ -30,7 +29,7 @@ struct Cell {
   std::map<SamplingStrategy, double> seconds;  // Timed Estimate().
   std::map<SamplingStrategy, RankingMetrics> metrics;
   double adaptive_seconds = 0.0;  // Only set once an adaptive pass ran.
-  AdaptiveEvalResult adaptive;
+  EstimateResult adaptive;
 };
 
 }  // namespace
@@ -76,11 +75,12 @@ void RunSamplingSweep(const BenchArgs& args) {
       // Probabilistic pools at the same fraction, but the pass stops as
       // soon as its MRR half-width reaches --half-width.
       auto framework = BuildFramework(dataset, kProbabilistic, fraction);
-      AdaptiveEvalOptions adaptive_options;
-      adaptive_options.target_half_width = args.half_width;
+      EstimateRequest request;
+      request.adaptive.emplace();
+      request.adaptive->target_half_width = args.half_width;
       WallTimer timer;
-      cell.adaptive = framework->EstimateAdaptive(*model, filter, Split::kTest,
-                                                  adaptive_options);
+      cell.adaptive =
+          framework->Estimate(*model, filter, Split::kTest, request);
       cell.adaptive_seconds = timer.Seconds();
     }
     return cell;
@@ -236,6 +236,8 @@ void RunFig3c(const BenchArgs& args) {
                    "Static", "True MRR"});
   FullEvalOptions full_options;
   full_options.max_triples = 3000;
+  EstimateRequest request;  // The estimates rank the same prefix.
+  request.max_triples = full_options.max_triples;
   const auto add_row = [&](int32_t epoch,
                            std::map<SamplingStrategy, double> mrr,
                            double truth) {
@@ -263,8 +265,8 @@ void RunFig3c(const BenchArgs& args) {
     double sweep_seconds = 0.0;
     for (auto& [strategy, session] : sessions) {
       CheckpointSweepStats stats;
-      curves[strategy] = session->EstimateCheckpoints(
-          paths, full_options.max_triples, nullptr, &stats);
+      curves[strategy] =
+          session->EstimateCheckpoints(paths, request, nullptr, &stats);
       sweep_seconds += stats.wall_seconds;
     }
     for (int32_t epoch = 0; epoch < epochs; ++epoch) {
@@ -295,8 +297,7 @@ void RunFig3c(const BenchArgs& args) {
         model.get(), [&](int32_t epoch, const KgeModel& m) {
           std::map<SamplingStrategy, double> mrr;
           for (auto& [strategy, session] : sessions) {
-            mrr[strategy] =
-                session->Estimate(m, full_options.max_triples).metrics.mrr;
+            mrr[strategy] = session->Estimate(m, request).metrics.mrr;
           }
           add_row(epoch, mrr,
                   EvaluateFullRanking(m, dataset, filter, Split::kValid,

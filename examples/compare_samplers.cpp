@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       options.sample_fraction = fraction;
       auto framework =
           EvaluationFramework::Build(&dataset, options).ValueOrDie();
-      SampledEvalResult estimate =
+      EstimateResult estimate =
           framework->Estimate(*model, filter, Split::kTest);
       mrr[static_cast<int>(strategy)] = estimate.metrics.mrr;
     }

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   fw_options.sample_fraction = 0.1;
   auto framework =
       EvaluationFramework::Build(&dataset, fw_options).ValueOrDie();
-  const SampledEvalResult estimate =
+  const EstimateResult estimate =
       framework->Estimate(*model, filter, Split::kTest);
   std::printf("estimated (P, %s, 10%%): %s\n",
               RecommenderTypeName(fw_options.recommender),

@@ -59,7 +59,7 @@ int main() {
   fw_options.sample_fraction = 0.1;
   auto framework = EvaluationFramework::Build(&dataset, fw_options)
                        .ValueOrDie();
-  SampledEvalResult estimate =
+  EstimateResult estimate =
       framework->Estimate(*model, filter, Split::kTest);
   std::printf("framework    : %s  (%.3fs eval + %.3fs sampling)\n",
               estimate.metrics.ToString().c_str(), estimate.eval_seconds,

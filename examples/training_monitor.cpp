@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
     CheckpointSweepStats stats;
     const std::vector<CheckpointEstimate> curve =
         session->EstimateCheckpoints(
-            paths, /*max_triples=*/0,
+            paths, EstimateRequest(),
             [](size_t index, const CheckpointEstimate& outcome) {
               if (outcome.status.ok()) {
                 std::printf("  streamed: epoch %2zu est. valid MRR %.4f\n",

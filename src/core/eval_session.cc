@@ -9,23 +9,41 @@
 #include "util/timer.h"
 
 namespace kgeval {
-namespace {
 
-/// The shared core of both checkpoint sweeps: loads each path on a job
-/// thread (RunJobsConcurrently caps in-flight jobs at the worker count, so
-/// with one model per job the resident-model count is bounded the same
-/// way), evaluates it through `eval`, records the outcome, frees the model
-/// *before* streaming progress, and tracks the resident high-water mark.
-/// `Outcome` is CheckpointEstimate or its adaptive twin; `eval(model)`
-/// returns the matching result type.
-template <typename Outcome, typename Eval>
-std::vector<Outcome> SweepCheckpoints(
-    const EvaluationFramework& framework,
-    const std::vector<std::string>& paths, const Eval& eval,
-    const std::function<void(size_t, const Outcome&)>& progress,
-    CheckpointSweepStats* stats, const CancelToken* cancel) {
+EvalSession::EvalSession(std::unique_ptr<EvaluationFramework> framework,
+                         const FilterIndex* filter, Split split)
+    : framework_(std::move(framework)), filter_(filter), split_(split) {
+  KGEVAL_CHECK(framework_ != nullptr);
+  KGEVAL_CHECK(filter_ != nullptr);
+  pools_ = framework_->DrawPools(split_);
+}
+
+Result<std::unique_ptr<EvalSession>> EvalSession::Create(
+    const Dataset* dataset, const FilterIndex* filter,
+    const FrameworkOptions& options, Split split) {
+  if (filter == nullptr) {
+    return Status::InvalidArgument("filter is null");
+  }
+  auto framework = EvaluationFramework::Build(dataset, options);
+  if (!framework.ok()) return framework.status();
+  return {std::unique_ptr<EvalSession>(new EvalSession(
+      std::move(framework).ValueOrDie(), filter, split))};
+}
+
+EstimateResult EvalSession::Estimate(const KgeModel& model,
+                                     const EstimateRequest& request) const {
+  return framework_->EstimateOnPools(model, *filter_, split_, pools_, request);
+}
+
+std::vector<CheckpointEstimate> EvalSession::EstimateCheckpoints(
+    const std::vector<std::string>& paths, const EstimateRequest& request,
+    const CheckpointProgressFn& progress, CheckpointSweepStats* stats) const {
+  // RunJobsConcurrently caps in-flight jobs at the worker count, and each
+  // job holds one model, so the resident-model count is bounded the same
+  // way.
   WallTimer timer;
-  std::vector<Outcome> outcomes(paths.size());
+  const CancelToken* cancel = request.cancel;
+  std::vector<CheckpointEstimate> outcomes(paths.size());
   std::atomic<size_t> resident{0};
   std::atomic<size_t> high_water{0};
   std::atomic<size_t> failed{0};
@@ -35,7 +53,7 @@ std::vector<Outcome> SweepCheckpoints(
   RunJobsConcurrently(paths.size(), [&](size_t i) {
     // Checked before the load so a cancelled sweep stops paying the
     // expensive part immediately; passes already in flight wind down
-    // through the token threaded into eval().
+    // through the request's token.
     if (cancel != nullptr && cancel->cancelled()) {
       outcomes[i].status = Status::Cancelled("sweep cancelled");
       failed.fetch_add(1, std::memory_order_relaxed);
@@ -47,14 +65,14 @@ std::vector<Outcome> SweepCheckpoints(
       size_t seen = high_water.load();
       while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
       }
-      auto model_or = framework.LoadCheckpoint(paths[i]);
+      auto model_or = framework_->LoadCheckpoint(paths[i]);
       if (!model_or.ok()) {
         resident.fetch_sub(1);
         outcomes[i].status = model_or.status();
         failed.fetch_add(1, std::memory_order_relaxed);
       } else {
         std::unique_ptr<KgeModel> model = std::move(model_or).ValueOrDie();
-        outcomes[i].result = eval(*model);
+        outcomes[i].result = Estimate(*model, request);
         model.reset();  // Freed before progress runs: the callback must
                         // never extend a model's residency.
         resident.fetch_sub(1);
@@ -77,88 +95,12 @@ std::vector<Outcome> SweepCheckpoints(
   return outcomes;
 }
 
-}  // namespace
-
-EvalSession::EvalSession(std::unique_ptr<EvaluationFramework> framework,
-                         const FilterIndex* filter, Split split)
-    : framework_(std::move(framework)), filter_(filter), split_(split) {
-  KGEVAL_CHECK(framework_ != nullptr);
-  KGEVAL_CHECK(filter_ != nullptr);
-  pools_ = framework_->DrawPools(split_);
-}
-
-Result<std::unique_ptr<EvalSession>> EvalSession::Create(
-    const Dataset* dataset, const FilterIndex* filter,
-    const FrameworkOptions& options, Split split) {
-  if (filter == nullptr) {
-    return Status::InvalidArgument("filter is null");
-  }
-  auto framework = EvaluationFramework::Build(dataset, options);
-  if (!framework.ok()) return framework.status();
-  return {std::unique_ptr<EvalSession>(new EvalSession(
-      std::move(framework).ValueOrDie(), filter, split))};
-}
-
-SampledEvalResult EvalSession::Estimate(const KgeModel& model,
-                                        int64_t max_triples,
-                                        const CancelToken* cancel) const {
-  return framework_->EstimateOnPools(model, *filter_, split_, pools_,
-                                     max_triples, cancel);
-}
-
-std::vector<SampledEvalResult> EvalSession::EstimateMany(
-    const std::vector<const KgeModel*>& models, int64_t max_triples) const {
-  std::vector<SampledEvalResult> results(models.size());
-  RunJobsConcurrently(models.size(), [&](size_t i) {
-    KGEVAL_CHECK(models[i] != nullptr);
-    results[i] = Estimate(*models[i], max_triples);
-  });
-  return results;
-}
-
-AdaptiveEvalResult EvalSession::EstimateAdaptive(
-    const KgeModel& model, const AdaptiveEvalOptions& adaptive,
-    const CancelToken* cancel) const {
-  return framework_->EstimateAdaptiveOnPools(model, *filter_, split_, pools_,
-                                             adaptive, cancel);
-}
-
-std::vector<AdaptiveEvalResult> EvalSession::EstimateAdaptiveMany(
-    const std::vector<const KgeModel*>& models,
-    const AdaptiveEvalOptions& adaptive) const {
-  std::vector<AdaptiveEvalResult> results(models.size());
-  RunJobsConcurrently(models.size(), [&](size_t i) {
-    KGEVAL_CHECK(models[i] != nullptr);
-    results[i] = EstimateAdaptive(*models[i], adaptive);
-  });
-  return results;
-}
-
 std::vector<CheckpointEstimate> EvalSession::EstimateCheckpoints(
     const std::vector<std::string>& paths, int64_t max_triples,
-    const CheckpointProgressFn& progress, CheckpointSweepStats* stats,
-    const CancelToken* cancel) const {
-  return SweepCheckpoints<CheckpointEstimate>(
-      *framework_, paths,
-      [&](const KgeModel& model) {
-        return Estimate(model, max_triples, cancel);
-      },
-      progress, stats, cancel);
+    const CheckpointProgressFn& progress, CheckpointSweepStats* stats) const {
+  return EstimateCheckpoints(
+      paths, EstimateRequest{max_triples, nullptr, std::nullopt}, progress,
+      stats);
 }
-
-std::vector<CheckpointAdaptiveEstimate> EvalSession::EstimateAdaptiveCheckpoints(
-    const std::vector<std::string>& paths,
-    const AdaptiveEvalOptions& adaptive,
-    const CheckpointAdaptiveProgressFn& progress, CheckpointSweepStats* stats,
-    const CancelToken* cancel) const {
-  return SweepCheckpoints<CheckpointAdaptiveEstimate>(
-      *framework_, paths,
-      [&](const KgeModel& model) {
-        return EstimateAdaptive(model, adaptive, cancel);
-      },
-      progress, stats, cancel);
-}
-
-void EvalSession::RedrawPools() { pools_ = framework_->DrawPools(split_); }
 
 }  // namespace kgeval

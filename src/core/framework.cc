@@ -56,37 +56,17 @@ SampledCandidates EvaluationFramework::DrawPools(Split split) {
                         &rng_);
 }
 
-SampledEvalResult EvaluationFramework::Estimate(const KgeModel& model,
-                                                const FilterIndex& filter,
-                                                Split split,
-                                                int64_t max_triples) {
-  return EstimateOnPools(model, filter, split, DrawPools(split), max_triples);
+EstimateResult EvaluationFramework::Estimate(const KgeModel& model,
+                                             const FilterIndex& filter,
+                                             Split split,
+                                             const EstimateRequest& request) {
+  return EstimateOnPools(model, filter, split, DrawPools(split), request);
 }
 
-SampledEvalResult EvaluationFramework::EstimateOnPools(
+EstimateResult EvaluationFramework::EstimateOnPools(
     const KgeModel& model, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, int64_t max_triples,
-    const CancelToken* cancel) const {
-  SampledEvalOptions eval_options;
-  eval_options.max_triples = max_triples;
-  eval_options.cancel = cancel;
-  return EvaluateSampled(model, *dataset_, filter, split, pools, eval_options);
-}
-
-AdaptiveEvalResult EvaluationFramework::EstimateAdaptive(
-    const KgeModel& model, const FilterIndex& filter, Split split,
-    const AdaptiveEvalOptions& adaptive) {
-  return EstimateAdaptiveOnPools(model, filter, split, DrawPools(split),
-                                 adaptive);
-}
-
-AdaptiveEvalResult EvaluationFramework::EstimateAdaptiveOnPools(
-    const KgeModel& model, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
-    const CancelToken* cancel) const {
-  AdaptiveEvalOptions eval_options = adaptive;
-  if (cancel != nullptr) eval_options.cancel = cancel;
-  return EvaluateAdaptive(model, *dataset_, filter, split, pools, eval_options);
+    const SampledCandidates& pools, const EstimateRequest& request) const {
+  return EvaluateSampled(model, *dataset_, filter, split, pools, request);
 }
 
 namespace {
@@ -118,39 +98,42 @@ Result<std::unique_ptr<KgeModel>> EvaluationFramework::LoadCheckpoint(
   return {std::move(model)};
 }
 
-Result<SampledEvalResult> EvaluationFramework::EstimateCheckpointOnPools(
+Result<EstimateResult> EvaluationFramework::EstimateCheckpointOnPools(
     const std::string& path, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, int64_t max_triples,
-    const CancelToken* cancel) const {
+    const SampledCandidates& pools, const EstimateRequest& request) const {
   // Checked before the load (the expensive part most worth skipping) and
   // again on the pass result, so a token that fires at any point turns the
   // call into kCancelled instead of returning partial metrics.
-  if (cancel != nullptr && cancel->cancelled()) {
+  if (request.cancel != nullptr && request.cancel->cancelled()) {
     return Status::Cancelled("cancelled before checkpoint load");
   }
   auto model_or = LoadCheckpoint(path);
   if (!model_or.ok()) return model_or.status();
-  SampledEvalResult result = EstimateOnPools(*model_or.ValueOrDie(), filter,
-                                             split, pools, max_triples,
-                                             cancel);
+  EstimateResult result =
+      EstimateOnPools(*model_or.ValueOrDie(), filter, split, pools, request);
   if (result.cancelled) return Status::Cancelled("evaluation cancelled");
   return {std::move(result)};
 }
 
-Result<AdaptiveEvalResult>
-EvaluationFramework::EstimateAdaptiveCheckpointOnPools(
+EstimateResult EvaluationFramework::EstimateOnPools(
+    const KgeModel& model, const FilterIndex& filter, Split split,
+    const SampledCandidates& pools, int64_t max_triples) const {
+  return EstimateOnPools(model, filter, split, pools,
+                         EstimateRequest{max_triples, nullptr, std::nullopt});
+}
+
+EstimateResult EvaluationFramework::EstimateAdaptiveOnPools(
+    const KgeModel& model, const FilterIndex& filter, Split split,
+    const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive) const {
+  return EstimateOnPools(model, filter, split, pools,
+                         EstimateRequest{0, nullptr, adaptive});
+}
+
+Result<EstimateResult> EvaluationFramework::EstimateAdaptiveCheckpointOnPools(
     const std::string& path, const FilterIndex& filter, Split split,
-    const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive,
-    const CancelToken* cancel) const {
-  if (cancel != nullptr && cancel->cancelled()) {
-    return Status::Cancelled("cancelled before checkpoint load");
-  }
-  auto model_or = LoadCheckpoint(path);
-  if (!model_or.ok()) return model_or.status();
-  AdaptiveEvalResult result = EstimateAdaptiveOnPools(
-      *model_or.ValueOrDie(), filter, split, pools, adaptive, cancel);
-  if (result.cancelled) return Status::Cancelled("evaluation cancelled");
-  return {std::move(result)};
+    const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive) const {
+  return EstimateCheckpointOnPools(path, filter, split, pools,
+                                   EstimateRequest{0, nullptr, adaptive});
 }
 
 }  // namespace kgeval

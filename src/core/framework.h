@@ -3,7 +3,6 @@
 
 #include <memory>
 
-#include "core/adaptive_evaluator.h"
 #include "core/candidate_sets.h"
 #include "core/sampled_evaluator.h"
 #include "core/samplers.h"
@@ -31,7 +30,7 @@ struct FrameworkOptions {
 /// cost. Each Estimate() call redraws fresh pools (2|R| samplings); to pin
 /// one draw across many models/checkpoints, wrap the framework in an
 /// EvalSession (core/eval_session.h) or pair DrawPools() with the
-/// *OnPools() variants below.
+/// *OnPools() calls below.
 class EvaluationFramework {
  public:
   /// Fits the recommender on dataset.train() and prepares the candidate
@@ -46,41 +45,26 @@ class EvaluationFramework {
   SampledCandidates DrawPools(Split split);
 
   /// Estimates the filtered metrics of `model` on `split`, filtering the known
-  /// answers of `filter` (eval/protocol.h). `max_triples` (0 = all) evaluates
-  /// only the split's deterministic prefix, matching
-  /// FullEvalOptions::max_triples for apples-to-apples comparisons. Equivalent
-  /// to EstimateOnPools(model, filter, split, DrawPools(split)).
-  SampledEvalResult Estimate(const KgeModel& model, const FilterIndex& filter,
-                             Split split, int64_t max_triples = 0);
+  /// answers of `filter` (eval/protocol.h), as `request` asks (a fixed pass,
+  /// or an adaptive one; see EvaluateSampled). `request.max_triples`
+  /// (0 = all) evaluates only the split's deterministic prefix, matching
+  /// FullEvalOptions::max_triples for apples-to-apples comparisons.
+  /// Equivalent to EstimateOnPools(model, filter, split, DrawPools(split),
+  /// request).
+  EstimateResult Estimate(const KgeModel& model, const FilterIndex& filter,
+                          Split split, const EstimateRequest& request = {});
 
   /// Estimate() on caller-provided pools (a pinned DrawPools() result): scores
   /// `model` against `pools` without drawing anything, so repeated calls are
   /// comparable — rank differences between models are model differences, not
   /// pool-draw noise. Const and thread-safe: concurrent calls with different
-  /// models are how EvalSession::EstimateMany runs. `cancel` (optional, must
-  /// outlive the call) aborts the pass at the next block boundary; the result
+  /// models are how an EvalSession serves several clients. A fired
+  /// `request.cancel` aborts the pass at the next block boundary; the result
   /// comes back flagged `cancelled`.
-  SampledEvalResult EstimateOnPools(const KgeModel& model,
-                                    const FilterIndex& filter, Split split,
-                                    const SampledCandidates& pools,
-                                    int64_t max_triples = 0,
-                                    const CancelToken* cancel = nullptr) const;
-
-  /// Confidence-bounded variant of Estimate: draws fresh pools the same way
-  /// and runs EvaluateAdaptive over them, stopping as soon as the target
-  /// metric's confidence half-width reaches the requested width (see
-  /// AdaptiveEvalOptions).
-  AdaptiveEvalResult EstimateAdaptive(const KgeModel& model,
-                                      const FilterIndex& filter, Split split,
-                                      const AdaptiveEvalOptions& adaptive = {});
-
-  /// EstimateAdaptive() on caller-provided pools; same pinning semantics,
-  /// thread-safety, and cancellation contract as EstimateOnPools (the
-  /// `cancel` argument overrides `adaptive.cancel` when non-null).
-  AdaptiveEvalResult EstimateAdaptiveOnPools(
-      const KgeModel& model, const FilterIndex& filter, Split split,
-      const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive = {},
-      const CancelToken* cancel = nullptr) const;
+  EstimateResult EstimateOnPools(const KgeModel& model,
+                                 const FilterIndex& filter, Split split,
+                                 const SampledCandidates& pools,
+                                 const EstimateRequest& request = {}) const;
 
   /// Loads the checkpoint at `path` (models/checkpoint.h) and validates it
   /// against the framework's dataset: mismatched entity/relation counts
@@ -99,20 +83,29 @@ class EvaluationFramework {
   /// service request naming one path) that don't need a sweep's residency
   /// accounting. A load failure (missing, corrupt, or truncated file) or a
   /// dataset mismatch comes back as the Status, never a crash. Const and
-  /// thread-safe like EstimateOnPools. A `cancel` token that fires before
-  /// the load or during the pass turns the whole call into
+  /// thread-safe like EstimateOnPools. A `request.cancel` token that fires
+  /// before the load or during the pass turns the whole call into
   /// Status(kCancelled) — a cancelled pass's partial metrics are never
   /// returned.
-  Result<SampledEvalResult> EstimateCheckpointOnPools(
+  Result<EstimateResult> EstimateCheckpointOnPools(
       const std::string& path, const FilterIndex& filter, Split split,
-      const SampledCandidates& pools, int64_t max_triples = 0,
-      const CancelToken* cancel = nullptr) const;
+      const SampledCandidates& pools,
+      const EstimateRequest& request = {}) const;
 
-  /// Adaptive counterpart of EstimateCheckpointOnPools.
-  Result<AdaptiveEvalResult> EstimateAdaptiveCheckpointOnPools(
+  // Former entry points kept for perfbench's callers; ROADMAP item 3
+  // deletes them.
+  EstimateResult EstimateOnPools(const KgeModel& model,
+                                 const FilterIndex& filter, Split split,
+                                 const SampledCandidates& pools,
+                                 int64_t max_triples) const;
+  EstimateResult EstimateAdaptiveOnPools(
+      const KgeModel& model, const FilterIndex& filter, Split split,
+      const SampledCandidates& pools,
+      const AdaptiveEvalOptions& adaptive) const;
+  Result<EstimateResult> EstimateAdaptiveCheckpointOnPools(
       const std::string& path, const FilterIndex& filter, Split split,
-      const SampledCandidates& pools, const AdaptiveEvalOptions& adaptive = {},
-      const CancelToken* cancel = nullptr) const;
+      const SampledCandidates& pools,
+      const AdaptiveEvalOptions& adaptive) const;
 
   /// Resolved per-slot sample count n_s.
   int64_t SampleSize() const;

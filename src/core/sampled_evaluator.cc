@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 
+#include "eval/full_evaluator.h"
+#include "eval/slot_blocks.h"
 #include "sched/task_group.h"
 #include "stats/confidence.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace kgeval {
@@ -13,14 +16,31 @@ namespace {
 
 /// Folds every rank into an accumulator (in index order, so the CI is
 /// deterministic) and stamps the result's confidence half-widths.
-void FillCi(SampledEvalResult* result) {
+void FillCi(EstimateResult* result) {
   RankingAccumulator acc;
   for (double rank : result->ranks) acc.Add(rank);
   result->ci = acc.Ci(TwoSidedZ(kEstimateConfidence));
 }
 
-}  // namespace
+/// Per-thread scratch for ScoreSlotBlocks. The prepared pool carries across
+/// consecutive blocks, and calls, of the same slot, so slot-contiguous
+/// schedules prepare each pool once.
+struct SlotBlockScratch {
+  BlockRankScratch rank;
+  PreparedPool pool;
+  int32_t pool_slot = -1;  // Slot that `pool` describes.
+};
 
+/// Dies (KGEVAL_CHECK) unless every slot queried by the evaluated prefix
+/// of `triples` has a non-empty, strictly increasing candidate pool of ids
+/// in [0, num_entities) — the SampledCandidates contract the rankers'
+/// index take-back relies on, checked once per pass instead of per block.
+/// An empty pool would silently score the truth against nothing and report
+/// rank 1 for every query of the slot — an optimistic estimate
+/// indistinguishable from a perfect model. Slots the split never queries
+/// are not checked and may be empty (their pools are never ranked against,
+/// and the per-thread scratch only ever grows to the slots its own chunks
+/// score).
 void ValidateQueriedPools(const std::vector<Triple>& triples,
                           int64_t num_triples, int32_t num_relations,
                           int32_t num_entities,
@@ -57,12 +77,21 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
   }
 }
 
+/// The shared incremental core of the fixed and adaptive passes: ranks blocks
+/// [begin, end) of a FilterIndex slot-contiguous schedule against
+/// `candidates` through RankSlotBlock, preparing a slot's pool in
+/// kPoolTile-wide tiles when the slot changes. Thread-safe across disjoint
+/// block ranges (each thread brings its own scratch). Returns the evaluated
+/// queries' pool sizes + 1 summed (the scalar oracle's scored candidates),
+/// not the kernel rows computed: the served `scored=` field reads it. Ranks
+/// are bit-identical regardless of how the schedule is cut into ranges or
+/// threads. `cancel` (optional) is polled before every block.
 int64_t ScoreSlotBlocks(const KgeModel& model,
                         const std::vector<Triple>& triples,
                         const FilterIndex& filter,
                         const SampledCandidates& candidates,
                         const std::vector<SlotBlock>& blocks, size_t begin,
-                        size_t end, const SampledEvalOptions& options,
+                        size_t end, const CancelToken* cancel,
                         SlotBlockScratch* scratch, double* ranks) {
   int64_t scored = 0;
   for (size_t b = begin; b < end; ++b) {
@@ -70,7 +99,7 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
     // kSampledQueryBlock distinct anchors. A cancelled pass stops scoring
     // here — worker tasks drain in one block instead of being orphaned
     // mid-evaluation.
-    if (options.cancel != nullptr && options.cancel->cancelled()) break;
+    if (cancel != nullptr && cancel->cancelled()) break;
     const SlotBlock& block = blocks[b];
     const std::vector<int32_t>& pool = candidates.pools[block.pool_slot];
     if (block.pool_slot != scratch->pool_slot) {
@@ -90,22 +119,141 @@ int64_t ScoreSlotBlocks(const KgeModel& model,
   return scored;
 }
 
-SampledEvalResult EvaluateSampled(const KgeModel& model,
-                                  const Dataset& dataset,
-                                  const FilterIndex& filter, Split split,
-                                  const SampledCandidates& candidates,
-                                  const SampledEvalOptions& options) {
+/// The adaptive pass behind EvaluateSampled (see its comment).
+EstimateResult EvaluateAdaptive(const KgeModel& model, const Dataset& dataset,
+                                const FilterIndex& filter, Split split,
+                                const SampledCandidates& candidates,
+                                const EstimateRequest& request) {
+  const AdaptiveEvalOptions& options = *request.adaptive;
+  WallTimer timer;
+  const std::vector<Triple>& triples = dataset.split(split);
+  const int64_t num_triples = static_cast<int64_t>(triples.size());
+  const int32_t num_r = dataset.num_relations();
+  ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
+                       candidates);
+
+  EstimateResult result;
+  result.sample_seconds = candidates.sample_seconds;
+  result.total_queries = 2 * num_triples;
+  result.ranks.assign(static_cast<size_t>(result.total_queries), 0.0);
+
+  // The schedule is a uniform shuffle of *queries*, so every round — and
+  // every prefix of rounds — is a simple random sample of the split's
+  // query set: the running mean is unbiased and the iid interval honest.
+  // (Shuffling slot blocks instead would make rounds cluster samples of
+  // same-relation queries, whose correlated ranks bias small rounds and
+  // shrink the effective sample size far below the query count.) Each
+  // round's queries are regrouped by relation purely for scoring
+  // efficiency.
+  Rng rng(options.shuffle_seed);
+  const std::vector<int64_t> order = ShuffledQueryOrder(num_triples, &rng);
+
+  const double z = TwoSidedZ(kEstimateConfidence);
+  const int64_t query_budget = request.max_triples > 0
+                                   ? std::min<int64_t>(2 * request.max_triples,
+                                                       result.total_queries)
+                                   : result.total_queries;
+  const size_t batch_queries = std::max<size_t>(1, options.batch_queries);
+
+  RankingAccumulator acc;
+  // The round's schedule; rebuilt each round, buffer capacity kept.
+  EvalSchedule round;
+  size_t next_query = 0;
+  while (next_query < order.size()) {
+    // The between-rounds cancellation poll; blocks inside a round bail in
+    // ScoreSlotBlocks through request.cancel.
+    if (request.cancel != nullptr && request.cancel->cancelled()) break;
+    if (acc.count() >= query_budget) break;
+    const size_t take = std::min(
+        {batch_queries, order.size() - next_query,
+         static_cast<size_t>(query_budget - acc.count())});
+    const size_t round_begin = next_query;
+    // The per-relation runs of a round are small, so blocks rarely fill
+    // kSampledQueryBlock anchors.
+    filter.BuildQuerySchedule(triples, order.data() + round_begin, take,
+                              kSampledQueryBlock, &round);
+    next_query += take;
+    std::atomic<int64_t> scored{0};
+    // Each round is its own TaskGroup: the wait at the end of the round is
+    // per-pass, so concurrent adaptive passes stay independent down to the
+    // round granularity.
+    TaskGroup round_group;
+    SubmitSlotChunks(&round_group, round.blocks,
+                     [&](size_t lo, size_t hi) {
+                       SlotBlockScratch scratch;
+                       const int64_t local_scored = ScoreSlotBlocks(
+                           model, triples, filter, candidates, round.blocks, lo,
+                           hi, request.cancel, &scratch, result.ranks.data());
+                       scored.fetch_add(local_scored,
+                                        std::memory_order_relaxed);
+                     });
+    round_group.Wait();
+    result.scored_candidates += scored.load();
+
+    // A cancel that landed mid-round left part of this round's ranks
+    // unscored (0.0); folding them would poison the accumulator, so the
+    // whole round is dropped — the accumulator then holds only fully
+    // scored rounds and the (discarded-by-callers) partial metrics below
+    // stay well-defined.
+    if (request.cancel != nullptr && request.cancel->cancelled()) break;
+
+    // Fold the round's ranks in schedule order: the scored ranks are
+    // bit-identical however the chunks were threaded, so the accumulator —
+    // and with it the stopping decision — is reproducible.
+    for (size_t k = round_begin; k < next_query; ++k) {
+      acc.Add(result.ranks[static_cast<size_t>(order[k])]);
+    }
+    ++result.rounds;
+
+    const double half_width =
+        acc.CiHalfWidth(MetricKind::kMrr, z) *
+        FinitePopulationCorrection(acc.count(), result.total_queries);
+    result.half_width_history.push_back(half_width);
+    if (acc.count() >= options.min_queries &&
+        half_width <= options.target_half_width) {
+      result.converged = true;
+      break;
+    }
+  }
+
+  result.cancelled =
+      request.cancel != nullptr && request.cancel->cancelled();
+  if (result.cancelled) result.converged = false;
+  result.evaluated_queries = acc.count();
+  result.metrics = acc.Metrics();
+  result.ci = acc.Ci(z);
+  const double fpc =
+      FinitePopulationCorrection(acc.count(), result.total_queries);
+  result.ci.mrr *= fpc;
+  result.ci.hits1 *= fpc;
+  result.ci.hits3 *= fpc;
+  result.ci.hits10 *= fpc;
+  result.ci.mean_rank *= fpc;
+  result.eval_seconds = timer.Seconds();
+  return result;
+}
+
+}  // namespace
+
+EstimateResult EvaluateSampled(const KgeModel& model, const Dataset& dataset,
+                               const FilterIndex& filter, Split split,
+                               const SampledCandidates& candidates,
+                               const EstimateRequest& request) {
+  if (request.adaptive) {
+    return EvaluateAdaptive(model, dataset, filter, split, candidates,
+                            request);
+  }
   WallTimer timer;
   const std::vector<Triple>& triples = dataset.split(split);
   int64_t num_triples = static_cast<int64_t>(triples.size());
-  if (options.max_triples > 0) {
-    num_triples = std::min(num_triples, options.max_triples);
+  if (request.max_triples > 0) {
+    num_triples = std::min(num_triples, request.max_triples);
   }
   const int32_t num_r = dataset.num_relations();
   ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
                        candidates);
 
-  SampledEvalResult result;
+  EstimateResult result;
   result.sample_seconds = candidates.sample_seconds;
   result.ranks.assign(static_cast<size_t>(num_triples) * 2, 0.0);
   std::atomic<int64_t> scored{0};
@@ -127,13 +275,13 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
     SlotBlockScratch scratch;
     const int64_t local_scored =
         ScoreSlotBlocks(model, triples, filter, candidates, schedule.blocks, lo,
-                        hi, options, &scratch, result.ranks.data());
+                        hi, request.cancel, &scratch, result.ranks.data());
     scored.fetch_add(local_scored, std::memory_order_relaxed);
   });
   group.Wait();
 
   result.cancelled =
-      options.cancel != nullptr && options.cancel->cancelled();
+      request.cancel != nullptr && request.cancel->cancelled();
   result.scored_candidates = scored.load();
   // A cancelled pass abandoned some blocks, leaving their ranks at 0.0 —
   // metrics over partial ranks would be garbage (and rank 0 is outside the
@@ -147,22 +295,22 @@ SampledEvalResult EvaluateSampled(const KgeModel& model,
   return result;
 }
 
-SampledEvalResult EvaluateSampledScalar(const KgeModel& model,
-                                        const Dataset& dataset,
-                                        const FilterIndex& filter, Split split,
-                                        const SampledCandidates& candidates,
-                                        const SampledEvalOptions& options) {
+EstimateResult EvaluateSampledScalar(const KgeModel& model,
+                                     const Dataset& dataset,
+                                     const FilterIndex& filter, Split split,
+                                     const SampledCandidates& candidates,
+                                     const EstimateRequest& request) {
   WallTimer timer;
   const std::vector<Triple>& triples = dataset.split(split);
   int64_t num_triples = static_cast<int64_t>(triples.size());
-  if (options.max_triples > 0) {
-    num_triples = std::min(num_triples, options.max_triples);
+  if (request.max_triples > 0) {
+    num_triples = std::min(num_triples, request.max_triples);
   }
   const int32_t num_r = dataset.num_relations();
   ValidateQueriedPools(triples, num_triples, num_r, dataset.num_entities(),
                        candidates);
 
-  SampledEvalResult result;
+  EstimateResult result;
   result.sample_seconds = candidates.sample_seconds;
   result.ranks.assign(static_cast<size_t>(num_triples) * 2, 0.0);
   std::atomic<int64_t> scored{0};

@@ -48,8 +48,9 @@ bool ParseInt(const std::string& s, int64_t* out) {
   return true;
 }
 
-std::string SampledReply(const SampledEvalResult& r) {
-  return StrFormat(
+/// The EVAL reply line; adaptive requests append their stopping outcome.
+std::string EvalReply(const EstimateResult& r, bool adaptive) {
+  std::string reply = StrFormat(
       "OK mrr=%s ci=%s hits1=%s hits3=%s hits10=%s queries=%lld scored=%lld "
       "eval_s=%.6f",
       Fmt(r.metrics.mrr).c_str(), Fmt(r.ci.mrr).c_str(),
@@ -57,18 +58,11 @@ std::string SampledReply(const SampledEvalResult& r) {
       Fmt(r.metrics.hits10).c_str(),
       static_cast<long long>(r.metrics.num_queries),
       static_cast<long long>(r.scored_candidates), r.eval_seconds);
-}
-
-std::string AdaptiveReply(const AdaptiveEvalResult& r) {
-  return StrFormat(
-      "OK mrr=%s ci=%s hits1=%s hits3=%s hits10=%s queries=%lld scored=%lld "
-      "eval_s=%.6f converged=%d rounds=%lld",
-      Fmt(r.metrics.mrr).c_str(), Fmt(r.ci.mrr).c_str(),
-      Fmt(r.metrics.hits1).c_str(), Fmt(r.metrics.hits3).c_str(),
-      Fmt(r.metrics.hits10).c_str(),
-      static_cast<long long>(r.evaluated_queries),
-      static_cast<long long>(r.scored_candidates), r.eval_seconds,
-      r.converged ? 1 : 0, static_cast<long long>(r.rounds));
+  if (adaptive) {
+    reply += StrFormat(" converged=%d rounds=%lld", r.converged ? 1 : 0,
+                       static_cast<long long>(r.rounds));
+  }
+  return reply;
 }
 
 }  // namespace
@@ -220,13 +214,12 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     EmitError(emit, "no-dataset", "LOAD a dataset before EVAL");
     return;
   }
-  const std::string& path = cmd.args[0];
-  const EvaluationFramework& framework = state->session->framework();
   // Optional arguments, in order: a numeric half_width (switching to the
   // adaptive estimator), then a protocol name. A lone non-numeric token is
   // a protocol name. Wire version 1 documents two names, `static` and
   // `temporal`; both rank against the one filter (docs/PROTOCOL.md).
-  bool adaptive_requested = false;
+  EstimateRequest request;
+  request.cancel = cancel;
   double half_width = 0.0;
   size_t arg = 1;
   if (cmd.args.size() > 1 && IsNumber(cmd.args[1])) {
@@ -237,7 +230,8 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
                           cmd.args[1].c_str()));
       return;
     }
-    adaptive_requested = true;
+    request.adaptive.emplace();
+    request.adaptive->target_half_width = half_width;
     arg = 2;
   }
   if (arg < cmd.args.size()) {
@@ -256,28 +250,9 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
       return;
     }
   }
-  if (adaptive_requested) {
-    AdaptiveEvalOptions adaptive;
-    adaptive.target_half_width = half_width;
-    auto result = framework.EstimateAdaptiveCheckpointOnPools(
-        path, *state->filter, state->split, state->session->pools(), adaptive,
-        cancel);
-    if (!result.ok()) {
-      if (result.status().code() == StatusCode::kCancelled &&
-          cancel != nullptr) {
-        EmitCancelled(emit, *cancel, result.status().message());
-      } else {
-        EmitError(emit, "eval-failed", result.status().message());
-      }
-      return;
-    }
-    counters_.checkpoints_evaluated.fetch_add(1, std::memory_order_relaxed);
-    emit(AdaptiveReply(result.ValueOrDie()));
-    return;
-  }
-  auto result = framework.EstimateCheckpointOnPools(
-      path, *state->filter, state->split, state->session->pools(),
-      /*max_triples=*/0, cancel);
+  auto result = state->session->framework().EstimateCheckpointOnPools(
+      cmd.args[0], *state->filter, state->split, state->session->pools(),
+      request);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kCancelled &&
         cancel != nullptr) {
@@ -288,7 +263,7 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     return;
   }
   counters_.checkpoints_evaluated.fetch_add(1, std::memory_order_relaxed);
-  emit(SampledReply(result.ValueOrDie()));
+  emit(EvalReply(result.ValueOrDie(), request.adaptive.has_value()));
 }
 
 void EvalService::ExecuteSweep(const ParsedCommand& cmd, const EmitFn& emit,
@@ -313,8 +288,10 @@ void EvalService::ExecuteSweep(const ParsedCommand& cmd, const EmitFn& emit,
   bool live = true;
   size_t emitted = 0;
   CheckpointSweepStats stats;
+  EstimateRequest request;
+  request.cancel = cancel;
   state->session->EstimateCheckpoints(
-      paths.ValueOrDie(), /*max_triples=*/0,
+      paths.ValueOrDie(), request,
       [&](size_t index, const CheckpointEstimate& outcome) {
         if (!live) return;
         if (outcome.status.code() == StatusCode::kCancelled) return;
@@ -331,7 +308,7 @@ void EvalService::ExecuteSweep(const ParsedCommand& cmd, const EmitFn& emit,
                                 outcome.status.message().c_str()));
         }
       },
-      &stats, cancel);
+      &stats);
   if (!live) return;
   if (cancel != nullptr && cancel->cancelled()) {
     EmitCancelled(emit, *cancel,
@@ -369,6 +346,8 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
     }
   }
   const EvaluationFramework& framework = state->session->framework();
+  EstimateRequest request;
+  request.cancel = cancel;
   CheckpointWatcher watcher(cmd.args[0]);
   WallTimer timer;
   int64_t delivered = 0;
@@ -394,7 +373,7 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
       if (delivered >= count) break;
       auto result = framework.EstimateCheckpointOnPools(
           path, *state->filter, state->split, state->session->pools(),
-          /*max_triples=*/0, cancel);
+          request);
       if (!result.ok() &&
           result.status().code() == StatusCode::kCancelled &&
           cancel != nullptr) {

@@ -1,6 +1,5 @@
 #include "stats/correlation.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -46,32 +45,6 @@ double PearsonCorrelation(const std::vector<double>& x,
   return sxy / std::sqrt(sxx * syy);
 }
 
-std::vector<double> AverageRanks(const std::vector<double>& x) {
-  const size_t n = x.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&x](size_t a, size_t b) { return x[a] < x[b]; });
-  std::vector<double> ranks(n, 0.0);
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i + 1;
-    while (j < n && x[order[j]] == x[order[i]]) ++j;
-    // Ranks are 1-based; a tie block spanning positions [i, j) gets the mean.
-    const double mean_rank = (static_cast<double>(i + 1) +
-                              static_cast<double>(j)) / 2.0;
-    for (size_t k = i; k < j; ++k) ranks[order[k]] = mean_rank;
-    i = j;
-  }
-  return ranks;
-}
-
-double SpearmanCorrelation(const std::vector<double>& x,
-                           const std::vector<double>& y) {
-  KGEVAL_CHECK_EQ(x.size(), y.size());
-  return PearsonCorrelation(AverageRanks(x), AverageRanks(y));
-}
-
 double KendallTau(const std::vector<double>& x, const std::vector<double>& y) {
   KGEVAL_CHECK_EQ(x.size(), y.size());
   const size_t n = x.size();
@@ -111,20 +84,6 @@ double MeanAbsoluteError(const std::vector<double>& estimate,
     acc += std::fabs(estimate[i] - truth[i]);
   }
   return acc / static_cast<double>(estimate.size());
-}
-
-double MeanAbsolutePercentageError(const std::vector<double>& estimate,
-                                   const std::vector<double>& truth) {
-  KGEVAL_CHECK_EQ(estimate.size(), truth.size());
-  double acc = 0.0;
-  size_t count = 0;
-  for (size_t i = 0; i < estimate.size(); ++i) {
-    if (truth[i] == 0.0) continue;
-    acc += std::fabs(estimate[i] - truth[i]) / std::fabs(truth[i]);
-    ++count;
-  }
-  if (count == 0) return 0.0;
-  return 100.0 * acc / static_cast<double>(count);
 }
 
 }  // namespace kgeval

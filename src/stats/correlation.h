@@ -10,10 +10,6 @@ namespace kgeval {
 double PearsonCorrelation(const std::vector<double>& x,
                           const std::vector<double>& y);
 
-/// Spearman rank correlation (Pearson on average ranks; ties get mean rank).
-double SpearmanCorrelation(const std::vector<double>& x,
-                           const std::vector<double>& y);
-
 /// Kendall tau-b rank correlation (handles ties; O(n^2), fine for the small
 /// model-ranking vectors the paper uses it on). Returns 0 when all pairs are
 /// tied in either series.
@@ -22,11 +18,6 @@ double KendallTau(const std::vector<double>& x, const std::vector<double>& y);
 /// Mean absolute error between an estimate series and a reference series.
 double MeanAbsoluteError(const std::vector<double>& estimate,
                          const std::vector<double>& truth);
-
-/// Mean absolute percentage error (in percent). Reference entries equal to 0
-/// are skipped.
-double MeanAbsolutePercentageError(const std::vector<double>& estimate,
-                                   const std::vector<double>& truth);
 
 /// Sample mean.
 double Mean(const std::vector<double>& x);
@@ -37,9 +28,6 @@ double StdDev(const std::vector<double>& x);
 /// Half-width of the normal-approximation 95% confidence interval of the
 /// mean: 1.96 * sd / sqrt(n).
 double NormalCi95HalfWidth(const std::vector<double>& x);
-
-/// Average fractional ranks of a series (1-based; ties share the mean rank).
-std::vector<double> AverageRanks(const std::vector<double>& x);
 
 }  // namespace kgeval
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/adaptive_evaluator.h"
 #include "core/eval_session.h"
 #include "core/framework.h"
 #include "core/sampled_evaluator.h"
@@ -226,6 +225,15 @@ Dataset TwoRelationDataset() {
                  TypeStore());
 }
 
+/// An adaptive request with `options` as its stopping rule.
+EstimateRequest Adaptive(const AdaptiveEvalOptions& options = {},
+                         int64_t max_triples = 0) {
+  EstimateRequest request;
+  request.max_triples = max_triples;
+  request.adaptive = options;
+  return request;
+}
+
 SampledCandidates PoolsForAllSlots(const Dataset& d, int64_t n_s,
                                    uint64_t seed) {
   Rng rng(seed);
@@ -241,7 +249,7 @@ TEST(SampledEvaluatorTest, PreparesEachSlotPoolOnce) {
     return static_cast<float>(h * 31 + r * 7 + t);
   });
   const SampledCandidates pools = PoolsForAllSlots(d, 20, 3);
-  const SampledEvalResult result =
+  const EstimateResult result =
       EvaluateSampled(model, d, filter, Split::kTest, pools);
   EXPECT_EQ(result.ranks.size(), 2400u);
   // 4 queried slots, 3 blocks each, all runs far below the split floor:
@@ -256,7 +264,7 @@ TEST(SampledEvaluatorTest, ResultCarriesCi) {
     return static_cast<float>((h * 13 + r * 5 + t * 29) % 101);
   });
   const SampledCandidates pools = PoolsForAllSlots(d, 20, 4);
-  const SampledEvalResult result =
+  const EstimateResult result =
       EvaluateSampled(model, d, filter, Split::kTest, pools);
   EXPECT_EQ(result.ci.num_queries,
             static_cast<int64_t>(result.ranks.size()));
@@ -268,7 +276,7 @@ TEST(SampledEvaluatorTest, ResultCarriesCi) {
   EXPECT_DOUBLE_EQ(result.ci.mrr,
                    acc.CiHalfWidth(MetricKind::kMrr, result.ci.z));
   // The scalar engine reports the same interval.
-  const SampledEvalResult scalar =
+  const EstimateResult scalar =
       EvaluateSampledScalar(model, d, filter, Split::kTest, pools);
   EXPECT_DOUBLE_EQ(scalar.ci.mrr, result.ci.mrr);
 }
@@ -289,8 +297,9 @@ TEST(SampledEvaluatorDeathTest, EmptyQueriedPoolDiesLoudly) {
                "empty candidate pool");
   EXPECT_DEATH(EvaluateSampledScalar(model, d, filter, Split::kTest, pools),
                "empty candidate pool");
-  EXPECT_DEATH(EvaluateAdaptive(model, d, filter, Split::kTest, pools),
-               "empty candidate pool");
+  EXPECT_DEATH(
+      EvaluateSampled(model, d, filter, Split::kTest, pools, Adaptive()),
+      "empty candidate pool");
 }
 
 // Pools must be strictly increasing ids in [0, num_entities) (the
@@ -317,8 +326,9 @@ TEST(SampledEvaluatorDeathTest, MalformedQueriedPoolDiesLoudly) {
                  c.message);
     EXPECT_DEATH(EvaluateSampledScalar(model, d, filter, Split::kTest, pools),
                  c.message);
-    EXPECT_DEATH(EvaluateAdaptive(model, d, filter, Split::kTest, pools),
-                 c.message);
+    EXPECT_DEATH(
+        EvaluateSampled(model, d, filter, Split::kTest, pools, Adaptive()),
+        c.message);
   }
 }
 
@@ -338,7 +348,7 @@ TEST(SampledEvaluatorTest, EmptyUnqueriedPoolIsFine) {
   pools.pools.resize(4);
   pools.pools[0] = {1, 2, 3, 4};   // Head slot, relation 0.
   pools.pools[2] = {5, 6, 7, 8};   // Tail slot, relation 0.
-  const SampledEvalResult result =
+  const EstimateResult result =
       EvaluateSampled(model, d, filter, Split::kTest, pools);
   EXPECT_EQ(result.ranks.size(), 4u);
   for (double rank : result.ranks) EXPECT_GE(rank, 1.0);
@@ -397,12 +407,12 @@ SampledCandidates* AdaptiveFixture::pools_ = nullptr;
 TEST_F(AdaptiveFixture, DeterministicUnderFixedSeed) {
   AdaptiveEvalOptions options;
   options.target_half_width = 0.02;
-  const AdaptiveEvalResult a =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       options);
-  const AdaptiveEvalResult b =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       options);
+  const EstimateResult a =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(options));
+  const EstimateResult b =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(options));
   EXPECT_EQ(a.evaluated_queries, b.evaluated_queries);
   EXPECT_EQ(a.scored_candidates, b.scored_candidates);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -413,9 +423,9 @@ TEST_F(AdaptiveFixture, DeterministicUnderFixedSeed) {
   // A different shuffle seed evaluates a different prefix.
   AdaptiveEvalOptions other = options;
   other.shuffle_seed = 12345;
-  const AdaptiveEvalResult c =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       other);
+  const EstimateResult c =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(other));
   EXPECT_NE(a.ranks, c.ranks);
 }
 
@@ -423,9 +433,9 @@ TEST_F(AdaptiveFixture, HalfWidthShrinksMonotonically) {
   AdaptiveEvalOptions options;
   options.target_half_width = 1e-9;  // Run the whole schedule.
   options.batch_queries = 512;
-  const AdaptiveEvalResult result =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       options);
+  const EstimateResult result =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(options));
   ASSERT_EQ(result.half_width_history.size(),
             static_cast<size_t>(result.rounds));
   ASSERT_GT(result.rounds, 10);
@@ -444,14 +454,14 @@ TEST_F(AdaptiveFixture, EarlyStopWithinCiOfFullPass) {
   // The acceptance scenario: at target half-width 0.01 the adaptive pass
   // must stop at <= 50% of the full sampled pass's scored candidates while
   // its MRR estimate traps the full-pass MRR inside the reported interval.
-  const SampledEvalResult full =
+  const EstimateResult full =
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_);
   AdaptiveEvalOptions options;
   options.target_half_width = 0.01;
   options.batch_queries = 1024;  // Stop within ~6% of the exact crossing.
-  const AdaptiveEvalResult adaptive =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       options);
+  const EstimateResult adaptive =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(options));
   EXPECT_TRUE(adaptive.converged);
   EXPECT_LE(adaptive.ci.mrr, 0.01);
   EXPECT_LE(adaptive.scored_candidates, full.scored_candidates / 2)
@@ -476,13 +486,13 @@ TEST_F(AdaptiveFixture, EarlyStopWithinCiOfFullPass) {
 TEST_F(AdaptiveFixture, ExhaustiveScheduleMatchesFullPass) {
   // An unreachable target forces full coverage; the estimate then *is* the
   // full sampled pass (same ranks, same metrics up to fold order).
-  const SampledEvalResult full =
+  const EstimateResult full =
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_);
   AdaptiveEvalOptions options;
   options.target_half_width = 0.0;
-  const AdaptiveEvalResult adaptive =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       options);
+  const EstimateResult adaptive =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(options));
   EXPECT_EQ(adaptive.evaluated_queries, adaptive.total_queries);
   EXPECT_EQ(adaptive.scored_candidates, full.scored_candidates);
   EXPECT_EQ(adaptive.ranks, full.ranks);
@@ -491,6 +501,10 @@ TEST_F(AdaptiveFixture, ExhaustiveScheduleMatchesFullPass) {
   // Full coverage: the finite-population-corrected interval collapses.
   EXPECT_DOUBLE_EQ(adaptive.ci.mrr, 0.0);
   EXPECT_TRUE(adaptive.converged);
+  // Both passes report the draw cost of the pools they ranked against.
+  EXPECT_GT(pools_->sample_seconds, 0.0);
+  EXPECT_EQ(adaptive.sample_seconds, pools_->sample_seconds);
+  EXPECT_EQ(full.sample_seconds, pools_->sample_seconds);
 }
 
 TEST_F(AdaptiveFixture, BudgetsForceUnconvergedStop) {
@@ -498,16 +512,16 @@ TEST_F(AdaptiveFixture, BudgetsForceUnconvergedStop) {
   options.target_half_width = 1e-9;
   // 1000 budgeted queries, below min_queries (1024): the confidence test
   // never runs, so only the budget can end the pass.
-  options.max_triples = 500;
-  const AdaptiveEvalResult result =
-      EvaluateAdaptive(*model_, *dataset_, *filter_, Split::kTest, *pools_,
-                       options);
+  constexpr int64_t kMaxTriples = 500;
+  const EstimateResult result =
+      EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                      Adaptive(options, kMaxTriples));
   EXPECT_FALSE(result.converged);
   // The query budget is exact: 2 queries per budgeted triple.
-  EXPECT_EQ(result.evaluated_queries, 2 * options.max_triples);
+  EXPECT_EQ(result.evaluated_queries, 2 * kMaxTriples);
 }
 
-TEST_F(AdaptiveFixture, FrameworkEstimateAdaptive) {
+TEST_F(AdaptiveFixture, FrameworkEstimateRunsAdaptiveRequests) {
   FrameworkOptions options;
   options.strategy = SamplingStrategy::kProbabilistic;
   options.recommender = RecommenderType::kLwd;
@@ -516,8 +530,8 @@ TEST_F(AdaptiveFixture, FrameworkEstimateAdaptive) {
       EvaluationFramework::Build(dataset_, options).ValueOrDie();
   AdaptiveEvalOptions adaptive_options;
   adaptive_options.target_half_width = 0.02;
-  const AdaptiveEvalResult result = framework->EstimateAdaptive(
-      *model_, *filter_, Split::kTest, adaptive_options);
+  const EstimateResult result = framework->Estimate(
+      *model_, *filter_, Split::kTest, Adaptive(adaptive_options));
   EXPECT_GT(result.evaluated_queries, 0);
   EXPECT_GT(result.metrics.mrr, 0.0);
   EXPECT_GT(result.ci.num_queries, 0);
@@ -546,10 +560,10 @@ TEST(AdaptiveSessionTest, RerunIsDeterministicForEveryStrategy) {
             .ValueOrDie();
     AdaptiveEvalOptions adaptive_options;
     adaptive_options.target_half_width = 0.01;
-    const AdaptiveEvalResult first =
-        session->EstimateAdaptive(*model, adaptive_options);
-    const AdaptiveEvalResult rerun =
-        session->EstimateAdaptive(*model, adaptive_options);
+    const EstimateResult first =
+        session->Estimate(*model, Adaptive(adaptive_options));
+    const EstimateResult rerun =
+        session->Estimate(*model, Adaptive(adaptive_options));
     EXPECT_GT(first.evaluated_queries, 0);
     EXPECT_EQ(first.evaluated_queries, rerun.evaluated_queries);
     EXPECT_EQ(first.scored_candidates, rerun.scored_candidates);

@@ -400,8 +400,8 @@ TEST(SessionChaosTest, SweepToleratesCheckpointDeletedAfterListing) {
   auto session =
       EvalSession::Create(&dataset, &filter, fw, Split::kTest).ValueOrDie();
   CheckpointSweepStats stats;
-  auto outcomes = session->EstimateCheckpoints(paths.ValueOrDie(), 0,
-                                               nullptr, &stats);
+  auto outcomes = session->EstimateCheckpoints(
+      paths.ValueOrDie(), EstimateRequest(), nullptr, &stats);
   ASSERT_EQ(outcomes.size(), 3u);
   EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status.ToString();
   EXPECT_FALSE(outcomes[1].status.ok());
@@ -495,6 +495,12 @@ TEST_F(ChaosTest, DeadlineExpiresMidCommandAndConnectionStaysUsable) {
   const std::string eval = Request(client, StrFormat("EVAL %s", CkptPath(0).c_str()));
   EXPECT_EQ(LineClient::ErrorCode(eval), "deadline-exceeded") << eval;
 
+  // The adaptive pass polls the same token, between rounds and blocks.
+  ArmFault("sched.task.delay", spec);
+  const std::string adaptive =
+      Request(client, StrFormat("EVAL %s 0.05", CkptPath(0).c_str()));
+  EXPECT_EQ(LineClient::ErrorCode(adaptive), "deadline-exceeded") << adaptive;
+
   ArmFault("sched.task.delay", spec);  // Re-arm: fresh hit budget.
   const std::vector<std::string> sweep =
       RequestAll(client, StrFormat("SWEEP %s", CkptDir().c_str()));
@@ -509,7 +515,7 @@ TEST_F(ChaosTest, DeadlineExpiresMidCommandAndConnectionStaysUsable) {
   // A timed-out command costs neither the connection nor the server.
   EXPECT_EQ(Request(client, "PING"), "OK pong");
   auto kv = ParseKeyValues(Request(client, "STATS"));
-  EXPECT_GE(std::stoi(kv["deadlines"]), 2) << Request(client, "STATS");
+  EXPECT_GE(std::stoi(kv["deadlines"]), 3) << Request(client, "STATS");
 }
 
 TEST_F(ChaosTest, OverloadedServerShedsWithErrBusyAndStaysResponsive) {

@@ -232,7 +232,7 @@ TEST_F(TrainedFixture, FullPoolRecoversExactMetrics) {
   for (int32_t slot : NeededSlots(*dataset_, Split::kTest)) {
     pools.pools[slot] = everyone;
   }
-  const SampledEvalResult sampled =
+  const EstimateResult sampled =
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, pools);
   const FullEvalResult full =
       EvaluateFullRanking(*model_, *dataset_, *filter_, Split::kTest);
@@ -251,7 +251,7 @@ TEST_F(TrainedFixture, SampledRanksNeverExceedFullRanks) {
   options.sample_fraction = 0.1;
   auto framework =
       EvaluationFramework::Build(dataset_, options).ValueOrDie();
-  const SampledEvalResult sampled =
+  const EstimateResult sampled =
       framework->Estimate(*model_, *filter_, Split::kTest);
   const FullEvalResult full =
       EvaluateFullRanking(*model_, *dataset_, *filter_, Split::kTest);

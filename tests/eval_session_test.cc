@@ -13,6 +13,7 @@
 #include "core/sampled_evaluator.h"
 #include "models/checkpoint.h"
 #include "models/kge_model.h"
+#include "sched/task_group.h"
 #include "synth/config.h"
 #include "synth/generator.h"
 #include "tests/gate_data.h"
@@ -54,6 +55,30 @@ FrameworkOptions SessionOptions() {
   return options;
 }
 
+/// Estimates every model concurrently on the session's pinned pools, one
+/// job per model on the shared workers — how a server shares one session
+/// across clients.
+std::vector<EstimateResult> EstimateConcurrently(
+    const EvalSession& session, const std::vector<const KgeModel*>& models,
+    const EstimateRequest& request = {}) {
+  std::vector<EstimateResult> results(models.size());
+  RunJobsConcurrently(models.size(), [&](size_t i) {
+    results[i] = session.Estimate(*models[i], request);
+  });
+  return results;
+}
+
+/// The adaptive request the session tests share: loose enough to stop
+/// after a few rounds on the 1200-query test split.
+EstimateRequest AdaptiveRequest() {
+  EstimateRequest request;
+  request.adaptive.emplace();
+  request.adaptive->target_half_width = 0.05;
+  request.adaptive->min_queries = 256;
+  request.adaptive->batch_queries = 256;
+  return request;
+}
+
 class EvalSessionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -78,8 +103,8 @@ TEST_F(EvalSessionTest, PinnedPoolsMakeRepeatedEstimatesIdentical) {
       EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
           .ValueOrDie();
   auto model = SeededModel(*dataset_, 7);
-  const SampledEvalResult first = session->Estimate(*model);
-  const SampledEvalResult second = session->Estimate(*model);
+  const EstimateResult first = session->Estimate(*model);
+  const EstimateResult second = session->Estimate(*model);
   // Same pinned pools -> bit-identical everything.
   EXPECT_EQ(first.ranks, second.ranks);
   EXPECT_EQ(first.metrics.mrr, second.metrics.mrr);
@@ -89,9 +114,9 @@ TEST_F(EvalSessionTest, PinnedPoolsMakeRepeatedEstimatesIdentical) {
   // slot, two draws collide with probability ~0 — the ranks must move.
   auto framework =
       EvaluationFramework::Build(dataset_, SessionOptions()).ValueOrDie();
-  const SampledEvalResult draw1 =
+  const EstimateResult draw1 =
       framework->Estimate(*model, *filter_, Split::kTest);
-  const SampledEvalResult draw2 =
+  const EstimateResult draw2 =
       framework->Estimate(*model, *filter_, Split::kTest);
   EXPECT_NE(draw1.ranks, draw2.ranks);
 }
@@ -101,14 +126,30 @@ TEST_F(EvalSessionTest, EstimateMatchesDirectEvaluateSampledOnPinnedPools) {
       EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
           .ValueOrDie();
   auto model = SeededModel(*dataset_, 11);
-  const SampledEvalResult via_session = session->Estimate(*model);
-  const SampledEvalResult direct = EvaluateSampled(
+  const EstimateResult via_session = session->Estimate(*model);
+  const EstimateResult direct = EvaluateSampled(
       *model, *dataset_, *filter_, Split::kTest, session->pools());
   EXPECT_EQ(via_session.ranks, direct.ranks);
   EXPECT_EQ(via_session.metrics.mrr, direct.metrics.mrr);
+
+  // The former framework signatures forward to the same passes.
+  const EvaluationFramework& framework = session->framework();
+  EstimateRequest prefix;
+  prefix.max_triples = 100;
+  EXPECT_EQ(framework
+                .EstimateOnPools(*model, *filter_, Split::kTest,
+                                 session->pools(), int64_t{100})
+                .ranks,
+            session->Estimate(*model, prefix).ranks);
+  const EstimateRequest adaptive = AdaptiveRequest();
+  EXPECT_EQ(framework
+                .EstimateAdaptiveOnPools(*model, *filter_, Split::kTest,
+                                         session->pools(), *adaptive.adaptive)
+                .ranks,
+            session->Estimate(*model, adaptive).ranks);
 }
 
-TEST_F(EvalSessionTest, EstimateManyMatchesSequentialRankForRank) {
+TEST_F(EvalSessionTest, ConcurrentEstimatesMatchSequentialRankForRank) {
   // The acceptance bar of the concurrent scheduler: N models evaluated
   // concurrently on the pinned draw must be bit-identical to N sequential
   // Estimate() calls on that draw — whatever interleaving the shared
@@ -122,10 +163,11 @@ TEST_F(EvalSessionTest, EstimateManyMatchesSequentialRankForRank) {
     owned.push_back(SeededModel(*dataset_, seed));
     models.push_back(owned.back().get());
   }
-  const std::vector<SampledEvalResult> many = session->EstimateMany(models);
+  const std::vector<EstimateResult> many =
+      EstimateConcurrently(*session, models);
   ASSERT_EQ(many.size(), models.size());
   for (size_t m = 0; m < models.size(); ++m) {
-    const SampledEvalResult sequential = session->Estimate(*models[m]);
+    const EstimateResult sequential = session->Estimate(*models[m]);
     EXPECT_EQ(many[m].ranks, sequential.ranks) << "model " << m;
     EXPECT_EQ(many[m].metrics.mrr, sequential.metrics.mrr) << "model " << m;
     EXPECT_EQ(many[m].ci.mrr, sequential.ci.mrr) << "model " << m;
@@ -137,21 +179,22 @@ TEST_F(EvalSessionTest, EstimateManyMatchesSequentialRankForRank) {
   EXPECT_NE(many[0].ranks, many[1].ranks);
 }
 
-TEST_F(EvalSessionTest, EstimateManyHonorsMaxTriples) {
+TEST_F(EvalSessionTest, ConcurrentEstimatesHonorMaxTriples) {
   auto session =
       EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
           .ValueOrDie();
   auto model = SeededModel(*dataset_, 5);
-  const std::vector<SampledEvalResult> many =
-      session->EstimateMany({model.get()}, /*max_triples=*/100);
+  EstimateRequest request;
+  request.max_triples = 100;
+  const std::vector<EstimateResult> many =
+      EstimateConcurrently(*session, {model.get()}, request);
   ASSERT_EQ(many.size(), 1u);
   EXPECT_EQ(many[0].ranks.size(), 200u);  // 2 queries per triple.
-  const SampledEvalResult sequential =
-      session->Estimate(*model, /*max_triples=*/100);
+  const EstimateResult sequential = session->Estimate(*model, request);
   EXPECT_EQ(many[0].ranks, sequential.ranks);
 }
 
-TEST_F(EvalSessionTest, EstimateAdaptiveManyMatchesSequential) {
+TEST_F(EvalSessionTest, ConcurrentAdaptiveEstimatesMatchSequential) {
   auto session =
       EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
           .ValueOrDie();
@@ -161,16 +204,12 @@ TEST_F(EvalSessionTest, EstimateAdaptiveManyMatchesSequential) {
     owned.push_back(SeededModel(*dataset_, seed));
     models.push_back(owned.back().get());
   }
-  AdaptiveEvalOptions adaptive;
-  adaptive.target_half_width = 0.05;
-  adaptive.min_queries = 256;
-  adaptive.batch_queries = 256;
-  const std::vector<AdaptiveEvalResult> many =
-      session->EstimateAdaptiveMany(models, adaptive);
+  const EstimateRequest adaptive = AdaptiveRequest();
+  const std::vector<EstimateResult> many =
+      EstimateConcurrently(*session, models, adaptive);
   ASSERT_EQ(many.size(), models.size());
   for (size_t m = 0; m < models.size(); ++m) {
-    const AdaptiveEvalResult sequential =
-        session->EstimateAdaptive(*models[m], adaptive);
+    const EstimateResult sequential = session->Estimate(*models[m], adaptive);
     EXPECT_EQ(many[m].ranks, sequential.ranks) << "model " << m;
     EXPECT_EQ(many[m].evaluated_queries, sequential.evaluated_queries)
         << "model " << m;
@@ -181,25 +220,11 @@ TEST_F(EvalSessionTest, EstimateAdaptiveManyMatchesSequential) {
     EXPECT_EQ(many[m].rounds, sequential.rounds) << "model " << m;
   }
   // And the concurrent pass itself is deterministic end to end.
-  const std::vector<AdaptiveEvalResult> rerun =
-      session->EstimateAdaptiveMany(models, adaptive);
+  const std::vector<EstimateResult> rerun =
+      EstimateConcurrently(*session, models, adaptive);
   for (size_t m = 0; m < models.size(); ++m) {
     EXPECT_EQ(many[m].ranks, rerun[m].ranks) << "model " << m;
   }
-}
-
-TEST_F(EvalSessionTest, RedrawPoolsReplacesThePinnedDraw) {
-  auto session =
-      EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
-          .ValueOrDie();
-  const SampledCandidates before = session->pools();
-  session->RedrawPools();
-  EXPECT_NE(before.pools, session->pools().pools);
-  // The new draw is pinned just like the first one was.
-  auto model = SeededModel(*dataset_, 23);
-  const SampledEvalResult first = session->Estimate(*model);
-  const SampledEvalResult second = session->Estimate(*model);
-  EXPECT_EQ(first.ranks, second.ranks);
 }
 
 /// Saves `count` distinctly-seeded models as checkpoint files and returns
@@ -235,7 +260,7 @@ TEST_F(EvalSessionTest, EstimateCheckpointsMatchesSequentialLoadEstimate) {
     ASSERT_TRUE(sweep[i].status.ok()) << sweep[i].status.ToString();
     auto loaded = LoadModel(paths[i]);
     ASSERT_TRUE(loaded.ok());
-    const SampledEvalResult sequential =
+    const EstimateResult sequential =
         session->Estimate(*loaded.ValueOrDie());
     EXPECT_EQ(sweep[i].result.ranks, sequential.ranks) << "checkpoint " << i;
     EXPECT_EQ(sweep[i].result.metrics.mrr, sequential.metrics.mrr)
@@ -247,6 +272,11 @@ TEST_F(EvalSessionTest, EstimateCheckpointsMatchesSequentialLoadEstimate) {
   }
   // Distinct checkpoints must rank differently (no cross-job smearing).
   EXPECT_NE(sweep[0].result.ranks, sweep[1].result.ranks);
+  // The former sweep signature forwards to the same sweep.
+  const std::vector<CheckpointEstimate> former =
+      session->EstimateCheckpoints(paths, int64_t{0}, nullptr, nullptr);
+  ASSERT_EQ(former.size(), paths.size());
+  EXPECT_EQ(former[1].result.ranks, sweep[1].result.ranks);
 }
 
 TEST_F(EvalSessionTest, EstimateCheckpointsBoundsResidentModels) {
@@ -261,9 +291,10 @@ TEST_F(EvalSessionTest, EstimateCheckpointsBoundsResidentModels) {
   const std::vector<std::string> paths =
       SaveCheckpoints(*dataset_, dir.path(), count);
   CheckpointSweepStats stats;
+  EstimateRequest request;
+  request.max_triples = 100;
   const std::vector<CheckpointEstimate> sweep =
-      session->EstimateCheckpoints(paths, /*max_triples=*/100, nullptr,
-                                   &stats);
+      session->EstimateCheckpoints(paths, request, nullptr, &stats);
   for (const CheckpointEstimate& outcome : sweep) {
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   }
@@ -300,9 +331,10 @@ TEST_F(EvalSessionTest, EstimateCheckpointsSurfacesLoadFailuresAsStatus) {
   paths.push_back(truncated);
 
   CheckpointSweepStats stats;
+  EstimateRequest request;
+  request.max_triples = 50;
   const std::vector<CheckpointEstimate> sweep =
-      session->EstimateCheckpoints(paths, /*max_triples=*/50, nullptr,
-                                   &stats);
+      session->EstimateCheckpoints(paths, request, nullptr, &stats);
   ASSERT_EQ(sweep.size(), 5u);
   EXPECT_TRUE(sweep[0].status.ok());
   EXPECT_EQ(sweep[1].status.code(), StatusCode::kInvalidArgument);
@@ -315,7 +347,7 @@ TEST_F(EvalSessionTest, EstimateCheckpointsSurfacesLoadFailuresAsStatus) {
   auto loaded = LoadModel(paths[2]);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(sweep[2].result.ranks,
-            session->Estimate(*loaded.ValueOrDie(), 50).ranks);
+            session->Estimate(*loaded.ValueOrDie(), request).ranks);
 }
 
 TEST_F(EvalSessionTest, EstimateCheckpointsStreamsProgress) {
@@ -326,8 +358,10 @@ TEST_F(EvalSessionTest, EstimateCheckpointsStreamsProgress) {
   const std::vector<std::string> paths =
       SaveCheckpoints(*dataset_, dir.path(), 5);
   std::vector<std::pair<size_t, double>> streamed;
+  EstimateRequest request;
+  request.max_triples = 100;
   const std::vector<CheckpointEstimate> sweep = session->EstimateCheckpoints(
-      paths, /*max_triples=*/100,
+      paths, request,
       [&](size_t index, const CheckpointEstimate& outcome) {
         // The callback contract serializes invocations, so plain vector
         // writes are safe here.
@@ -343,32 +377,30 @@ TEST_F(EvalSessionTest, EstimateCheckpointsStreamsProgress) {
   }
 }
 
-TEST_F(EvalSessionTest, EstimateAdaptiveCheckpointsMatchesSequential) {
+TEST_F(EvalSessionTest, AdaptiveCheckpointSweepMatchesSequential) {
   auto session =
       EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
           .ValueOrDie();
   TempDir dir;
   const std::vector<std::string> paths =
       SaveCheckpoints(*dataset_, dir.path(), 3);
-  AdaptiveEvalOptions adaptive;
-  adaptive.target_half_width = 0.05;
-  adaptive.min_queries = 256;
-  adaptive.batch_queries = 256;
-  const std::vector<CheckpointAdaptiveEstimate> sweep =
-      session->EstimateAdaptiveCheckpoints(paths, adaptive);
+  const EstimateRequest adaptive = AdaptiveRequest();
+  const std::vector<CheckpointEstimate> sweep =
+      session->EstimateCheckpoints(paths, adaptive);
   ASSERT_EQ(sweep.size(), paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {
     ASSERT_TRUE(sweep[i].status.ok()) << sweep[i].status.ToString();
     auto loaded = LoadModel(paths[i]);
     ASSERT_TRUE(loaded.ok());
-    const AdaptiveEvalResult sequential =
-        session->EstimateAdaptive(*loaded.ValueOrDie(), adaptive);
+    const EstimateResult sequential =
+        session->Estimate(*loaded.ValueOrDie(), adaptive);
     EXPECT_EQ(sweep[i].result.ranks, sequential.ranks) << "checkpoint " << i;
     EXPECT_EQ(sweep[i].result.evaluated_queries,
               sequential.evaluated_queries)
         << "checkpoint " << i;
     EXPECT_EQ(sweep[i].result.metrics.mrr, sequential.metrics.mrr)
         << "checkpoint " << i;
+    EXPECT_EQ(sweep[i].result.rounds, sequential.rounds) << "checkpoint " << i;
   }
 }
 
@@ -387,23 +419,25 @@ TEST_F(EvalSessionTest, FrameworkCheckpointOnPoolsMatchesSessionEstimate) {
   auto fused = session->framework().EstimateCheckpointOnPools(
       paths[0], *filter_, Split::kTest, session->pools());
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  const SampledEvalResult direct = session->Estimate(*loaded.ValueOrDie());
+  const EstimateResult direct = session->Estimate(*loaded.ValueOrDie());
   EXPECT_EQ(fused.ValueOrDie().ranks, direct.ranks);
   EXPECT_EQ(fused.ValueOrDie().metrics.mrr, direct.metrics.mrr);
 
-  AdaptiveEvalOptions adaptive;
-  adaptive.target_half_width = 0.05;
-  adaptive.min_queries = 256;
-  adaptive.batch_queries = 256;
-  auto fused_adaptive =
-      session->framework().EstimateAdaptiveCheckpointOnPools(
-          paths[0], *filter_, Split::kTest, session->pools(), adaptive);
+  const EstimateRequest adaptive = AdaptiveRequest();
+  auto fused_adaptive = session->framework().EstimateCheckpointOnPools(
+      paths[0], *filter_, Split::kTest, session->pools(), adaptive);
   ASSERT_TRUE(fused_adaptive.ok()) << fused_adaptive.status().ToString();
-  const AdaptiveEvalResult direct_adaptive =
-      session->EstimateAdaptive(*loaded.ValueOrDie(), adaptive);
+  const EstimateResult direct_adaptive =
+      session->Estimate(*loaded.ValueOrDie(), adaptive);
   EXPECT_EQ(fused_adaptive.ValueOrDie().ranks, direct_adaptive.ranks);
+  EXPECT_EQ(fused_adaptive.ValueOrDie().rounds, direct_adaptive.rounds);
+  // The former adaptive signature forwards to the same call.
+  auto former = session->framework().EstimateAdaptiveCheckpointOnPools(
+      paths[0], *filter_, Split::kTest, session->pools(), *adaptive.adaptive);
+  ASSERT_TRUE(former.ok()) << former.status().ToString();
+  EXPECT_EQ(former.ValueOrDie().ranks, direct_adaptive.ranks);
 
-  // Both fusions surface load failures as the Status.
+  // Load failures come back as the Status.
   EXPECT_EQ(session->framework()
                 .EstimateCheckpointOnPools(dir.path() + "/missing.ckpt",
                                            *filter_, Split::kTest,
@@ -442,7 +476,7 @@ TEST_F(EvalSessionTest, CreateRejectsNullInputs) {
 
 // --- The session gates on trained codex-s models ---------------------------
 
-TEST(EvalSessionGateTest, EstimateManyMatchesSequentialOnTrainedModels) {
+TEST(EvalSessionGateTest, ConcurrentEstimatesMatchSequentialOnTrainedModels) {
   // Four independently seeded one-epoch checkpoints of one architecture,
   // estimated concurrently and one at a time on the session's pinned pools.
   const Dataset dataset = CodexS();
@@ -458,10 +492,11 @@ TEST(EvalSessionGateTest, EstimateManyMatchesSequentialOnTrainedModels) {
   auto session =
       EvalSession::Create(&dataset, &filter, SessionOptions(), Split::kTest)
           .ValueOrDie();
-  const std::vector<SampledEvalResult> many = session->EstimateMany(models);
+  const std::vector<EstimateResult> many =
+      EstimateConcurrently(*session, models);
   ASSERT_EQ(many.size(), models.size());
   for (size_t m = 0; m < models.size(); ++m) {
-    const SampledEvalResult sequential = session->Estimate(*models[m]);
+    const EstimateResult sequential = session->Estimate(*models[m]);
     EXPECT_EQ(many[m].ranks, sequential.ranks) << "model " << m;
     EXPECT_EQ(many[m].metrics.mrr, sequential.metrics.mrr) << "model " << m;
     EXPECT_EQ(many[m].scored_candidates, sequential.scored_candidates)
@@ -487,7 +522,7 @@ TEST(EvalSessionGateTest, CheckpointSweepMatchesSequentialWithinResidentBound) {
   auto session =
       EvalSession::Create(&dataset, &filter, SessionOptions(), Split::kValid)
           .ValueOrDie();
-  std::vector<SampledEvalResult> sequential;
+  std::vector<EstimateResult> sequential;
   for (const std::string& path : paths) {
     auto loaded = session->framework().LoadCheckpoint(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -499,7 +534,7 @@ TEST(EvalSessionGateTest, CheckpointSweepMatchesSequentialWithinResidentBound) {
   for (int rep = 0; rep < 2; ++rep) {
     CheckpointSweepStats stats;
     const std::vector<CheckpointEstimate> sweep = session->EstimateCheckpoints(
-        paths, /*max_triples=*/0, nullptr, &stats);
+        paths, EstimateRequest(), nullptr, &stats);
     ASSERT_EQ(sweep.size(), paths.size());
     for (size_t i = 0; i < paths.size(); ++i) {
       ASSERT_TRUE(sweep[i].status.ok()) << sweep[i].status.ToString();

@@ -92,7 +92,7 @@ TEST_P(EstimatorMatrixTest, EstimateIsFiniteOptimisticAndBounded) {
   auto framework =
       EvaluationFramework::Build(&g_pipeline->synth.dataset, options)
           .ValueOrDie();
-  const SampledEvalResult estimate = framework->Estimate(
+  const EstimateResult estimate = framework->Estimate(
       *g_pipeline->model, *g_pipeline->filter, Split::kTest);
   EXPECT_TRUE(std::isfinite(estimate.metrics.mrr));
   EXPECT_GE(estimate.metrics.mrr, 0.0);

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/adaptive_evaluator.h"
 #include "core/sampled_evaluator.h"
 #include "core/samplers.h"
 #include "eval/full_evaluator.h"
@@ -146,7 +145,7 @@ void ExpectFullRankingMatchesScalarOracle(const KgeModel& model,
                                           const FilterIndex& filter) {
   const SampledCandidates pools = ExhaustivePools(
       dataset.num_entities(), 2 * dataset.num_relations());
-  const SampledEvalResult oracle =
+  const EstimateResult oracle =
       EvaluateSampledScalar(model, dataset, filter, Split::kTest, pools);
   FullEvalOptions options;
   options.entity_tile = 7;
@@ -192,9 +191,9 @@ TEST(StaticParityTest, SampledEnginesBitExactAcrossAllModels) {
       auto model = CreateModel(type, dataset.num_entities(),
                                dataset.num_relations(), input.options)
                        .ValueOrDie();
-      const SampledEvalResult prepared =
+      const EstimateResult prepared =
           EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-      const SampledEvalResult scalar = EvaluateSampledScalar(
+      const EstimateResult scalar = EvaluateSampledScalar(
           *model, dataset, filter, Split::kTest, pools);
       EXPECT_EQ(prepared.ranks, scalar.ranks) << ModelTypeName(type);
       EXPECT_EQ(prepared.scored_candidates, scalar.scored_candidates)
@@ -225,7 +224,7 @@ TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
     const FilterIndex filter(*dataset);
     const SampledCandidates pools = ExhaustivePools(
         dataset->num_entities(), 2 * dataset->num_relations());
-    const SampledEvalResult sampled =
+    const EstimateResult sampled =
         EvaluateSampled(*model, *dataset, filter, Split::kTest, pools);
     const FullEvalResult full =
         EvaluateFullRanking(*model, *dataset, filter, Split::kTest);
@@ -277,27 +276,28 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
   auto model = CreateModel(ModelType::kComplEx, dataset.num_entities(),
                            dataset.num_relations(), SmallOptions())
                    .ValueOrDie();
-  const SampledEvalResult scalar =
+  const EstimateResult scalar =
       EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
-  const SampledEvalResult sampled =
+  const EstimateResult sampled =
       EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
   EXPECT_EQ(sampled.ranks, scalar.ranks);
   EXPECT_EQ(sampled.scored_candidates, scalar.scored_candidates);
 
   // A whole-split adaptive pass scores what the scalar oracle scores; a
   // budget-stopped one scores pool size + 1 for each query it evaluated.
-  AdaptiveEvalOptions options;
-  options.target_half_width = 0.0;
-  options.min_queries = 1;
-  options.batch_queries = 16;
-  const AdaptiveEvalResult whole = EvaluateAdaptive(
-      *model, dataset, filter, Split::kTest, pools, options);
+  EstimateRequest request;
+  request.adaptive.emplace();
+  request.adaptive->target_half_width = 0.0;
+  request.adaptive->min_queries = 1;
+  request.adaptive->batch_queries = 16;
+  const EstimateResult whole =
+      EvaluateSampled(*model, dataset, filter, Split::kTest, pools, request);
   EXPECT_EQ(whole.evaluated_queries, whole.total_queries);
   EXPECT_EQ(whole.scored_candidates, scalar.scored_candidates);
-  options.max_triples = static_cast<int64_t>(dataset.test().size()) / 3;
-  const AdaptiveEvalResult budgeted = EvaluateAdaptive(
-      *model, dataset, filter, Split::kTest, pools, options);
-  ASSERT_EQ(budgeted.evaluated_queries, 2 * options.max_triples);
+  request.max_triples = static_cast<int64_t>(dataset.test().size()) / 3;
+  const EstimateResult budgeted =
+      EvaluateSampled(*model, dataset, filter, Split::kTest, pools, request);
+  ASSERT_EQ(budgeted.evaluated_queries, 2 * request.max_triples);
   ASSERT_LT(budgeted.evaluated_queries, budgeted.total_queries);
   int64_t expected = 0;
   const std::vector<Triple>& triples = dataset.test();

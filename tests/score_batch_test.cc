@@ -298,9 +298,9 @@ TEST(SlotMajorEvaluatorTest, RanksIdenticalToScalarTripleMajorOrder) {
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
     // Pools prepared once + fused ScoreBlock.
-    const SampledEvalResult prepared =
+    const EstimateResult prepared =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    const SampledEvalResult scalar =
+    const EstimateResult scalar =
         EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
     ASSERT_EQ(prepared.ranks.size(), scalar.ranks.size());
     for (size_t i = 0; i < prepared.ranks.size(); ++i) {
@@ -323,12 +323,12 @@ TEST(SlotMajorEvaluatorTest, MaxTriplesPrefixMatchesScalar) {
   auto model = CreateModel(ModelType::kDistMult, dataset.num_entities(),
                            dataset.num_relations(), SmallOptions())
                    .ValueOrDie();
-  SampledEvalOptions options;
-  options.max_triples = 57;
-  const SampledEvalResult batched = EvaluateSampled(
-      *model, dataset, filter, Split::kTest, pools, options);
-  const SampledEvalResult scalar = EvaluateSampledScalar(
-      *model, dataset, filter, Split::kTest, pools, options);
+  EstimateRequest request;
+  request.max_triples = 57;
+  const EstimateResult batched = EvaluateSampled(
+      *model, dataset, filter, Split::kTest, pools, request);
+  const EstimateResult scalar = EvaluateSampledScalar(
+      *model, dataset, filter, Split::kTest, pools, request);
   EXPECT_EQ(batched.ranks, scalar.ranks);
   EXPECT_EQ(batched.ranks.size(), 2u * 57u);
 }
@@ -456,9 +456,9 @@ TEST(SlotMajorEvaluatorTest, PoolsWiderThanOneTileMatchScalar) {
   for (ModelType type : {ModelType::kDistMult, ModelType::kRotatE}) {
     auto model = CreateModel(type, kEntities, kRelations, options)
                      .ValueOrDie();
-    const SampledEvalResult batched =
+    const EstimateResult batched =
         EvaluateSampled(*model, dataset, filter, Split::kTest, pools);
-    const SampledEvalResult scalar =
+    const EstimateResult scalar =
         EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
     EXPECT_EQ(batched.ranks, scalar.ranks) << ModelTypeName(type);
     EXPECT_EQ(batched.scored_candidates, scalar.scored_candidates);

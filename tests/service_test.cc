@@ -686,7 +686,7 @@ TEST(ServedParityTest, ConcurrentPipelinedEvalsMatchDirectEstimate) {
     auto direct = session->framework().EstimateCheckpointOnPools(
         path, filter, Split::kValid, session->pools());
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    const SampledEvalResult& r = direct.ValueOrDie();
+    const EstimateResult& r = direct.ValueOrDie();
     expected.push_back(
         {{"mrr", StrFormat("%.17g", r.metrics.mrr)},
          {"ci", StrFormat("%.17g", r.ci.mrr)},
