@@ -96,22 +96,6 @@ void RankingAccumulator::Add(double rank) {
   }
 }
 
-void RankingAccumulator::Merge(const RankingAccumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  for (int s = 0; s < kNumStats; ++s) {
-    const double delta = other.mean_[s] - mean_[s];
-    mean_[s] += delta * nb / (na + nb);
-    m2_[s] += other.m2_[s] + delta * delta * na * nb / (na + nb);
-  }
-  n_ += other.n_;
-}
-
 RankingMetrics RankingAccumulator::Metrics() const {
   RankingMetrics m;
   m.num_queries = n_;
@@ -122,10 +106,6 @@ RankingMetrics RankingAccumulator::Metrics() const {
   m.hits10 = mean_[3];
   m.mean_rank = mean_[kMeanRankStat];
   return m;
-}
-
-double RankingAccumulator::Mean(MetricKind kind) const {
-  return n_ == 0 ? 0.0 : mean_[StatIndex(kind)];
 }
 
 double RankingAccumulator::SampleVariance(MetricKind kind) const {

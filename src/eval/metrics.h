@@ -55,25 +55,19 @@ struct RankingCi {
 /// rank, the Hits@k indicators, the raw rank). The incremental core of the
 /// adaptive evaluator — metrics and confidence half-widths are available
 /// after every Add, in O(1), so an evaluation can stop as soon as its
-/// interval is tight enough. Merge() combines independently filled
-/// accumulators (Chan's pairwise update), so per-thread accumulation stays
-/// exact.
+/// interval is tight enough.
 class RankingAccumulator {
  public:
   /// Folds in one query's (1-based, possibly fractional) rank.
   void Add(double rank);
-
-  /// Folds in another accumulator's state, as if its ranks had been Added.
-  void Merge(const RankingAccumulator& other);
 
   int64_t count() const { return n_; }
 
   /// Aggregated metrics over the ranks seen so far.
   RankingMetrics Metrics() const;
 
-  /// Running mean / unbiased sample variance of one metric's per-query
-  /// statistic (variance is 0 until two ranks are seen).
-  double Mean(MetricKind kind) const;
+  /// Running unbiased sample variance of one metric's per-query statistic
+  /// (0 until two ranks are seen).
   double SampleVariance(MetricKind kind) const;
 
   /// Normal-approximation CI half-width of one metric at quantile `z`.

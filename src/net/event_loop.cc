@@ -12,11 +12,6 @@
 #include "util/fault.h"
 #include "util/logging.h"
 
-#if defined(__linux__) && !defined(KGEVAL_FORCE_POLL)
-#include <sys/epoll.h>
-#define KGEVAL_NET_EPOLL 1
-#endif
-
 namespace kgeval {
 
 namespace {
@@ -27,33 +22,6 @@ void SetNonBlockingOrDie(int fd) {
   KGEVAL_CHECK(::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0)
       << "fcntl(F_SETFL): errno " << errno;
 }
-
-#ifdef KGEVAL_NET_EPOLL
-uint32_t ToEpoll(uint32_t events) {
-  uint32_t e = 0;
-  if (events & kEventRead) e |= EPOLLIN;
-  if (events & kEventWrite) e |= EPOLLOUT;
-  return e;
-}
-
-uint32_t FromEpoll(uint32_t e) {
-  uint32_t events = 0;
-  if (e & EPOLLIN) events |= kEventRead;
-  if (e & EPOLLOUT) events |= kEventWrite;
-  // Hangup/error are reported by epoll regardless of the subscription and
-  // carried on their own bit, so dispatch can deliver them to a paused fd
-  // without force-delivering reads (see kEventHangup in event_loop.h).
-  if (e & (EPOLLHUP | EPOLLERR)) events |= kEventHangup;
-  return events;
-}
-
-/// epoll's user-data word carries both halves of the dispatch key: the fd
-/// and the registration generation that was live when it was armed.
-uint64_t PackKey(int fd, uint32_t generation) {
-  return (static_cast<uint64_t>(generation) << 32) |
-         static_cast<uint32_t>(fd);
-}
-#endif
 
 }  // namespace
 
@@ -67,10 +35,6 @@ EventLoop::EventLoop() {
   wakeup_write_ = pipe_fds[1];
   SetNonBlockingOrDie(wakeup_read_);
   SetNonBlockingOrDie(wakeup_write_);
-#ifdef KGEVAL_NET_EPOLL
-  epoll_fd_ = ::epoll_create1(0);
-  KGEVAL_CHECK(epoll_fd_ >= 0) << "epoll_create1: errno " << errno;
-#endif
   // The wakeup pipe's read end drains itself; Post()ed tasks run from
   // RunPosted() after the dispatch pass.
   Add(wakeup_read_, kEventRead, [this](uint32_t) {
@@ -85,9 +49,6 @@ EventLoop::~EventLoop() {
   // capability is claimable from whichever thread tears the loop down.
   AssertOnLoopThread();
   Remove(wakeup_read_);
-#ifdef KGEVAL_NET_EPOLL
-  ::close(epoll_fd_);
-#endif
   ::close(wakeup_read_);
   ::close(wakeup_write_);
 }
@@ -95,37 +56,15 @@ EventLoop::~EventLoop() {
 void EventLoop::Add(int fd, uint32_t events, FdCallback callback) {
   KGEVAL_CHECK(fds_.find(fd) == fds_.end()) << "fd " << fd << " registered twice";
   fds_[fd] = Registration{events, ++next_generation_, std::move(callback)};
-#ifdef KGEVAL_NET_EPOLL
-  struct epoll_event ev = {};
-  ev.events = ToEpoll(events);
-  ev.data.u64 = PackKey(fd, next_generation_);
-  KGEVAL_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0)
-      << "epoll_ctl(ADD): errno " << errno;
-#endif
 }
 
 void EventLoop::SetEvents(int fd, uint32_t events) {
   auto it = fds_.find(fd);
   KGEVAL_CHECK(it != fds_.end()) << "fd " << fd << " not registered";
-  if (it->second.events == events) return;
   it->second.events = events;
-#ifdef KGEVAL_NET_EPOLL
-  struct epoll_event ev = {};
-  ev.events = ToEpoll(events);
-  ev.data.u64 = PackKey(fd, it->second.generation);
-  KGEVAL_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0)
-      << "epoll_ctl(MOD): errno " << errno;
-#endif
 }
 
-void EventLoop::Remove(int fd) {
-  auto it = fds_.find(fd);
-  if (it == fds_.end()) return;
-  fds_.erase(it);
-#ifdef KGEVAL_NET_EPOLL
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-}
+void EventLoop::Remove(int fd) { fds_.erase(fd); }
 
 void EventLoop::Run() {
   loop_thread_.store(std::this_thread::get_id(), std::memory_order_release);
@@ -143,10 +82,20 @@ void EventLoop::Run() {
 }
 
 uint64_t EventLoop::RunAfter(double delay_s, std::function<void()> fn) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(delay_s < 0 ? 0 : delay_s));
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  // Saturate: a delay past the clock's range must not wrap the integer
+  // deadline into the past and fire at once. Non-positive (and NaN) delays
+  // fire on the next loop pass.
+  const double room_s =
+      std::chrono::duration<double>(Clock::time_point::max() - now).count();
+  Clock::time_point deadline = Clock::time_point::max();
+  if (!(delay_s > 0)) {
+    deadline = now;
+  } else if (delay_s < room_s) {
+    deadline = now + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(delay_s));
+  }
   const uint64_t id = ++next_timer_id_;
   timers_.emplace(std::make_pair(deadline, id), std::move(fn));
   return id;
@@ -232,24 +181,6 @@ void EventLoop::RunPosted() {
 
 namespace {
 
-/// Shared errno policy of both poll backends. EINTR is routine. EBADF and
-/// EINVAL mean the loop's own bookkeeping handed the kernel a broken fd set
-/// — a programmer error worth dying loudly for. Everything else (ENOMEM
-/// under pressure being the documented case) is transient: one failed poll
-/// must degrade to a logged retry, not take the whole server down with it.
-/// Returns true when the caller should return and let Run() retry.
-bool HandlePollError(const char* call) {
-  if (errno == EINTR) return true;
-  KGEVAL_CHECK(errno != EBADF && errno != EINVAL)
-      << call << ": errno " << errno;
-  KGEVAL_LOG(Warning) << call << ": transient errno " << errno
-                      << ", retrying";
-  // A brief nap so a persistent transient error cannot hot-spin the loop;
-  // posted tasks and timers still run each retry iteration.
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  return true;
-}
-
 /// The injectable poller failure (fault point "net.loop.poll"): when it
 /// fires, the poll is skipped and errno comes from the fault spec, exactly
 /// as if the syscall had failed.
@@ -263,35 +194,6 @@ bool InjectPollFailure() {
 }  // namespace
 
 void EventLoop::PollOnce(int timeout_ms) {
-#ifdef KGEVAL_NET_EPOLL
-  struct epoll_event ready[64];
-  const int n = InjectPollFailure()
-                    ? -1
-                    : ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
-  if (n < 0) {
-    HandlePollError("epoll_wait");
-    return;
-  }
-  for (int i = 0; i < n; ++i) {
-    const int fd = static_cast<int>(static_cast<uint32_t>(ready[i].data.u64));
-    const uint32_t generation =
-        static_cast<uint32_t>(ready[i].data.u64 >> 32);
-    // The callback for an earlier fd may have Remove()d a later one — or
-    // Remove()d+closed it and accepted a new connection reusing the same
-    // fd number, in which case the generation no longer matches and this
-    // entry's readiness belongs to the dead registration, not the new one.
-    auto it = fds_.find(fd);
-    if (it == fds_.end() || it->second.generation != generation) continue;
-    const uint32_t events =
-        FromEpoll(ready[i].events) & (it->second.events | kEventHangup);
-    if (events == 0) continue;
-    // Invoked through a copy: the callback may Remove() its own fd (a
-    // connection closing on read error does), which erases the map entry
-    // holding the std::function currently executing.
-    const FdCallback callback = it->second.callback;
-    callback(events);
-  }
-#else
   std::vector<struct pollfd> poll_fds;
   std::vector<uint32_t> generations;
   poll_fds.reserve(fds_.size());
@@ -308,16 +210,27 @@ void EventLoop::PollOnce(int timeout_ms) {
                     ? -1
                     : ::poll(poll_fds.data(), poll_fds.size(), timeout_ms);
   if (n < 0) {
-    HandlePollError("poll");
+    // EINTR is routine. EBADF and EINVAL mean the loop's own bookkeeping
+    // handed the kernel a broken fd set — a programmer error worth dying
+    // loudly for. Everything else (ENOMEM under pressure being the
+    // documented case) is transient: one failed poll must degrade to a
+    // logged retry, not take the whole server down with it.
+    if (errno == EINTR) return;
+    KGEVAL_CHECK(errno != EBADF && errno != EINVAL) << "poll: errno " << errno;
+    KGEVAL_LOG(Warning) << "poll: transient errno " << errno << ", retrying";
+    // A brief nap so a persistent transient error cannot hot-spin the loop;
+    // posted tasks and timers still run each retry iteration.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return;
   }
   if (n == 0) return;
   for (size_t i = 0; i < poll_fds.size(); ++i) {
     const struct pollfd& p = poll_fds[i];
     if (p.revents == 0) continue;
-    // Same stale-entry hazards as the epoll branch: the fd may have been
-    // Remove()d by an earlier callback, or recycled into a brand-new
-    // registration (generation mismatch) within this batch.
+    // The callback for an earlier fd may have Remove()d this one — or
+    // Remove()d+closed it and accepted a new connection reusing the same
+    // fd number, in which case the generation no longer matches and this
+    // entry's readiness belongs to the dead registration, not the new one.
     auto it = fds_.find(p.fd);
     if (it == fds_.end() || it->second.generation != generations[i]) {
       continue;
@@ -325,14 +238,18 @@ void EventLoop::PollOnce(int timeout_ms) {
     uint32_t events = 0;
     if (p.revents & POLLIN) events |= kEventRead;
     if (p.revents & POLLOUT) events |= kEventWrite;
+    // Hangup/error are reported regardless of the subscription and carried
+    // on their own bit, so dispatch can deliver them to a paused fd without
+    // force-delivering reads (see kEventHangup in event_loop.h).
     if (p.revents & (POLLHUP | POLLERR | POLLNVAL)) events |= kEventHangup;
     events &= (it->second.events | kEventHangup);
     if (events == 0) continue;
-    // Same self-Remove() hazard as the epoll branch: invoke a copy.
+    // Invoked through a copy: the callback may Remove() its own fd (a
+    // connection closing on read error does), which erases the map entry
+    // holding the std::function currently executing.
     const FdCallback callback = it->second.callback;
     callback(events);
   }
-#endif
 }
 
 }  // namespace kgeval

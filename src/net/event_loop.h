@@ -29,9 +29,10 @@ enum : uint32_t {
   kEventHangup = 1u << 2,
 };
 
-/// A single-threaded readiness event loop over non-blocking fds: epoll on
-/// Linux, poll(2) everywhere else (KGEVAL_FORCE_POLL selects the fallback on
-/// Linux too, so both backends are testable on one machine). All fd
+/// A single-threaded readiness event loop over non-blocking fds, polled
+/// with poll(2) — portable to every POSIX platform, and the served workload
+/// keeps only a handful of connections open, so a per-pass fd scan costs
+/// nothing measurable. All fd
 /// registration and every callback run on the loop thread; the only
 /// cross-thread entry point is Post(), which enqueues a closure and wakes
 /// the loop through its wakeup pipe — this is how job threads hand finished
@@ -116,9 +117,9 @@ class EventLoop {
   struct Registration {
     uint32_t events = 0;
     /// Distinguishes this registration from an earlier one on the same fd
-    /// number: within one poll batch a callback may Remove()+close an fd
+    /// number: within one poll pass a callback may Remove()+close an fd
     /// while another callback accepts a new connection that reuses it, and
-    /// a stale ready[] entry must not be dispatched to the newcomer.
+    /// a stale poll entry must not be dispatched to the newcomer.
     uint32_t generation = 0;
     FdCallback callback;
   };
@@ -140,13 +141,10 @@ class EventLoop {
            std::function<void()>>
       timers_ KGEVAL_GUARDED_BY(loop_cap);
   uint64_t next_timer_id_ KGEVAL_GUARDED_BY(loop_cap) = 0;
-  /// The wakeup pipe and epoll fds are set in the constructor and never
-  /// change: reads from any thread (Wakeup) need no guard.
+  /// The wakeup pipe fds are set in the constructor and never change:
+  /// reads from any thread (Wakeup) need no guard.
   int wakeup_read_ = -1;
   int wakeup_write_ = -1;
-#if defined(__linux__) && !defined(KGEVAL_FORCE_POLL)
-  int epoll_fd_ = -1;
-#endif
 
   Mutex posted_mutex_;
   std::vector<std::function<void()>> posted_ KGEVAL_GUARDED_BY(posted_mutex_);

@@ -27,8 +27,9 @@ TaskGroup::TaskGroup(ThreadPool* pool)
 TaskGroup::~TaskGroup() { Wait(); }
 
 void TaskGroup::Submit(std::function<void()> task) {
-  if (InThreadPoolWorker()) {
-    // Nested submission from a worker: run inline (see header).
+  if (InThreadPoolWorker(pool_)) {
+    // Nested submission from a worker of this pool: run inline (see
+    // header).
     // Fault point "sched.task.delay": armed as a kDelay fault it naps
     // before the task starts, simulating a loaded or descheduled worker.
     FaultPoint("sched.task.delay");
@@ -79,15 +80,11 @@ void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& fn,
                  size_t min_chunk) {
   if (begin >= end) return;
-  if (InThreadPoolWorker()) {
-    // Re-entrant call from a pool worker: run inline (TaskGroup::Submit
-    // would inline each chunk anyway; skip the chunking overhead).
-    fn(begin, end);
-    return;
-  }
   ThreadPool* pool = GlobalThreadPool();
   const size_t n = end - begin;
-  if (pool->num_threads() <= 1 || n <= min_chunk) {
+  // A re-entrant call from a worker of the pool runs inline too:
+  // TaskGroup::Submit would inline each chunk anyway, so skip the chunking.
+  if (InThreadPoolWorker(pool) || pool->num_threads() <= 1 || n <= min_chunk) {
     fn(begin, end);
     return;
   }

@@ -23,10 +23,12 @@ namespace kgeval {
 ///    remaining queue before blocking on in-flight tasks, so a blocked
 ///    producer is never idle while its work sits queued (and a 1-worker
 ///    pool still gets two threads of progress).
-///  - A task submitted *from a pool worker* runs inline on that worker (the
-///    PR 3 nested-submit rule): a worker that queued sub-tasks and waited
-///    on them would occupy one of the only threads able to drain them, so
-///    nesting would deadlock once every worker is inside such a wait.
+///  - A task submitted *from a worker of the group's pool* runs inline on
+///    that worker (the nested-submit rule): a worker that queued sub-tasks
+///    and waited on them would occupy one of the only threads able to
+///    drain them, so nesting would deadlock once every worker is inside
+///    such a wait. The rule is per pool: a worker of another pool is an
+///    ordinary producer and queues its tasks.
 ///
 /// The group's shared state outlives the object via shared_ptr: drain
 /// tickets still queued in the pool after Wait() returns find an empty
@@ -41,7 +43,7 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Enqueues a task; runs it inline when called from a pool worker.
+  /// Enqueues a task; runs it inline when called from a worker of pool().
   void Submit(std::function<void()> task);
 
   /// Blocks until every task submitted to *this group* has completed.
@@ -66,8 +68,8 @@ class TaskGroup {
 /// `fn(chunk_begin, chunk_end)` as one TaskGroup on the global pool,
 /// blocking until the group drains. Concurrent calls interleave on the
 /// shared workers and wait only on their own chunks. Runs inline when the
-/// range is small, the pool has one thread, or the caller is itself a pool
-/// worker (the nested rule above).
+/// range is small, the pool has one thread, or the caller is itself a
+/// global-pool worker (the nested rule above).
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& fn,
                  size_t min_chunk = 256);

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <deque>
 #include <future>
-#include <queue>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "service/command.h"
 #include "util/cancel.h"
 #include "util/logging.h"
-#include "util/mutex.h"
 #include "util/string_util.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -50,79 +48,6 @@ struct EvalServer::Client {
   uint64_t deadline_timer = 0;
   /// Last traffic or command completion; drives the idle reaper.
   std::chrono::steady_clock::time_point last_activity;
-};
-
-/// The command executor pool: plain worker threads draining a FIFO of
-/// command closures. Deliberately *not* the shared scoring pool — an
-/// executor thread is a job thread that blocks (on streamed-reply
-/// backpressure, on WATCH polls), and the scoring workers must never
-/// block on a slow client. The evaluation inside a command fans out to
-/// the shared pool through TaskGroups and helps drain its own chunks
-/// while waiting, exactly like RunJobsConcurrently's job threads.
-class EvalServer::Executor {
- public:
-  // The executor pool is the service's documented job-thread layer
-  // (blocking command threads, distinct from the scoring workers); these
-  // threads are joined in Shutdown().
-  explicit Executor(size_t threads) {
-    for (size_t i = 0; i < threads; ++i) {
-      threads_.emplace_back([this] { Loop(); });
-    }
-  }
-
-  ~Executor() { Shutdown(); }
-
-  void Submit(std::function<void()> fn) KGEVAL_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(&mutex_);
-      KGEVAL_CHECK(!stopping_) << "Submit after Executor::Shutdown";
-      queue_.push(std::move(fn));
-    }
-    work_.NotifyOne();
-  }
-
-  /// Commands waiting for an executor thread (not the ones running). The
-  /// load shedder's signal: a deep backlog means every executor is pinned
-  /// and new work would only wait.
-  size_t QueuedDepth() const KGEVAL_EXCLUDES(mutex_) {
-    MutexLock lock(&mutex_);
-    return queue_.size();
-  }
-
-  /// Runs every queued job (they fail fast once connections are closed),
-  /// then joins. Idempotent.
-  void Shutdown() KGEVAL_EXCLUDES(mutex_) {
-    {
-      MutexLock lock(&mutex_);
-      stopping_ = true;
-    }
-    work_.NotifyAll();
-    for (auto& t : threads_) {
-      if (t.joinable()) t.join();
-    }
-  }
-
- private:
-  void Loop() KGEVAL_EXCLUDES(mutex_) {
-    while (true) {
-      std::function<void()> fn;
-      {
-        MutexLock lock(&mutex_);
-        while (!stopping_ && queue_.empty()) work_.Wait(lock);
-        if (queue_.empty()) return;  // stopping_ and drained.
-        fn = std::move(queue_.front());
-        queue_.pop();
-      }
-      fn();
-    }
-  }
-
-  // kgeval-lint: allow(thread-containment): see the constructor note.
-  std::vector<std::thread> threads_;
-  mutable Mutex mutex_;
-  CondVar work_;
-  std::queue<std::function<void()>> queue_ KGEVAL_GUARDED_BY(mutex_);
-  bool stopping_ KGEVAL_GUARDED_BY(mutex_) = false;
 };
 
 EvalServer::EvalServer(Options options) : options_(std::move(options)) {}
@@ -173,7 +98,11 @@ Status EvalServer::Init() {
   if (executors == 0) {
     executors = std::max<size_t>(2, GlobalThreadPool()->num_threads());
   }
-  executor_ = std::make_unique<Executor>(executors);
+  // Executors block (on streamed-reply backpressure, on WATCH polls), so
+  // they are a pool of their own: the scoring workers must never block on
+  // a slow client. A command's evaluation fans out to the global pool
+  // through TaskGroups and helps drain its own chunks while waiting.
+  executor_ = std::make_unique<ThreadPool>(executors);
   // kgeval-lint: allow(thread-containment): owned here, joined by Shutdown().
   loop_thread_ = std::thread([this] { loop_.Run(); });
   if (options_.idle_timeout_s > 0) {
@@ -308,7 +237,7 @@ void EvalServer::PumpClient(const std::shared_ptr<Client>& client) {
     // before it and break the per-connection reply-order guarantee. A shed
     // is an in-order terminal reply like any other.
     if (options_.max_queued_commands > 0 &&
-        executor_->QueuedDepth() >= options_.max_queued_commands) {
+        executor_->queued() >= options_.max_queued_commands) {
       counters.commands.fetch_add(1, std::memory_order_relaxed);
       counters.shed.fetch_add(1, std::memory_order_relaxed);
       client->conn->Send(
@@ -398,7 +327,6 @@ void EvalServer::Shutdown() {
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    if (executor_) executor_->Shutdown();
     return;
   }
   // Close the listener and every connection from the loop thread, which
@@ -425,7 +353,7 @@ void EvalServer::Shutdown() {
   });
   closed.get_future().wait();
   // Executors drain (their emits fail fast now), then stop posting.
-  executor_->Shutdown();
+  executor_.reset();
   loop_.Stop();
   loop_thread_.join();
 }

@@ -13,6 +13,7 @@
 #include "service/eval_service.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 
 namespace kgeval {
 
@@ -81,7 +82,6 @@ class EvalServer {
 
  private:
   struct Client;
-  class Executor;
 
   explicit EvalServer(Options options);
   Status Init();
@@ -111,7 +111,10 @@ class EvalServer {
   std::unique_ptr<EvalService> service_;
   // kgeval-lint: allow(thread-containment): owned here; Shutdown() joins it.
   std::thread loop_thread_;
-  std::unique_ptr<Executor> executor_;
+  /// Command executors: a pool of their own, apart from the scoring
+  /// workers (see Init). Shutdown resets it, which runs the queued
+  /// commands (they fail fast once connections close) and joins.
+  std::unique_ptr<ThreadPool> executor_;
   /// Live clients; loop thread only. Shutdown closes them all (which is
   /// what wakes executors blocked on a slow client's backpressure).
   std::unordered_set<std::shared_ptr<Client>> clients_

@@ -112,6 +112,19 @@ bool EvalService::EmitCancelled(const EmitFn& emit, const CancelToken& cancel,
   return EmitError(emit, "cancelled", what);
 }
 
+bool EvalService::EmitItem(const EmitFn& emit, size_t index,
+                           const CheckpointEstimate& outcome) {
+  counters_.items_streamed.fetch_add(1, std::memory_order_relaxed);
+  if (!outcome.status.ok()) {
+    return emit(StrFormat("ITEM %zu ERR %s", index,
+                          outcome.status.message().c_str()));
+  }
+  counters_.checkpoints_evaluated.fetch_add(1, std::memory_order_relaxed);
+  return emit(StrFormat("ITEM %zu %s %s", index,
+                        Fmt(outcome.result.metrics.mrr).c_str(),
+                        Fmt(outcome.result.ci.mrr).c_str()));
+}
+
 void EvalService::Execute(const ParsedCommand& cmd, const EmitFn& emit,
                           const CancelToken* cancel) {
   KGEVAL_CHECK(cmd.spec != nullptr);
@@ -295,18 +308,8 @@ void EvalService::ExecuteSweep(const ParsedCommand& cmd, const EmitFn& emit,
       [&](size_t index, const CheckpointEstimate& outcome) {
         if (!live) return;
         if (outcome.status.code() == StatusCode::kCancelled) return;
-        counters_.items_streamed.fetch_add(1, std::memory_order_relaxed);
         ++emitted;
-        if (outcome.status.ok()) {
-          counters_.checkpoints_evaluated.fetch_add(1,
-                                                    std::memory_order_relaxed);
-          live = emit(StrFormat("ITEM %zu %s %s", index,
-                                Fmt(outcome.result.metrics.mrr).c_str(),
-                                Fmt(outcome.result.ci.mrr).c_str()));
-        } else {
-          live = emit(StrFormat("ITEM %zu ERR %s", index,
-                                outcome.status.message().c_str()));
-        }
+        live = EmitItem(emit, index, outcome);
       },
       &stats);
   if (!live) return;
@@ -345,19 +348,21 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
       return;
     }
   }
-  const EvaluationFramework& framework = state->session->framework();
   EstimateRequest request;
   request.cancel = cancel;
   CheckpointWatcher watcher(cmd.args[0]);
   WallTimer timer;
   int64_t delivered = 0;
   bool timed_out = false;
+  const auto abandoned = [&] {
+    EmitCancelled(emit, *cancel,
+                  StrFormat("watch abandoned after %lld of %lld items",
+                            static_cast<long long>(delivered),
+                            static_cast<long long>(count)));
+  };
   while (delivered < count) {
     if (cancel != nullptr && cancel->cancelled()) {
-      EmitCancelled(emit, *cancel,
-                    StrFormat("watch abandoned after %lld of %lld items",
-                              static_cast<long long>(delivered),
-                              static_cast<long long>(count)));
+      abandoned();
       return;
     }
     if (timer.Seconds() >= timeout_s || shutting_down()) {
@@ -369,38 +374,22 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
       EmitError(emit, "io", fresh.status().message());
       return;
     }
-    for (const std::string& path : fresh.ValueOrDie()) {
-      if (delivered >= count) break;
-      auto result = framework.EstimateCheckpointOnPools(
-          path, *state->filter, state->split, state->session->pools(),
-          request);
-      if (!result.ok() &&
-          result.status().code() == StatusCode::kCancelled &&
+    std::vector<std::string> paths = std::move(fresh).ValueOrDie();
+    if (paths.size() > static_cast<size_t>(count - delivered)) {
+      paths.resize(static_cast<size_t>(count - delivered));
+    }
+    // The poll's checkpoints are estimated together, like a SWEEP, and
+    // their ITEMs written in input order once all are done. A partially-
+    // written or corrupt snapshot is one ERR item, claimed forever (the
+    // watcher never re-delivers), and the watch goes on.
+    for (const CheckpointEstimate& outcome :
+         state->session->EstimateCheckpoints(paths, request)) {
+      if (outcome.status.code() == StatusCode::kCancelled &&
           cancel != nullptr) {
-        EmitCancelled(emit, *cancel,
-                      StrFormat("watch abandoned after %lld of %lld items",
-                                static_cast<long long>(delivered),
-                                static_cast<long long>(count)));
+        abandoned();
         return;
       }
-      counters_.items_streamed.fetch_add(1, std::memory_order_relaxed);
-      bool live;
-      if (result.ok()) {
-        counters_.checkpoints_evaluated.fetch_add(1,
-                                                  std::memory_order_relaxed);
-        live = emit(StrFormat(
-            "ITEM %lld %s %s", static_cast<long long>(delivered),
-            Fmt(result.ValueOrDie().metrics.mrr).c_str(),
-            Fmt(result.ValueOrDie().ci.mrr).c_str()));
-      } else {
-        // A partially-written or corrupt snapshot: one ERR item, claimed
-        // forever (the watcher never re-delivers), and the watch goes on.
-        live = emit(StrFormat("ITEM %lld ERR %s",
-                              static_cast<long long>(delivered),
-                              result.status().message().c_str()));
-      }
-      ++delivered;
-      if (!live) return;
+      if (!EmitItem(emit, static_cast<size_t>(delivered++), outcome)) return;
     }
     if (delivered < count) {
       std::this_thread::sleep_for(

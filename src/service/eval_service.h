@@ -132,6 +132,12 @@ class EvalService {
   bool EmitError(const EmitFn& emit, const std::string& code,
                  const std::string& message);
 
+  /// One SWEEP/WATCH `ITEM` line for a checkpoint outcome (its metrics, or
+  /// `ERR` with the load/evaluate failure) + item accounting; returns
+  /// emit's verdict.
+  bool EmitItem(const EmitFn& emit, size_t index,
+                const CheckpointEstimate& outcome);
+
   /// Terminal ERR of a cancelled command: `deadline-exceeded` or
   /// `cancelled` depending on the token's reason, each bumping its own
   /// counter. `what` describes how far the command got.

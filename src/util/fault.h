@@ -14,7 +14,7 @@ namespace kgeval {
 /// scheduler layers that tests (and the KGEVAL_FAULTS environment spec) can
 /// arm to simulate the failures integration tests cannot produce on demand
 /// — a checkpoint vanishing mid-sweep, a socket accepting one byte per
-/// send, epoll_wait returning ENOMEM. Disarmed — the production state —
+/// send, poll(2) returning ENOMEM. Disarmed — the production state —
 /// every probe costs a single relaxed atomic load and a predicted branch.
 ///
 /// A probe site calls FaultPoint("name") (optionally receiving an injected

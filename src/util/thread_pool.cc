@@ -9,10 +9,11 @@
 namespace kgeval {
 namespace {
 
-/// Set for the lifetime of every pool worker thread; lets the scheduler
-/// detect re-entrant submissions (a worker waiting on tasks it submitted to
-/// its own pool would deadlock once all workers are inside such a wait).
-thread_local bool tls_pool_worker = false;
+/// The pool a worker thread belongs to, set for the thread's lifetime
+/// (nullptr on every other thread); lets the scheduler detect re-entrant
+/// submissions (a worker waiting on tasks it submitted to its own pool
+/// would deadlock once all workers are inside such a wait).
+thread_local const ThreadPool* tls_worker_pool = nullptr;
 
 std::atomic<size_t> g_global_pool_threads{0};
 std::atomic<bool> g_global_pool_created{false};
@@ -59,8 +60,13 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.NotifyOne();
 }
 
+size_t ThreadPool::queued() const {
+  MutexLock lock(&mutex_);
+  return queue_.size();
+}
+
 void ThreadPool::WorkerLoop() {
-  tls_pool_worker = true;
+  tls_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -92,6 +98,8 @@ void SetGlobalThreadPoolThreads(size_t num_threads) {
   g_global_pool_threads.store(num_threads);
 }
 
-bool InThreadPoolWorker() { return tls_pool_worker; }
+bool InThreadPoolWorker(const ThreadPool* pool) {
+  return tls_worker_pool == pool;
+}
 
 }  // namespace kgeval

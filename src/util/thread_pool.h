@@ -31,6 +31,8 @@ class ThreadPool {
   void Submit(std::function<void()> task) KGEVAL_EXCLUDES(mutex_);
 
   size_t num_threads() const { return workers_.size(); }
+  /// Tasks waiting for a worker (not the ones running).
+  size_t queued() const KGEVAL_EXCLUDES(mutex_);
 
  private:
   void WorkerLoop() KGEVAL_EXCLUDES(mutex_);
@@ -38,7 +40,7 @@ class ThreadPool {
   /// Immutable after the constructor returns (workers join in ~ThreadPool,
   /// after every queue access has ceased), so reads need no lock.
   std::vector<std::thread> workers_;
-  Mutex mutex_;
+  mutable Mutex mutex_;
   std::queue<std::function<void()>> queue_ KGEVAL_GUARDED_BY(mutex_);
   CondVar work_available_;
   bool shutting_down_ KGEVAL_GUARDED_BY(mutex_) = false;
@@ -56,9 +58,11 @@ ThreadPool* GlobalThreadPool();
 /// because live workers (and work queued to them) cannot be resized.
 void SetGlobalThreadPoolThreads(size_t num_threads);
 
-/// True iff the calling thread is a ThreadPool worker (any pool's). Used by
-/// the scheduler to run nested submissions inline instead of deadlocking.
-bool InThreadPoolWorker();
+/// True iff the calling thread is a worker of `pool`. Used by the scheduler
+/// to run nested submissions into a worker's *own* pool inline instead of
+/// deadlocking; a worker of another pool submits normally, so a job thread
+/// that is itself pooled (a server executor) still fans its work out.
+bool InThreadPoolWorker(const ThreadPool* pool);
 
 }  // namespace kgeval
 

@@ -81,29 +81,6 @@ TEST(RankingAccumulatorTest, VarianceMatchesTwoPass) {
   EXPECT_NEAR(acc.SampleVariance(MetricKind::kMrr), expected, 1e-12);
 }
 
-TEST(RankingAccumulatorTest, MergeEqualsSequential) {
-  const std::vector<double> ranks = {1, 3, 9, 2, 50, 4, 1, 12, 6, 2, 8, 30};
-  RankingAccumulator whole;
-  for (double r : ranks) whole.Add(r);
-  RankingAccumulator a, b;
-  for (size_t i = 0; i < ranks.size(); ++i) {
-    (i < 5 ? a : b).Add(ranks[i]);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  for (MetricKind kind : {MetricKind::kMrr, MetricKind::kHits1,
-                          MetricKind::kHits3, MetricKind::kHits10}) {
-    EXPECT_NEAR(a.Mean(kind), whole.Mean(kind), 1e-12);
-    EXPECT_NEAR(a.SampleVariance(kind), whole.SampleVariance(kind), 1e-12);
-  }
-  // Merging into an empty accumulator copies; merging an empty is a noop.
-  RankingAccumulator empty;
-  empty.Merge(whole);
-  EXPECT_EQ(empty.count(), whole.count());
-  whole.Merge(RankingAccumulator());
-  EXPECT_EQ(whole.count(), static_cast<int64_t>(ranks.size()));
-}
-
 TEST(RankingAccumulatorTest, CiShrinksWithSampleSize) {
   // Feed a fixed-dispersion stream; the half-width must shrink ~1/sqrt(n)
   // and never grow between batches of identical data.

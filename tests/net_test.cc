@@ -1,8 +1,6 @@
 // Tests for the net layer: EventLoop dispatch/Post semantics and
-// Connection framing, pipelining, overflow handling, and backpressure.
-// The suite is built twice — net_test against the default (epoll on
-// Linux) backend and net_poll_test against the poll(2) fallback
-// (KGEVAL_FORCE_POLL) — so both EventLoop backends stay covered.
+// Connection framing, pipelining, overflow handling, and backpressure,
+// plus the TCP helpers in net_util.
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -465,8 +463,36 @@ TEST(EventLoopTimerTest, TimerCallbackCanRearm) {
   EXPECT_EQ(count->load(), 2);
 }
 
+TEST(EventLoopTimerTest, DelaysPastTheClockRangeNeverFire) {
+  // Regression: a delay whose nanosecond count overflows the clock's
+  // integer range used to wrap the deadline into the past, so the timer
+  // fired at once (a `--deadline=1e10` server answered every command
+  // deadline-exceeded). Such deadlines saturate to "never"; a negative
+  // delay is clamped to "now" instead.
+  LoopThread loop;
+  std::atomic<int> huge_fired{0};
+  std::atomic<bool> negative_fired{false};
+  std::promise<bool> short_fired;
+  ASSERT_TRUE(loop.Posted([&] {
+    loop.loop().RunAfter(1e300, [&] { huge_fired.fetch_add(1); });
+    loop.loop().RunAfter(1e10, [&] { huge_fired.fetch_add(1); });
+    loop.loop().RunAfter(-1.0, [&] { negative_fired.store(true); });
+    loop.loop().RunAfter(0.01,
+                         [&] { short_fired.set_value(negative_fired.load()); });
+  }));
+  auto short_future = short_fired.get_future();
+  ASSERT_EQ(short_future.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_TRUE(short_future.get());
+  // A few more loop passes: an overflowed deadline would have fired on
+  // the first of them, ahead of the 10 ms timer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(loop.Posted([] {}));
+  EXPECT_EQ(huge_fired.load(), 0);
+}
+
 TEST(EventLoopTimerTest, SurvivesTransientPollFailure) {
-  // Regression: a transient epoll_wait/poll errno (ENOMEM here, injected
+  // Regression: a transient poll(2) errno (ENOMEM here, injected
   // at the net.loop.poll probe) used to CHECK-abort the loop thread. The
   // loop must log, back off, and keep dispatching.
   FaultSpec spec;
@@ -491,6 +517,41 @@ TEST(NetUtilTest, ListenerBindsEphemeralPortAndAcceptsConnect) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ::close(client.ValueOrDie());
   ::close(listener.ValueOrDie().fd);
+}
+
+TEST(NetUtilTest, RejectsHostThatIsNotIpv4) {
+  auto listener = CreateTcpListener("localhost", 0);
+  ASSERT_FALSE(listener.ok());
+  EXPECT_EQ(listener.status().code(), StatusCode::kInvalidArgument);
+  auto client = ConnectTcp("::1", 1);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NetUtilTest, BindToListeningPortFails) {
+  auto first = CreateTcpListener("127.0.0.1", 0);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto second = CreateTcpListener("127.0.0.1", first.ValueOrDie().port);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kIoError);
+  EXPECT_NE(second.status().message().find("bind"), std::string::npos);
+  ::close(first.ValueOrDie().fd);
+}
+
+TEST(NetUtilTest, ConnectToClosedPortFails) {
+  auto listener = CreateTcpListener("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const uint16_t port = listener.ValueOrDie().port;
+  ::close(listener.ValueOrDie().fd);
+  auto client = ConnectTcp("127.0.0.1", port);
+  ASSERT_FALSE(client.ok());
+  EXPECT_EQ(client.status().code(), StatusCode::kIoError);
+  EXPECT_NE(client.status().message().find("connect"), std::string::npos);
+}
+
+TEST(NetUtilTest, SocketOptionsOnInvalidFdFail) {
+  EXPECT_EQ(SetNonBlocking(-1).code(), StatusCode::kIoError);
+  EXPECT_EQ(SetTcpNoDelay(-1).code(), StatusCode::kIoError);
 }
 
 }  // namespace

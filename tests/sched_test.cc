@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -88,8 +89,8 @@ TEST(TaskGroupTest, WaitHelpsDrainWhenWorkersAreBusy) {
 }
 
 TEST(TaskGroupTest, NestedSubmitRunsInlineOnWorker) {
-  // The PR 3 rule, now on the group API: a submission from a pool worker
-  // runs inline on that worker instead of deadlocking the pool.
+  // The nested-submit rule on the group API: a submission from a pool
+  // worker into its own pool runs inline instead of deadlocking the pool.
   ThreadPool pool(2);
   TaskGroup group(&pool);
   std::atomic<bool> started{false};
@@ -108,6 +109,58 @@ TEST(TaskGroupTest, NestedSubmitRunsInlineOnWorker) {
   while (!started.load()) std::this_thread::yield();
   group.Wait();
   EXPECT_EQ(nested_inline.load(), 1);
+}
+
+TEST(TaskGroupTest, NestedSubmitIntoAnotherPoolRunsOnThatPool) {
+  // The rule is per pool: a worker of pool A submitting into a group on
+  // pool B is an ordinary producer, so the task runs on B's worker. (A
+  // server executor is such a worker; were it inlined, every command would
+  // score on its one executor thread.)
+  ThreadPool a(1);
+  ThreadPool b(1);
+  std::promise<std::thread::id> b_worker;
+  b.Submit([&b_worker] { b_worker.set_value(std::this_thread::get_id()); });
+  const std::thread::id b_id = b_worker.get_future().get();
+
+  std::thread::id a_id;
+  std::thread::id ran_on;
+  std::atomic<bool> ran{false};
+  TaskGroup outer(&a);
+  std::atomic<bool> started{false};
+  outer.Submit([&] {
+    started.store(true);
+    a_id = std::this_thread::get_id();
+    TaskGroup nested(&b);
+    nested.Submit([&] {
+      ran_on = std::this_thread::get_id();
+      ran.store(true);
+    });
+    // Let B's worker claim the task before Wait()'s help-first drain could
+    // run it here (an inlined task has already run by now).
+    while (!ran.load()) std::this_thread::yield();
+    nested.Wait();
+  });
+  while (!started.load()) std::this_thread::yield();
+  outer.Wait();
+  EXPECT_NE(ran_on, a_id);
+  EXPECT_EQ(ran_on, b_id);
+}
+
+TEST(TaskGroupTest, NestedSubmitIntoGlobalPoolRunsInlineOnGlobalWorker) {
+  std::thread::id worker;
+  std::thread::id ran_on;
+  std::atomic<bool> started{false};
+  TaskGroup outer;
+  outer.Submit([&] {
+    started.store(true);
+    worker = std::this_thread::get_id();
+    TaskGroup nested;
+    nested.Submit([&ran_on] { ran_on = std::this_thread::get_id(); });
+    nested.Wait();
+  });
+  while (!started.load()) std::this_thread::yield();
+  outer.Wait();
+  EXPECT_EQ(ran_on, worker);
 }
 
 TEST(TaskGroupTest, SubmitWaitCyclesAreReusable) {
@@ -263,10 +316,10 @@ TEST(ParallelForTest, NestedCallsRunInlineInsteadOfDeadlocking) {
 }
 
 TEST(ParallelForTest, CallFromWorkerTaskRunsInline) {
-  // The inline rule observed directly: once a task is running on a pool
-  // worker, a ParallelFor inside it must stay on that worker.
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
+  // The inline rule observed directly: once a task is running on a worker
+  // of the global pool, a ParallelFor (which targets that pool) inside it
+  // must stay on that worker.
+  TaskGroup group;
   std::atomic<bool> started{false};
   std::atomic<int> total{0};
   std::atomic<int> off_worker{0};

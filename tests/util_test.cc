@@ -250,16 +250,19 @@ TEST(ThreadPoolTest, SingleThreadPoolStillRunsTasks) {
 }
 
 TEST(ThreadPoolTest, InThreadPoolWorkerFlag) {
-  EXPECT_FALSE(InThreadPoolWorker());
   std::atomic<int> in_worker{0};
+  std::atomic<int> in_other{0};
   {
     ThreadPool pool(2);
-    pool.Submit([&in_worker] {
-      if (InThreadPoolWorker()) in_worker.fetch_add(1);
+    ThreadPool other(1);
+    EXPECT_FALSE(InThreadPoolWorker(&pool));
+    pool.Submit([&] {
+      if (InThreadPoolWorker(&pool)) in_worker.fetch_add(1);
+      if (InThreadPoolWorker(&other)) in_other.fetch_add(1);
     });
   }
   EXPECT_EQ(in_worker.load(), 1);
-  EXPECT_FALSE(InThreadPoolWorker());
+  EXPECT_EQ(in_other.load(), 0);
 }
 
 TEST(ThreadPoolTest, ConcurrentSubmitIsSafe) {
