@@ -31,11 +31,10 @@ Result<std::unique_ptr<EvaluationFramework>> EvaluationFramework::Build(
     }
     auto scores = recommender->Fit(*dataset);
     if (!scores.ok()) return scores.status();
-    fw->scores_ = std::move(scores).ValueOrDie();
     if (options.strategy == SamplingStrategy::kStatic) {
-      fw->sets_ = BuildStaticSets(fw->scores_, *dataset);
+      fw->sets_ = BuildStaticSets(scores.ValueOrDie(), *dataset);
     } else {
-      fw->sets_ = BuildProbabilisticSets(fw->scores_, *dataset);
+      fw->sets_ = BuildProbabilisticSets(scores.ValueOrDie(), *dataset);
     }
   }
   fw->build_seconds_ = timer.Seconds();

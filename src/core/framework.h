@@ -112,7 +112,6 @@ class EvaluationFramework {
 
   const Dataset* dataset() const { return dataset_; }
   const FrameworkOptions& options() const { return options_; }
-  const RecommenderScores& scores() const { return scores_; }
   const CandidateSets& sets() const { return sets_; }
   /// Recommender fit time plus candidate-set construction time.
   double build_seconds() const { return build_seconds_; }
@@ -122,7 +121,6 @@ class EvaluationFramework {
 
   const Dataset* dataset_;
   FrameworkOptions options_;
-  RecommenderScores scores_;
   CandidateSets sets_;
   double build_seconds_ = 0.0;
   Rng rng_;

@@ -16,8 +16,8 @@ namespace kgeval {
 /// distinct anchors against one tile, so a score block holds anchors x
 /// min(pool size, tile) floats: 2 MB for a 16-anchor full-ranking block,
 /// 32 MB at most for a 256-anchor sampled block. Large on purpose:
-/// per-anchor work that happens once per kernel call (TuckER's core
-/// contraction, ConvE's conv/FC trunk) repeats once per tile.
+/// per-anchor work that happens once per kernel call (ConvE's conv/FC
+/// trunk, RESCAL's relation-matrix product) repeats once per tile.
 constexpr size_t kPoolTile = 32768;
 
 /// Options for the exhaustive filtered-ranking evaluation (the O(|E|^2)

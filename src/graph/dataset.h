@@ -44,14 +44,8 @@ class Dataset {
   const TypeStore& types() const { return types_; }
   bool has_types() const { return !types_.empty(); }
 
-  /// Optional labels for qualitative output (Table 10 style). Empty when the
-  /// generator did not attach them.
-  const std::vector<std::string>& entity_labels() const {
-    return entity_labels_;
-  }
-  const std::vector<std::string>& relation_labels() const {
-    return relation_labels_;
-  }
+  /// Optional labels for qualitative output (Table 10 style). Without them
+  /// EntityLabel/RelationLabel fall back to "E<id>" / "R<id>".
   void set_entity_labels(std::vector<std::string> labels) {
     entity_labels_ = std::move(labels);
   }
@@ -83,16 +77,8 @@ class ObservedSets {
   /// train+valid to mirror the paper's "seen" definition).
   ObservedSets(const Dataset& dataset, const std::vector<Split>& splits);
 
-  /// Sorted entity ids seen as head of `relation`.
-  const std::vector<int32_t>& Domain(int32_t relation) const {
-    return domains_[relation];
-  }
-  /// Sorted entity ids seen as tail of `relation`.
-  const std::vector<int32_t>& Range(int32_t relation) const {
-    return ranges_[relation];
-  }
-
-  /// Set for a domain/range index in [0, 2|R|).
+  /// Sorted entity ids seen as head (domain) or tail (range) of a
+  /// relation, by domain/range index in [0, 2|R|) (DomainRangeIndex).
   const std::vector<int32_t>& Set(int32_t dr_index) const;
 
   bool InDomain(int32_t relation, int32_t entity) const;

@@ -16,11 +16,6 @@ struct Triple {
   friend bool operator==(const Triple& a, const Triple& b) {
     return a.head == b.head && a.relation == b.relation && a.tail == b.tail;
   }
-  friend bool operator<(const Triple& a, const Triple& b) {
-    if (a.head != b.head) return a.head < b.head;
-    if (a.relation != b.relation) return a.relation < b.relation;
-    return a.tail < b.tail;
-  }
 };
 
 /// Direction of a ranking query derived from a test triple: kTail ranks

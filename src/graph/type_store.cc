@@ -27,9 +27,4 @@ void TypeStore::Seal() {
   for (auto& v : type_entities_) std::sort(v.begin(), v.end());
 }
 
-bool TypeStore::HasType(int32_t entity, int32_t type) const {
-  const auto& types = entity_types_[entity];
-  return std::binary_search(types.begin(), types.end(), type);
-}
-
 }  // namespace kgeval

@@ -37,9 +37,6 @@ class TypeStore {
     return type_entities_[type];
   }
 
-  /// True if `entity` carries `type`. O(log #types(entity)) after Seal().
-  bool HasType(int32_t entity, int32_t type) const;
-
  private:
   int32_t num_types_;
   int64_t num_assignments_ = 0;

@@ -78,8 +78,8 @@ KpResult ComputeKp(const KgeModel& model, const Dataset& dataset, Split split,
   std::vector<float> pos_scores(positive_triples.size());
   std::vector<float> neg_scores(negative_triples.size());
   // Fused path: each positive and its tail corruption share the anchor's
-  // query construction (KP+ / KP- weights are bit-identical to two
-  // independent ScoreTriples passes).
+  // query construction (KP+ / KP- weights are bit-identical to scoring each
+  // triple on its own).
   ScoreTriplesWithNegatives(model, positive_triples.data(),
                             positive_triples.size(), negative_triples.data(),
                             /*k=*/1, pos_scores.data(), neg_scores.data());

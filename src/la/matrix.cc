@@ -17,12 +17,6 @@ void Matrix::InitUniform(Rng* rng, float lo, float hi) {
   for (auto& v : data_) v = lo + (hi - lo) * rng->NextFloat();
 }
 
-void Matrix::InitGaussian(Rng* rng, float stddev) {
-  for (auto& v : data_) {
-    v = static_cast<float>(rng->NextGaussian()) * stddev;
-  }
-}
-
 void GatherRowsT(const Matrix& src, const int32_t* ids, size_t n,
                  Matrix* out) {
   for (size_t c = 0; c < n; ++c) {

@@ -42,7 +42,6 @@ class Matrix {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
-  void Fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
   /// Reshapes to rows x cols, reusing the allocation when possible. Contents
   /// are unspecified after a resize that changes the element count.
@@ -57,9 +56,6 @@ class Matrix {
 
   /// Uniform initialization in [lo, hi].
   void InitUniform(Rng* rng, float lo, float hi);
-
-  /// Gaussian initialization with the given standard deviation.
-  void InitGaussian(Rng* rng, float stddev);
 
  private:
   size_t rows_;

@@ -1,6 +1,11 @@
 #include "models/checkpoint.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -24,7 +29,6 @@ constexpr int32_t kMaxParams = 1024;
 constexpr int32_t kMaxEntities = 1 << 28;
 constexpr int32_t kMaxRelations = 1 << 24;
 constexpr int32_t kMaxDim = 1 << 16;
-constexpr int32_t kMaxRelationDim = 1 << 30;
 /// Cap on any one embedding table (rows x cols), in elements: 2^33 floats
 /// is 32 GiB — beyond any model this library trains, and small enough that
 /// size arithmetic downstream can never overflow.
@@ -37,10 +41,24 @@ void WritePod(std::ofstream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+/// Reads exactly `size` bytes; false on a short file or a read error.
+bool ReadFull(int fd, void* dst, size_t size) {
+  char* p = static_cast<char*>(dst);
+  while (size > 0) {
+    const ssize_t n = ::read(fd, p, size);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    p += n;
+    size -= static_cast<size_t>(n);
+  }
+  return true;
+}
+
 template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return in.good();
+bool ReadPod(int fd, T* value) {
+  static_assert(std::is_trivially_copyable<T>::value,
+                "only scalar fields are serialized directly");
+  return ReadFull(fd, value, sizeof(T));
 }
 
 void WriteString(std::ofstream& out, const std::string& s) {
@@ -48,12 +66,11 @@ void WriteString(std::ofstream& out, const std::string& s) {
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-bool ReadString(std::ifstream& in, std::string* s) {
+bool ReadString(int fd, std::string* s) {
   int32_t size = 0;
-  if (!ReadPod(in, &size) || size < 0 || size > 1 << 20) return false;
+  if (!ReadPod(fd, &size) || size < 0 || size > 1 << 20) return false;
   s->resize(static_cast<size_t>(size));
-  in.read(s->data(), size);
-  return in.good();
+  return ReadFull(fd, s->data(), s->size());
 }
 
 struct Header {
@@ -61,39 +78,41 @@ struct Header {
   int32_t num_entities = 0;
   int32_t num_relations = 0;
   int32_t dim = 0;
-  int32_t relation_dim = 0;
+  int32_t reserved = 0;
   uint64_t seed = 0;
   int32_t num_params = 0;
 };
 
 /// The v1 header occupies 40 bytes on disk: five int32 fields, 4 pad
 /// bytes, the uint64 seed, the int32 parameter count, 4 more pad bytes.
-/// Both pad slots were originally struct padding (historically whatever
-/// bytes the stack held — writing the struct as one POD leaked
-/// uninitialized memory to disk and tied the format to one ABI's layout);
-/// they are written as zeros and ignored on read, so old files whose pad
-/// holds garbage still load.
+/// The fifth int32 (offset 16) is reserved: it held TuckER's relation
+/// width, 0 for every other model, so it is written as 0 and any other
+/// value is rejected. Both pad slots were originally struct padding
+/// (historically whatever bytes the stack held — writing the struct as one
+/// POD leaked uninitialized memory to disk and tied the format to one
+/// ABI's layout); they are written as zeros and ignored on read, so old
+/// files whose pad holds garbage still load.
 void WriteHeader(std::ofstream& out, const Header& header) {
   const int32_t pad = 0;
   WritePod(out, header.model_type);
   WritePod(out, header.num_entities);
   WritePod(out, header.num_relations);
   WritePod(out, header.dim);
-  WritePod(out, header.relation_dim);
+  WritePod(out, header.reserved);
   WritePod(out, pad);
   WritePod(out, header.seed);
   WritePod(out, header.num_params);
   WritePod(out, pad);
 }
 
-bool ReadHeaderFields(std::ifstream& in, Header* header) {
+bool ReadHeaderFields(int fd, Header* header) {
   int32_t pad = 0;
-  return ReadPod(in, &header->model_type) &&
-         ReadPod(in, &header->num_entities) &&
-         ReadPod(in, &header->num_relations) && ReadPod(in, &header->dim) &&
-         ReadPod(in, &header->relation_dim) && ReadPod(in, &pad) &&
-         ReadPod(in, &header->seed) && ReadPod(in, &header->num_params) &&
-         ReadPod(in, &pad);
+  return ReadPod(fd, &header->model_type) &&
+         ReadPod(fd, &header->num_entities) &&
+         ReadPod(fd, &header->num_relations) && ReadPod(fd, &header->dim) &&
+         ReadPod(fd, &header->reserved) && ReadPod(fd, &pad) &&
+         ReadPod(fd, &header->seed) && ReadPod(fd, &header->num_params) &&
+         ReadPod(fd, &pad);
 }
 
 /// Rejects headers whose fields cannot describe any model: counts and
@@ -101,8 +120,10 @@ bool ReadHeaderFields(std::ifstream& in, Header* header) {
 /// absurd value from a corrupt file must stop here, not surface as a crash
 /// or a bogus model downstream.
 Status ValidateHeader(const Header& header, const std::string& path) {
-  if (header.model_type < 0 ||
-      header.model_type >= static_cast<int32_t>(std::size(kAllModelTypes))) {
+  if (std::none_of(std::begin(kAllModelTypes), std::end(kAllModelTypes),
+                   [&](ModelType type) {
+                     return static_cast<int32_t>(type) == header.model_type;
+                   })) {
     return Status::InvalidArgument(StrFormat(
         "%s: invalid model type %d", path.c_str(), header.model_type));
   }
@@ -112,17 +133,19 @@ Status ValidateHeader(const Header& header, const std::string& path) {
         "%s: invalid entity/relation counts %d/%d", path.c_str(),
         header.num_entities, header.num_relations));
   }
-  if (header.dim <= 0 || header.dim > kMaxDim || header.relation_dim < 0 ||
-      header.relation_dim > kMaxRelationDim) {
+  if (header.dim <= 0 || header.dim > kMaxDim) {
     return Status::InvalidArgument(
-        StrFormat("%s: invalid dimensions dim=%d relation_dim=%d",
-                  path.c_str(), header.dim, header.relation_dim));
+        StrFormat("%s: invalid dimension dim=%d", path.c_str(), header.dim));
+  }
+  if (header.reserved != 0) {
+    return Status::InvalidArgument(
+        StrFormat("%s: reserved header field is %d, not 0", path.c_str(),
+                  header.reserved));
   }
   const int64_t entity_elements =
       int64_t{header.num_entities} * int64_t{header.dim};
   const int64_t relation_elements =
-      int64_t{header.num_relations} *
-      std::max(int64_t{header.relation_dim}, int64_t{header.dim});
+      int64_t{header.num_relations} * int64_t{header.dim};
   if (entity_elements > kMaxTableElements ||
       relation_elements > kMaxTableElements) {
     return Status::InvalidArgument(StrFormat(
@@ -155,7 +178,6 @@ Status SaveModel(KgeModel* model, const std::string& path) {
   header.num_entities = model->num_entities();
   header.num_relations = model->num_relations();
   header.dim = model->options().dim;
-  header.relation_dim = model->options().relation_dim;
   header.seed = model->options().seed;
   header.num_params = static_cast<int32_t>(params.size());
   WriteHeader(out, header);
@@ -189,28 +211,27 @@ Status SaveModel(KgeModel* model, const std::string& path) {
 
 namespace {
 
-Result<Header> ReadHeader(std::ifstream& in, const std::string& path) {
+Result<Header> ReadHeader(int fd, const std::string& path) {
   char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (!ReadFull(fd, magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::InvalidArgument(
         StrFormat("%s is not a kgeval checkpoint", path.c_str()));
   }
   int32_t version = 0;
-  if (!ReadPod(in, &version) || version != kVersion) {
+  if (!ReadPod(fd, &version) || version != kVersion) {
     return Status::InvalidArgument(
         StrFormat("unsupported checkpoint version %d", version));
   }
   Header header;
-  if (!ReadHeaderFields(in, &header)) {
+  if (!ReadHeaderFields(fd, &header)) {
     return Status::IoError("truncated checkpoint header");
   }
   KGEVAL_RETURN_NOT_OK(ValidateHeader(header, path));
   return header;
 }
 
-Status RestoreParameters(KgeModel* model, std::ifstream& in,
-                         const Header& header) {
+Status RestoreParameters(KgeModel* model, int fd, const Header& header) {
   std::vector<KgeModel::NamedParameter> params;
   model->CollectParameters(&params);
   if (static_cast<int32_t>(params.size()) != header.num_params) {
@@ -227,7 +248,7 @@ Status RestoreParameters(KgeModel* model, std::ifstream& in,
       return Status::IoError("truncated parameter data (injected fault)");
     }
     std::string name;
-    if (!ReadString(in, &name)) {
+    if (!ReadString(fd, &name)) {
       return Status::IoError("truncated parameter name");
     }
     if (name != param.name) {
@@ -236,7 +257,7 @@ Status RestoreParameters(KgeModel* model, std::ifstream& in,
           param.name, name.c_str()));
     }
     int64_t rows = 0, cols = 0;
-    if (!ReadPod(in, &rows) || !ReadPod(in, &cols)) {
+    if (!ReadPod(fd, &rows) || !ReadPod(fd, &cols)) {
       return Status::IoError("truncated parameter shape");
     }
     if (rows != static_cast<int64_t>(param.matrix->rows()) ||
@@ -247,13 +268,29 @@ Status RestoreParameters(KgeModel* model, std::ifstream& in,
           static_cast<long long>(cols), param.matrix->rows(),
           param.matrix->cols()));
     }
-    in.read(reinterpret_cast<char*>(param.matrix->data()),
-            static_cast<std::streamsize>(param.matrix->size() *
-                                         sizeof(float)));
-    if (!in.good()) return Status::IoError("truncated parameter data");
+    if (!ReadFull(fd, param.matrix->data(),
+                  param.matrix->size() * sizeof(float))) {
+      return Status::IoError("truncated parameter data");
+    }
   }
   return Status::OK();
 }
+
+/// Owns the checkpoint's file descriptor for the length of one load.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
 
 }  // namespace
 
@@ -266,31 +303,41 @@ Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path) {
     return Status::IoError(StrFormat("cannot open %s: %s (injected fault)",
                                      path.c_str(), strerror(injected)));
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::IoError(StrFormat("cannot open %s", path.c_str()));
+  // The path is client-chosen (EVAL), so nothing here may block: a FIFO
+  // without a writer would hold open(2) forever without O_NONBLOCK, and
+  // with it a FIFO or device must still fail before the first read.
+  ScopedFd fd(::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC));
+  if (fd.get() < 0) {
+    return Status::IoError(
+        StrFormat("cannot open %s: %s", path.c_str(), strerror(errno)));
   }
-  auto header_or = ReadHeader(in, path);
+  struct stat st;
+  if (::fstat(fd.get(), &st) != 0) {
+    return Status::IoError(
+        StrFormat("cannot stat %s: %s", path.c_str(), strerror(errno)));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    return Status::InvalidArgument(
+        StrFormat("%s is not a regular file", path.c_str()));
+  }
+  auto header_or = ReadHeader(fd.get(), path);
   if (!header_or.ok()) return header_or.status();
   const Header header = header_or.ValueOrDie();
 
   ModelOptions options;
   options.dim = header.dim;
-  options.relation_dim = header.relation_dim;
   options.seed = header.seed;
   const ModelType type = static_cast<ModelType>(header.model_type);
   // The tables the header describes must fit in what the file holds: a
   // 48-byte file may claim tens of GiB of parameters (the per-table caps
-  // bound each table, not RESCAL's d^2 relation rows or TuckER's core), and
-  // it must fail here, before anything is allocated.
+  // bound each table, not RESCAL's d^2 relation rows), and it must fail
+  // here, before anything is allocated.
   const int64_t payload_bytes =
       ParameterElementCount(type, header.num_entities, header.num_relations,
                             options) *
       static_cast<int64_t>(sizeof(float));
-  const std::streamoff data_start = in.tellg();
-  in.seekg(0, std::ios::end);
-  const std::streamoff file_bytes = in.tellg();
-  in.seekg(data_start);
+  const off_t data_start = ::lseek(fd.get(), 0, SEEK_CUR);
+  const off_t file_bytes = st.st_size;
   if (data_start < 0 || file_bytes - data_start < payload_bytes) {
     return Status::IoError(StrFormat(
         "%s: truncated checkpoint: the header describes %lld parameter "
@@ -304,7 +351,7 @@ Result<std::unique_ptr<KgeModel>> LoadModel(const std::string& path) {
       AllocateModel(type, header.num_entities, header.num_relations, options);
   if (!model_or.ok()) return model_or.status();
   std::unique_ptr<KgeModel> model = std::move(model_or).ValueOrDie();
-  KGEVAL_RETURN_NOT_OK(RestoreParameters(model.get(), in, header));
+  KGEVAL_RETURN_NOT_OK(RestoreParameters(model.get(), fd.get(), header));
   return {std::move(model)};
 }
 

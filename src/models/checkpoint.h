@@ -22,7 +22,10 @@ Status SaveModel(KgeModel* model, const std::string& path);
 /// AllocateModel (zero-filled tables, no seeded init, no optimizer state),
 /// then every parameter is read from the file — a load costs what reading
 /// the bytes costs. Fails with IoError on unreadable/truncated files and
-/// InvalidArgument on format/shape mismatches. Every header field is
+/// InvalidArgument on format/shape mismatches. The path is opened
+/// non-blocking and anything but a regular file (a FIFO, a directory, a
+/// device) is InvalidArgument before the first read, so a client-chosen
+/// path can never park the caller in open(2). Every header field is
 /// validated, and the parameter bytes the header implies are checked
 /// against the file's size, before any allocation, so a corrupt or short
 /// file yields a Status, never a crash or a huge allocation.

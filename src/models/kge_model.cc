@@ -1,7 +1,6 @@
 #include "models/kge_model.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "la/vector_ops.h"
 #include "models/complex.h"
@@ -10,7 +9,6 @@
 #include "models/rescal.h"
 #include "models/rotate.h"
 #include "models/transe.h"
-#include "models/tucker.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -28,8 +26,6 @@ const char* ModelTypeName(ModelType type) {
       return "RESCAL";
     case ModelType::kRotatE:
       return "RotatE";
-    case ModelType::kTuckEr:
-      return "TuckER";
     case ModelType::kConvE:
       return "ConvE";
   }
@@ -121,7 +117,7 @@ void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
                           int32_t relation, QueryDirection direction,
                           float* out) const {
   // One query construction per anchor, reused across its k candidates — the
-  // fusion that matters for ConvE/TuckER, whose query construction dominates
+  // fusion that matters for ConvE, whose query construction dominates
   // per-triple cost.
   Matrix queries;
   BuildKernelQueries(anchors, num_queries, relation, direction, &queries);
@@ -167,39 +163,9 @@ void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
   }
 }
 
-void ScoreTriples(const KgeModel& model, const Triple* triples, size_t n,
-                  float* out) {
-  // Bucket triple indices by relation, then score each bucket in one
-  // ScorePairs call. Scatter back so out[i] still matches triples[i].
-  std::vector<std::vector<int32_t>> by_relation(model.num_relations());
-  for (size_t i = 0; i < n; ++i) {
-    by_relation[triples[i].relation].push_back(static_cast<int32_t>(i));
-  }
-  std::vector<int32_t> anchors, cands;
-  std::vector<float> scores;
-  for (int32_t r = 0; r < model.num_relations(); ++r) {
-    const std::vector<int32_t>& idx = by_relation[r];
-    if (idx.empty()) continue;
-    anchors.resize(idx.size());
-    cands.resize(idx.size());
-    scores.resize(idx.size());
-    for (size_t i = 0; i < idx.size(); ++i) {
-      anchors[i] = triples[idx[i]].head;
-      cands[i] = triples[idx[i]].tail;
-    }
-    model.ScorePairs(anchors.data(), cands.data(), idx.size(), 1, r,
-                     QueryDirection::kTail, scores.data());
-    for (size_t i = 0; i < idx.size(); ++i) out[idx[i]] = scores[i];
-  }
-}
-
 void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
                                size_t n, const Triple* negatives, size_t k,
                                float* pos_out, float* neg_out) {
-  if (k == 0) {
-    ScoreTriples(model, positives, n, pos_out);
-    return;
-  }
   // Group by the positives' relation; each positive's k corruptions share
   // its head and relation, so one ScorePairs row of k + 1 candidates
   // ([truth, corruptions...]) scores them all off one query construction.
@@ -239,20 +205,6 @@ void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
   }
 }
 
-void KgeModel::ScoreAll(int32_t anchor, int32_t relation,
-                        QueryDirection direction, float* out) const {
-  std::vector<int32_t> all(num_entities_);
-  std::iota(all.begin(), all.end(), 0);
-  ScoreCandidates(anchor, relation, direction, all.data(), all.size(), out);
-}
-
-float KgeModel::ScoreTriple(const Triple& t) const {
-  float score = 0.0f;
-  ScoreCandidates(t.head, t.relation, QueryDirection::kTail, &t.tail, 1,
-                  &score);
-  return score;
-}
-
 Result<std::unique_ptr<KgeModel>> AllocateModel(ModelType type,
                                                 int32_t num_entities,
                                                 int32_t num_relations,
@@ -285,9 +237,6 @@ Result<std::unique_ptr<KgeModel>> AllocateModel(ModelType type,
       }
       return {std::unique_ptr<KgeModel>(
           new RotatE(num_entities, num_relations, options))};
-    case ModelType::kTuckEr:
-      return {std::unique_ptr<KgeModel>(
-          new TuckEr(num_entities, num_relations, options))};
     case ModelType::kConvE:
       return ConvE::Create(num_entities, num_relations, options);
   }
@@ -321,10 +270,6 @@ int64_t ParameterElementCount(ModelType type, int32_t num_entities,
       return e * d + r * d * d;
     case ModelType::kRotatE:
       return e * d + r * (d / 2);
-    case ModelType::kTuckEr: {
-      const int64_t dr = options.relation_dim > 0 ? options.relation_dim : d;
-      return e * d + r * dr + d * dr * d;
-    }
     case ModelType::kConvE:
       return ConvE::ParameterElementCount(num_entities, num_relations,
                                           options.dim);

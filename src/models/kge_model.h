@@ -12,34 +12,33 @@
 
 namespace kgeval {
 
-/// The KGC models evaluated in the paper (Section 5.2).
+/// The KGC models evaluated in the paper (Section 5.2). The values are
+/// serialized (checkpoint headers), so each is pinned: a retired model's
+/// value is never reused (5 is retired).
 enum class ModelType {
   kTransE = 0,
-  kDistMult,
-  kComplEx,
-  kRescal,
-  kRotatE,
-  kTuckEr,
-  kConvE,
+  kDistMult = 1,
+  kComplEx = 2,
+  kRescal = 3,
+  kRotatE = 4,
+  kConvE = 6,
 };
 
-/// Every model type, in enum order: value i is ModelType(i), so the array's
-/// size bounds serialized model types (checkpoint headers). Append a new
-/// model here and nowhere else.
+/// Every model type, in enum order. Membership, not the array's size, is
+/// what makes a serialized model type valid. Append a new model here with
+/// a fresh value.
 constexpr ModelType kAllModelTypes[] = {
     ModelType::kTransE, ModelType::kDistMult, ModelType::kComplEx,
-    ModelType::kRescal, ModelType::kRotatE,   ModelType::kTuckEr,
-    ModelType::kConvE};
+    ModelType::kRescal, ModelType::kRotatE,   ModelType::kConvE};
 
 const char* ModelTypeName(ModelType type);
 Result<ModelType> ParseModelType(const std::string& name);
 
 /// Construction/optimization options shared by all models.
 struct ModelOptions {
-  int32_t dim = 32;          // Entity embedding width.
-  int32_t relation_dim = 0;  // 0 = model default (dim, or dim^2 for RESCAL).
+  int32_t dim = 32;  // Entity embedding width.
   AdamOptions adam;
-  float l2 = 0.0f;           // Weight decay on touched rows.
+  float l2 = 0.0f;   // Weight decay on touched rows.
   uint64_t seed = 7;
 };
 
@@ -147,8 +146,8 @@ class KgeModel {
   /// The per-anchor query representation is built once and reused across
   /// its k candidates, so the relation-grouped triple scorers (AUC, KP)
   /// score a positive and all its corruptions in one query construction —
-  /// the fusion that matters for ConvE/TuckER, whose query construction
-  /// dominates per-triple cost.
+  /// the fusion that matters for ConvE, whose query construction dominates
+  /// per-triple cost.
   void ScorePairs(const int32_t* anchors, const int32_t* candidates,
                   size_t num_queries, size_t candidates_per_query,
                   int32_t relation, QueryDirection direction,
@@ -174,21 +173,14 @@ class KgeModel {
   /// it (`truths` may be null iff truth_scores is). Sharing rows with the
   /// truths halves query construction versus scoring the pool and the
   /// truths separately — the dominant per-query cost for ConvE (conv/FC
-  /// trunk) and TuckER (core contraction). This is the evaluation hot path:
-  /// slot-major evaluators feed whole slots here.
+  /// trunk). This is the evaluation hot path: slot-major evaluators feed
+  /// whole slots here.
   void ScoreBlock(const int32_t* anchors, const int32_t* truths,
                   size_t num_anchors, int32_t relation,
                   QueryDirection direction, const CandidateBlock& block,
                   float* pool_scores, float* truth_scores,
                   const int32_t* truth_rows = nullptr,
                   size_t num_truths = 0) const;
-
-  /// Scores every entity for a query (out has num_entities() slots).
-  void ScoreAll(int32_t anchor, int32_t relation, QueryDirection direction,
-                float* out) const;
-
-  /// Convenience single-triple score.
-  float ScoreTriple(const Triple& t) const;
 
   /// Applies one gradient step: parameters move so as to *decrease*
   /// `dscore * score(h, r, t)` — i.e., pass dscore = dLoss/dScore.
@@ -229,20 +221,14 @@ class KgeModel {
   ModelOptions options_;
 };
 
-/// Scores triples[i] as a tail query against its own tail (the ScoreTriple
-/// convention), batched: triples are grouped by relation so each group goes
-/// through one ScorePairs call instead of n single-triple scores.
-/// out[i] corresponds to triples[i].
-void ScoreTriples(const KgeModel& model, const Triple* triples, size_t n,
-                  float* out);
-
 /// Fused positive/corruption triple scoring: positives[i] and its k
 /// corruptions negatives[i * k + j] — which must share positives[i]'s head
 /// and relation (only the tail is corrupted) — are scored in one
 /// relation-grouped pass where each positive's query representation is
 /// built once and dotted with its truth and all its corruptions.
-/// pos_out[i] and neg_out[i * k + j] follow the input order and are
-/// bit-identical to independent ScoreTriples calls over the two lists.
+/// Each triple is scored as a tail query against its own tail. pos_out[i]
+/// and neg_out[i * k + j] follow the input order and are bit-identical to
+/// ScoreCandidates with n = 1 on each triple.
 void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
                                size_t n, const Triple* negatives, size_t k,
                                float* pos_out, float* neg_out);

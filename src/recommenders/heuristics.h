@@ -25,7 +25,6 @@ class DbhRecommender : public RelationRecommender {
   RecommenderType type() const override {
     return use_types_ ? RecommenderType::kDbhT : RecommenderType::kDbh;
   }
-  bool requires_types() const override { return use_types_; }
   Result<RecommenderScores> Fit(const Dataset& dataset) override;
 
  private:
@@ -38,7 +37,6 @@ class DbhRecommender : public RelationRecommender {
 class OntoSimRecommender : public RelationRecommender {
  public:
   RecommenderType type() const override { return RecommenderType::kOntoSim; }
-  bool requires_types() const override { return true; }
   Result<RecommenderScores> Fit(const Dataset& dataset) override;
 };
 

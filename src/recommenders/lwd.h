@@ -24,7 +24,6 @@ class LwdRecommender : public RelationRecommender {
   RecommenderType type() const override {
     return use_types_ ? RecommenderType::kLwdT : RecommenderType::kLwd;
   }
-  bool requires_types() const override { return use_types_; }
 
   Result<RecommenderScores> Fit(const Dataset& dataset) override;
 

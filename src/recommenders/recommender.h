@@ -46,9 +46,6 @@ class RelationRecommender {
   virtual RecommenderType type() const = 0;
   const char* name() const { return RecommenderTypeName(type()); }
 
-  /// True if the method requires entity types to be present.
-  virtual bool requires_types() const { return false; }
-
   /// Fits on dataset.train() and returns the score matrix. Must be
   /// deterministic given the dataset and the recommender's own seed.
   virtual Result<RecommenderScores> Fit(const Dataset& dataset) = 0;

@@ -44,8 +44,6 @@ class CheckpointWatcher {
   /// a transient failure never causes duplicate delivery later).
   Result<std::vector<std::string>> Poll();
 
-  /// Paths delivered so far.
-  size_t delivered() const { return seen_.size(); }
   const std::string& dir() const { return dir_; }
 
  private:

@@ -78,7 +78,6 @@ class EvalServer {
   /// The bound port (the resolved one when Options::port was 0).
   uint16_t port() const { return port_; }
   const std::string& host() const { return options_.host; }
-  EvalService& service() { return *service_; }
 
  private:
   struct Client;

@@ -36,12 +36,6 @@ void CsrMatrix::NormalizeRows() {
   }
 }
 
-double CsrMatrix::RowSum(int64_t r) const {
-  double sum = 0.0;
-  for (int64_t k = RowBegin(r); k < RowEnd(r); ++k) sum += values_[k];
-  return sum;
-}
-
 CsrMatrix CsrMatrix::Transpose() const {
   std::vector<int64_t> t_row_ptr(cols_ + 2, 0);
   // Counting sort: histogram of columns, offset by one for the scan trick.

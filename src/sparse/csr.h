@@ -24,9 +24,7 @@ class CsrMatrix {
   /// Row r occupies [RowBegin(r), RowEnd(r)) in col_idx()/values().
   int64_t RowBegin(int64_t r) const { return row_ptr_[r]; }
   int64_t RowEnd(int64_t r) const { return row_ptr_[r + 1]; }
-  int64_t RowNnz(int64_t r) const { return row_ptr_[r + 1] - row_ptr_[r]; }
 
-  const std::vector<int64_t>& row_ptr() const { return row_ptr_; }
   const std::vector<int32_t>& col_idx() const { return col_idx_; }
   const std::vector<float>& values() const { return values_; }
   std::vector<float>& mutable_values() { return values_; }
@@ -41,9 +39,6 @@ class CsrMatrix {
 
   /// Returns the transpose (counting sort on columns; O(nnz + cols)).
   CsrMatrix Transpose() const;
-
-  /// Sum of all stored values in row r.
-  double RowSum(int64_t r) const;
 
  private:
   int64_t rows_;

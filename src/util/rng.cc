@@ -40,27 +40,6 @@ float Rng::NextFloat() {
   return static_cast<float>(Next() >> 40) * 0x1.0p-24f;
 }
 
-double Rng::NextUniform(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
-}
-
-double Rng::NextGaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
-  }
-  double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  const double u2 = NextDouble();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = radius * std::sin(theta);
-  has_cached_gaussian_ = true;
-  return radius * std::cos(theta);
-}
-
 ZipfSampler::ZipfSampler(size_t n, double exponent) {
   KGEVAL_CHECK(n > 0);
   cdf_.resize(n);

@@ -41,12 +41,6 @@ class Rng {
   /// Uniform float in [0, 1).
   float NextFloat();
 
-  /// Uniform double in [lo, hi).
-  double NextUniform(double lo, double hi);
-
-  /// Standard normal via Box-Muller (caches the second value).
-  double NextGaussian();
-
   /// Fisher-Yates shuffle of `values`.
   template <typename T>
   void Shuffle(std::vector<T>* values) {
@@ -62,8 +56,6 @@ class Rng {
   }
 
   uint64_t state_[4];
-  bool has_cached_gaussian_ = false;
-  double cached_gaussian_ = 0.0;
 };
 
 /// Zipf-distributed integer sampler over {0, ..., n-1} with exponent `s`

@@ -96,12 +96,6 @@ class Result {
   T& ValueOrDie() &;
   T ValueOrDie() &&;
 
-  /// Returns the value if ok, otherwise `fallback`.
-  T ValueOr(T fallback) const {
-    if (ok()) return std::get<T>(repr_);
-    return fallback;
-  }
-
  private:
   std::variant<T, Status> repr_;
 };

@@ -21,8 +21,6 @@ class TextTable {
   /// Renders to a string with a header rule and column padding.
   std::string ToString() const;
 
-  size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

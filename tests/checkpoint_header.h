@@ -16,7 +16,6 @@ namespace kgeval {
 inline void WriteHeaderOnlyCheckpoint(const std::string& path, ModelType type,
                                       int32_t num_entities,
                                       int32_t num_relations, int32_t dim,
-                                      int32_t relation_dim,
                                       int32_t num_params) {
   std::string bytes = "KGEV";
   const auto put = [&bytes](const auto& value) {
@@ -29,7 +28,7 @@ inline void WriteHeaderOnlyCheckpoint(const std::string& path, ModelType type,
   put(num_entities);
   put(num_relations);
   put(dim);
-  put(relation_dim);
+  put(int32_t{0});   // Reserved.
   put(int32_t{0});   // Pad.
   put(uint64_t{7});  // Seed.
   put(num_params);

@@ -340,7 +340,7 @@ TEST(FrameworkTest, RandomStrategySkipsRecommenderFit) {
   FrameworkOptions options;
   options.strategy = SamplingStrategy::kRandom;
   auto framework = EvaluationFramework::Build(&d, options).ValueOrDie();
-  EXPECT_EQ(framework->scores().scores.nnz(), 0);
+  EXPECT_EQ(framework->sets().num_slots(), 0);
 }
 
 }  // namespace

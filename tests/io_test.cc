@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <numeric>
 
 #include "graph/io.h"
 #include "models/checkpoint.h"
@@ -180,13 +188,17 @@ TEST_P(CheckpointTest, RoundTripIsBitExact) {
               0)
         << "parameter '" << original[p].name << "' not bit-identical";
   }
+  std::vector<int32_t> all(num_entities);
+  std::iota(all.begin(), all.end(), 0);
   std::vector<float> want(num_entities), got(num_entities);
   for (int32_t anchor = 0; anchor < num_entities; ++anchor) {
     for (int32_t r = 0; r < model->num_relations(); ++r) {
       for (QueryDirection direction :
            {QueryDirection::kTail, QueryDirection::kHead}) {
-        model->ScoreAll(anchor, r, direction, want.data());
-        restored.ScoreAll(anchor, r, direction, got.data());
+        model->ScoreCandidates(anchor, r, direction, all.data(), all.size(),
+                               want.data());
+        restored.ScoreCandidates(anchor, r, direction, all.data(),
+                                 all.size(), got.data());
         EXPECT_EQ(std::memcmp(want.data(), got.data(),
                               want.size() * sizeof(float)),
                   0)
@@ -290,7 +302,7 @@ TEST(CheckpointErrorsTest, CorruptHeaderCountsRejected) {
   // A corrupt header must be rejected up front: negative counts used to
   // flow straight into CreateModel. On-disk field offsets after the 8-byte
   // magic+version preamble: model_type 0, num_entities 4, num_relations 8,
-  // dim 12, relation_dim 16, pad 20, seed 24, num_params 32.
+  // dim 12, reserved 16, pad 20, seed 24, num_params 32.
   auto model = SmallPerturbedModel(ModelType::kDistMult);
   TempDir dir;
   const std::string good_path = dir.path() + "/good.ckpt";
@@ -306,16 +318,22 @@ TEST(CheckpointErrorsTest, CorruptHeaderCountsRejected) {
   };
   EXPECT_EQ(corrupt_int32_at(0, -1).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_int32_at(0, 999).code(), StatusCode::kInvalidArgument);
-  // Type 7 was a retired model; its files no longer load.
-  const Status retired = corrupt_int32_at(0, 7);
-  EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(retired.message().find("invalid model type 7"), std::string::npos)
-      << retired.ToString();
+  // Types 5 and 7 were retired models; their files no longer load.
+  for (int32_t type : {5, 7}) {
+    const Status retired = corrupt_int32_at(0, type);
+    EXPECT_EQ(retired.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(retired.message().find("invalid model type " +
+                                     std::to_string(type)),
+              std::string::npos)
+        << retired.ToString();
+  }
   EXPECT_EQ(corrupt_int32_at(4, -12).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_int32_at(4, 0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_int32_at(8, -4).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(corrupt_int32_at(12, -8).code(), StatusCode::kInvalidArgument);
+  // Offset 16 is reserved: written as 0, anything else is corruption.
   EXPECT_EQ(corrupt_int32_at(16, -8).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(corrupt_int32_at(16, 8).code(), StatusCode::kInvalidArgument);
   // Absurdly *large* positive fields are corruption too: without the caps
   // a single bit-flip would reach CreateModel and die in a huge or
   // overflowing allocation instead of returning a Status.
@@ -343,25 +361,24 @@ TEST(CheckpointErrorsTest, CorruptHeaderCountsRejected) {
 TEST(CheckpointErrorsTest, HeaderOnlyFileClaimingHugeTablesFailsUpFront) {
   // Each 48-byte file is a header within every per-field cap that describes
   // far more parameter bytes than the file holds: a TransE entity table of
-  // 2^27 x 64 (2^33 floats), RESCAL's R x d^2 relation rows and TuckER's
-  // d^2 x relation_dim core. The load must fail as a truncated file before
-  // allocating any of it (it used to zero-fill tens of GiB, or abort with
-  // an uncaught bad_alloc under a memory limit).
+  // 2^27 x 64 (2^33 floats) and RESCAL's R x d^2 relation rows. The load
+  // must fail as a truncated file before allocating any of it (it used to
+  // zero-fill tens of GiB, or abort with an uncaught bad_alloc under a
+  // memory limit).
   struct Claim {
     ModelType type;
-    int32_t num_entities, num_relations, dim, relation_dim, num_params;
+    int32_t num_entities, num_relations, dim, num_params;
   };
   const Claim claims[] = {
-      {ModelType::kTransE, 1 << 27, 1, 64, 0, 2},
-      {ModelType::kRescal, 1, 1 << 20, 1 << 12, 0, 2},
-      {ModelType::kTuckEr, 1, 1, 1 << 12, 1 << 16, 3},
+      {ModelType::kTransE, 1 << 27, 1, 64, 2},
+      {ModelType::kRescal, 1, 1 << 20, 1 << 12, 2},
   };
   TempDir dir;
   const std::string path = dir.path() + "/huge.ckpt";
   for (const Claim& claim : claims) {
     WriteHeaderOnlyCheckpoint(path, claim.type, claim.num_entities,
                               claim.num_relations, claim.dim,
-                              claim.relation_dim, claim.num_params);
+                              claim.num_params);
     ASSERT_EQ(fs::file_size(path), 48u);
     const Status status = LoadModel(path).status();
     EXPECT_EQ(status.code(), StatusCode::kIoError)
@@ -408,8 +425,12 @@ TEST(CheckpointTrainerTest, TrainWritesEpochSnapshots) {
       LoadModel(CheckpointPath(trainer_options.checkpoint_dir, 3));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.ValueOrDie()->type(), ModelType::kDistMult);
-  EXPECT_EQ(loaded.ValueOrDie()->ScoreTriple({1, 2, 3}),
-            model->ScoreTriple({1, 2, 3}));
+  const int32_t tail = 3;
+  float want = 0.0f, got = 0.0f;
+  model->ScoreCandidates(1, 2, QueryDirection::kTail, &tail, 1, &want);
+  loaded.ValueOrDie()->ScoreCandidates(1, 2, QueryDirection::kTail, &tail, 1,
+                                       &got);
+  EXPECT_EQ(got, want);
 
   TrainerOptions bad = trainer_options;
   bad.checkpoint_every = 0;
@@ -440,6 +461,39 @@ TEST(CheckpointErrorsTest, MissingFileIsIoError) {
             StatusCode::kIoError);
 }
 
+// Runs LoadModel on its own thread and fails the test if it has not
+// returned within two seconds. A load parked in open(2) on a FIFO is then
+// released by opening the FIFO's write end, so a regression fails here
+// instead of hanging the suite.
+Status LoadWithWatchdog(const std::string& path) {
+  auto load = std::async(std::launch::async,
+                         [&path] { return LoadModel(path).status(); });
+  if (load.wait_for(std::chrono::seconds(2)) != std::future_status::ready) {
+    ADD_FAILURE() << "LoadModel(" << path << ") blocked for 2 s";
+    const int fd = ::open(path.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+  }
+  return load.get();
+}
+
+TEST(CheckpointErrorsTest, NonRegularFilesAreRejectedWithoutBlocking) {
+  // A FIFO with no writer parks a blocking open(2) forever; the load must
+  // open it non-blocking and reject it, like a directory, before the first
+  // read.
+  TempDir dir;
+  const std::string fifo = dir.path() + "/fifo.ckpt";
+  const std::string directory = dir.path() + "/dir.ckpt";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  ASSERT_TRUE(fs::create_directory(directory));
+  for (const std::string& path : {fifo, directory}) {
+    const Status status = LoadWithWatchdog(path);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_NE(status.message().find("not a regular file"), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(CheckpointTest, LoadRestoresTrainedState) {
   SynthConfig config;
   config.num_entities = 150;
@@ -461,16 +515,21 @@ TEST(CheckpointTest, LoadRestoresTrainedState) {
   TempDir dir;
   const std::string path = dir.path() + "/trained.ckpt";
   ASSERT_TRUE(SaveModel(model.get(), path).ok());
-  const float reference = model->ScoreTriple({1, 2, 3});
+  const int32_t tail = 3;
+  float reference = 0.0f, fresh_score = 0.0f, loaded_score = 0.0f;
+  model->ScoreCandidates(1, 2, QueryDirection::kTail, &tail, 1, &reference);
 
   // Training moved the weights away from the seeded init, so a matching
   // score can only come from the restored tables.
   auto fresh = CreateModel(ModelType::kComplEx, 150, 6, options)
                    .ValueOrDie();
-  EXPECT_NE(fresh->ScoreTriple({1, 2, 3}), reference);
+  fresh->ScoreCandidates(1, 2, QueryDirection::kTail, &tail, 1, &fresh_score);
+  EXPECT_NE(fresh_score, reference);
   auto loaded = LoadModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FLOAT_EQ(loaded.ValueOrDie()->ScoreTriple({1, 2, 3}), reference);
+  loaded.ValueOrDie()->ScoreCandidates(1, 2, QueryDirection::kTail, &tail, 1,
+                                       &loaded_score);
+  EXPECT_FLOAT_EQ(loaded_score, reference);
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ std::vector<float> KernelInput(size_t size, Rng* rng) {
   for (float& v : values) {
     v = rng->NextBounded(2) == 0
             ? kPicks[rng->NextBounded(std::size(kPicks))]
-            : static_cast<float>(rng->NextUniform(-3.0, 3.0));
+            : static_cast<float>(-3.0 + 6.0 * rng->NextDouble());
   }
   return values;
 }
@@ -247,7 +247,7 @@ std::vector<float> GatherInput(size_t size, Rng* rng) {
       std::memcpy(&v, &kPicks[rng->NextBounded(std::size(kPicks))],
                   sizeof(float));
     } else {
-      v = static_cast<float>(rng->NextUniform(-3.0, 3.0));
+      v = static_cast<float>(-3.0 + 6.0 * rng->NextDouble());
     }
   }
   return values;

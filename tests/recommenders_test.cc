@@ -186,7 +186,7 @@ TEST(LwdTest, ZeroForIsolatedEntities) {
   const RecommenderScores scores =
       CreateRecommender(RecommenderType::kLwd)->Fit(d).ValueOrDie();
   // Entity 4 never occurs in train: its row must be structurally empty.
-  EXPECT_EQ(scores.scores.RowNnz(4), 0);
+  EXPECT_EQ(scores.scores.RowBegin(4), scores.scores.RowEnd(4));
 }
 
 TEST(LwdTTest, TypesRecoverUnseenEntities) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "core/framework.h"
@@ -334,8 +335,8 @@ TEST(SlotMajorEvaluatorTest, MaxTriplesPrefixMatchesScalar) {
 }
 
 TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
-  // The tiled slot-major full evaluator must agree with a direct ScoreAll
-  // walk for every kernel family: DistMult (dot), TransE (neg_l1), RESCAL
+  // The tiled slot-major full evaluator must agree with scoring every
+  // entity directly (ScoreCandidates) for every kernel family: DistMult (dot), TransE (neg_l1), RESCAL
   // (dot through a relation matrix) and RotatE (complex distance). The
   // 100-entity tile is a width no kernel strip divides, and splits the 500
   // entities into five tiles, so the answer take-back at each tile's
@@ -353,6 +354,8 @@ TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
       options.entity_tile = entity_tile;
       const FullEvalResult result =
           EvaluateFullRanking(*model, dataset, filter, Split::kTest, options);
+      std::vector<int32_t> all(dataset.num_entities());
+      std::iota(all.begin(), all.end(), 0);
       std::vector<float> scores(dataset.num_entities());
       for (int64_t i = 0; i < options.max_triples; ++i) {
         const Triple& triple = dataset.test()[i];
@@ -361,7 +364,8 @@ TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
           const bool tail_dir = dir == QueryDirection::kTail;
           const int32_t anchor = tail_dir ? triple.head : triple.tail;
           const int32_t truth = tail_dir ? triple.tail : triple.head;
-          model->ScoreAll(anchor, triple.relation, dir, scores.data());
+          model->ScoreCandidates(anchor, triple.relation, dir, all.data(),
+                                 all.size(), scores.data());
           const std::vector<int32_t>* answers =
               filter.Answers(triple, dir);
           ASSERT_NE(answers, nullptr);
@@ -465,21 +469,7 @@ TEST(SlotMajorEvaluatorTest, PoolsWiderThanOneTileMatchScalar) {
   }
 }
 
-TEST(ScoreTriplesTest, MatchesScoreTriple) {
-  const Dataset dataset = SynthDataset();
-  auto model = CreateModel(ModelType::kComplEx, dataset.num_entities(),
-                           dataset.num_relations(), SmallOptions())
-                   .ValueOrDie();
-  const size_t n = 100;
-  std::vector<float> batched(n);
-  ScoreTriples(*model, dataset.test().data(), n, batched.data());
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(batched[i], model->ScoreTriple(dataset.test()[i]), 1e-5)
-        << "triple " << i;
-  }
-}
-
-TEST(ScoreTriplesTest, WithNegativesMatchesIndependentPasses) {
+TEST(ScoreTriplesTest, WithNegativesMatchesOneTripleAtATime) {
   const Dataset dataset = SynthDataset();
   const size_t n = 60;
   constexpr size_t kNeg = 2;
@@ -502,10 +492,17 @@ TEST(ScoreTriplesTest, WithNegativesMatchesIndependentPasses) {
     std::vector<float> pos(n), neg(n * kNeg);
     ScoreTriplesWithNegatives(*model, dataset.test().data(), n,
                               negatives.data(), kNeg, pos.data(), neg.data());
+    const auto score_one = [&model](const Triple& t) {
+      float score = 0.0f;
+      model->ScoreCandidates(t.head, t.relation, QueryDirection::kTail,
+                             &t.tail, 1, &score);
+      return score;
+    };
     std::vector<float> want_pos(n), want_neg(n * kNeg);
-    ScoreTriples(*model, dataset.test().data(), n, want_pos.data());
-    ScoreTriples(*model, negatives.data(), negatives.size(),
-                 want_neg.data());
+    for (size_t i = 0; i < n; ++i) want_pos[i] = score_one(dataset.test()[i]);
+    for (size_t i = 0; i < negatives.size(); ++i) {
+      want_neg[i] = score_one(negatives[i]);
+    }
     EXPECT_EQ(pos, want_pos) << ModelTypeName(type);
     EXPECT_EQ(neg, want_neg) << ModelTypeName(type);
   }

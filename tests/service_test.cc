@@ -3,8 +3,16 @@
 // promise in docs/PROTOCOL.md — including the promise that the document
 // itself covers every verb in the command table.
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -268,11 +276,98 @@ TEST_F(ServiceTest, EvalOfHeaderOnlyCheckpointFailsAndServerStaysUp) {
   // TransE entity table must come back as ERR eval-failed, not as a 32 GiB
   // allocation that takes the server down.
   const std::string path = scratch_->path() + "/header_only.ckpt";
-  WriteHeaderOnlyCheckpoint(path, ModelType::kTransE, 1 << 27, 1, 64, 0, 2);
+  WriteHeaderOnlyCheckpoint(path, ModelType::kTransE, 1 << 27, 1, 64, 2);
   LineClient client = ConnectAndGreet();
   const std::string reply = Request(client, "EVAL " + path);
   EXPECT_EQ(reply.rfind("ERR eval-failed", 0), 0u) << reply;
   EXPECT_EQ(Request(client, "PING"), "OK pong");
+}
+
+/// A one-executor server with codex-s preloaded, and a FIFO no one
+/// writes: one EVAL parked in open(2) on it would wedge the only executor,
+/// and Shutdown would join that executor forever.
+class FifoServer {
+ public:
+  static constexpr double kPromptS = 2.0;
+
+  explicit FifoServer(std::string fifo) : fifo_(std::move(fifo)) {
+    EXPECT_EQ(::mkfifo(fifo_.c_str(), 0600), 0) << std::strerror(errno);
+    EvalServer::Options options;
+    options.executor_threads = 1;
+    options.preload_dataset = "codex-s";
+    auto server = EvalServer::Start(options);
+    EXPECT_TRUE(server.ok()) << server.status().ToString();
+    if (server.ok()) server_ = std::move(server).ValueOrDie();
+  }
+
+  ~FifoServer() {
+    Release();
+    server_.reset();
+    std::filesystem::remove(fifo_);
+  }
+
+  bool ok() const { return server_ != nullptr; }
+  const std::string& fifo() const { return fifo_; }
+  EvalServer& server() { return *server_; }
+
+  /// Connects with a short receive timeout: a reply that is not back
+  /// within it counts as a wedged executor.
+  LineClient Connect() {
+    auto client = LineClient::Connect("127.0.0.1", server_->port(), kPromptS);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    EXPECT_TRUE(client.ValueOrDie().ReadLine().ok());  // banner
+    return std::move(client).ValueOrDie();
+  }
+
+  /// Opening the write end wakes a reader parked in open(2), so a
+  /// regression fails its test instead of hanging the suite.
+  void Release() {
+    const int fd = ::open(fifo_.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+  }
+
+ private:
+  std::string fifo_;
+  std::unique_ptr<EvalServer> server_;
+};
+
+TEST_F(ServiceTest, FifoEvalFailsAtOnceAndTheExecutorStaysFree) {
+  FifoServer fifo(scratch_->path() + "/answered.ckpt");
+  ASSERT_TRUE(fifo.ok());
+  LineClient client = fifo.Connect();
+  ASSERT_TRUE(client.SendLine("EVAL " + fifo.fifo()).ok());
+  auto reply = client.ReadReply();
+  if (!reply.ok()) fifo.Release();
+  ASSERT_TRUE(reply.ok()) << "no reply within " << FifoServer::kPromptS
+                          << " s: " << reply.status().ToString();
+  EXPECT_EQ(reply.ValueOrDie().back().rfind("ERR eval-failed", 0), 0u)
+      << reply.ValueOrDie().back();
+
+  // The only executor is free again: an EVAL on another connection is
+  // answered.
+  LineClient other = fifo.Connect();
+  ASSERT_TRUE(other.SendLine("EVAL " + CkptPath(0)).ok());
+  auto next = other.ReadReply();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.ValueOrDie().back().rfind("OK ", 0), 0u)
+      << next.ValueOrDie().back();
+}
+
+TEST_F(ServiceTest, ShutdownIsPromptAfterAFifoEval) {
+  FifoServer fifo(scratch_->path() + "/shutdown.ckpt");
+  ASSERT_TRUE(fifo.ok());
+  LineClient client = fifo.Connect();
+  ASSERT_TRUE(client.SendLine("EVAL " + fifo.fifo()).ok());
+  // Whatever the reply, this gives the executor time to take the command.
+  (void)client.ReadReply();
+  auto shutdown = std::async(std::launch::async,
+                             [&fifo] { fifo.server().Shutdown(); });
+  if (shutdown.wait_for(std::chrono::seconds(1)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "Shutdown still running 1 s after a FIFO EVAL";
+    fifo.Release();
+  }
+  shutdown.wait();
 }
 
 TEST_F(ServiceTest, EvalProtocolArgumentSelectsProtocolFamily) {
@@ -538,7 +633,13 @@ TEST(ServiceStartupTest, PreloadCompletesBeforeStartReturns) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   // Start() returning means the preload LOAD already finished: the first
   // client can never observe a no-dataset window.
-  EXPECT_EQ(server.ValueOrDie()->service().loaded_name(), "codex-s");
+  auto client = LineClient::Connect("127.0.0.1", server.ValueOrDie()->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client.ValueOrDie().ReadLine().ok());  // banner
+  ASSERT_TRUE(client.ValueOrDie().SendLine("STATS").ok());
+  auto reply = client.ValueOrDie().ReadReply();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(ParseKeyValues(reply.ValueOrDie().back())["dataset"], "codex-s");
 }
 
 TEST_F(ServiceTest, StatsReportsDatasetAndCounters) {

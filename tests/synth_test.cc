@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -87,8 +88,10 @@ uint64_t OutputDigest(const SynthOutput& out) {
   }
   fnv.Add(static_cast<uint64_t>(out.noisy_test_indices.size()));
   for (int64_t i : out.noisy_test_indices) fnv.Add(static_cast<uint64_t>(i));
-  for (const std::string& label : d.entity_labels()) fnv.Add(label);
-  for (const std::string& label : d.relation_labels()) fnv.Add(label);
+  for (int32_t e = 0; e < d.num_entities(); ++e) fnv.Add(d.EntityLabel(e));
+  for (int32_t r = 0; r < d.num_relations(); ++r) {
+    fnv.Add(d.RelationLabel(r));
+  }
   return fnv.value();
 }
 
@@ -261,26 +264,36 @@ TEST_F(GeneratorTest, NonNoiseTriplesRespectSignatures) {
     if (noisy.count(static_cast<int64_t>(i))) continue;
     const Triple& t = d.test()[i];
     const RelationProfile& profile = output_->profiles[t.relation];
-    bool head_ok = false;
-    for (int32_t type : profile.domain_types) {
-      if (output_->true_types.HasType(t.head, type)) head_ok = true;
-    }
-    bool tail_ok = false;
-    for (int32_t type : profile.range_types) {
-      if (output_->true_types.HasType(t.tail, type)) tail_ok = true;
-    }
+    const auto has_any = [&](int32_t entity,
+                             const std::vector<int32_t>& wanted) {
+      const std::vector<int32_t>& types = output_->true_types.TypesOf(entity);
+      return std::any_of(wanted.begin(), wanted.end(), [&](int32_t type) {
+        return std::binary_search(types.begin(), types.end(), type);
+      });
+    };
+    const bool head_ok = has_any(t.head, profile.domain_types);
+    const bool tail_ok = has_any(t.tail, profile.range_types);
     EXPECT_TRUE(head_ok) << "test triple " << i;
     EXPECT_TRUE(tail_ok) << "test triple " << i;
   }
 }
 
 TEST_F(GeneratorTest, LabelsAttached) {
+  // Generated labels name the primary type ("T<type>_E<id>",
+  // "rel<id>_d..."); the unlabeled fallbacks are plain "E<id>" / "R<id>".
   const Dataset& d = output_->dataset;
-  EXPECT_EQ(d.entity_labels().size(),
-            static_cast<size_t>(d.num_entities()));
-  EXPECT_EQ(d.relation_labels().size(),
-            static_cast<size_t>(d.num_relations()));
-  EXPECT_NE(d.EntityLabel(0).find("E0"), std::string::npos);
+  const int32_t last_entity = d.num_entities() - 1;
+  const int32_t last_relation = d.num_relations() - 1;
+  EXPECT_EQ(d.EntityLabel(0).rfind("T", 0), 0u) << d.EntityLabel(0);
+  EXPECT_NE(d.EntityLabel(0).find("_E0"), std::string::npos);
+  EXPECT_NE(d.EntityLabel(last_entity)
+                .find("_E" + std::to_string(last_entity)),
+            std::string::npos)
+      << d.EntityLabel(last_entity);
+  EXPECT_EQ(d.RelationLabel(last_relation)
+                .rfind("rel" + std::to_string(last_relation) + "_", 0),
+            0u)
+      << d.RelationLabel(last_relation);
 }
 
 TEST(GeneratorDeterminismTest, SameSeedSameData) {
@@ -365,7 +378,7 @@ TEST(GeneratorConfigTest, SparseTypeGroupsKeepSignaturesNonEmpty) {
     const RelationProfile& profile = out.profiles[r];
     ASSERT_FALSE(profile.domain_types.empty()) << "relation " << r;
     ASSERT_FALSE(profile.range_types.empty()) << "relation " << r;
-    EXPECT_EQ(out.dataset.relation_labels()[r],
+    EXPECT_EQ(out.dataset.RelationLabel(r),
               "rel" + std::to_string(r) + "_d" +
                   std::to_string(profile.domain_types[0]) + "_r" +
                   std::to_string(profile.range_types[0]));

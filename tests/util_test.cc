@@ -48,14 +48,12 @@ TEST(ResultTest, HoldsValue) {
   Result<int> r(42);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), 42);
-  EXPECT_EQ(r.ValueOr(-1), 42);
 }
 
 TEST(ResultTest, HoldsError) {
   Result<int> r(Status::NotFound("nope"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(r.ValueOr(-1), -1);
 }
 
 TEST(ReturnNotOkTest, PropagatesError) {
@@ -102,19 +100,6 @@ TEST(RngTest, DoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(RngTest, GaussianMomentsRoughlyStandard) {
-  Rng rng(31);
-  double sum = 0.0, sum_sq = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double g = rng.NextGaussian();
-    sum += g;
-    sum_sq += g * g;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
 }
 
 TEST(RngTest, ShuffleIsPermutation) {
@@ -221,7 +206,6 @@ TEST(TextTableTest, AlignsColumns) {
   const std::string out = table.ToString();
   EXPECT_NE(out.find("name"), std::string::npos);
   EXPECT_NE(out.find("longer"), std::string::npos);
-  EXPECT_EQ(table.num_rows(), 2u);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
