@@ -9,15 +9,6 @@
 namespace kgeval {
 namespace {
 
-struct U64Hash {
-  size_t operator()(uint64_t key) const {
-    key ^= key >> 33;
-    key *= 0xFF51AFD7ED558CCDULL;
-    key ^= key >> 33;
-    return static_cast<size_t>(key);
-  }
-};
-
 /// Sorted union of a sorted set with another sorted set.
 std::vector<int32_t> SortedUnion(const std::vector<int32_t>& a,
                                  const std::vector<int32_t>& b) {
@@ -30,22 +21,6 @@ std::vector<int32_t> SortedUnion(const std::vector<int32_t>& a,
 
 /// Quantile thresholds tried per column by BuildStaticSets.
 constexpr int32_t kStaticThresholdGrid = 24;
-
-/// Validation entities observed per slot (deduplicated).
-std::vector<std::vector<int32_t>> ValidEntitiesPerSlot(
-    const Dataset& dataset) {
-  const int32_t num_r = dataset.num_relations();
-  std::vector<std::vector<int32_t>> out(2 * num_r);
-  for (const Triple& t : dataset.valid()) {
-    out[t.relation].push_back(t.head);
-    out[t.relation + num_r].push_back(t.tail);
-  }
-  for (auto& v : out) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -68,7 +43,7 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
   KGEVAL_CHECK_EQ(by_set.rows(), num_slots);
 
   const ObservedSets seen(dataset, {Split::kTrain});
-  const auto valid_per_slot = ValidEntitiesPerSlot(dataset);
+  const ObservedSets valid(dataset, {Split::kValid});
 
   CandidateSets out;
   out.sets.resize(num_slots);
@@ -91,7 +66,7 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
               [](const auto& a, const auto& b) { return a.first > b.first; });
 
     const std::vector<int32_t>& seen_set = seen.Set(slot);
-    const std::vector<int32_t>& valid_entities = valid_per_slot[slot];
+    const std::vector<int32_t>& valid_entities = valid.Set(slot);
 
     // Candidate thresholds: a quantile grid over the distinct scores.
     std::vector<float> grid;
@@ -226,7 +201,7 @@ SetQuality EvaluateSetQuality(const CandidateSets& sets,
   const ObservedSets seen(dataset, {Split::kTrain, Split::kValid});
 
   SetQuality q;
-  std::unordered_set<uint64_t, U64Hash> visited;
+  std::unordered_set<uint64_t, PairHash> visited;
   double rr_acc = 0.0;
   for (const Triple& t : dataset.test()) {
     const std::pair<int32_t, int32_t> slot_pairs[2] = {

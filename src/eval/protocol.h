@@ -74,14 +74,6 @@ class FilterIndex {
                           size_t query_block, EvalSchedule* schedule) const;
 
  private:
-  struct PairHash {
-    size_t operator()(uint64_t key) const {
-      key ^= key >> 33;
-      key *= 0xFF51AFD7ED558CCDULL;
-      key ^= key >> 33;
-      return static_cast<size_t>(key);
-    }
-  };
   using AnswerMap =
       std::unordered_map<uint64_t, std::vector<int32_t>, PairHash>;
 

@@ -6,17 +6,8 @@
 namespace kgeval {
 namespace {
 
-struct U64Hash {
-  size_t operator()(uint64_t key) const {
-    key ^= key >> 33;
-    key *= 0xFF51AFD7ED558CCDULL;
-    key ^= key >> 33;
-    return static_cast<size_t>(key);
-  }
-};
-
 int64_t CountDistinctPairs(const std::vector<Triple>& triples) {
-  std::unordered_set<uint64_t, U64Hash> hr, rt;
+  std::unordered_set<uint64_t, PairHash> hr, rt;
   hr.reserve(triples.size() * 2);
   rt.reserve(triples.size() * 2);
   for (const Triple& t : triples) {

@@ -1,6 +1,7 @@
 #ifndef KGEVAL_GRAPH_TRIPLE_H_
 #define KGEVAL_GRAPH_TRIPLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -38,15 +39,22 @@ inline uint64_t PackPair(int32_t a, int32_t b) {
          static_cast<uint32_t>(b);
 }
 
+/// Mixes a 64-bit key (a PackPair key, say) for hash containers: the
+/// first round of the murmur3 64-bit finaliser.
+struct PairHash {
+  size_t operator()(uint64_t key) const {
+    key ^= key >> 33;
+    key *= 0xFF51AFD7ED558CCDULL;
+    key ^= key >> 33;
+    return static_cast<size_t>(key);
+  }
+};
+
 struct TripleHash {
   size_t operator()(const Triple& t) const {
-    uint64_t x = PackPair(t.head, t.tail) ^
-                 (static_cast<uint64_t>(static_cast<uint32_t>(t.relation))
-                  << 13);
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDULL;
-    x ^= x >> 33;
-    return static_cast<size_t>(x);
+    return PairHash()(
+        PackPair(t.head, t.tail) ^
+        (static_cast<uint64_t>(static_cast<uint32_t>(t.relation)) << 13));
   }
 };
 

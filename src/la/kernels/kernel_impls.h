@@ -3,21 +3,29 @@
 
 #include "la/kernels/kernels.h"
 
+// x86-64 under GCC or Clang: the toolchains whose function-level `target`
+// attributes let one binary carry the AVX2 and AVX-512 tables. Elsewhere the
+// registry holds the scalar table alone.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define KGEVAL_X86_SIMD_KERNELS 1
+#endif
+
+#if defined(KGEVAL_X86_SIMD_KERNELS)
+
 namespace kgeval {
 namespace kernel_impls {
 
-/// Per-ISA kernel tables for the registry. Each accessor returns nullptr
-/// when its translation unit could not compile the implementation (wrong
-/// architecture or a toolchain without the target attribute) — the registry
-/// just skips nulls, so adding an ISA is one TU plus one line in kernels.cc.
-/// "Compiled in" is independent of "supported on this CPU"; the registry
-/// probes support separately before dispatching.
+/// Per-ISA kernel tables for the registry (kernels.cc). Each SIMD file is
+/// one `Isa` description (vector type, lane count, widest strip and the
+/// handful of intrinsics the sweep uses) around the shared sweep in
+/// simd_sweep.inc, so adding an ISA is one `Isa` description plus one
+/// registry line. "Compiled in" is independent of "supported on this CPU";
+/// the registry probes support before dispatching.
 
-const ScoreKernels* Avx2Kernels();    // x86-64, 8-lane AVX2.
-const ScoreKernels* Avx512Kernels();  // x86-64, 16-lane AVX-512F.
+const ScoreKernels* Avx2Kernels();    // 8-lane AVX2.
+const ScoreKernels* Avx512Kernels();  // 16-lane AVX-512F.
 
-/// The AVX2 tile gather, shared by the AVX2 and AVX-512 tables. Defined
-/// only where Avx2Kernels() is non-null.
+/// The AVX2 tile gather, shared by the AVX2 and AVX-512 tables.
 void GatherTAvx2(const float* table, size_t cols, const int32_t* ids,
                  size_t n, float* out);
 
@@ -27,5 +35,7 @@ bool Avx512Supported();
 
 }  // namespace kernel_impls
 }  // namespace kgeval
+
+#endif  // KGEVAL_X86_SIMD_KERNELS
 
 #endif  // KGEVAL_LA_KERNELS_KERNEL_IMPLS_H_

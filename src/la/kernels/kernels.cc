@@ -12,8 +12,8 @@ namespace kgeval {
 namespace {
 
 struct Registered {
-  const ScoreKernels* kernels;  // nullptr when not compiled into this binary.
-  bool (*supported)();          // CPU probe; nullptr = always supported.
+  const ScoreKernels* kernels;
+  bool (*supported)();  // CPU probe.
 };
 
 bool AlwaysSupported() { return true; }
@@ -27,17 +27,20 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return joined;
 }
 
-/// Widest first: auto-selection walks this in order and takes the first
-/// compiled + supported entry. The scalar baseline terminates the walk.
+/// Every table compiled into this binary, widest first: auto-selection
+/// walks this in order and takes the first supported entry. The scalar
+/// baseline terminates the walk.
 const Registered kRegistry[] = {
+#if defined(KGEVAL_X86_SIMD_KERNELS)
     {kernel_impls::Avx512Kernels(), kernel_impls::Avx512Supported},
     {kernel_impls::Avx2Kernels(), kernel_impls::Avx2Supported},
+#endif
     {&ScalarScoreKernels(), AlwaysSupported},
 };
 
 const ScoreKernels* FindCompiled(const std::string& name) {
   for (const Registered& r : kRegistry) {
-    if (r.kernels != nullptr && name == r.kernels->name) return r.kernels;
+    if (name == r.kernels->name) return r.kernels;
   }
   return nullptr;
 }
@@ -51,7 +54,7 @@ bool IsSupported(const ScoreKernels* kernels) {
 
 const ScoreKernels* ProbeWidest() {
   for (const Registered& r : kRegistry) {
-    if (r.kernels != nullptr && r.supported()) return r.kernels;
+    if (r.supported()) return r.kernels;
   }
   return &ScalarScoreKernels();  // Unreachable: scalar is always registered.
 }
@@ -79,16 +82,14 @@ void InitActive() {
 
 std::vector<std::string> CompiledScoreKernelNames() {
   std::vector<std::string> names;
-  for (const Registered& r : kRegistry) {
-    if (r.kernels != nullptr) names.push_back(r.kernels->name);
-  }
+  for (const Registered& r : kRegistry) names.push_back(r.kernels->name);
   return names;
 }
 
 std::vector<std::string> SupportedScoreKernelNames() {
   std::vector<std::string> names;
   for (const Registered& r : kRegistry) {
-    if (r.kernels != nullptr && r.supported()) names.push_back(r.kernels->name);
+    if (r.supported()) names.push_back(r.kernels->name);
   }
   return names;
 }

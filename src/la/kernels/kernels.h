@@ -13,12 +13,14 @@ namespace kgeval {
 /// One implementation of the scoring core's hot loops, selected once at
 /// startup by a CPU-feature probe (overridable with KGEVAL_KERNELS=<name> or
 /// a server/bench --kernels flag). Every binary carries every implementation
-/// its compiler could emit — the wide paths live in their own translation
-/// units behind `target` attributes, so even a KGEVAL_NATIVE=OFF build
-/// dispatches to AVX2/AVX-512 at runtime when the CPU has them.
+/// its compiler could emit — on x86-64 the wide paths are one query-blocked
+/// sweep (simd_sweep.inc) compiled once per ISA in its own translation unit
+/// behind `target` attributes, so even a KGEVAL_NATIVE=OFF build dispatches
+/// to AVX2/AVX-512 at runtime when the CPU has them. Adding an ISA is one
+/// `Isa` description plus one registry line (kernels.cc).
 ///
 /// `gather_t` builds a transposed candidate tile (`dim` rows by `n`
-/// contiguous candidate lanes, the GatherRowsT layout); the three scoring
+/// contiguous candidate lanes, CandidateBlock::gathered_t); the three scoring
 /// kernels score `nq` query rows against such a tile: out[q * n + c] is
 /// query q's score of candidate c.
 ///

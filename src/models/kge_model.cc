@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "la/kernels/kernels.h"
 #include "la/vector_ops.h"
 #include "models/complex.h"
 #include "models/conve.h"
@@ -83,22 +84,28 @@ void KgeModel::ScoreWithQuery(const Matrix& queries, size_t q,
 void KgeModel::ScorePool(const Matrix& queries, const CandidateBlock& block,
                          float* pool_scores) const {
   const size_t n = block.size();
+  const size_t nq = queries.rows();
+  const size_t dim = queries.cols();
+  const float* tile = block.gathered_t.data();
+  KGEVAL_CHECK(dim == block.gathered_t.rows());
+  const ScoreKernels& kernels = ActiveScoreKernels();
   switch (batch_kernel()) {
     case BatchKernel::kDot:
-      DotScoreBatch(queries, block.gathered_t, pool_scores);
+      kernels.dot(queries.data(), nq, dim, tile, n, pool_scores);
       if (!block.bias.empty()) {
-        for (size_t q = 0; q < queries.rows(); ++q) {
+        for (size_t q = 0; q < nq; ++q) {
           float* row = pool_scores + q * n;
           for (size_t c = 0; c < n; ++c) row[c] += block.bias[c];
         }
       }
       return;
     case BatchKernel::kNegL1:
-      NegL1ScoreBatch(queries, block.gathered_t, pool_scores);
+      kernels.neg_l1(queries.data(), nq, dim, tile, n, pool_scores);
       return;
     case BatchKernel::kNegComplexDist:
-      NegComplexDistScoreBatch(queries, block.gathered_t, batch_kernel_eps(),
-                               pool_scores);
+      KGEVAL_CHECK(dim % 2 == 0);
+      kernels.neg_complex_dist(queries.data(), nq, dim, tile, n,
+                               batch_kernel_eps(), pool_scores);
       return;
   }
 }
@@ -131,7 +138,16 @@ void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const {
   block->ids.assign(candidates, candidates + n);
   block->sorted = std::is_sorted(candidates, candidates + n);
-  GatherRowsT(candidate_embeddings(), candidates, n, &block->gathered_t);
+  // The tile is the pool's rows transposed (dim x n): candidates become
+  // the contiguous axis, so every kernel scores them as independent lanes.
+  const Matrix& table = candidate_embeddings();
+  for (size_t c = 0; c < n; ++c) {
+    KGEVAL_DCHECK(candidates[c] >= 0 &&
+                  static_cast<size_t>(candidates[c]) < table.rows());
+  }
+  block->gathered_t.Resize(table.cols(), n);
+  ActiveScoreKernels().gather_t(table.data(), table.cols(), candidates, n,
+                                block->gathered_t.data());
   block->bias.clear();
   const Matrix* bias = candidate_bias();
   if (bias != nullptr) {

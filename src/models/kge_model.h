@@ -118,18 +118,6 @@ class KgeModel {
                                   int32_t relation, QueryDirection direction,
                                   Matrix* queries) const = 0;
 
-  /// Scores candidates[0..n) against query row q of a BuildKernelQueries
-  /// matrix, reading raw embedding rows (no prepared tile). This is the
-  /// scalar reference reduction: the batched tile path is bit-identical to
-  /// it per cell.
-  void ScoreWithQuery(const Matrix& queries, size_t q,
-                      const int32_t* candidates, size_t n, float* out) const;
-
-  /// Scores every query row against a prepared pool through the active
-  /// dispatch kernel: pool_scores[q * block.size() + c].
-  void ScorePool(const Matrix& queries, const CandidateBlock& block,
-                 float* pool_scores) const;
-
   /// --------------------------------------------------------------------------
 
   /// Scores `n` candidate entities for a query. For kTail queries the anchor
@@ -219,6 +207,19 @@ class KgeModel {
   int32_t num_entities_;
   int32_t num_relations_;
   ModelOptions options_;
+
+ private:
+  /// Scores candidates[0..n) against query row q of a BuildKernelQueries
+  /// matrix, reading raw embedding rows (no prepared tile). This is the
+  /// scalar reference reduction: the batched tile path is bit-identical to
+  /// it per cell.
+  void ScoreWithQuery(const Matrix& queries, size_t q,
+                      const int32_t* candidates, size_t n, float* out) const;
+
+  /// Scores every query row against a prepared pool through the active
+  /// dispatch kernel: pool_scores[q * block.size() + c].
+  void ScorePool(const Matrix& queries, const CandidateBlock& block,
+                 float* pool_scores) const;
 };
 
 /// Fused positive/corruption triple scoring: positives[i] and its k

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "la/kernels/kernel_impls.h"
 #include "la/kernels/kernels.h"
 #include "models/kge_model.h"
 #include "util/rng.h"
@@ -74,6 +75,18 @@ TEST(KernelRegistryTest, SelectScalarThenAutoRestoresWidestPath) {
   // widest-first).
   EXPECT_EQ(ActiveScoreKernelName(), SupportedScoreKernelNames().front());
 }
+
+// The parity tests below iterate only the supported names, so a broken x86
+// guard that dropped both SIMD tables would pass them all. This pins the
+// tables an x86-64 GCC/Clang build must compile, whatever the CPU runs.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+TEST(KernelRegistryTest, X86BuildsCompileBothSimdTablesSharingOneGather) {
+  EXPECT_EQ(CompiledScoreKernelNames(),
+            (std::vector<std::string>{"avx512", "avx2", "scalar"}));
+  EXPECT_EQ(kernel_impls::Avx512Kernels()->gather_t,
+            kernel_impls::Avx2Kernels()->gather_t);
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Dispatched-vs-scalar bit equality: every supported implementation must

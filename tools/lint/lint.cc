@@ -680,7 +680,8 @@ std::vector<Finding> LintRepo(const std::string& root) {
     for (const auto& entry : fs::recursive_directory_iterator(src)) {
       if (!entry.is_regular_file()) continue;
       const std::string ext = entry.path().extension().string();
-      if (ext == ".h" || ext == ".cc" || ext == ".cpp") {
+      // .inc: textual fragments (simd_sweep.inc) compiled into .cc files.
+      if (ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".inc") {
         files.push_back(entry.path());
       }
     }

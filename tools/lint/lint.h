@@ -80,9 +80,9 @@ std::vector<Finding> LintSourceFile(const std::string& relpath,
 /// `root` are skipped, so fixture trees can exercise one rule at a time.
 std::vector<Finding> LintDocConsistency(const std::string& root);
 
-/// The whole repo: every .h/.cc/.cpp under root/src plus root/CMakeLists.txt
-/// through the file rules, then the doc-consistency rules. Findings are
-/// sorted (file, line, rule) for stable output.
+/// The whole repo: every .h/.cc/.cpp/.inc under root/src plus
+/// root/CMakeLists.txt through the file rules, then the doc-consistency
+/// rules. Findings are sorted (file, line, rule) for stable output.
 std::vector<Finding> LintRepo(const std::string& root);
 
 }  // namespace lint
