@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <numeric>
 
+#include "core/candidate_sets.h"
 #include "recommenders/easy_negatives.h"
 #include "recommenders/recommender.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/gate_data.h"
 
 namespace kgeval {
 namespace {
@@ -271,6 +275,111 @@ TEST(EasyNegativesTest, MaxExamplesCap) {
       CreateRecommender(RecommenderType::kPt)->Fit(d).ValueOrDie();
   const EasyNegativeReport report = MineEasyNegatives(scores, d, 3);
   EXPECT_LE(report.examples.size(), 3u);
+}
+
+/// FNV-1a over little-endian 64-bit words: sizes, ids and float bits.
+class Fnv1a {
+ public:
+  void Add(uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (value >> (8 * i)) & 0xFF;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void AddFloat(float value) {
+    uint32_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(bits);
+  }
+  void AddInts(const std::vector<int32_t>& values) {
+    Add(values.size());
+    for (int32_t v : values) Add(static_cast<uint32_t>(v));
+  }
+  void AddFloats(const std::vector<float>& values) {
+    Add(values.size());
+    for (float v : values) AddFloat(v);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+uint64_t ScoresDigest(const CsrMatrix& m) {
+  Fnv1a fnv;
+  fnv.Add(static_cast<uint64_t>(m.rows()));
+  fnv.Add(static_cast<uint64_t>(m.cols()));
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    fnv.Add(static_cast<uint64_t>(m.RowBegin(r)));
+  }
+  fnv.Add(static_cast<uint64_t>(m.nnz()));
+  fnv.AddInts(m.col_idx());
+  fnv.AddFloats(m.values());
+  return fnv.value();
+}
+
+uint64_t SetsDigest(const CandidateSets& sets) {
+  Fnv1a fnv;
+  fnv.Add(static_cast<uint64_t>(sets.num_entities));
+  fnv.Add(sets.sets.size());
+  for (const auto& set : sets.sets) fnv.AddInts(set);
+  fnv.Add(sets.weights.size());
+  for (const auto& weights : sets.weights) fnv.AddFloats(weights);
+  fnv.AddFloats(sets.thresholds);
+  return fnv.value();
+}
+
+struct RecommenderDigests {
+  uint64_t by_set;
+  uint64_t static_sets;
+  uint64_t probabilistic_sets;
+};
+
+// FNV-1a digests on scaled codex-s, in kAllRecommenders order: the
+// set-major score matrix (shape, row offsets, column ids, value bits), the
+// Static sets with their threshold bits and the Probabilistic sets with
+// their weight bits. Every recommender, candidate set, weight and threshold
+// is part of the determinism contract, so a change to how the score matrix
+// or the sets are built has to keep these bytes.
+constexpr RecommenderDigests kGoldenDigests[] = {
+    {0x9548CC155649D9B6ULL, 0xEAED4CE61FF7291EULL,
+     0xD58906E258E8A068ULL},  // PT
+    {0xF56F2FBBD61995D7ULL, 0xD0D33F632F846E8FULL,
+     0x516E58E2C0D7AA05ULL},  // DBH
+    {0xD3A3FF0D3756E0F9ULL, 0xD03814D252846108ULL,
+     0x118EBB2407A5F794ULL},  // DBH-T
+    {0x727C982ACF7B185FULL, 0x980C9C36C733183CULL,
+     0xD780BC28130A5C72ULL},  // OntoSim
+    {0x9195B248675C1ECAULL, 0xA7D36F6DB71B4BE3ULL,
+     0x019928F194368ACCULL},  // L-WD
+    {0x6AA97124EE00714EULL, 0x0F6C80ECFD6108B3ULL,
+     0x72EB0AA2055453ADULL},  // L-WD-T
+    {0x6A292E188A0E2561ULL, 0x52F3F49F487DCE13ULL,
+     0x5F0E22A5FBAA8E2EULL},  // PIE
+};
+static_assert(std::size(kGoldenDigests) == std::size(kAllRecommenders),
+              "one golden digest triple per recommender");
+
+TEST_P(RecommenderParamTest, GoldenDigests) {
+  const Dataset d = CodexS();
+  const RecommenderScores scores =
+      CreateRecommender(GetParam())->Fit(d).ValueOrDie();
+  const size_t index =
+      std::find(std::begin(kAllRecommenders), std::end(kAllRecommenders),
+                GetParam()) -
+      std::begin(kAllRecommenders);
+  const RecommenderDigests& golden = kGoldenDigests[index];
+  const uint64_t by_set = ScoresDigest(scores.by_set);
+  const uint64_t static_sets = SetsDigest(BuildStaticSets(scores, d));
+  const uint64_t probabilistic_sets =
+      SetsDigest(BuildProbabilisticSets(scores, d));
+  EXPECT_EQ(by_set, golden.by_set) << std::hex << std::uppercase
+                                   << "by_set 0x" << by_set;
+  EXPECT_EQ(static_sets, golden.static_sets)
+      << std::hex << std::uppercase << "static 0x" << static_sets;
+  EXPECT_EQ(probabilistic_sets, golden.probabilistic_sets)
+      << std::hex << std::uppercase << "probabilistic 0x"
+      << probabilistic_sets;
 }
 
 }  // namespace
