@@ -2,21 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/logging.h"
 
 namespace kgeval {
 namespace {
 
-/// Sorted union of a sorted set with another sorted set.
-std::vector<int32_t> SortedUnion(const std::vector<int32_t>& a,
-                                 const std::vector<int32_t>& b) {
-  std::vector<int32_t> out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
+/// The sorted entity ids of one row of an ObservedSlots matrix.
+struct SlotRow {
+  const int32_t* first;
+  const int32_t* last;
+  const int32_t* begin() const { return first; }
+  const int32_t* end() const { return last; }
+  size_t size() const { return static_cast<size_t>(last - first); }
+  bool Contains(int32_t entity) const {
+    return std::binary_search(first, last, entity);
+  }
+};
+
+SlotRow RowOf(const CsrMatrix& m, int64_t slot) {
+  const int32_t* ids = m.col_idx().data();
+  return {ids + m.RowBegin(slot), ids + m.RowEnd(slot)};
 }
 
 /// Quantile thresholds tried per column by BuildStaticSets.
@@ -42,8 +48,8 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
   const CsrMatrix& by_set = scores.by_set;
   KGEVAL_CHECK_EQ(by_set.rows(), num_slots);
 
-  const ObservedSets seen(dataset, {Split::kTrain});
-  const ObservedSets valid(dataset, {Split::kValid});
+  const CsrMatrix seen = ObservedSlots(dataset, {Split::kTrain});
+  const CsrMatrix valid = ObservedSlots(dataset, {Split::kValid});
 
   CandidateSets out;
   out.sets.resize(num_slots);
@@ -65,8 +71,7 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
 
-    const std::vector<int32_t>& seen_set = seen.Set(slot);
-    const std::vector<int32_t>& valid_entities = valid.Set(slot);
+    const SlotRow seen_set = RowOf(seen, slot);
 
     // Candidate thresholds: a quantile grid over the distinct scores.
     std::vector<float> grid;
@@ -88,17 +93,14 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
     // union size |{score >= tau} ∪ seen| is O(1) per threshold.
     std::vector<float> seen_scores;
     seen_scores.reserve(seen_set.size());
-    for (int32_t e : seen_set) {
-      seen_scores.push_back(scores.scores.At(e, slot));
-    }
+    for (int32_t e : seen_set) seen_scores.push_back(by_set.At(slot, e));
     std::sort(seen_scores.begin(), seen_scores.end(),
               std::greater<float>());
     std::vector<float> valid_scores;
     std::vector<bool> valid_seen;
-    for (int32_t e : valid_entities) {
-      valid_scores.push_back(scores.scores.At(e, slot));
-      valid_seen.push_back(
-          std::binary_search(seen_set.begin(), seen_set.end(), e));
+    for (int32_t e : RowOf(valid, slot)) {
+      valid_scores.push_back(by_set.At(slot, e));
+      valid_seen.push_back(seen_set.Contains(e));
     }
 
     float best_tau = entries.empty() ? 0.0f : entries.back().first;
@@ -140,7 +142,8 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
       if (score >= best_tau) members.push_back(entity);
     }
     std::sort(members.begin(), members.end());
-    out.sets[slot] = SortedUnion(members, seen_set);
+    std::set_union(members.begin(), members.end(), seen_set.begin(),
+                   seen_set.end(), std::back_inserter(out.sets[slot]));
     out.thresholds[slot] = best_tau;
   }
   return out;
@@ -154,7 +157,7 @@ CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
   const CsrMatrix& by_set = scores.by_set;
   KGEVAL_CHECK_EQ(by_set.rows(), num_slots);
 
-  const ObservedSets seen(dataset, {Split::kTrain});
+  const CsrMatrix seen = ObservedSlots(dataset, {Split::kTrain});
 
   CandidateSets out;
   out.sets.resize(num_slots);
@@ -176,7 +179,7 @@ CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
       // weight so they can always be drawn.
       const float floor_weight =
           std::isfinite(min_positive) ? min_positive : 1.0f;
-      for (int32_t e : seen.Set(slot)) {
+      for (int32_t e : RowOf(seen, slot)) {
         const auto it =
             std::lower_bound(members.begin(), members.end(), e);
         if (it != members.end() && *it == e) {
@@ -197,32 +200,28 @@ CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
 
 SetQuality EvaluateSetQuality(const CandidateSets& sets,
                               const Dataset& dataset) {
-  const int32_t num_r = dataset.num_relations();
-  const ObservedSets seen(dataset, {Split::kTrain, Split::kValid});
+  const CsrMatrix seen =
+      ObservedSlots(dataset, {Split::kTrain, Split::kValid});
+  const CsrMatrix test = ObservedSlots(dataset, {Split::kTest});
 
   SetQuality q;
-  std::unordered_set<uint64_t, PairHash> visited;
   double rr_acc = 0.0;
-  for (const Triple& t : dataset.test()) {
-    const std::pair<int32_t, int32_t> slot_pairs[2] = {
-        {t.relation, t.head},           // Domain slot.
-        {t.relation + num_r, t.tail}};  // Range slot.
-    for (const auto& [slot, entity] : slot_pairs) {
-      if (!visited.insert(PackPair(slot, entity)).second) continue;
-      const auto& members = sets.sets[slot];
+  // Every distinct test (slot, entity) pair once, slot by slot.
+  for (int32_t slot = 0; slot < test.rows(); ++slot) {
+    const auto& members = sets.sets[slot];
+    const double rr = 1.0 - static_cast<double>(members.size()) /
+                                static_cast<double>(sets.num_entities);
+    const SlotRow seen_set = RowOf(seen, slot);
+    for (int32_t entity : RowOf(test, slot)) {
       const bool covered =
           std::binary_search(members.begin(), members.end(), entity);
-      const bool was_seen = slot < num_r
-                                ? seen.InDomain(slot, entity)
-                                : seen.InRange(slot - num_r, entity);
       ++q.total_pairs;
       if (covered) ++q.covered_pairs;
-      if (!was_seen) {
+      if (!seen_set.Contains(entity)) {
         ++q.total_unseen;
         if (covered) ++q.covered_unseen;
       }
-      rr_acc += 1.0 - static_cast<double>(members.size()) /
-                          static_cast<double>(sets.num_entities);
+      rr_acc += rr;
     }
   }
   q.cr_test = q.total_pairs > 0 ? static_cast<double>(q.covered_pairs) /

@@ -1,7 +1,5 @@
 #include "graph/dataset.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -40,38 +38,70 @@ std::string Dataset::RelationLabel(int32_t r) const {
   return StrFormat("R%d", r);
 }
 
-ObservedSets::ObservedSets(const Dataset& dataset,
-                           const std::vector<Split>& splits)
-    : domains_(dataset.num_relations()), ranges_(dataset.num_relations()) {
+CsrMatrix ObservedSlots(const Dataset& dataset,
+                        std::initializer_list<Split> splits) {
+  const int32_t num_e = dataset.num_entities();
+  const int32_t num_r = dataset.num_relations();
+  const int64_t num_slots = 2LL * num_r;
+
+  // Counting sort by entity: the slots each entity occupied, one entry per
+  // occurrence.
+  std::vector<int64_t> by_entity(num_e + 1, 0);
   for (Split s : splits) {
     for (const Triple& t : dataset.split(s)) {
-      domains_[t.relation].push_back(t.head);
-      ranges_[t.relation].push_back(t.tail);
+      ++by_entity[t.head + 1];
+      ++by_entity[t.tail + 1];
     }
   }
-  auto sort_dedup = [](std::vector<int32_t>* v) {
-    std::sort(v->begin(), v->end());
-    v->erase(std::unique(v->begin(), v->end()), v->end());
-  };
-  for (auto& v : domains_) sort_dedup(&v);
-  for (auto& v : ranges_) sort_dedup(&v);
-}
+  for (int32_t e = 0; e < num_e; ++e) by_entity[e + 1] += by_entity[e];
+  std::vector<int32_t> entity_slots(by_entity[num_e]);
+  std::vector<int64_t> cursor(by_entity.begin(), by_entity.end() - 1);
+  std::vector<int64_t> row_ptr(num_slots + 1, 0);
+  for (Split s : splits) {
+    for (const Triple& t : dataset.split(s)) {
+      entity_slots[cursor[t.head]++] = t.relation;
+      entity_slots[cursor[t.tail]++] = t.relation + num_r;
+      ++row_ptr[t.relation + 1];
+      ++row_ptr[t.relation + num_r + 1];
+    }
+  }
+  for (int64_t slot = 0; slot < num_slots; ++slot) {
+    row_ptr[slot + 1] += row_ptr[slot];
+  }
 
-const std::vector<int32_t>& ObservedSets::Set(int32_t dr_index) const {
-  const int32_t num_r = num_relations();
-  KGEVAL_DCHECK(dr_index >= 0 && dr_index < 2 * num_r);
-  if (dr_index < num_r) return domains_[dr_index];
-  return ranges_[dr_index - num_r];
-}
+  // Stable counting sort by slot: entities arrive in ascending order, so a
+  // repeat is always the entry last written to its slot and only bumps its
+  // count.
+  std::vector<int32_t> col_idx(entity_slots.size());
+  std::vector<float> values(entity_slots.size());
+  std::vector<int64_t> end(row_ptr.begin(), row_ptr.end() - 1);
+  for (int32_t e = 0; e < num_e; ++e) {
+    for (int64_t k = by_entity[e]; k < by_entity[e + 1]; ++k) {
+      const int32_t slot = entity_slots[k];
+      if (end[slot] > row_ptr[slot] && col_idx[end[slot] - 1] == e) {
+        values[end[slot] - 1] += 1.0f;
+      } else {
+        col_idx[end[slot]] = e;
+        values[end[slot]++] = 1.0f;
+      }
+    }
+  }
 
-bool ObservedSets::InDomain(int32_t relation, int32_t entity) const {
-  const auto& v = domains_[relation];
-  return std::binary_search(v.begin(), v.end(), entity);
-}
-
-bool ObservedSets::InRange(int32_t relation, int32_t entity) const {
-  const auto& v = ranges_[relation];
-  return std::binary_search(v.begin(), v.end(), entity);
+  // Close the gaps the repeats left behind each row.
+  int64_t nnz = 0;
+  for (int64_t slot = 0; slot < num_slots; ++slot) {
+    const int64_t begin = row_ptr[slot];
+    row_ptr[slot] = nnz;
+    for (int64_t k = begin; k < end[slot]; ++k, ++nnz) {
+      col_idx[nnz] = col_idx[k];
+      values[nnz] = values[k];
+    }
+  }
+  row_ptr[num_slots] = nnz;
+  col_idx.resize(nnz);
+  values.resize(nnz);
+  return CsrMatrix(num_slots, num_e, std::move(row_ptr), std::move(col_idx),
+                   std::move(values));
 }
 
 }  // namespace kgeval

@@ -2,11 +2,13 @@
 #define KGEVAL_GRAPH_DATASET_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "graph/triple.h"
 #include "graph/type_store.h"
+#include "sparse/csr.h"
 
 namespace kgeval {
 
@@ -68,30 +70,15 @@ class Dataset {
   std::vector<std::string> relation_labels_;
 };
 
-/// Per-relation head/tail entity sets observed in given splits — exactly the
-/// PyKEEN "Pseudo-Typed" (PT) candidate sets, and the seen/unseen divider
-/// for Candidate Recall.
-class ObservedSets {
- public:
-  /// Builds sets from the listed splits of `dataset` (typically train, or
-  /// train+valid to mirror the paper's "seen" definition).
-  ObservedSets(const Dataset& dataset, const std::vector<Split>& splits);
-
-  /// Sorted entity ids seen as head (domain) or tail (range) of a
-  /// relation, by domain/range index in [0, 2|R|) (DomainRangeIndex).
-  const std::vector<int32_t>& Set(int32_t dr_index) const;
-
-  bool InDomain(int32_t relation, int32_t entity) const;
-  bool InRange(int32_t relation, int32_t entity) const;
-
-  int32_t num_relations() const {
-    return static_cast<int32_t>(domains_.size());
-  }
-
- private:
-  std::vector<std::vector<int32_t>> domains_;
-  std::vector<std::vector<int32_t>> ranges_;
-};
+/// Slot membership observed in the listed splits: a 2|R| x |E| matrix whose
+/// row DomainRangeIndex(r, d) lists the entities seen in that slot (domains
+/// [0, |R|), ranges [|R|, 2|R|)), sorted and distinct, each valued by its
+/// occurrence count. Over train it is PyKEEN's "Pseudo-Typed" (PT) sets and
+/// the DBH scores; over train+valid it is the seen/unseen divider for
+/// Candidate Recall. Built with two counting sorts (by entity, then stably
+/// by slot): no hashing and no comparison sort.
+CsrMatrix ObservedSlots(const Dataset& dataset,
+                        std::initializer_list<Split> splits);
 
 }  // namespace kgeval
 

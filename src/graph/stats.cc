@@ -1,29 +1,8 @@
 #include "graph/stats.h"
 
 #include <cmath>
-#include <unordered_set>
 
 namespace kgeval {
-namespace {
-
-int64_t CountDistinctPairs(const std::vector<Triple>& triples) {
-  std::unordered_set<uint64_t, PairHash> hr, rt;
-  hr.reserve(triples.size() * 2);
-  rt.reserve(triples.size() * 2);
-  for (const Triple& t : triples) {
-    hr.insert(PackPair(t.head, t.relation));
-    rt.insert(PackPair(t.relation, t.tail));
-  }
-  return static_cast<int64_t>(hr.size()) + static_cast<int64_t>(rt.size());
-}
-
-int64_t CountDistinctRelations(const std::vector<Triple>& triples) {
-  std::unordered_set<int32_t> rels;
-  for (const Triple& t : triples) rels.insert(t.relation);
-  return static_cast<int64_t>(rels.size());
-}
-
-}  // namespace
 
 DatasetStats ComputeDatasetStats(const Dataset& dataset) {
   DatasetStats stats;
@@ -34,9 +13,14 @@ DatasetStats ComputeDatasetStats(const Dataset& dataset) {
   stats.train_triples = static_cast<int64_t>(dataset.train().size());
   stats.valid_triples = static_cast<int64_t>(dataset.valid().size());
   stats.test_triples = static_cast<int64_t>(dataset.test().size());
-  stats.train_hr_rt_pairs = CountDistinctPairs(dataset.train());
-  stats.test_hr_rt_pairs = CountDistinctPairs(dataset.test());
-  stats.test_relations = CountDistinctRelations(dataset.test());
+  // A slot's row lists its distinct entities, so nnz() counts the distinct
+  // (h,r) pairs (domain rows) plus the distinct (r,t) pairs (range rows).
+  stats.train_hr_rt_pairs = ObservedSlots(dataset, {Split::kTrain}).nnz();
+  const CsrMatrix test = ObservedSlots(dataset, {Split::kTest});
+  stats.test_hr_rt_pairs = test.nnz();
+  for (int32_t r = 0; r < dataset.num_relations(); ++r) {
+    if (test.RowBegin(r) < test.RowEnd(r)) ++stats.test_relations;
+  }
   return stats;
 }
 

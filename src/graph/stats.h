@@ -25,7 +25,7 @@ struct DatasetStats {
   int64_t test_relations = 0;
 };
 
-/// Computes all statistics in one pass over the dataset.
+/// Computes all statistics; the pair and relation counts read ObservedSlots.
 DatasetStats ComputeDatasetStats(const Dataset& dataset);
 
 /// Table 3 arithmetic: total negative samples needed during a test-set

@@ -92,8 +92,7 @@ KpResult ComputeKp(const KgeModel& model, const Dataset& dataset, Split split,
       ComputeZeroDimPersistence(vertices.size(), positive_edges);
   const PersistenceDiagram negative =
       ComputeZeroDimPersistence(vertices.size(), negative_edges);
-  result.score =
-      SlicedWassersteinDistance(positive, negative, options.num_slices);
+  result.score = SlicedWassersteinDistance(positive, negative);
   result.positive_edges = static_cast<int64_t>(positive_edges.size());
   result.negative_edges = static_cast<int64_t>(negative_edges.size());
   result.seconds = timer.Seconds();

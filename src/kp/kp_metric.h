@@ -13,7 +13,6 @@ namespace kgeval {
 struct KpOptions {
   /// Number of triples sampled from the evaluation split for KP+ / KP-.
   int64_t num_samples = 2000;
-  int32_t num_slices = 16;
   uint64_t seed = 55;
 };
 

@@ -100,9 +100,8 @@ PersistenceDiagram ComputeZeroDimPersistence(
 }
 
 double SlicedWassersteinDistance(const PersistenceDiagram& a,
-                                 const PersistenceDiagram& b,
-                                 int32_t num_slices) {
-  KGEVAL_CHECK_GT(num_slices, 0);
+                                 const PersistenceDiagram& b) {
+  constexpr int32_t kNumSlices = 16;
   // Diagonal augmentation: each diagram receives the projections of the
   // other's points onto the diagonal, so both multisets have equal size.
   auto diagonal = [](const std::pair<float, float>& p) {
@@ -116,8 +115,8 @@ double SlicedWassersteinDistance(const PersistenceDiagram& a,
 
   double total = 0.0;
   std::vector<double> proj_a(pa.size()), proj_b(pb.size());
-  for (int32_t s = 0; s < num_slices; ++s) {
-    const double theta = M_PI * (static_cast<double>(s) + 0.5) / num_slices;
+  for (int32_t s = 0; s < kNumSlices; ++s) {
+    const double theta = M_PI * (static_cast<double>(s) + 0.5) / kNumSlices;
     const double cx = std::cos(theta), cy = std::sin(theta);
     for (size_t i = 0; i < pa.size(); ++i) {
       proj_a[i] = cx * pa[i].first + cy * pa[i].second;
@@ -133,7 +132,7 @@ double SlicedWassersteinDistance(const PersistenceDiagram& a,
     }
     total += dist;
   }
-  return total / num_slices;
+  return total / kNumSlices;
 }
 
 }  // namespace kgeval

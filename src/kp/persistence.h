@@ -30,12 +30,11 @@ PersistenceDiagram ComputeZeroDimPersistence(
 
 /// Sliced Wasserstein distance between two persistence diagrams
 /// (Carriere et al., 2017): each diagram is augmented with the diagonal
-/// projections of the other's points, both are projected on `num_slices`
-/// directions spanning [0, pi), and the L1 distances of the sorted
-/// projections are averaged. Deterministic (fixed direction grid).
+/// projections of the other's points, both are projected on 16 directions
+/// spanning [0, pi), and the L1 distances of the sorted projections are
+/// averaged. Deterministic (fixed direction grid).
 double SlicedWassersteinDistance(const PersistenceDiagram& a,
-                                 const PersistenceDiagram& b,
-                                 int32_t num_slices = 16);
+                                 const PersistenceDiagram& b);
 
 }  // namespace kgeval
 

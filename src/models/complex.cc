@@ -58,17 +58,16 @@ void ComplEx::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   const float* r = relations_.Row(relation);
   const float* t = entities_.Row(tail);
   std::vector<float> gh(2 * m), gr(2 * m), gt(2 * m);
-  const float l2 = options_.l2;
   for (int32_t i = 0; i < m; ++i) {
     const float a = h[i], b = h[m + i];
     const float c = r[i], d = r[m + i];
     const float e = t[i], f = t[m + i];
-    gh[i] = dscore * (c * e + d * f) + l2 * a;
-    gh[m + i] = dscore * (c * f - d * e) + l2 * b;
-    gr[i] = dscore * (a * e + b * f) + l2 * c;
-    gr[m + i] = dscore * (a * f - b * e) + l2 * d;
-    gt[i] = dscore * (a * c - b * d) + l2 * e;
-    gt[m + i] = dscore * (b * c + a * d) + l2 * f;
+    gh[i] = dscore * (c * e + d * f);
+    gh[m + i] = dscore * (c * f - d * e);
+    gr[i] = dscore * (a * e + b * f);
+    gr[m + i] = dscore * (a * f - b * e);
+    gt[i] = dscore * (a * c - b * d);
+    gt[m + i] = dscore * (b * c + a * d);
   }
   entity_adam_.UpdateRow(&entities_, head, gh.data());
   relation_adam_.UpdateRow(&relations_, relation, gr.data());

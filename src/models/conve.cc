@@ -132,13 +132,12 @@ void ConvE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   Activations acts;
   Forward(anchor, rel_row, &acts);
   const int32_t d = options_.dim;
-  const float l2 = options_.l2;
 
   // --- Candidate-side gradients. ------------------------------------------
   std::vector<float> gcand(d);
   const float* cand_row = entities_.Row(cand);
   for (int32_t o = 0; o < d; ++o) {
-    gcand[o] = dscore * acts.psi[o] + l2 * cand_row[o];
+    gcand[o] = dscore * acts.psi[o];
   }
   const float gcand_bias = dscore;
 
@@ -148,18 +147,17 @@ void ConvE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
     dpsi[o] = acts.psi_pre[o] > 0.0f ? dscore * cand_row[o] : 0.0f;
   }
 
-  // --- FC layer. Rows whose ReLU input was clipped carry no gradient (and
-  // no weight decay when l2 == 0), so they are skipped — roughly halves the
-  // dominant cost of a ConvE update.
+  // --- FC layer. Rows whose ReLU input was clipped carry no gradient, so
+  // they are skipped — roughly halves the dominant cost of a ConvE update.
   std::vector<float> dflat(flat_size_, 0.0f);
   std::vector<float> gfc_row(d);
   for (int32_t f = 0; f < flat_size_; ++f) {
     const float act = acts.flat[f];
-    if (act == 0.0f && l2 == 0.0f) continue;
+    if (act == 0.0f) continue;
     const float* fc_row = fc_.Row(f);
     dflat[f] = Dot(fc_row, dpsi.data(), d);
     for (int32_t o = 0; o < d; ++o) {
-      gfc_row[o] = act * dpsi[o] + l2 * fc_row[o];
+      gfc_row[o] = act * dpsi[o];
     }
     fc_adam_.UpdateRow(&fc_, f, gfc_row.data());
   }
@@ -189,24 +187,16 @@ void ConvE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
         }
       }
     }
-    for (int32_t k = 0; k < kKernel * kKernel; ++k) gfilt[k] += l2 * filt[k];
     filter_adam_.UpdateRow(&filters_, c, gfilt.data());
   }
   conv_bias_adam_.UpdateRow(&conv_bias_, 0, gconv_bias.data());
 
-  // --- Input image -> anchor and relation embeddings. ----------------------
-  std::vector<float> ganchor(d), grel(d);
-  const float* anchor_row = entities_.Row(anchor);
-  const float* rel_row_ptr = relations_.Row(rel_row);
-  for (int32_t i = 0; i < d; ++i) {
-    ganchor[i] = dimg[i] + l2 * anchor_row[i];
-    grel[i] = dimg[d + i] + l2 * rel_row_ptr[i];
-  }
-
+  // --- Input image -> anchor and relation embeddings: the image's first d
+  // pixels are the anchor row, the next d the relation row. ----------------
   entity_adam_.UpdateRow(&entities_, cand, gcand.data());
   entity_bias_adam_.UpdateRow(&entity_bias_, cand, &gcand_bias);
-  entity_adam_.UpdateRow(&entities_, anchor, ganchor.data());
-  relation_adam_.UpdateRow(&relations_, rel_row, grel.data());
+  entity_adam_.UpdateRow(&entities_, anchor, dimg.data());
+  relation_adam_.UpdateRow(&relations_, rel_row, dimg.data() + d);
 }
 
 void ConvE::CollectParameters(std::vector<NamedParameter>* out) {

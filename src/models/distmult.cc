@@ -42,11 +42,10 @@ void DistMult::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   const float* r = relations_.Row(relation);
   const float* t = entities_.Row(tail);
   std::vector<float> gh(d), gr(d), gt(d);
-  const float l2 = options_.l2;
   for (size_t i = 0; i < d; ++i) {
-    gh[i] = dscore * r[i] * t[i] + l2 * h[i];
-    gr[i] = dscore * h[i] * t[i] + l2 * r[i];
-    gt[i] = dscore * h[i] * r[i] + l2 * t[i];
+    gh[i] = dscore * r[i] * t[i];
+    gr[i] = dscore * h[i] * t[i];
+    gt[i] = dscore * h[i] * r[i];
   }
   entity_adam_.UpdateRow(&entities_, head, gh.data());
   relation_adam_.UpdateRow(&relations_, relation, gr.data());

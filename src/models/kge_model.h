@@ -38,7 +38,6 @@ Result<ModelType> ParseModelType(const std::string& name);
 struct ModelOptions {
   int32_t dim = 32;  // Entity embedding width.
   AdamOptions adam;
-  float l2 = 0.0f;   // Weight decay on touched rows.
   uint64_t seed = 7;
 };
 

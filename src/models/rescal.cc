@@ -54,17 +54,15 @@ void Rescal::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   const float* w = relations_.Row(relation);
   const float* t = entities_.Row(tail);
   std::vector<float> gh(d), gt(d, 0.0f), gw(d * d);
-  const float l2 = options_.l2;
   for (size_t i = 0; i < d; ++i) {
     const float* w_row = w + i * d;
-    gh[i] = dscore * Dot(w_row, t, d) + l2 * h[i];
+    gh[i] = dscore * Dot(w_row, t, d);
     // gt accumulates dscore * h_i * W_i; gw_ij = dscore * h_i * t_j.
     for (size_t j = 0; j < d; ++j) {
       gt[j] += dscore * h[i] * w_row[j];
-      gw[i * d + j] = dscore * h[i] * t[j] + l2 * w_row[j];
+      gw[i * d + j] = dscore * h[i] * t[j];
     }
   }
-  for (size_t j = 0; j < d; ++j) gt[j] += l2 * t[j];
   entity_adam_.UpdateRow(&entities_, head, gh.data());
   relation_adam_.UpdateRow(&relations_, relation, gw.data());
   entity_adam_.UpdateRow(&entities_, tail, gt.data());

@@ -61,7 +61,6 @@ void RotatE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   const float* theta = phases_.Row(relation);
   const float* t = entities_.Row(tail);
   std::vector<float> gh(2 * m), gt(2 * m), gtheta(m);
-  const float l2 = options_.l2;
   for (int32_t j = 0; j < m; ++j) {
     const float c = std::cos(theta[j]);
     const float s = std::sin(theta[j]);
@@ -76,10 +75,10 @@ void RotatE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
     const float dim = -dscore * uim / mod;
     // Chain rule into h, t, theta. d(ure)/da = c, d(ure)/db = -s,
     // d(uim)/da = s, d(uim)/db = c; d(u)/dt = -1.
-    gh[j] = dre * c + dim * s + l2 * a;
-    gh[m + j] = dre * (-s) + dim * c + l2 * b;
-    gt[j] = -dre + l2 * t[j];
-    gt[m + j] = -dim + l2 * t[m + j];
+    gh[j] = dre * c + dim * s;
+    gh[m + j] = dre * (-s) + dim * c;
+    gt[j] = -dre;
+    gt[m + j] = -dim;
     // d(ure)/dtheta = -a s - b c; d(uim)/dtheta = a c - b s.
     gtheta[j] = dre * (-a * s - b * c) + dim * (a * c - b * s);
   }

@@ -45,14 +45,13 @@ void TransE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   const float* r = relations_.Row(relation);
   const float* t = entities_.Row(tail);
   std::vector<float> gh(d), gr(d), gt(d);
-  const float l2 = options_.l2;
   for (size_t i = 0; i < d; ++i) {
     const float delta = h[i] + r[i] - t[i];
     // d(score)/d(h_i) = -sign(delta); chain with dscore.
     const float sign = delta > 0.0f ? 1.0f : (delta < 0.0f ? -1.0f : 0.0f);
-    gh[i] = -dscore * sign + l2 * h[i];
-    gr[i] = -dscore * sign + l2 * r[i];
-    gt[i] = dscore * sign + l2 * t[i];
+    gh[i] = -dscore * sign;
+    gr[i] = -dscore * sign;
+    gt[i] = dscore * sign;
   }
   entity_adam_.UpdateRow(&entities_, head, gh.data());
   relation_adam_.UpdateRow(&relations_, relation, gr.data());

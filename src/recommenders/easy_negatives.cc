@@ -6,7 +6,7 @@ EasyNegativeReport MineEasyNegatives(const RecommenderScores& scores,
                                      const Dataset& dataset,
                                      int64_t max_examples) {
   EasyNegativeReport report;
-  const CsrMatrix& x = scores.scores;
+  const CsrMatrix& x = scores.by_set;
   report.total_cells = x.rows() * x.cols();
   // Structurally absent cells score exactly 0; stored zeros (possible in
   // principle) are counted too.
@@ -23,15 +23,15 @@ EasyNegativeReport MineEasyNegatives(const RecommenderScores& scores,
 
   const int32_t num_r = dataset.num_relations();
   for (const Triple& t : dataset.test()) {
-    // Head in the relation's domain column; tail in its range column.
-    if (x.At(t.head, t.relation) == 0.0f) {
+    // Head in the relation's domain row; tail in its range row.
+    if (x.At(t.relation, t.head) == 0.0f) {
       ++report.false_easy;
       if (max_examples == 0 ||
           static_cast<int64_t>(report.examples.size()) < max_examples) {
         report.examples.push_back({t, QueryDirection::kHead});
       }
     }
-    if (x.At(t.tail, t.relation + num_r) == 0.0f) {
+    if (x.At(t.relation + num_r, t.tail) == 0.0f) {
       ++report.false_easy;
       if (max_examples == 0 ||
           static_cast<int64_t>(report.examples.size()) < max_examples) {

@@ -5,8 +5,9 @@
 namespace kgeval {
 namespace {
 
-/// Keeps only columns [0, keep_cols) of `m` (drops the type columns from the
-/// L-WD-T output so the score matrix is always |E| x 2|R|).
+/// Keeps only columns [0, keep_cols) of `m`. Applied to L-WD-T's W it
+/// drops the type columns, so X = B W is always |E| x 2|R|: every column of
+/// a product is accumulated on its own, so the kept ones are unchanged.
 CsrMatrix SliceColumns(const CsrMatrix& m, int64_t keep_cols) {
   std::vector<int64_t> row_ptr(m.rows() + 1, 0);
   std::vector<int32_t> col_idx;
@@ -26,6 +27,30 @@ CsrMatrix SliceColumns(const CsrMatrix& m, int64_t keep_cols) {
                    std::move(col_idx), std::move(values));
 }
 
+/// B^T of Algorithm 1: one row per domain/range slot listing the entities
+/// observed there in train, then (L-WD-T) one row per type listing its
+/// entities. Every stored value is 1.
+CsrMatrix MembershipBySlot(const Dataset& dataset, bool use_types) {
+  const CsrMatrix seen = ObservedSlots(dataset, {Split::kTrain});
+  std::vector<int64_t> row_ptr(1, 0);
+  std::vector<int32_t> col_idx = seen.col_idx();
+  for (int64_t slot = 0; slot < seen.rows(); ++slot) {
+    row_ptr.push_back(seen.RowEnd(slot));
+  }
+  if (use_types) {
+    const TypeStore& types = dataset.types();
+    for (int32_t type = 0; type < types.num_types(); ++type) {
+      col_idx.insert(col_idx.end(), types.EntitiesOf(type).begin(),
+                     types.EntitiesOf(type).end());
+      row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
+    }
+  }
+  std::vector<float> values(col_idx.size(), 1.0f);
+  const auto rows = static_cast<int64_t>(row_ptr.size()) - 1;
+  return CsrMatrix(rows, dataset.num_entities(), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
+}
+
 }  // namespace
 
 Result<RecommenderScores> LwdRecommender::Fit(const Dataset& dataset) {
@@ -33,39 +58,20 @@ Result<RecommenderScores> LwdRecommender::Fit(const Dataset& dataset) {
     return Status::FailedPrecondition("L-WD-T needs entity types");
   }
   WallTimer timer;
-  const int32_t num_r = dataset.num_relations();
-  const int64_t dr_cols = 2LL * num_r;
-  const int64_t type_cols =
-      use_types_ ? static_cast<int64_t>(dataset.types().num_types()) : 0;
-  const int64_t total_cols = dr_cols + type_cols;
+  const int64_t dr_cols = 2LL * dataset.num_relations();
 
   // B: binary membership of entities in observed domains/ranges (+ types).
-  CooBuilder builder(dataset.num_entities(), total_cols);
-  builder.Reserve(dataset.train().size() * 2);
-  for (const Triple& t : dataset.train()) {
-    builder.Add(t.head, t.relation, 1.0f);
-    builder.Add(t.tail, t.relation + num_r, 1.0f);
-  }
-  if (use_types_) {
-    const TypeStore& types = dataset.types();
-    for (int32_t e = 0; e < dataset.num_entities(); ++e) {
-      for (int32_t type : types.TypesOf(e)) {
-        builder.Add(e, dr_cols + type, 1.0f);
-      }
-    }
-  }
-  CsrMatrix b = builder.Build();
-  for (float& v : b.mutable_values()) v = 1.0f;  // Counts -> membership.
+  const CsrMatrix b_t = MembershipBySlot(dataset, use_types_);
+  const CsrMatrix b = b_t.Transpose();
 
   // W = B^T B, row-normalized: co-occurrence confidences between slots.
-  CsrMatrix w = SpGemm(b.Transpose(), b);
+  CsrMatrix w = SpGemm(b_t, b);
   w.NormalizeRows();
+  if (use_types_) w = SliceColumns(w, dr_cols);
 
   // X = B W: per-entity aggregated confidence of belonging to each slot.
-  CsrMatrix x = SpGemm(b, w);
-  if (type_cols > 0) x = SliceColumns(x, dr_cols);
-
-  return internal::FinalizeScores(type(), std::move(x), timer.Seconds());
+  const CsrMatrix x = SpGemm(b, w);
+  return RecommenderScores{type(), x.Transpose(), timer.Seconds()};
 }
 
 }  // namespace kgeval

@@ -10,22 +10,26 @@
 #include "util/timer.h"
 
 namespace kgeval {
+namespace {
+
+constexpr int32_t kDim = 32;        // Embedding width of the typing model.
+constexpr int32_t kEpochs = 20;     // Passes over the observed memberships.
+constexpr int32_t kNegatives = 4;   // Negative slots per positive.
+constexpr float kLearningRate = 0.05f;
+/// Sparsification: predicted probabilities below this are dropped from the
+/// score matrix (they are the easy negatives anyway).
+constexpr float kScoreThreshold = 0.05f;
+
+}  // namespace
 
 Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
   WallTimer timer;
   const int32_t num_e = dataset.num_entities();
-  const int32_t num_r = dataset.num_relations();
-  const int64_t num_slots = 2LL * num_r;
-  const int32_t k = options_.dim;
+  const int64_t num_slots = 2LL * dataset.num_relations();
+  const int32_t k = kDim;
 
   // Observed memberships (the self-supervision signal): entity -> slots.
-  CooBuilder builder(num_e, num_slots);
-  builder.Reserve(dataset.train().size() * 2);
-  for (const Triple& t : dataset.train()) {
-    builder.Add(t.head, t.relation, 1.0f);
-    builder.Add(t.tail, t.relation + num_r, 1.0f);
-  }
-  CsrMatrix b = builder.Build();
+  const CsrMatrix b = ObservedSlots(dataset, {Split::kTrain}).Transpose();
 
   Rng rng(seed_);
   Matrix feature_emb(num_slots, k);   // V: slot-as-feature embeddings.
@@ -46,9 +50,9 @@ Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
   };
 
   // SGD over observed (entity, slot) pairs with random negative slots.
-  const float lr = options_.learning_rate;
+  const float lr = kLearningRate;
   std::vector<float> z(k), gz(k);
-  for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
+  for (int32_t epoch = 0; epoch < kEpochs; ++epoch) {
     for (int32_t e = 0; e < num_e; ++e) {
       const int64_t begin = b.RowBegin(e), end = b.RowEnd(e);
       if (begin == end) continue;
@@ -66,7 +70,7 @@ Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
       };
       for (int64_t idx = begin; idx < end; ++idx) {
         step_slot(b.col_idx()[idx], 1.0f);
-        for (int32_t n = 0; n < options_.negatives; ++n) {
+        for (int32_t n = 0; n < kNegatives; ++n) {
           step_slot(static_cast<int64_t>(rng.NextBounded(num_slots)), 0.0f);
         }
       }
@@ -83,8 +87,7 @@ Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
   // memberships are always kept at probability ~1.
   std::vector<std::vector<int32_t>> row_cols(num_e);
   std::vector<std::vector<float>> row_vals(num_e);
-  const float threshold = options_.score_threshold;
-  ParallelFor(0, static_cast<size_t>(num_e), [&](size_t lo, size_t hi) {
+    ParallelFor(0, static_cast<size_t>(num_e), [&](size_t lo, size_t hi) {
     std::vector<float> ze(k);
     for (size_t e = lo; e < hi; ++e) {
       compute_z(static_cast<int32_t>(e), ze.data());
@@ -100,7 +103,7 @@ Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
         if (seen) {
           cols.push_back(static_cast<int32_t>(slot));
           vals.push_back(std::max(p, 0.99f));
-        } else if (p >= threshold) {
+        } else if (p >= kScoreThreshold) {
           cols.push_back(static_cast<int32_t>(slot));
           vals.push_back(p);
         }
@@ -120,10 +123,9 @@ Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
     std::copy(row_vals[e].begin(), row_vals[e].end(),
               values.begin() + row_ptr[e]);
   }
-  CsrMatrix scores(num_e, num_slots, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
-  return internal::FinalizeScores(RecommenderType::kPie, std::move(scores),
-                                  timer.Seconds());
+  const CsrMatrix scores(num_e, num_slots, std::move(row_ptr),
+                         std::move(col_idx), std::move(values));
+  return RecommenderScores{type(), scores.Transpose(), timer.Seconds()};
 }
 
 }  // namespace kgeval

@@ -5,17 +5,6 @@
 
 namespace kgeval {
 
-/// Options for the PIE-style neural recommender.
-struct PieOptions {
-  int32_t dim = 32;          // Embedding width of the typing model.
-  int32_t epochs = 20;       // Passes over the observed memberships.
-  int32_t negatives = 4;     // Negative slots per positive.
-  float learning_rate = 0.05f;
-  /// Sparsification: predicted probabilities below this are dropped from
-  /// the score matrix (they are the easy negatives anyway).
-  float score_threshold = 0.05f;
-};
-
 /// PIE (Chao et al., 2022), reimplemented as the paper characterizes it: a
 /// lightweight GCN-style self-supervised entity-typing model. An entity is
 /// represented by the mean of learned embeddings of the domain/range slots
@@ -28,14 +17,12 @@ struct PieOptions {
 /// magnitude more to fit — Table 5's point.
 class PieRecommender : public RelationRecommender {
  public:
-  PieRecommender(PieOptions options, uint64_t seed)
-      : options_(options), seed_(seed) {}
+  explicit PieRecommender(uint64_t seed) : seed_(seed) {}
 
   RecommenderType type() const override { return RecommenderType::kPie; }
   Result<RecommenderScores> Fit(const Dataset& dataset) override;
 
  private:
-  PieOptions options_;
   uint64_t seed_;
 };
 

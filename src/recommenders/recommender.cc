@@ -43,22 +43,9 @@ std::unique_ptr<RelationRecommender> CreateRecommender(RecommenderType type,
     case RecommenderType::kLwdT:
       return std::make_unique<LwdRecommender>(/*use_types=*/true);
     case RecommenderType::kPie:
-      return std::make_unique<PieRecommender>(PieOptions{}, seed);
+      return std::make_unique<PieRecommender>(seed);
   }
   return nullptr;
 }
 
-namespace internal {
-
-RecommenderScores FinalizeScores(RecommenderType type, CsrMatrix scores,
-                                 double fit_seconds) {
-  RecommenderScores out;
-  out.type = type;
-  out.by_set = scores.Transpose();
-  out.scores = std::move(scores);
-  out.fit_seconds = fit_seconds;
-  return out;
-}
-
-}  // namespace internal
 }  // namespace kgeval

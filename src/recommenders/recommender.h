@@ -24,14 +24,12 @@ enum class RecommenderType {
 const char* RecommenderTypeName(RecommenderType type);
 
 /// Output of fitting a relation recommender: the score matrix
-/// X in R^{|E| x 2|R|} (sparse; absent entries score 0 and are the "easy
-/// negatives"), plus its transpose for per-set access, and the fit time.
+/// X in R^{|E| x 2|R|} held set-major (sparse; absent entries score 0 and
+/// are the "easy negatives"), plus the fit time.
 struct RecommenderScores {
   RecommenderType type = RecommenderType::kLwd;
-  /// Entity-major scores: row = entity, column = domain/range index
-  /// (domains [0, |R|), ranges [|R|, 2|R|)).
-  CsrMatrix scores;
-  /// Set-major transpose: row = domain/range index, columns = entities.
+  /// Set-major scores: row = domain/range index (domains [0, |R|), ranges
+  /// [|R|, 2|R|)), columns = entities.
   CsrMatrix by_set;
   double fit_seconds = 0.0;
 };
@@ -54,12 +52,6 @@ class RelationRecommender {
 /// Factory. `seed` only affects the stochastic methods (PIE).
 std::unique_ptr<RelationRecommender> CreateRecommender(RecommenderType type,
                                                        uint64_t seed = 17);
-
-namespace internal {
-/// Finalizes a score matrix: builds the transpose and stamps metadata.
-RecommenderScores FinalizeScores(RecommenderType type, CsrMatrix scores,
-                                 double fit_seconds);
-}  // namespace internal
 
 }  // namespace kgeval
 

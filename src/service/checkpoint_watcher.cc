@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "util/string_util.h"
@@ -37,8 +38,8 @@ int64_t CheckpointEpochKey(const std::string& filename) {
   return value;
 }
 
-Result<std::vector<std::string>> ListCheckpointFiles(
-    const std::string& dir, const std::string& extension) {
+Result<std::vector<std::string>> ListCheckpointFiles(const std::string& dir) {
+  static constexpr std::string_view kExtension = ".ckpt";
   std::error_code ec;
   fs::directory_iterator it(dir, ec);
   if (ec) {
@@ -49,9 +50,9 @@ Result<std::vector<std::string>> ListCheckpointFiles(
   for (const auto& entry : it) {
     if (!entry.is_regular_file(ec) || ec) continue;
     const std::string name = entry.path().filename().string();
-    if (name.size() < extension.size() ||
-        name.compare(name.size() - extension.size(), extension.size(),
-                     extension) != 0) {
+    if (name.size() < kExtension.size() ||
+        name.compare(name.size() - kExtension.size(), kExtension.size(),
+                     kExtension) != 0) {
       continue;
     }
     keyed.emplace_back(CheckpointEpochKey(name), name);
@@ -65,11 +66,8 @@ Result<std::vector<std::string>> ListCheckpointFiles(
   return paths;
 }
 
-CheckpointWatcher::CheckpointWatcher(std::string dir, std::string extension)
-    : dir_(std::move(dir)), extension_(std::move(extension)) {}
-
 Result<std::vector<std::string>> CheckpointWatcher::Poll() {
-  auto listed = ListCheckpointFiles(dir_, extension_);
+  auto listed = ListCheckpointFiles(dir_);
   if (!listed.ok()) return listed.status();
   std::vector<std::string> fresh;
   for (std::string& path : listed.ValueOrDie()) {

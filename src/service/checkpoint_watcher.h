@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/status.h"
@@ -18,13 +19,12 @@ namespace kgeval {
 /// padding alone cannot close — see CheckpointPathOrdering in io_test).
 int64_t CheckpointEpochKey(const std::string& filename);
 
-/// Lists the regular files under `dir` ending in `extension`, sorted by
+/// Lists the regular files under `dir` ending in ".ckpt", sorted by
 /// (CheckpointEpochKey, name). Non-matching names (including the
 /// in-progress "*.tmp" files Trainer renames into place) are skipped.
 /// Returns full paths. The directory itself failing to open is an error;
 /// an empty directory is an empty list.
-Result<std::vector<std::string>> ListCheckpointFiles(
-    const std::string& dir, const std::string& extension = ".ckpt");
+Result<std::vector<std::string>> ListCheckpointFiles(const std::string& dir);
 
 /// The WATCH verb's directory poller, separated from sockets and
 /// evaluation so its delivery rules are unit-testable: each Poll() lists
@@ -36,8 +36,7 @@ Result<std::vector<std::string>> ListCheckpointFiles(
 /// up by the next Poll().
 class CheckpointWatcher {
  public:
-  explicit CheckpointWatcher(std::string dir,
-                             std::string extension = ".ckpt");
+  explicit CheckpointWatcher(std::string dir) : dir_(std::move(dir)) {}
 
   /// New, never-delivered checkpoint paths in epoch order. A directory
   /// read error returns the error (already-claimed state is unchanged, so
@@ -48,7 +47,6 @@ class CheckpointWatcher {
 
  private:
   std::string dir_;
-  std::string extension_;
   std::set<std::string> seen_;
 };
 

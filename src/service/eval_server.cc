@@ -27,6 +27,11 @@ namespace kgeval {
 /// docs/PROTOCOL.md ("Versioning").
 static constexpr int kProtocolVersion = 1;
 
+/// Pipelined requests buffered per connection before its reads pause (the
+/// request-side counterpart of the byte high-water mark); they resume at
+/// half.
+static constexpr size_t kMaxPendingPerConnection = 1024;
+
 /// Per-connection server state. Owned by the loop thread; executor jobs
 /// only touch the Connection (thread-safe) and post everything else home.
 struct EvalServer::Client {
@@ -167,13 +172,11 @@ void EvalServer::OnClose(const std::shared_ptr<Client>& client) {
 void EvalServer::UpdateClientFlowControl(
     const std::shared_ptr<Client>& client) {
   if (client->conn->closed()) return;
-  if (!client->paused &&
-      client->pending.size() >= options_.max_pending_per_connection) {
+  if (!client->paused && client->pending.size() >= kMaxPendingPerConnection) {
     client->paused = true;
     client->conn->PauseReads();
   } else if (client->paused &&
-             client->pending.size() <=
-                 options_.max_pending_per_connection / 2) {
+             client->pending.size() <= kMaxPendingPerConnection / 2) {
     client->paused = false;
     client->conn->ResumeReads();
   }

@@ -49,9 +49,6 @@ class EvalServer {
     /// in-order instead of queued (0 = never shed). Keeps the backlog —
     /// and every client's worst-case wait — bounded under overload.
     size_t max_queued_commands = 256;
-    /// Pipelined requests buffered per connection before its reads pause
-    /// (the request-side counterpart of the byte high-water mark).
-    size_t max_pending_per_connection = 1024;
     /// Close connections idle this long — no traffic, nothing queued,
     /// nothing in flight (0 = never). Reaped connections count into the
     /// STATS `idle_closed` counter.

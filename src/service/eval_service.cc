@@ -18,6 +18,9 @@ namespace kgeval {
 
 namespace {
 
+/// WATCH's timeout when the client omits one.
+constexpr double kDefaultWatchTimeoutS = 30.0;
+
 /// Metric values are formatted with %.17g everywhere in the protocol:
 /// round-trip exact for IEEE doubles, so "served value equals directly
 /// computed value" is byte comparison, not epsilon comparison.
@@ -338,7 +341,7 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
                         cmd.args[1].c_str()));
     return;
   }
-  double timeout_s = options_.default_watch_timeout_s;
+  double timeout_s = kDefaultWatchTimeoutS;
   if (cmd.args.size() > 2) {
     if (!ParseDouble(cmd.args[2], &timeout_s) || timeout_s <= 0.0 ||
         timeout_s > 3600.0) {

@@ -58,8 +58,6 @@ class EvalService {
     PresetScale scale = PresetScale::kScaled;
     /// WATCH's directory poll interval.
     int poll_interval_ms = 50;
-    /// WATCH's default timeout when the client omits one.
-    double default_watch_timeout_s = 30.0;
     /// Deadline armed by the server for each blocking command (EVAL, SWEEP,
     /// WATCH; LOAD is exempt — dataset builds are not cancellation-
     /// threaded). When it fires, the command's CancelToken trips with

@@ -55,47 +55,6 @@ CsrMatrix CsrMatrix::Transpose() const {
                    std::move(t_values));
 }
 
-void CooBuilder::Add(int64_t row, int64_t col, float value) {
-  KGEVAL_DCHECK(row >= 0 && row < rows_);
-  KGEVAL_DCHECK(col >= 0 && col < cols_);
-  entries_.push_back(Entry{row, static_cast<int32_t>(col), value});
-}
-
-void CooBuilder::Reserve(size_t n) { entries_.reserve(n); }
-
-CsrMatrix CooBuilder::Build() {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              if (a.row != b.row) return a.row < b.row;
-              return a.col < b.col;
-            });
-  std::vector<int64_t> row_ptr(rows_ + 1, 0);
-  std::vector<int32_t> col_idx;
-  std::vector<float> values;
-  col_idx.reserve(entries_.size());
-  values.reserve(entries_.size());
-  size_t i = 0;
-  while (i < entries_.size()) {
-    // Sum a run of duplicates.
-    size_t j = i + 1;
-    float sum = entries_[i].value;
-    while (j < entries_.size() && entries_[j].row == entries_[i].row &&
-           entries_[j].col == entries_[i].col) {
-      sum += entries_[j].value;
-      ++j;
-    }
-    col_idx.push_back(entries_[i].col);
-    values.push_back(sum);
-    ++row_ptr[entries_[i].row + 1];
-    i = j;
-  }
-  for (int64_t r = 0; r < rows_; ++r) row_ptr[r + 1] += row_ptr[r];
-  entries_.clear();
-  entries_.shrink_to_fit();
-  return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
-}
-
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b) {
   KGEVAL_CHECK_EQ(a.cols(), b.rows());
   const int64_t out_rows = a.rows();

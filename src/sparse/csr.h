@@ -48,31 +48,6 @@ class CsrMatrix {
   std::vector<float> values_;
 };
 
-/// Accumulates (row, col, value) triplets and assembles a CsrMatrix,
-/// summing duplicates and sorting columns within rows.
-class CooBuilder {
- public:
-  CooBuilder(int64_t rows, int64_t cols) : rows_(rows), cols_(cols) {}
-
-  void Add(int64_t row, int64_t col, float value);
-  void Reserve(size_t n);
-
-  /// Assembles and clears the builder.
-  CsrMatrix Build();
-
-  size_t num_entries() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    int64_t row;
-    int32_t col;
-    float value;
-  };
-  int64_t rows_;
-  int64_t cols_;
-  std::vector<Entry> entries_;
-};
-
 /// Sparse general matrix multiply C = A * B (Gustavson's algorithm with a
 /// dense per-row accumulator; parallelized over rows of A).
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b);

@@ -64,12 +64,7 @@ class FlatSet {
 struct PairTraits {
   using Key = uint64_t;
   static constexpr Key kEmpty = ~0ULL;
-  static size_t Hash(Key key) {
-    key ^= key >> 33;
-    key *= 0xFF51AFD7ED558CCDULL;
-    key ^= key >> 33;
-    return static_cast<size_t>(key);
-  }
+  static size_t Hash(Key key) { return PairHash()(key); }
 };
 
 /// Whole triples, so no id range can overflow the key; no valid triple has

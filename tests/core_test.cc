@@ -80,9 +80,10 @@ TEST(ProbabilisticSetsTest, WeightsAlignedAndPositive) {
 TEST(ProbabilisticSetsTest, SeenEntitiesAlwaysPresent) {
   const Dataset d = SynthDataset();
   const CandidateSets sets = BuildProbabilisticSets(LwdScores(d), d);
-  const ObservedSets seen(d, {Split::kTrain});
+  const CsrMatrix seen = ObservedSlots(d, {Split::kTrain});
   for (int32_t slot = 0; slot < sets.num_slots(); ++slot) {
-    for (int32_t e : seen.Set(slot)) {
+    for (int64_t k = seen.RowBegin(slot); k < seen.RowEnd(slot); ++k) {
+      const int32_t e = seen.col_idx()[k];
       EXPECT_TRUE(std::binary_search(sets.sets[slot].begin(),
                                      sets.sets[slot].end(), e))
           << "slot " << slot << " entity " << e;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,8 @@
 #include "graph/stats.h"
 #include "graph/triple.h"
 #include "graph/type_store.h"
+#include "synth/config.h"
+#include "synth/generator.h"
 
 namespace kgeval {
 namespace {
@@ -147,24 +150,67 @@ TEST(FilterIndexTest, MoveKeepsAnswersAndRelationCount) {
   EXPECT_EQ(*tails, (std::vector<int32_t>{1, 2, 3}));
 }
 
-TEST(ObservedSetsTest, TrainOnly) {
-  Dataset d = TinyDataset();
-  ObservedSets seen(d, {Split::kTrain});
-  // Domains occupy indexes [0, |R|), ranges [|R|, 2|R|); |R| = 2.
-  EXPECT_EQ(seen.Set(0), (std::vector<int32_t>{0, 3}));
-  EXPECT_EQ(seen.Set(1), (std::vector<int32_t>{1, 3, 4}));
-  EXPECT_EQ(seen.Set(2), (std::vector<int32_t>{1, 2}));
-  EXPECT_EQ(seen.Set(3), (std::vector<int32_t>{2, 5}));
-  EXPECT_TRUE(seen.InDomain(0, 0));
-  EXPECT_FALSE(seen.InDomain(0, 4));
-  EXPECT_TRUE(seen.InRange(1, 5));
+using Entries = std::vector<std::pair<int32_t, float>>;
+
+/// Row `slot` of an ObservedSlots matrix as (entity, count) pairs.
+Entries SlotEntries(const CsrMatrix& m, int64_t slot) {
+  Entries out;
+  for (int64_t k = m.RowBegin(slot); k < m.RowEnd(slot); ++k) {
+    out.emplace_back(m.col_idx()[k], m.values()[k]);
+  }
+  return out;
 }
 
-TEST(ObservedSetsTest, IncludesValidWhenRequested) {
+TEST(ObservedSlotsTest, TrainOnly) {
   Dataset d = TinyDataset();
-  ObservedSets seen(d, {Split::kTrain, Split::kValid});
-  EXPECT_EQ(seen.Set(DomainRangeIndex(0, QueryDirection::kTail, 2)),
-            (std::vector<int32_t>{1, 2, 3}));
+  const CsrMatrix seen = ObservedSlots(d, {Split::kTrain});
+  // Domains occupy rows [0, |R|), ranges [|R|, 2|R|); |R| = 2.
+  ASSERT_EQ(seen.rows(), 4);
+  EXPECT_EQ(seen.cols(), 6);
+  EXPECT_EQ(SlotEntries(seen, 0), (Entries{{0, 2.0f}, {3, 1.0f}}));
+  EXPECT_EQ(SlotEntries(seen, 1),
+            (Entries{{1, 1.0f}, {3, 1.0f}, {4, 1.0f}}));
+  EXPECT_EQ(SlotEntries(seen, 2), (Entries{{1, 2.0f}, {2, 1.0f}}));
+  EXPECT_EQ(SlotEntries(seen, 3), (Entries{{2, 1.0f}, {5, 2.0f}}));
+  EXPECT_EQ(seen.nnz(), 9);
+}
+
+TEST(ObservedSlotsTest, IncludesValidWhenRequested) {
+  Dataset d = TinyDataset();
+  const CsrMatrix seen = ObservedSlots(d, {Split::kTrain, Split::kValid});
+  EXPECT_EQ(SlotEntries(seen, DomainRangeIndex(0, QueryDirection::kTail, 2)),
+            (Entries{{1, 2.0f}, {2, 1.0f}, {3, 1.0f}}));
+  EXPECT_EQ(SlotEntries(seen, 0), (Entries{{0, 3.0f}, {3, 1.0f}}));
+}
+
+TEST(ObservedSlotsTest, MatchesAReferenceCountOnGeneratedData) {
+  SynthConfig config;
+  config.num_entities = 300;
+  config.num_relations = 9;
+  config.num_types = 6;
+  config.num_train = 4000;
+  config.num_valid = 300;
+  config.num_test = 300;
+  config.seed = 5;
+  const Dataset d = GenerateDataset(config).ValueOrDie().dataset;
+  const CsrMatrix seen = ObservedSlots(d, {Split::kTrain, Split::kTest});
+  std::map<std::pair<int64_t, int32_t>, float> reference;
+  for (Split s : {Split::kTrain, Split::kTest}) {
+    for (const Triple& t : d.split(s)) {
+      reference[{t.relation, t.head}] += 1.0f;
+      reference[{t.relation + d.num_relations(), t.tail}] += 1.0f;
+    }
+  }
+  ASSERT_EQ(seen.rows(), 2 * d.num_relations());
+  ASSERT_EQ(seen.nnz(), static_cast<int64_t>(reference.size()));
+  auto it = reference.begin();
+  for (int64_t slot = 0; slot < seen.rows(); ++slot) {
+    for (const auto& [entity, count] : SlotEntries(seen, slot)) {
+      EXPECT_EQ(it->first, std::make_pair(slot, entity));
+      EXPECT_EQ(it->second, count);
+      ++it;
+    }
+  }
 }
 
 TEST(DatasetStatsTest, CountsMatchTiny) {

@@ -63,13 +63,12 @@ TEST_P(RecommenderParamTest, FitProducesWellFormedScores) {
   auto result = recommender->Fit(dataset);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const RecommenderScores& scores = result.ValueOrDie();
-  EXPECT_EQ(scores.scores.rows(), dataset.num_entities());
-  EXPECT_EQ(scores.scores.cols(), 2 * dataset.num_relations());
   EXPECT_EQ(scores.by_set.rows(), 2 * dataset.num_relations());
-  EXPECT_GT(scores.scores.nnz(), 0);
+  EXPECT_EQ(scores.by_set.cols(), dataset.num_entities());
+  EXPECT_GT(scores.by_set.nnz(), 0);
   EXPECT_GE(scores.fit_seconds, 0.0);
   // All stored scores non-negative.
-  for (float v : scores.scores.values()) EXPECT_GE(v, 0.0f);
+  for (float v : scores.by_set.values()) EXPECT_GE(v, 0.0f);
 }
 
 TEST_P(RecommenderParamTest, CoversTrainObservations) {
@@ -84,27 +83,27 @@ TEST_P(RecommenderParamTest, CoversTrainObservations) {
   for (size_t i = 0; i < std::min<size_t>(dataset.train().size(), 500);
        ++i) {
     const Triple& t = dataset.train()[i];
-    if (scores.scores.At(t.head, t.relation) <= 0.0f) ++misses;
-    if (scores.scores.At(t.tail, t.relation + num_r) <= 0.0f) ++misses;
+    if (scores.by_set.At(t.relation, t.head) <= 0.0f) ++misses;
+    if (scores.by_set.At(t.relation + num_r, t.tail) <= 0.0f) ++misses;
   }
   EXPECT_EQ(misses, 0) << RecommenderTypeName(GetParam());
 }
 
-TEST_P(RecommenderParamTest, TransposeConsistent) {
+TEST_P(RecommenderParamTest, RowsAreSortedAndDistinct) {
+  // At() binary-searches a row, so every slot's entity ids must ascend
+  // strictly and stay in range.
   const Dataset dataset = SynthDataset();
   auto recommender = CreateRecommender(GetParam());
-  const RecommenderScores scores = recommender->Fit(dataset).ValueOrDie();
-  // Spot-check a handful of entries against the transpose.
-  int checked = 0;
-  for (int64_t r = 0; r < scores.scores.rows() && checked < 200; ++r) {
-    for (int64_t k = scores.scores.RowBegin(r);
-         k < scores.scores.RowEnd(r) && checked < 200; ++k) {
-      const int32_t c = scores.scores.col_idx()[k];
-      EXPECT_FLOAT_EQ(scores.by_set.At(c, r), scores.scores.values()[k]);
-      ++checked;
+  const CsrMatrix x = recommender->Fit(dataset).ValueOrDie().by_set;
+  for (int64_t slot = 0; slot < x.rows(); ++slot) {
+    for (int64_t k = x.RowBegin(slot); k < x.RowEnd(slot); ++k) {
+      ASSERT_GE(x.col_idx()[k], 0);
+      ASSERT_LT(x.col_idx()[k], dataset.num_entities());
+      if (k > x.RowBegin(slot)) {
+        ASSERT_LT(x.col_idx()[k - 1], x.col_idx()[k]);
+      }
     }
   }
-  EXPECT_GT(checked, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -122,12 +121,12 @@ TEST(PtTest, ExactlySeenEntities) {
   const RecommenderScores scores =
       CreateRecommender(RecommenderType::kPt)->Fit(d).ValueOrDie();
   // Domain of livesIn (slot 0): entities 0 and 1 only.
-  EXPECT_GT(scores.scores.At(0, 0), 0.0f);
-  EXPECT_GT(scores.scores.At(1, 0), 0.0f);
-  EXPECT_EQ(scores.scores.At(4, 0), 0.0f);  // PT is blind to unseen.
+  EXPECT_GT(scores.by_set.At(0, 0), 0.0f);
+  EXPECT_GT(scores.by_set.At(0, 1), 0.0f);
+  EXPECT_EQ(scores.by_set.At(0, 4), 0.0f);  // PT is blind to unseen.
   // Range of livesIn (slot 2): cities 2, 3.
-  EXPECT_GT(scores.scores.At(2, 2), 0.0f);
-  EXPECT_EQ(scores.scores.At(0, 2), 0.0f);
+  EXPECT_GT(scores.by_set.At(2, 2), 0.0f);
+  EXPECT_EQ(scores.by_set.At(2, 0), 0.0f);
 }
 
 TEST(DbhTest, ScoresAreCounts) {
@@ -135,9 +134,9 @@ TEST(DbhTest, ScoresAreCounts) {
   Dataset d("counts", 4, 1, std::move(train), {}, {}, TypeStore());
   const RecommenderScores scores =
       CreateRecommender(RecommenderType::kDbh)->Fit(d).ValueOrDie();
-  EXPECT_FLOAT_EQ(scores.scores.At(0, 0), 2.0f);  // Head of r0 twice.
-  EXPECT_FLOAT_EQ(scores.scores.At(3, 0), 1.0f);
-  EXPECT_FLOAT_EQ(scores.scores.At(1, 1), 2.0f);  // Tail twice.
+  EXPECT_FLOAT_EQ(scores.by_set.At(0, 0), 2.0f);  // Head of r0 twice.
+  EXPECT_FLOAT_EQ(scores.by_set.At(0, 3), 1.0f);
+  EXPECT_FLOAT_EQ(scores.by_set.At(1, 1), 2.0f);  // Tail twice.
 }
 
 TEST(DbhTTest, PropagatesThroughTypes) {
@@ -146,9 +145,9 @@ TEST(DbhTTest, PropagatesThroughTypes) {
       CreateRecommender(RecommenderType::kDbhT)->Fit(d).ValueOrDie();
   // Entity 4 (person, never seen in train) gets a domain score for livesIn
   // because other people were seen there.
-  EXPECT_GT(scores.scores.At(4, 0), 0.0f);
+  EXPECT_GT(scores.by_set.At(0, 4), 0.0f);
   // Cities never score for the person-typed knows domain (slot 1).
-  EXPECT_EQ(scores.scores.At(2, 1), 0.0f);
+  EXPECT_EQ(scores.by_set.At(1, 2), 0.0f);
 }
 
 TEST(DbhTTest, RequiresTypes) {
@@ -163,10 +162,10 @@ TEST(OntoSimTest, BinaryAndBroad) {
       CreateRecommender(RecommenderType::kOntoSim)->Fit(d).ValueOrDie();
   // All persons belong to the livesIn domain...
   for (int32_t person : {0, 1, 4}) {
-    EXPECT_FLOAT_EQ(scores.scores.At(person, 0), 1.0f);
+    EXPECT_FLOAT_EQ(scores.by_set.At(0, person), 1.0f);
   }
   // ...and all scores are exactly 1 (binary membership).
-  for (float v : scores.scores.values()) EXPECT_FLOAT_EQ(v, 1.0f);
+  for (float v : scores.by_set.values()) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST(LwdTest, UnseenCandidateViaCooccurrence) {
@@ -180,17 +179,18 @@ TEST(LwdTest, UnseenCandidateViaCooccurrence) {
   // Entity 1: seen as head of livesIn and tail of knows (slot 3).
   // Co-occurrence links slot 1 and slot 0 (via entity 0), so entity 1
   // (in slot 0) also picks up weight for slot 1's domain.
-  EXPECT_GT(scores.scores.At(1, 1), 0.0f);
+  EXPECT_GT(scores.by_set.At(1, 1), 0.0f);
   // A city never co-occurs with the person slots.
-  EXPECT_EQ(scores.scores.At(2, 0), 0.0f);
+  EXPECT_EQ(scores.by_set.At(0, 2), 0.0f);
 }
 
 TEST(LwdTest, ZeroForIsolatedEntities) {
   const Dataset d = HandDataset();
   const RecommenderScores scores =
       CreateRecommender(RecommenderType::kLwd)->Fit(d).ValueOrDie();
-  // Entity 4 never occurs in train: its row must be structurally empty.
-  EXPECT_EQ(scores.scores.RowBegin(4), scores.scores.RowEnd(4));
+  // Entity 4 never occurs in train: no slot may store it.
+  const CsrMatrix& x = scores.by_set;
+  EXPECT_EQ(std::count(x.col_idx().begin(), x.col_idx().end(), 4), 0);
 }
 
 TEST(LwdTTest, TypesRecoverUnseenEntities) {
@@ -199,7 +199,7 @@ TEST(LwdTTest, TypesRecoverUnseenEntities) {
       CreateRecommender(RecommenderType::kLwdT)->Fit(d).ValueOrDie();
   // With type columns in B, entity 4 (typed person) co-occurs with the
   // person type slot and inherits domain scores.
-  EXPECT_GT(scores.scores.At(4, 0), 0.0f);
+  EXPECT_GT(scores.by_set.At(0, 4), 0.0f);
 }
 
 TEST(LwdTest, ScoreOrderingFavoursObserved) {
@@ -212,14 +212,14 @@ TEST(LwdTest, ScoreOrderingFavoursObserved) {
   double observed_total = 0.0;
   int64_t observed_count = 0;
   for (const Triple& t : d.train()) {
-    observed_total += scores.scores.At(t.head, t.relation);
-    observed_total += scores.scores.At(t.tail, t.relation + num_r);
+    observed_total += scores.by_set.At(t.relation, t.head);
+    observed_total += scores.by_set.At(t.relation + num_r, t.tail);
     observed_count += 2;
   }
   const double mean_all =
-      std::accumulate(scores.scores.values().begin(),
-                      scores.scores.values().end(), 0.0) /
-      static_cast<double>(scores.scores.nnz());
+      std::accumulate(scores.by_set.values().begin(),
+                      scores.by_set.values().end(), 0.0) /
+      static_cast<double>(scores.by_set.nnz());
   EXPECT_GT(observed_total / observed_count, mean_all);
 }
 
@@ -229,9 +229,9 @@ TEST(PieTest, DeterministicGivenSeed) {
       CreateRecommender(RecommenderType::kPie, 5)->Fit(d).ValueOrDie();
   const RecommenderScores b =
       CreateRecommender(RecommenderType::kPie, 5)->Fit(d).ValueOrDie();
-  ASSERT_EQ(a.scores.nnz(), b.scores.nnz());
-  for (int64_t k = 0; k < a.scores.nnz(); ++k) {
-    EXPECT_FLOAT_EQ(a.scores.values()[k], b.scores.values()[k]);
+  ASSERT_EQ(a.by_set.nnz(), b.by_set.nnz());
+  for (int64_t k = 0; k < a.by_set.nnz(); ++k) {
+    EXPECT_FLOAT_EQ(a.by_set.values()[k], b.by_set.values()[k]);
   }
 }
 
@@ -239,7 +239,7 @@ TEST(PieTest, ScoresAreProbabilities) {
   const Dataset d = SynthDataset();
   const RecommenderScores scores =
       CreateRecommender(RecommenderType::kPie)->Fit(d).ValueOrDie();
-  for (float v : scores.scores.values()) {
+  for (float v : scores.by_set.values()) {
     EXPECT_GT(v, 0.0f);
     EXPECT_LE(v, 1.0f);
   }
@@ -251,7 +251,7 @@ TEST(EasyNegativesTest, CountsZeroCells) {
       CreateRecommender(RecommenderType::kPt)->Fit(d).ValueOrDie();
   const EasyNegativeReport report = MineEasyNegatives(scores, d);
   EXPECT_EQ(report.total_cells, 5 * 4);
-  EXPECT_EQ(report.easy_negatives, report.total_cells - scores.scores.nnz());
+  EXPECT_EQ(report.easy_negatives, report.total_cells - scores.by_set.nnz());
   EXPECT_NEAR(report.easy_fraction,
               static_cast<double>(report.easy_negatives) / 20.0, 1e-12);
 }

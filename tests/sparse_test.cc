@@ -22,48 +22,39 @@ std::vector<std::vector<float>> ToDense(const CsrMatrix& m) {
   return dense;
 }
 
+/// The CSR form of a dense matrix: its nonzero entries, row by row.
+CsrMatrix FromDense(const std::vector<std::vector<float>>& dense,
+                    int64_t cols) {
+  std::vector<int64_t> row_ptr(1, 0);
+  std::vector<int32_t> col_idx;
+  std::vector<float> values;
+  for (const auto& row : dense) {
+    for (int64_t c = 0; c < cols; ++c) {
+      if (row[c] == 0.0f) continue;
+      col_idx.push_back(static_cast<int32_t>(c));
+      values.push_back(row[c]);
+    }
+    row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
+  }
+  return CsrMatrix(static_cast<int64_t>(dense.size()), cols,
+                   std::move(row_ptr), std::move(col_idx), std::move(values));
+}
+
 CsrMatrix RandomSparse(int64_t rows, int64_t cols, double density,
                        Rng* rng) {
-  CooBuilder builder(rows, cols);
+  std::vector<std::vector<float>> dense(rows, std::vector<float>(cols, 0.0f));
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t c = 0; c < cols; ++c) {
       if (rng->NextDouble() < density) {
-        builder.Add(r, c, static_cast<float>(0.1 + (2.0 - 0.1) * rng->NextDouble()));
+        dense[r][c] = static_cast<float>(0.1 + (2.0 - 0.1) * rng->NextDouble());
       }
     }
   }
-  return builder.Build();
-}
-
-TEST(CooBuilderTest, BuildsSortedRows) {
-  CooBuilder builder(3, 4);
-  builder.Add(2, 3, 1.0f);
-  builder.Add(0, 1, 2.0f);
-  builder.Add(2, 0, 3.0f);
-  CsrMatrix m = builder.Build();
-  EXPECT_EQ(m.nnz(), 3);
-  EXPECT_EQ(m.RowEnd(0) - m.RowBegin(0), 1);
-  EXPECT_EQ(m.RowBegin(1), m.RowEnd(1));
-  EXPECT_EQ(m.RowEnd(2) - m.RowBegin(2), 2);
-  // Columns sorted within row 2.
-  EXPECT_EQ(m.col_idx()[m.RowBegin(2)], 0);
-  EXPECT_EQ(m.col_idx()[m.RowBegin(2) + 1], 3);
-}
-
-TEST(CooBuilderTest, SumsDuplicates) {
-  CooBuilder builder(2, 2);
-  builder.Add(1, 1, 1.5f);
-  builder.Add(1, 1, 2.5f);
-  builder.Add(1, 1, 1.0f);
-  CsrMatrix m = builder.Build();
-  EXPECT_EQ(m.nnz(), 1);
-  EXPECT_FLOAT_EQ(m.At(1, 1), 5.0f);
+  return FromDense(dense, cols);
 }
 
 TEST(CsrMatrixTest, AtReturnsZeroForAbsent) {
-  CooBuilder builder(2, 3);
-  builder.Add(0, 2, 7.0f);
-  CsrMatrix m = builder.Build();
+  const CsrMatrix m = FromDense({{0.0f, 0.0f, 7.0f}, {0.0f, 0.0f, 0.0f}}, 3);
   EXPECT_FLOAT_EQ(m.At(0, 2), 7.0f);
   EXPECT_FLOAT_EQ(m.At(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(m.At(1, 2), 0.0f);
@@ -90,9 +81,7 @@ TEST(CsrMatrixTest, NormalizeRowsMakesRowSumsOne) {
 }
 
 TEST(CsrMatrixTest, NormalizeRowsLeavesEmptyRows) {
-  CooBuilder builder(3, 3);
-  builder.Add(0, 0, 4.0f);
-  CsrMatrix m = builder.Build();
+  CsrMatrix m = FromDense({{4.0f, 0.0f, 0.0f}, {0.0f, 0.0f, 0.0f}}, 3);
   m.NormalizeRows();
   EXPECT_FLOAT_EQ(m.At(0, 0), 1.0f);
   EXPECT_EQ(m.RowBegin(1), m.RowEnd(1));
@@ -143,9 +132,9 @@ TEST(SpGemmTest, MatchesDenseReference) {
 TEST(SpGemmTest, IdentityIsNeutral) {
   Rng rng(22);
   CsrMatrix a = RandomSparse(10, 10, 0.3, &rng);
-  CooBuilder eye_builder(10, 10);
-  for (int i = 0; i < 10; ++i) eye_builder.Add(i, i, 1.0f);
-  CsrMatrix eye = eye_builder.Build();
+  std::vector<std::vector<float>> dense_eye(10, std::vector<float>(10, 0.0f));
+  for (int i = 0; i < 10; ++i) dense_eye[i][i] = 1.0f;
+  const CsrMatrix eye = FromDense(dense_eye, 10);
   CsrMatrix product = SpGemm(a, eye);
   EXPECT_EQ(ToDense(product), ToDense(a));
 }
