@@ -87,7 +87,7 @@ Result<RecommenderScores> PieRecommender::Fit(const Dataset& dataset) {
   // memberships are always kept at probability ~1.
   std::vector<std::vector<int32_t>> row_cols(num_e);
   std::vector<std::vector<float>> row_vals(num_e);
-    ParallelFor(0, static_cast<size_t>(num_e), [&](size_t lo, size_t hi) {
+  ParallelFor(0, static_cast<size_t>(num_e), [&](size_t lo, size_t hi) {
     std::vector<float> ze(k);
     for (size_t e = lo; e < hi; ++e) {
       compute_z(static_cast<int32_t>(e), ze.data());

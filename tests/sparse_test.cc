@@ -46,7 +46,8 @@ CsrMatrix RandomSparse(int64_t rows, int64_t cols, double density,
   for (int64_t r = 0; r < rows; ++r) {
     for (int64_t c = 0; c < cols; ++c) {
       if (rng->NextDouble() < density) {
-        dense[r][c] = static_cast<float>(0.1 + (2.0 - 0.1) * rng->NextDouble());
+        dense[r][c] =
+            static_cast<float>(0.1 + (2.0 - 0.1) * rng->NextDouble());
       }
     }
   }
@@ -132,7 +133,8 @@ TEST(SpGemmTest, MatchesDenseReference) {
 TEST(SpGemmTest, IdentityIsNeutral) {
   Rng rng(22);
   CsrMatrix a = RandomSparse(10, 10, 0.3, &rng);
-  std::vector<std::vector<float>> dense_eye(10, std::vector<float>(10, 0.0f));
+  std::vector<std::vector<float>> dense_eye(10,
+                                           std::vector<float>(10, 0.0f));
   for (int i = 0; i < 10; ++i) dense_eye[i][i] = 1.0f;
   const CsrMatrix eye = FromDense(dense_eye, 10);
   CsrMatrix product = SpGemm(a, eye);
