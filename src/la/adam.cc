@@ -3,6 +3,13 @@
 #include <cmath>
 
 namespace kgeval {
+namespace {
+
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
+}  // namespace
 
 AdamState::AdamState(size_t rows, size_t cols, AdamOptions options)
     : options_(options), rows_(rows), cols_(cols) {}
@@ -14,23 +21,20 @@ void AdamState::UpdateRow(Matrix* param, size_t r, const float* grad) {
     beta1_pow_.assign(rows_, 1.0f);
     beta2_pow_.assign(rows_, 1.0f);
   }
-  const float b1 = options_.beta1;
-  const float b2 = options_.beta2;
-  beta1_pow_[r] *= b1;
-  beta2_pow_[r] *= b2;
+  beta1_pow_[r] *= kBeta1;
+  beta2_pow_[r] *= kBeta2;
   const float correction1 = 1.0f - beta1_pow_[r];
   const float correction2 = 1.0f - beta2_pow_[r];
   const float lr = options_.learning_rate;
-  const float eps = options_.epsilon;
   float* m = m_.Row(r);
   float* v = v_.Row(r);
   float* p = param->Row(r);
   for (size_t i = 0; i < cols_; ++i) {
-    m[i] = b1 * m[i] + (1.0f - b1) * grad[i];
-    v[i] = b2 * v[i] + (1.0f - b2) * grad[i] * grad[i];
+    m[i] = kBeta1 * m[i] + (1.0f - kBeta1) * grad[i];
+    v[i] = kBeta2 * v[i] + (1.0f - kBeta2) * grad[i] * grad[i];
     const float m_hat = m[i] / correction1;
     const float v_hat = v[i] / correction2;
-    p[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+    p[i] -= lr * m_hat / (std::sqrt(v_hat) + kEpsilon);
   }
 }
 

@@ -8,12 +8,11 @@
 
 namespace kgeval {
 
-/// Hyper-parameters for Adam.
+/// Hyper-parameters for Adam. Only the step size is tunable; the moment
+/// decay rates and the denominator epsilon are the usual constants
+/// (beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8; see adam.cc).
 struct AdamOptions {
   float learning_rate = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float epsilon = 1e-8f;
 };
 
 /// Adam state for one parameter matrix with *sparse row updates*: embedding

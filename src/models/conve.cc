@@ -1,62 +1,105 @@
-#include "models/conve.h"
-
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "la/vector_ops.h"
+#include "models/model_impls.h"
 #include "util/string_util.h"
 
 namespace kgeval {
+namespace {
 
-Result<std::unique_ptr<KgeModel>> ConvE::Create(int32_t num_entities,
-                                                int32_t num_relations,
-                                                const ModelOptions& options) {
-  if (options.dim % kWidth != 0 || options.dim < 12) {
-    return Status::InvalidArgument(
-        StrFormat("ConvE dim must be >= 12 and divisible by %d, got %d",
-                  kWidth, options.dim));
+constexpr int32_t kKernel = 3;
+// 4 channels keeps the flattened FC input (and thus the per-update cost,
+// which the FC layer dominates) small while retaining the conv stack.
+constexpr int32_t kChannels = 4;
+constexpr int32_t kWidth = 4;  // Reshape width.
+
+/// ConvE (Dettmers et al., 2018): the head and relation embeddings are
+/// reshaped to 2-D, stacked, convolved (C 3x3 filters), ReLU'd, flattened
+/// and projected back to the embedding width; the score is the dot product
+/// with the candidate embedding plus a per-entity bias.
+///
+/// Head queries use reciprocal relations (a second relation table entry
+/// r + |R|), the standard trick that lets ConvE answer (?, r, t) as the tail
+/// query (t, r_reciprocal, ?).
+class ConvE : public KgeModel {
+ public:
+  ConvE(int32_t num_entities, int32_t num_relations, ModelOptions options)
+      : KgeModel(ModelType::kConvE, num_entities, num_relations, options),
+        kh_(options.dim / kWidth),
+        hc_(2 * kh_ - (kKernel - 1)),
+        wc_(kWidth - (kKernel - 1)),
+        flat_size_(kChannels * hc_ * wc_),
+        filters_(kChannels, kKernel * kKernel),
+        conv_bias_(1, kChannels, 0.0f),
+        fc_(flat_size_, options.dim),
+        fc_bias_(1, options.dim, 0.0f),
+        entity_bias_(num_entities, 1, 0.0f),
+        filter_adam_(kChannels, kKernel * kKernel, options.adam),
+        conv_bias_adam_(1, kChannels, options.adam),
+        fc_adam_(flat_size_, options.dim, options.adam),
+        fc_bias_adam_(1, options.dim, options.adam),
+        entity_bias_adam_(num_entities, 1, options.adam) {}
+
+  const Matrix* candidate_bias() const override { return &entity_bias_; }
+
+  /// Runs the conv/FC trunk once per anchor (selecting the plain or
+  /// reciprocal relation row from `direction`), collecting the psi query
+  /// vectors as rows. The score is psi . candidate + entity bias, so
+  /// batching hoists the expensive trunk out of the candidate loop.
+  void BuildKernelQueries(const int32_t* anchors, size_t num_queries,
+                          int32_t relation, QueryDirection direction,
+                          Matrix* queries) const override;
+
+  void UpdateTriple(int32_t head, int32_t relation, int32_t tail,
+                    QueryDirection direction, float dscore) override;
+
+  void CollectParameters(std::vector<NamedParameter>* out) override {
+    KgeModel::CollectParameters(out);
+    out->push_back({"filters", &filters_});
+    out->push_back({"conv_bias", &conv_bias_});
+    out->push_back({"fc", &fc_});
+    out->push_back({"fc_bias", &fc_bias_});
+    out->push_back({"entity_bias", &entity_bias_});
   }
-  return {std::unique_ptr<KgeModel>(
-      new ConvE(num_entities, num_relations, options))};
-}
 
-int64_t ConvE::ParameterElementCount(int32_t num_entities,
-                                     int32_t num_relations, int32_t dim) {
-  const int64_t d = dim;
-  const int64_t flat =
-      int64_t{kChannels} * (2 * (d / kWidth) - (kKernel - 1)) *
-      (kWidth - (kKernel - 1));
-  return int64_t{num_entities} * (d + 1) + 2 * int64_t{num_relations} * d +
-         kChannels * (kKernel * kKernel + 1) + flat * d + d;
-}
+ protected:
+  void InitParameters(Rng* rng) override {
+    KgeModel::InitParameters(rng);
+    filters_.InitXavier(rng, kKernel * kKernel, kChannels);
+    fc_.InitXavier(rng, flat_size_, options_.dim);
+  }
 
-ConvE::ConvE(int32_t num_entities, int32_t num_relations,
-             ModelOptions options)
-    : KgeModel(ModelType::kConvE, num_entities, num_relations, options),
-      kh_(options.dim / kWidth),
-      hc_(2 * kh_ - (kKernel - 1)),
-      wc_(kWidth - (kKernel - 1)),
-      flat_size_(kChannels * hc_ * wc_),
-      entities_(num_entities, options.dim),
-      relations_(2 * num_relations, options.dim),
-      filters_(kChannels, kKernel * kKernel),
-      conv_bias_(1, kChannels, 0.0f),
-      fc_(flat_size_, options.dim),
-      fc_bias_(1, options.dim, 0.0f),
-      entity_bias_(num_entities, 1, 0.0f),
-      entity_adam_(num_entities, options.dim, options.adam),
-      relation_adam_(2 * num_relations, options.dim, options.adam),
-      filter_adam_(kChannels, kKernel * kKernel, options.adam),
-      conv_bias_adam_(1, kChannels, options.adam),
-      fc_adam_(flat_size_, options.dim, options.adam),
-      fc_bias_adam_(1, options.dim, options.adam),
-      entity_bias_adam_(num_entities, 1, options.adam) {}
+ private:
+  struct Activations {
+    std::vector<float> img;       // (2*kh) x kw input image.
+    std::vector<float> conv_pre;  // C x hc x wc pre-activation.
+    std::vector<float> flat;      // ReLU'd conv output, flattened (F).
+    std::vector<float> psi_pre;   // d before the final ReLU.
+    std::vector<float> psi;       // d.
+  };
 
-void ConvE::InitParameters(Rng* rng) {
-  entities_.InitXavier(rng, options_.dim, options_.dim);
-  relations_.InitXavier(rng, options_.dim, options_.dim);
-  filters_.InitXavier(rng, kKernel * kKernel, kChannels);
-  fc_.InitXavier(rng, flat_size_, options_.dim);
-}
+  /// Runs the feed-forward trunk for (anchor, relation-table row).
+  void Forward(int32_t anchor, int32_t rel_row, Activations* acts) const;
+
+  int32_t kh_;  // Reshape height = dim / kWidth.
+  int32_t hc_;  // Conv output height = 2*kh - 2.
+  int32_t wc_;  // Conv output width = kWidth - 2.
+  int32_t flat_size_;
+
+  Matrix filters_;      // kChannels x 9
+  Matrix conv_bias_;    // 1 x kChannels
+  Matrix fc_;           // flat_size x d
+  Matrix fc_bias_;      // 1 x d
+  Matrix entity_bias_;  // |E| x 1
+
+  AdamState filter_adam_;
+  AdamState conv_bias_adam_;
+  AdamState fc_adam_;
+  AdamState fc_bias_adam_;
+  AdamState entity_bias_adam_;
+};
 
 void ConvE::Forward(int32_t anchor, int32_t rel_row,
                     Activations* acts) const {
@@ -199,14 +242,31 @@ void ConvE::UpdateTriple(int32_t head, int32_t relation, int32_t tail,
   relation_adam_.UpdateRow(&relations_, rel_row, dimg.data() + d);
 }
 
-void ConvE::CollectParameters(std::vector<NamedParameter>* out) {
-  out->push_back({"entities", &entities_});
-  out->push_back({"relations", &relations_});
-  out->push_back({"filters", &filters_});
-  out->push_back({"conv_bias", &conv_bias_});
-  out->push_back({"fc", &fc_});
-  out->push_back({"fc_bias", &fc_bias_});
-  out->push_back({"entity_bias", &entity_bias_});
+}  // namespace
+
+std::unique_ptr<KgeModel> model_impls::NewConvE(int32_t num_entities,
+                                                int32_t num_relations,
+                                                const ModelOptions& options) {
+  return std::make_unique<ConvE>(num_entities, num_relations, options);
+}
+
+Status model_impls::CheckConvEDim(int32_t dim) {
+  if (dim % kWidth != 0 || dim < 12) {
+    return Status::InvalidArgument(
+        StrFormat("ConvE dim must be >= 12 and divisible by %d, got %d",
+                  kWidth, dim));
+  }
+  return Status::OK();
+}
+
+int64_t model_impls::ConvEExtraElementCount(int32_t num_entities,
+                                            int32_t dim) {
+  const int64_t d = dim;
+  const int64_t flat =
+      int64_t{kChannels} * (2 * (d / kWidth) - (kKernel - 1)) *
+      (kWidth - (kKernel - 1));
+  return int64_t{num_entities} + kChannels * (kKernel * kKernel + 1) +
+         flat * d + d;
 }
 
 }  // namespace kgeval

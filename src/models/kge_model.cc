@@ -4,16 +4,42 @@
 
 #include "la/kernels/kernels.h"
 #include "la/vector_ops.h"
-#include "models/complex.h"
-#include "models/conve.h"
-#include "models/distmult.h"
-#include "models/rescal.h"
-#include "models/rotate.h"
-#include "models/transe.h"
+#include "models/model_impls.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace kgeval {
+namespace {
+
+/// The relation table of a model type: its checkpoint name and shape. The
+/// one place the shape is decided — the constructor allocates it and
+/// ParameterElementCount counts it.
+struct RelationTableShape {
+  const char* name;
+  int64_t rows;
+  int64_t cols;
+};
+
+RelationTableShape RelationTable(ModelType type, int32_t num_relations,
+                                 int32_t dim) {
+  const int64_t r = num_relations;
+  const int64_t d = dim;
+  switch (type) {
+    case ModelType::kRescal:
+      return {"relations", r, d * d};  // Row-major W_r.
+    case ModelType::kRotatE:
+      return {"phases", r, d / 2};  // One phase per complex coordinate.
+    case ModelType::kConvE:
+      return {"relations", 2 * r, d};  // Reciprocal rows r + |R|.
+    case ModelType::kTransE:
+    case ModelType::kDistMult:
+    case ModelType::kComplEx:
+      break;
+  }
+  return {"relations", r, d};
+}
+
+}  // namespace
 
 const char* ModelTypeName(ModelType type) {
   switch (type) {
@@ -45,35 +71,50 @@ KgeModel::KgeModel(ModelType type, int32_t num_entities,
     : type_(type),
       num_entities_(num_entities),
       num_relations_(num_relations),
-      options_(options) {}
+      options_(options),
+      entities_(num_entities, options.dim),
+      relations_(RelationTable(type, num_relations, options.dim).rows,
+                 RelationTable(type, num_relations, options.dim).cols),
+      entity_adam_(entities_.rows(), entities_.cols(), options.adam),
+      relation_adam_(relations_.rows(), relations_.cols(), options.adam) {}
+
+void KgeModel::InitParameters(Rng* rng) {
+  entities_.InitXavier(rng, options_.dim, options_.dim);
+  relations_.InitXavier(rng, options_.dim, options_.dim);
+}
+
+void KgeModel::CollectParameters(std::vector<NamedParameter>* out) {
+  out->push_back({"entities", &entities_});
+  out->push_back(
+      {RelationTable(type_, num_relations_, options_.dim).name, &relations_});
+}
 
 void KgeModel::ScoreWithQuery(const Matrix& queries, size_t q,
                               const int32_t* candidates, size_t n,
                               float* out) const {
-  const Matrix& entities = candidate_embeddings();
   const Matrix* bias = candidate_bias();
   const float* qrow = queries.Row(q);
   const size_t dim = queries.cols();
-  KGEVAL_DCHECK(dim == entities.cols());
+  KGEVAL_DCHECK(dim == entities_.cols());
   switch (batch_kernel()) {
     case BatchKernel::kDot:
       for (size_t c = 0; c < n; ++c) {
         const int32_t id = candidates[c];
-        out[c] = Dot(qrow, entities.Row(static_cast<size_t>(id)), dim);
+        out[c] = Dot(qrow, entities_.Row(static_cast<size_t>(id)), dim);
         if (bias != nullptr) out[c] += bias->At(static_cast<size_t>(id), 0);
       }
       return;
     case BatchKernel::kNegL1:
       for (size_t c = 0; c < n; ++c) {
         out[c] = -L1Distance(
-            qrow, entities.Row(static_cast<size_t>(candidates[c])), dim);
+            qrow, entities_.Row(static_cast<size_t>(candidates[c])), dim);
       }
       return;
     case BatchKernel::kNegComplexDist: {
       const float eps = batch_kernel_eps();
       for (size_t c = 0; c < n; ++c) {
         out[c] = NegComplexDistance(
-            qrow, entities.Row(static_cast<size_t>(candidates[c])), dim / 2,
+            qrow, entities_.Row(static_cast<size_t>(candidates[c])), dim / 2,
             eps);
       }
       return;
@@ -140,14 +181,13 @@ void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
   block->sorted = std::is_sorted(candidates, candidates + n);
   // The tile is the pool's rows transposed (dim x n): candidates become
   // the contiguous axis, so every kernel scores them as independent lanes.
-  const Matrix& table = candidate_embeddings();
   for (size_t c = 0; c < n; ++c) {
     KGEVAL_DCHECK(candidates[c] >= 0 &&
-                  static_cast<size_t>(candidates[c]) < table.rows());
+                  static_cast<size_t>(candidates[c]) < entities_.rows());
   }
-  block->gathered_t.Resize(table.cols(), n);
-  ActiveScoreKernels().gather_t(table.data(), table.cols(), candidates, n,
-                                block->gathered_t.data());
+  block->gathered_t.Resize(entities_.cols(), n);
+  ActiveScoreKernels().gather_t(entities_.data(), entities_.cols(), candidates,
+                                n, block->gathered_t.data());
   block->bias.clear();
   const Matrix* bias = candidate_bias();
   if (bias != nullptr) {
@@ -233,28 +273,24 @@ Result<std::unique_ptr<KgeModel>> AllocateModel(ModelType type,
   }
   switch (type) {
     case ModelType::kTransE:
-      return {std::unique_ptr<KgeModel>(
-          new TransE(num_entities, num_relations, options))};
+      return {model_impls::NewTransE(num_entities, num_relations, options)};
     case ModelType::kDistMult:
-      return {std::unique_ptr<KgeModel>(
-          new DistMult(num_entities, num_relations, options))};
+      return {model_impls::NewDistMult(num_entities, num_relations, options)};
     case ModelType::kComplEx:
       if (options.dim % 2 != 0) {
         return Status::InvalidArgument("ComplEx needs an even dim");
       }
-      return {std::unique_ptr<KgeModel>(
-          new ComplEx(num_entities, num_relations, options))};
+      return {model_impls::NewComplEx(num_entities, num_relations, options)};
     case ModelType::kRescal:
-      return {std::unique_ptr<KgeModel>(
-          new Rescal(num_entities, num_relations, options))};
+      return {model_impls::NewRescal(num_entities, num_relations, options)};
     case ModelType::kRotatE:
       if (options.dim % 2 != 0) {
         return Status::InvalidArgument("RotatE needs an even dim");
       }
-      return {std::unique_ptr<KgeModel>(
-          new RotatE(num_entities, num_relations, options))};
+      return {model_impls::NewRotatE(num_entities, num_relations, options)};
     case ModelType::kConvE:
-      return ConvE::Create(num_entities, num_relations, options);
+      KGEVAL_RETURN_NOT_OK(model_impls::CheckConvEDim(options.dim));
+      return {model_impls::NewConvE(num_entities, num_relations, options)};
   }
   return Status::InvalidArgument("unhandled model type");
 }
@@ -274,23 +310,13 @@ Result<std::unique_ptr<KgeModel>> CreateModel(ModelType type,
 int64_t ParameterElementCount(ModelType type, int32_t num_entities,
                               int32_t num_relations,
                               const ModelOptions& options) {
-  const int64_t e = num_entities;
-  const int64_t r = num_relations;
-  const int64_t d = options.dim;
-  switch (type) {
-    case ModelType::kTransE:
-    case ModelType::kDistMult:
-    case ModelType::kComplEx:
-      return (e + r) * d;
-    case ModelType::kRescal:
-      return e * d + r * d * d;
-    case ModelType::kRotatE:
-      return e * d + r * (d / 2);
-    case ModelType::kConvE:
-      return ConvE::ParameterElementCount(num_entities, num_relations,
-                                          options.dim);
-  }
-  return 0;
+  const RelationTableShape relations =
+      RelationTable(type, num_relations, options.dim);
+  const int64_t tables = int64_t{num_entities} * options.dim +
+                         relations.rows * relations.cols;
+  if (type != ModelType::kConvE) return tables;
+  return tables +
+         model_impls::ConvEExtraElementCount(num_entities, options.dim);
 }
 
 }  // namespace kgeval

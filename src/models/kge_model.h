@@ -89,12 +89,12 @@ class KgeModel {
 
   /// --- Kernel surface -------------------------------------------------------
   /// The concrete models describe themselves to the generic scoring engine
-  /// through four hooks instead of overriding the scoring methods: which
-  /// batched reduction they collapse to, the embedding table candidates are
-  /// gathered from, an optional per-entity bias, and how to fold
-  /// (anchor, relation, direction) into per-query kernel rows. Everything
-  /// else — single-query scoring, pool preparation, fused blocks — is
-  /// implemented once in the base class on top of these.
+  /// through three hooks instead of overriding the scoring methods: which
+  /// batched reduction they collapse to, an optional per-entity bias, and
+  /// how to fold (anchor, relation, direction) into per-query kernel rows.
+  /// Candidates are always gathered from the base class's entity table.
+  /// Everything else — single-query scoring, pool preparation, fused blocks
+  /// — is implemented once in the base class on top of these.
 
   /// The reduction family the model's scoring collapses to.
   virtual BatchKernel batch_kernel() const { return BatchKernel::kDot; }
@@ -102,17 +102,14 @@ class KgeModel {
   /// Epsilon inside the per-coordinate sqrt for kNegComplexDist (RotatE).
   virtual float batch_kernel_eps() const { return 0.0f; }
 
-  /// The table candidate rows are drawn from (num_entities x kernel-dim).
-  virtual const Matrix& candidate_embeddings() const = 0;
-
   /// Optional per-entity bias column (num_entities x 1), added to kDot
   /// scores after the reduction (ConvE). nullptr = no bias.
   virtual const Matrix* candidate_bias() const { return nullptr; }
 
   /// Folds each (anchors[q], relation, direction) query into one kernel row:
-  /// resizes `queries` to num_queries x kernel-dim and fills row q with the
-  /// vector whose batch_kernel() reduction against an entity row is the
-  /// model's score. Direction-symmetric models ignore `direction`.
+  /// resizes `queries` to num_queries x dim and fills row q with the vector
+  /// whose batch_kernel() reduction against an entity row is the model's
+  /// score. Direction-symmetric models ignore `direction`.
   virtual void BuildKernelQueries(const int32_t* anchors, size_t num_queries,
                                   int32_t relation, QueryDirection direction,
                                   Matrix* queries) const = 0;
@@ -185,18 +182,21 @@ class KgeModel {
     Matrix* matrix;
   };
 
-  /// Appends views of every parameter matrix (stable names, stable order).
+  /// Appends views of every parameter matrix (stable names, stable order):
+  /// by default the entity table, then the relation table under its
+  /// checkpoint name; a model with more tables appends them after these.
   /// Optimizer state is not included: checkpoints restore the model for
   /// inference/evaluation, not mid-flight training moments.
-  virtual void CollectParameters(std::vector<NamedParameter>* out) = 0;
+  virtual void CollectParameters(std::vector<NamedParameter>* out);
 
  protected:
-  /// Draws the seeded initial value of every parameter table from `rng`.
+  /// Draws the seeded initial value of every parameter table from `rng`;
+  /// by default Xavier on the entity table, then on the relation table.
   /// Constructors only allocate their tables, zero-filled (the Adam moments
   /// not even that: they appear at the first update); CreateModel calls
   /// this once with Rng(options.seed), and LoadModel never does, because
   /// the checkpoint overwrites every table.
-  virtual void InitParameters(Rng* rng) = 0;
+  virtual void InitParameters(Rng* rng);
 
   friend Result<std::unique_ptr<KgeModel>> CreateModel(
       ModelType type, int32_t num_entities, int32_t num_relations,
@@ -206,6 +206,16 @@ class KgeModel {
   int32_t num_entities_;
   int32_t num_relations_;
   ModelOptions options_;
+
+  /// The table pair every model owns. Entities are |E| x dim; candidates
+  /// are gathered from this table. The relation table's shape and
+  /// checkpoint name depend on the model type (kge_model.cc's
+  /// RelationTable): |R| x d, RESCAL's |R| x d^2 (row-major W_r), RotatE's
+  /// |R| x d/2 phases, ConvE's 2|R| x d (reciprocal rows).
+  Matrix entities_;
+  Matrix relations_;
+  AdamState entity_adam_;
+  AdamState relation_adam_;
 
  private:
   /// Scores candidates[0..n) against query row q of a BuildKernelQueries

@@ -87,9 +87,6 @@ std::string CheckpointPath(const std::string& checkpoint_dir, int32_t epoch,
 Status Trainer::Train(KgeModel* model, const EpochCallback& callback) {
   if (model == nullptr) return Status::InvalidArgument("model is null");
   if (!options_.checkpoint_dir.empty()) {
-    if (options_.checkpoint_every <= 0) {
-      return Status::InvalidArgument("checkpoint_every must be positive");
-    }
     std::error_code ec;
     std::filesystem::create_directories(options_.checkpoint_dir, ec);
     if (ec) {
@@ -100,12 +97,7 @@ Status Trainer::Train(KgeModel* model, const EpochCallback& callback) {
   }
   for (int32_t epoch = 0; epoch < options_.epochs; ++epoch) {
     TrainEpoch(model, epoch);
-    // The final epoch is always snapshotted regardless of cadence: it is
-    // the model training actually produced, and post-hoc selection over
-    // the checkpoint directory must be able to see it.
-    if (!options_.checkpoint_dir.empty() &&
-        (epoch % options_.checkpoint_every == 0 ||
-         epoch == options_.epochs - 1)) {
+    if (!options_.checkpoint_dir.empty()) {
       // Written to a .tmp name and renamed into place: a WATCHer polling
       // the directory must never observe a half-written .ckpt file
       // (rename within one directory is atomic on POSIX filesystems).

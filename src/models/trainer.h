@@ -23,13 +23,11 @@ struct TrainerOptions {
   uint64_t seed = 99;
 
   /// When non-empty, Train() snapshots the model to
-  /// CheckpointPath(checkpoint_dir, epoch) after every checkpoint_every-th
-  /// epoch and always after the final epoch (the directory is created if
-  /// missing) — the producer side of EvalSession::EstimateCheckpoints'
-  /// from-disk monitoring loop. A failed save aborts training with its
-  /// Status.
+  /// CheckpointPath(checkpoint_dir, epoch) after every epoch (the
+  /// directory is created if missing) — the producer side of
+  /// EvalSession::EstimateCheckpoints' from-disk monitoring loop. A failed
+  /// save aborts training with its Status.
   std::string checkpoint_dir;
-  int32_t checkpoint_every = 1;
 };
 
 /// The snapshot path Train() writes for `epoch`: zero-padded so a

@@ -177,7 +177,9 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
       return;
     }
   }
-  auto config = GetPreset(name, options_.scale);
+  // Always the scaled preset: it keeps LOAD in interactive territory;
+  // paper scale is minutes.
+  auto config = GetPreset(name, PresetScale::kScaled);
   if (!config.ok()) {
     EmitError(emit, "bad-argument", config.status().message());
     return;

@@ -53,9 +53,6 @@ struct ServiceCounters {
 class EvalService {
  public:
   struct Options {
-    /// Dataset scale LOAD generates presets at. Scaled keeps LOAD in
-    /// interactive territory; paper-scale is minutes.
-    PresetScale scale = PresetScale::kScaled;
     /// WATCH's directory poll interval.
     int poll_interval_ms = 50;
     /// Deadline armed by the server for each blocking command (EVAL, SWEEP,

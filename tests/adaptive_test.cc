@@ -498,6 +498,34 @@ TEST_F(AdaptiveFixture, BudgetsForceUnconvergedStop) {
   EXPECT_EQ(result.evaluated_queries, 2 * kMaxTriples);
 }
 
+TEST_F(AdaptiveFixture, OneRoundScoresTheShuffledQueryPrefix) {
+  // A round is a simple random sample of *queries*: with a one-round
+  // budget, the scored queries are exactly the first batch_queries ids of
+  // the shuffled query order. A schedule that shuffled slot blocks instead
+  // would score whole same-relation runs — a cluster sample — and fail.
+  AdaptiveEvalOptions options;
+  options.target_half_width = 1e-9;
+  options.batch_queries = 512;
+  const EstimateResult result = EvaluateSampled(
+      *model_, *dataset_, *filter_, Split::kTest, *pools_,
+      Adaptive(options, static_cast<int64_t>(options.batch_queries / 2)));
+  EXPECT_EQ(result.rounds, 1);
+  EXPECT_EQ(result.evaluated_queries,
+            static_cast<int64_t>(options.batch_queries));
+
+  Rng rng(options.shuffle_seed);
+  const std::vector<int64_t> order = ShuffledQueryOrder(
+      static_cast<int64_t>(dataset_->split(Split::kTest).size()), &rng);
+  std::vector<int64_t> expected(order.begin(),
+                                order.begin() + options.batch_queries);
+  std::sort(expected.begin(), expected.end());
+  std::vector<int64_t> scored;
+  for (size_t q = 0; q < result.ranks.size(); ++q) {
+    if (result.ranks[q] != 0.0) scored.push_back(static_cast<int64_t>(q));
+  }
+  EXPECT_EQ(scored, expected);
+}
+
 TEST_F(AdaptiveFixture, FrameworkEstimateRunsAdaptiveRequests) {
   FrameworkOptions options;
   options.strategy = SamplingStrategy::kProbabilistic;

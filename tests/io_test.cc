@@ -403,15 +403,15 @@ TEST(CheckpointTrainerTest, TrainWritesEpochSnapshots) {
   TrainerOptions trainer_options;
   trainer_options.epochs = 4;
   trainer_options.checkpoint_dir = dir.path() + "/snapshots";
-  trainer_options.checkpoint_every = 2;
   Trainer trainer(&dataset, trainer_options);
   ASSERT_TRUE(trainer.Train(model.get()).ok());
 
-  // Epochs 0 and 2 on the cadence, epoch 3 because it is final, 1 not.
-  EXPECT_TRUE(fs::exists(CheckpointPath(trainer_options.checkpoint_dir, 0)));
-  EXPECT_FALSE(fs::exists(CheckpointPath(trainer_options.checkpoint_dir, 1)));
-  EXPECT_TRUE(fs::exists(CheckpointPath(trainer_options.checkpoint_dir, 2)));
-  EXPECT_TRUE(fs::exists(CheckpointPath(trainer_options.checkpoint_dir, 3)));
+  // Every epoch is snapshotted.
+  for (int32_t epoch = 0; epoch < 4; ++epoch) {
+    EXPECT_TRUE(
+        fs::exists(CheckpointPath(trainer_options.checkpoint_dir, epoch)))
+        << epoch;
+  }
 
   // The atomic-publish protocol leaves no .tmp files behind: every
   // snapshot was fully written under its temporary name, then renamed.
@@ -431,11 +431,6 @@ TEST(CheckpointTrainerTest, TrainWritesEpochSnapshots) {
   loaded.ValueOrDie()->ScoreCandidates(1, 2, QueryDirection::kTail, &tail, 1,
                                        &got);
   EXPECT_EQ(got, want);
-
-  TrainerOptions bad = trainer_options;
-  bad.checkpoint_every = 0;
-  EXPECT_EQ(Trainer(&dataset, bad).Train(model.get()).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(CheckpointTrainerTest, CheckpointPathOrdering) {
