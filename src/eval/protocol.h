@@ -26,6 +26,10 @@ struct EvalSchedule {
   /// so that blocks sharing a pool slot are contiguous (the prepared-tile
   /// reuse contract of ScoreSlotBlocks and PartitionAtSlotBoundaries).
   std::vector<SlotBlock> blocks;
+  /// BuildQuerySchedule's sort buffers, kept so that a schedule rebuilt
+  /// every adaptive round reuses them.
+  std::vector<uint64_t> sort_keys;
+  std::vector<uint64_t> sort_scratch;
 };
 
 /// The filtered-ranking protocol and the membership index it filters with,
@@ -62,9 +66,11 @@ class FilterIndex {
 
   /// Builds the slot-contiguous schedule of the queries `query_ids[0, n)`
   /// (query id = 2 * triple_index + (0 for the tail query, 1 for the head
-  /// query)) into `schedule`, reusing its buffers. Queries are bucketed
-  /// into (relation, direction) runs, and each run is cut by
-  /// AppendAnchorBlocks at the pool slot DomainRangeIndex(relation,
+  /// query)) into `schedule`, reusing its buffers. Two stable counting
+  /// sorts order the queries: by anchor, in radix digits, so the cost is
+  /// O(n) whatever the entity count; then into (relation, direction) runs.
+  /// Each run is thus sorted by anchor, ties in `query_ids` order, and is
+  /// cut by AppendAnchorBlocks at the pool slot DomainRangeIndex(relation,
   /// direction). Runs are emitted one direction at a time, relations
   /// ascending, so each pool slot's blocks are contiguous and each pool is
   /// prepared once per chunk. The adaptive evaluator schedules each round

@@ -23,14 +23,15 @@ size_t BlockRows(const std::vector<Triple>& triples, const SlotBlock& block,
 
 void AppendAnchorBlocks(const std::vector<Triple>& triples,
                         QueryDirection direction, int32_t pool_slot,
-                        size_t query_block, std::vector<int32_t>* run,
+                        size_t query_block, const std::vector<int32_t>* run,
                         std::vector<SlotBlock>* blocks) {
   KGEVAL_DCHECK(query_block > 0);
   if (run->empty()) return;
-  std::stable_sort(run->begin(), run->end(), [&](int32_t a, int32_t b) {
-    return QueryAnchor(triples[a], direction) <
-           QueryAnchor(triples[b], direction);
-  });
+  KGEVAL_DCHECK(std::is_sorted(run->begin(), run->end(),
+                               [&](int32_t a, int32_t b) {
+                                 return QueryAnchor(triples[a], direction) <
+                                        QueryAnchor(triples[b], direction);
+                               }));
   const int32_t relation = triples[(*run)[0]].relation;
   size_t lo = 0;
   size_t distinct = 0;

@@ -47,15 +47,16 @@ size_t BlockRows(const std::vector<Triple>& triples, const SlotBlock& block,
 
 /// The one block cutter of every schedule (FilterIndex::BuildSchedule and
 /// the adaptive rounds). `run` holds the triple indices of one
-/// (relation, direction) run; it is stable-sorted in place by the
-/// direction's anchor, then cut into blocks of at most `query_block`
-/// distinct anchors, appended to `blocks` with the given pool slot. The
-/// blocks point into `run`, which must stay put while they are in use.
-/// `query_block` must be positive. Sharing a row is exact only inside one
-/// relation, which is why runs never mix relations.
+/// (relation, direction) run, already sorted by the direction's anchor
+/// (FilterIndex::BuildQuerySchedule's counting sorts); it is cut into
+/// blocks of at most `query_block` distinct anchors, appended to `blocks`
+/// with the given pool slot. The blocks point into `run`, which must stay
+/// put while they are in use. `query_block` must be positive. Sharing a row
+/// is exact only inside one relation, which is why runs never mix
+/// relations.
 void AppendAnchorBlocks(const std::vector<Triple>& triples,
                         QueryDirection direction, int32_t pool_slot,
-                        size_t query_block, std::vector<int32_t>* run,
+                        size_t query_block, const std::vector<int32_t>* run,
                         std::vector<SlotBlock>* blocks);
 
 /// A uniformly shuffled order over all 2 * num_triples query ids of a

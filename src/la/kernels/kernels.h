@@ -10,6 +10,15 @@
 
 namespace kgeval {
 
+/// Candidate lanes per tile stride step: a 64-byte cache line of floats,
+/// one AVX-512 vector, two AVX2 vectors.
+constexpr size_t kTileLanes = 16;
+
+/// The row stride of an n-candidate tile: n rounded up to kTileLanes.
+constexpr size_t TileStride(size_t n) {
+  return (n + kTileLanes - 1) / kTileLanes * kTileLanes;
+}
+
 /// One implementation of the scoring core's hot loops, selected once at
 /// startup by a CPU-feature probe (overridable with KGEVAL_KERNELS=<name> or
 /// a server/bench --kernels flag). Every binary carries every implementation
@@ -19,27 +28,37 @@ namespace kgeval {
 /// to AVX2/AVX-512 at runtime when the CPU has them. Adding an ISA is one
 /// `Isa` description plus one registry line (kernels.cc).
 ///
-/// `gather_t` builds a transposed candidate tile (`dim` rows by `n`
-/// contiguous candidate lanes, CandidateBlock::gathered_t); the three scoring
-/// kernels score `nq` query rows against such a tile: out[q * n + c] is
-/// query q's score of candidate c.
+/// Tile contract. `gather_t` builds a transposed candidate tile
+/// (CandidateBlock::gathered_t): `dim` rows of `n` candidate lanes, each
+/// row TileStride(n) floats long. The lanes [n, TileStride(n)) of every row
+/// are padding, a copy of the last real candidate, so a kernel can load
+/// whole vectors to the end of every row and never needs a masked load.
+/// The three scoring kernels score `nq` query rows against such a tile,
+/// reading its rows at that stride: out[q * n + c] is query q's score of
+/// candidate c, so the output has no padding and its last strip ends in a
+/// masked store. A prepared tile also starts on a 64-byte boundary
+/// (Matrix), which with the padded stride puts every row on a cache line;
+/// the kernels still use unaligned loads, so a caller's plain buffer with
+/// n a multiple of 16 (stride n) is a valid tile too.
 ///
 /// Bit-exactness contract (the repo's rank-parity bar): the gather is a pure
 /// copy, so every implementation writes the same bits, NaN payloads
-/// included. Every scoring kernel treats candidates as independent lanes and
-/// accumulates over the dim axis in exactly the scalar reference's order,
-/// one rounded multiply then one rounded add per step (never an FMA), with
-/// IEEE-exact sqrt/fabs. Every implementation therefore produces
-/// bit-identical output for every cell, so ranks, MRR, and served bytes do
-/// not depend on which ISA ran.
+/// included, padding lanes too. Every scoring kernel treats candidates as
+/// independent lanes and accumulates over the dim axis in exactly the
+/// scalar reference's order, one rounded multiply then one rounded add per
+/// step (never an FMA), with IEEE-exact sqrt/fabs; no padding lane reaches
+/// an output cell. Every implementation therefore produces bit-identical
+/// output for every cell, so ranks, MRR, and served bytes do not depend on
+/// which ISA ran.
 struct ScoreKernels {
   const char* name;
 
-  /// out[q * n + c] = sum_k queries[q * dim + k] * tile[k * n + c].
+  /// out[q * n + c] = sum_k queries[q * dim + k] * tile[k * ld + c], with
+  /// ld = TileStride(n) here and below.
   void (*dot)(const float* queries, size_t nq, size_t dim, const float* tile,
               size_t n, float* out);
 
-  /// out[q * n + c] = -sum_k |queries[q * dim + k] - tile[k * n + c]|.
+  /// out[q * n + c] = -sum_k |queries[q * dim + k] - tile[k * ld + c]|.
   void (*neg_l1)(const float* queries, size_t nq, size_t dim,
                  const float* tile, size_t n, float* out);
 
@@ -49,10 +68,10 @@ struct ScoreKernels {
   void (*neg_complex_dist)(const float* queries, size_t nq, size_t dim,
                            const float* tile, size_t n, float eps, float* out);
 
-  /// out[k * n + c] = table[ids[c] * cols + k] for k < cols and c < n:
-  /// rows ids[0, n) of a row-major table with `cols` columns, written as
-  /// the transposed cols x n tile the kernels above read. Ids may repeat
-  /// and come in any order.
+  /// out[k * ld + c] = table[ids[min(c, n - 1)] * cols + k] for k < cols
+  /// and c < ld = TileStride(n): rows ids[0, n) of a row-major table with
+  /// `cols` columns, written as the transposed, padded tile the kernels
+  /// above read. Ids may repeat and come in any order.
   void (*gather_t)(const float* table, size_t cols, const int32_t* ids,
                    size_t n, float* out);
 };

@@ -39,9 +39,6 @@ struct Isa {
   KGEVAL_SIMD_TARGET static V Load(const float* p) {
     return _mm256_loadu_ps(p);
   }
-  KGEVAL_SIMD_TARGET static V MaskLoad(const float* p, Mask m) {
-    return _mm256_maskload_ps(p, m);
-  }
   KGEVAL_SIMD_TARGET static void Store(float* p, V v) {
     _mm256_storeu_ps(p, v);
   }
@@ -70,7 +67,8 @@ struct Isa {
 // The tile gather, 8 candidates x 8 dims at a time: one 32-byte load per
 // candidate row, an 8 x 8 transpose in registers, then one contiguous
 // 32-byte store per dim row of the tile, instead of 64 single-float stores
-// at a stride of n. Unpacks and 128-bit lane permutes move bits without
+// at the tile's row stride. In a prepared tile every such store lands
+// inside one cache line. Unpacks and 128-bit lane permutes move bits without
 // arithmetic, so every output word equals the scalar reference's.
 
 /// Transposes r in place: on return r[j][i] = old r[i][j].
@@ -110,13 +108,16 @@ KGEVAL_SIMD_TARGET inline void Transpose8x8(__m256* r) {
 KGEVAL_SIMD_TARGET
 void GatherTAvx2(const float* table, size_t cols, const int32_t* ids,
                  size_t n, float* out) {
-  const size_t n8 = n - n % 8;
+  // The padded width is a multiple of 8, so every candidate block is whole;
+  // the padding lanes gather the last candidate again.
+  const size_t ld = TileStride(n);
   const size_t cols8 = cols - cols % 8;
-  for (size_t c = 0; c < n8; c += 8) {
+  for (size_t c = 0; c < ld; c += 8) {
     const float* rows[8];
 #pragma GCC unroll 8
-    for (int i = 0; i < 8; ++i) {
-      rows[i] = table + static_cast<size_t>(ids[c + i]) * cols;
+    for (size_t i = 0; i < 8; ++i) {
+      const size_t id = static_cast<size_t>(ids[std::min(c + i, n - 1)]);
+      rows[i] = table + id * cols;
     }
     for (size_t k = 0; k < cols8; k += 8) {
       __m256 r[8];
@@ -125,17 +126,12 @@ void GatherTAvx2(const float* table, size_t cols, const int32_t* ids,
       Transpose8x8(r);
 #pragma GCC unroll 8
       for (int j = 0; j < 8; ++j) {
-        _mm256_storeu_ps(out + (k + j) * n + c, r[j]);
+        _mm256_storeu_ps(out + (k + j) * ld + c, r[j]);
       }
     }
     for (size_t k = cols8; k < cols; ++k) {
-      for (size_t i = 0; i < 8; ++i) out[k * n + c + i] = rows[i][k];
+      for (size_t i = 0; i < 8; ++i) out[k * ld + c + i] = rows[i][k];
     }
-  }
-  // The last n % 8 candidates: the scalar loop.
-  for (size_t c = n8; c < n; ++c) {
-    const float* row = table + static_cast<size_t>(ids[c]) * cols;
-    for (size_t k = 0; k < cols; ++k) out[k * n + c] = row[k];
   }
 }
 

@@ -33,9 +33,6 @@ struct Isa {
   KGEVAL_SIMD_TARGET static V Load(const float* p) {
     return _mm512_loadu_ps(p);
   }
-  KGEVAL_SIMD_TARGET static V MaskLoad(const float* p, Mask m) {
-    return _mm512_maskz_loadu_ps(m, p);
-  }
   KGEVAL_SIMD_TARGET static void Store(float* p, V v) {
     _mm512_storeu_ps(p, v);
   }

@@ -11,7 +11,10 @@ void Matrix::InitXavier(Rng* rng, size_t fan_in, size_t fan_out) {
 }
 
 void Matrix::InitUniform(Rng* rng, float lo, float hi) {
-  for (auto& v : data_) v = lo + (hi - lo) * rng->NextFloat();
+  float* v = data();
+  for (size_t i = 0; i < size(); ++i) {
+    v[i] = lo + (hi - lo) * rng->NextFloat();
+  }
 }
 
 }  // namespace kgeval

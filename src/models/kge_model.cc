@@ -1,6 +1,7 @@
 #include "models/kge_model.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "la/kernels/kernels.h"
 #include "la/vector_ops.h"
@@ -128,7 +129,8 @@ void KgeModel::ScorePool(const Matrix& queries, const CandidateBlock& block,
   const size_t nq = queries.rows();
   const size_t dim = queries.cols();
   const float* tile = block.gathered_t.data();
-  KGEVAL_CHECK(dim == block.gathered_t.rows());
+  KGEVAL_CHECK(dim == block.gathered_t.rows() &&
+               block.gathered_t.cols() == TileStride(n));
   const ScoreKernels& kernels = ActiveScoreKernels();
   switch (batch_kernel()) {
     case BatchKernel::kDot:
@@ -179,15 +181,21 @@ void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const {
   block->ids.assign(candidates, candidates + n);
   block->sorted = std::is_sorted(candidates, candidates + n);
-  // The tile is the pool's rows transposed (dim x n): candidates become
-  // the contiguous axis, so every kernel scores them as independent lanes.
+  // The tile is the pool's rows transposed (dim x TileStride(n)):
+  // candidates become the contiguous axis, so every kernel scores them as
+  // independent lanes, and every row starts on a cache line.
   for (size_t c = 0; c < n; ++c) {
     KGEVAL_DCHECK(candidates[c] >= 0 &&
                   static_cast<size_t>(candidates[c]) < entities_.rows());
   }
-  block->gathered_t.Resize(entities_.cols(), n);
+  Matrix& tile = block->gathered_t;
+  tile.Resize(entities_.cols(), TileStride(n));
+  KGEVAL_CHECK(reinterpret_cast<uintptr_t>(tile.data()) %
+                   Matrix::kAlignBytes ==
+               0)
+      << "a prepared tile starts on a cache line";
   ActiveScoreKernels().gather_t(entities_.data(), entities_.cols(), candidates,
-                                n, block->gathered_t.data());
+                                n, tile.data());
   block->bias.clear();
   const Matrix* bias = candidate_bias();
   if (bias != nullptr) {

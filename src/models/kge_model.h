@@ -54,9 +54,11 @@ enum class BatchKernel {
 
 /// A candidate pool prepared once and scored many times. PrepareCandidates
 /// fills the pool's ids plus the gathered layout: the pool's entity
-/// embeddings transposed (dim x n, candidates contiguous — for
+/// embeddings transposed (dim x TileStride(n), candidates contiguous — for
 /// ComplEx/RotatE the top/bottom halves of the tile are the split re/im
-/// planes); ConvE additionally gathers the per-candidate entity bias.
+/// planes), 64-byte aligned and padded with copies of the last candidate
+/// (the tile contract in la/kernels/kernels.h); ConvE additionally gathers
+/// the per-candidate entity bias.
 /// Preparing costs one gather + transpose; every subsequent ScoreBlock call
 /// against the block reuses it.
 struct CandidateBlock {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <memory>
@@ -88,6 +89,12 @@ TEST(KernelRegistryTest, X86BuildsCompileBothSimdTablesSharingOneGather) {
 }
 #endif
 
+std::vector<uint32_t> Bits(const std::vector<float>& values) {
+  std::vector<uint32_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
+  return bits;
+}
+
 // ---------------------------------------------------------------------------
 // Dispatched-vs-scalar bit equality: every supported implementation must
 // prepare bit-identical tiles and produce bit-identical pool and truth
@@ -105,8 +112,8 @@ class KernelParityTest : public ::testing::TestWithParam<ModelType> {
 TEST_P(KernelParityTest, EverySupportedKernelMatchesScalarBitExactly) {
   KernelGuard guard;
   auto model = Make();
-  // 45 unsorted candidates with repeats: the SIMD gather fills whole
-  // 8-candidate blocks and then takes its candidate remainder.
+  // 45 unsorted candidates with repeats: the tile stride is 48, so every
+  // tile row ends in three padding lanes.
   std::vector<int32_t> candidates;
   for (int32_t c = 0; c < 45; ++c) candidates.push_back((c * 17 + 11) % 40);
   const std::vector<int32_t> anchors = {0, 5, 5, 17, 39, 2};
@@ -149,6 +156,39 @@ TEST_P(KernelParityTest, EverySupportedKernelMatchesScalarBitExactly) {
   }
 }
 
+TEST_P(KernelParityTest, PreparedTilesStartOnACacheLineAtTheTileStride) {
+  KernelGuard guard;
+  auto model = Make();
+  const size_t dim = static_cast<size_t>(model->options().dim);
+  // One block reused across growing and shrinking pools, as the evaluators
+  // reuse theirs, and a fresh block per pool.
+  CandidateBlock reused;
+  for (const std::string& name : SupportedScoreKernelNames()) {
+    ASSERT_TRUE(SelectScoreKernels(name).ok()) << name;
+    for (size_t n : {1, 15, 16, 17, 45, 300, 33, 2}) {
+      SCOPED_TRACE(testing::Message() << name << " n=" << n);
+      std::vector<int32_t> candidates(n);
+      for (size_t c = 0; c < n; ++c) {
+        candidates[c] = static_cast<int32_t>((c * 7 + 3) % 40);
+      }
+      CandidateBlock fresh;
+      for (CandidateBlock* block : {&reused, &fresh}) {
+        model->PrepareCandidates(candidates.data(), n, block);
+        const Matrix& tile = block->gathered_t;
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(tile.data()) % 64, 0u);
+        ASSERT_EQ(tile.rows(), dim);
+        ASSERT_EQ(tile.cols(), TileStride(n));
+        for (size_t k = 0; k < dim; ++k) {
+          for (size_t c = n; c < tile.cols(); ++c) {
+            EXPECT_EQ(Bits({tile.At(k, c)}), Bits({tile.At(k, n - 1)}))
+                << "padding lane k=" << k << " c=" << c;
+          }
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllModels, KernelParityTest,
                          ::testing::ValuesIn(kAllModelTypes),
                          [](const ::testing::TestParamInfo<ModelType>& info) {
@@ -161,12 +201,6 @@ INSTANTIATE_TEST_SUITE_P(AllModels, KernelParityTest,
 // for bit across shapes that reach every strip width, every query-group
 // remainder and every column-chunk edge.
 
-std::vector<uint32_t> Bits(const std::vector<float>& values) {
-  std::vector<uint32_t> bits(values.size());
-  std::memcpy(bits.data(), values.data(), values.size() * sizeof(float));
-  return bits;
-}
-
 /// Values drawn from a small set (ties within and across rows, both signed
 /// zeros) mixed with uniform ones.
 std::vector<float> KernelInput(size_t size, Rng* rng) {
@@ -178,6 +212,18 @@ std::vector<float> KernelInput(size_t size, Rng* rng) {
             : static_cast<float>(-3.0 + 6.0 * rng->NextDouble());
   }
   return values;
+}
+
+/// A dim x TileStride(n) tile of KernelInput values whose padding lanes
+/// [n, TileStride(n)) are NaN: no kernel may let one reach an output cell.
+std::vector<float> PaddedKernelTile(size_t dim, size_t n, Rng* rng) {
+  const size_t ld = TileStride(n);
+  std::vector<float> tile = KernelInput(dim * ld, rng);
+  for (size_t k = 0; k < dim; ++k) {
+    std::fill(tile.begin() + k * ld + n, tile.begin() + (k + 1) * ld,
+              std::nanf(""));
+  }
+  return tile;
 }
 
 TEST(RawKernelParityTest, ExactKernelsMatchScalarOnEveryShape) {
@@ -197,13 +243,18 @@ TEST(RawKernelParityTest, ExactKernelsMatchScalarOnEveryShape) {
         SCOPED_TRACE(testing::Message()
                      << "nq=" << nq << " n=" << n << " dim=" << dim);
         const std::vector<float> queries = KernelInput(nq * dim, &rng);
-        const std::vector<float> tile = KernelInput(dim * n, &rng);
+        const std::vector<float> tile = PaddedKernelTile(dim, n, &rng);
         // Every cell starts as a NaN sentinel, so a cell a kernel never
         // writes cannot match the reference; 16 sentinel cells past the
-        // end catch a masked store that writes too far.
+        // end catch a masked store that writes too far. The inputs hold no
+        // NaN outside the tile's padding, so a NaN inside [0, nq * n) is
+        // an unwritten cell or a padding lane that leaked.
         const auto run = [&](auto kernel) {
           std::vector<float> out(nq * n + 16, std::nanf(""));
           kernel(out.data());
+          for (size_t i = 0; i < nq * n; ++i) {
+            EXPECT_FALSE(std::isnan(out[i])) << "cell " << i;
+          }
           return Bits(out);
         };
         const std::vector<uint32_t> dot = run([&](float* out) {
@@ -277,7 +328,7 @@ TEST(RawKernelParityTest, GatherMatchesScalarByteForByte) {
   const ScoreKernels& scalar = ScalarScoreKernels();
   constexpr size_t kRows = 50;
   Rng rng(29);
-  for (size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 33, 1705}) {
+  for (size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 24, 33, 1705}) {
     for (size_t cols : {1, 2, 3, 7, 8, 9, 15, 16, 17, 32, 64, 200}) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " cols=" << cols);
       const std::vector<float> table = GatherInput(kRows * cols, &rng);
@@ -289,18 +340,22 @@ TEST(RawKernelParityTest, GatherMatchesScalarByteForByte) {
       if (n >= 2) ids[n - 1] = ids[0];
       // NaN sentinels everywhere, 16 of them past the end: an unwritten
       // cell or an overrunning store fails the comparison.
+      const size_t ld = TileStride(n);
       const auto run = [&](const ScoreKernels& k) {
-        std::vector<float> out(cols * n + 16, std::nanf(""));
+        std::vector<float> out(cols * ld + 16, std::nanf(""));
         k.gather_t(table.data(), cols, ids.data(), n, out.data());
         return Bits(out);
       };
       const std::vector<uint32_t> reference = run(scalar);
-      for (size_t i = 0; i < cols * n; ++i) {
-        const size_t k = i / n, c = i % n;
+      for (size_t i = 0; i < cols * ld; ++i) {
+        const size_t k = i / ld, c = i % ld;
+        // Padding columns [n, ld) repeat the last candidate.
+        const size_t id = static_cast<size_t>(ids[std::min(c, n - 1)]);
         uint32_t want;
-        std::memcpy(&want, &table[static_cast<size_t>(ids[c]) * cols + k],
-                    sizeof(want));
-        ASSERT_EQ(reference[i], want) << "scalar cell k=" << k << " c=" << c;
+        std::memcpy(&want, &table[id * cols + k], sizeof(want));
+        ASSERT_EQ(reference[i], want)
+            << "scalar cell k=" << k << " c=" << c
+            << (c >= n ? " (padding)" : "");
       }
       for (const ScoreKernels* impl : impls) {
         EXPECT_EQ(run(*impl), reference) << "gather_t under " << impl->name;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "la/adam.h"
 #include "la/matrix.h"
@@ -23,6 +26,42 @@ TEST(MatrixTest, RowPointersAreContiguous) {
   m.At(2, 0) = 7.0f;
   EXPECT_FLOAT_EQ(m.Row(2)[0], 7.0f);
   EXPECT_EQ(m.Row(3), m.Row(0) + 15);
+}
+
+bool CacheLineAligned(const Matrix& m) {
+  return reinterpret_cast<uintptr_t>(m.data()) % Matrix::kAlignBytes == 0;
+}
+
+TEST(MatrixTest, StorageStartsOnACacheLineThroughCopiesMovesAndResizes) {
+  for (size_t rows : {1, 3, 64}) {
+    for (size_t cols : {1, 5, 16, 17, 1705}) {
+      Matrix m(rows, cols, 2.0f);
+      ASSERT_TRUE(CacheLineAligned(m)) << rows << " x " << cols;
+      m.At(rows - 1, cols - 1) = 3.0f;
+      // A copy lands in a buffer of its own and re-aligns there.
+      const Matrix copy = m;
+      EXPECT_TRUE(CacheLineAligned(copy));
+      EXPECT_NE(copy.data(), m.data());
+      ASSERT_EQ(copy.size(), rows * cols);
+      EXPECT_TRUE(std::equal(m.data(), m.data() + m.size(), copy.data()));
+      Matrix assigned(2, 2);
+      assigned = copy;
+      EXPECT_TRUE(CacheLineAligned(assigned));
+      EXPECT_TRUE(std::equal(m.data(), m.data() + m.size(), assigned.data()));
+      // A move keeps the buffer and leaves an empty matrix.
+      const float* before = m.data();
+      Matrix moved = std::move(m);
+      EXPECT_EQ(moved.data(), before);
+      // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state.
+      EXPECT_EQ(m.size(), 0u);
+      // Growing and shrinking reshapes keep the boundary.
+      for (size_t c : {cols + 100, size_t{3}, cols * 7 + 1}) {
+        moved.Resize(rows, c);
+        EXPECT_TRUE(CacheLineAligned(moved)) << rows << " x " << c;
+        EXPECT_EQ(moved.size(), rows * c);
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, XavierBoundsRespected) {

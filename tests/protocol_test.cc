@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -311,6 +312,144 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
     expected += static_cast<int64_t>(pools.pools[slot].size() + 1);
   }
   EXPECT_EQ(budgeted.scored_candidates, expected);
+}
+
+/// One block of a schedule, by value: what a block ranks and in which
+/// order.
+struct BlockContents {
+  int32_t relation;
+  QueryDirection direction;
+  int32_t pool_slot;
+  std::vector<int32_t> triples;
+
+  bool operator==(const BlockContents& o) const {
+    return relation == o.relation && direction == o.direction &&
+           pool_slot == o.pool_slot && triples == o.triples;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const BlockContents& b) {
+  os << "{r=" << b.relation << " dir=" << static_cast<int>(b.direction)
+     << " slot=" << b.pool_slot << " triples=[";
+  for (int32_t i : b.triples) os << i << ",";
+  return os << "]}";
+}
+
+std::vector<BlockContents> Contents(const EvalSchedule& schedule) {
+  std::vector<BlockContents> out;
+  for (const SlotBlock& b : schedule.blocks) {
+    out.push_back({b.relation, b.direction, b.pool_slot,
+                   std::vector<int32_t>(b.triple_idx->begin() + b.begin,
+                                        b.triple_idx->begin() + b.end)});
+  }
+  return out;
+}
+
+/// The schedule builder the counting sorts replaced, kept here as the
+/// reference: bucket the query ids into (relation, direction) runs in
+/// input order, stable-sort each run by its anchor, then walk the runs
+/// head direction first, relations ascending, cutting each into blocks of
+/// at most `query_block` distinct anchors.
+std::vector<BlockContents> StableSortSchedule(
+    const std::vector<Triple>& triples, int32_t num_relations,
+    const int64_t* query_ids, size_t n, size_t query_block) {
+  std::vector<std::vector<int32_t>> runs(2 * num_relations);
+  for (size_t k = 0; k < n; ++k) {
+    const int32_t i = static_cast<int32_t>(query_ids[k] >> 1);
+    runs[2 * triples[i].relation + (query_ids[k] & 1)].push_back(i);
+  }
+  std::vector<BlockContents> blocks;
+  for (QueryDirection dir : {QueryDirection::kHead, QueryDirection::kTail}) {
+    for (int32_t r = 0; r < num_relations; ++r) {
+      std::vector<int32_t>& run =
+          runs[2 * r + (dir == QueryDirection::kTail ? 0 : 1)];
+      const auto anchor = [&](int32_t i) {
+        return QueryAnchor(triples[i], dir);
+      };
+      std::stable_sort(run.begin(), run.end(), [&](int32_t a, int32_t b) {
+        return anchor(a) < anchor(b);
+      });
+      const int32_t slot = DomainRangeIndex(r, dir, num_relations);
+      size_t distinct = 0;
+      for (size_t i = 0; i < run.size(); ++i) {
+        const bool new_anchor = i == 0 || anchor(run[i]) != anchor(run[i - 1]);
+        if (new_anchor && distinct == query_block) {
+          distinct = 0;
+        }
+        if (new_anchor && distinct++ == 0) {
+          blocks.push_back({r, dir, slot, {}});
+        }
+        blocks.back().triples.push_back(run[i]);
+      }
+    }
+  }
+  return blocks;
+}
+
+/// Random triples over few entities and relations, so anchors repeat
+/// heavily within and across runs (duplicate triples included), with the
+/// entity ids spread to `max_entity` so the anchor sort needs several
+/// digits.
+Dataset RepeatedAnchorDataset(int32_t max_entity, uint64_t seed) {
+  constexpr int32_t kRelations = 5;
+  Rng rng(seed);
+  const int32_t picks[] = {0, 1, 2, 3, 2047, 2048, max_entity / 2,
+                           max_entity - 1};
+  const auto pick = [&] {
+    return std::min(picks[rng.NextBounded(std::size(picks))], max_entity - 1);
+  };
+  std::vector<Triple> test;
+  for (int k = 0; k < 900; ++k) {
+    const int32_t head = pick();
+    const int32_t relation = static_cast<int32_t>(rng.NextBounded(kRelations));
+    test.push_back({head, relation, pick()});
+  }
+  return Dataset("repeated-anchors", max_entity, kRelations, /*train=*/{},
+                 /*valid=*/{}, std::move(test), TypeStore());
+}
+
+TEST(ScheduleTest, BuildsTheStableSortSchedule) {
+  std::vector<Dataset> datasets;
+  datasets.push_back(SynthDataset());
+  datasets.push_back(DuplicateQueryDataset());
+  // 2^22 + 9 entities: anchors of 23 bits take three radix digits.
+  for (int32_t max_entity : {8, 5000, (1 << 22) + 9}) {
+    datasets.push_back(RepeatedAnchorDataset(max_entity, 77));
+  }
+  for (const Dataset& dataset : datasets) {
+    SCOPED_TRACE(dataset.name());
+    const FilterIndex filter(dataset);
+    const int32_t num_r = dataset.num_relations();
+    for (Split split : {Split::kTrain, Split::kTest}) {
+      const std::vector<Triple>& triples = dataset.split(split);
+      const int64_t n = static_cast<int64_t>(triples.size());
+      std::vector<int64_t> all(2 * static_cast<size_t>(n));
+      std::iota(all.begin(), all.end(), int64_t{0});
+      for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
+        SCOPED_TRACE(testing::Message() << "query_block=" << query_block);
+        // The full split.
+        EXPECT_EQ(Contents(filter.BuildSchedule(triples, n, query_block)),
+                  StableSortSchedule(triples, num_r, all.data(), all.size(),
+                                     query_block));
+        // Round-sized slices of a shuffled order, into one reused
+        // schedule as the adaptive evaluator builds them.
+        Rng rng(query_block);
+        const std::vector<int64_t> order = ShuffledQueryOrder(n, &rng);
+        EvalSchedule round;
+        for (size_t take : {size_t{1}, size_t{37}, size_t{256}}) {
+          for (size_t lo = 0; lo < order.size(); lo += take) {
+            const size_t k = std::min(take, order.size() - lo);
+            filter.BuildQuerySchedule(triples, order.data() + lo, k,
+                                      query_block, &round);
+            ASSERT_EQ(Contents(round),
+                      StableSortSchedule(triples, num_r, order.data() + lo, k,
+                                         query_block))
+                << "round [" << lo << ", " << lo + k << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ScheduleTest, AdaptiveRoundsKeepInvariants) {
