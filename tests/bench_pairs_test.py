@@ -5,11 +5,13 @@ command is a fake run.py that prints fixed JSON.
     python3 tests/bench_pairs_test.py path/to/tools/bench_pairs.py
 
 The parent commit's fake reports estimate_ms 10 + seed / 10, evals_per_s
-100 and peak_rss_mb 50; the working tree's reports estimate_ms 8 + seed /
-10, evals_per_s 60 and peak_rss_mb 52. So estimate_ms improves on every
-pair, evals_per_s regresses past its 25% bound and peak_rss_mb moves 4%,
-inside its 10% bound. Every fake run appends its side and arguments to a
-log, which pins the alternating order.
+100, peak_rss_mb 50 and setup_s seed; the working tree's reports
+estimate_ms 8 + seed / 10, evals_per_s 60, peak_rss_mb 52 and setup_s
+seed + 0.1. So estimate_ms improves on every pair, evals_per_s regresses
+past its 25% bound, peak_rss_mb moves 4%, inside its 10% bound, and
+setup_s spreads wider than its bound across seeds, so it is unresolved.
+Every fake run appends its side and arguments to a log, which pins the
+alternating order.
 """
 
 import json
@@ -30,6 +32,7 @@ SPEC = {
         {"name": "estimate_ms", "unit": "ms", "better": "lower", "bound": 0.25},
         {"name": "evals_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
         {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
     ],
 }
 
@@ -46,7 +49,8 @@ print(json.dumps({{"correct": True, "attempted": 10, "failed": {failed},
     "metrics": {{
         "estimate_ms": {{"value": {estimate} + a.seed / 10, "unit": "ms"}},
         "evals_per_s": {{"value": {evals}, "unit": "1/s"}},
-        "peak_rss_mb": {{"value": {rss}, "unit": "MB"}}}}}}))
+        "peak_rss_mb": {{"value": {rss}, "unit": "MB"}},
+        "setup_s": {{"value": a.seed + {setup}, "unit": "s"}}}}}}))
 """
 
 
@@ -72,13 +76,13 @@ class BenchPairsTest(unittest.TestCase):
         with open(os.path.join(self.repo, "BENCHMARK.json"), "w") as f:
             json.dump(SPEC, f)
         write_fake(self.repo, side="parent", estimate=10, evals=100, rss=50,
-                   failed=0)
+                   setup=0, failed=0)
         git(self.repo, "add", "-A")
         git(self.repo, "commit", "-q", "-m", "parent")
         self.parent = git(self.repo, "rev-parse", "HEAD")
         # The change stays uncommitted: the tool measures the working tree.
         write_fake(self.repo, side="change", estimate=8, evals=60, rss=52,
-                   failed=1)
+                   setup=0.1, failed=1)
 
     def tearDown(self):
         self.tmp.cleanup()
@@ -121,6 +125,10 @@ class BenchPairsTest(unittest.TestCase):
         rss = report["metrics"]["peak_rss_mb"]
         self.assertEqual(rss["pairs_won"], 0)
         self.assertEqual(rss["verdict"], "within-bound")
+
+        setup = report["metrics"]["setup_s"]
+        self.assertAlmostEqual(setup["parent_iqr"], 1.5)
+        self.assertEqual(setup["verdict"], "unresolved")
 
         # The runs alternate which side goes first, seed by seed, with the
         # spec's run_seconds and no trace.

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of the working tree against a parent commit.
 
-    python3 tools/bench_pairs.py PARENT_REF --workload W --pairs N [--seconds S]
+    python3 tools/bench_pairs.py PARENT_REF --workload W --pairs N
 
 Run from the repository root. The parent is checked out into a temporary
 `git worktree` and removed afterwards. Both trees run the benchmark command
 of their own BENCHMARK.json (`perfbench/run.py`), which builds each tree
-from source. Pair i runs seed i on both sides, one after the other; the
-parent goes first on odd seeds and the change on even ones, so neither side
-always runs on a warmer or a busier machine.
+from source, for the working tree's `run_seconds`. Pair i runs seed i on
+both sides, one after the other; the parent goes first on odd seeds and
+the change on even ones, so neither side always runs on a warmer or a
+busier machine.
 
 The result goes to BENCH_<W>.json at the root. For each end-to-end metric
 of the working tree's BENCHMARK.json it holds both sides' values by seed,
@@ -19,7 +20,10 @@ their medians and quartiles, the pairs the change won, and a verdict:
   improved      the change won at least 90% of the pairs and its median
                 beats the parent's by more than the parent's interquartile
                 range;
-  within-bound  neither.
+  unresolved    neither, but the parent's interquartile range is wider
+                than the bound, so the runs cannot show that the metric
+                held, and not every change run beats every parent run;
+  within-bound  none of these.
 
 A metric absent from either side's runs is "missing". The report also
 records each side's failed share of attempted operations. The exit status
@@ -101,10 +105,19 @@ def summarize(spec_metric, parent_values, change_values):
                         if parent_median else None)
     parent_iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
     out["parent_iqr"] = parent_iqr
-    if -gain > spec_metric["bound"] * abs(parent_median):
+    bound = spec_metric["bound"] * abs(parent_median)
+    parent_present = [p for p in parent_values if p is not None]
+    change_present = [c for c in change_values if c is not None]
+    if better_lower:
+        separated = max(change_present) < min(parent_present)
+    else:
+        separated = min(change_present) > max(parent_present)
+    if -gain > bound:
         out["verdict"] = "regressed"
     elif pairs and won >= math.ceil(0.9 * len(pairs)) and gain > parent_iqr:
         out["verdict"] = "improved"
+    elif parent_iqr > bound and not separated:
+        out["verdict"] = "unresolved"
     else:
         out["verdict"] = "within-bound"
     return out
@@ -122,8 +135,6 @@ def main():
     parser.add_argument("parent_ref")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float,
-                        help="measured seconds per run (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -133,7 +144,7 @@ def main():
     change_commit = git(root, "rev-parse", "HEAD")
     dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
     spec = load_spec(root)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     tmp = tempfile.mkdtemp(prefix="bench_pairs-")
     parent_root = os.path.join(tmp, "parent")
