@@ -1,9 +1,6 @@
 #include "bench/bench_common.h"
 
-#include <unistd.h>
-
 #include <cstdio>
-#include <filesystem>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -66,15 +63,6 @@ std::optional<SampledCandidates> KpPools(const EvaluationFramework& framework,
   return DrawCandidates(strategy, &framework.sets(), dataset.num_entities(),
                         framework.SampleSize(), NeededSlots(dataset, split),
                         2 * dataset.num_relations(), &rng);
-}
-
-std::string MakeScratchDir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      (name + "_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
 }
 
 void PrintHeader(const std::string& title) {

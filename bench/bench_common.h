@@ -29,10 +29,6 @@ namespace bench {
 ///   --threads=N       worker-pool size (default: KGEVAL_THREADS env var,
 ///                     then hardware_concurrency) — makes bench numbers
 ///                     comparable across machines and CI runners
-///   --from-disk       checkpoint-streaming mode (Figure 3c):
-///                     train once writing per-epoch snapshots, then sweep
-///                     the files with EstimateCheckpoints instead of
-///                     estimating models resident in memory
 struct BenchArgs {
   bool paper_scale = false;
   bool fast = false;
@@ -41,7 +37,6 @@ struct BenchArgs {
   bool json = false;
   double half_width = 0.01;
   int32_t threads = 0;
-  bool from_disk = false;
   std::vector<std::string> only;  // Empty: every target.
 };
 
@@ -91,12 +86,6 @@ std::unique_ptr<EvaluationFramework> BuildFramework(const Dataset& dataset,
 /// candidate sets from Rng(seed), leaving the framework's own RNG alone.
 std::optional<SampledCandidates> KpPools(const EvaluationFramework& framework,
                                          Split split, uint64_t seed);
-
-/// Fresh pid-suffixed scratch directory under the system temp dir (any
-/// previous contents removed): concurrent bench runs on one machine —
-/// parallel CI jobs, say — must not clobber each other's files. Callers
-/// remove it when done.
-std::string MakeScratchDir(const std::string& name);
 
 /// Section header: "==== title ====".
 void PrintHeader(const std::string& title);

@@ -2,7 +2,6 @@
 // sample size (one sweep behind 3a, 3b and 6) and across training (3c).
 
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <vector>
 
@@ -189,11 +188,6 @@ void RunSamplingSweep(const BenchArgs& args) {
 // pools are drawn once and pinned, so (a) the per-epoch estimate pays no
 // sampling cost and (b) every epoch ranks against identical pools — the
 // curve's movement is training progress, not pool-draw noise.
-//
-// --from-disk switches to the checkpoint-streaming variant of the same
-// figure: train once writing per-epoch snapshots, then sweep the files with
-// EstimateCheckpoints — the curve a monitoring service reconstructs from a
-// finished run's checkpoint directory instead of riding inside the trainer.
 void RunFig3c(const BenchArgs& args) {
   const std::string preset =
       args.only_dataset.empty() ? "wikikg2" : args.only_dataset;
@@ -230,83 +224,32 @@ void RunFig3c(const BenchArgs& args) {
   trainer_options.negatives_per_positive = 8;
 
   bench::PrintHeader(StrFormat(
-      "Figure 3c: estimated validation MRR across training (%s, ComplEx%s)",
-      preset.c_str(), args.from_disk ? ", from-disk checkpoints" : ""));
+      "Figure 3c: estimated validation MRR across training (%s, ComplEx)",
+      preset.c_str()));
   TextTable table({"Step (triples seen)", "Probabilistic", "Random",
                    "Static", "True MRR"});
   FullEvalOptions full_options;
   full_options.max_triples = 3000;
   EstimateRequest request;  // The estimates rank the same prefix.
   request.max_triples = full_options.max_triples;
-  const auto add_row = [&](int32_t epoch,
-                           std::map<SamplingStrategy, double> mrr,
-                           double truth) {
-    table.AddRow({FormatWithCommas(static_cast<long long>(epoch + 1) *
-                                   dataset.train().size()),
-                  bench::F(mrr[SamplingStrategy::kProbabilistic], 4),
-                  bench::F(mrr[SamplingStrategy::kRandom], 4),
-                  bench::F(mrr[SamplingStrategy::kStatic], 4),
-                  bench::F(truth, 4)});
-  };
-
-  if (args.from_disk) {
-    // Checkpoint-streaming mode: the trainer only writes snapshots; every
-    // estimate happens afterwards, from the files, on the pinned pools.
-    const std::string ckpt_dir = bench::MakeScratchDir("kgeval_fig3c_ckpt");
-    trainer_options.checkpoint_dir = ckpt_dir;
-    Trainer trainer(&dataset, trainer_options);
-    KGEVAL_CHECK(trainer.Train(model.get()).ok());
-    std::vector<std::string> paths;
-    for (int32_t epoch = 0; epoch < epochs; ++epoch) {
-      paths.push_back(CheckpointPath(ckpt_dir, epoch));
-    }
-
-    std::map<SamplingStrategy, std::vector<CheckpointEstimate>> curves;
-    double sweep_seconds = 0.0;
-    for (auto& [strategy, session] : sessions) {
-      CheckpointSweepStats stats;
-      curves[strategy] =
-          session->EstimateCheckpoints(paths, request, nullptr, &stats);
-      sweep_seconds += stats.wall_seconds;
-    }
-    for (int32_t epoch = 0; epoch < epochs; ++epoch) {
-      auto truth_model =
-          sessions.begin()->second->framework().LoadCheckpoint(paths[epoch]);
-      KGEVAL_CHECK(truth_model.ok());
-      const double truth =
-          EvaluateFullRanking(*truth_model.ValueOrDie(), dataset, filter,
-                              Split::kValid, full_options)
-              .metrics.mrr;
-      std::map<SamplingStrategy, double> mrr;
-      for (const auto& [strategy, curve] : curves) {
-        KGEVAL_CHECK(curve[epoch].status.ok());
-        mrr[strategy] = curve[epoch].result.metrics.mrr;
-      }
-      add_row(epoch, mrr, truth);
-    }
-    std::printf("%s", table.ToString().c_str());
-    bench::PrintNote(StrFormat(
-        "from-disk: the 3 sessions swept %d snapshots in %.3fs total "
-        "(bounded-resident concurrent loads), reconstructing the same "
-        "monitoring curve a per-epoch callback would have produced",
-        epochs, sweep_seconds));
-    std::filesystem::remove_all(ckpt_dir);
-  } else {
-    Trainer trainer(&dataset, trainer_options);
-    const Status status = trainer.Train(
-        model.get(), [&](int32_t epoch, const KgeModel& m) {
-          std::map<SamplingStrategy, double> mrr;
-          for (auto& [strategy, session] : sessions) {
-            mrr[strategy] = session->Estimate(m, request).metrics.mrr;
-          }
-          add_row(epoch, mrr,
-                  EvaluateFullRanking(m, dataset, filter, Split::kValid,
-                                      full_options)
-                      .metrics.mrr);
-        });
-    KGEVAL_CHECK(status.ok());
-    std::printf("%s", table.ToString().c_str());
-  }
+  Trainer trainer(&dataset, trainer_options);
+  const Status status = trainer.Train(
+      model.get(), [&](int32_t epoch, const KgeModel& m) {
+        std::map<SamplingStrategy, double> mrr;
+        for (auto& [strategy, session] : sessions) {
+          mrr[strategy] = session->Estimate(m, request).metrics.mrr;
+        }
+        const double truth = EvaluateFullRanking(m, dataset, filter,
+                                                 Split::kValid, full_options)
+                                 .metrics.mrr;
+        table.AddRow({FormatWithCommas(static_cast<long long>(epoch + 1) *
+                                       dataset.train().size()),
+                      bench::F(mrr[kProbabilistic], 4),
+                      bench::F(mrr[kRandom], 4), bench::F(mrr[kStatic], 4),
+                      bench::F(truth, 4)});
+      });
+  KGEVAL_CHECK(status.ok());
+  std::printf("%s", table.ToString().c_str());
   bench::PrintNote(
       "paper shape: the Probabilistic curve coincides with the true MRR "
       "across training; Random tracks the trend but at a large upward "

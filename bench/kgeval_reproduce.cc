@@ -44,7 +44,7 @@ void Usage(const char* argv0) {
                "usage: %s [--only=TARGET[,TARGET...]] [--paper-scale] "
                "[--fast] [--epochs=N]\n"
                "       [--dataset=NAME] [--json] [--half-width=X] "
-               "[--threads=N] [--from-disk]\n"
+               "[--threads=N]\n"
                "--epochs and --threads take positive integers, --half-width "
                "a finite number in (0, 1).\n"
                "targets:%s\n"
@@ -123,8 +123,6 @@ BenchArgs ParseArgs(int argc, char** argv) {
     } else if (arg.rfind("--threads=", 0) == 0) {
       ok = ParsePositive(arg.substr(std::strlen("--threads=")),
                          &args.threads);
-    } else if (arg == "--from-disk") {
-      args.from_disk = true;
     } else {
       ok = false;
     }

@@ -1,6 +1,7 @@
 #include "eval/full_evaluator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "eval/slot_blocks.h"
@@ -53,6 +54,7 @@ void PoolIndex::Build(const int32_t* ids, size_t n) {
 void PreparedPool::Prepare(const KgeModel& model, const int32_t* ids,
                            size_t n, size_t tile) {
   index.Build(ids, n);
+  size = n;
   tile_size = tile;
   tiles.resize((n + tile - 1) / tile);
   for (size_t t = 0; t < tiles.size(); ++t) {
@@ -176,6 +178,48 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
   return RankFromCounts(higher, tied, tie);
 }
 
+int64_t RankQueries(const KgeModel& model, const std::vector<Triple>& triples,
+                    const FilterIndex& filter, const int64_t* query_ids,
+                    size_t n, size_t query_block, TieBreak tie,
+                    const SlotPoolSource& pool_for, const CancelToken* cancel,
+                    EvalSchedule* schedule, double* ranks) {
+  filter.BuildQuerySchedule(triples, query_ids, n, query_block, schedule);
+  const std::vector<SlotBlock>& blocks = schedule->blocks;
+  std::atomic<int64_t> scored{0};
+  // Parallelism is over slot-aligned chunks, not raw block ranges: a chunk
+  // boundary inside a slot would make both sides prepare the slot's pool.
+  TaskGroup group;
+  for (const std::pair<size_t, size_t>& chunk : PartitionAtSlotBoundaries(
+           blocks, group.pool()->num_threads() * 4)) {
+    group.Submit([&, chunk] {
+      BlockRankScratch scratch;
+      PreparedPool scratch_pool;
+      const PreparedPool* pool = nullptr;
+      int32_t pool_slot = -1;  // The slot `pool` serves.
+      int64_t local_scored = 0;
+      for (size_t b = chunk.first; b < chunk.second; ++b) {
+        // One relaxed load per block: a cancelled pass drains its workers
+        // within a block instead of orphaning them mid-evaluation.
+        if (cancel != nullptr && cancel->cancelled()) break;
+        const SlotBlock& block = blocks[b];
+        if (block.pool_slot != pool_slot) {
+          // Schedules keep a slot's blocks adjacent, so a chunk asks for
+          // each slot's pool once.
+          pool = &pool_for(block.pool_slot, &scratch_pool);
+          pool_slot = block.pool_slot;
+        }
+        RankSlotBlock(model, triples, filter, block, *pool, tie, &scratch,
+                      ranks);
+        local_scored += static_cast<int64_t>(block.end - block.begin) *
+                        static_cast<int64_t>(pool->size + 1);
+      }
+      scored.fetch_add(local_scored, std::memory_order_relaxed);
+    });
+  }
+  group.Wait();
+  return scored.load();
+}
+
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
                                    const FilterIndex& filter, Split split,
@@ -189,25 +233,22 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   result.ranks.assign(static_cast<size_t>(num_triples) * 2, 0.0);
 
   // Full ranking is sampled ranking with every entity in every slot's pool:
-  // the entity range is prepared once, in tiles, and every slot block ranks
-  // against it through the shared block ranker, in slot-aligned chunks on
-  // this pass's own TaskGroup.
+  // the entity range is prepared once, in tiles, and every slot's blocks
+  // rank against it.
   std::vector<int32_t> all_entities(dataset.num_entities());
   std::iota(all_entities.begin(), all_entities.end(), 0);
   PreparedPool pool;
   pool.Prepare(model, all_entities.data(), all_entities.size(),
                std::max<size_t>(1, options.entity_tile));
-  const EvalSchedule schedule =
-      filter.BuildSchedule(triples, num_triples, kQueryBlock);
-  TaskGroup group;
-  SubmitSlotChunks(&group, schedule.blocks, [&](size_t lo, size_t hi) {
-    BlockRankScratch scratch;
-    for (size_t b = lo; b < hi; ++b) {
-      RankSlotBlock(model, triples, filter, schedule.blocks[b], pool,
-                    options.tie, &scratch, result.ranks.data());
-    }
-  });
-  group.Wait();
+  std::vector<int64_t> query_ids(result.ranks.size());
+  std::iota(query_ids.begin(), query_ids.end(), int64_t{0});
+  EvalSchedule schedule;
+  RankQueries(model, triples, filter, query_ids.data(), query_ids.size(),
+              kQueryBlock, options.tie,
+              [&](int32_t, PreparedPool*) -> const PreparedPool& {
+                return pool;
+              },
+              /*cancel=*/nullptr, &schedule, result.ranks.data());
   result.metrics = RankingMetrics::FromRanks(result.ranks);
   return result;
 }

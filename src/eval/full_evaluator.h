@@ -3,12 +3,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "eval/metrics.h"
 #include "eval/protocol.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
+#include "util/cancel.h"
 
 namespace kgeval {
 
@@ -42,9 +44,10 @@ struct FullEvalResult {
 };
 
 /// Ranks every entity for every (h,r,?) and (?,r,t) query of `split`,
-/// with `filter` supplying the filtered answer sets and the schedule. Each
-/// distinct (anchor, relation, direction) is scored once per tile; its
-/// queries share the row. Multi-threaded.
+/// with `filter` supplying the filtered answer sets and the schedule: one
+/// RankQueries pass over every query id against the entity range, prepared
+/// once. Each distinct (anchor, relation, direction) is scored once per
+/// tile; its queries share the row. Multi-threaded.
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
                                    const FilterIndex& filter, Split split,
@@ -84,6 +87,7 @@ class PoolIndex {
 /// the entity range once (position == entity id); the sampled evaluators
 /// prepare each slot's pool when the slot changes.
 struct PreparedPool {
+  size_t size = 0;  // Candidates over all tiles.
   size_t tile_size = 0;
   std::vector<CandidateBlock> tiles;  // Tile t starts at t * tile_size.
   PoolIndex index;
@@ -130,6 +134,34 @@ void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
                    const FilterIndex& filter, const SlotBlock& block,
                    const PreparedPool& pool, TieBreak tie,
                    BlockRankScratch* scratch, double* ranks);
+
+/// The pool a RankQueries chunk ranks a slot's blocks against. It is called
+/// with the slot and the chunk's own scratch pool whenever the chunk's
+/// blocks reach a new slot, and returns either `scratch`, prepared in place
+/// (the sampled passes), or a pool every chunk shares (full ranking). Runs
+/// concurrently across chunks.
+using SlotPoolSource =
+    std::function<const PreparedPool&(int32_t slot, PreparedPool* scratch)>;
+
+/// The one ranking pass of the full, sampled and adaptive evaluators: ranks
+/// the queries `query_ids[0, n)` (query id = 2 * triple_index + (0 for the
+/// tail query, 1 for the head query)) and writes each filtered rank to
+/// `ranks[query id]`; every other rank is left alone. The queries are
+/// scheduled into `schedule` (FilterIndex::BuildQuerySchedule, at most
+/// `query_block` distinct anchors per block, its buffers reused), cut into
+/// slot-aligned chunks (PartitionAtSlotBoundaries, ~4 per worker) and
+/// ranked chunk by chunk through RankSlotBlock on the pass's own TaskGroup,
+/// so concurrent passes interleave their chunks on the shared workers.
+/// `cancel` (optional) is polled before every block; a cancelled pass
+/// leaves the unranked queries' ranks as they were. Returns the ranked
+/// queries' pool sizes + 1 summed (the scalar oracle's scored candidates,
+/// not the kernel rows computed). Ranks are bit-identical however the
+/// chunks are threaded.
+int64_t RankQueries(const KgeModel& model, const std::vector<Triple>& triples,
+                    const FilterIndex& filter, const int64_t* query_ids,
+                    size_t n, size_t query_block, TieBreak tie,
+                    const SlotPoolSource& pool_for, const CancelToken* cancel,
+                    EvalSchedule* schedule, double* ranks);
 
 /// Reference filtered ranker: the rank of the true answer within a scored
 /// candidate array, with the filtered candidates removed. `answers` is the

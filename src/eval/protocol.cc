@@ -2,21 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 
 namespace kgeval {
-
-EvalSchedule FilterIndex::BuildSchedule(const std::vector<Triple>& triples,
-                                        int64_t num_triples,
-                                        size_t query_block) const {
-  std::vector<int64_t> query_ids(2 * static_cast<size_t>(num_triples));
-  std::iota(query_ids.begin(), query_ids.end(), int64_t{0});
-  EvalSchedule schedule;
-  BuildQuerySchedule(triples, query_ids.data(), query_ids.size(),
-                     query_block, &schedule);
-  return schedule;
-}
-
 namespace {
 
 void SortDedup(std::vector<int32_t>* v) {

@@ -24,7 +24,7 @@ struct EvalSchedule {
   std::vector<std::vector<int32_t>> runs;
   /// Kernel-homogeneous blocks over the runs (AppendAnchorBlocks), ordered
   /// so that blocks sharing a pool slot are contiguous (the prepared-tile
-  /// reuse contract of ScoreSlotBlocks and PartitionAtSlotBoundaries).
+  /// reuse contract of RankQueries and PartitionAtSlotBoundaries).
   std::vector<SlotBlock> blocks;
   /// BuildQuerySchedule's sort buffers, kept so that a schedule rebuilt
   /// every adaptive round reuses them.
@@ -58,12 +58,6 @@ class FilterIndex {
   /// Known true heads for (r, t), sorted; nullptr when none.
   const std::vector<int32_t>* HeadsFor(int32_t relation, int32_t tail) const;
 
-  /// Builds the slot-contiguous schedule over both queries of the first
-  /// `num_triples` triples, with at most `query_block` distinct anchors
-  /// per block: BuildQuerySchedule over every query id.
-  EvalSchedule BuildSchedule(const std::vector<Triple>& triples,
-                             int64_t num_triples, size_t query_block) const;
-
   /// Builds the slot-contiguous schedule of the queries `query_ids[0, n)`
   /// (query id = 2 * triple_index + (0 for the tail query, 1 for the head
   /// query)) into `schedule`, reusing its buffers. Two stable counting
@@ -73,8 +67,9 @@ class FilterIndex {
   /// cut by AppendAnchorBlocks at the pool slot DomainRangeIndex(relation,
   /// direction). Runs are emitted one direction at a time, relations
   /// ascending, so each pool slot's blocks are contiguous and each pool is
-  /// prepared once per chunk. The adaptive evaluator schedules each round
-  /// through this with the round's slice of the shuffled order.
+  /// prepared once per chunk. RankQueries schedules every pass through
+  /// this: all query ids in index order for full ranking and fixed
+  /// estimates, each round's slice of the shuffled order for adaptive ones.
   void BuildQuerySchedule(const std::vector<Triple>& triples,
                           const int64_t* query_ids, size_t n,
                           size_t query_block, EvalSchedule* schedule) const;

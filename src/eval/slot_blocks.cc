@@ -103,16 +103,4 @@ std::vector<std::pair<size_t, size_t>> PartitionAtSlotBoundaries(
   return chunks;
 }
 
-void SubmitSlotChunks(TaskGroup* group, const std::vector<SlotBlock>& blocks,
-                      const std::function<void(size_t, size_t)>& fn) {
-  const std::vector<std::pair<size_t, size_t>> chunks =
-      PartitionAtSlotBoundaries(blocks,
-                                group->pool()->num_threads() * 4);
-  for (const std::pair<size_t, size_t>& chunk : chunks) {
-    const size_t lo = chunk.first;
-    const size_t hi = chunk.second;
-    group->Submit([fn, lo, hi] { fn(lo, hi); });
-  }
-}
-
 }  // namespace kgeval

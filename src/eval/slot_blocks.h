@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/triple.h"
-#include "sched/task_group.h"
 #include "util/rng.h"
 
 namespace kgeval {
@@ -45,15 +44,14 @@ inline int32_t QueryAnchor(const Triple& triple, QueryDirection direction) {
 size_t BlockRows(const std::vector<Triple>& triples, const SlotBlock& block,
                  int32_t* anchors, int32_t* truths, int32_t* truth_rows);
 
-/// The one block cutter of every schedule (FilterIndex::BuildSchedule and
-/// the adaptive rounds). `run` holds the triple indices of one
-/// (relation, direction) run, already sorted by the direction's anchor
-/// (FilterIndex::BuildQuerySchedule's counting sorts); it is cut into
-/// blocks of at most `query_block` distinct anchors, appended to `blocks`
-/// with the given pool slot. The blocks point into `run`, which must stay
-/// put while they are in use. `query_block` must be positive. Sharing a row
-/// is exact only inside one relation, which is why runs never mix
-/// relations.
+/// The one block cutter of every schedule (FilterIndex::BuildQuerySchedule,
+/// whose counting sorts order each run). `run` holds the triple indices of
+/// one (relation, direction) run, already sorted by the direction's anchor;
+/// it is cut into blocks of at most `query_block` distinct anchors,
+/// appended to `blocks` with the given pool slot. The blocks point into
+/// `run`, which must stay put while they are in use. `query_block` must be
+/// positive. Sharing a row is exact only inside one relation, which is why
+/// runs never mix relations.
 void AppendAnchorBlocks(const std::vector<Triple>& triples,
                         QueryDirection direction, int32_t pool_slot,
                         size_t query_block, const std::vector<int32_t>* run,
@@ -80,20 +78,9 @@ std::vector<int64_t> ShuffledQueryOrder(int64_t num_triples, Rng* rng);
 /// run much longer than the target chunk size is split anyway (keeping load
 /// balance; each piece still prepares only its own slot's pool once).
 /// `blocks` must be slot-contiguous, as FilterIndex schedules emit them.
+/// RankQueries cuts every pass with it.
 std::vector<std::pair<size_t, size_t>> PartitionAtSlotBoundaries(
     const std::vector<SlotBlock>& blocks, size_t max_chunks);
-
-/// Submits the slot-aligned chunks of `blocks` into `group`, one task per
-/// chunk calling `fn(chunk_begin, chunk_end)` — PartitionAtSlotBoundaries
-/// (targeting ~4 chunks per worker of the group's pool) moved behind the
-/// group API, so evaluators schedule a pass as "submit chunks, wait on *my*
-/// group" and concurrent evaluations interleave their chunks on the shared
-/// workers. Does not wait: callers Wait() on the group (after submitting
-/// any other work of the same job). `fn` is copied into each task and runs
-/// concurrently, once per chunk; per-chunk state (scratch buffers) belongs
-/// inside `fn`, which chunk-aligned slots keep prepare-once-per-slot.
-void SubmitSlotChunks(TaskGroup* group, const std::vector<SlotBlock>& blocks,
-                      const std::function<void(size_t, size_t)>& fn);
 
 }  // namespace kgeval
 

@@ -179,7 +179,7 @@ void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
 
 void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const {
-  block->ids.assign(candidates, candidates + n);
+  block->count = n;
   block->sorted = std::is_sorted(candidates, candidates + n);
   // The tile is the pool's rows transposed (dim x TileStride(n)):
   // candidates become the contiguous axis, so every kernel scores them as

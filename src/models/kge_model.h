@@ -53,22 +53,22 @@ enum class BatchKernel {
 };
 
 /// A candidate pool prepared once and scored many times. PrepareCandidates
-/// fills the pool's ids plus the gathered layout: the pool's entity
-/// embeddings transposed (dim x TileStride(n), candidates contiguous — for
-/// ComplEx/RotatE the top/bottom halves of the tile are the split re/im
-/// planes), 64-byte aligned and padded with copies of the last candidate
-/// (the tile contract in la/kernels/kernels.h); ConvE additionally gathers
-/// the per-candidate entity bias.
+/// records the pool's size and sortedness plus the gathered layout: the
+/// pool's entity embeddings transposed (dim x TileStride(n), candidates
+/// contiguous — for ComplEx/RotatE the top/bottom halves of the tile are
+/// the split re/im planes), 64-byte aligned and padded with copies of the
+/// last candidate (the tile contract in la/kernels/kernels.h); ConvE
+/// additionally gathers the per-candidate entity bias.
 /// Preparing costs one gather + transpose; every subsequent ScoreBlock call
 /// against the block reuses it.
 struct CandidateBlock {
-  std::vector<int32_t> ids;  // The pool, in caller order.
-  bool sorted = false;       // ids are non-decreasing (a pool invariant the
-                             // rankers exploit; computed once here).
-  Matrix gathered_t;         // Transposed candidate tile (see above).
-  std::vector<float> bias;   // ConvE: per-candidate entity bias.
+  size_t count = 0;         // Candidates in the pool.
+  bool sorted = false;      // The ids are non-decreasing (a pool invariant
+                            // the rankers exploit; computed once here).
+  Matrix gathered_t;        // Transposed candidate tile (see above).
+  std::vector<float> bias;  // ConvE: per-candidate entity bias.
 
-  size_t size() const { return ids.size(); }
+  size_t size() const { return count; }
 };
 
 /// A knowledge-graph embedding model: scores triples and supports per-triple
@@ -139,7 +139,7 @@ class KgeModel {
                   int32_t relation, QueryDirection direction,
                   float* out) const;
 
-  /// Records the pool's ids and sortedness and gathers (and transposes) its
+  /// Records the pool's size and sortedness and gathers (and transposes) its
   /// embeddings once into the CandidateBlock layout (plus the bias gather
   /// when the model has one). Thread-safe, like all scoring.
   virtual void PrepareCandidates(const int32_t* candidates, size_t n,

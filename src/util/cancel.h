@@ -6,7 +6,7 @@
 namespace kgeval {
 
 /// A cooperative cancellation flag threaded through long-running work
-/// (EvalSession sweeps, ScoreSlotBlocks chunk loops, the service's EVAL and
+/// (EvalSession sweeps, RankQueries chunk loops, the service's EVAL and
 /// SWEEP commands). Producers call Cancel() once; workers poll cancelled()
 /// at chunk boundaries and wind down instead of being torn down — no task
 /// is ever orphaned, no lock is ever abandoned.

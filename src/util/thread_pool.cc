@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/logging.h"
 
@@ -20,15 +23,21 @@ std::atomic<bool> g_global_pool_created{false};
 
 /// Resolved size of the global pool at creation: the explicit override,
 /// else KGEVAL_THREADS, else 0 (the constructor's hardware_concurrency
-/// default).
+/// default). A set, non-empty KGEVAL_THREADS must be all of a positive
+/// decimal that fits in int32, as `--threads` is parsed; anything else
+/// dies rather than run with a pool size the caller did not ask for.
 size_t GlobalPoolSize() {
   const size_t overridden = g_global_pool_threads.load();
   if (overridden > 0) return overridden;
-  if (const char* env = std::getenv("KGEVAL_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<size_t>(parsed);
-  }
-  return 0;
+  const char* env = std::getenv("KGEVAL_THREADS");
+  if (env == nullptr || env[0] == '\0') return 0;
+  int32_t parsed = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, parsed);
+  KGEVAL_CHECK(ec == std::errc() && ptr == end && parsed > 0)
+      << "KGEVAL_THREADS=" << env
+      << ": expected a positive decimal worker count below 2^31";
+  return static_cast<size_t>(parsed);
 }
 
 }  // namespace

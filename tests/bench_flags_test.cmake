@@ -1,5 +1,6 @@
 # Runs kgeval_reproduce on malformed flags and selectors and requires each
-# run to print the usage and exit 2 before it does any work.
+# run to print the usage and exit 2 before it does any work. Then checks
+# that a well-formed KGEVAL_THREADS is accepted and a malformed one is not.
 #
 #   cmake -DBENCH=<path to kgeval_reproduce> -P bench_flags_test.cmake
 
@@ -41,3 +42,25 @@ if(NOT code STREQUAL "0" OR err MATCHES "usage:")
   message(FATAL_ERROR "valid flags were rejected: exit '${code}'; "
           "stderr: ${err}")
 endif()
+
+# Without --threads the pool size comes from KGEVAL_THREADS: a well-formed
+# value runs the target (table2 builds the pool), a malformed one stops the
+# run with a message that names the variable.
+foreach(threads 2 2x)
+  set(ENV{KGEVAL_THREADS} "${threads}")
+  execute_process(COMMAND ${BENCH} --only=table2 --fast --dataset=codex-s
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err
+                  TIMEOUT 30)
+  if(threads STREQUAL "2")
+    if(NOT code STREQUAL "0")
+      message(FATAL_ERROR "KGEVAL_THREADS=2 was rejected: exit '${code}'; "
+              "stderr: ${err}")
+    endif()
+  elseif(code STREQUAL "0" OR NOT err MATCHES "KGEVAL_THREADS")
+    message(FATAL_ERROR "KGEVAL_THREADS=${threads}: expected a failed run "
+            "naming the variable, got '${code}'; stderr: ${err}")
+  endif()
+endforeach()
+unset(ENV{KGEVAL_THREADS})

@@ -143,8 +143,9 @@ TEST(FilterIndexTest, MoveKeepsAnswersAndRelationCount) {
   Dataset d = TinyDataset();
   FilterIndex original(d);
   const FilterIndex moved(std::move(original));
-  EXPECT_EQ(moved.BuildSchedule(d.test(), 0, 1).runs.size(),
-            2 * static_cast<size_t>(d.num_relations()));
+  EvalSchedule schedule;
+  moved.BuildQuerySchedule(d.test(), /*query_ids=*/nullptr, 0, 1, &schedule);
+  EXPECT_EQ(schedule.runs.size(), 2 * static_cast<size_t>(d.num_relations()));
   const auto* tails = moved.TailsFor(0, 0);
   ASSERT_NE(tails, nullptr);
   EXPECT_EQ(*tails, (std::vector<int32_t>{1, 2, 3}));

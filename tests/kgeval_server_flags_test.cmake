@@ -1,5 +1,7 @@
 # Runs kgeval-server on malformed numeric flags and requires each run to
-# print the usage and exit 2 before it binds a port.
+# print the usage and exit 2 before it binds a port. Malformed
+# KGEVAL_THREADS values must likewise stop the server, naming the variable,
+# before it prints LISTENING.
 #
 #   cmake -DSERVER=<path to kgeval-server> -P kgeval_server_flags_test.cmake
 #
@@ -44,3 +46,23 @@ if(NOT code STREQUAL "2" OR err MATCHES "usage:" OR NOT err MATCHES "--kernels")
   message(FATAL_ERROR "valid numeric flags were rejected: exit '${code}'; "
           "stderr: ${err}")
 endif()
+
+# KGEVAL_THREADS is parsed as strictly as --threads: a whole positive
+# decimal that fits in int32.
+set(bad_threads 2x 3abc -5 0 -0 +4 " 4" 1.5 2147483648
+    99999999999999999999)
+foreach(threads IN LISTS bad_threads)
+  set(ENV{KGEVAL_THREADS} "${threads}")
+  execute_process(COMMAND ${SERVER} --port=0
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err
+                  TIMEOUT 5)
+  if(code STREQUAL "0" OR NOT err MATCHES "KGEVAL_THREADS"
+     OR out MATCHES "LISTENING")
+    message(FATAL_ERROR "KGEVAL_THREADS='${threads}': expected a failed "
+            "start naming the variable, got '${code}'; stdout: ${out}; "
+            "stderr: ${err}")
+  endif()
+endforeach()
+unset(ENV{KGEVAL_THREADS})

@@ -91,6 +91,19 @@ std::set<std::pair<int32_t, int32_t>> AllQueries(int64_t num_triples) {
   return queries;
 }
 
+/// The schedule over both queries of the first `num_triples` triples:
+/// BuildQuerySchedule over every query id, in index order.
+EvalSchedule FullSchedule(const FilterIndex& filter,
+                          const std::vector<Triple>& triples,
+                          int64_t num_triples, size_t query_block) {
+  std::vector<int64_t> ids(2 * static_cast<size_t>(num_triples));
+  std::iota(ids.begin(), ids.end(), int64_t{0});
+  EvalSchedule schedule;
+  filter.BuildQuerySchedule(triples, ids.data(), ids.size(), query_block,
+                            &schedule);
+  return schedule;
+}
+
 /// The schedule contract every evaluator relies on: the scheduled queries
 /// are exactly `expected`, each once; every block holds one relation,
 /// ranks against that relation's domain/range slot, and holds at most
@@ -242,7 +255,7 @@ TEST(StaticParityTest, ScheduleIsGroupHomogeneousAndComplete) {
     const int64_t n = static_cast<int64_t>(triples.size());
     for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
       const EvalSchedule schedule =
-          filter.BuildSchedule(triples, n, query_block);
+          FullSchedule(filter, triples, n, query_block);
       ExpectScheduleInvariants(triples, dataset.num_relations(), schedule,
                                query_block, AllQueries(n));
     }
@@ -260,6 +273,48 @@ TEST(StaticParityTest, FullRankingMatchesScalarOracleOnDuplicateQueries) {
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
     ExpectFullRankingMatchesScalarOracle(*model, dataset, filter);
+  }
+}
+
+TEST(StaticParityTest, RankQueriesOnAShuffledSliceMatchesFullRanking) {
+  // A full-ranked subset of queries: a seeded, shuffled slice of the test
+  // split's query ids, ranked by one RankQueries call against the shared
+  // entity pool, reproduces EvaluateFullRanking's ranks for the slice bit
+  // for bit and leaves every other rank at 0.0. The pool's tile and the
+  // query block differ from full ranking's, which must not matter.
+  const Dataset dataset = SynthDataset();
+  const FilterIndex filter(dataset);
+  const std::vector<Triple>& triples = dataset.test();
+  Rng rng(17);
+  std::vector<int64_t> slice =
+      ShuffledQueryOrder(static_cast<int64_t>(triples.size()), &rng);
+  slice.resize(slice.size() / 3);
+  std::vector<int32_t> entities(dataset.num_entities());
+  std::iota(entities.begin(), entities.end(), 0);
+  // One model per kernel family: dot, dot + per-entity bias, L1 distance,
+  // complex distance.
+  for (ModelType type : {ModelType::kDistMult, ModelType::kConvE,
+                         ModelType::kTransE, ModelType::kRotatE}) {
+    auto model = CreateModel(type, dataset.num_entities(),
+                             dataset.num_relations(), SmallOptions())
+                     .ValueOrDie();
+    SCOPED_TRACE(model->name());
+    PreparedPool pool;
+    pool.Prepare(*model, entities.data(), entities.size(), /*tile_size=*/7);
+    std::vector<double> ranks(2 * triples.size(), 0.0);
+    EvalSchedule schedule;
+    const int64_t scored = RankQueries(
+        *model, triples, filter, slice.data(), slice.size(),
+        /*query_block=*/5, TieBreak::kMean,
+        [&](int32_t, PreparedPool*) -> const PreparedPool& { return pool; },
+        /*cancel=*/nullptr, &schedule, ranks.data());
+    EXPECT_EQ(scored, static_cast<int64_t>(slice.size() *
+                                           (entities.size() + 1)));
+    const FullEvalResult full =
+        EvaluateFullRanking(*model, dataset, filter, Split::kTest);
+    std::vector<double> expected(ranks.size(), 0.0);
+    for (int64_t id : slice) expected[id] = full.ranks[id];
+    EXPECT_EQ(ranks, expected);
   }
 }
 
@@ -428,7 +483,7 @@ TEST(ScheduleTest, BuildsTheStableSortSchedule) {
       for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
         SCOPED_TRACE(testing::Message() << "query_block=" << query_block);
         // The full split.
-        EXPECT_EQ(Contents(filter.BuildSchedule(triples, n, query_block)),
+        EXPECT_EQ(Contents(FullSchedule(filter, triples, n, query_block)),
                   StableSortSchedule(triples, num_r, all.data(), all.size(),
                                      query_block));
         // Round-sized slices of a shuffled order, into one reused

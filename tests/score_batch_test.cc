@@ -123,7 +123,7 @@ TEST_P(ScoreBlockTest, PreparedScoreBlockMatchesScalarExactly) {
   const size_t q = anchors.size();
   CandidateBlock block;
   model->PrepareCandidates(candidates.data(), n, &block);
-  EXPECT_EQ(block.ids, candidates);
+  EXPECT_EQ(block.size(), n);
   EXPECT_FALSE(block.sorted);
   std::vector<float> pool_scores(q * n), truth_scores(q);
   std::vector<float> scalar(n), pair(1);
