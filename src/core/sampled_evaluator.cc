@@ -125,10 +125,10 @@ EstimateResult EvaluateSampled(const KgeModel& model, const Dataset& dataset,
   while (next_query < query_budget) {
     if (request.cancel != nullptr && request.cancel->cancelled()) break;
     const size_t take = std::min(round_queries, query_budget - next_query);
-    // The per-relation runs of an adaptive round are small, so its blocks
+    // An adaptive round holds few queries per pool slot, so its blocks
     // rarely fill kSampledQueryBlock anchors.
     result.scored_candidates += RankQueries(
-        model, triples, filter, order.data() + next_query, take,
+        model, dataset, split, filter, order.data() + next_query, take,
         kSampledQueryBlock, TieBreak::kMean, prepare_slot, request.cancel,
         &schedule, result.ranks.data());
     // A cancel that landed mid-round left part of this round's ranks

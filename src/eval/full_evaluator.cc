@@ -4,7 +4,6 @@
 #include <atomic>
 #include <numeric>
 
-#include "eval/slot_blocks.h"
 #include "sched/task_group.h"
 #include "util/logging.h"
 
@@ -82,23 +81,22 @@ void AddFilteredTileCounts(const float* row, size_t lo, size_t n,
 }
 
 void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
-                   const FilterIndex& filter, const SlotBlock& block,
-                   const PreparedPool& pool, TieBreak tie,
-                   BlockRankScratch* scratch, double* ranks) {
+                   const FilterIndex& filter, const EvalSchedule& schedule,
+                   const SlotBlock& block, const PreparedPool& pool,
+                   TieBreak tie, BlockRankScratch* scratch, double* ranks) {
   const size_t qb = block.end - block.begin;
-  const int32_t* idx = block.triple_idx->data() + block.begin;
+  const size_t rows = block.row_end - block.row_begin;
+  const int32_t* idx = schedule.triple_idx.data() + block.begin;
+  const int32_t* truths = schedule.truths.data() + block.begin;
+  const int32_t* truth_rows = schedule.truth_rows.data() + block.begin;
+  const int32_t* anchors = schedule.anchors.data() + block.row_begin;
   BlockRankScratch& s = *scratch;
-  if (s.truths.size() < qb) {
-    s.anchors.resize(qb);
-    s.truths.resize(qb);
-    s.truth_rows.resize(qb);
+  if (s.truth_scores.size() < qb) {
     s.truth_scores.resize(qb);
     s.answers.resize(qb);
     s.higher.resize(qb);
     s.tied.resize(qb);
   }
-  const size_t rows = BlockRows(triples, block, s.anchors.data(),
-                                s.truths.data(), s.truth_rows.data());
   if (!pool.tiles.empty() && s.scores.size() < rows * pool.tiles[0].size()) {
     s.scores.resize(rows * pool.tiles[0].size());
   }
@@ -113,15 +111,15 @@ void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
     const size_t n = tile.size();
     // The first tile's fused call also emits the truth scores: one query
     // construction per distinct anchor serves both.
-    model.ScoreBlock(s.anchors.data(), t == 0 ? s.truths.data() : nullptr,
-                     rows, block.relation, block.direction, tile,
-                     s.scores.data(), t == 0 ? s.truth_scores.data() : nullptr,
-                     s.truth_rows.data(), qb);
+    model.ScoreBlock(anchors, t == 0 ? truths : nullptr, rows, block.relation,
+                     block.direction, tile, s.scores.data(),
+                     t == 0 ? s.truth_scores.data() : nullptr, truth_rows, qb);
     for (size_t q = 0; q < qb; ++q) {
-      AddFilteredTileCounts(
-          s.scores.data() + static_cast<size_t>(s.truth_rows[q]) * n,
-          t * pool.tile_size, n, s.truth_scores[q], *s.answers[q],
-          pool.index, &s.higher[q], &s.tied[q]);
+      AddFilteredTileCounts(s.scores.data() +
+                                static_cast<size_t>(truth_rows[q]) * n,
+                            t * pool.tile_size, n, s.truth_scores[q],
+                            *s.answers[q], pool.index, &s.higher[q],
+                            &s.tied[q]);
     }
   }
   const bool tail_dir = block.direction == QueryDirection::kTail;
@@ -178,12 +176,14 @@ double FilteredRank(const int32_t* candidates, const float* scores, size_t n,
   return RankFromCounts(higher, tied, tie);
 }
 
-int64_t RankQueries(const KgeModel& model, const std::vector<Triple>& triples,
+int64_t RankQueries(const KgeModel& model, const Dataset& dataset, Split split,
                     const FilterIndex& filter, const int64_t* query_ids,
                     size_t n, size_t query_block, TieBreak tie,
                     const SlotPoolSource& pool_for, const CancelToken* cancel,
                     EvalSchedule* schedule, double* ranks) {
-  filter.BuildQuerySchedule(triples, query_ids, n, query_block, schedule);
+  const std::vector<Triple>& triples = dataset.split(split);
+  BuildQuerySchedule(triples, dataset.num_relations(), query_ids, n,
+                     query_block, schedule);
   const std::vector<SlotBlock>& blocks = schedule->blocks;
   std::atomic<int64_t> scored{0};
   // Parallelism is over slot-aligned chunks, not raw block ranges: a chunk
@@ -208,8 +208,8 @@ int64_t RankQueries(const KgeModel& model, const std::vector<Triple>& triples,
           pool = &pool_for(block.pool_slot, &scratch_pool);
           pool_slot = block.pool_slot;
         }
-        RankSlotBlock(model, triples, filter, block, *pool, tie, &scratch,
-                      ranks);
+        RankSlotBlock(model, triples, filter, *schedule, block, *pool, tie,
+                      &scratch, ranks);
         local_scored += static_cast<int64_t>(block.end - block.begin) *
                         static_cast<int64_t>(pool->size + 1);
       }
@@ -243,8 +243,8 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   std::vector<int64_t> query_ids(result.ranks.size());
   std::iota(query_ids.begin(), query_ids.end(), int64_t{0});
   EvalSchedule schedule;
-  RankQueries(model, triples, filter, query_ids.data(), query_ids.size(),
-              kQueryBlock, options.tie,
+  RankQueries(model, dataset, split, filter, query_ids.data(),
+              query_ids.size(), kQueryBlock, options.tie,
               [&](int32_t, PreparedPool*) -> const PreparedPool& {
                 return pool;
               },

@@ -8,6 +8,7 @@
 
 #include "eval/metrics.h"
 #include "eval/protocol.h"
+#include "eval/slot_blocks.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
 #include "util/cancel.h"
@@ -44,10 +45,10 @@ struct FullEvalResult {
 };
 
 /// Ranks every entity for every (h,r,?) and (?,r,t) query of `split`,
-/// with `filter` supplying the filtered answer sets and the schedule: one
-/// RankQueries pass over every query id against the entity range, prepared
-/// once. Each distinct (anchor, relation, direction) is scored once per
-/// tile; its queries share the row. Multi-threaded.
+/// with `filter` supplying the filtered answer sets: one RankQueries pass
+/// over every query id against the entity range, prepared once. Each
+/// distinct (anchor, relation, direction) is scored once per tile; its
+/// queries share the row. Multi-threaded.
 FullEvalResult EvaluateFullRanking(const KgeModel& model,
                                    const Dataset& dataset,
                                    const FilterIndex& filter, Split split,
@@ -115,25 +116,24 @@ void AddFilteredTileCounts(const float* row, size_t lo, size_t n,
 /// Per-thread buffers of RankSlotBlock; they grow to the largest block and
 /// tile ranked through them.
 struct BlockRankScratch {
-  std::vector<int32_t> anchors;             // Distinct anchors of a block.
-  std::vector<int32_t> truths, truth_rows;  // Per query: truth, its row.
   std::vector<float> scores, truth_scores;
   std::vector<const std::vector<int32_t>*> answers;
   std::vector<int64_t> higher, tied;
 };
 
 /// The one block ranker of the full, sampled and adaptive evaluators: ranks
-/// every query of `block` against `pool` and writes its filtered rank into
-/// `ranks[2 * triple_index + (tail ? 0 : 1)]`. Each distinct anchor is
-/// scored once per tile by KgeModel::ScoreBlock (the first tile's fused
-/// call also emits the truth scores) under the block's relation. Each
-/// query sums AddFilteredTileCounts over the tiles with its own truth
-/// score and the filter's answer set. Thread-safe across blocks with
-/// disjoint queries, each thread bringing its own scratch.
+/// every query of `block`, one of `schedule`'s blocks over `triples`,
+/// against `pool` and writes its filtered rank into
+/// `ranks[2 * triple_index + (tail ? 0 : 1)]`. Each of the block's rows
+/// (distinct anchors) is scored once per tile by KgeModel::ScoreBlock (the
+/// first tile's fused call also emits the truth scores) under the block's
+/// relation. Each query sums AddFilteredTileCounts over the tiles with its
+/// own truth score and the filter's answer set. Thread-safe across blocks
+/// with disjoint queries, each thread bringing its own scratch.
 void RankSlotBlock(const KgeModel& model, const std::vector<Triple>& triples,
-                   const FilterIndex& filter, const SlotBlock& block,
-                   const PreparedPool& pool, TieBreak tie,
-                   BlockRankScratch* scratch, double* ranks);
+                   const FilterIndex& filter, const EvalSchedule& schedule,
+                   const SlotBlock& block, const PreparedPool& pool,
+                   TieBreak tie, BlockRankScratch* scratch, double* ranks);
 
 /// The pool a RankQueries chunk ranks a slot's blocks against. It is called
 /// with the slot and the chunk's own scratch pool whenever the chunk's
@@ -145,9 +145,10 @@ using SlotPoolSource =
 
 /// The one ranking pass of the full, sampled and adaptive evaluators: ranks
 /// the queries `query_ids[0, n)` (query id = 2 * triple_index + (0 for the
-/// tail query, 1 for the head query)) and writes each filtered rank to
-/// `ranks[query id]`; every other rank is left alone. The queries are
-/// scheduled into `schedule` (FilterIndex::BuildQuerySchedule, at most
+/// tail query, 1 for the head query)) of `dataset`'s `split` and writes
+/// each filtered rank to `ranks[query id]`; every other rank is left alone.
+/// It schedules the queries itself into `schedule` (BuildQuerySchedule
+/// with the dataset's relation count, which sizes the pool slots; at most
 /// `query_block` distinct anchors per block, its buffers reused), cut into
 /// slot-aligned chunks (PartitionAtSlotBoundaries, ~4 per worker) and
 /// ranked chunk by chunk through RankSlotBlock on the pass's own TaskGroup,
@@ -157,7 +158,7 @@ using SlotPoolSource =
 /// queries' pool sizes + 1 summed (the scalar oracle's scored candidates,
 /// not the kernel rows computed). Ranks are bit-identical however the
 /// chunks are threaded.
-int64_t RankQueries(const KgeModel& model, const std::vector<Triple>& triples,
+int64_t RankQueries(const KgeModel& model, const Dataset& dataset, Split split,
                     const FilterIndex& filter, const int64_t* query_ids,
                     size_t n, size_t query_block, TieBreak tie,
                     const SlotPoolSource& pool_for, const CancelToken* cancel,

@@ -26,6 +26,16 @@ class Vocab {
   std::vector<std::string> labels_;
 };
 
+/// The end of a getline loop over `in`: a failed read (a directory, say,
+/// or an EIO) stops the loop just as the end of the file does, and only
+/// bad() tells the two apart.
+Status ReadFinished(const std::ifstream& in, const std::string& path) {
+  if (in.bad()) {
+    return Status::IoError(StrFormat("error reading %s", path.c_str()));
+  }
+  return Status::OK();
+}
+
 /// Reads one split file of 3-column lines.
 Status ReadTriples(const std::string& path, bool required, Vocab* entities,
                    Vocab* relations, std::vector<Triple>* out) {
@@ -52,7 +62,7 @@ Status ReadTriples(const std::string& path, bool required, Vocab* entities,
                           relations->GetOrAdd(fields[1]),
                           entities->GetOrAdd(fields[2])});
   }
-  return Status::OK();
+  return ReadFinished(in, path);
 }
 
 /// Closes a finished output file. A write can succeed into the stream
@@ -82,7 +92,8 @@ Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
   // Optional entity types.
   std::vector<std::pair<int32_t, int32_t>> assignments;
   {
-    std::ifstream in(dir + "/types.txt");
+    const std::string path = dir + "/types.txt";
+    std::ifstream in(path);
     if (in.is_open()) {
       std::string line;
       int64_t line_number = 0;
@@ -92,12 +103,13 @@ Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
         const std::vector<std::string> fields = SplitString(line, '\t');
         if (fields.size() != 2) {
           return Status::InvalidArgument(StrFormat(
-              "%s/types.txt:%lld: expected 2 fields", dir.c_str(),
+              "%s:%lld: expected 2 fields", path.c_str(),
               static_cast<long long>(line_number)));
         }
         assignments.emplace_back(entities.GetOrAdd(fields[0]),
                                  types.GetOrAdd(fields[1]));
       }
+      KGEVAL_RETURN_NOT_OK(ReadFinished(in, path));
     }
   }
   TypeStore store(entities.size(), types.size());

@@ -120,8 +120,8 @@ std::vector<SlotBlock> BlocksPerSlot(const std::vector<size_t>& runs) {
   std::vector<SlotBlock> blocks;
   for (size_t s = 0; s < runs.size(); ++s) {
     for (size_t k = 0; k < runs[s]; ++k) {
-      blocks.push_back({0, QueryDirection::kTail, nullptr, 0, 0,
-                        static_cast<int32_t>(s)});
+      blocks.push_back(
+          {0, QueryDirection::kTail, static_cast<int32_t>(s), 0, 0, 0, 0});
     }
   }
   return blocks;

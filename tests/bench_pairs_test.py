@@ -144,6 +144,22 @@ class BenchPairsTest(unittest.TestCase):
         worktrees = git(self.repo, "worktree", "list", "--porcelain")
         self.assertEqual(worktrees.count("worktree "), 1)
 
+    def test_own_reports_do_not_dirty_the_tree(self):
+        # A tracked root BENCH_*.json is the tool's own output (a run of
+        # another workload rewrote it), so alone it leaves the tree clean.
+        other = os.path.join(self.repo, "BENCH_other.json")
+        with open(other, "w") as f:
+            f.write("{}\n")
+        git(self.repo, "add", "-A")
+        git(self.repo, "commit", "-q", "-m", "change")
+        with open(other, "w") as f:
+            f.write('{"rewritten": true}\n')
+        self.run_tool(1)
+        with open(os.path.join(self.repo, "BENCH_w1.json")) as f:
+            report = json.load(f)
+        self.assertNotEqual(report["change"]["commit"], self.parent)
+        self.assertFalse(report["change"]["dirty"])
+
     def test_a_single_pair_has_no_spread(self):
         proc = self.run_tool(1)
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)

@@ -75,6 +75,23 @@ TEST(TsvLoadTest, MissingTrainIsIoError) {
             StatusCode::kIoError);
 }
 
+TEST(TsvLoadTest, UnreadableFileIsIoError) {
+  // A directory opens as an ifstream but every read fails: the loader must
+  // report it, not load the file as empty.
+  for (const char* file : {"train.txt", "valid.txt", "types.txt"}) {
+    SCOPED_TRACE(file);
+    TempDir dir;
+    if (std::string(file) != "train.txt") {
+      WriteFile(dir.path() + "/train.txt", "a\tr\tb\n");
+    }
+    fs::create_directory(dir.path() + "/" + file);
+    const Status status = LoadDatasetFromTsv(dir.path()).status();
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+    EXPECT_NE(status.message().find(file), std::string::npos)
+        << status.ToString();
+  }
+}
+
 TEST(TsvLoadTest, MalformedLineIsInvalidArgument) {
   TempDir dir;
   WriteFile(dir.path() + "/train.txt", "a\tr\tb\nbroken line\n");

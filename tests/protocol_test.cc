@@ -14,6 +14,7 @@
 #include "core/samplers.h"
 #include "eval/full_evaluator.h"
 #include "eval/protocol.h"
+#include "eval/slot_blocks.h"
 #include "graph/dataset.h"
 #include "models/kge_model.h"
 #include "synth/config.h"
@@ -93,14 +94,14 @@ std::set<std::pair<int32_t, int32_t>> AllQueries(int64_t num_triples) {
 
 /// The schedule over both queries of the first `num_triples` triples:
 /// BuildQuerySchedule over every query id, in index order.
-EvalSchedule FullSchedule(const FilterIndex& filter,
-                          const std::vector<Triple>& triples,
-                          int64_t num_triples, size_t query_block) {
+EvalSchedule FullSchedule(const std::vector<Triple>& triples,
+                          int32_t num_relations, int64_t num_triples,
+                          size_t query_block) {
   std::vector<int64_t> ids(2 * static_cast<size_t>(num_triples));
   std::iota(ids.begin(), ids.end(), int64_t{0});
   EvalSchedule schedule;
-  filter.BuildQuerySchedule(triples, ids.data(), ids.size(), query_block,
-                            &schedule);
+  BuildQuerySchedule(triples, num_relations, ids.data(), ids.size(),
+                     query_block, &schedule);
   return schedule;
 }
 
@@ -108,9 +109,11 @@ EvalSchedule FullSchedule(const FilterIndex& filter,
 /// are exactly `expected`, each once; every block holds one relation,
 /// ranks against that relation's domain/range slot, and holds at most
 /// `query_block` distinct anchors; anchors never decrease
-/// within a run and no anchor is split across blocks (so each distinct
-/// query is scored once); and blocks sharing a pool slot are contiguous
-/// (the prepare-once contract).
+/// within a pool slot and no anchor is split across blocks (so each
+/// distinct query is scored once); blocks sharing a pool slot are
+/// contiguous (the prepare-once contract); and each block's rows are the
+/// distinct anchors of its queries, in order, each query's truth is its
+/// triple's for the block's direction and its row holds its anchor.
 void ExpectScheduleInvariants(
     const std::vector<Triple>& triples, int32_t num_relations,
     const EvalSchedule& schedule, size_t query_block,
@@ -118,7 +121,7 @@ void ExpectScheduleInvariants(
   std::set<std::pair<int32_t, int32_t>> seen;
   std::set<int32_t> closed_slots;
   std::set<std::tuple<int32_t, int32_t, int32_t>> closed_anchors;
-  std::map<const std::vector<int32_t>*, int32_t> run_last_anchor;
+  std::map<int32_t, int32_t> slot_last_anchor;
   int32_t current_slot = -1;
   for (const SlotBlock& block : schedule.blocks) {
     ASSERT_LT(block.begin, block.end);
@@ -131,16 +134,30 @@ void ExpectScheduleInvariants(
     EXPECT_EQ(block.pool_slot,
               DomainRangeIndex(block.relation, block.direction, num_relations));
     std::set<int32_t> block_anchors;
+    std::vector<int32_t> distinct_anchors;
     for (size_t i = block.begin; i < block.end; ++i) {
-      const int32_t idx = (*block.triple_idx)[i];
+      const int32_t idx = schedule.triple_idx[i];
       EXPECT_EQ(triples[idx].relation, block.relation);
       const int32_t anchor = QueryAnchor(triples[idx], block.direction);
-      auto last = run_last_anchor.emplace(block.triple_idx, anchor).first;
-      EXPECT_GE(anchor, last->second) << "anchors decrease within a run";
+      auto last = slot_last_anchor.emplace(block.pool_slot, anchor).first;
+      EXPECT_GE(anchor, last->second) << "anchors decrease within a slot";
       last->second = anchor;
       block_anchors.insert(anchor);
+      if (distinct_anchors.empty() || distinct_anchors.back() != anchor) {
+        distinct_anchors.push_back(anchor);
+      }
+      EXPECT_EQ(schedule.truths[i], block.direction == QueryDirection::kTail
+                                        ? triples[idx].tail
+                                        : triples[idx].head);
+      const size_t row = block.row_begin + schedule.truth_rows[i];
+      ASSERT_LT(row, block.row_end);
+      EXPECT_EQ(schedule.anchors[row], anchor) << "query row";
       EXPECT_TRUE(seen.insert({idx, dir}).second) << "query scheduled twice";
     }
+    EXPECT_EQ(std::vector<int32_t>(schedule.anchors.begin() + block.row_begin,
+                                   schedule.anchors.begin() + block.row_end),
+              distinct_anchors)
+        << "block rows";
     EXPECT_LE(block_anchors.size(), query_block);
     for (int32_t anchor : block_anchors) {
       EXPECT_TRUE(closed_anchors.insert({block.relation, dir, anchor}).second)
@@ -250,12 +267,11 @@ TEST(StaticParityTest, ExhaustivePoolsReproduceFullRanking) {
 
 TEST(StaticParityTest, ScheduleIsGroupHomogeneousAndComplete) {
   for (const Dataset& dataset : {SynthDataset(), DuplicateQueryDataset()}) {
-    const FilterIndex filter(dataset);
     const std::vector<Triple>& triples = dataset.test();
     const int64_t n = static_cast<int64_t>(triples.size());
     for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
       const EvalSchedule schedule =
-          FullSchedule(filter, triples, n, query_block);
+          FullSchedule(triples, dataset.num_relations(), n, query_block);
       ExpectScheduleInvariants(triples, dataset.num_relations(), schedule,
                                query_block, AllQueries(n));
     }
@@ -304,7 +320,7 @@ TEST(StaticParityTest, RankQueriesOnAShuffledSliceMatchesFullRanking) {
     std::vector<double> ranks(2 * triples.size(), 0.0);
     EvalSchedule schedule;
     const int64_t scored = RankQueries(
-        *model, triples, filter, slice.data(), slice.size(),
+        *model, dataset, Split::kTest, filter, slice.data(), slice.size(),
         /*query_block=*/5, TieBreak::kMean,
         [&](int32_t, PreparedPool*) -> const PreparedPool& { return pool; },
         /*cancel=*/nullptr, &schedule, ranks.data());
@@ -370,32 +386,50 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
 }
 
 /// One block of a schedule, by value: what a block ranks and in which
-/// order.
+/// order, its score rows (distinct anchors), and per query its truth and
+/// row.
 struct BlockContents {
   int32_t relation;
   QueryDirection direction;
   int32_t pool_slot;
   std::vector<int32_t> triples;
+  std::vector<int32_t> rows;
+  std::vector<int32_t> truths;
+  std::vector<int32_t> truth_rows;
 
   bool operator==(const BlockContents& o) const {
     return relation == o.relation && direction == o.direction &&
-           pool_slot == o.pool_slot && triples == o.triples;
+           pool_slot == o.pool_slot && triples == o.triples &&
+           rows == o.rows && truths == o.truths && truth_rows == o.truth_rows;
   }
 };
 
 std::ostream& operator<<(std::ostream& os, const BlockContents& b) {
+  const auto list = [&](const char* name, const std::vector<int32_t>& v) {
+    os << " " << name << "=[";
+    for (int32_t i : v) os << i << ",";
+    os << "]";
+  };
   os << "{r=" << b.relation << " dir=" << static_cast<int>(b.direction)
-     << " slot=" << b.pool_slot << " triples=[";
-  for (int32_t i : b.triples) os << i << ",";
-  return os << "]}";
+     << " slot=" << b.pool_slot;
+  list("triples", b.triples);
+  list("rows", b.rows);
+  list("truths", b.truths);
+  list("truth_rows", b.truth_rows);
+  return os << "}";
 }
 
 std::vector<BlockContents> Contents(const EvalSchedule& schedule) {
   std::vector<BlockContents> out;
+  const auto range = [](const std::vector<int32_t>& v, size_t lo, size_t hi) {
+    return std::vector<int32_t>(v.begin() + lo, v.begin() + hi);
+  };
   for (const SlotBlock& b : schedule.blocks) {
     out.push_back({b.relation, b.direction, b.pool_slot,
-                   std::vector<int32_t>(b.triple_idx->begin() + b.begin,
-                                        b.triple_idx->begin() + b.end)});
+                   range(schedule.triple_idx, b.begin, b.end),
+                   range(schedule.anchors, b.row_begin, b.row_end),
+                   range(schedule.truths, b.begin, b.end),
+                   range(schedule.truth_rows, b.begin, b.end)});
   }
   return out;
 }
@@ -404,7 +438,7 @@ std::vector<BlockContents> Contents(const EvalSchedule& schedule) {
 /// reference: bucket the query ids into (relation, direction) runs in
 /// input order, stable-sort each run by its anchor, then walk the runs
 /// head direction first, relations ascending, cutting each into blocks of
-/// at most `query_block` distinct anchors.
+/// at most `query_block` distinct anchors, each distinct anchor a row.
 std::vector<BlockContents> StableSortSchedule(
     const std::vector<Triple>& triples, int32_t num_relations,
     const int64_t* query_ids, size_t n, size_t query_block) {
@@ -432,9 +466,16 @@ std::vector<BlockContents> StableSortSchedule(
           distinct = 0;
         }
         if (new_anchor && distinct++ == 0) {
-          blocks.push_back({r, dir, slot, {}});
+          blocks.push_back({r, dir, slot, {}, {}, {}, {}});
         }
-        blocks.back().triples.push_back(run[i]);
+        BlockContents& block = blocks.back();
+        if (new_anchor) block.rows.push_back(anchor(run[i]));
+        block.triples.push_back(run[i]);
+        block.truths.push_back(dir == QueryDirection::kTail
+                                   ? triples[run[i]].tail
+                                   : triples[run[i]].head);
+        block.truth_rows.push_back(static_cast<int32_t>(block.rows.size()) -
+                                   1);
       }
     }
   }
@@ -473,7 +514,6 @@ TEST(ScheduleTest, BuildsTheStableSortSchedule) {
   }
   for (const Dataset& dataset : datasets) {
     SCOPED_TRACE(dataset.name());
-    const FilterIndex filter(dataset);
     const int32_t num_r = dataset.num_relations();
     for (Split split : {Split::kTrain, Split::kTest}) {
       const std::vector<Triple>& triples = dataset.split(split);
@@ -483,7 +523,7 @@ TEST(ScheduleTest, BuildsTheStableSortSchedule) {
       for (size_t query_block : {size_t{1}, size_t{3}, size_t{16}}) {
         SCOPED_TRACE(testing::Message() << "query_block=" << query_block);
         // The full split.
-        EXPECT_EQ(Contents(FullSchedule(filter, triples, n, query_block)),
+        EXPECT_EQ(Contents(FullSchedule(triples, num_r, n, query_block)),
                   StableSortSchedule(triples, num_r, all.data(), all.size(),
                                      query_block));
         // Round-sized slices of a shuffled order, into one reused
@@ -494,8 +534,8 @@ TEST(ScheduleTest, BuildsTheStableSortSchedule) {
         for (size_t take : {size_t{1}, size_t{37}, size_t{256}}) {
           for (size_t lo = 0; lo < order.size(); lo += take) {
             const size_t k = std::min(take, order.size() - lo);
-            filter.BuildQuerySchedule(triples, order.data() + lo, k,
-                                      query_block, &round);
+            BuildQuerySchedule(triples, num_r, order.data() + lo, k,
+                               query_block, &round);
             ASSERT_EQ(Contents(round),
                       StableSortSchedule(triples, num_r, order.data() + lo, k,
                                          query_block))
@@ -509,7 +549,6 @@ TEST(ScheduleTest, BuildsTheStableSortSchedule) {
 
 TEST(ScheduleTest, AdaptiveRoundsKeepInvariants) {
   const Dataset dataset = DuplicateQueryDataset();
-  const FilterIndex filter(dataset);
   const std::vector<Triple>& triples = dataset.test();
   Rng rng(43);
   const std::vector<int64_t> order = ShuffledQueryOrder(
@@ -519,8 +558,8 @@ TEST(ScheduleTest, AdaptiveRoundsKeepInvariants) {
   constexpr size_t kRound = 37;
   for (size_t lo = 0; lo < order.size(); lo += kRound) {
     const size_t take = std::min(kRound, order.size() - lo);
-    filter.BuildQuerySchedule(triples, order.data() + lo, take,
-                              /*query_block=*/2, &round);
+    BuildQuerySchedule(triples, dataset.num_relations(), order.data() + lo,
+                       take, /*query_block=*/2, &round);
     std::set<std::pair<int32_t, int32_t>> expected;
     for (size_t k = lo; k < lo + take; ++k) {
       expected.insert({static_cast<int32_t>(order[k] >> 1),

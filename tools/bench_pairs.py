@@ -142,7 +142,10 @@ def main():
     root = git(os.getcwd(), "rev-parse", "--show-toplevel")
     parent_commit = git(root, "rev-parse", "--verify", args.parent_ref + "^{commit}")
     change_commit = git(root, "rev-parse", "HEAD")
-    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    # The root BENCH_*.json files are this tool's own output: a run of one
+    # workload must not mark the next workload's run dirty.
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no",
+                     "--", ":(exclude,glob)BENCH_*.json"))
     spec = load_spec(root)
     seconds = spec["run_seconds"]
 
