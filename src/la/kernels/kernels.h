@@ -46,10 +46,12 @@ constexpr size_t TileStride(size_t n) {
 /// included, padding lanes too. Every scoring kernel treats candidates as
 /// independent lanes and accumulates over the dim axis in exactly the
 /// scalar reference's order, one rounded multiply then one rounded add per
-/// step (never an FMA), with IEEE-exact sqrt/fabs; no padding lane reaches
-/// an output cell. Every implementation therefore produces bit-identical
-/// output for every cell, so ranks, MRR, and served bytes do not depend on
-/// which ISA ran.
+/// step (the accumulation never uses an FMA), with IEEE-exact sqrt/fabs;
+/// no padding lane reaches an output cell. The one FMA user is the AVX-512
+/// complex distance's SqrtFma (kernel_impls.h), a square root equal to
+/// VSQRTPS bit for bit on every input. Every implementation therefore
+/// produces bit-identical output for every cell, so ranks, MRR, and served
+/// bytes do not depend on which ISA ran.
 struct ScoreKernels {
   const char* name;
 

@@ -49,6 +49,8 @@ struct Isa {
   KGEVAL_SIMD_TARGET static V Sub(V a, V b) { return _mm256_sub_ps(a, b); }
   KGEVAL_SIMD_TARGET static V Mul(V a, V b) { return _mm256_mul_ps(a, b); }
   KGEVAL_SIMD_TARGET static V Sqrt(V a) { return _mm256_sqrt_ps(a); }
+  // No rsqrt14 and no FMA in the probe: every cell stays on VSQRTPS.
+  KGEVAL_SIMD_TARGET static V SqrtFma(V a) { return Sqrt(a); }
   KGEVAL_SIMD_TARGET static V Abs(V a) {
     return _mm256_and_ps(a,
                          _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));

@@ -1,8 +1,10 @@
 // AVX-512F score kernels: the shared sweep (simd_sweep.inc) at 16 lanes per
 // register. Same compilation model as the AVX2 file (function-level `target`
 // attributes, dispatched at runtime) and the same bit-exactness contract:
-// explicit rounded multiply + rounded add per dim step, never VFMADD. Only
-// AVX-512F intrinsics are used, so the probe needs nothing beyond avx512f.
+// explicit rounded multiply + rounded add per dim step, never VFMADD; FMAs
+// appear only inside SqrtFma, whose square root equals VSQRTPS bit for bit.
+// Only AVX-512F intrinsics are used, so the probe needs nothing beyond
+// avx512f.
 
 #include "la/kernels/kernel_impls.h"
 
@@ -47,6 +49,9 @@ struct Isa {
   // -Wmaybe-uninitialized.
   KGEVAL_SIMD_TARGET static V Sqrt(V a) {
     return _mm512_maskz_sqrt_ps(0xFFFF, a);
+  }
+  KGEVAL_SIMD_TARGET static V SqrtFma(V a) {
+    return kernel_impls::SqrtFma(a);
   }
   KGEVAL_SIMD_TARGET static V Abs(V a) { return _mm512_abs_ps(a); }
   KGEVAL_SIMD_TARGET static V Neg(V a) {

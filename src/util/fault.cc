@@ -1,5 +1,6 @@
 #include "util/fault.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -53,6 +54,18 @@ bool IsKnownPoint(const std::string& point) {
   return false;
 }
 
+/// Parses all of `value` as a decimal that fits T: no whitespace, no '+',
+/// and an out-of-range value fails instead of saturating or wrapping.
+template <class T>
+bool ParseWhole(const std::string& value, T* out) {
+  const char* end = value.data() + value.size();
+  T parsed{};
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = parsed;
+  return true;
+}
+
 bool ParseErrnoName(const std::string& value, int* out) {
   static const std::pair<const char*, int> kNames[] = {
       {"EIO", EIO},         {"ENOENT", ENOENT}, {"EAGAIN", EAGAIN},
@@ -65,19 +78,8 @@ bool ParseErrnoName(const std::string& value, int* out) {
       return true;
     }
   }
-  char* end = nullptr;
-  const long n = std::strtol(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == value.c_str() || n <= 0) {
-    return false;
-  }
-  *out = static_cast<int>(n);
-  return true;
-}
-
-bool ParseCount(const std::string& value, int64_t* out) {
-  char* end = nullptr;
-  const long long n = std::strtoll(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == value.c_str()) return false;
+  int n = 0;
+  if (!ParseWhole(value, &n) || n <= 0) return false;
   *out = n;
   return true;
 }
@@ -102,7 +104,7 @@ Status ParseDirectives(const std::string& point, const std::string& list,
     } else if (key == "always") {
       spec->count = -1;
     } else if (key == "nth") {
-      if (!ParseCount(value, &n) || n < 1) {
+      if (!ParseWhole(value, &n) || n < 1) {
         return Status::InvalidArgument(
             StrFormat("%s: nth wants a positive integer, got '%s'",
                       point.c_str(), value.c_str()));
@@ -110,14 +112,14 @@ Status ParseDirectives(const std::string& point, const std::string& list,
       spec->skip = n - 1;
       spec->count = 1;
     } else if (key == "skip") {
-      if (!ParseCount(value, &n) || n < 0) {
+      if (!ParseWhole(value, &n) || n < 0) {
         return Status::InvalidArgument(StrFormat(
             "%s: skip wants a non-negative integer, got '%s'", point.c_str(),
             value.c_str()));
       }
       spec->skip = n;
     } else if (key == "count") {
-      if (!ParseCount(value, &n) || (n < 1 && n != -1)) {
+      if (!ParseWhole(value, &n) || (n < 1 && n != -1)) {
         return Status::InvalidArgument(
             StrFormat("%s: count wants a positive integer or -1, got '%s'",
                       point.c_str(), value.c_str()));
@@ -129,13 +131,12 @@ Status ParseDirectives(const std::string& point, const std::string& list,
             "%s: unknown errno '%s'", point.c_str(), value.c_str()));
       }
     } else if (key == "delay_ms") {
-      if (!ParseCount(value, &n) || n < 0) {
+      if (!ParseWhole(value, &spec->delay_ms) || spec->delay_ms < 0) {
         return Status::InvalidArgument(StrFormat(
             "%s: delay_ms wants a non-negative integer, got '%s'",
             point.c_str(), value.c_str()));
       }
       spec->kind = FaultSpec::Kind::kDelay;
-      spec->delay_ms = static_cast<int>(n);
     } else {
       return Status::InvalidArgument(StrFormat(
           "%s: unknown directive '%s'", point.c_str(), directive.c_str()));

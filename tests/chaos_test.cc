@@ -226,6 +226,12 @@ TEST(FaultRegistryTest, BadSpecsArmNothing) {
       "io.checkpoint.read=errno=EFOO",
       "io.checkpoint.read=errno=0",
       "io.checkpoint.read=delay_ms=-1",
+      // Out of the field's range: rejected, not wrapped or saturated.
+      "io.checkpoint.read=delay_ms=4294967296",
+      "io.checkpoint.read=errno=4294967301",
+      "io.checkpoint.read=delay_ms=99999999999999999999",
+      "io.checkpoint.read=errno=99999999999999999999",
+      "io.checkpoint.read=nth=99999999999999999999",
   };
   for (const char* spec : kBadSpecs) {
     EXPECT_EQ(ArmFaultsFromSpec(spec).code(), StatusCode::kInvalidArgument)

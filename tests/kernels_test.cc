@@ -295,6 +295,132 @@ TEST(RawKernelParityTest, ExactKernelsMatchScalarOnEveryShape) {
   }
 }
 
+/// Coordinates whose differences make x = dre^2 + dim^2 + eps land on every
+/// sqrt input class when eps = 0: exactly 0, below 2^-100 (2^-60 squared),
+/// denormal (2^-70 squared), an overflow to inf (3e19 squared), NaN
+/// (inf - inf), and ordinary values. SqrtFma sends every class but the
+/// last to its VSQRTPS fallback.
+std::vector<float> SqrtEdgeInput(size_t size, Rng* rng) {
+  static const float kPicks[] = {
+      0.0f,   -0.0f, 0x1p-60f, -0x1p-60f, 0x1p-70f, 0x1p-64f,
+      3e19f,  -3e19f, INFINITY, 0.5f,     1.0f,     -2.25f};
+  std::vector<float> values(size);
+  for (float& v : values) v = kPicks[rng->NextBounded(std::size(kPicks))];
+  return values;
+}
+
+TEST(RawKernelParityTest, ComplexDistMatchesScalarAtSqrtEdgeInputs) {
+  KernelGuard guard;
+  std::vector<const ScoreKernels*> impls;
+  for (const std::string& name : SupportedScoreKernelNames()) {
+    ASSERT_TRUE(SelectScoreKernels(name).ok()) << name;
+    impls.push_back(&ActiveScoreKernels());
+  }
+  const ScoreKernels& scalar = ScalarScoreKernels();
+  Rng rng(44);
+  int zero = 0, tiny = 0, inf = 0, nan = 0;
+  for (float eps : {0.0f, 1e-9f}) {
+    for (size_t nq : {1, 3, 4, 5}) {
+      for (size_t n : {16, 17, 40}) {
+        for (size_t dim : {2, 8}) {
+          SCOPED_TRACE(testing::Message() << "eps=" << eps << " nq=" << nq
+                                          << " n=" << n << " dim=" << dim);
+          const std::vector<float> queries = SqrtEdgeInput(nq * dim, &rng);
+          // Padding lanes hold edge values too; they never reach a cell.
+          const std::vector<float> tile =
+              SqrtEdgeInput(dim * TileStride(n), &rng);
+          const auto run = [&](const ScoreKernels& k) {
+            std::vector<float> out(nq * n);
+            k.neg_complex_dist(queries.data(), nq, dim, tile.data(), n, eps,
+                               out.data());
+            return out;
+          };
+          const std::vector<float> reference = run(scalar);
+          if (eps == 0.0f && dim == 2) {
+            // One term per cell, so the cells show the classes reached.
+            for (float v : reference) {
+              zero += v == 0.0f;
+              tiny += v != 0.0f && v > -0x1p-50f;  // sqrt of x < 2^-100.
+              inf += std::isinf(v);
+              nan += std::isnan(v);
+            }
+          }
+          for (const ScoreKernels* impl : impls) {
+            EXPECT_EQ(Bits(run(*impl)), Bits(reference))
+                << "neg_complex_dist under " << impl->name;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(zero, 0);
+  EXPECT_GT(tiny, 0);
+  EXPECT_GT(inf, 0);
+  EXPECT_GT(nan, 0);
+}
+
+#if defined(KGEVAL_X86_SIMD_KERNELS)
+/// Lanes where kernel_impls::SqrtFma differs from VSQRTPS among the bit
+/// patterns lo, lo + stride, ... below hi; (hi - lo) is a multiple of
+/// 16 * stride. `first` gets the lowest mismatching pattern.
+__attribute__((target("avx512f"))) uint64_t SqrtFmaMismatches(
+    uint64_t lo, uint64_t hi, uint32_t stride, uint64_t* first) {
+  const __m512i step = _mm512_set1_epi32(static_cast<int>(16 * stride));
+  __m512i bits = _mm512_add_epi32(
+      _mm512_set1_epi32(static_cast<int>(static_cast<uint32_t>(lo))),
+      _mm512_mullo_epi32(
+          _mm512_set1_epi32(static_cast<int>(stride)),
+          _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                            15)));
+  uint64_t mismatches = 0;
+  for (uint64_t base = lo; base < hi; base += 16 * uint64_t{stride}) {
+    const __m512 x = _mm512_castsi512_ps(bits);
+    const __mmask16 differ = _mm512_cmpneq_epi32_mask(
+        _mm512_castps_si512(kernel_impls::SqrtFma(x)),
+        _mm512_castps_si512(_mm512_maskz_sqrt_ps(0xFFFF, x)));
+    if (differ != 0) {
+      if (mismatches == 0) {
+        *first = base + uint64_t{stride} * __builtin_ctz(differ);
+      }
+      mismatches += __builtin_popcount(differ);
+    }
+    bits = _mm512_add_epi32(bits, step);
+  }
+  return mismatches;
+}
+
+TEST(SqrtFmaTest, MatchesVsqrtpsOnEveryBitPattern) {
+  if (!kernel_impls::Avx512Supported()) {
+    GTEST_SKIP() << "CPU has no AVX-512F; SqrtFma cannot run";
+  }
+  struct Range {
+    uint64_t lo, hi;
+    uint32_t stride;
+  };
+#if defined(NDEBUG)
+  // Optimized builds sweep all 2^32 patterns in a few seconds.
+  const Range kRanges[] = {{0, uint64_t{1} << 32, 1}};
+#else
+  // Unoptimized builds take every mantissa around both ends of the exact
+  // range, [2^-127, 2^-95) and [2^126, NaN], and every 64th pattern
+  // elsewhere, negatives included.
+  const Range kRanges[] = {
+      {0, uint64_t{33} << 23, 1},
+      {uint64_t{33} << 23, uint64_t{253} << 23, 64},
+      {uint64_t{253} << 23, uint64_t{1} << 31, 1},
+      {uint64_t{1} << 31, uint64_t{1} << 32, 64},
+  };
+#endif
+  for (const Range& range : kRanges) {
+    uint64_t first = 0;
+    EXPECT_EQ(SqrtFmaMismatches(range.lo, range.hi, range.stride, &first), 0u)
+        << "patterns [" << range.lo << ", " << range.hi << ") every "
+        << range.stride << "; first mismatch at bits 0x" << std::hex
+        << first;
+  }
+}
+#endif
+
 /// A table of the bit patterns a copy must preserve: NaNs with payloads
 /// (quiet and signalling, both signs), both zeros, denormals and both
 /// infinities, mixed with ordinary values. No entry equals the output
