@@ -238,8 +238,7 @@ FullEvalResult EvaluateFullRanking(const KgeModel& model,
   std::vector<int32_t> all_entities(dataset.num_entities());
   std::iota(all_entities.begin(), all_entities.end(), 0);
   PreparedPool pool;
-  pool.Prepare(model, all_entities.data(), all_entities.size(),
-               std::max<size_t>(1, options.entity_tile));
+  pool.Prepare(model, all_entities.data(), all_entities.size(), kPoolTile);
   std::vector<int64_t> query_ids(result.ranks.size());
   std::iota(query_ids.begin(), query_ids.end(), int64_t{0});
   EvalSchedule schedule;

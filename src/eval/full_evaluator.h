@@ -30,11 +30,6 @@ struct FullEvalOptions {
   /// Cap on evaluated triples (0 = all). Deterministic prefix of the split;
   /// used by benches to bound the cost of the ground-truth computation.
   int64_t max_triples = 0;
-  /// Entities per candidate tile (see PreparedPool). Each tile is prepared
-  /// (gathered + transposed) once per evaluation and reused by every slot
-  /// block. Small values force multi-tile sweeps (used by tests); ranks are
-  /// identical for any tile size.
-  size_t entity_tile = kPoolTile;
 };
 
 /// Result of a full evaluation: aggregated metrics plus per-query ranks
@@ -46,7 +41,8 @@ struct FullEvalResult {
 
 /// Ranks every entity for every (h,r,?) and (?,r,t) query of `split`,
 /// with `filter` supplying the filtered answer sets: one RankQueries pass
-/// over every query id against the entity range, prepared once. Each
+/// over every query id against the entity range, prepared once in
+/// kPoolTile tiles (any other tile size gives the same ranks). Each
 /// distinct (anchor, relation, direction) is scored once per tile; its
 /// queries share the row. Multi-threaded.
 FullEvalResult EvaluateFullRanking(const KgeModel& model,

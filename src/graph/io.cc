@@ -36,6 +36,39 @@ Status ReadFinished(const std::ifstream& in, const std::string& path) {
   return Status::OK();
 }
 
+/// Hands the `columns` tab-separated fields of each line of `in` (opened
+/// from `path`) to `row`. One trailing '\r' is stripped first, so a CRLF
+/// file loads like its LF copy; a line then empty is blank and skipped. A
+/// line with another field count, or an empty field, is InvalidArgument
+/// naming `path:line`.
+template <typename RowFn>
+Status ReadRows(std::ifstream& in, const std::string& path, size_t columns,
+                RowFn row) {
+  std::string line;
+  int64_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    const std::vector<std::string> fields = SplitString(line, '\t');
+    if (fields.size() != columns) {
+      return Status::InvalidArgument(
+          StrFormat("%s:%lld: expected %zu tab-separated fields, got %zu",
+                    path.c_str(), static_cast<long long>(line_number),
+                    columns, fields.size()));
+    }
+    for (const std::string& field : fields) {
+      if (field.empty()) {
+        return Status::InvalidArgument(
+            StrFormat("%s:%lld: empty field", path.c_str(),
+                      static_cast<long long>(line_number)));
+      }
+    }
+    row(fields);
+  }
+  return ReadFinished(in, path);
+}
+
 /// Reads one split file of 3-column lines.
 Status ReadTriples(const std::string& path, bool required, Vocab* entities,
                    Vocab* relations, std::vector<Triple>* out) {
@@ -46,23 +79,11 @@ Status ReadTriples(const std::string& path, bool required, Vocab* entities,
     }
     return Status::OK();
   }
-  std::string line;
-  int64_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    const std::vector<std::string> fields = SplitString(line, '\t');
-    if (fields.size() != 3) {
-      return Status::InvalidArgument(
-          StrFormat("%s:%lld: expected 3 tab-separated fields, got %zu",
-                    path.c_str(), static_cast<long long>(line_number),
-                    fields.size()));
-    }
+  return ReadRows(in, path, 3, [&](const std::vector<std::string>& fields) {
     out->push_back(Triple{entities->GetOrAdd(fields[0]),
                           relations->GetOrAdd(fields[1]),
                           entities->GetOrAdd(fields[2])});
-  }
-  return ReadFinished(in, path);
+  });
 }
 
 /// Closes a finished output file. A write can succeed into the stream
@@ -95,21 +116,11 @@ Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
     const std::string path = dir + "/types.txt";
     std::ifstream in(path);
     if (in.is_open()) {
-      std::string line;
-      int64_t line_number = 0;
-      while (std::getline(in, line)) {
-        ++line_number;
-        if (line.empty()) continue;
-        const std::vector<std::string> fields = SplitString(line, '\t');
-        if (fields.size() != 2) {
-          return Status::InvalidArgument(StrFormat(
-              "%s:%lld: expected 2 fields", path.c_str(),
-              static_cast<long long>(line_number)));
-        }
-        assignments.emplace_back(entities.GetOrAdd(fields[0]),
-                                 types.GetOrAdd(fields[1]));
-      }
-      KGEVAL_RETURN_NOT_OK(ReadFinished(in, path));
+      KGEVAL_RETURN_NOT_OK(
+          ReadRows(in, path, 2, [&](const std::vector<std::string>& fields) {
+            assignments.emplace_back(entities.GetOrAdd(fields[0]),
+                                     types.GetOrAdd(fields[1]));
+          }));
     }
   }
   TypeStore store(entities.size(), types.size());

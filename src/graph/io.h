@@ -18,9 +18,9 @@ namespace kgeval {
 ///
 /// Entity/relation/type vocabularies are built from the string
 /// labels in order of first appearance; the labels are attached to the
-/// dataset. Fails with IoError when train.txt is missing and
-/// InvalidArgument on malformed lines (the offending line number is in the
-/// message).
+/// dataset. Lines may end in LF or CRLF. Fails with IoError when train.txt
+/// is missing and InvalidArgument on malformed lines, including lines with
+/// an empty field (the offending file:line is in the message).
 Result<Dataset> LoadDatasetFromTsv(const std::string& dir,
                                    const std::string& name = "tsv");
 

@@ -20,13 +20,13 @@ constexpr size_t TileStride(size_t n) {
 }
 
 /// One implementation of the scoring core's hot loops, selected once at
-/// startup by a CPU-feature probe (overridable with KGEVAL_KERNELS=<name> or
-/// a server/bench --kernels flag). Every binary carries every implementation
-/// its compiler could emit — on x86-64 the wide paths are one query-blocked
-/// sweep (simd_sweep.inc) compiled once per ISA in its own translation unit
-/// behind `target` attributes, so even a KGEVAL_NATIVE=OFF build dispatches
-/// to AVX2/AVX-512 at runtime when the CPU has them. Adding an ISA is one
-/// `Isa` description plus one registry line (kernels.cc).
+/// startup by a CPU-feature probe (overridable with KGEVAL_KERNELS=<name>).
+/// Every binary carries every implementation its compiler could emit — on
+/// x86-64 the wide paths are one query-blocked sweep (simd_sweep.inc)
+/// compiled once per ISA in its own translation unit behind `target`
+/// attributes, so even a KGEVAL_NATIVE=OFF build dispatches to AVX2/AVX-512
+/// at runtime when the CPU has them. Adding an ISA is one `Isa` description
+/// plus one registry line (kernels.cc).
 ///
 /// Tile contract. `gather_t` builds a transposed candidate tile
 /// (CandidateBlock::gathered_t): `dim` rows of `n` candidate lanes, each
@@ -102,7 +102,7 @@ const char* ActiveScoreKernelName();
 /// takes the widest supported path, ignoring KGEVAL_KERNELS). Unknown or
 /// unsupported names return InvalidArgument and leave the active table
 /// unchanged. Not thread-safe against concurrent scoring: select at startup
-/// (the server's --kernels flag) or in a serial test, not mid-evaluation.
+/// or in a serial test, not mid-evaluation.
 Status SelectScoreKernels(const std::string& name);
 
 }  // namespace kgeval

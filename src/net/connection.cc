@@ -11,10 +11,9 @@
 
 namespace kgeval {
 
-Connection::Connection(EventLoop* loop, int fd, ConnectionOptions options)
-    : loop_(loop), fd_(fd), options_(options) {
-  KGEVAL_CHECK(options_.low_water_bytes <= options_.high_water_bytes);
-}
+static_assert(kLowWaterBytes <= kHighWaterBytes);
+
+Connection::Connection(EventLoop* loop, int fd) : loop_(loop), fd_(fd) {}
 
 Connection::~Connection() {
   // Close() ran unless the loop shut down with the connection still open;
@@ -95,7 +94,7 @@ void Connection::ExtractLines() {
       size_t end = nl;
       if (end > start && input_[end - 1] == '\r') --end;
       const std::string_view line(input_.data() + start, end - start);
-      if (line.size() > options_.max_line_bytes) {
+      if (line.size() > kMaxLineBytes) {
         on_line_(std::string_view(), /*overflow=*/true);
       } else {
         on_line_(line, /*overflow=*/false);
@@ -106,8 +105,12 @@ void Connection::ExtractLines() {
   }
   input_.erase(0, start);
   // An unterminated line beyond the limit: discard what we have and flag,
-  // so a hostile client cannot grow the input buffer without newlines.
-  if (!overflow_ && input_.size() > options_.max_line_bytes) {
+  // so a hostile client cannot grow the input buffer without newlines. A
+  // trailing CR may still be the first half of a CRLF, which the
+  // terminator strips, so it does not count against the limit yet.
+  const size_t unterminated =
+      input_.size() - (!input_.empty() && input_.back() == '\r' ? 1 : 0);
+  if (!overflow_ && unterminated > kMaxLineBytes) {
     overflow_ = true;
     input_.clear();
   } else if (overflow_) {
@@ -119,7 +122,6 @@ bool Connection::Enqueue(std::string data) {
   MutexLock lock(&out_mutex_);
   if (closed_.load(std::memory_order_acquire)) return false;
   out_.append(data);
-  bytes_sent_.fetch_add(data.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -147,12 +149,11 @@ bool Connection::BlockingSend(std::string data) {
   {
     MutexLock lock(&out_mutex_);
     while (!closed_.load(std::memory_order_acquire) &&
-           out_.size() - out_head_ > options_.high_water_bytes) {
+           out_.size() - out_head_ > kHighWaterBytes) {
       below_high_water_.Wait(lock);
     }
     if (closed_.load(std::memory_order_acquire)) return false;
     out_.append(data);
-    bytes_sent_.fetch_add(data.size(), std::memory_order_relaxed);
   }
   RequestFlush();
   return true;
@@ -191,13 +192,13 @@ void Connection::FlushSome() {
     if (out_head_ == out_.size()) {
       out_.clear();
       out_head_ = 0;
-    } else if (out_head_ > options_.high_water_bytes) {
+    } else if (out_head_ > kHighWaterBytes) {
       // Compact occasionally so the dead prefix cannot dominate memory.
       out_.erase(0, out_head_);
       out_head_ = 0;
     }
     pending = out_.size() - out_head_;
-    if (pending <= options_.low_water_bytes) {
+    if (pending <= kLowWaterBytes) {
       below_high_water_.NotifyAll();
     }
   }
@@ -210,7 +211,7 @@ void Connection::FlushSome() {
   // RequestFlush posts another FlushSome that recomputes, exactly as with
   // the old ordering.
   want_write_ = pending > 0;
-  paused_by_high_water_ = pending > options_.high_water_bytes;
+  paused_by_high_water_ = pending > kHighWaterBytes;
   if (pending == 0 && close_when_drained_) {
     Close();
     return;

@@ -13,22 +13,19 @@
 
 namespace kgeval {
 
-/// Tuning knobs of a buffered connection.
-struct ConnectionOptions {
-  /// Longest accepted request line (terminator excluded). A client that
-  /// exceeds it gets one overflow event per offending line (the line is
-  /// discarded up to its newline, the connection survives) — a protocol
-  /// error must never cost a disconnect, or a pipelined client loses every
-  /// response queued behind the bad line.
-  size_t max_line_bytes = 4096;
-  /// Output high-water mark: once this many response bytes are buffered,
-  /// the connection stops reading new requests (backpressure instead of
-  /// unbounded buffering) and BlockingSend() callers wait.
-  size_t high_water_bytes = 256 * 1024;
-  /// Reads resume (and BlockingSend() callers wake) once the buffered
-  /// output drains below this. Hysteresis, not a second limit.
-  size_t low_water_bytes = 64 * 1024;
-};
+/// Longest accepted request line, terminator excluded, however its CR and
+/// LF split across reads. A client that exceeds it gets one overflow event
+/// per offending line (the line is discarded up to its newline, the
+/// connection survives) — a protocol error must never cost a disconnect, or
+/// a pipelined client loses every response queued behind the bad line.
+constexpr size_t kMaxLineBytes = 4096;
+/// Output high-water mark: once this many response bytes are buffered, the
+/// connection stops reading new requests (backpressure instead of
+/// unbounded buffering) and BlockingSend() callers wait.
+constexpr size_t kHighWaterBytes = 256 * 1024;
+/// Reads resume (and BlockingSend() callers wake) once the buffered output
+/// drains below this. Hysteresis, not a second limit.
+constexpr size_t kLowWaterBytes = 64 * 1024;
 
 /// One buffered, non-blocking TCP connection owned by an EventLoop.
 ///
@@ -51,13 +48,13 @@ struct ConnectionOptions {
 class Connection : public std::enable_shared_from_this<Connection> {
  public:
   /// `overflow == false`: `line` is one complete request line.
-  /// `overflow == true`: a line exceeded max_line_bytes and was discarded
+  /// `overflow == true`: a line exceeded kMaxLineBytes and was discarded
   /// (`line` is empty) — the callee should emit a protocol error.
   using LineFn = std::function<void(std::string_view line, bool overflow)>;
   using CloseFn = std::function<void()>;
 
   /// Takes ownership of `fd` (closed on Close).
-  Connection(EventLoop* loop, int fd, ConnectionOptions options);
+  Connection(EventLoop* loop, int fd);
   ~Connection();
 
   /// Registers with the loop and starts delivering lines. Must run on the
@@ -89,9 +86,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void ResumeReads() KGEVAL_REQUIRES(loop_->loop_cap);
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
-  int fd() const { return fd_; }
-  /// Response bytes accepted so far (diagnostics; any thread).
-  uint64_t bytes_sent() const { return bytes_sent_.load(std::memory_order_relaxed); }
 
  private:
   void HandleReady(uint32_t events) KGEVAL_REQUIRES(loop_->loop_cap);
@@ -110,7 +104,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
 
   EventLoop* loop_;
   const int fd_;
-  const ConnectionOptions options_;
 
   // Loop-thread state: guarded by the loop's virtual capability, i.e.
   // touched only from loop callbacks (compile-enforced under clang, CHECKed
@@ -131,7 +124,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   size_t out_head_ KGEVAL_GUARDED_BY(out_mutex_) = 0;  // Bytes already written.
 
   std::atomic<bool> closed_{false};
-  std::atomic<uint64_t> bytes_sent_{0};
 };
 
 }  // namespace kgeval

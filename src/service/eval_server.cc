@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/connection.h"
 #include "net/net_util.h"
 #include "service/command.h"
 #include "util/cancel.h"
@@ -70,7 +71,7 @@ Status EvalServer::Init() {
   // The loop thread does not exist yet, so this thread may claim the
   // loop-thread capability for the pre-Run registrations below.
   loop_.AssertOnLoopThread();
-  service_ = std::make_unique<EvalService>(options_.service);
+  service_ = std::make_unique<EvalService>();
   auto listener = CreateTcpListener(options_.host, options_.port);
   if (!listener.ok()) return listener.status();
   listen_fd_ = listener.ValueOrDie().fd;
@@ -139,8 +140,7 @@ void EvalServer::HandleAccept() {
     counters.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     counters.connections_open.fetch_add(1, std::memory_order_relaxed);
     auto client = std::make_shared<Client>();
-    client->conn =
-        std::make_shared<Connection>(&loop_, fd, options_.connection);
+    client->conn = std::make_shared<Connection>(&loop_, fd);
     client->last_activity = std::chrono::steady_clock::now();
     clients_.insert(client);
     // Both callbacks capture the Client weakly: Client::conn owns the
@@ -255,13 +255,11 @@ void EvalServer::PumpClient(const std::shared_ptr<Client>& client) {
     client->active = std::make_shared<CancelToken>();
     // LOAD is deadline-exempt: dataset builds are not cancellation-
     // threaded, so a timer could only fire spuriously after the fact.
-    if (options_.service.default_deadline_s > 0 &&
-        cmd.spec->verb != Verb::kLoad) {
+    if (options_.deadline_s > 0 && cmd.spec->verb != Verb::kLoad) {
       auto token = client->active;
-      client->deadline_timer =
-          loop_.RunAfter(options_.service.default_deadline_s, [token] {
-            token->Cancel(CancelToken::Reason::kDeadline);
-          });
+      client->deadline_timer = loop_.RunAfter(options_.deadline_s, [token] {
+        token->Cancel(CancelToken::Reason::kDeadline);
+      });
     }
     auto conn = client->conn;
     auto token = client->active;

@@ -8,7 +8,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "net/connection.h"
 #include "net/event_loop.h"
 #include "service/eval_service.h"
 #include "util/status.h"
@@ -57,8 +56,12 @@ class EvalServer {
     /// before the accept loop exists, so the first client can never
     /// observe a no-dataset window; a failed preload fails Start().
     std::string preload_dataset;
-    ConnectionOptions connection;
-    EvalService::Options service;
+    /// Deadline armed for each blocking command (EVAL, SWEEP, WATCH; LOAD
+    /// is exempt — dataset builds are not cancellation-threaded). When it
+    /// fires, the command's CancelToken trips with Reason::kDeadline, the
+    /// pass winds down cooperatively, and the client sees
+    /// `ERR deadline-exceeded`. 0 disables deadlines.
+    double deadline_s = 0.0;
   };
 
   /// Binds, starts the loop thread and executors, and begins accepting.

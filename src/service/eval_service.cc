@@ -20,6 +20,8 @@ namespace {
 
 /// WATCH's timeout when the client omits one.
 constexpr double kDefaultWatchTimeoutS = 30.0;
+/// WATCH's directory poll interval.
+constexpr int kWatchPollMs = 50;
 
 /// Metric values are formatted with %.17g everywhere in the protocol:
 /// round-trip exact for IEEE doubles, so "served value equals directly
@@ -82,9 +84,8 @@ FrameworkOptions EvalService::ServiceFrameworkOptions() {
   return options;
 }
 
-EvalService::EvalService(Options options)
-    : options_(options),
-      start_seconds_(
+EvalService::EvalService()
+    : start_seconds_(
           std::chrono::duration<double>(
               std::chrono::steady_clock::now().time_since_epoch())
               .count()) {}
@@ -397,8 +398,7 @@ void EvalService::ExecuteWatch(const ParsedCommand& cmd, const EmitFn& emit,
       if (!EmitItem(emit, static_cast<size_t>(delivered++), outcome)) return;
     }
     if (delivered < count) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.poll_interval_ms));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kWatchPollMs));
     }
   }
   emit(StrFormat("DONE %lld timeout=%d", static_cast<long long>(delivered),

@@ -52,17 +52,6 @@ struct ServiceCounters {
 /// the old session lives until its last command finishes.
 class EvalService {
  public:
-  struct Options {
-    /// WATCH's directory poll interval.
-    int poll_interval_ms = 50;
-    /// Deadline armed by the server for each blocking command (EVAL, SWEEP,
-    /// WATCH; LOAD is exempt — dataset builds are not cancellation-
-    /// threaded). When it fires, the command's CancelToken trips with
-    /// Reason::kDeadline, the pass winds down cooperatively, and the client
-    /// sees `ERR deadline-exceeded`. 0 disables deadlines.
-    double default_deadline_s = 0.0;
-  };
-
   /// The framework configuration LOAD builds sessions with. One definition
   /// shared by the service, perfbench and the tests: the served-parity
   /// gates reconstruct this exact session (same preset, same options, same
@@ -70,8 +59,7 @@ class EvalService {
   /// means anything if nobody drifts.
   static FrameworkOptions ServiceFrameworkOptions();
 
-  EvalService() : EvalService(Options()) {}
-  explicit EvalService(Options options);
+  EvalService();
   ~EvalService() = default;
 
   EvalService(const EvalService&) = delete;
@@ -97,7 +85,6 @@ class EvalService {
   bool shutting_down() const { return shutting_down_.load(); }
 
   ServiceCounters& counters() { return counters_; }
-  const Options& options() const { return options_; }
 
   /// Name of the loaded dataset, or "" before the first LOAD.
   std::string loaded_name() const;
@@ -139,7 +126,6 @@ class EvalService {
   bool EmitCancelled(const EmitFn& emit, const CancelToken& cancel,
                      const std::string& what);
 
-  Options options_;
   ServiceCounters counters_;
   std::atomic<bool> shutting_down_{false};
   double start_seconds_;  // Monotonic epoch for uptime.

@@ -86,9 +86,7 @@ class ChaosTest : public ::testing::Test {
     Trainer trainer(&dataset, trainer_options);
     ASSERT_TRUE(trainer.Train(model.get()).ok());
 
-    EvalServer::Options options;
-    options.service.poll_interval_ms = 20;
-    auto server = EvalServer::Start(options);
+    auto server = EvalServer::Start(EvalServer::Options());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).ValueOrDie().release();
 
@@ -476,8 +474,7 @@ TEST_F(ChaosTest, RecvCloseFaultDropsOnlyThatConnection) {
 
 TEST_F(ChaosTest, DeadlineExpiresMidCommandAndConnectionStaysUsable) {
   EvalServer::Options options;
-  options.service.poll_interval_ms = 20;
-  options.service.default_deadline_s = 0.05;
+  options.deadline_s = 0.05;
   auto started = EvalServer::Start(options);
   ASSERT_TRUE(started.ok()) << started.status().ToString();
   std::unique_ptr<EvalServer> server = std::move(started).ValueOrDie();
@@ -526,7 +523,6 @@ TEST_F(ChaosTest, DeadlineExpiresMidCommandAndConnectionStaysUsable) {
 
 TEST_F(ChaosTest, OverloadedServerShedsWithErrBusyAndStaysResponsive) {
   EvalServer::Options options;
-  options.service.poll_interval_ms = 20;
   options.executor_threads = 1;
   options.max_queued_commands = 1;
   auto started = EvalServer::Start(options);
@@ -576,7 +572,6 @@ TEST_F(ChaosTest, OverloadedServerShedsWithErrBusyAndStaysResponsive) {
 
 TEST(IdleReapTest, IdleConnectionsAreClosedAndCounted) {
   EvalServer::Options options;
-  options.service.poll_interval_ms = 20;
   options.idle_timeout_s = 0.2;
   auto started = EvalServer::Start(options);
   ASSERT_TRUE(started.ok()) << started.status().ToString();

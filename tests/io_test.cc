@@ -110,6 +110,65 @@ TEST(TsvLoadTest, FourColumnLineIsInvalidArgument) {
       << status.ToString();
 }
 
+TEST(TsvLoadTest, EmptyFieldIsInvalidArgument) {
+  // An empty label would be a real entity, relation or type named "".
+  for (const char* file : {"train.txt", "test.txt", "types.txt"}) {
+    SCOPED_TRACE(file);
+    TempDir dir;
+    WriteFile(dir.path() + "/train.txt", "a\tr\tb\n");
+    WriteFile(dir.path() + "/" + file, std::string(file) == "types.txt"
+                                           ? "a\tperson\n\ta\n"
+                                           : "a\tr\tb\na\t\tb\n");
+    const Status status = LoadDatasetFromTsv(dir.path()).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(std::string(file) + ":2:"),
+              std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(TsvLoadTest, CrlfFilesLoadLikeTheirLfCopies) {
+  SynthConfig config;
+  config.num_entities = 60;
+  config.num_relations = 4;
+  config.num_types = 3;
+  config.num_train = 300;
+  config.num_valid = 30;
+  config.num_test = 30;
+  config.seed = 5;
+  const Dataset original = GenerateDataset(config).ValueOrDie().dataset;
+  TempDir lf, crlf;
+  ASSERT_TRUE(SaveDatasetToTsv(original, lf.path()).ok());
+  for (const char* file : {"train.txt", "valid.txt", "test.txt", "types.txt"}) {
+    std::ifstream in(lf.path() + "/" + file);
+    ASSERT_TRUE(in.is_open()) << file;
+    std::string line, content;
+    // A blank CRLF line is blank too.
+    if (std::string(file) == "test.txt") content = "\r\n";
+    while (std::getline(in, line)) content += line + "\r\n";
+    WriteFile(crlf.path() + "/" + file, content);
+  }
+  auto lf_loaded = LoadDatasetFromTsv(lf.path());
+  auto crlf_loaded = LoadDatasetFromTsv(crlf.path());
+  ASSERT_TRUE(lf_loaded.ok()) << lf_loaded.status().ToString();
+  ASSERT_TRUE(crlf_loaded.ok()) << crlf_loaded.status().ToString();
+  const Dataset& a = lf_loaded.ValueOrDie();
+  const Dataset& b = crlf_loaded.ValueOrDie();
+  EXPECT_EQ(b.num_entities(), a.num_entities());
+  EXPECT_EQ(b.num_relations(), a.num_relations());
+  for (int32_t e = 0; e < a.num_entities(); ++e) {
+    EXPECT_EQ(b.EntityLabel(e), a.EntityLabel(e));
+    EXPECT_EQ(b.types().TypesOf(e), a.types().TypesOf(e));
+  }
+  for (int32_t r = 0; r < a.num_relations(); ++r) {
+    EXPECT_EQ(b.RelationLabel(r), a.RelationLabel(r));
+  }
+  EXPECT_EQ(b.types().num_types(), a.types().num_types());
+  for (Split split : {Split::kTrain, Split::kValid, Split::kTest}) {
+    EXPECT_EQ(b.split(split), a.split(split));
+  }
+}
+
 TEST(TsvRoundTripTest, SaveThenLoadPreservesStructure) {
   SynthConfig config;
   config.num_entities = 200;

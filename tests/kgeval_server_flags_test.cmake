@@ -1,7 +1,7 @@
 # Runs kgeval-server on malformed numeric flags and requires each run to
 # print the usage and exit 2 before it binds a port. Malformed
-# KGEVAL_THREADS values must likewise stop the server, naming the variable,
-# before it prints LISTENING.
+# KGEVAL_THREADS values and an unknown KGEVAL_KERNELS name must likewise
+# stop the server, naming the variable, before it prints LISTENING.
 #
 #   cmake -DSERVER=<path to kgeval-server> -P kgeval_server_flags_test.cmake
 #
@@ -34,15 +34,16 @@ foreach(flag IN LISTS bad_flags)
   endif()
 endforeach()
 
-# Well-formed values pass the parser: the run then stops at the unknown
-# kernel name, a different exit-2 path that prints no usage.
+# Well-formed values pass the parser: the run then stops at the bind
+# address, a different path (exit 1) that prints no usage.
 execute_process(COMMAND ${SERVER} --port=0 --threads=2 --executors=3
                         --max-queued=0 --deadline=1.5 --idle-timeout=0
-                        --kernels=no-such-kernel
+                        --host=not-an-address
                 RESULT_VARIABLE code
                 ERROR_VARIABLE err
                 TIMEOUT 5)
-if(NOT code STREQUAL "2" OR err MATCHES "usage:" OR NOT err MATCHES "--kernels")
+if(NOT code STREQUAL "1" OR err MATCHES "usage:"
+   OR NOT err MATCHES "not an IPv4 address")
   message(FATAL_ERROR "valid numeric flags were rejected: exit '${code}'; "
           "stderr: ${err}")
 endif()
@@ -66,3 +67,19 @@ foreach(threads IN LISTS bad_threads)
   endif()
 endforeach()
 unset(ENV{KGEVAL_THREADS})
+
+# KGEVAL_KERNELS is resolved before the server binds: an unknown name stops
+# it, naming the variable, without a LISTENING line.
+set(ENV{KGEVAL_KERNELS} "no-such-kernel")
+execute_process(COMMAND ${SERVER} --port=0
+                RESULT_VARIABLE code
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err
+                TIMEOUT 5)
+if(code STREQUAL "0" OR NOT err MATCHES "KGEVAL_KERNELS"
+   OR out MATCHES "LISTENING" OR err MATCHES "listening on")
+  message(FATAL_ERROR "KGEVAL_KERNELS=no-such-kernel: expected a failed "
+          "start naming the variable before binding, got '${code}'; "
+          "stdout: ${out}; stderr: ${err}")
+endif()
+unset(ENV{KGEVAL_KERNELS})

@@ -64,14 +64,12 @@ class LoopThread {
 /// lines; the test drives the other (blocking) end directly.
 class ConnectionHarness {
  public:
-  explicit ConnectionHarness(LoopThread* loop,
-                             ConnectionOptions options = {})
-      : loop_(loop) {
+  explicit ConnectionHarness(LoopThread* loop) : loop_(loop) {
     int fds[2];
     EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     peer_fd_ = fds[0];
     EXPECT_TRUE(SetNonBlocking(fds[1]).ok());
-    conn_ = std::make_shared<Connection>(&loop->loop(), fds[1], options);
+    conn_ = std::make_shared<Connection>(&loop->loop(), fds[1]);
     EXPECT_TRUE(loop->Posted([this] {
       conn_->Start(
           [this](std::string_view line, bool overflow) {
@@ -243,16 +241,34 @@ TEST(ConnectionTest, ReassemblesLinesSplitAcrossReads) {
 }
 
 TEST(ConnectionTest, OversizedLineReportsOverflowAndSurvives) {
-  ConnectionOptions options;
-  options.max_line_bytes = 16;
   LoopThread loop;
-  ConnectionHarness h(&loop, options);
-  h.WriteToPeer(std::string(100, 'x') + "\nafter\n");
+  ConnectionHarness h(&loop);
+  h.WriteToPeer(std::string(3 * kMaxLineBytes, 'x') + "\nafter\n");
   ASSERT_TRUE(h.WaitForOverflows(1));
   ASSERT_TRUE(h.WaitForLines(1));
   EXPECT_EQ(h.overflows(), 1);
   // The connection survived the protocol error: the next line arrives.
   EXPECT_EQ(h.lines(), (std::vector<std::string>{"after"}));
+}
+
+TEST(ConnectionTest, MaxLengthLineSurvivesCrAndLfInSeparateReads) {
+  LoopThread loop;
+  ConnectionHarness h(&loop);
+  // The CR waits in the buffer for its LF, one byte past the limit, and
+  // is stripped with it: the line is exactly kMaxLineBytes long.
+  const std::string longest(kMaxLineBytes, 'a');
+  h.WriteToPeer(longest + "\r");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  h.WriteToPeer("\n");
+  ASSERT_TRUE(h.WaitForLines(1));
+  EXPECT_EQ(h.lines(), (std::vector<std::string>{longest}));
+  // One byte more is an overflow, however the terminator is split.
+  h.WriteToPeer(longest + "a\r");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  h.WriteToPeer("\nafter\n");
+  ASSERT_TRUE(h.WaitForLines(2));
+  EXPECT_EQ(h.overflows(), 1);
+  EXPECT_EQ(h.lines(), (std::vector<std::string>{longest, "after"}));
 }
 
 TEST(ConnectionTest, SendReachesPeerFromAnyThread) {
@@ -268,18 +284,15 @@ TEST(ConnectionTest, SendReachesPeerFromAnyThread) {
 }
 
 TEST(ConnectionTest, BlockingSendAppliesBackpressureUntilPeerReads) {
-  ConnectionOptions options;
-  options.high_water_bytes = 4 * 1024;
-  options.low_water_bytes = 1 * 1024;
   LoopThread loop;
-  ConnectionHarness h(&loop, options);
+  ConnectionHarness h(&loop);
 
-  // A job thread streams far more than high_water while the peer reads
-  // nothing: it must park instead of buffering without bound.
+  // A job thread streams far more than the high-water mark while the peer
+  // reads nothing: it must park instead of buffering without bound.
   const std::string chunk(1024, 'y');
   // Comfortably above kernel socket buffering (~208 KiB default for unix
-  // sockets) plus the 4 KiB high-water mark, so the producer must stall.
-  const int kChunks = 512;  // 512 KiB total.
+  // sockets) plus the 256 KiB high-water mark, so the producer must stall.
+  const int kChunks = 2048;  // 2 MiB total.
   std::atomic<int> sent{0};
   std::thread producer([&] {
     for (int i = 0; i < kChunks; ++i) {
@@ -312,11 +325,8 @@ TEST(ConnectionTest, BlockingSendReturnsFalseOnceClosed) {
 }
 
 TEST(ConnectionTest, BlockingSendWaitersWakeOnClose) {
-  ConnectionOptions options;
-  options.high_water_bytes = 2 * 1024;
-  options.low_water_bytes = 512;
   LoopThread loop;
-  ConnectionHarness h(&loop, options);
+  ConnectionHarness h(&loop);
   std::atomic<bool> got_false{false};
   std::thread producer([&] {
     const std::string chunk(1024, 'z');

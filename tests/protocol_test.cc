@@ -21,6 +21,7 @@
 #include "synth/generator.h"
 #include "tests/fake_model.h"
 #include "tests/gate_data.h"
+#include "tests/tiled_ranking.h"
 #include "util/rng.h"
 
 namespace kgeval {
@@ -169,8 +170,8 @@ void ExpectScheduleInvariants(
 
 /// Full-ranking ranks against an oracle that shares no code with it: the
 /// scalar sampled evaluator on exhaustive pools, which scores every query
-/// on its own through ScoreCandidates and ranks by FilteredRank. The small
-/// entity tile forces multi-tile sweeps.
+/// on its own through ScoreCandidates and ranks by FilteredRank. Ranking
+/// the same queries over 7-entity tiles forces multi-tile sweeps.
 void ExpectFullRankingMatchesScalarOracle(const KgeModel& model,
                                           const Dataset& dataset,
                                           const FilterIndex& filter) {
@@ -178,12 +179,14 @@ void ExpectFullRankingMatchesScalarOracle(const KgeModel& model,
       dataset.num_entities(), 2 * dataset.num_relations());
   const EstimateResult oracle =
       EvaluateSampledScalar(model, dataset, filter, Split::kTest, pools);
-  FullEvalOptions options;
-  options.entity_tile = 7;
   const FullEvalResult full =
-      EvaluateFullRanking(model, dataset, filter, Split::kTest, options);
+      EvaluateFullRanking(model, dataset, filter, Split::kTest);
   EXPECT_EQ(full.ranks, oracle.ranks) << model.name();
   EXPECT_DOUBLE_EQ(full.metrics.mrr, oracle.metrics.mrr) << model.name();
+  EXPECT_EQ(TiledFullRanks(model, dataset, filter, dataset.test().size(),
+                           /*tile=*/7),
+            oracle.ranks)
+      << model.name();
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "models/kge_model.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/tiled_ranking.h"
 #include "util/rng.h"
 
 namespace kgeval {
@@ -348,12 +349,14 @@ TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
-    for (size_t entity_tile : {FullEvalOptions().entity_tile, size_t{100}}) {
-      FullEvalOptions options;
-      options.max_triples = 40;
-      options.entity_tile = entity_tile;
-      const FullEvalResult result =
-          EvaluateFullRanking(*model, dataset, filter, Split::kTest, options);
+    FullEvalOptions options;
+    options.max_triples = 40;
+    const std::vector<double> one_tile =
+        EvaluateFullRanking(*model, dataset, filter, Split::kTest, options)
+            .ranks;
+    const std::vector<double> five_tiles =
+        TiledFullRanks(*model, dataset, filter, options.max_triples, 100);
+    for (const std::vector<double>* ranks : {&one_tile, &five_tiles}) {
       std::vector<int32_t> all(dataset.num_entities());
       std::iota(all.begin(), all.end(), 0);
       std::vector<float> scores(dataset.num_entities());
@@ -382,10 +385,10 @@ TEST(SlotMajorEvaluatorTest, FullRankingUsesBatchedTilingConsistently) {
               ++tied;
             }
           }
-          EXPECT_EQ(result.ranks[i * 2 + (tail_dir ? 0 : 1)],
+          EXPECT_EQ((*ranks)[i * 2 + (tail_dir ? 0 : 1)],
                     RankFromCounts(higher, tied, options.tie))
-              << ModelTypeName(type) << " entity_tile " << entity_tile
-              << " triple " << i;
+              << ModelTypeName(type) << " tiles "
+              << (ranks == &one_tile ? 1 : 5) << " triple " << i;
         }
       }
     }
@@ -402,15 +405,14 @@ TEST(SlotMajorEvaluatorTest, SmallEntityTilesMatchDefaultTile) {
     auto model = CreateModel(type, dataset.num_entities(),
                              dataset.num_relations(), SmallOptions())
                      .ValueOrDie();
-    FullEvalOptions defaults;
-    defaults.max_triples = 30;
+    FullEvalOptions options;
+    options.max_triples = 30;
     const FullEvalResult one_tile =
-        EvaluateFullRanking(*model, dataset, filter, Split::kTest, defaults);
-    FullEvalOptions tiny = defaults;
-    tiny.entity_tile = 64;  // 500 entities -> 8 tiles.
-    const FullEvalResult many_tiles =
-        EvaluateFullRanking(*model, dataset, filter, Split::kTest, tiny);
-    EXPECT_EQ(one_tile.ranks, many_tiles.ranks) << ModelTypeName(type);
+        EvaluateFullRanking(*model, dataset, filter, Split::kTest, options);
+    // 500 entities -> 8 tiles.
+    EXPECT_EQ(one_tile.ranks,
+              TiledFullRanks(*model, dataset, filter, options.max_triples, 64))
+        << ModelTypeName(type);
   }
 }
 

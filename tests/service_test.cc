@@ -88,9 +88,7 @@ class ServiceTest : public ::testing::Test {
     Trainer trainer(&dataset, trainer_options);
     ASSERT_TRUE(trainer.Train(model.get()).ok());
 
-    EvalServer::Options options;
-    options.service.poll_interval_ms = 20;
-    auto server = EvalServer::Start(options);
+    auto server = EvalServer::Start(EvalServer::Options());
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).ValueOrDie().release();
 
@@ -213,15 +211,20 @@ TEST_F(ServiceTest, MalformedInputGetsErrNotDisconnect) {
 }
 
 TEST_F(ServiceTest, OversizedLineGetsErrAndConnectionSurvives) {
+  // PROTOCOL.md's bound, terminator excluded: a 4096-byte line reaches the
+  // parser (and is an unknown verb); one byte more is line-too-long.
   LineClient client = ConnectAndGreet();
-  ASSERT_TRUE(
-      client.SendRaw(std::string(8000, 'a') + "\nPING\n").ok());
-  auto first = client.ReadReply();
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.ValueOrDie().back().rfind("ERR line-too-long", 0), 0u);
-  auto second = client.ReadReply();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.ValueOrDie().back(), "OK pong");
+  ASSERT_TRUE(client
+                  .SendRaw(std::string(4096, 'a') + "\n" +
+                           std::string(4097, 'a') + "\nPING\n")
+                  .ok());
+  for (const char* expected :
+       {"ERR unknown-verb", "ERR line-too-long", "OK pong"}) {
+    auto reply = client.ReadReply();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.ValueOrDie().back().rfind(expected, 0), 0u)
+        << reply.ValueOrDie().back().substr(0, 80);
+  }
 }
 
 TEST_F(ServiceTest, BlankLinesAreIgnored) {

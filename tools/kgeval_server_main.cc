@@ -31,8 +31,7 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host=ADDR] [--port=N] [--threads=N] "
                "[--executors=N] [--preload=DATASET] [--deadline=S]\n"
-               "       [--idle-timeout=S] [--max-queued=N] "
-               "[--kernels=NAME]\n"
+               "       [--idle-timeout=S] [--max-queued=N]\n"
                "  --host=ADDR       bind address (default 127.0.0.1)\n"
                "  --port=N          TCP port; 0 picks an ephemeral one "
                "(default 7471)\n"
@@ -48,13 +47,12 @@ void Usage(const char* argv0) {
                "(default 0 = never)\n"
                "  --max-queued=N    executor backlog before ERR busy "
                "(default 256, 0 = unlimited)\n"
-               "  --kernels=NAME    force a score-kernel implementation "
-               "(scalar|avx2|avx512|auto;\n"
-               "                    default: auto-probe, or "
-               "KGEVAL_KERNELS)\n"
                "Numeric values must be plain non-negative decimals in range "
                "for their flag.\n"
                "\n"
+               "KGEVAL_KERNELS=NAME forces a score-kernel implementation: "
+               "scalar, avx2 or\n"
+               "avx512 (auto or unset probes the CPU).\n"
                "KGEVAL_FAULTS=<spec> arms fault-injection points at "
                "startup (testing only; see docs/ARCHITECTURE.md).\n",
                argv0);
@@ -116,18 +114,11 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "--preload", &value)) {
       options.preload_dataset = value;
     } else if (ParseFlag(argv[i], "--deadline", &value)) {
-      ok = ParseSeconds(value, &options.service.default_deadline_s);
+      ok = ParseSeconds(value, &options.deadline_s);
     } else if (ParseFlag(argv[i], "--idle-timeout", &value)) {
       ok = ParseSeconds(value, &options.idle_timeout_s);
     } else if (ParseFlag(argv[i], "--max-queued", &value)) {
       ok = ParseCount(value, &options.max_queued_commands);
-    } else if (ParseFlag(argv[i], "--kernels", &value)) {
-      Status selected = SelectScoreKernels(value);
-      if (!selected.ok()) {
-        std::fprintf(stderr, "kgeval-server: --kernels: %s\n",
-                     selected.ToString().c_str());
-        return 2;
-      }
     } else {
       ok = false;
     }
@@ -148,6 +139,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The selected dispatch path, logged once at startup: benchmark logs and
+  // bug reports need to say which ISA actually scored. Resolving it here,
+  // before Start, makes a bad KGEVAL_KERNELS stop the server before it
+  // binds the port or starts a thread.
+  KGEVAL_LOG(Info) << "score kernels: " << ActiveScoreKernelName();
+
   // Block the termination signals before any thread exists, so every
   // thread inherits the mask and sigwait below is the one consumer.
   sigset_t sigs;
@@ -166,10 +163,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   EvalServer& s = *server.ValueOrDie();
-
-  // The selected dispatch path, logged once at startup: benchmark logs and
-  // bug reports need to say which ISA actually scored.
-  KGEVAL_LOG(Info) << "score kernels: " << ActiveScoreKernelName();
   std::printf("LISTENING %u\n", s.port());
   std::fflush(stdout);
 
