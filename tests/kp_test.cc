@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "core/framework.h"
 #include "kp/kp_metric.h"
@@ -196,6 +197,58 @@ TEST_F(KpFixture, TrainedModelSeparatesMoreThanRandomModel) {
   // A trained model assigns systematically different weights to true vs
   // corrupted edges, so its KP+/KP- diagrams are farther apart.
   EXPECT_GT(trained_score, untrained_score);
+}
+
+/// ComputeKp's exact score for an untrained model of every type (dim 24,
+/// seed 7), under KP-R (uniform corruptions) and KP-P (one seeded
+/// Probabilistic draw). KP draws its triples and corruptions from its own
+/// seeded RNG and weighs each edge by one model score, so a change to how
+/// KP scores its triples must keep every bit of these.
+struct KpGolden {
+  double uniform;
+  double guided;
+};
+constexpr KpGolden kKpGolden[] = {
+    {0x1.15c7fc84d4dfep-3, 0x1.a8fe940438c16p-4},  // TransE
+    {0x1.0e6f050fa6d67p-1, 0x1.4b4aec687e832p-2},  // DistMult
+    {0x1.4d8250e96bbb6p-2, 0x1.33fca3ea4857ep-2},  // ComplEx
+    {0x1.0e5b617a227acp+1, 0x1.21fd13c9bc94ep+0},  // RESCAL
+    {0x1.4a0760cee6dd9p-2, 0x1.5e8a669eefd31p-2},  // RotatE
+    {0x1.07ad47721b33dp+0, 0x1.08951dafc4157p+0},  // ConvE
+};
+static_assert(std::size(kKpGolden) == std::size(kAllModelTypes),
+              "one golden KP pair per model type");
+
+TEST_F(KpFixture, GoldenScoresForEveryModel) {
+  FrameworkOptions fw_options;
+  fw_options.strategy = SamplingStrategy::kProbabilistic;
+  fw_options.sample_fraction = 0.2;
+  auto framework =
+      EvaluationFramework::Build(dataset_, fw_options).ValueOrDie();
+  Rng rng(5);
+  const SampledCandidates pools = DrawCandidates(
+      SamplingStrategy::kProbabilistic, &framework->sets(),
+      dataset_->num_entities(), framework->SampleSize(),
+      NeededSlots(*dataset_, Split::kTest),
+      2 * dataset_->num_relations(), &rng);
+  KpOptions kp_options;
+  kp_options.num_samples = 300;
+  ModelOptions options;
+  options.dim = 24;
+  for (size_t i = 0; i < std::size(kAllModelTypes); ++i) {
+    const ModelType type = kAllModelTypes[i];
+    auto model = CreateModel(type, dataset_->num_entities(),
+                             dataset_->num_relations(), options)
+                     .ValueOrDie();
+    const double uniform =
+        ComputeKp(*model, *dataset_, Split::kTest, kp_options).score;
+    const double guided =
+        ComputeKp(*model, *dataset_, Split::kTest, kp_options, &pools).score;
+    EXPECT_EQ(uniform, kKpGolden[i].uniform)
+        << ModelTypeName(type) << " KP-R " << std::hexfloat << uniform;
+    EXPECT_EQ(guided, kKpGolden[i].guided)
+        << ModelTypeName(type) << " KP-P " << std::hexfloat << guided;
+  }
 }
 
 }  // namespace

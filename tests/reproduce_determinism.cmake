@@ -2,13 +2,18 @@
 # four worker threads and requires the same stdout: a training run uses one
 # thread, and every evaluation is independent of the pool width. Wall times
 # are dropped first: the "note: pinned pools" line and Table 5's
-# "<seconds> sec" runtime cells.
+# "<seconds> sec" runtime cells. The masked --threads=1 stdout must also
+# hash to expected_digest: every number these targets print is pinned, so a
+# change that moves any of them fails here, at any thread count.
 #
 #   cmake -DBENCH=<path to kgeval_reproduce> -P reproduce_determinism.cmake
 
 if(NOT BENCH)
   message(FATAL_ERROR "pass -DBENCH=<path to kgeval_reproduce>")
 endif()
+
+set(expected_digest
+    "0a0cf1cc7ac601052c82549391d82608afeb6bb176d14e5774129c8bd92fc5c6")
 
 foreach(threads 1 4)
   execute_process(
@@ -32,4 +37,14 @@ if(NOT out_1 STREQUAL out_4)
   message(FATAL_ERROR
           "stdout differs between --threads=1 and --threads=4\n"
           "--threads=1:\n${out_1}\n--threads=4:\n${out_4}")
+endif()
+
+string(SHA256 digest "${out_1}")
+if(NOT digest STREQUAL expected_digest)
+  message(FATAL_ERROR
+          "masked --threads=1 stdout hashes to ${digest}, pinned "
+          "${expected_digest}. If the output change is intended, re-pin "
+          "expected_digest in tests/reproduce_determinism.cmake and give the "
+          "reason in CHANGES.md, as for the golden digests.\n"
+          "--threads=1:\n${out_1}")
 endif()
