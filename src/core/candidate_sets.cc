@@ -233,7 +233,6 @@ SetQuality EvaluateSetQuality(const CandidateSets& sets,
                     : 0.0;
   q.rr = q.total_pairs > 0 ? rr_acc / static_cast<double>(q.total_pairs)
                            : 0.0;
-  q.rr_macro = sets.MacroReductionRate();
   return q;
 }
 

@@ -50,8 +50,9 @@ CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
 struct SetQuality {
   double cr_test = 0.0;       // Recall over all distinct test slot-pairs.
   double cr_unseen = 0.0;     // Recall over the unseen ones only.
-  double rr = 0.0;            // Query-weighted reduction rate.
-  double rr_macro = 0.0;      // Mean per-slot reduction rate.
+  double rr = 0.0;            // Reduction rate 1 - |set| / |E| of each
+                              // pair's slot, averaged over the distinct
+                              // test slot-pairs (as cr_test).
   int64_t total_pairs = 0;
   int64_t covered_pairs = 0;
   int64_t total_unseen = 0;

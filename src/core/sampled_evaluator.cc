@@ -32,8 +32,9 @@ void ValidateQueriedPools(const std::vector<Triple>& triples,
   // One flag per slot so each pool is checked once, not once per triple.
   std::vector<char> queried(2 * static_cast<size_t>(num_relations), 0);
   for (int64_t i = 0; i < num_triples; ++i) {
-    queried[triples[i].relation] = 1;                  // Head query slot.
-    queried[triples[i].relation + num_relations] = 1;  // Tail query slot.
+    for (QueryDirection dir : {QueryDirection::kHead, QueryDirection::kTail}) {
+      queried[DomainRangeIndex(triples[i].relation, dir, num_relations)] = 1;
+    }
   }
   for (size_t slot = 0; slot < queried.size(); ++slot) {
     if (!queried[slot]) continue;

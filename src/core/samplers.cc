@@ -1,7 +1,6 @@
 #include "core/samplers.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "stats/sampling.h"
 #include "util/logging.h"
@@ -23,13 +22,16 @@ const char* SamplingStrategyName(SamplingStrategy strategy) {
 
 std::vector<int32_t> NeededSlots(const Dataset& dataset, Split split) {
   const int32_t num_r = dataset.num_relations();
-  std::unordered_set<int32_t> slots;
+  std::vector<char> queried(2 * static_cast<size_t>(num_r), 0);
   for (const Triple& t : dataset.split(split)) {
-    slots.insert(t.relation);            // Head queries sample the domain.
-    slots.insert(t.relation + num_r);    // Tail queries sample the range.
+    for (QueryDirection dir : {QueryDirection::kHead, QueryDirection::kTail}) {
+      queried[DomainRangeIndex(t.relation, dir, num_r)] = 1;
+    }
   }
-  std::vector<int32_t> out(slots.begin(), slots.end());
-  std::sort(out.begin(), out.end());
+  std::vector<int32_t> out;
+  for (size_t slot = 0; slot < queried.size(); ++slot) {
+    if (queried[slot]) out.push_back(static_cast<int32_t>(slot));
+  }
   return out;
 }
 

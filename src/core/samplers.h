@@ -30,8 +30,8 @@ struct SampledCandidates {
 };
 
 /// Slots actually needed to evaluate `split` (both directions of every test
-/// relation). Sampling only these is what turns the per-query sampling cost
-/// into the per-relation cost of Table 3.
+/// relation), ascending. Sampling only these is what turns the per-query
+/// sampling cost into the per-relation cost of Table 3.
 std::vector<int32_t> NeededSlots(const Dataset& dataset, Split split);
 
 /// Draws candidate pools of size `n_s` for the requested slots.

@@ -162,21 +162,6 @@ void KgeModel::ScoreCandidates(int32_t anchor, int32_t relation,
   ScoreWithQuery(queries, 0, candidates, n, out);
 }
 
-void KgeModel::ScorePairs(const int32_t* anchors, const int32_t* candidates,
-                          size_t num_queries, size_t candidates_per_query,
-                          int32_t relation, QueryDirection direction,
-                          float* out) const {
-  // One query construction per anchor, reused across its k candidates — the
-  // fusion that matters for ConvE, whose query construction dominates
-  // per-triple cost.
-  Matrix queries;
-  BuildKernelQueries(anchors, num_queries, relation, direction, &queries);
-  for (size_t q = 0; q < num_queries; ++q) {
-    ScoreWithQuery(queries, q, candidates + q * candidates_per_query,
-                   candidates_per_query, out + q * candidates_per_query);
-  }
-}
-
 void KgeModel::PrepareCandidates(const int32_t* candidates, size_t n,
                                  CandidateBlock* block) const {
   block->count = n;
@@ -223,48 +208,6 @@ void KgeModel::ScoreBlock(const int32_t* anchors, const int32_t* truths,
       const size_t row =
           truth_rows == nullptr ? t : static_cast<size_t>(truth_rows[t]);
       ScoreWithQuery(queries, row, &truths[t], 1, &truth_scores[t]);
-    }
-  }
-}
-
-void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
-                               size_t n, const Triple* negatives, size_t k,
-                               float* pos_out, float* neg_out) {
-  // Group by the positives' relation; each positive's k corruptions share
-  // its head and relation, so one ScorePairs row of k + 1 candidates
-  // ([truth, corruptions...]) scores them all off one query construction.
-  std::vector<std::vector<int32_t>> by_relation(model.num_relations());
-  for (size_t i = 0; i < n; ++i) {
-    by_relation[positives[i].relation].push_back(static_cast<int32_t>(i));
-  }
-  const size_t stride = k + 1;
-  std::vector<int32_t> anchors, cands;
-  std::vector<float> scores;
-  for (int32_t r = 0; r < model.num_relations(); ++r) {
-    const std::vector<int32_t>& idx = by_relation[r];
-    if (idx.empty()) continue;
-    anchors.resize(idx.size());
-    cands.resize(idx.size() * stride);
-    scores.resize(idx.size() * stride);
-    for (size_t i = 0; i < idx.size(); ++i) {
-      const size_t p = static_cast<size_t>(idx[i]);
-      anchors[i] = positives[p].head;
-      cands[i * stride] = positives[p].tail;
-      for (size_t j = 0; j < k; ++j) {
-        const Triple& neg = negatives[p * k + j];
-        KGEVAL_DCHECK(neg.head == positives[p].head &&
-                      neg.relation == positives[p].relation);
-        cands[i * stride + 1 + j] = neg.tail;
-      }
-    }
-    model.ScorePairs(anchors.data(), cands.data(), idx.size(), stride, r,
-                     QueryDirection::kTail, scores.data());
-    for (size_t i = 0; i < idx.size(); ++i) {
-      const size_t p = static_cast<size_t>(idx[i]);
-      pos_out[p] = scores[i * stride];
-      for (size_t j = 0; j < k; ++j) {
-        neg_out[p * k + j] = scores[i * stride + 1 + j];
-      }
     }
   }
 }

@@ -126,19 +126,6 @@ class KgeModel {
                        QueryDirection direction, const int32_t* candidates,
                        size_t n, float* out) const;
 
-  /// Scores query q against its *own* `candidates_per_query` candidates:
-  /// out[q * k + j] is the score of candidates[q * k + j] for anchors[q]
-  /// (k = candidates_per_query). All queries share (relation, direction).
-  /// The per-anchor query representation is built once and reused across
-  /// its k candidates, so the relation-grouped triple scorers (AUC, KP)
-  /// score a positive and all its corruptions in one query construction —
-  /// the fusion that matters for ConvE, whose query construction dominates
-  /// per-triple cost.
-  void ScorePairs(const int32_t* anchors, const int32_t* candidates,
-                  size_t num_queries, size_t candidates_per_query,
-                  int32_t relation, QueryDirection direction,
-                  float* out) const;
-
   /// Records the pool's size and sortedness and gathers (and transposes) its
   /// embeddings once into the CandidateBlock layout (plus the bias gather
   /// when the model has one). Thread-safe, like all scoring.
@@ -151,7 +138,7 @@ class KgeModel {
   /// those rows both the pool score matrix (pool_scores[r * block.size() +
   /// c], bit-identical to ScoreCandidates for anchors[r]) and the truth
   /// scores: truth_scores[t] scores truths[t] against row truth_rows[t],
-  /// bit-identical to ScorePairs with anchor anchors[truth_rows[t]]. Several
+  /// bit-identical to ScoreCandidates for anchors[truth_rows[t]]. Several
   /// truths may share a row: queries that repeat an anchor within one
   /// kernel relation and direction have the same score row and differ only
   /// in their truth. A null `truth_rows` pairs truth t with row t
@@ -232,18 +219,6 @@ class KgeModel {
   void ScorePool(const Matrix& queries, const CandidateBlock& block,
                  float* pool_scores) const;
 };
-
-/// Fused positive/corruption triple scoring: positives[i] and its k
-/// corruptions negatives[i * k + j] — which must share positives[i]'s head
-/// and relation (only the tail is corrupted) — are scored in one
-/// relation-grouped pass where each positive's query representation is
-/// built once and dotted with its truth and all its corruptions.
-/// Each triple is scored as a tail query against its own tail. pos_out[i]
-/// and neg_out[i * k + j] follow the input order and are bit-identical to
-/// ScoreCandidates with n = 1 on each triple.
-void ScoreTriplesWithNegatives(const KgeModel& model, const Triple* positives,
-                               size_t n, const Triple* negatives, size_t k,
-                               float* pos_out, float* neg_out);
 
 /// Creates a model of the given type with its seeded initial parameters:
 /// AllocateModel, then InitParameters with Rng(options.seed). Fails on

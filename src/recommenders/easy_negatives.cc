@@ -24,18 +24,15 @@ EasyNegativeReport MineEasyNegatives(const RecommenderScores& scores,
   const int32_t num_r = dataset.num_relations();
   for (const Triple& t : dataset.test()) {
     // Head in the relation's domain row; tail in its range row.
-    if (x.At(t.relation, t.head) == 0.0f) {
-      ++report.false_easy;
-      if (max_examples == 0 ||
-          static_cast<int64_t>(report.examples.size()) < max_examples) {
-        report.examples.push_back({t, QueryDirection::kHead});
+    for (QueryDirection dir : {QueryDirection::kHead, QueryDirection::kTail}) {
+      const int32_t entity = dir == QueryDirection::kHead ? t.head : t.tail;
+      if (x.At(DomainRangeIndex(t.relation, dir, num_r), entity) != 0.0f) {
+        continue;
       }
-    }
-    if (x.At(t.relation + num_r, t.tail) == 0.0f) {
       ++report.false_easy;
       if (max_examples == 0 ||
           static_cast<int64_t>(report.examples.size()) < max_examples) {
-        report.examples.push_back({t, QueryDirection::kTail});
+        report.examples.push_back({t, dir});
       }
     }
   }

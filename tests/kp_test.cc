@@ -128,6 +128,19 @@ class KpFixture : public ::testing::Test {
     delete model_;
     delete dataset_;
   }
+  /// One seeded Probabilistic draw of every test slot's pool (KP-P).
+  static SampledCandidates ProbabilisticPools() {
+    FrameworkOptions fw_options;
+    fw_options.strategy = SamplingStrategy::kProbabilistic;
+    fw_options.sample_fraction = 0.2;
+    auto framework =
+        EvaluationFramework::Build(dataset_, fw_options).ValueOrDie();
+    Rng rng(5);
+    return DrawCandidates(SamplingStrategy::kProbabilistic, &framework->sets(),
+                          dataset_->num_entities(), framework->SampleSize(),
+                          NeededSlots(*dataset_, Split::kTest),
+                          2 * dataset_->num_relations(), &rng);
+  }
   static Dataset* dataset_;
   static KgeModel* model_;
 };
@@ -162,17 +175,7 @@ TEST_F(KpFixture, GuidedPoolsChangeTheScore) {
   const KpResult uniform =
       ComputeKp(*model_, *dataset_, Split::kTest, options);
 
-  FrameworkOptions fw_options;
-  fw_options.strategy = SamplingStrategy::kProbabilistic;
-  fw_options.sample_fraction = 0.2;
-  auto framework =
-      EvaluationFramework::Build(dataset_, fw_options).ValueOrDie();
-  Rng rng(5);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kProbabilistic, &framework->sets(),
-      dataset_->num_entities(), framework->SampleSize(),
-      NeededSlots(*dataset_, Split::kTest),
-      2 * dataset_->num_relations(), &rng);
+  const SampledCandidates pools = ProbabilisticPools();
   const KpResult guided =
       ComputeKp(*model_, *dataset_, Split::kTest, options, &pools);
   EXPECT_TRUE(std::isfinite(guided.score));
@@ -220,17 +223,7 @@ static_assert(std::size(kKpGolden) == std::size(kAllModelTypes),
               "one golden KP pair per model type");
 
 TEST_F(KpFixture, GoldenScoresForEveryModel) {
-  FrameworkOptions fw_options;
-  fw_options.strategy = SamplingStrategy::kProbabilistic;
-  fw_options.sample_fraction = 0.2;
-  auto framework =
-      EvaluationFramework::Build(dataset_, fw_options).ValueOrDie();
-  Rng rng(5);
-  const SampledCandidates pools = DrawCandidates(
-      SamplingStrategy::kProbabilistic, &framework->sets(),
-      dataset_->num_entities(), framework->SampleSize(),
-      NeededSlots(*dataset_, Split::kTest),
-      2 * dataset_->num_relations(), &rng);
+  const SampledCandidates pools = ProbabilisticPools();
   KpOptions kp_options;
   kp_options.num_samples = 300;
   ModelOptions options;

@@ -63,56 +63,6 @@ TEST_P(ScoreBlockTest, MatchesPerQueryScoreCandidates) {
   }
 }
 
-TEST_P(ScoreBlockTest, ScorePairsMatchesSingleCandidateCalls) {
-  auto model = Make();
-  const std::vector<int32_t> anchors = {1, 4, 4, 19, 33, 0};
-  const std::vector<int32_t> candidates = {7, 7, 2, 38, 0, 12};
-  std::vector<float> batched(anchors.size());
-  for (int32_t relation : {2, 4}) {
-    for (QueryDirection dir :
-         {QueryDirection::kTail, QueryDirection::kHead}) {
-      model->ScorePairs(anchors.data(), candidates.data(), anchors.size(),
-                        /*candidates_per_query=*/1, relation, dir,
-                        batched.data());
-      for (size_t i = 0; i < anchors.size(); ++i) {
-        float scalar = 0.0f;
-        model->ScoreCandidates(anchors[i], relation, dir, &candidates[i], 1,
-                               &scalar);
-        EXPECT_NEAR(batched[i], scalar, 1e-5)
-            << ModelTypeName(GetParam()) << " pair " << i;
-      }
-    }
-  }
-}
-
-TEST_P(ScoreBlockTest, ScorePairsMultiCandidateMatchesExactly) {
-  auto model = Make();
-  const std::vector<int32_t> anchors = {1, 4, 19, 0};
-  // Three candidates per query, with repeats within and across queries.
-  const std::vector<int32_t> candidates = {7, 7, 2,  38, 0, 12,
-                                           3, 9, 39, 7,  1, 1};
-  constexpr size_t kPer = 3;
-  std::vector<float> fused(anchors.size() * kPer);
-  std::vector<float> scalar(kPer);
-  for (int32_t relation : {0, 3}) {
-    for (QueryDirection dir :
-         {QueryDirection::kTail, QueryDirection::kHead}) {
-      model->ScorePairs(anchors.data(), candidates.data(), anchors.size(),
-                        kPer, relation, dir, fused.data());
-      for (size_t i = 0; i < anchors.size(); ++i) {
-        model->ScoreCandidates(anchors[i], relation, dir,
-                               candidates.data() + i * kPer, kPer,
-                               scalar.data());
-        for (size_t j = 0; j < kPer; ++j) {
-          EXPECT_EQ(fused[i * kPer + j], scalar[j])
-              << ModelTypeName(GetParam()) << " query " << i << " candidate "
-              << j;
-        }
-      }
-    }
-  }
-}
-
 TEST_P(ScoreBlockTest, PreparedScoreBlockMatchesScalarExactly) {
   auto model = Make();
   // Unsorted pool with duplicate candidates: PrepareCandidates must record
@@ -468,45 +418,6 @@ TEST(SlotMajorEvaluatorTest, PoolsWiderThanOneTileMatchScalar) {
         EvaluateSampledScalar(*model, dataset, filter, Split::kTest, pools);
     EXPECT_EQ(batched.ranks, scalar.ranks) << ModelTypeName(type);
     EXPECT_EQ(batched.scored_candidates, scalar.scored_candidates);
-  }
-}
-
-TEST(ScoreTriplesTest, WithNegativesMatchesOneTripleAtATime) {
-  const Dataset dataset = SynthDataset();
-  const size_t n = 60;
-  constexpr size_t kNeg = 2;
-  for (ModelType type : kAllModelTypes) {
-    auto model = CreateModel(type, dataset.num_entities(),
-                             dataset.num_relations(), SmallOptions())
-                     .ValueOrDie();
-    // Deterministic tail corruptions sharing each positive's head/relation.
-    std::vector<Triple> negatives;
-    negatives.reserve(n * kNeg);
-    for (size_t i = 0; i < n; ++i) {
-      const Triple& t = dataset.test()[i];
-      for (size_t j = 0; j < kNeg; ++j) {
-        const int32_t corrupt = static_cast<int32_t>(
-            (t.tail + 1 + static_cast<int32_t>(i + j)) %
-            dataset.num_entities());
-        negatives.push_back({t.head, t.relation, corrupt});
-      }
-    }
-    std::vector<float> pos(n), neg(n * kNeg);
-    ScoreTriplesWithNegatives(*model, dataset.test().data(), n,
-                              negatives.data(), kNeg, pos.data(), neg.data());
-    const auto score_one = [&model](const Triple& t) {
-      float score = 0.0f;
-      model->ScoreCandidates(t.head, t.relation, QueryDirection::kTail,
-                             &t.tail, 1, &score);
-      return score;
-    };
-    std::vector<float> want_pos(n), want_neg(n * kNeg);
-    for (size_t i = 0; i < n; ++i) want_pos[i] = score_one(dataset.test()[i]);
-    for (size_t i = 0; i < negatives.size(); ++i) {
-      want_neg[i] = score_one(negatives[i]);
-    }
-    EXPECT_EQ(pos, want_pos) << ModelTypeName(type);
-    EXPECT_EQ(neg, want_neg) << ModelTypeName(type);
   }
 }
 
