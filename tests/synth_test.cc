@@ -331,6 +331,60 @@ constexpr GoldenDigest kGoldenDigests[] = {
     {"fb15k237", PresetScale::kPaper, 0x40DADA3FD49949E3ULL},
 };
 
+// All relations one-to-one on 300 entities: the triple loop spends its
+// whole attempt budget and the splits shrink.
+SynthConfig AttemptCapConfig() {
+  SynthConfig config;
+  config.name = "attempt-cap";
+  config.num_entities = 300;
+  config.num_types = 10;
+  config.frac_mn = 0.0;
+  config.frac_1m = 0.0;
+  config.frac_m1 = 0.0;
+  config.frac_11 = 1.0;
+  config.num_train = 3000;
+  config.num_valid = 200;
+  config.num_test = 200;
+  config.seed = 77;
+  return config;
+}
+
+// More types than entities and one type per signature: some types have no
+// member, so some relations have an empty domain or range pool, and the
+// loop still reaches its target.
+SynthConfig EmptyPoolConfig() {
+  SynthConfig config;
+  config.name = "empty-pools";
+  config.num_entities = 200;
+  config.num_types = 250;
+  config.num_type_groups = 1;
+  config.max_signature_types = 1;
+  config.type_zipf = 1.0;
+  config.signature_zipf = 1.0;
+  config.extra_type_prob = 0.9;
+  config.num_relations = 20;
+  config.num_train = 400;
+  config.num_valid = 40;
+  config.num_test = 40;
+  config.seed = 4;
+  return config;
+}
+
+int64_t TotalTriples(const Dataset& d) {
+  return static_cast<int64_t>(d.train().size() + d.valid().size() +
+                              d.test().size());
+}
+
+bool HasEmptyPool(const SynthOutput& out, int32_t r) {
+  const auto empty = [&](const std::vector<int32_t>& types) {
+    return std::all_of(types.begin(), types.end(), [&](int32_t t) {
+      return out.true_types.EntitiesOf(t).empty();
+    });
+  };
+  return empty(out.profiles[r].domain_types) ||
+         empty(out.profiles[r].range_types);
+}
+
 TEST(GeneratorDeterminismTest, GoldenDigests) {
   for (const GoldenDigest& golden : kGoldenDigests) {
     const SynthConfig config =
@@ -342,6 +396,25 @@ TEST(GeneratorDeterminismTest, GoldenDigests) {
         << (golden.scale == PresetScale::kPaper ? " (paper)" : " (scaled)")
         << " digest 0x" << std::hex << std::uppercase << digest;
   }
+
+  // The two loop exits no preset takes.
+  const SynthOutput capped = GenerateDataset(AttemptCapConfig()).ValueOrDie();
+  EXPECT_LT(TotalTriples(capped.dataset), 3400);
+  EXPECT_EQ(OutputDigest(capped), 0x1CA9A20D438199DFULL)
+      << "attempt-cap digest 0x" << std::hex << std::uppercase
+      << OutputDigest(capped);
+
+  const SynthOutput sparse = GenerateDataset(EmptyPoolConfig()).ValueOrDie();
+  EXPECT_EQ(TotalTriples(sparse.dataset), 480);
+  int32_t empty_relations = 0;
+  for (int32_t r = 0; r < 20; ++r) empty_relations += HasEmptyPool(sparse, r);
+  EXPECT_GT(empty_relations, 0);
+  for (const Triple& t : sparse.dataset.train()) {
+    EXPECT_FALSE(HasEmptyPool(sparse, t.relation)) << t.relation;
+  }
+  EXPECT_EQ(OutputDigest(sparse), 0xF4BA59CC61D6AAC4ULL)
+      << "empty-pools digest 0x" << std::hex << std::uppercase
+      << OutputDigest(sparse);
 }
 
 TEST(GeneratorDeterminismTest, DifferentSeedDifferentData) {
