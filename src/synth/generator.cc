@@ -4,6 +4,7 @@
 #include <map>
 
 #include "graph/triple.h"
+#include "sched/task_group.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -11,33 +12,29 @@
 namespace kgeval {
 namespace {
 
-/// Insert-only open-addressed set with linear probing over a power-of-two
-/// table that doubles past half load. `Traits` supplies the key's hash and
-/// an `kEmpty` value that is never inserted.
-template <typename Traits>
+/// Insert-only open-addressed set of 64-bit keys with linear probing over
+/// a power-of-two table that doubles past half load. Keys are entity ids or
+/// PackPair'd id pairs: both ids are non-negative int32, so every key has
+/// bit 63 clear and ~0 is free as the empty slot.
 class FlatSet {
  public:
-  using Key = typename Traits::Key;
+  static constexpr uint64_t kEmpty = ~0ULL;
 
-  explicit FlatSet(size_t expected) {
-    size_t capacity = 16;
-    while (capacity < 2 * expected) capacity *= 2;
-    slots_.assign(capacity, Traits::kEmpty);
-  }
+  FlatSet() : slots_(16, kEmpty) {}
 
-  bool Contains(const Key& key) const {
+  bool Contains(uint64_t key) const {
     const size_t mask = slots_.size() - 1;
-    for (size_t i = Traits::Hash(key) & mask;; i = (i + 1) & mask) {
+    for (size_t i = PairHash()(key) & mask;; i = (i + 1) & mask) {
       if (slots_[i] == key) return true;
-      if (slots_[i] == Traits::kEmpty) return false;
+      if (slots_[i] == kEmpty) return false;
     }
   }
 
   /// Returns false if `key` was already present.
-  bool Insert(const Key& key) {
+  bool Insert(uint64_t key) {
     const size_t mask = slots_.size() - 1;
-    size_t i = Traits::Hash(key) & mask;
-    for (; !(slots_[i] == Traits::kEmpty); i = (i + 1) & mask) {
+    size_t i = PairHash()(key) & mask;
+    for (; slots_[i] != kEmpty; i = (i + 1) & mask) {
       if (slots_[i] == key) return false;
     }
     slots_[i] = key;
@@ -47,33 +44,45 @@ class FlatSet {
 
  private:
   void Grow() {
-    std::vector<Key> old(slots_.size() * 2, Traits::kEmpty);
+    std::vector<uint64_t> old(slots_.size() * 2, kEmpty);
     old.swap(slots_);
     size_ = 0;
-    for (const Key& key : old) {
-      if (!(key == Traits::kEmpty)) Insert(key);
+    for (uint64_t key : old) {
+      if (key != kEmpty) Insert(key);
     }
   }
 
-  std::vector<Key> slots_;
+  std::vector<uint64_t> slots_;
   size_t size_ = 0;
 };
 
-/// (relation, entity) pairs packed by PackPair: both ids are non-negative
-/// int32, so every key has bit 63 clear and ~0 is free as the empty slot.
-struct PairTraits {
-  using Key = uint64_t;
-  static constexpr Key kEmpty = ~0ULL;
-  static size_t Hash(Key key) { return PairHash()(key); }
+/// Dedup state of one relation. Every check of the triple loop is keyed by
+/// the relation (a triple, or a (relation, head) / (relation, tail) pair),
+/// so relations deduplicate independently of each other.
+struct RelationDedup {
+  bool head_unique = false;
+  bool tail_unique = false;
+  FlatSet seen;  // PackPair(head, tail)
+  /// Heads and tails already used by a head-unique / tail-unique relation.
+  FlatSet used_heads, used_tails;
+
+  /// Whether (h, ·, t) is new and respects the cardinality; records it if so.
+  bool Accept(int32_t h, int32_t t) {
+    if (head_unique && used_heads.Contains(static_cast<uint64_t>(h))) {
+      return false;
+    }
+    if (tail_unique && used_tails.Contains(static_cast<uint64_t>(t))) {
+      return false;
+    }
+    if (!seen.Insert(PackPair(h, t))) return false;
+    if (head_unique) used_heads.Insert(static_cast<uint64_t>(h));
+    if (tail_unique) used_tails.Insert(static_cast<uint64_t>(t));
+    return true;
+  }
 };
 
-/// Whole triples, so no id range can overflow the key; no valid triple has
-/// a negative head.
-struct TripleTraits {
-  using Key = Triple;
-  static constexpr Key kEmpty = {-1, -1, -1};
-  static size_t Hash(const Key& key) { return TripleHash()(key); }
-};
+/// Attempts drawn, mapped and deduplicated per round of the triple loop.
+constexpr int64_t kAttemptBatch = 1 << 15;
 
 /// Group of a type: modulo assignment interleaves big and small types so
 /// every group gets a mix of popular and niche types.
@@ -217,6 +226,22 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
   }
 
   // --- 3. Triples. ---------------------------------------------------------
+  // Attempts run in batches of kAttemptBatch and consume the RNG exactly as
+  // one attempt after another would. Each batch takes four steps:
+  //  1. Draw: one sequential pass takes the uniforms. Which draws an
+  //     attempt makes never depends on dedup, only on what it drew: an
+  //     empty pool ends it after the relation, and the affinity coin is
+  //     skipped when the head's cluster-preferred sub-pool is empty. Only
+  //     while some relation has such a gap does this pass resolve the
+  //     relation, and the head of a relation with an affine gap.
+  //  2. Map: the uniforms become (h, r, t), in parallel.
+  //  3. Dedup: every dedup key carries the relation, so whether an attempt
+  //     is accepted depends only on earlier attempts of its relation. Each
+  //     relation runs its attempts in order; relations run in parallel.
+  //  4. Merge: accepted triples append in attempt order. At the attempt
+  //     that reaches the target, the RNG rewinds to the batch's start and
+  //     replays the draws up to it, so what follows the loop sees the same
+  //     stream.
   const int64_t target =
       config.num_train + config.num_valid + config.num_test;
   ZipfSampler relation_sampler(num_r, config.relation_zipf);
@@ -227,7 +252,7 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
   is_noise.reserve(target);
   {
     // Samplers and dedup sets live only while triples are drawn (the seen
-    // set is the largest allocation of a paper-scale build). Entity
+    // sets are the largest allocation of a paper-scale build). Entity
     // popularity within a pool is Zipf over its size: every pool's sampler
     // is resolved here, once, from one sampler per distinct size; samplers
     // draw no randomness, so building them eagerly changes nothing.
@@ -235,6 +260,8 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
     struct PoolDraw {
       const int32_t* ids = nullptr;
       const ZipfSampler* sampler = nullptr;
+
+      int32_t At(double u) const { return ids[sampler->IndexOf(u)]; }
     };
     auto resolve = [&](const std::vector<int32_t>& pool) {
       PoolDraw draw;
@@ -250,70 +277,130 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
       draw.sampler = &it->second;
       return draw;
     };
-    auto sample_pool = [&rng](const PoolDraw& pool) -> int32_t {
-      return pool.ids[pool.sampler->Sample(&rng)];
-    };
     std::vector<PoolDraw> domain_draw(num_r), range_draw(num_r);
     // affine_draw[r * num_c + c]: the range sub-pool that relation r prefers
     // for heads in cluster c.
     std::vector<PoolDraw> affine_draw(static_cast<size_t>(num_r) * num_c);
+    auto affine_of = [&](int32_t r, int32_t h) -> const PoolDraw& {
+      return affine_draw[static_cast<size_t>(r) * num_c + cluster[h]];
+    };
+    // no_pool[r]: r's domain or range pool is empty. affine_gap[r]: some
+    // head cluster of r prefers an empty sub-pool.
+    std::vector<uint8_t> no_pool(num_r), affine_gap(num_r);
+    bool resolve_relation = false;
+    std::vector<RelationDedup> dedup(num_r);
     for (int32_t r = 0; r < num_r; ++r) {
       domain_draw[r] = resolve(domain_pool[r]);
       range_draw[r] = resolve(range_pool[r]);
+      no_pool[r] = domain_draw[r].ids == nullptr ||
+                   range_draw[r].ids == nullptr;
       for (int32_t c = 0; c < num_c; ++c) {
-        affine_draw[static_cast<size_t>(r) * num_c + c] =
-            resolve(range_by_cluster[r][cluster_map[r][c]]);
+        PoolDraw& affine = affine_draw[static_cast<size_t>(r) * num_c + c];
+        affine = resolve(range_by_cluster[r][cluster_map[r][c]]);
+        if (affine.ids == nullptr) affine_gap[r] = 1;
       }
+      if (no_pool[r] || affine_gap[r]) resolve_relation = true;
+      const Cardinality card = profiles[r].cardinality;
+      dedup[r].head_unique = card == Cardinality::kManyOne ||
+                             card == Cardinality::kOneOne;
+      dedup[r].tail_unique = card == Cardinality::kOneMany ||
+                             card == Cardinality::kOneOne;
     }
 
-    FlatSet<TripleTraits> seen(static_cast<size_t>(target));
-    // Cardinality bookkeeping: (relation, head) and (relation, tail) pairs
-    // already used by head-unique / tail-unique relations.
-    FlatSet<PairTraits> used_heads(0), used_tails(0);
-
-    int64_t attempts = 0;
-    const int64_t max_attempts = 60 * target;
-    while (static_cast<int64_t>(triples.size()) < target &&
-           attempts++ < max_attempts) {
-      const int32_t r = static_cast<int32_t>(relation_sampler.Sample(&rng));
-      if (domain_draw[r].ids == nullptr || range_draw[r].ids == nullptr) {
-        continue;
+    // One attempt's uniforms. `coin` is read only where the draw took it.
+    struct Attempt {
+      double relation = 0.0, head = 0.0, coin = 0.0, tail = 0.0;
+      int32_t noise_entity = -1;  // -1: clean
+      bool noise_on_head = false;
+    };
+    auto draw = [&](Attempt* a) {
+      a->relation = rng.NextDouble();
+      const int32_t r =
+          resolve_relation
+              ? static_cast<int32_t>(relation_sampler.IndexOf(a->relation))
+              : -1;
+      if (r >= 0 && no_pool[r]) return;
+      a->head = rng.NextDouble();
+      if (r < 0 || !affine_gap[r] ||
+          affine_of(r, domain_draw[r].At(a->head)).ids != nullptr) {
+        a->coin = rng.NextDouble();
       }
-      int32_t h = sample_pool(domain_draw[r]);
-      int32_t t;
-      const PoolDraw& affine =
-          affine_draw[static_cast<size_t>(r) * num_c + cluster[h]];
-      if (affine.ids != nullptr && rng.NextDouble() < config.affinity_rate) {
-        t = sample_pool(affine);
-      } else {
-        t = sample_pool(range_draw[r]);
-      }
-      bool noisy = false;
+      a->tail = rng.NextDouble();
+      a->noise_entity = -1;
       if (rng.NextDouble() < config.noise_rate) {
-        noisy = true;
         // Replace one side with a uniformly random entity (any type): the
         // classic KG construction error that later shows up as a "false easy
         // negative" for a recommender that trusts the type structure.
-        if (rng.NextBounded(2) == 0) {
-          h = static_cast<int32_t>(rng.NextBounded(num_e));
-        } else {
-          t = static_cast<int32_t>(rng.NextBounded(num_e));
+        a->noise_on_head = rng.NextBounded(2) == 0;
+        a->noise_entity = static_cast<int32_t>(rng.NextBounded(num_e));
+      }
+    };
+    // The attempt's triple; relation -1 if it is rejected before dedup.
+    auto map = [&](const Attempt& a) -> Triple {
+      const auto r = static_cast<int32_t>(relation_sampler.IndexOf(a.relation));
+      if (no_pool[r]) return {0, -1, 0};
+      int32_t h = domain_draw[r].At(a.head);
+      const PoolDraw& affine = affine_of(r, h);
+      int32_t t = affine.ids != nullptr && a.coin < config.affinity_rate
+                      ? affine.At(a.tail)
+                      : range_draw[r].At(a.tail);
+      if (a.noise_entity >= 0) (a.noise_on_head ? h : t) = a.noise_entity;
+      if (h == t) return {0, -1, 0};
+      return {h, r, t};
+    };
+
+    std::vector<Attempt> attempts(kAttemptBatch);
+    std::vector<Triple> mapped(kAttemptBatch);
+    std::vector<uint8_t> accepted(kAttemptBatch);
+    // by_relation[relation_begin[r] ..]: the batch's attempts of relation r,
+    // in attempt order (a counting sort).
+    std::vector<int32_t> by_relation(kAttemptBatch);
+    std::vector<int32_t> relation_begin(num_r + 1), relation_fill(num_r);
+    const int64_t max_attempts = 60 * target;
+    for (int64_t done = 0;
+         static_cast<int64_t>(triples.size()) < target && done < max_attempts;
+         done += kAttemptBatch) {
+      const auto n =
+          static_cast<int32_t>(std::min(kAttemptBatch, max_attempts - done));
+      const Rng batch_start = rng;
+      for (int32_t i = 0; i < n; ++i) draw(&attempts[i]);
+      ParallelFor(0, n, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) mapped[i] = map(attempts[i]);
+      }, 1024);
+
+      std::fill(relation_begin.begin(), relation_begin.end(), 0);
+      for (int32_t i = 0; i < n; ++i) {
+        if (mapped[i].relation >= 0) ++relation_begin[mapped[i].relation + 1];
+      }
+      for (int32_t r = 0; r < num_r; ++r) {
+        relation_begin[r + 1] += relation_begin[r];
+        relation_fill[r] = relation_begin[r];
+      }
+      for (int32_t i = 0; i < n; ++i) {
+        accepted[i] = 0;
+        const int32_t r = mapped[i].relation;
+        if (r >= 0) by_relation[relation_fill[r]++] = i;
+      }
+      ParallelFor(0, num_r, [&](size_t lo, size_t hi) {
+        for (size_t r = lo; r < hi; ++r) {
+          for (int32_t k = relation_begin[r]; k < relation_begin[r + 1]; ++k) {
+            const Triple& triple = mapped[by_relation[k]];
+            accepted[by_relation[k]] =
+                dedup[r].Accept(triple.head, triple.tail);
+          }
+        }
+      }, 1);
+
+      for (int32_t i = 0; i < n; ++i) {
+        if (!accepted[i]) continue;
+        triples.push_back(mapped[i]);
+        is_noise.push_back(attempts[i].noise_entity >= 0);
+        if (static_cast<int64_t>(triples.size()) == target) {
+          rng = batch_start;
+          for (int32_t j = 0; j <= i; ++j) draw(&attempts[j]);
+          break;
         }
       }
-      if (h == t) continue;
-      const Cardinality card = profiles[r].cardinality;
-      const bool head_unique = card == Cardinality::kManyOne ||
-                               card == Cardinality::kOneOne;
-      const bool tail_unique = card == Cardinality::kOneMany ||
-                               card == Cardinality::kOneOne;
-      if (head_unique && used_heads.Contains(PackPair(r, h))) continue;
-      if (tail_unique && used_tails.Contains(PackPair(r, t))) continue;
-      const Triple triple{h, r, t};
-      if (!seen.Insert(triple)) continue;
-      if (head_unique) used_heads.Insert(PackPair(r, h));
-      if (tail_unique) used_tails.Insert(PackPair(r, t));
-      triples.push_back(triple);
-      is_noise.push_back(noisy);
     }
   }
 
