@@ -232,7 +232,7 @@ Result<SynthOutput> GenerateDataset(const SynthConfig& config) {
   //     attempt makes never depends on dedup, only on what it drew: an
   //     empty pool ends it after the relation, and the affinity coin is
   //     skipped when the head's cluster-preferred sub-pool is empty. Only
-  //     while some relation has such a gap does this pass resolve the
+  //     when some relation has such a gap does this pass resolve the
   //     relation, and the head of a relation with an affine gap.
   //  2. Map: the uniforms become (h, r, t), in parallel.
   //  3. Dedup: every dedup key carries the relation, so whether an attempt
