@@ -18,6 +18,7 @@
 #include "synth/generator.h"
 #include "tests/gate_data.h"
 #include "tests/temp_dir.h"
+#include "util/cancel.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -375,6 +376,42 @@ TEST_F(EvalSessionTest, EstimateCheckpointsStreamsProgress) {
     seen[index] = true;
     EXPECT_EQ(mrr, sweep[index].result.metrics.mrr);
   }
+}
+
+TEST_F(EvalSessionTest, EstimateCheckpointsCancelledBeforeStartLoadsNothing) {
+  // The sweep's cancel contract: with the token fired before the call,
+  // every path records kCancelled without a load — a missing file too,
+  // which a load would have reported as kIoError — every outcome counts as
+  // failed, and every index still streams through `progress`.
+  auto session =
+      EvalSession::Create(dataset_, filter_, SessionOptions(), Split::kTest)
+          .ValueOrDie();
+  TempDir dir;
+  std::vector<std::string> paths = SaveCheckpoints(*dataset_, dir.path(), 3);
+  paths.insert(paths.begin() + 1, dir.path() + "/missing.ckpt");
+  CancelToken cancel;
+  cancel.Cancel();
+  EstimateRequest request;
+  request.cancel = &cancel;
+  std::vector<bool> streamed(paths.size(), false);
+  CheckpointSweepStats stats;
+  const std::vector<CheckpointEstimate> sweep = session->EstimateCheckpoints(
+      paths, request,
+      [&](size_t index, const CheckpointEstimate& outcome) {
+        ASSERT_LT(index, streamed.size());
+        EXPECT_FALSE(streamed[index]) << "index " << index << " twice";
+        streamed[index] = true;
+        EXPECT_EQ(outcome.status.code(), StatusCode::kCancelled)
+            << "index " << index;
+      },
+      &stats);
+  ASSERT_EQ(sweep.size(), paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(sweep[i].status.code(), StatusCode::kCancelled)
+        << "path " << i << ": " << sweep[i].status.ToString();
+    EXPECT_TRUE(streamed[i]) << "index " << i << " never streamed";
+  }
+  EXPECT_EQ(stats.failed, paths.size());
 }
 
 TEST_F(EvalSessionTest, AdaptiveCheckpointSweepMatchesSequential) {
