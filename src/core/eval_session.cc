@@ -42,7 +42,6 @@ std::vector<CheckpointEstimate> EvalSession::EstimateCheckpoints(
   // job holds one model, so the resident-model count is bounded the same
   // way.
   WallTimer timer;
-  const CancelToken* cancel = request.cancel;
   std::vector<CheckpointEstimate> outcomes(paths.size());
   std::atomic<size_t> resident{0};
   std::atomic<size_t> high_water{0};
@@ -51,36 +50,22 @@ std::vector<CheckpointEstimate> EvalSession::EstimateCheckpoints(
   // concurrent job threads, but the stream must never interleave.
   Mutex progress_mutex;
   RunJobsConcurrently(paths.size(), [&](size_t i) {
-    // Checked before the load so a cancelled sweep stops paying the
-    // expensive part immediately; passes already in flight wind down
-    // through the request's token.
-    if (cancel != nullptr && cancel->cancelled()) {
-      outcomes[i].status = Status::Cancelled("sweep cancelled");
-      failed.fetch_add(1, std::memory_order_relaxed);
+    // Counted resident across the whole call: a model being deserialized
+    // already occupies its full embedding tables, so the high-water mark
+    // must see it before the load returns. The call frees the model before
+    // returning, so progress never extends a model's residency.
+    const size_t now = resident.fetch_add(1) + 1;
+    size_t seen = high_water.load();
+    while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+    }
+    auto result_or = framework_->EstimateCheckpointOnPools(
+        paths[i], *filter_, split_, pools_, request);
+    resident.fetch_sub(1);
+    if (result_or.ok()) {
+      outcomes[i].result = std::move(result_or).ValueOrDie();
     } else {
-      // Counted resident across the load itself: a model being
-      // deserialized already occupies its full embedding tables, so the
-      // high-water mark must see it before LoadCheckpoint returns.
-      const size_t now = resident.fetch_add(1) + 1;
-      size_t seen = high_water.load();
-      while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
-      }
-      auto model_or = framework_->LoadCheckpoint(paths[i]);
-      if (!model_or.ok()) {
-        resident.fetch_sub(1);
-        outcomes[i].status = model_or.status();
-        failed.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::unique_ptr<KgeModel> model = std::move(model_or).ValueOrDie();
-        outcomes[i].result = Estimate(*model, request);
-        model.reset();  // Freed before progress runs: the callback must
-                        // never extend a model's residency.
-        resident.fetch_sub(1);
-        if (outcomes[i].result.cancelled) {
-          outcomes[i].status = Status::Cancelled("evaluation cancelled");
-          failed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      outcomes[i].status = result_or.status();
+      failed.fetch_add(1, std::memory_order_relaxed);
     }
     if (progress) {
       MutexLock lock(&progress_mutex);

@@ -21,7 +21,8 @@ struct CheckpointEstimate {
 
 /// Aggregate instrumentation of one checkpoint sweep.
 struct CheckpointSweepStats {
-  /// High-water mark of models resident in memory at once. Bounded by the
+  /// High-water mark of models resident in memory at once (a job counts
+  /// from before its load until its model is freed). Bounded by the
   /// worker-pool width: a 100-epoch sweep never holds 100 embedding tables.
   size_t max_resident_models = 0;
   /// Paths whose outcome carries a non-OK Status.
@@ -78,20 +79,21 @@ class EvalSession {
 
   /// Sweeps checkpoint files on disk against the pinned pools — the
   /// "evaluate every epoch snapshot" loop the paper's monitoring workload
-  /// needs. Each path is loaded on a job thread (LoadCheckpoint), estimated
-  /// exactly like Estimate(model, request), and freed as soon as its result
-  /// is recorded, so at most worker-count models are ever resident (stats
-  /// reports the observed high-water mark). Outcome i is rank-for-rank
-  /// identical to a sequential LoadModel + Estimate on paths[i]; a path
-  /// that fails to load carries its Status in the outcome without
-  /// disturbing the rest of the sweep. `progress` (optional) streams
-  /// outcomes as they complete; `stats` (optional) receives sweep-level
-  /// instrumentation. A `request.cancel` token fired mid-sweep stops new
-  /// work cooperatively: paths not yet loaded record Status(kCancelled)
-  /// without loading, in-flight passes wind down at their next block
-  /// boundary and record kCancelled too, and already-finished outcomes keep
-  /// their results. Cancelled outcomes count into stats->failed and still
-  /// stream through `progress`.
+  /// needs. Each path is one EvaluationFramework::EstimateCheckpointOnPools
+  /// call on a job thread — loaded, estimated exactly like
+  /// Estimate(model, request), and freed before its result is recorded —
+  /// so at most worker-count models are ever resident (stats reports the
+  /// observed high-water mark). Outcome i is rank-for-rank identical to a
+  /// sequential LoadModel + Estimate on paths[i]; a path that fails to
+  /// load carries its Status in the outcome without disturbing the rest of
+  /// the sweep. `progress` (optional) streams outcomes as they complete;
+  /// `stats` (optional) receives sweep-level instrumentation. A
+  /// `request.cancel` token fired mid-sweep stops new work cooperatively:
+  /// paths not yet loaded record Status(kCancelled) without loading,
+  /// in-flight passes wind down at their next block boundary and record
+  /// kCancelled too, and already-finished outcomes keep their results.
+  /// Cancelled outcomes count into stats->failed and still stream through
+  /// `progress`.
   std::vector<CheckpointEstimate> EstimateCheckpoints(
       const std::vector<std::string>& paths,
       const EstimateRequest& request = {},

@@ -69,24 +69,23 @@ class EvaluationFramework {
   /// Loads the checkpoint at `path` (models/checkpoint.h) and validates it
   /// against the framework's dataset: mismatched entity/relation counts
   /// would index past the model's embedding tables during scoring, so they
-  /// fail here as InvalidArgument instead. The building block of the
-  /// checkpoint sweep — EvalSession::EstimateCheckpoints calls this
-  /// directly (keeping load and estimate separate is what lets it bound
-  /// model residency and free each model before streaming its result).
-  /// Const and thread-safe.
+  /// fail here as InvalidArgument instead. The load step of
+  /// EstimateCheckpointOnPools, public for callers that keep the model
+  /// (perfbench times loads with it). Const and thread-safe.
   Result<std::unique_ptr<KgeModel>> LoadCheckpoint(
       const std::string& path) const;
 
-  /// One-shot convenience fusing LoadCheckpoint + EstimateOnPools: loads
-  /// the checkpoint at `path`, estimates it on caller-provided pools, and
-  /// frees the model before returning — for single-checkpoint callers (a
-  /// service request naming one path) that don't need a sweep's residency
-  /// accounting. A load failure (missing, corrupt, or truncated file) or a
-  /// dataset mismatch comes back as the Status, never a crash. Const and
-  /// thread-safe like EstimateOnPools. A `request.cancel` token that fires
-  /// before the load or during the pass turns the whole call into
-  /// Status(kCancelled) — a cancelled pass's partial metrics are never
-  /// returned.
+  /// LoadCheckpoint + EstimateOnPools: loads the checkpoint at `path`,
+  /// estimates it on caller-provided pools, and frees the model before
+  /// returning. The one load→estimate→cancel path of every checkpoint
+  /// caller: the service's EVAL calls it once, and
+  /// EvalSession::EstimateCheckpoints (SWEEP, WATCH) once per path, wrapped
+  /// in its residency accounting. A load failure (missing, corrupt, or
+  /// truncated file) or a dataset mismatch comes back as the Status, never
+  /// a crash. Const and thread-safe like EstimateOnPools. A
+  /// `request.cancel` token that fires before the load or during the pass
+  /// turns the whole call into Status(kCancelled) — a cancelled pass's
+  /// partial metrics are never returned.
   Result<EstimateResult> EstimateCheckpointOnPools(
       const std::string& path, const FilterIndex& filter, Split split,
       const SampledCandidates& pools,

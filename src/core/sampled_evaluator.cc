@@ -106,9 +106,7 @@ EstimateResult EvaluateSampled(const KgeModel& model, const Dataset& dataset,
           ? std::min(2 * static_cast<size_t>(request.max_triples),
                      order.size())
           : order.size();
-  const size_t round_queries =
-      adaptive ? std::max<size_t>(1, request.adaptive->batch_queries)
-               : order.size();
+  const size_t round_queries = adaptive ? kAdaptiveRoundQueries : order.size();
   // Every block of a slot ranks against the slot's pool, prepared in
   // kPoolTile-wide tiles into the chunk's scratch. The pool is strictly
   // increasing (ValidateQueriedPools), as the PoolIndex take-back requires.
@@ -150,9 +148,9 @@ EstimateResult EvaluateSampled(const KgeModel& model, const Dataset& dataset,
     const double half_width =
         acc.CiHalfWidth(MetricKind::kMrr, z) *
         FinitePopulationCorrection(acc.count(), 2 * num_triples);
-    result.half_width_history.push_back(half_width);
-    if (acc.count() >= request.adaptive->min_queries &&
-        half_width <= request.adaptive->target_half_width) {
+    if (next_query == order.size() ||
+        (acc.count() >= kAdaptiveMinQueries &&
+         half_width <= request.adaptive->target_half_width)) {
       result.converged = true;
       break;
     }

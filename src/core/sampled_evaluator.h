@@ -28,6 +28,16 @@ constexpr size_t kSampledQueryBlock = 256;
 /// estimators report (and of the adaptive stopping rule).
 constexpr double kEstimateConfidence = 0.95;
 
+/// Queries an adaptive pass scores per round, between convergence checks.
+/// Smaller rounds would stop closer to the exact crossing point but
+/// re-prepare the pools of the slots they touch more often.
+constexpr size_t kAdaptiveRoundQueries = 2048;
+
+/// An adaptive pass never stops on the confidence test before this many
+/// queries: the variance estimate itself needs support before it can be
+/// trusted. A pass that scores the whole split stops anyway.
+constexpr int64_t kAdaptiveMinQueries = 1024;
+
 /// The stopping rule of an adaptive estimate. Ranks break ties with
 /// TieBreak::kMean, as in the fixed pass. The stopping interval (and the
 /// reported RankingCi) is the MRR's two-sided kEstimateConfidence interval,
@@ -39,13 +49,6 @@ struct AdaptiveEvalOptions {
   /// Stop once the MRR estimate's confidence half-width drops to
   /// `target_half_width` or below.
   double target_half_width = 0.01;
-  /// Queries scored per round, between convergence checks. Smaller rounds
-  /// stop closer to the exact crossing point but re-prepare the pools of
-  /// the slots they touch more often.
-  size_t batch_queries = 2048;
-  /// Never stop on the confidence test before this many queries: the
-  /// variance estimate itself needs support before it can be trusted.
-  int64_t min_queries = 1024;
   /// Seed of the schedule shuffle. The whole pass is deterministic given
   /// this seed, the pools, and the model.
   uint64_t shuffle_seed = 29;
@@ -98,15 +101,13 @@ struct EstimateResult {
   /// the finite-population correction refer to), regardless of budgets.
   int64_t total_queries = 0;
   int64_t rounds = 0;
-  /// True iff the pass stopped because the confidence test was met. A pass
-  /// that consumes the whole split converges trivially (the finite-
-  /// population correction collapses the interval to zero at full
-  /// coverage — the estimate *is* the full pass); a budget stop or a
-  /// cancel always reports false.
+  /// True iff the pass stopped because the confidence test was met or
+  /// because it scored the whole split. The latter converges trivially,
+  /// however small the split (the finite-population correction collapses
+  /// the interval to zero at full coverage — the estimate *is* the full
+  /// pass); a budget stop short of the whole split or a cancel always
+  /// reports false.
   bool converged = false;
-  /// The MRR half-width after every round; shrinks ~1/sqrt(n) as rounds
-  /// accumulate. Useful for convergence plots and tests.
-  std::vector<double> half_width_history;
 };
 
 // Former names kept for perfbench's callers; ROADMAP item 3 deletes them.

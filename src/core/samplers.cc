@@ -64,7 +64,6 @@ SampledCandidates DrawCandidates(SamplingStrategy strategy,
     }
     std::sort(pool.begin(), pool.end());
     pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
-    out.total_sampled += static_cast<int64_t>(pool.size());
     out.pools[slot] = std::move(pool);
   }
   out.sample_seconds = timer.Seconds();

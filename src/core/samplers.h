@@ -26,7 +26,6 @@ struct SampledCandidates {
   /// were not requested).
   std::vector<std::vector<int32_t>> pools;
   double sample_seconds = 0.0;
-  int64_t total_sampled = 0;
 };
 
 /// Slots actually needed to evaluate `split` (both directions of every test

@@ -191,7 +191,6 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
   MutexLock load_lock(&load_mutex_);
   auto loaded = std::make_shared<Loaded>();
   loaded->name = name;
-  loaded->split = split;
   auto synth = GenerateDataset(config.ValueOrDie());
   if (!synth.ok()) {
     EmitError(emit, "internal", synth.status().message());
@@ -210,6 +209,7 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
   loaded->session = std::move(session).ValueOrDie();
   const Dataset& dataset = loaded->synth->dataset;
   const int64_t sample_size = loaded->session->framework().SampleSize();
+  const Split loaded_split = loaded->session->split();
   {
     MutexLock lock(&state_mutex_);
     state_ = std::move(loaded);
@@ -218,11 +218,10 @@ void EvalService::ExecuteLoad(const ParsedCommand& cmd, const EmitFn& emit) {
   emit(StrFormat(
       "OK dataset=%s split=%s entities=%d relations=%d train=%lld "
       "eval_triples=%lld sample_size=%lld build_s=%.3f",
-      name.c_str(), split == Split::kValid ? "valid" : "test",
+      name.c_str(), loaded_split == Split::kValid ? "valid" : "test",
       dataset.num_entities(), dataset.num_relations(),
       static_cast<long long>(dataset.train().size()),
-      static_cast<long long>(split == Split::kValid ? dataset.valid().size()
-                                                    : dataset.test().size()),
+      static_cast<long long>(dataset.split(loaded_split).size()),
       static_cast<long long>(sample_size), timer.Seconds()));
 }
 
@@ -270,8 +269,8 @@ void EvalService::ExecuteEval(const ParsedCommand& cmd, const EmitFn& emit,
     }
   }
   auto result = state->session->framework().EstimateCheckpointOnPools(
-      cmd.args[0], *state->filter, state->split, state->session->pools(),
-      request);
+      cmd.args[0], *state->filter, state->session->split(),
+      state->session->pools(), request);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kCancelled &&
         cancel != nullptr) {

@@ -93,7 +93,6 @@ class EvalService {
   /// Everything a LOAD produces; commands snapshot one of these.
   struct Loaded {
     std::string name;
-    Split split = Split::kTest;
     std::unique_ptr<SynthOutput> synth;  // Owns the Dataset (stable address).
     std::unique_ptr<FilterIndex> filter;
     std::unique_ptr<EvalSession> session;

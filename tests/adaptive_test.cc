@@ -10,11 +10,13 @@
 #include "core/sampled_evaluator.h"
 #include "eval/slot_blocks.h"
 #include "models/trainer.h"
+#include "sched/task_group.h"
 #include "stats/confidence.h"
 #include "synth/config.h"
 #include "synth/generator.h"
 #include "tests/fake_model.h"
 #include "tests/gate_data.h"
+#include "util/cancel.h"
 
 namespace kgeval {
 namespace {
@@ -407,24 +409,35 @@ TEST_F(AdaptiveFixture, DeterministicUnderFixedSeed) {
 }
 
 TEST_F(AdaptiveFixture, HalfWidthShrinksMonotonically) {
+  // A budget of k whole rounds scores the first k rounds of the one
+  // shuffle, so its interval is the interval after round k of an
+  // unbudgeted pass.
   AdaptiveEvalOptions options;
-  options.target_half_width = 1e-9;  // Run the whole schedule.
-  options.batch_queries = 512;
-  const EstimateResult result =
+  options.target_half_width = 1e-9;  // Only a budget or coverage stops it.
+  const EstimateResult whole =
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
                       Adaptive(options));
-  ASSERT_EQ(result.half_width_history.size(),
-            static_cast<size_t>(result.rounds));
-  ASSERT_GT(result.rounds, 10);
+  ASSERT_EQ(whole.rounds, 8);  // 16 000 queries in 2 048-query rounds.
+  EXPECT_TRUE(whole.converged);
+  EXPECT_DOUBLE_EQ(whole.ci.mrr, 0.0);
+  std::vector<double> half_widths;
+  for (int64_t k = 1; k < whole.rounds; ++k) {
+    const int64_t max_triples =
+        k * static_cast<int64_t>(kAdaptiveRoundQueries) / 2;
+    const EstimateResult budgeted =
+        EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                        Adaptive(options, max_triples));
+    ASSERT_EQ(budgeted.rounds, k);
+    ASSERT_EQ(budgeted.evaluated_queries, 2 * max_triples);
+    EXPECT_FALSE(budgeted.converged);
+    half_widths.push_back(budgeted.ci.mrr);
+  }
   // After the variance estimate has support, the interval must tighten
   // round over round (small tolerance for the variance estimate moving).
-  for (size_t i = 2; i < result.half_width_history.size(); ++i) {
-    EXPECT_LE(result.half_width_history[i],
-              result.half_width_history[i - 1] * 1.05)
-        << "round " << i;
+  for (size_t i = 2; i < half_widths.size(); ++i) {
+    EXPECT_LE(half_widths[i], half_widths[i - 1] * 1.05) << "round " << i;
   }
-  EXPECT_LT(result.half_width_history.back(),
-            result.half_width_history[2] * 0.5);
+  EXPECT_LT(half_widths.back(), half_widths[2] * 0.5);
 }
 
 TEST_F(AdaptiveFixture, EarlyStopWithinCiOfFullPass) {
@@ -435,7 +448,6 @@ TEST_F(AdaptiveFixture, EarlyStopWithinCiOfFullPass) {
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_);
   AdaptiveEvalOptions options;
   options.target_half_width = 0.01;
-  options.batch_queries = 1024;  // Stop within ~6% of the exact crossing.
   const EstimateResult adaptive =
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
                       Adaptive(options));
@@ -487,8 +499,8 @@ TEST_F(AdaptiveFixture, ExhaustiveScheduleMatchesFullPass) {
 TEST_F(AdaptiveFixture, BudgetsForceUnconvergedStop) {
   AdaptiveEvalOptions options;
   options.target_half_width = 1e-9;
-  // 1000 budgeted queries, below min_queries (1024): the confidence test
-  // never runs, so only the budget can end the pass.
+  // 1000 budgeted queries, below kAdaptiveMinQueries (1024): the
+  // confidence test never runs, so only the budget can end the pass.
   constexpr int64_t kMaxTriples = 500;
   const EstimateResult result =
       EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
@@ -500,30 +512,64 @@ TEST_F(AdaptiveFixture, BudgetsForceUnconvergedStop) {
 
 TEST_F(AdaptiveFixture, OneRoundScoresTheShuffledQueryPrefix) {
   // A round is a simple random sample of *queries*: with a one-round
-  // budget, the scored queries are exactly the first batch_queries ids of
-  // the shuffled query order. A schedule that shuffled slot blocks instead
-  // would score whole same-relation runs — a cluster sample — and fail.
+  // budget, the scored queries are exactly the first kAdaptiveRoundQueries
+  // ids of the shuffled query order. A schedule that shuffled slot blocks
+  // instead would score whole same-relation runs — a cluster sample — and
+  // fail.
   AdaptiveEvalOptions options;
   options.target_half_width = 1e-9;
-  options.batch_queries = 512;
   const EstimateResult result = EvaluateSampled(
       *model_, *dataset_, *filter_, Split::kTest, *pools_,
-      Adaptive(options, static_cast<int64_t>(options.batch_queries / 2)));
+      Adaptive(options, static_cast<int64_t>(kAdaptiveRoundQueries / 2)));
   EXPECT_EQ(result.rounds, 1);
   EXPECT_EQ(result.evaluated_queries,
-            static_cast<int64_t>(options.batch_queries));
+            static_cast<int64_t>(kAdaptiveRoundQueries));
 
   Rng rng(options.shuffle_seed);
   const std::vector<int64_t> order = ShuffledQueryOrder(
       static_cast<int64_t>(dataset_->split(Split::kTest).size()), &rng);
   std::vector<int64_t> expected(order.begin(),
-                                order.begin() + options.batch_queries);
+                                order.begin() + kAdaptiveRoundQueries);
   std::sort(expected.begin(), expected.end());
   std::vector<int64_t> scored;
   for (size_t q = 0; q < result.ranks.size(); ++q) {
     if (result.ranks[q] != 0.0) scored.push_back(static_cast<int64_t>(q));
   }
   EXPECT_EQ(scored, expected);
+}
+
+TEST_F(AdaptiveFixture, ConcurrentMultiRoundPassesMatchSequential) {
+  // Several adaptive passes (one per shuffle seed) running at once on the
+  // shared workers stop after the same rounds, with the same ranks and
+  // intervals, as each pass run alone.
+  std::vector<EstimateRequest> requests;
+  for (uint64_t seed : {29u, 31u, 37u, 41u}) {
+    AdaptiveEvalOptions options;
+    options.shuffle_seed = seed;
+    requests.push_back(Adaptive(options));
+  }
+  std::vector<EstimateResult> concurrent(requests.size());
+  RunJobsConcurrently(requests.size(), [&](size_t i) {
+    concurrent[i] = EvaluateSampled(*model_, *dataset_, *filter_,
+                                    Split::kTest, *pools_, requests[i]);
+  });
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const EstimateResult sequential =
+        EvaluateSampled(*model_, *dataset_, *filter_, Split::kTest, *pools_,
+                        requests[i]);
+    EXPECT_GT(sequential.rounds, 1) << "request " << i;
+    EXPECT_LT(sequential.evaluated_queries, sequential.total_queries)
+        << "request " << i;
+    EXPECT_TRUE(sequential.converged) << "request " << i;
+    EXPECT_EQ(concurrent[i].rounds, sequential.rounds) << "request " << i;
+    EXPECT_EQ(concurrent[i].evaluated_queries, sequential.evaluated_queries)
+        << "request " << i;
+    EXPECT_EQ(concurrent[i].ranks, sequential.ranks) << "request " << i;
+    EXPECT_EQ(concurrent[i].metrics.mrr, sequential.metrics.mrr)
+        << "request " << i;
+    EXPECT_EQ(concurrent[i].ci.mrr, sequential.ci.mrr) << "request " << i;
+  }
+  EXPECT_NE(concurrent[0].ranks, concurrent[1].ranks);
 }
 
 TEST_F(AdaptiveFixture, FrameworkEstimateRunsAdaptiveRequests) {
@@ -543,6 +589,49 @@ TEST_F(AdaptiveFixture, FrameworkEstimateRunsAdaptiveRequests) {
   if (result.converged) {
     EXPECT_LE(result.ci.mrr, 0.02);
   }
+}
+
+TEST(AdaptiveSmallSplitTest, ScoringTheWholeSplitConverges) {
+  // A split of fewer than kAdaptiveMinQueries queries never reaches the
+  // confidence test, yet a pass that scores all of it is the full pass:
+  // its corrected interval is zero and it reports converged. A budget
+  // short of the split, or a cancel, still reports unconverged.
+  std::vector<Triple> train = {{0, 0, 1}, {2, 0, 3}};
+  std::vector<Triple> test;
+  for (int32_t i = 0; i < 300; ++i) {
+    test.push_back({i % 50, 0, (i * 7 + 3) % 50});
+  }
+  const Dataset d("small", 50, 1, std::move(train), {}, std::move(test),
+                  TypeStore());
+  const FilterIndex filter(d);
+  FakeModel model(50, 1, [](int32_t h, int32_t, int32_t t) {
+    return static_cast<float>((h * 13 + t * 5) % 17);
+  });
+  const SampledCandidates pools = PoolsForAllSlots(d, 20, 4);
+  AdaptiveEvalOptions options;
+  options.target_half_width = 0.01;
+
+  const EstimateResult whole =
+      EvaluateSampled(model, d, filter, Split::kTest, pools, Adaptive(options));
+  EXPECT_EQ(whole.total_queries, 600);
+  EXPECT_EQ(whole.evaluated_queries, 600);
+  EXPECT_EQ(whole.rounds, 1);
+  EXPECT_DOUBLE_EQ(whole.ci.mrr, 0.0);
+  EXPECT_TRUE(whole.converged);
+
+  const EstimateResult budgeted = EvaluateSampled(
+      model, d, filter, Split::kTest, pools, Adaptive(options, 100));
+  EXPECT_EQ(budgeted.evaluated_queries, 200);
+  EXPECT_FALSE(budgeted.converged);
+
+  CancelToken cancel;
+  cancel.Cancel();
+  EstimateRequest cancelled = Adaptive(options);
+  cancelled.cancel = &cancel;
+  const EstimateResult stopped =
+      EvaluateSampled(model, d, filter, Split::kTest, pools, cancelled);
+  EXPECT_TRUE(stopped.cancelled);
+  EXPECT_FALSE(stopped.converged);
 }
 
 TEST(AdaptiveSessionTest, RerunIsDeterministicForEveryStrategy) {

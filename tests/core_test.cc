@@ -143,7 +143,6 @@ TEST(DrawCandidatesTest, RandomPoolsHaveRequestedSize) {
   EXPECT_EQ(pools.pools[0].size(), 50u);
   EXPECT_EQ(pools.pools[3].size(), 50u);
   EXPECT_TRUE(pools.pools[1].empty());  // Not requested.
-  EXPECT_EQ(pools.total_sampled, 100);
 }
 
 TEST(DrawCandidatesTest, StaticCapsAtSetSize) {

@@ -363,8 +363,6 @@ TEST(StaticParityTest, ScoredCandidatesCountEvaluatedQueries) {
   EstimateRequest request;
   request.adaptive.emplace();
   request.adaptive->target_half_width = 0.0;
-  request.adaptive->min_queries = 1;
-  request.adaptive->batch_queries = 16;
   const EstimateResult whole =
       EvaluateSampled(*model, dataset, filter, Split::kTest, pools, request);
   EXPECT_EQ(whole.evaluated_queries, whole.total_queries);
