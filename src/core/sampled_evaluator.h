@@ -35,7 +35,7 @@ constexpr size_t kAdaptiveRoundQueries = 2048;
 
 /// An adaptive pass never stops on the confidence test before this many
 /// queries: the variance estimate itself needs support before it can be
-/// trusted. A pass that scores the whole split stops anyway.
+/// trusted. A pass that scores the whole split converges below it too.
 constexpr int64_t kAdaptiveMinQueries = 1024;
 
 /// The stopping rule of an adaptive estimate. Ranks break ties with
