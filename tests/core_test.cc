@@ -10,6 +10,7 @@
 #include "models/trainer.h"
 #include "synth/config.h"
 #include "synth/generator.h"
+#include "tests/gate_data.h"
 
 namespace kgeval {
 namespace {
@@ -179,6 +180,63 @@ TEST(DrawCandidatesTest, ProbabilisticRespectsSupport) {
       SamplingStrategy::kProbabilistic, &sets, 100, 10, {0}, 1, &rng);
   // Weight-0 entity 30 can never be drawn; the others all fit in n_s.
   EXPECT_EQ(pools.pools[0], (std::vector<int32_t>{10, 20, 40}));
+}
+
+/// FNV-1a over the pools of two consecutive DrawPools calls: every pool's
+/// size and ids, as little-endian 64-bit words.
+uint64_t PoolsDigest(const SampledCandidates& first,
+                     const SampledCandidates& second) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto add = [&hash](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (value >> (8 * i)) & 0xFF;
+      hash *= 0x100000001B3ULL;
+    }
+  };
+  for (const SampledCandidates* draw : {&first, &second}) {
+    add(draw->pools.size());
+    for (const auto& pool : draw->pools) {
+      add(pool.size());
+      for (int32_t id : pool) add(static_cast<uint32_t>(id));
+    }
+  }
+  return hash;
+}
+
+// Test-split pools on scaled codex-s from the framework's L-WD sets, seeds
+// 1-3 per strategy. Each digest covers two consecutive DrawPools calls, so
+// the RNG state the first draw leaves behind is pinned too. Pools are part
+// of the determinism contract: they must not depend on the thread count
+// (the core_test_one_thread ctest reruns this on one worker).
+TEST(DrawCandidatesTest, GoldenPoolDigests) {
+  const Dataset dataset = CodexS();
+  struct Golden {
+    SamplingStrategy strategy;
+    uint64_t digests[3];
+  };
+  constexpr Golden kGolden[] = {
+      {SamplingStrategy::kRandom,
+       {0x8E3071C4C2F82C3FULL, 0xF16E36BEB5D3E161ULL, 0x9C912C7D58527F3BULL}},
+      {SamplingStrategy::kStatic,
+       {0xD35DDE54EB269399ULL, 0x1522FCB31A134D9CULL, 0x06A234B37A42CB8EULL}},
+      {SamplingStrategy::kProbabilistic,
+       {0x621E534724F9644BULL, 0x462FA729726E3433ULL, 0x4E494CEB62798CAAULL}},
+  };
+  for (const Golden& golden : kGolden) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      FrameworkOptions options;
+      options.strategy = golden.strategy;
+      options.seed = seed;
+      auto framework =
+          EvaluationFramework::Build(&dataset, options).ValueOrDie();
+      const SampledCandidates first = framework->DrawPools(Split::kTest);
+      const SampledCandidates second = framework->DrawPools(Split::kTest);
+      const uint64_t digest = PoolsDigest(first, second);
+      EXPECT_EQ(digest, golden.digests[seed - 1])
+          << SamplingStrategyName(golden.strategy) << " seed " << seed
+          << std::hex << std::uppercase << ": 0x" << digest;
+    }
+  }
 }
 
 TEST(SamplingStrategyTest, Names) {
