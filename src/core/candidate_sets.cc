@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "sched/task_group.h"
 #include "util/logging.h"
 
 namespace kgeval {
@@ -23,6 +25,39 @@ struct SlotRow {
 SlotRow RowOf(const CsrMatrix& m, int64_t slot) {
   const int32_t* ids = m.col_idx().data();
   return {ids + m.RowBegin(slot), ids + m.RowEnd(slot)};
+}
+
+/// One Probabilistic set: the positive scores of row `slot` of `by_set`
+/// merged in entity order with `seen` (the slot's train-seen entities, or
+/// none). Entities only known from train keep at least the smallest
+/// positive weight so they can always be drawn.
+void MergeSlot(const CsrMatrix& by_set, int64_t slot, SlotRow seen,
+               std::vector<int32_t>* members, std::vector<float>* weights) {
+  const int64_t begin = by_set.RowBegin(slot);
+  const int64_t end = by_set.RowEnd(slot);
+  const float* values = by_set.values().data();
+  const int32_t* cols = by_set.col_idx().data();
+  float min_positive = std::numeric_limits<float>::infinity();
+  for (int64_t k = begin; k < end; ++k) {
+    if (values[k] > 0.0f) min_positive = std::min(min_positive, values[k]);
+  }
+  const float floor_weight = std::isfinite(min_positive) ? min_positive : 1.0f;
+  const auto add = [&](int32_t entity, float w) {
+    members->push_back(entity);
+    weights->push_back(w);
+  };
+  const int32_t* s = seen.begin();
+  for (int64_t k = begin; k < end; ++k) {
+    if (values[k] <= 0.0f) continue;
+    for (; s != seen.end() && *s < cols[k]; ++s) add(*s, floor_weight);
+    if (s != seen.end() && *s == cols[k]) {
+      add(cols[k], std::max(values[k], floor_weight));
+      ++s;
+    } else {
+      add(cols[k], values[k]);
+    }
+  }
+  for (; s != seen.end(); ++s) add(*s, floor_weight);
 }
 
 /// Quantile thresholds tried per column by BuildStaticSets.
@@ -163,38 +198,27 @@ CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
   out.sets.resize(num_slots);
   out.weights.resize(num_slots);
   out.num_entities = dataset.num_entities();
+  // The sets outlive the build, so they are sized here on the calling
+  // thread, for the most a slot's merge can emit; the slots then fill them
+  // in parallel.
   for (int32_t slot = 0; slot < num_slots; ++slot) {
-    std::vector<int32_t> members;
-    std::vector<float> weights;
-    float min_positive = std::numeric_limits<float>::infinity();
-    for (int64_t k = by_set.RowBegin(slot); k < by_set.RowEnd(slot); ++k) {
-      const float v = by_set.values()[k];
-      if (v <= 0.0f) continue;
-      members.push_back(by_set.col_idx()[k]);
-      weights.push_back(v);
-      min_positive = std::min(min_positive, v);
-    }
-    if (include_seen) {
-      // Entities only known from train keep at least the smallest positive
-      // weight so they can always be drawn.
-      const float floor_weight =
-          std::isfinite(min_positive) ? min_positive : 1.0f;
-      for (int32_t e : RowOf(seen, slot)) {
-        const auto it =
-            std::lower_bound(members.begin(), members.end(), e);
-        if (it != members.end() && *it == e) {
-          auto& w = weights[static_cast<size_t>(it - members.begin())];
-          w = std::max(w, floor_weight);
-        } else {
-          const size_t pos = static_cast<size_t>(it - members.begin());
-          members.insert(it, e);
-          weights.insert(weights.begin() + pos, floor_weight);
-        }
-      }
-    }
-    out.sets[slot] = std::move(members);
-    out.weights[slot] = std::move(weights);
+    const size_t most =
+        static_cast<size_t>(by_set.RowEnd(slot) - by_set.RowBegin(slot)) +
+        (include_seen ? RowOf(seen, slot).size() : 0);
+    out.sets[slot].reserve(most);
+    out.weights[slot].reserve(most);
   }
+  ParallelFor(
+      0, static_cast<size_t>(num_slots),
+      [&](size_t lo, size_t hi) {
+        for (size_t slot = lo; slot < hi; ++slot) {
+          const auto row = static_cast<int64_t>(slot);
+          MergeSlot(by_set, row,
+                    include_seen ? RowOf(seen, row) : SlotRow{nullptr, nullptr},
+                    &out.sets[slot], &out.weights[slot]);
+        }
+      },
+      /*min_chunk=*/1);
   return out;
 }
 

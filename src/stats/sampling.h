@@ -9,8 +9,9 @@
 namespace kgeval {
 
 /// Draws `k` distinct integers uniformly from [0, n) without replacement
-/// using Robert Floyd's algorithm (O(k) expected). If k >= n, returns all of
-/// [0, n). Output order is unspecified.
+/// using Robert Floyd's algorithm (O(k) draws, one byte of flags per
+/// population member). If k >= n, returns all of [0, n). Output order is
+/// the order of the draws.
 std::vector<int32_t> SampleWithoutReplacement(int64_t n, int64_t k, Rng* rng);
 
 /// Draws `k` distinct indices from `population` (without replacement)
@@ -20,11 +21,27 @@ std::vector<int32_t> SampleFrom(const std::vector<int32_t>& population,
 
 /// Weighted sampling without replacement (Efraimidis–Spirakis A-Res): draws
 /// up to `k` items with inclusion probability increasing in `weights[i]`.
-/// Items with weight <= 0 are never drawn. Returns the selected indices into
-/// `items`/`weights` domain values, i.e., the values of `items`.
+/// Returns the selected values of `items`, in unspecified order.
+///
+/// Every item whose weight is not <= 0 (so NaN weights too) takes one
+/// NextDouble(), in item order, and becomes the key log(u) / w; items with
+/// weight <= 0 take none and are never drawn, and k <= 0 draws nothing.
+/// The k largest keys win. Ties at the k-th key resolve as a min-heap of
+/// (key, item) that admits an item only when its key beats the heap's
+/// smallest would: the selection runs that heap whenever such a tie, or a
+/// NaN key, reaches the cut, and nth_element otherwise.
 std::vector<int32_t> WeightedSampleWithoutReplacement(
     const std::vector<int32_t>& items, const std::vector<float>& weights,
     int64_t k, Rng* rng);
+
+/// Advances `rng` exactly as WeightedSampleWithoutReplacement(items,
+/// weights, k, rng) does, without selecting anything, and returns the
+/// number of items that sample keys (its result holds min(k, that many)
+/// values). Stepping costs one Rng::Next() per keyed item, so a caller can
+/// record the start state of many samples in one cheap pass and then run
+/// them on any thread.
+int64_t SkipWeightedSample(const std::vector<float>& weights, int64_t k,
+                           Rng* rng);
 
 }  // namespace kgeval
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <queue>
 #include <set>
 
 #include "stats/correlation.h"
@@ -166,6 +169,109 @@ TEST(WeightedSamplingTest, NoDuplicates) {
       WeightedSampleWithoutReplacement(items, weights, 20, &rng);
   std::set<int32_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), sample.size());
+}
+
+/// The A-Res selection as a min-heap of (key, item), the sampler's
+/// reference: an item enters while the heap holds fewer than k, or when its
+/// key beats the heap's smallest.
+std::vector<int32_t> HeapOracle(const std::vector<int32_t>& items,
+                                const std::vector<float>& weights, int64_t k,
+                                Rng* rng) {
+  if (k <= 0) return {};
+  using HeapEntry = std::pair<double, int32_t>;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                      std::greater<HeapEntry>>
+      heap;
+  for (size_t i = 0; i < items.size(); ++i) {
+    const double w = static_cast<double>(weights[i]);
+    if (w <= 0.0) continue;
+    double u = rng->NextDouble();
+    if (u <= 0.0) u = 1e-300;
+    const double key = std::log(u) / w;
+    if (static_cast<int64_t>(heap.size()) < k) {
+      heap.emplace(key, items[i]);
+    } else if (key > heap.top().first) {
+      heap.pop();
+      heap.emplace(key, items[i]);
+    }
+  }
+  std::vector<int32_t> out;
+  while (!heap.empty()) {
+    out.push_back(heap.top().second);
+    heap.pop();
+  }
+  return out;
+}
+
+/// Checks the sampler against the heap for every k from 0 to one past the
+/// number of positive weights, and every seed in [1, seeds]: the same set
+/// of items, the same RNG end state, and SkipWeightedSample stepping the
+/// RNG to that state too.
+void ExpectMatchesHeap(const std::vector<float>& weights, uint64_t seeds) {
+  std::vector<int32_t> items(weights.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i] = static_cast<int32_t>(3 * i + 1);
+  }
+  int64_t positive = 0;
+  for (float w : weights) positive += w > 0.0f || std::isnan(w);
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    for (int64_t k = 0; k <= positive + 1; ++k) {
+      Rng expected_rng(seed), rng(seed), skipped(seed);
+      std::vector<int32_t> expected =
+          HeapOracle(items, weights, k, &expected_rng);
+      std::vector<int32_t> got =
+          WeightedSampleWithoutReplacement(items, weights, k, &rng);
+      const int64_t keyed = SkipWeightedSample(weights, k, &skipped);
+      std::sort(expected.begin(), expected.end());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expected) << "seed " << seed << " k " << k;
+      EXPECT_EQ(static_cast<int64_t>(got.size()), std::min(keyed, k));
+      const uint64_t end = expected_rng.Next();
+      EXPECT_EQ(rng.Next(), end) << "seed " << seed << " k " << k;
+      EXPECT_EQ(skipped.Next(), end) << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+// An infinite weight keys log(u) / inf = -0.0, so infinite items tie with
+// one another wherever the cut falls among them.
+TEST(WeightedSamplingTest, AllInfiniteWeightsMatchHeap) {
+  ExpectMatchesHeap(std::vector<float>(12, kInf), 3);
+}
+
+TEST(WeightedSamplingTest, MixedInfiniteAndFiniteWeightsMatchHeap) {
+  ExpectMatchesHeap({1.0f, kInf, 0.5f, 2.0f, kInf, 3.0f, kInf, 0.25f, 1.5f},
+                    5);
+}
+
+TEST(WeightedSamplingTest, ZeroAndNegativeWeightsDrawNothing) {
+  ExpectMatchesHeap({0.0f, 1.0f, -1.0f, 2.0f, -0.0f, 0.5f, 0.0f, kInf,
+                     -kInf, 4.0f},
+                    5);
+  // Nothing keyed: no draw at all, whatever k asks for.
+  Rng rng(7), untouched(7);
+  EXPECT_TRUE(WeightedSampleWithoutReplacement({1, 2}, {0.0f, -2.0f}, 5,
+                                               &rng)
+                  .empty());
+  EXPECT_EQ(rng.Next(), untouched.Next());
+}
+
+// NaN weights draw and key NaN, which only the heap may order.
+TEST(WeightedSamplingTest, NanWeightsMatchHeap) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  ExpectMatchesHeap({1.0f, nan, 2.0f, 0.5f, nan, 3.0f}, 5);
+}
+
+TEST(WeightedSamplingTest, RandomWeightsMatchHeap) {
+  Rng gen(12);
+  std::vector<float> weights(200);
+  // A few weight levels repeat, so keys stay distinct but close.
+  for (float& w : weights) {
+    w = static_cast<float>(gen.NextBounded(5)) * 0.25f;
+  }
+  ExpectMatchesHeap(weights, 3);
 }
 
 }  // namespace
