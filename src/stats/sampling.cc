@@ -12,7 +12,7 @@ namespace kgeval {
 namespace {
 
 /// Whether A-Res keys an item of weight `weight` (and so draws for it).
-bool Keyed(float weight) { return !(static_cast<double>(weight) <= 0.0); }
+bool Keyed(float weight) { return !(weight <= 0.0f); }
 
 /// A-Res in log space: log(u) / w orders items as u^(1/w) does.
 double NextKey(float weight, Rng* rng) {

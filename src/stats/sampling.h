@@ -26,10 +26,11 @@ std::vector<int32_t> SampleFrom(const std::vector<int32_t>& population,
 /// Every item whose weight is not <= 0 (so NaN weights too) takes one
 /// NextDouble(), in item order, and becomes the key log(u) / w; items with
 /// weight <= 0 take none and are never drawn, and k <= 0 draws nothing.
-/// The k largest keys win. Ties at the k-th key resolve as a min-heap of
-/// (key, item) that admits an item only when its key beats the heap's
-/// smallest would: the selection runs that heap whenever such a tie, or a
-/// NaN key, reaches the cut, and nth_element otherwise.
+/// The k largest keys win, taken with nth_element. A tie at the k-th key
+/// is decided as a min-heap of (key, item) decides it, one that admits an
+/// item while it holds fewer than k or when the item's key beats its
+/// smallest: such a tie, or any NaN key, replays the draws through that
+/// heap.
 std::vector<int32_t> WeightedSampleWithoutReplacement(
     const std::vector<int32_t>& items, const std::vector<float>& weights,
     int64_t k, Rng* rng);
