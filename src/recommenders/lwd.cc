@@ -1,6 +1,5 @@
 #include "recommenders/lwd.h"
 
-#include "sched/task_group.h"
 #include "util/timer.h"
 
 namespace kgeval {
@@ -52,67 +51,6 @@ CsrMatrix MembershipBySlot(const Dataset& dataset, bool use_types) {
                    std::move(col_idx), std::move(values));
 }
 
-/// X^T = W^T B^T, the slot-major score matrix, without building X. Row s
-/// adds B^T[j, :] * W[j, s] over ascending j into a dense |E| accumulator:
-/// that is the order SpGemm(B, W) adds each X[e, s] in, so every value has
-/// its bits. A scan emits the nonzeros in entity order. Slots run in
-/// parallel twice, once to count each row's nonzeros and once to write
-/// them, so the output is sized on the calling thread.
-CsrMatrix ScoresBySlot(const CsrMatrix& b_t, const CsrMatrix& w) {
-  const CsrMatrix w_t = w.Transpose();
-  const int64_t num_slots = w_t.rows();
-  const int64_t num_e = b_t.cols();
-  const auto accumulate = [&](int64_t slot, float* acc) {
-    for (int64_t kw = w_t.RowBegin(slot); kw < w_t.RowEnd(slot); ++kw) {
-      const int32_t j = w_t.col_idx()[kw];
-      const float wv = w_t.values()[kw];
-      for (int64_t kb = b_t.RowBegin(j); kb < b_t.RowEnd(j); ++kb) {
-        acc[b_t.col_idx()[kb]] += b_t.values()[kb] * wv;
-      }
-    }
-  };
-  std::vector<int64_t> row_ptr(num_slots + 1, 0);
-  ParallelFor(
-      0, static_cast<size_t>(num_slots),
-      [&](size_t lo, size_t hi) {
-        std::vector<float> acc(num_e, 0.0f);
-        for (size_t slot = lo; slot < hi; ++slot) {
-          accumulate(static_cast<int64_t>(slot), acc.data());
-          int64_t nnz = 0;
-          for (float& v : acc) {
-            nnz += v != 0.0f;
-            v = 0.0f;
-          }
-          row_ptr[slot + 1] = nnz;
-        }
-      },
-      /*min_chunk=*/1);
-  for (int64_t slot = 0; slot < num_slots; ++slot) {
-    row_ptr[slot + 1] += row_ptr[slot];
-  }
-  std::vector<int32_t> col_idx(row_ptr[num_slots]);
-  std::vector<float> values(row_ptr[num_slots]);
-  ParallelFor(
-      0, static_cast<size_t>(num_slots),
-      [&](size_t lo, size_t hi) {
-        std::vector<float> acc(num_e, 0.0f);
-        for (size_t slot = lo; slot < hi; ++slot) {
-          accumulate(static_cast<int64_t>(slot), acc.data());
-          int64_t pos = row_ptr[slot];
-          for (int64_t e = 0; e < num_e; ++e) {
-            if (acc[e] == 0.0f) continue;
-            col_idx[pos] = static_cast<int32_t>(e);
-            values[pos] = acc[e];
-            ++pos;
-            acc[e] = 0.0f;
-          }
-        }
-      },
-      /*min_chunk=*/1);
-  return CsrMatrix(num_slots, num_e, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
-}
-
 }  // namespace
 
 Result<RecommenderScores> LwdRecommender::Fit(const Dataset& dataset) {
@@ -131,8 +69,10 @@ Result<RecommenderScores> LwdRecommender::Fit(const Dataset& dataset) {
   if (use_types_) w = SliceColumns(w, dr_cols);
 
   // X = B W: per-entity aggregated confidence of belonging to each slot,
-  // built slot-major as X^T.
-  return RecommenderScores{type(), ScoresBySlot(b_t, w), timer.Seconds()};
+  // built slot-major as X^T = W^T B^T. Row s adds B^T[j, :] * W[j, s] over
+  // ascending j, the order the entity-major B W adds each X[e, s] in.
+  return RecommenderScores{type(), SpGemm(w.Transpose(), b_t),
+                           timer.Seconds()};
 }
 
 }  // namespace kgeval

@@ -59,55 +59,59 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b) {
   KGEVAL_CHECK_EQ(a.cols(), b.rows());
   const int64_t out_rows = a.rows();
   const int64_t out_cols = b.cols();
-  // Per-row results computed independently, then stitched into CSR.
-  std::vector<std::vector<int32_t>> row_cols(out_rows);
-  std::vector<std::vector<float>> row_vals(out_rows);
-
-  ParallelFor(0, static_cast<size_t>(out_rows), [&](size_t lo, size_t hi) {
-    std::vector<float> accumulator(out_cols, 0.0f);
-    std::vector<int32_t> touched;
-    for (size_t r = lo; r < hi; ++r) {
-      touched.clear();
-      for (int64_t ka = a.RowBegin(r); ka < a.RowEnd(r); ++ka) {
-        const int32_t mid = a.col_idx()[ka];
-        const float av = a.values()[ka];
-        for (int64_t kb = b.RowBegin(mid); kb < b.RowEnd(mid); ++kb) {
-          const int32_t c = b.col_idx()[kb];
-          if (accumulator[c] == 0.0f) touched.push_back(c);
-          accumulator[c] += av * b.values()[kb];
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      auto& cols_out = row_cols[r];
-      auto& vals_out = row_vals[r];
-      cols_out.reserve(touched.size());
-      vals_out.reserve(touched.size());
-      for (int32_t c : touched) {
-        // Keep exact zeros out of the structure (cancellation is possible
-        // in principle, though not with the non-negative L-WD inputs).
-        if (accumulator[c] != 0.0f) {
-          cols_out.push_back(c);
-          vals_out.push_back(accumulator[c]);
-        }
-        accumulator[c] = 0.0f;
+  // Computes row r into the dense accumulator `acc`, adding A[r, mid] *
+  // B[mid, :] over ascending mid, so each value is one float sum in a fixed
+  // order. Then scans `acc`, calls visit(c, value) for its nonzeros in
+  // ascending c and zeroes it again. Exact zeros stay out of the structure
+  // (cancellation is possible in principle, though not with the
+  // non-negative L-WD inputs).
+  const auto row_nonzeros = [&](int64_t r, float* acc, const auto& visit) {
+    for (int64_t ka = a.RowBegin(r); ka < a.RowEnd(r); ++ka) {
+      const int32_t mid = a.col_idx()[ka];
+      const float av = a.values()[ka];
+      for (int64_t kb = b.RowBegin(mid); kb < b.RowEnd(mid); ++kb) {
+        acc[b.col_idx()[kb]] += av * b.values()[kb];
       }
     }
-  });
-
+    for (int32_t c = 0; c < out_cols; ++c) {
+      if (acc[c] == 0.0f) continue;
+      visit(c, acc[c]);
+      acc[c] = 0.0f;
+    }
+  };
+  // Rows run twice, once to count their nonzeros and once to write them,
+  // so the output is sized on the calling thread.
   std::vector<int64_t> row_ptr(out_rows + 1, 0);
-  for (int64_t r = 0; r < out_rows; ++r) {
-    row_ptr[r + 1] = row_ptr[r] + static_cast<int64_t>(row_cols[r].size());
-  }
+  ParallelFor(
+      0, static_cast<size_t>(out_rows),
+      [&](size_t lo, size_t hi) {
+        std::vector<float> acc(out_cols, 0.0f);
+        for (size_t r = lo; r < hi; ++r) {
+          int64_t nnz = 0;
+          row_nonzeros(static_cast<int64_t>(r), acc.data(),
+                       [&](int32_t, float) { ++nnz; });
+          row_ptr[r + 1] = nnz;
+        }
+      },
+      /*min_chunk=*/1);
+  for (int64_t r = 0; r < out_rows; ++r) row_ptr[r + 1] += row_ptr[r];
   std::vector<int32_t> col_idx(row_ptr[out_rows]);
   std::vector<float> values(row_ptr[out_rows]);
-  ParallelFor(0, static_cast<size_t>(out_rows), [&](size_t lo, size_t hi) {
-    for (size_t r = lo; r < hi; ++r) {
-      std::copy(row_cols[r].begin(), row_cols[r].end(),
-                col_idx.begin() + row_ptr[r]);
-      std::copy(row_vals[r].begin(), row_vals[r].end(),
-                values.begin() + row_ptr[r]);
-    }
-  });
+  ParallelFor(
+      0, static_cast<size_t>(out_rows),
+      [&](size_t lo, size_t hi) {
+        std::vector<float> acc(out_cols, 0.0f);
+        for (size_t r = lo; r < hi; ++r) {
+          int64_t pos = row_ptr[r];
+          row_nonzeros(static_cast<int64_t>(r), acc.data(),
+                       [&](int32_t c, float value) {
+                         col_idx[pos] = c;
+                         values[pos] = value;
+                         ++pos;
+                       });
+        }
+      },
+      /*min_chunk=*/1);
   return CsrMatrix(out_rows, out_cols, std::move(row_ptr), std::move(col_idx),
                    std::move(values));
 }

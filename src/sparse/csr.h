@@ -49,7 +49,11 @@ class CsrMatrix {
 };
 
 /// Sparse general matrix multiply C = A * B (Gustavson's algorithm with a
-/// dense per-row accumulator; parallelized over rows of A).
+/// dense per-row accumulator; parallelized over rows of A). Each C[r, c]
+/// sums A[r, k] * B[k, c] over ascending k, whatever the thread count, and
+/// C is sized on the calling thread from a first counting pass. Each pass
+/// scans every accumulator row, O(rows x cols): L-WD's products, the only
+/// callers, fill most of it.
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b);
 
 }  // namespace kgeval

@@ -173,5 +173,34 @@ TEST(SpGemmTest, GramMatrixIsSymmetric) {
   }
 }
 
+TEST(SpGemmTest, RowsAreAscendingWithoutZeros) {
+  Rng rng(25);
+  const CsrMatrix a = RandomSparse(50, 40, 0.1, &rng);
+  const CsrMatrix b = RandomSparse(40, 70, 0.1, &rng);
+  const CsrMatrix c = SpGemm(a, b);
+  for (int64_t r = 0; r < c.rows(); ++r) {
+    for (int64_t k = c.RowBegin(r); k < c.RowEnd(r); ++k) {
+      EXPECT_NE(c.values()[k], 0.0f);
+      if (k > c.RowBegin(r)) {
+        EXPECT_LT(c.col_idx()[k - 1], c.col_idx()[k]);
+      }
+    }
+  }
+}
+
+// A column that cancels to zero and turns nonzero again is stored once;
+// one that ends at zero is not stored.
+TEST(SpGemmTest, CancelledColumnsStoredOnceOrNotAtAll) {
+  const CsrMatrix a = FromDense({{1.0f, 1.0f, 1.0f}, {1.0f, 1.0f, 0.0f}}, 3);
+  const CsrMatrix b =
+      FromDense({{0.0f, 1.0f, 0.0f}, {0.0f, -1.0f, 0.0f}, {0.0f, 1.0f, 0.0f}},
+                3);
+  const CsrMatrix c = SpGemm(a, b);
+  ASSERT_EQ(c.nnz(), 1);
+  EXPECT_EQ(c.RowEnd(0), 1);
+  EXPECT_EQ(c.col_idx()[0], 1);
+  EXPECT_EQ(c.values()[0], 1.0f);
+}
+
 }  // namespace
 }  // namespace kgeval
