@@ -46,6 +46,9 @@ class RelationRecommender {
 
   /// Fits on dataset.train() and returns the score matrix. Must be
   /// deterministic given the dataset and the recommender's own seed.
+  /// Every stored score is > 0, and every (slot, entity) observed in train
+  /// is stored: BuildProbabilisticSets uses the rows as the sets as they
+  /// are.
   virtual Result<RecommenderScores> Fit(const Dataset& dataset) = 0;
 };
 

@@ -277,6 +277,12 @@ TEST(EasyNegativesTest, MaxExamplesCap) {
   EXPECT_LE(report.examples.size(), 3u);
 }
 
+uint32_t FloatBits(float value) {
+  uint32_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 /// FNV-1a over little-endian 64-bit words: sizes, ids and float bits.
 class Fnv1a {
  public:
@@ -286,11 +292,7 @@ class Fnv1a {
       hash_ *= 0x100000001B3ULL;
     }
   }
-  void AddFloat(float value) {
-    uint32_t bits;
-    std::memcpy(&bits, &value, sizeof(bits));
-    Add(bits);
-  }
+  void AddFloat(float value) { Add(FloatBits(value)); }
   void AddInts(const std::vector<int32_t>& values) {
     Add(values.size());
     for (int32_t v : values) Add(static_cast<uint32_t>(v));
@@ -380,6 +382,41 @@ TEST_P(RecommenderParamTest, GoldenDigests) {
   EXPECT_EQ(probabilistic_sets, golden.probabilistic_sets)
       << std::hex << std::uppercase << "probabilistic 0x"
       << probabilistic_sets;
+}
+
+// The contract BuildProbabilisticSets relies on (see
+// RelationRecommender::Fit): every stored score is positive and every
+// train-seen (slot, entity) is stored, so the Probabilistic sets are the
+// score rows themselves, ids and weight bits.
+TEST_P(RecommenderParamTest, ScoresEveryTrainSeenEntityPositively) {
+  const Dataset d = CodexS();
+  const RecommenderScores scores =
+      CreateRecommender(GetParam())->Fit(d).ValueOrDie();
+  const CsrMatrix& x = scores.by_set;
+  for (float v : x.values()) ASSERT_GT(v, 0.0f);
+  const CsrMatrix seen = ObservedSlots(d, {Split::kTrain});
+  ASSERT_EQ(seen.rows(), x.rows());
+  for (int64_t slot = 0; slot < seen.rows(); ++slot) {
+    const auto row_begin = x.col_idx().begin() + x.RowBegin(slot);
+    const auto row_end = x.col_idx().begin() + x.RowEnd(slot);
+    for (int64_t k = seen.RowBegin(slot); k < seen.RowEnd(slot); ++k) {
+      ASSERT_TRUE(std::binary_search(row_begin, row_end, seen.col_idx()[k]))
+          << "slot " << slot << " entity " << seen.col_idx()[k];
+    }
+  }
+  const CandidateSets sets = BuildProbabilisticSets(scores, d);
+  ASSERT_EQ(sets.num_slots(), x.rows());
+  for (int32_t slot = 0; slot < sets.num_slots(); ++slot) {
+    const std::vector<int32_t> ids(x.col_idx().begin() + x.RowBegin(slot),
+                                   x.col_idx().begin() + x.RowEnd(slot));
+    ASSERT_EQ(sets.sets[slot], ids) << "slot " << slot;
+    ASSERT_EQ(sets.weights[slot].size(), ids.size()) << "slot " << slot;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_EQ(FloatBits(sets.weights[slot][i]),
+                FloatBits(x.values()[x.RowBegin(slot) + i]))
+          << "slot " << slot << " entity " << ids[i];
+    }
+  }
 }
 
 }  // namespace
