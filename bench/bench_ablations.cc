@@ -57,9 +57,8 @@ void WeightAblation(const Dataset& dataset, const FilterIndex& filter,
       } else {
         // Same support, uniform weights: rebuild pools with weight 1.
         CandidateSets uniform = framework->sets();
-        for (auto& w : uniform.weights) {
-          std::fill(w.begin(), w.end(), 1.0f);
-        }
+        std::vector<float>& weights = uniform.members.mutable_values();
+        std::fill(weights.begin(), weights.end(), 1.0f);
         Rng rng(3);
         const SampledCandidates pools = DrawCandidates(
             SamplingStrategy::kProbabilistic, &uniform,
@@ -95,11 +94,9 @@ void ThresholdAblation(const Dataset& dataset, const FilterIndex& filter,
     if (optimized) {
       sets = BuildStaticSets(scores, dataset);
     } else {
-      // Keep every nonzero-score entity: the probabilistic support,
-      // unweighted.
+      // Keep every nonzero-score entity: the probabilistic support, drawn
+      // uniformly because a Static draw ignores the weights.
       sets = BuildProbabilisticSets(scores, dataset);
-      sets.weights.clear();
-      sets.weights.resize(sets.sets.size());
     }
     Rng rng(4);
     const SampledCandidates pools = DrawCandidates(

@@ -1,64 +1,13 @@
 #include "core/candidate_sets.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <utility>
 
-#include "sched/task_group.h"
 #include "util/logging.h"
 
 namespace kgeval {
 namespace {
-
-/// The sorted entity ids of one row of an ObservedSlots matrix.
-struct SlotRow {
-  const int32_t* first;
-  const int32_t* last;
-  const int32_t* begin() const { return first; }
-  const int32_t* end() const { return last; }
-  size_t size() const { return static_cast<size_t>(last - first); }
-  bool Contains(int32_t entity) const {
-    return std::binary_search(first, last, entity);
-  }
-};
-
-SlotRow RowOf(const CsrMatrix& m, int64_t slot) {
-  const int32_t* ids = m.col_idx().data();
-  return {ids + m.RowBegin(slot), ids + m.RowEnd(slot)};
-}
-
-/// One Probabilistic set: the positive scores of row `slot` of `by_set`
-/// merged in entity order with `seen` (the slot's train-seen entities, or
-/// none). Entities only known from train keep at least the smallest
-/// positive weight so they can always be drawn.
-void MergeSlot(const CsrMatrix& by_set, int64_t slot, SlotRow seen,
-               std::vector<int32_t>* members, std::vector<float>* weights) {
-  const int64_t begin = by_set.RowBegin(slot);
-  const int64_t end = by_set.RowEnd(slot);
-  const float* values = by_set.values().data();
-  const int32_t* cols = by_set.col_idx().data();
-  float min_positive = std::numeric_limits<float>::infinity();
-  for (int64_t k = begin; k < end; ++k) {
-    if (values[k] > 0.0f) min_positive = std::min(min_positive, values[k]);
-  }
-  const float floor_weight = std::isfinite(min_positive) ? min_positive : 1.0f;
-  const auto add = [&](int32_t entity, float w) {
-    members->push_back(entity);
-    weights->push_back(w);
-  };
-  const int32_t* s = seen.begin();
-  for (int64_t k = begin; k < end; ++k) {
-    if (values[k] <= 0.0f) continue;
-    for (; s != seen.end() && *s < cols[k]; ++s) add(*s, floor_weight);
-    if (s != seen.end() && *s == cols[k]) {
-      add(cols[k], std::max(values[k], floor_weight));
-      ++s;
-    } else {
-      add(cols[k], values[k]);
-    }
-  }
-  for (; s != seen.end(); ++s) add(*s, floor_weight);
-}
 
 /// Quantile thresholds tried per column by BuildStaticSets.
 constexpr int32_t kStaticThresholdGrid = 24;
@@ -66,13 +15,14 @@ constexpr int32_t kStaticThresholdGrid = 24;
 }  // namespace
 
 double CandidateSets::MacroReductionRate() const {
-  if (sets.empty() || num_entities == 0) return 0.0;
+  if (num_slots() == 0 || num_entities() == 0) return 0.0;
   double acc = 0.0;
-  for (const auto& s : sets) {
-    acc += 1.0 - static_cast<double>(s.size()) /
-                     static_cast<double>(num_entities);
+  for (int64_t slot = 0; slot < members.rows(); ++slot) {
+    acc += 1.0 - static_cast<double>(members.RowEnd(slot) -
+                                     members.RowBegin(slot)) /
+                     static_cast<double>(num_entities());
   }
-  return acc / static_cast<double>(sets.size());
+  return acc / static_cast<double>(num_slots());
 }
 
 CandidateSets BuildStaticSets(const RecommenderScores& scores,
@@ -87,9 +37,10 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
   const CsrMatrix valid = ObservedSlots(dataset, {Split::kValid});
 
   CandidateSets out;
-  out.sets.resize(num_slots);
   out.thresholds.assign(num_slots, 0.0f);
-  out.num_entities = num_e;
+  std::vector<int64_t> row_ptr = {0};
+  row_ptr.reserve(static_cast<size_t>(num_slots) + 1);
+  std::vector<int32_t> ids;
 
   for (int32_t slot = 0; slot < num_slots; ++slot) {
     const int64_t begin = by_set.RowBegin(slot);
@@ -106,7 +57,8 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
     std::sort(entries.begin(), entries.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
 
-    const SlotRow seen_set = RowOf(seen, slot);
+    const int32_t* seen_begin = seen.col_idx().data() + seen.RowBegin(slot);
+    const int32_t* seen_end = seen.col_idx().data() + seen.RowEnd(slot);
 
     // Candidate thresholds: a quantile grid over the distinct scores.
     std::vector<float> grid;
@@ -127,15 +79,18 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
     // Precompute how many seen entities sit at each score level so the
     // union size |{score >= tau} ∪ seen| is O(1) per threshold.
     std::vector<float> seen_scores;
-    seen_scores.reserve(seen_set.size());
-    for (int32_t e : seen_set) seen_scores.push_back(by_set.At(slot, e));
+    seen_scores.reserve(static_cast<size_t>(seen_end - seen_begin));
+    for (const int32_t* e = seen_begin; e != seen_end; ++e) {
+      seen_scores.push_back(by_set.At(slot, *e));
+    }
     std::sort(seen_scores.begin(), seen_scores.end(),
               std::greater<float>());
     std::vector<float> valid_scores;
     std::vector<bool> valid_seen;
-    for (int32_t e : RowOf(valid, slot)) {
+    for (int64_t k = valid.RowBegin(slot); k < valid.RowEnd(slot); ++k) {
+      const int32_t e = valid.col_idx()[k];
       valid_scores.push_back(by_set.At(slot, e));
-      valid_seen.push_back(seen_set.Contains(e));
+      valid_seen.push_back(std::binary_search(seen_begin, seen_end, e));
     }
 
     float best_tau = entries.empty() ? 0.0f : entries.back().first;
@@ -177,48 +132,28 @@ CandidateSets BuildStaticSets(const RecommenderScores& scores,
       if (score >= best_tau) members.push_back(entity);
     }
     std::sort(members.begin(), members.end());
-    std::set_union(members.begin(), members.end(), seen_set.begin(),
-                   seen_set.end(), std::back_inserter(out.sets[slot]));
+    std::set_union(members.begin(), members.end(), seen_begin, seen_end,
+                   std::back_inserter(ids));
+    row_ptr.push_back(static_cast<int64_t>(ids.size()));
     out.thresholds[slot] = best_tau;
   }
+  std::vector<float> ones(ids.size(), 1.0f);
+  out.members = CsrMatrix(num_slots, num_e, std::move(row_ptr), std::move(ids),
+                          std::move(ones));
   return out;
 }
 
-CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
+CandidateSets BuildProbabilisticSets(RecommenderScores scores,
                                      const Dataset& dataset,
-                                     bool include_seen) {
-  const int32_t num_r = dataset.num_relations();
-  const int32_t num_slots = 2 * num_r;
+                                     bool /*include_seen*/) {
   const CsrMatrix& by_set = scores.by_set;
-  KGEVAL_CHECK_EQ(by_set.rows(), num_slots);
-
-  const CsrMatrix seen = ObservedSlots(dataset, {Split::kTrain});
-
-  CandidateSets out;
-  out.sets.resize(num_slots);
-  out.weights.resize(num_slots);
-  out.num_entities = dataset.num_entities();
-  // The sets outlive the build, so they are sized here on the calling
-  // thread, for the most a slot's merge can emit; the slots then fill them
-  // in parallel.
-  for (int32_t slot = 0; slot < num_slots; ++slot) {
-    const size_t most =
-        static_cast<size_t>(by_set.RowEnd(slot) - by_set.RowBegin(slot)) +
-        (include_seen ? RowOf(seen, slot).size() : 0);
-    out.sets[slot].reserve(most);
-    out.weights[slot].reserve(most);
+  KGEVAL_CHECK_EQ(by_set.rows(), 2 * dataset.num_relations());
+  KGEVAL_CHECK_EQ(by_set.cols(), dataset.num_entities());
+  for (float v : by_set.values()) {
+    KGEVAL_CHECK(v > 0.0f) << "recommender stored a score of " << v;
   }
-  ParallelFor(
-      0, static_cast<size_t>(num_slots),
-      [&](size_t lo, size_t hi) {
-        for (size_t slot = lo; slot < hi; ++slot) {
-          const auto row = static_cast<int64_t>(slot);
-          MergeSlot(by_set, row,
-                    include_seen ? RowOf(seen, row) : SlotRow{nullptr, nullptr},
-                    &out.sets[slot], &out.weights[slot]);
-        }
-      },
-      /*min_chunk=*/1);
+  CandidateSets out;
+  out.members = std::move(scores.by_set);
   return out;
 }
 
@@ -228,20 +163,25 @@ SetQuality EvaluateSetQuality(const CandidateSets& sets,
       ObservedSlots(dataset, {Split::kTrain, Split::kValid});
   const CsrMatrix test = ObservedSlots(dataset, {Split::kTest});
 
+  KGEVAL_CHECK_EQ(sets.num_slots(), test.rows());
+  const std::vector<int32_t>& members = sets.members.col_idx();
+
   SetQuality q;
   double rr_acc = 0.0;
   // Every distinct test (slot, entity) pair once, slot by slot.
   for (int32_t slot = 0; slot < test.rows(); ++slot) {
-    const auto& members = sets.sets[slot];
-    const double rr = 1.0 - static_cast<double>(members.size()) /
-                                static_cast<double>(sets.num_entities);
-    const SlotRow seen_set = RowOf(seen, slot);
-    for (int32_t entity : RowOf(test, slot)) {
-      const bool covered =
-          std::binary_search(members.begin(), members.end(), entity);
+    const auto set_begin = members.begin() + sets.members.RowBegin(slot);
+    const auto set_end = members.begin() + sets.members.RowEnd(slot);
+    const double rr = 1.0 - static_cast<double>(set_end - set_begin) /
+                                static_cast<double>(sets.num_entities());
+    const auto seen_begin = seen.col_idx().begin() + seen.RowBegin(slot);
+    const auto seen_end = seen.col_idx().begin() + seen.RowEnd(slot);
+    for (int64_t k = test.RowBegin(slot); k < test.RowEnd(slot); ++k) {
+      const int32_t entity = test.col_idx()[k];
+      const bool covered = std::binary_search(set_begin, set_end, entity);
       ++q.total_pairs;
       if (covered) ++q.covered_pairs;
-      if (!seen_set.Contains(entity)) {
+      if (!std::binary_search(seen_begin, seen_end, entity)) {
         ++q.total_unseen;
         if (covered) ++q.covered_unseen;
       }

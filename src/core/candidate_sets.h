@@ -6,23 +6,22 @@
 
 #include "graph/dataset.h"
 #include "recommenders/recommender.h"
+#include "sparse/csr.h"
 
 namespace kgeval {
 
 /// Narrow per-relation head/tail candidate sets (the "domains & ranges" of
-/// Section 4.1). Index layout matches the score matrix: [0, |R|) domains,
-/// [|R|, 2|R|) ranges.
+/// Section 4.1), one row per slot in the score matrix's layout: [0, |R|)
+/// domains, [|R|, 2|R|) ranges.
 struct CandidateSets {
-  /// Per slot: sorted candidate entity ids.
-  std::vector<std::vector<int32_t>> sets;
-  /// Per slot: sampling weights aligned with `sets`. Empty when the sets are
-  /// meant for uniform (Static) sampling.
-  std::vector<std::vector<float>> weights;
+  /// Row = slot, col_idx = its sorted candidate entity ids, values = their
+  /// sampling weights (1 for Static sets, which are sampled uniformly).
+  CsrMatrix members;
   /// Per slot: the threshold chosen by the optimizer (Static only).
   std::vector<float> thresholds;
-  int32_t num_entities = 0;
 
-  int32_t num_slots() const { return static_cast<int32_t>(sets.size()); }
+  int32_t num_entities() const { return static_cast<int32_t>(members.cols()); }
+  int32_t num_slots() const { return static_cast<int32_t>(members.rows()); }
 
   /// Mean over slots of 1 - |set| / |E|.
   double MacroReductionRate() const;
@@ -37,10 +36,14 @@ struct CandidateSets {
 CandidateSets BuildStaticSets(const RecommenderScores& scores,
                               const Dataset& dataset);
 
-/// Probabilistic sampling sets: all positively-scored entities per column,
-/// with the scores as sampling weights. Train-observed entities are always
-/// included (with at least the column's minimum positive weight).
-CandidateSets BuildProbabilisticSets(const RecommenderScores& scores,
+/// Probabilistic sampling sets: every scored entity of a slot, with its
+/// score as the sampling weight. These are `scores.by_set` itself, moved
+/// in (pass an rvalue to avoid the copy). RelationRecommender::Fit's
+/// contract makes every score positive and stores every train-observed
+/// entity, so the sets hold the train-seen entities whatever
+/// `include_seen` says; it is ignored. Dies on a non-positive score or a
+/// shape that does not match `dataset`.
+CandidateSets BuildProbabilisticSets(RecommenderScores scores,
                                      const Dataset& dataset,
                                      bool include_seen = true);
 
@@ -59,6 +62,7 @@ struct SetQuality {
   int64_t covered_unseen = 0;
 };
 
+/// Dies unless `sets` has one row per slot of `dataset`.
 SetQuality EvaluateSetQuality(const CandidateSets& sets,
                               const Dataset& dataset);
 

@@ -34,7 +34,9 @@ Result<std::unique_ptr<EvaluationFramework>> EvaluationFramework::Build(
     if (options.strategy == SamplingStrategy::kStatic) {
       fw->sets_ = BuildStaticSets(scores.ValueOrDie(), *dataset);
     } else {
-      fw->sets_ = BuildProbabilisticSets(scores.ValueOrDie(), *dataset);
+      // The score rows become the sets: moved in, not copied.
+      fw->sets_ =
+          BuildProbabilisticSets(std::move(scores).ValueOrDie(), *dataset);
     }
   }
   fw->build_seconds_ = timer.Seconds();

@@ -57,24 +57,24 @@ SampledCandidates DrawCandidates(SamplingStrategy strategy,
   // Every pool is sized here because it outlives the draw.
   std::vector<Rng> starts;
   if (weighted) starts.reserve(slots.size());
+  const CsrMatrix* members = sets != nullptr ? &sets->members : nullptr;
   for (int32_t slot : slots) {
     std::vector<int32_t>& pool = out.pools[slot];
-    switch (strategy) {
-      case SamplingStrategy::kRandom:
-        pool = SampleWithoutReplacement(num_entities, n_s, rng);
-        break;
-      case SamplingStrategy::kStatic:
-        // Theorem 1's restriction: n_s,r = min(n_s, |set|).
-        pool = SampleFrom(sets->sets[slot], n_s, rng);
-        break;
-      case SamplingStrategy::kProbabilistic: {
-        starts.push_back(*rng);
-        const int64_t keyed =
-            SkipWeightedSample(sets->weights[slot], n_s, rng);
-        pool.reserve(
-            static_cast<size_t>(std::max<int64_t>(0, std::min(keyed, n_s))));
-        break;
-      }
+    if (strategy == SamplingStrategy::kRandom) {
+      pool = SampleWithoutReplacement(num_entities, n_s, rng);
+      continue;
+    }
+    const int64_t begin = members->RowBegin(slot);
+    const int64_t size = members->RowEnd(slot) - begin;
+    if (weighted) {
+      starts.push_back(*rng);
+      const int64_t keyed =
+          SkipWeightedSample(members->values().data() + begin, size, n_s, rng);
+      pool.reserve(
+          static_cast<size_t>(std::max<int64_t>(0, std::min(keyed, n_s))));
+    } else {
+      // Theorem 1's restriction: n_s,r = min(n_s, |set|).
+      pool = SampleFrom(members->col_idx().data() + begin, size, n_s, rng);
     }
   }
   ParallelFor(
@@ -84,9 +84,12 @@ SampledCandidates DrawCandidates(SamplingStrategy strategy,
           const int32_t slot = slots[i];
           std::vector<int32_t>& pool = out.pools[slot];
           if (weighted) {
+            const int64_t begin = members->RowBegin(slot);
             const std::vector<int32_t> drawn =
                 WeightedSampleWithoutReplacement(
-                    sets->sets[slot], sets->weights[slot], n_s, &starts[i]);
+                    members->col_idx().data() + begin,
+                    members->values().data() + begin,
+                    members->RowEnd(slot) - begin, n_s, &starts[i]);
             pool.assign(drawn.begin(), drawn.end());
           }
           std::sort(pool.begin(), pool.end());

@@ -37,9 +37,9 @@ std::vector<int32_t> NeededSlots(const Dataset& dataset, Split split);
 /// - kRandom ignores `sets` (may be null) and samples uniformly from all
 ///   entities.
 /// - kStatic requires `sets` (thresholded) and draws min(n_s, |set|)
-///   uniformly within each set.
-/// - kProbabilistic requires `sets` with weights and draws up to n_s
-///   entities without replacement, proportional to the recommender scores.
+///   uniformly within each set; the weights are ignored.
+/// - kProbabilistic requires `sets` and draws up to n_s entities without
+///   replacement, by their weights (the recommender scores).
 SampledCandidates DrawCandidates(SamplingStrategy strategy,
                                  const CandidateSets* sets,
                                  int32_t num_entities, int64_t n_s,

@@ -25,14 +25,13 @@ double NextKey(float weight, Rng* rng) {
 /// holds fewer than k, or when its key beats the smallest. This decides
 /// every tie at the k-th key, so WeightedSampleWithoutReplacement falls
 /// back to it when one reaches the cut.
-std::vector<int32_t> HeapSample(const std::vector<int32_t>& items,
-                                const std::vector<float>& weights, int64_t k,
-                                Rng* rng) {
+std::vector<int32_t> HeapSample(const int32_t* items, const float* weights,
+                                int64_t count, int64_t k, Rng* rng) {
   using HeapEntry = std::pair<double, int32_t>;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       heap;
-  for (size_t i = 0; i < items.size(); ++i) {
+  for (int64_t i = 0; i < count; ++i) {
     if (!Keyed(weights[i])) continue;
     const double key = NextKey(weights[i], rng);
     if (static_cast<int64_t>(heap.size()) < k) {
@@ -74,27 +73,26 @@ std::vector<int32_t> SampleWithoutReplacement(int64_t n, int64_t k, Rng* rng) {
   return out;
 }
 
-std::vector<int32_t> SampleFrom(const std::vector<int32_t>& population,
+std::vector<int32_t> SampleFrom(const int32_t* population, int64_t size,
                                 int64_t k, Rng* rng) {
-  if (k >= static_cast<int64_t>(population.size())) return population;
-  std::vector<int32_t> idx =
-      SampleWithoutReplacement(static_cast<int64_t>(population.size()), k, rng);
+  if (k >= size) return std::vector<int32_t>(population, population + size);
+  std::vector<int32_t> idx = SampleWithoutReplacement(size, k, rng);
   std::vector<int32_t> out;
   out.reserve(idx.size());
   for (int32_t i : idx) out.push_back(population[i]);
   return out;
 }
 
-std::vector<int32_t> WeightedSampleWithoutReplacement(
-    const std::vector<int32_t>& items, const std::vector<float>& weights,
-    int64_t k, Rng* rng) {
-  KGEVAL_CHECK_EQ(items.size(), weights.size());
+std::vector<int32_t> WeightedSampleWithoutReplacement(const int32_t* items,
+                                                      const float* weights,
+                                                      int64_t count, int64_t k,
+                                                      Rng* rng) {
   if (k <= 0) return {};
   const Rng start = *rng;
   std::vector<std::pair<double, int32_t>> keyed;
-  keyed.reserve(items.size());
+  keyed.reserve(static_cast<size_t>(count));
   bool has_nan = false;
-  for (size_t i = 0; i < items.size(); ++i) {
+  for (int64_t i = 0; i < count; ++i) {
     if (!Keyed(weights[i])) continue;
     const double key = NextKey(weights[i], rng);
     has_nan |= std::isnan(key);
@@ -126,15 +124,15 @@ std::vector<int32_t> WeightedSampleWithoutReplacement(
   }
   // Replays the same draws, so `rng` ends where it is now.
   Rng replay = start;
-  return HeapSample(items, weights, k, &replay);
+  return HeapSample(items, weights, count, k, &replay);
 }
 
-int64_t SkipWeightedSample(const std::vector<float>& weights, int64_t k,
+int64_t SkipWeightedSample(const float* weights, int64_t count, int64_t k,
                            Rng* rng) {
   if (k <= 0) return 0;
   int64_t keyed = 0;
-  for (float w : weights) {
-    if (!Keyed(w)) continue;
+  for (int64_t i = 0; i < count; ++i) {
+    if (!Keyed(weights[i])) continue;
     rng->Next();
     ++keyed;
   }

@@ -31,13 +31,46 @@ RecommenderScores LwdScores(const Dataset& dataset) {
   return CreateRecommender(RecommenderType::kLwd)->Fit(dataset).ValueOrDie();
 }
 
+/// Candidate sets over `num_entities` entities with one row per slot,
+/// weighted by `weights` (same shape), or all 1 when `weights` is empty.
+CandidateSets MakeSets(int32_t num_entities,
+                       const std::vector<std::vector<int32_t>>& rows,
+                       const std::vector<std::vector<float>>& weights = {}) {
+  std::vector<int64_t> row_ptr = {0};
+  std::vector<int32_t> ids;
+  std::vector<float> values;
+  for (size_t slot = 0; slot < rows.size(); ++slot) {
+    ids.insert(ids.end(), rows[slot].begin(), rows[slot].end());
+    if (weights.empty()) {
+      values.resize(ids.size(), 1.0f);
+    } else {
+      values.insert(values.end(), weights[slot].begin(), weights[slot].end());
+    }
+    row_ptr.push_back(static_cast<int64_t>(ids.size()));
+  }
+  CandidateSets sets;
+  sets.members = CsrMatrix(static_cast<int64_t>(rows.size()), num_entities,
+                           std::move(row_ptr), std::move(ids),
+                           std::move(values));
+  return sets;
+}
+
+/// Slot `slot`'s sorted entity ids.
+std::vector<int32_t> Members(const CandidateSets& sets, int64_t slot) {
+  const auto& ids = sets.members.col_idx();
+  return {ids.begin() + sets.members.RowBegin(slot),
+          ids.begin() + sets.members.RowEnd(slot)};
+}
+
 // --- Candidate sets -----------------------------------------------------------
 
 TEST(StaticSetsTest, SetsAreSortedSubsets) {
   const Dataset d = SynthDataset();
   const CandidateSets sets = BuildStaticSets(LwdScores(d), d);
   ASSERT_EQ(sets.num_slots(), 2 * d.num_relations());
-  for (const auto& set : sets.sets) {
+  EXPECT_EQ(sets.num_entities(), d.num_entities());
+  for (int32_t slot = 0; slot < sets.num_slots(); ++slot) {
+    const std::vector<int32_t> set = Members(sets, slot);
     EXPECT_TRUE(std::is_sorted(set.begin(), set.end()));
     if (!set.empty()) {
       EXPECT_GE(set.front(), 0);
@@ -52,11 +85,10 @@ TEST(StaticSetsTest, IncludeSeenCoversTrain) {
   const int32_t num_r = d.num_relations();
   for (size_t i = 0; i < std::min<size_t>(d.train().size(), 300); ++i) {
     const Triple& t = d.train()[i];
-    EXPECT_TRUE(std::binary_search(sets.sets[t.relation].begin(),
-                                   sets.sets[t.relation].end(), t.head));
-    EXPECT_TRUE(std::binary_search(sets.sets[t.relation + num_r].begin(),
-                                   sets.sets[t.relation + num_r].end(),
-                                   t.tail));
+    const std::vector<int32_t> domain = Members(sets, t.relation);
+    const std::vector<int32_t> range = Members(sets, t.relation + num_r);
+    EXPECT_TRUE(std::binary_search(domain.begin(), domain.end(), t.head));
+    EXPECT_TRUE(std::binary_search(range.begin(), range.end(), t.tail));
   }
 }
 
@@ -70,11 +102,11 @@ TEST(StaticSetsTest, ReductionRatePositive) {
 TEST(ProbabilisticSetsTest, WeightsAlignedAndPositive) {
   const Dataset d = SynthDataset();
   const CandidateSets sets = BuildProbabilisticSets(LwdScores(d), d);
+  ASSERT_EQ(sets.num_slots(), 2 * d.num_relations());
+  for (float w : sets.members.values()) EXPECT_GT(w, 0.0f);
   for (int32_t slot = 0; slot < sets.num_slots(); ++slot) {
-    ASSERT_EQ(sets.sets[slot].size(), sets.weights[slot].size());
-    for (float w : sets.weights[slot]) EXPECT_GT(w, 0.0f);
-    EXPECT_TRUE(std::is_sorted(sets.sets[slot].begin(),
-                               sets.sets[slot].end()));
+    const std::vector<int32_t> set = Members(sets, slot);
+    EXPECT_TRUE(std::is_sorted(set.begin(), set.end()));
   }
 }
 
@@ -83,23 +115,30 @@ TEST(ProbabilisticSetsTest, SeenEntitiesAlwaysPresent) {
   const CandidateSets sets = BuildProbabilisticSets(LwdScores(d), d);
   const CsrMatrix seen = ObservedSlots(d, {Split::kTrain});
   for (int32_t slot = 0; slot < sets.num_slots(); ++slot) {
+    const std::vector<int32_t> set = Members(sets, slot);
     for (int64_t k = seen.RowBegin(slot); k < seen.RowEnd(slot); ++k) {
       const int32_t e = seen.col_idx()[k];
-      EXPECT_TRUE(std::binary_search(sets.sets[slot].begin(),
-                                     sets.sets[slot].end(), e))
+      EXPECT_TRUE(std::binary_search(set.begin(), set.end(), e))
           << "slot " << slot << " entity " << e;
     }
   }
 }
 
+TEST(ProbabilisticSetsTest, DiesOnNonPositiveScore) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset d = SynthDataset();
+  RecommenderScores scores = LwdScores(d);
+  scores.by_set.mutable_values()[0] = 0.0f;
+  EXPECT_DEATH(BuildProbabilisticSets(std::move(scores), d), "score of 0");
+}
+
 TEST(SetQualityTest, PerfectSetsScorePerfectly) {
   const Dataset d = SynthDataset();
-  CandidateSets all;
-  all.num_entities = d.num_entities();
-  all.sets.resize(2 * d.num_relations());
   std::vector<int32_t> everyone(d.num_entities());
   std::iota(everyone.begin(), everyone.end(), 0);
-  for (auto& set : all.sets) set = everyone;
+  const CandidateSets all = MakeSets(
+      d.num_entities(),
+      std::vector<std::vector<int32_t>>(2 * d.num_relations(), everyone));
   const SetQuality q = EvaluateSetQuality(all, d);
   EXPECT_DOUBLE_EQ(q.cr_test, 1.0);
   EXPECT_DOUBLE_EQ(q.rr, 0.0);  // No reduction.
@@ -107,9 +146,9 @@ TEST(SetQualityTest, PerfectSetsScorePerfectly) {
 
 TEST(SetQualityTest, EmptySetsScoreZeroRecall) {
   const Dataset d = SynthDataset();
-  CandidateSets none;
-  none.num_entities = d.num_entities();
-  none.sets.resize(2 * d.num_relations());
+  const CandidateSets none = MakeSets(
+      d.num_entities(),
+      std::vector<std::vector<int32_t>>(2 * d.num_relations()));
   const SetQuality q = EvaluateSetQuality(none, d);
   EXPECT_DOUBLE_EQ(q.cr_test, 0.0);
   EXPECT_DOUBLE_EQ(q.rr, 1.0);
@@ -123,6 +162,16 @@ TEST(SetQualityTest, CrTestAtLeastCrUnseen) {
   const SetQuality q = EvaluateSetQuality(sets, d);
   EXPECT_GE(q.cr_test, q.cr_unseen);
   EXPECT_GT(q.cr_test, 0.5);
+}
+
+TEST(SetQualityTest, DiesOnSetsWithoutOneRowPerSlot) {
+  // A Random framework fits no recommender, so its sets have no rows.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset d = SynthDataset();
+  FrameworkOptions options;
+  options.strategy = SamplingStrategy::kRandom;
+  auto framework = EvaluationFramework::Build(&d, options).ValueOrDie();
+  EXPECT_DEATH(EvaluateSetQuality(framework->sets(), d), "num_slots");
 }
 
 // --- Samplers -----------------------------------------------------------------
@@ -147,9 +196,7 @@ TEST(DrawCandidatesTest, RandomPoolsHaveRequestedSize) {
 }
 
 TEST(DrawCandidatesTest, StaticCapsAtSetSize) {
-  CandidateSets sets;
-  sets.num_entities = 100;
-  sets.sets = {{1, 2, 3}, {4, 5, 6, 7}};
+  const CandidateSets sets = MakeSets(100, {{1, 2, 3}, {4, 5, 6, 7}});
   Rng rng(2);
   const SampledCandidates pools = DrawCandidates(
       SamplingStrategy::kStatic, &sets, 100, 10, {0, 1}, 2, &rng);
@@ -159,10 +206,9 @@ TEST(DrawCandidatesTest, StaticCapsAtSetSize) {
 }
 
 TEST(DrawCandidatesTest, StaticSubsamplesLargeSets) {
-  CandidateSets sets;
-  sets.num_entities = 100;
-  sets.sets.push_back(std::vector<int32_t>(60));
-  std::iota(sets.sets[0].begin(), sets.sets[0].end(), 0);
+  std::vector<int32_t> population(60);
+  std::iota(population.begin(), population.end(), 0);
+  const CandidateSets sets = MakeSets(100, {population});
   Rng rng(3);
   const SampledCandidates pools = DrawCandidates(
       SamplingStrategy::kStatic, &sets, 100, 20, {0}, 1, &rng);
@@ -171,10 +217,8 @@ TEST(DrawCandidatesTest, StaticSubsamplesLargeSets) {
 }
 
 TEST(DrawCandidatesTest, ProbabilisticRespectsSupport) {
-  CandidateSets sets;
-  sets.num_entities = 100;
-  sets.sets = {{10, 20, 30, 40}};
-  sets.weights = {{1.0f, 2.0f, 0.0f, 4.0f}};
+  const CandidateSets sets =
+      MakeSets(100, {{10, 20, 30, 40}}, {{1.0f, 2.0f, 0.0f, 4.0f}});
   Rng rng(4);
   const SampledCandidates pools = DrawCandidates(
       SamplingStrategy::kProbabilistic, &sets, 100, 10, {0}, 1, &rng);

@@ -320,13 +320,27 @@ uint64_t ScoresDigest(const CsrMatrix& m) {
   return fnv.value();
 }
 
-uint64_t SetsDigest(const CandidateSets& sets) {
+/// Hashes the sets slot by slot in the byte stream the golden digests
+/// pin: each row's size and ids, then (Probabilistic sets only) each row's
+/// size and weight bits, then the thresholds.
+uint64_t SetsDigest(const CandidateSets& sets, bool weighted) {
+  const CsrMatrix& m = sets.members;
   Fnv1a fnv;
-  fnv.Add(static_cast<uint64_t>(sets.num_entities));
-  fnv.Add(sets.sets.size());
-  for (const auto& set : sets.sets) fnv.AddInts(set);
-  fnv.Add(sets.weights.size());
-  for (const auto& weights : sets.weights) fnv.AddFloats(weights);
+  fnv.Add(static_cast<uint64_t>(sets.num_entities()));
+  fnv.Add(static_cast<uint64_t>(m.rows()));
+  for (int64_t slot = 0; slot < m.rows(); ++slot) {
+    fnv.Add(static_cast<uint64_t>(m.RowEnd(slot) - m.RowBegin(slot)));
+    for (int64_t k = m.RowBegin(slot); k < m.RowEnd(slot); ++k) {
+      fnv.Add(static_cast<uint32_t>(m.col_idx()[k]));
+    }
+  }
+  fnv.Add(weighted ? static_cast<uint64_t>(m.rows()) : 0);
+  for (int64_t slot = 0; weighted && slot < m.rows(); ++slot) {
+    fnv.Add(static_cast<uint64_t>(m.RowEnd(slot) - m.RowBegin(slot)));
+    for (int64_t k = m.RowBegin(slot); k < m.RowEnd(slot); ++k) {
+      fnv.AddFloat(m.values()[k]);
+    }
+  }
   fnv.AddFloats(sets.thresholds);
   return fnv.value();
 }
@@ -372,9 +386,10 @@ TEST_P(RecommenderParamTest, GoldenDigests) {
       std::begin(kAllRecommenders);
   const RecommenderDigests& golden = kGoldenDigests[index];
   const uint64_t by_set = ScoresDigest(scores.by_set);
-  const uint64_t static_sets = SetsDigest(BuildStaticSets(scores, d));
+  const uint64_t static_sets =
+      SetsDigest(BuildStaticSets(scores, d), /*weighted=*/false);
   const uint64_t probabilistic_sets =
-      SetsDigest(BuildProbabilisticSets(scores, d));
+      SetsDigest(BuildProbabilisticSets(scores, d), /*weighted=*/true);
   EXPECT_EQ(by_set, golden.by_set) << std::hex << std::uppercase
                                    << "by_set 0x" << by_set;
   EXPECT_EQ(static_sets, golden.static_sets)
@@ -405,17 +420,15 @@ TEST_P(RecommenderParamTest, ScoresEveryTrainSeenEntityPositively) {
     }
   }
   const CandidateSets sets = BuildProbabilisticSets(scores, d);
-  ASSERT_EQ(sets.num_slots(), x.rows());
-  for (int32_t slot = 0; slot < sets.num_slots(); ++slot) {
-    const std::vector<int32_t> ids(x.col_idx().begin() + x.RowBegin(slot),
-                                   x.col_idx().begin() + x.RowEnd(slot));
-    ASSERT_EQ(sets.sets[slot], ids) << "slot " << slot;
-    ASSERT_EQ(sets.weights[slot].size(), ids.size()) << "slot " << slot;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(FloatBits(sets.weights[slot][i]),
-                FloatBits(x.values()[x.RowBegin(slot) + i]))
-          << "slot " << slot << " entity " << ids[i];
-    }
+  const CsrMatrix& members = sets.members;
+  ASSERT_EQ(members.rows(), x.rows());
+  for (int64_t slot = 0; slot < x.rows(); ++slot) {
+    ASSERT_EQ(members.RowBegin(slot), x.RowBegin(slot)) << "slot " << slot;
+  }
+  ASSERT_EQ(members.col_idx(), x.col_idx());
+  for (int64_t k = 0; k < x.nnz(); ++k) {
+    ASSERT_EQ(FloatBits(members.values()[k]), FloatBits(x.values()[k]))
+        << "entry " << k;
   }
 }
 

@@ -110,7 +110,7 @@ TEST(FloydSamplingTest, ApproximatelyUniform) {
 TEST(SampleFromTest, DrawsFromPopulation) {
   Rng rng(6);
   const std::vector<int32_t> population = {5, 9, 12, 40, 77};
-  const auto sample = SampleFrom(population, 3, &rng);
+  const auto sample = SampleFrom(population.data(), population.size(), 3, &rng);
   EXPECT_EQ(sample.size(), 3u);
   for (int32_t v : sample) {
     EXPECT_TRUE(std::find(population.begin(), population.end(), v) !=
@@ -121,7 +121,9 @@ TEST(SampleFromTest, DrawsFromPopulation) {
 TEST(SampleFromTest, WholePopulationWhenKTooLarge) {
   Rng rng(7);
   const std::vector<int32_t> population = {1, 2, 3};
-  EXPECT_EQ(SampleFrom(population, 10, &rng), population);
+  EXPECT_EQ(
+      SampleFrom(population.data(), population.size(), 10, &rng),
+      population);
 }
 
 // --- Weighted sampling --------------------------------------------------------
@@ -131,8 +133,8 @@ TEST(WeightedSamplingTest, ZeroWeightNeverDrawn) {
   const std::vector<int32_t> items = {0, 1, 2, 3};
   const std::vector<float> weights = {1.0f, 0.0f, 1.0f, 0.0f};
   for (int trial = 0; trial < 200; ++trial) {
-    for (int32_t v : WeightedSampleWithoutReplacement(items, weights, 2,
-                                                      &rng)) {
+    for (int32_t v : WeightedSampleWithoutReplacement(
+             items.data(), weights.data(), items.size(), 2, &rng)) {
       EXPECT_TRUE(v == 0 || v == 2);
     }
   }
@@ -142,7 +144,8 @@ TEST(WeightedSamplingTest, ReturnsAllPositiveWhenKLarge) {
   Rng rng(9);
   const std::vector<int32_t> items = {10, 11, 12, 13};
   const std::vector<float> weights = {1.0f, 0.5f, 0.0f, 2.0f};
-  auto sample = WeightedSampleWithoutReplacement(items, weights, 10, &rng);
+  auto sample = WeightedSampleWithoutReplacement(items.data(), weights.data(),
+                                                 items.size(), 10, &rng);
   std::sort(sample.begin(), sample.end());
   EXPECT_EQ(sample, (std::vector<int32_t>{10, 11, 13}));
 }
@@ -154,7 +157,8 @@ TEST(WeightedSamplingTest, HigherWeightDrawnMoreOften) {
   int heavy = 0;
   for (int trial = 0; trial < 2000; ++trial) {
     const auto sample =
-        WeightedSampleWithoutReplacement(items, weights, 1, &rng);
+        WeightedSampleWithoutReplacement(items.data(), weights.data(),
+                                         items.size(), 1, &rng);
     if (sample[0] == 0) ++heavy;
   }
   EXPECT_GT(heavy, 1400);
@@ -166,7 +170,8 @@ TEST(WeightedSamplingTest, NoDuplicates) {
   std::vector<float> weights(50, 1.0f);
   for (int i = 0; i < 50; ++i) items[i] = i;
   const auto sample =
-      WeightedSampleWithoutReplacement(items, weights, 20, &rng);
+      WeightedSampleWithoutReplacement(items.data(), weights.data(),
+                                       items.size(), 20, &rng);
   std::set<int32_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), sample.size());
 }
@@ -220,8 +225,10 @@ void ExpectMatchesHeap(const std::vector<float>& weights, uint64_t seeds) {
       std::vector<int32_t> expected =
           HeapOracle(items, weights, k, &expected_rng);
       std::vector<int32_t> got =
-          WeightedSampleWithoutReplacement(items, weights, k, &rng);
-      const int64_t keyed = SkipWeightedSample(weights, k, &skipped);
+          WeightedSampleWithoutReplacement(items.data(), weights.data(),
+                                           items.size(), k, &rng);
+      const int64_t keyed =
+          SkipWeightedSample(weights.data(), weights.size(), k, &skipped);
       std::sort(expected.begin(), expected.end());
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expected) << "seed " << seed << " k " << k;
@@ -252,8 +259,9 @@ TEST(WeightedSamplingTest, ZeroAndNegativeWeightsDrawNothing) {
                     5);
   // Nothing keyed: no draw at all, whatever k asks for.
   Rng rng(7), untouched(7);
-  EXPECT_TRUE(WeightedSampleWithoutReplacement({1, 2}, {0.0f, -2.0f}, 5,
-                                               &rng)
+  const int32_t items[] = {1, 2};
+  const float weights[] = {0.0f, -2.0f};
+  EXPECT_TRUE(WeightedSampleWithoutReplacement(items, weights, 2, 5, &rng)
                   .empty());
   EXPECT_EQ(rng.Next(), untouched.Next());
 }

@@ -41,7 +41,7 @@ import tempfile
 import time
 from collections import defaultdict
 
-FLOOR_PCT = 96.2
+FLOOR_PCT = 96.6
 
 # Lines that run only on some CPUs: the AVX-512 kernel table executes only
 # where the runner has AVX-512F, so counting it would make the floor depend
